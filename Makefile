@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race bench golden golden-update scale scale-update alloc alloc-update serve-smoke serve-load trace-smoke fuzz lint lint-external reprolint lint-fix clean
+.PHONY: check fmt vet build test test-short race bench bench-test manetbench golden golden-update scale scale-update alloc alloc-update serve-smoke serve-load trace-smoke fuzz lint lint-external reprolint clean
 
 check: fmt vet build test
 
@@ -29,6 +29,19 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# manetbench (bench/README.md) is its own module, outside ./...:
+# `make bench-test` runs its tests, `make manetbench` runs every workload
+# once and appends the host-stamped results to $(OUT). To judge a change,
+# collect runs of both commits into two files and run
+# `bash bench/run.sh compare parent.jsonl change.jsonl`.
+OUT ?= manetbench.jsonl
+
+bench-test:
+	cd bench && $(GO) test ./...
+
+manetbench:
+	bash bench/run.sh -workload all -out $(OUT)
 
 # Golden regression corpus: every scenario preset's metrics digest is
 # pinned under testdata/golden/ (see golden_test.go). `make golden`
@@ -111,19 +124,6 @@ lint: reprolint lint-external
 lint-external:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
-
-# lint-fix is a documentation stub for the two reprolint finding
-# classes with a mechanical remedy; the rewrites are manual for now:
-#   - sort-after-range (detmapiter): collect the map's keys or values
-#     into a slice inside the range, then sort.*/slices.Sort* the slice
-#     immediately after the loop (or iterate an already-sorted key
-#     slice) — see internal/olsr/hello.go and detect.finalize.
-#   - presized-append (allocann): replace `var s []T` + append-in-loop
-#     with `s := make([]T, 0, n)` when n is known, or reuse a retained
-#     scratch field truncated with s[:0] — see internal/olsr scratch.
-lint-fix:
-	@echo "reprolint has no auto-fixer yet; see the lint-fix comment in Makefile"
-	@echo "for the manual rewrites (sort-after-range, presized-append)."
 
 clean:
 	$(GO) clean ./...

@@ -23,7 +23,6 @@ import (
 	"repro/internal/lint/detmapiter"
 	"repro/internal/lint/detseed"
 	"repro/internal/lint/detwalltime"
-	"repro/internal/lint/extras"
 	"repro/internal/lint/load"
 )
 
@@ -35,13 +34,12 @@ func main() {
 }
 
 func analyzers() []*analysis.Analyzer {
-	as := []*analysis.Analyzer{
+	return []*analysis.Analyzer{
 		detwalltime.Analyzer,
 		detmapiter.Analyzer,
 		detseed.Analyzer,
 		allocann.Analyzer,
 	}
-	return append(as, extras.Analyzers...)
 }
 
 func usage() {
@@ -73,10 +71,6 @@ func run(patterns []string, verbose bool) int {
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr, "reprolint: %d analyzers over %d packages\n", len(analyzers()), len(paths))
-		if len(extras.Missing) > 0 {
-			fmt.Fprintf(os.Stderr, "reprolint: stock extras unavailable in this build (no golang.org/x/tools): %s\n",
-				strings.Join(extras.Missing, ", "))
-		}
 	}
 	var pkgs []*load.Package
 	loadFailed := false

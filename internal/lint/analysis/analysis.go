@@ -7,9 +7,7 @@
 // so the real x/tools framework cannot land as a dependency yet. The
 // types here keep the same field names and call shapes (Analyzer.Run,
 // Pass.Reportf) so that migrating the four analyzers onto the real
-// framework — and picking up its stock extras (nilness, shadow,
-// unusedwrite, see internal/lint/extras) — is a mechanical import swap,
-// not a rewrite.
+// framework is a mechanical import swap, not a rewrite.
 package analysis
 
 import (

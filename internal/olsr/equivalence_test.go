@@ -1,0 +1,388 @@
+package olsr
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/addr"
+	"repro/internal/auditlog"
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
+
+// The equivalence harness: the MPR memo and the expire gate must be pure
+// schedule changes. Two nodes with the same address run the same
+// randomized op sequence on identically seeded schedulers. The reference
+// node is forced eager before every op — mprStale set and nextExpiry
+// cleared — so each afterTopologyChange re-derives and each tick sweeps,
+// which is the schedule the memo and the gate replaced. Audit records,
+// emitted packets, the retained neighbor and MPR sets, routes and every
+// protocol table must then match step for step.
+
+var (
+	eqSelf   = addr.NodeAt(1)
+	eqPeers  = []addr.Node{addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4), addr.NodeAt(5), addr.NodeAt(6)}
+	eqFar    = []addr.Node{addr.NodeAt(7), addr.NodeAt(8), addr.NodeAt(9), addr.NodeAt(10)}
+	eqIfaces = []addr.Node{addr.NodeAt(100), addr.NodeAt(101), addr.NodeAt(102)}
+	eqNets   = []wire.HNANetwork{
+		{Network: addr.Node(0xc0a80000), Mask: addr.Node(0xffff0000)},
+		{Network: addr.Node(0x0a000000), Mask: addr.Node(0xff000000)},
+	}
+	// eqVTimes mixes validity times shorter than the 500ms tick with
+	// RFC-default holds; zero writes a tuple that is dead on arrival.
+	eqVTimes = []time.Duration{0, 50 * time.Millisecond, 300 * time.Millisecond,
+		time.Second, 2 * time.Second, 6 * time.Second, 15 * time.Second}
+	eqWills = []wire.Willingness{wire.WillDefault, wire.WillDefault, wire.WillDefault,
+		wire.WillNever, wire.WillLow, wire.WillHigh, wire.WillAlways}
+)
+
+// eqPair is one memoised node and its eager reference.
+type eqPair struct {
+	t            *testing.T
+	memo, eager  *Node
+	memoLog      *auditlog.Buffer
+	eagerLog     *auditlog.Buffer
+	memoSent     []string
+	eagerSent    []string
+	cursor       uint64
+	step         string
+	derivedNow   bool // the last op ran afterTopologyChange unconditionally
+	msgSeq, ansn map[addr.Node]uint16
+}
+
+func newEqPair(t *testing.T, seed int64) *eqPair {
+	p := &eqPair{t: t, msgSeq: make(map[addr.Node]uint16), ansn: make(map[addr.Node]uint16)}
+	mk := func(sent *[]string) (*Node, *auditlog.Buffer) {
+		logb := &auditlog.Buffer{}
+		return New(Config{Addr: eqSelf}, sim.New(seed), func(b []byte) { *sent = append(*sent, fmt.Sprintf("%x", b)) }, logb), logb
+	}
+	p.memo, p.memoLog = mk(&p.memoSent)
+	p.eager, p.eagerLog = mk(&p.eagerSent)
+	return p
+}
+
+// do applies one op to both nodes, forcing the reference eager first, and
+// then compares every observable.
+func (p *eqPair) do(step string, op func(n *Node)) {
+	p.t.Helper()
+	p.step = step
+	p.eager.mprStale = true
+	p.eager.nextExpiry = 0
+	op(p.memo)
+	op(p.eager)
+	p.compare()
+}
+
+func (p *eqPair) fail(format string, args ...any) {
+	p.t.Helper()
+	p.t.Fatalf("t=%s after %s: %s", p.memo.now(), p.step, fmt.Sprintf(format, args...))
+}
+
+func (p *eqPair) compare() {
+	p.t.Helper()
+	got, _ := p.memoLog.Since(p.cursor)
+	want, next := p.eagerLog.Since(p.cursor)
+	if len(got) != len(want) {
+		p.fail("%d audit records, eager reference wrote %d:\nmemo  %v\neager %v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			p.fail("audit record diverged:\nmemo  %s\neager %s", got[i], want[i])
+		}
+	}
+	p.cursor = next
+	if !slices.Equal(p.memoSent, p.eagerSent) {
+		p.fail("emitted packets diverged:\nmemo  %v\neager %v", p.memoSent, p.eagerSent)
+	}
+	p.memoSent, p.eagerSent = p.memoSent[:0], p.eagerSent[:0]
+	if !p.memo.mprs.Equal(p.eager.mprs) || !p.memo.prevSym.Equal(p.eager.prevSym) {
+		p.fail("mprs %v sym %v, eager reference mprs %v sym %v",
+			p.memo.mprs, p.memo.prevSym, p.eager.mprs, p.eager.prevSym)
+	}
+	if g, w := fmt.Sprint(p.memo.Routes()), fmt.Sprint(p.eager.Routes()); g != w {
+		p.fail("routes diverged:\nmemo  %s\neager %s", g, w)
+	}
+	if g, w := snapshot(p.memo), snapshot(p.eager); g != w {
+		p.fail("protocol tables diverged:\nmemo\n%s\neager\n%s", g, w)
+	}
+	if p.derivedNow {
+		p.derivedNow = false
+		sym := p.memo.fillSymScratch().Clone()
+		mprs, _ := p.memo.selectMPRs()
+		if !sym.Equal(p.memo.prevSym) || !mprs.Equal(p.memo.mprs) {
+			p.fail("memo holds sym %v mprs %v, a fresh derivation gives sym %v mprs %v",
+				p.memo.prevSym, p.memo.mprs, sym, mprs)
+		}
+	}
+}
+
+// snapshot renders every protocol table as sorted lines. Empty 2-hop
+// cover maps render nothing: they carry no tuple and no behaviour.
+func snapshot(n *Node) string {
+	var lines []string
+	add := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	for x, lt := range n.links {
+		add("link %v sym=%d asym=%d until=%d will=%d", x, lt.symUntil, lt.asymUntil, lt.until, lt.will)
+	}
+	for via, cover := range n.twoHop {
+		for b, until := range cover {
+			add("twohop %v %v %d", via, b, until)
+		}
+	}
+	for x, until := range n.selectors {
+		add("selector %v %d", x, until)
+	}
+	for orig, e := range n.topo {
+		add("topo %v ansn=%d", orig, e.ansn)
+		for d, until := range e.dests {
+			add("topo %v -> %v %d", orig, d, until)
+		}
+	}
+	for k, d := range n.dups {
+		add("dup %v/%d %d %v %v", k.orig, k.seq, d.until, d.processed, d.retransmitted)
+	}
+	for iface, until := range n.midUntil {
+		add("mid %v -> %v %d", iface, n.midAssoc[iface], until)
+	}
+	for nw, until := range n.hnaUntil {
+		add("hna %v -> %v %d", nw, n.hnaRoutes[nw], until)
+	}
+	for x, a := range n.lastHelloSym {
+		add("advertised %v %v %v", x, a.set, a.field)
+	}
+	slices.Sort(lines)
+	return fmt.Sprintf("ansn=%d excluded=%v stats=%+v\n%s", n.ansn, n.excluded, n.Stats(), strings.Join(lines, "\n"))
+}
+
+// assertSwept fails if a swept table still holds a tuple that has expired.
+func (p *eqPair) assertSwept() {
+	p.t.Helper()
+	n, now := p.memo, p.memo.now()
+	for x, lt := range n.links {
+		if max(lt.until, lt.asymUntil, lt.symUntil) <= now {
+			p.fail("expired link tuple %v survived the tick", x)
+		}
+	}
+	for via, cover := range n.twoHop {
+		for b, until := range cover {
+			if until <= now {
+				p.fail("expired 2-hop tuple %v via %v survived the tick", b, via)
+			}
+		}
+	}
+	for x, until := range n.selectors {
+		if until <= now {
+			p.fail("expired selector %v survived the tick", x)
+		}
+	}
+	for orig, e := range n.topo {
+		if len(e.dests) == 0 {
+			p.fail("empty topology entry %v survived the tick", orig)
+		}
+		for d, until := range e.dests {
+			if until <= now {
+				p.fail("expired topology tuple %v -> %v survived the tick", orig, d)
+			}
+		}
+	}
+	for k, d := range n.dups {
+		if d.until <= now {
+			p.fail("expired duplicate tuple %v survived the tick", k)
+		}
+	}
+	for iface, until := range n.midUntil {
+		if until <= now {
+			p.fail("expired MID tuple %v survived the tick", iface)
+		}
+	}
+	for nw, until := range n.hnaUntil {
+		if until <= now {
+			p.fail("expired HNA tuple %v survived the tick", nw)
+		}
+	}
+}
+
+// assertHelloSym checks that the HELLO_RX record written since start
+// renders h's advertised set, whether its field was re-rendered or shared.
+func (p *eqPair) assertHelloSym(start uint64, h *wire.Hello) {
+	p.t.Helper()
+	recs, _ := p.memoLog.Since(start)
+	want := auditlog.FNodes("sym", h.SymNeighbors().Sorted()).Value
+	for _, r := range recs {
+		if r.Kind == auditlog.KindHelloRx {
+			if got, _ := r.Get("sym"); got != want {
+				p.fail("HELLO_RX sym=%q, the HELLO advertised %q", got, want)
+			}
+			return
+		}
+	}
+	p.fail("no HELLO_RX record")
+}
+
+func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
+
+// subset draws up to limit nodes from pool, duplicates allowed.
+func subset(rng *rand.Rand, pool []addr.Node, limit int) []addr.Node {
+	out := make([]addr.Node, rng.Intn(limit+1))
+	for i := range out {
+		out[i] = pick(rng, pool)
+	}
+	return out
+}
+
+// nextSeq returns a fresh message sequence number for orig, or repeats the
+// last one now and then so the duplicate set is exercised.
+func (p *eqPair) nextSeq(rng *rand.Rand, orig addr.Node) uint16 {
+	if rng.Intn(5) != 0 {
+		p.msgSeq[orig]++
+	}
+	return p.msgSeq[orig]
+}
+
+// randomHello builds a HELLO with random link blocks over every link code.
+// One in four is a bare refresh that lists only this node, so a shorter
+// VTime can cut a symmetric link's or a selector's life with no 2-hop
+// tuple written alongside.
+func randomHello(rng *rand.Rand) *wire.Hello {
+	everyone := append(append([]addr.Node{eqSelf, eqSelf}, eqPeers...), eqFar...)
+	h := &wire.Hello{HTime: 2 * time.Second, Will: pick(rng, eqWills)}
+	if rng.Intn(4) == 0 {
+		nt := wire.NeighSym + wire.NeighborType(rng.Intn(2)) // SYM or MPR
+		h.Links = []wire.LinkBlock{{Code: wire.MakeLinkCode(nt, wire.LinkSym), Neighbors: []addr.Node{eqSelf}}}
+		return h
+	}
+	for range rng.Intn(4) + 1 {
+		nt := wire.NeighborType(rng.Intn(3))                      // NOT, SYM, MPR
+		code := wire.MakeLinkCode(nt, wire.LinkType(rng.Intn(4))) // UNSPEC, ASYM, SYM, LOST
+		h.Links = append(h.Links, wire.LinkBlock{Code: code, Neighbors: subset(rng, everyone, 4)})
+	}
+	return h
+}
+
+// randomStep applies one random op to the pair.
+func (p *eqPair) randomStep(rng *rand.Rand) {
+	everyone := append(append([]addr.Node{eqSelf}, eqPeers...), eqFar...)
+	switch r := rng.Intn(100); {
+	case r < 25:
+		dt := time.Duration(rng.Intn(31)) * 100 * time.Millisecond
+		p.do("advance "+dt.String(), func(n *Node) { n.sched.RunUntil(n.now() + dt) })
+	case r < 55:
+		from := pick(rng, eqPeers)
+		h := randomHello(rng)
+		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: from, TTL: 1, Seq: p.nextSeq(rng, from), Body: h}
+		p.derivedNow = true
+		start := p.memoLog.NextSeq()
+		p.do(fmt.Sprintf("HELLO %v %+v", from, h), func(n *Node) { n.handleMessage(from, &m) })
+		p.assertHelloSym(start, h)
+	case r < 70:
+		orig := pick(rng, append(eqPeers, eqFar...))
+		// ANSNs start just below the wrap and step both ways, so stale,
+		// equal, newer and wrapped advertisements all occur.
+		if _, ok := p.ansn[orig]; !ok {
+			p.ansn[orig] = 65533
+		}
+		p.ansn[orig] += uint16(rng.Intn(5)) - 1
+		tc := &wire.TC{ANSN: p.ansn[orig], Advertised: subset(rng, everyone, 4)}
+		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: orig, TTL: uint8(rng.Intn(4) + 1), Seq: p.nextSeq(rng, orig), Body: tc}
+		sender := pick(rng, eqPeers)
+		p.do(fmt.Sprintf("TC %v via %v %+v", orig, sender, tc), func(n *Node) { n.handleMessage(sender, &m) })
+	case r < 85:
+		p.do("tick", func(n *Node) { n.expire() })
+		p.assertSwept()
+	case r < 90:
+		p.do("emit", func(n *Node) { n.sendHello(); n.sendTC() })
+	case r < 95:
+		x, banned := pick(rng, eqPeers), rng.Intn(2) == 0
+		p.derivedNow = true
+		p.do(fmt.Sprintf("Exclude(%v, %v)", x, banned), func(n *Node) { n.Exclude(x, banned) })
+	case r < 98:
+		orig := pick(rng, append(eqPeers, eqFar...))
+		mid := &wire.MID{Interfaces: subset(rng, eqIfaces, 2)}
+		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: orig, TTL: 3, Seq: p.nextSeq(rng, orig), Body: mid}
+		sender := pick(rng, eqPeers)
+		p.do(fmt.Sprintf("MID %v %v", orig, mid.Interfaces), func(n *Node) { n.handleMessage(sender, &m) })
+	default:
+		orig := pick(rng, append(eqPeers, eqFar...))
+		hna := &wire.HNA{Networks: []wire.HNANetwork{pick(rng, eqNets)}}
+		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: orig, TTL: 3, Seq: p.nextSeq(rng, orig), Body: hna}
+		sender := pick(rng, eqPeers)
+		p.do(fmt.Sprintf("HNA %v", orig), func(n *Node) { n.handleMessage(sender, &m) })
+	}
+}
+
+// TestScheduleEquivalence drives 1000 randomized op sequences through a
+// memoised node and its eager reference.
+func TestScheduleEquivalence(t *testing.T) {
+	const (
+		sequences = 1000
+		steps     = 60
+	)
+	var derivations, skipped uint64
+	for seed := int64(1); seed <= sequences; seed++ {
+		rng := rand.New(rand.NewSource(seed)) //nolint:gosec // test
+		p := newEqPair(t, seed)
+		for range steps {
+			p.randomStep(rng)
+		}
+		derivations += p.memo.mprDerivations
+		skipped += p.eager.mprDerivations - p.memo.mprDerivations
+	}
+	// The campaign must exercise the memo, not only the stale path.
+	if skipped == 0 {
+		t.Fatalf("the memo skipped no re-derivation in %d sequences (%d derivations)", sequences, derivations)
+	}
+}
+
+// TestMemoHoldsInSteadyState pins the saving itself: HELLO refreshes, TCs
+// and ticks that change no input must neither re-derive the MPR set nor
+// sweep, while a real change still re-derives at once.
+func TestMemoHoldsInSteadyState(t *testing.T) {
+	sched := sim.New(1)
+	n := New(Config{Addr: eqSelf}, sched, func([]byte) {}, nil)
+	var seq uint16
+	hello := func(from addr.Node, twoHop ...addr.Node) {
+		seq++
+		h := &wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: []wire.LinkBlock{
+			{Code: wire.MakeLinkCode(wire.NeighSym, wire.LinkSym), Neighbors: append([]addr.Node{eqSelf}, twoHop...)},
+		}}
+		n.handleMessage(from, &wire.Message{VTime: 6 * time.Second, Originator: from, TTL: 1, Seq: seq, Body: h})
+	}
+	tc := func() {
+		seq++
+		n.handleMessage(addr.NodeAt(2), &wire.Message{VTime: 15 * time.Second, Originator: addr.NodeAt(7),
+			TTL: 2, Seq: seq, Body: &wire.TC{ANSN: 1, Advertised: []addr.Node{addr.NodeAt(9)}}})
+	}
+	hello(addr.NodeAt(2), addr.NodeAt(7))
+	hello(addr.NodeAt(3), addr.NodeAt(8))
+	n.expire()
+	if want := addr.NewSet(addr.NodeAt(2), addr.NodeAt(3)); !n.mprs.Equal(want) {
+		t.Fatalf("mprs = %v, want %v", n.mprs, want)
+	}
+
+	// An empty cover map is dropped by any sweep and matters to nothing
+	// else, so it survives exactly as long as the gate keeps the sweep off.
+	n.twoHop[addr.NodeAt(99)] = map[addr.Node]time.Duration{}
+	base := n.mprDerivations
+	for range 8 { // 4s: every tuple still has at least 2s to live
+		sched.RunUntil(sched.Now() + 500*time.Millisecond)
+		hello(addr.NodeAt(2), addr.NodeAt(7))
+		hello(addr.NodeAt(3), addr.NodeAt(8))
+		tc()
+		n.expire()
+	}
+	if n.mprDerivations != base {
+		t.Fatalf("steady state re-derived the MPR set %d times: the memo is bypassed", n.mprDerivations-base)
+	}
+	if _, ok := n.twoHop[addr.NodeAt(99)]; !ok {
+		t.Fatal("a tick with nothing expired swept the tables: the expire gate is bypassed")
+	}
+
+	hello(addr.NodeAt(2), addr.NodeAt(7), addr.NodeAt(10)) // a new 2-hop tuple
+	if n.mprDerivations != base+1 {
+		t.Fatalf("a new 2-hop tuple ran %d re-derivations, want 1", n.mprDerivations-base)
+	}
+}

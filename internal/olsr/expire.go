@@ -1,24 +1,49 @@
 package olsr
 
 import (
+	"math"
 	"slices"
+	"time"
 
 	"repro/internal/auditlog"
 )
 
+// never is the expiry of an empty table: no deadline at all.
+const never = time.Duration(math.MaxInt64)
+
+// noteExpiry lowers the sweep deadline to cover a tuple written with
+// validity until t. Every write to a swept table calls it, so nextExpiry
+// stays at or below the earliest expiry the sweep could act on.
+func (n *Node) noteExpiry(t time.Duration) { n.nextExpiry = min(n.nextExpiry, t) }
+
 // expire is the periodic housekeeping pass: it drops every tuple whose
-// validity time has elapsed and then re-derives MPRs and routes.
+// validity time has elapsed and then re-derives MPRs and routes. Only the
+// duplicate set is swept on every tick; the other tables are swept once
+// nextExpiry has passed, because before that nothing in them has expired
+// and the sweep would be a no-op. The sweep recomputes nextExpiry from the
+// tuples that survive it.
 func (n *Node) expire() {
 	now := n.now()
+	for k, d := range n.dups {
+		if d.until <= now {
+			delete(n.dups, k)
+		}
+	}
+	if now < n.nextExpiry {
+		return
+	}
+	next := never
 	changed := false
 
 	for x, lt := range n.links {
-		if lt.until <= now && lt.asymUntil <= now && lt.symUntil <= now {
-			delete(n.links, x)
-			delete(n.twoHop, x)
-			delete(n.lastHelloSym, x)
-			changed = true
+		if until := max(lt.until, lt.asymUntil, lt.symUntil); until > now {
+			next = min(next, until)
+			continue
 		}
+		delete(n.links, x)
+		delete(n.twoHop, x)
+		delete(n.lastHelloSym, x)
+		changed = true
 	}
 	// The 2-hop and selector passes emit audit records, and record order
 	// is observable (the log is hash-chained when sealing is armed), so
@@ -37,6 +62,8 @@ func (n *Node) expire() {
 		for b, until := range cover {
 			if until <= now {
 				down = append(down, b)
+			} else {
+				next = min(next, until)
 			}
 		}
 		slices.Sort(down)
@@ -55,6 +82,8 @@ func (n *Node) expire() {
 	for x, until := range n.selectors {
 		if until <= now {
 			expired = append(expired, x)
+		} else {
+			next = min(next, until)
 		}
 	}
 	slices.Sort(expired)
@@ -70,29 +99,31 @@ func (n *Node) expire() {
 			if until <= now {
 				delete(e.dests, d)
 				changed = true
+			} else {
+				next = min(next, until)
 			}
 		}
 		if len(e.dests) == 0 {
 			delete(n.topo, last)
 		}
 	}
-	for k, d := range n.dups {
-		if d.until <= now {
-			delete(n.dups, k)
-		}
-	}
 	for iface, until := range n.midUntil {
 		if until <= now {
 			delete(n.midUntil, iface)
 			delete(n.midAssoc, iface)
+		} else {
+			next = min(next, until)
 		}
 	}
 	for nw, until := range n.hnaUntil {
 		if until <= now {
 			delete(n.hnaUntil, nw)
 			delete(n.hnaRoutes, nw)
+		} else {
+			next = min(next, until)
 		}
 	}
+	n.nextExpiry = next
 
 	if changed {
 		n.afterTopologyChange()
@@ -107,10 +138,21 @@ func (n *Node) expire() {
 // effects, control-plane lookups are orders of magnitude rarer than the
 // control traffic that invalidates them, and a read-time table is never
 // *staler* than the old eager snapshot (see routeTable).
+//
+// The neighborhood and MPR set are memoised: re-deriving them from
+// unchanged inputs logs nothing and stores the same sets, so the pass is
+// skipped unless an input write set mprStale or a live input may have
+// expired since the last derivation (DESIGN.md §10.1).
 func (n *Node) afterTopologyChange() {
+	n.routesDirty = true
+	if !n.mprStale && n.now() < n.mprValidUntil {
+		return
+	}
+	n.mprStale = false
+	n.mprDerivations++
+
 	// Compare against the retained sets through scratch; allocate fresh
-	// copies only when something actually changed (the steady state is
-	// "nothing changed", re-derived on every received HELLO and TC).
+	// copies only when something actually changed.
 	sym := n.fillSymScratch()
 	if !sym.Equal(n.prevSym) {
 		for _, x := range sym.Diff(n.prevSym).Sorted() {
@@ -122,7 +164,8 @@ func (n *Node) afterTopologyChange() {
 		n.prevSym = sym.Clone()
 	}
 
-	mprs := n.selectMPRs() // scratch; invalidates sym above
+	mprs, validUntil := n.selectMPRs() // scratch; invalidates sym above
+	n.mprValidUntil = validUntil
 	if !mprs.Equal(n.mprs) {
 		added := mprs.Diff(n.mprs)
 		removed := n.mprs.Diff(mprs)
@@ -132,15 +175,4 @@ func (n *Node) afterTopologyChange() {
 			auditlog.FNodes("removed", removed.Sorted()),
 			auditlog.FNodes("mprs", mprs.Sorted()))
 	}
-
-	n.routesDirty = true
-}
-
-// ForceRecalculate re-derives MPRs and routes immediately — the eager
-// escape hatch from the lazy route schedule, for callers that want to
-// observe n.routes between timer ticks without going through
-// Routes/RouteTo.
-func (n *Node) ForceRecalculate() {
-	n.afterTopologyChange()
-	n.routeTable()
 }

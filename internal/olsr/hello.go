@@ -90,12 +90,18 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	now := n.now()
 	vuntil := now + m.VTime
 
+	n.noteExpiry(vuntil) // the link, 2-hop and selector tuples all get vuntil
+
 	lt, ok := n.links[from]
 	if !ok {
 		lt = &linkTuple{}
 		n.links[from] = lt
 	}
+	wasSym := lt.symUntil > now
 	lt.asymUntil = vuntil
+	if lt.will != h.Will {
+		n.mprStale = true
+	}
 	lt.will = h.Will
 
 	// Did the sender hear us? Scan every link block for our own address.
@@ -125,17 +131,29 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	if lt.until < lt.symUntil {
 		lt.until = lt.symUntil
 	}
-
-	// Reuse the per-sender advertised set: AdvertisedSym clones before
-	// handing it out, so clearing in place is unobservable.
-	advertised := n.lastHelloSym[from]
-	if advertised == nil {
-		advertised = make(addr.Set)
-		n.lastHelloSym[from] = advertised
-	} else {
-		clear(advertised)
+	// A flip of the symmetric predicate changes the MPR inputs; a refresh
+	// only moves an expiry, and a shorter VTime can move it earlier.
+	if isSym := lt.symUntil > now; isSym != wasSym {
+		n.mprStale = true
+	} else if isSym {
+		n.mprValidUntil = min(n.mprValidUntil, lt.symUntil)
 	}
-	h.SymNeighborsInto(advertised)
+
+	// A neighbor re-advertises the same set in most HELLOs. Read it into
+	// scratch and swap it in, re-rendering the HELLO_RX field, only when
+	// it changed; AdvertisedSym clones, so the swap is unobservable.
+	adv := n.lastHelloSym[from]
+	if adv == nil {
+		adv = &advert{set: make(addr.Set), field: auditlog.FNodes("sym", nil)}
+		n.lastHelloSym[from] = adv
+	}
+	sym := n.symScratch
+	clear(sym)
+	h.SymNeighborsInto(sym)
+	if !sym.Equal(adv.set) {
+		adv.set, n.symScratch = sym, adv.set
+		adv.field = auditlog.FNodes("sym", sym.AppendSorted(n.nodeScratch[:0]))
+	}
 
 	// 2-hop set: only populated through symmetric neighbors.
 	if lt.symUntil > now {
@@ -155,12 +173,15 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 					if old, exists := cover[b]; !exists || old <= now {
 						n.log(auditlog.KindTwoHopUp,
 							auditlog.FNode("via", from), auditlog.FNode("twohop", b))
+						n.mprStale = true
 					}
 					cover[b] = vuntil
+					n.mprValidUntil = min(n.mprValidUntil, vuntil)
 				case wire.NeighNot:
 					if old, exists := cover[b]; exists && old > now {
 						n.log(auditlog.KindTwoHopDown,
 							auditlog.FNode("via", from), auditlog.FNode("twohop", b))
+						n.mprStale = true
 					}
 					delete(cover, b)
 				}
@@ -198,11 +219,11 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 
 	n.log(auditlog.KindHelloRx,
 		auditlog.FNode("from", from),
-		auditlog.FNodes("sym", advertised.AppendSorted(n.nodeScratch[:0])),
+		adv.field,
 		auditlog.FInt("will", int(h.Will)))
 	if n.tracer.On() {
 		n.tracer.Emit(trace.Event{Plane: trace.PlaneOLSR, Kind: trace.KindHelloRx,
-			Node: n.cfg.Addr.String(), Peer: from.String(), V0: float64(len(advertised))})
+			Node: n.cfg.Addr.String(), Peer: from.String(), V0: float64(len(adv.set))})
 	}
 
 	n.afterTopologyChange()

@@ -2,6 +2,7 @@ package olsr
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/wire"
@@ -16,16 +17,24 @@ import (
 // All working state — including the returned MPR set — lives in the
 // node's recalculation scratch; the caller clones the result if it needs
 // to retain it.
-func (n *Node) selectMPRs() addr.Set {
+//
+// validUntil is the earliest expiry among the time-limited inputs the
+// heuristic read: the symmetric links and the live 2-hop tuples of the
+// candidates. Until then, and absent a write to an input, the result
+// cannot change.
+func (n *Node) selectMPRs() (mprs addr.Set, validUntil time.Duration) {
 	now := n.now()
 	sym := n.fillSymScratch()
+	validUntil = never
 
 	// N: willing symmetric neighbors; candidates for MPR. Convicted nodes
 	// (response action) are treated like WILL_NEVER: never entrusted with
 	// relaying.
 	candidates := n.nodeScratch[:0]
 	for x := range sym {
-		if n.links[x].will != wire.WillNever && !n.excluded.Has(x) {
+		lt := n.links[x]
+		validUntil = min(validUntil, lt.symUntil)
+		if lt.will != wire.WillNever && !n.excluded.Has(x) {
 			candidates = append(candidates, x)
 		}
 	}
@@ -40,7 +49,11 @@ func (n *Node) selectMPRs() addr.Set {
 	clear(n.reachCount)
 	for _, via := range candidates {
 		for b, until := range n.twoHop[via] {
-			if until <= now || b == n.cfg.Addr || sym.Has(b) {
+			if until <= now {
+				continue
+			}
+			validUntil = min(validUntil, until)
+			if b == n.cfg.Addr || sym.Has(b) {
 				continue
 			}
 			n.coverCount[b]++
@@ -49,7 +62,7 @@ func (n *Node) selectMPRs() addr.Set {
 		}
 	}
 
-	mprs := n.mprScratch
+	mprs = n.mprScratch
 	clear(mprs)
 	uncovered := n.uncovScratch
 	clear(uncovered)
@@ -109,7 +122,7 @@ func (n *Node) selectMPRs() addr.Set {
 		mprs.Add(best)
 		markCovered(best)
 	}
-	return mprs
+	return mprs, validUntil
 }
 
 // betterMPR reports whether candidate x (covering count uncovered nodes)

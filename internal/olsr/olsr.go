@@ -132,6 +132,14 @@ type dupTuple struct {
 	retransmitted bool
 }
 
+// advert is the symmetric-neighbor set a neighbor last advertised in a
+// HELLO, with the HELLO_RX "sym" field rendered from it. Records share
+// the field until the set changes.
+type advert struct {
+	set   addr.Set
+	field auditlog.Field
+}
+
 // Node is one OLSR routing agent.
 type Node struct {
 	cfg    Config
@@ -151,13 +159,25 @@ type Node struct {
 	midUntil     map[addr.Node]time.Duration       // interface -> expiry
 	hnaRoutes    map[wire.HNANetwork]addr.Node     // network -> gateway
 	hnaUntil     map[wire.HNANetwork]time.Duration // network -> expiry
-	lastHelloSym map[addr.Node]addr.Set            // neighbor -> last advertised sym set
+	lastHelloSym map[addr.Node]*advert             // neighbor -> last advertised sym set
 	routes       map[addr.Node]Route
 	routesDirty  bool // routes trail the topology; recomputed on read
 
 	prevSym addr.Set // for NEIGHBOR_UP/DOWN diffs
 
 	excluded addr.Set // nodes banned from MPR selection (response action)
+
+	// Recomputation schedule (DESIGN.md §10.1). prevSym and mprs are a pure
+	// function of the symmetric links and their willingness, the live
+	// 2-hop tuples, and excluded: afterTopologyChange re-derives them only
+	// when a write flagged one of those inputs (mprStale) or a live input
+	// may have expired (now >= mprValidUntil, a lower bound on the earliest
+	// such expiry). nextExpiry is the same kind of lower bound over every
+	// tuple the expire sweep drops; the sweep runs only once it has passed.
+	mprStale       bool
+	mprValidUntil  time.Duration
+	mprDerivations uint64 // re-derivations run; lets tests pin the memo
+	nextExpiry     time.Duration
 
 	ansn    uint16
 	msgSeq  uint16
@@ -207,7 +227,7 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		midUntil:     make(map[addr.Node]time.Duration),
 		hnaRoutes:    make(map[wire.HNANetwork]addr.Node),
 		hnaUntil:     make(map[wire.HNANetwork]time.Duration),
-		lastHelloSym: make(map[addr.Node]addr.Set),
+		lastHelloSym: make(map[addr.Node]*advert),
 		routes:       make(map[addr.Node]Route),
 		prevSym:      make(addr.Set),
 		excluded:     make(addr.Set),
@@ -231,6 +251,7 @@ func (n *Node) Exclude(x addr.Node, banned bool) {
 	} else {
 		n.excluded.Remove(x)
 	}
+	n.mprStale = true
 	n.afterTopologyChange()
 }
 
@@ -423,8 +444,8 @@ func (n *Node) Covers(via, dest addr.Node) bool {
 // AdvertisedSym returns the symmetric-neighbor set most recently advertised
 // by neighbor x in a HELLO, as recorded when the HELLO was processed.
 func (n *Node) AdvertisedSym(x addr.Node) addr.Set {
-	if s, ok := n.lastHelloSym[x]; ok {
-		return s.Clone()
+	if a, ok := n.lastHelloSym[x]; ok {
+		return a.set.Clone()
 	}
 	return make(addr.Set)
 }

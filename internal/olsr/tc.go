@@ -75,6 +75,13 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 			e.dests[d] = vuntil
 		}
 	}
+	if len(e.dests) == 0 {
+		// The next sweep drops an entry left without destinations, whatever
+		// their expiry, so it must run at the next tick.
+		n.noteExpiry(now)
+	} else {
+		n.noteExpiry(vuntil)
+	}
 
 	// Sorted-unique render of the advertised list (an attacker's TC may
 	// carry duplicates), equivalent to NewSet(...).Sorted() without the
@@ -110,13 +117,11 @@ func (n *Node) sendMID() {
 
 // processMID maintains the interface association set (RFC 3626 §5.4).
 func (n *Node) processMID(m *wire.Message, mid *wire.MID) {
-	if !n.symLink(m.Originator) && len(n.midAssoc) == 0 {
-		// MIDs are flooded; accept them regardless of the link to the
-		// originator, which is usually remote. (The sym check applies to
-		// the sender and is enforced by forwarding.)
-		_ = mid
-	}
+	// MIDs are flooded; accept them regardless of the link to the
+	// originator, which is usually remote. (The sym check applies to the
+	// sender and is enforced by the caller.)
 	vuntil := n.now() + m.VTime
+	n.noteExpiry(vuntil)
 	for _, iface := range mid.Interfaces {
 		n.midAssoc[iface] = m.Originator
 		n.midUntil[iface] = vuntil
@@ -141,6 +146,7 @@ func (n *Node) sendHNA() {
 // (RFC 3626 §12.5).
 func (n *Node) processHNA(m *wire.Message, hna *wire.HNA) {
 	vuntil := n.now() + m.VTime
+	n.noteExpiry(vuntil)
 	for _, nw := range hna.Networks {
 		n.hnaRoutes[nw] = m.Originator
 		n.hnaUntil[nw] = vuntil
