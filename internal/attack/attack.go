@@ -422,18 +422,9 @@ func (f *LogForger) Forge(now time.Duration) {
 	for _, a := range f.Alibis {
 		endpoints.Add(a.Endpoint)
 	}
-	recs, _ := f.Log.Since(0)
-	kept := recs[:0]
-	for _, r := range recs {
-		if r.Kind == auditlog.KindHelloRx {
-			if from, err := r.NodeField("from"); err == nil && endpoints.Has(from) {
-				continue // reality, erased
-			}
-		}
-		kept = append(kept, r)
-	}
+	alibis := make([]auditlog.Record, 0, len(f.Alibis))
 	for _, a := range f.Alibis {
-		kept = append(kept, auditlog.Record{
+		alibis = append(alibis, auditlog.Record{
 			T:    now,
 			Node: f.Self,
 			Kind: auditlog.KindHelloRx,
@@ -444,7 +435,13 @@ func (f *LogForger) Forge(now time.Duration) {
 		})
 		f.fabricated++
 	}
-	f.Log.Rewrite(kept)
+	f.Log.Rewrite(func(l auditlog.Line) bool {
+		if l.Kind() != auditlog.KindHelloRx {
+			return true
+		}
+		from, err := l.NodeField("from")
+		return err != nil || !endpoints.Has(from) // reality, erased
+	}, alibis...)
 	f.rewrites++
 }
 

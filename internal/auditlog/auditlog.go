@@ -107,8 +107,14 @@ func (r *Record) NodeField(key string) (addr.Node, error) {
 // NodesField parses the named field as a comma-separated address list. A
 // missing or empty field yields an empty list.
 func (r *Record) NodesField(key string) ([]addr.Node, error) {
-	v, ok := r.Get(key)
-	if !ok || v == "" {
+	v, _ := r.Get(key)
+	return parseNodes(key, v)
+}
+
+// parseNodes parses the value v of field key as a comma-separated address
+// list; an empty value is an empty list.
+func parseNodes(key, v string) ([]addr.Node, error) {
+	if v == "" {
 		return nil, nil
 	}
 	// Walk the commas in place instead of materializing a []string; the
@@ -153,7 +159,7 @@ func needsEscape(r rune) bool {
 // Ordinary protocol tokens (addresses, kinds, integers) contain none and
 // are appended verbatim.
 func appendEscaped(b []byte, s string) []byte {
-	if strings.IndexFunc(s, needsEscape) < 0 {
+	if plainASCII(s) || strings.IndexFunc(s, needsEscape) < 0 {
 		return append(b, s...)
 	}
 	for i := 0; i < len(s); {
@@ -170,6 +176,37 @@ func appendEscaped(b []byte, s string) []byte {
 		i += size
 	}
 	return b
+}
+
+// plainASCII reports whether s is ASCII with no byte needsEscape
+// matches. It decides the common case without decoding runes; the only
+// whitespace below utf8.RuneSelf is '\t' through '\r' and ' '.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, c == '%', c == '=', c == ' ', c >= '\t' && c <= '\r':
+			return false
+		}
+	}
+	return true
+}
+
+// appendSeconds appends strconv.AppendFloat(b, t.Seconds(), 'f', 3, 64).
+// With a fixed precision AppendFloat always takes its multi-precision
+// path, which made it the costliest part of rendering a line. For
+// 0 <= t < 10^6 s, t.Seconds() lies within a nanosecond of t, so it
+// rounds to the same millisecond as t in integer arithmetic — unless t
+// sits exactly on a half millisecond, where the float's own rounding
+// decides. Those times, and the rest, keep the float rendering.
+func appendSeconds(b []byte, t time.Duration) []byte {
+	const halfMs = time.Millisecond / 2
+	if t < 0 || t >= 1e6*time.Second || t%time.Millisecond == halfMs {
+		return strconv.AppendFloat(b, t.Seconds(), 'f', 3, 64)
+	}
+	ms := int64((t + halfMs) / time.Millisecond)
+	b = strconv.AppendInt(b, ms/1000, 10)
+	frac := ms % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // unescapeToken inverts escapeToken.
@@ -218,11 +255,12 @@ func (r *Record) String() string {
 	return string(r.appendLine(make([]byte, 0, 96)))
 }
 
-// appendLine appends the String rendering to b — the sealing path hashes
-// every record's line, so the renderer must not allocate per record.
+// appendLine appends the String rendering to b — every Buffer.Append
+// renders its record's line, so the renderer must not allocate per
+// record.
 func (r *Record) appendLine(b []byte) []byte {
 	b = append(b, "t="...)
-	b = strconv.AppendFloat(b, r.T.Seconds(), 'f', 3, 64)
+	b = appendSeconds(b, r.T)
 	b = append(b, "s node="...)
 	b = r.Node.AppendText(b)
 	b = append(b, " kind="...)
@@ -350,122 +388,4 @@ func ParseDump(dump string) ([]Record, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Buffer is an append-only log with stable sequence numbers, so multiple
-// cursors can read it independently. With MaxLen > 0 it becomes a ring: the
-// oldest records are discarded but sequence numbers keep increasing, which
-// lets cursors detect loss.
-//
-// A buffer armed with SetSealKey also seals every appended record
-// (seal.go): its canonical line extends a forward-secure hash chain and
-// becomes a leaf of the log's Merkle tree, making any later rewrite of
-// history evident. Sealing is pure computation — it draws no randomness
-// and schedules nothing — so a sealed and an unsealed run of the same
-// simulation are byte-identical; an unarmed buffer pays no sealing cost
-// at all.
-type Buffer struct {
-	MaxLen int // 0 = unbounded
-
-	recs []Record
-	base uint64 // sequence number of recs[0]
-	seal seal
-	// onSeal, when set, observes each sealed record's sequence number
-	// (the run-trace plane hooks here). It never fires on an unarmed
-	// buffer.
-	onSeal func(seq uint64)
-}
-
-// SetOnSeal installs an observer called with the sequence number of
-// every record sealed into the hash chain. Observation only.
-func (b *Buffer) SetOnSeal(fn func(seq uint64)) { b.onSeal = fn }
-
-// Append adds a record, sealing it when the buffer is armed.
-func (b *Buffer) Append(r Record) {
-	if b.seal.enabled {
-		b.seal.append(&r)
-		if b.onSeal != nil {
-			b.onSeal(b.NextSeq())
-		}
-	}
-	b.recs = append(b.recs, r)
-	if b.MaxLen > 0 && len(b.recs) > b.MaxLen {
-		drop := len(b.recs) - b.MaxLen
-		b.recs = append(b.recs[:0], b.recs[drop:]...)
-		b.base += uint64(drop) //nolint:gosec // drop >= 0
-	}
-}
-
-// Len returns the number of retained records.
-func (b *Buffer) Len() int { return len(b.recs) }
-
-// NextSeq returns the sequence number the next appended record will get.
-func (b *Buffer) NextSeq() uint64 { return b.base + uint64(len(b.recs)) }
-
-// Since returns records with sequence numbers >= seq and the sequence
-// number to pass next time. Records older than the retention window are
-// silently skipped.
-func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
-	if seq < b.base {
-		seq = b.base
-	}
-	start := int(seq - b.base) //nolint:gosec // bounded by len
-	if start >= len(b.recs) {
-		return nil, b.NextSeq()
-	}
-	out := make([]Record, len(b.recs)-start)
-	copy(out, b.recs[start:])
-	return out, b.NextSeq()
-}
-
-// AppendSince is Since appending into a caller-owned buffer: pass the
-// previous result truncated to [:0] and the slice is reused instead of
-// reallocated every poll — the detector tick path reads every node's
-// buffer once per second. Returns the extended slice and the sequence
-// number to pass next time.
-func (b *Buffer) AppendSince(seq uint64, out []Record) ([]Record, uint64) {
-	if seq < b.base {
-		seq = b.base
-	}
-	start := int(seq - b.base) //nolint:gosec // bounded by len
-	if start >= len(b.recs) {
-		return out, b.NextSeq()
-	}
-	return append(out, b.recs[start:]...), b.NextSeq()
-}
-
-// Dump renders every retained record, one per line.
-func (b *Buffer) Dump() string {
-	var sb strings.Builder
-	for i := range b.recs {
-		sb.WriteString(b.recs[i].String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Cursor incrementally reads a Buffer.
-type Cursor struct {
-	buf  *Buffer
-	next uint64
-}
-
-// NewCursor returns a cursor positioned at the start of the buffer's
-// retained history.
-func NewCursor(b *Buffer) *Cursor { return &Cursor{buf: b, next: b.base} }
-
-// Read returns the records appended since the previous Read.
-func (c *Cursor) Read() []Record {
-	recs, next := c.buf.Since(c.next)
-	c.next = next
-	return recs
-}
-
-// ReadInto is Read appending into a caller-owned buffer (see
-// Buffer.AppendSince); the returned slice is valid until the caller's
-// next reuse of the buffer.
-func (c *Cursor) ReadInto(out []Record) []Record {
-	recs, next := c.buf.AppendSince(c.next, out)
-	c.next = next
-	return recs
 }

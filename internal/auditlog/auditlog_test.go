@@ -223,6 +223,16 @@ func TestBufferAppendAndSince(t *testing.T) {
 	}
 }
 
+func TestAppendRejectsEmptyKind(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("record with no kind appended")
+		}
+	}()
+	var b Buffer
+	b.Append(Record{Node: addr.NodeAt(1)})
+}
+
 func TestBufferRing(t *testing.T) {
 	b := Buffer{MaxLen: 3}
 	for i := 0; i < 10; i++ {
@@ -240,23 +250,32 @@ func TestBufferRing(t *testing.T) {
 	}
 }
 
+// readAll drains c.
+func readAll(c *Cursor) []Line {
+	var out []Line
+	for l, ok := c.Next(); ok; l, ok = c.Next() {
+		out = append(out, l)
+	}
+	return out
+}
+
 func TestCursor(t *testing.T) {
 	var b Buffer
 	c := NewCursor(&b)
-	if got := c.Read(); len(got) != 0 {
+	if got := readAll(c); len(got) != 0 {
 		t.Fatalf("empty read = %d", len(got))
 	}
 	b.Append(Record{Kind: KindHelloTx})
 	b.Append(Record{Kind: KindTCTx})
-	if got := c.Read(); len(got) != 2 {
+	if got := readAll(c); len(got) != 2 {
 		t.Fatalf("first read = %d, want 2", len(got))
 	}
-	if got := c.Read(); len(got) != 0 {
+	if got := readAll(c); len(got) != 0 {
 		t.Fatalf("re-read = %d, want 0", len(got))
 	}
 	b.Append(Record{Kind: KindTCFwd})
-	got := c.Read()
-	if len(got) != 1 || got[0].Kind != KindTCFwd {
+	got := readAll(c)
+	if len(got) != 1 || got[0].Kind() != KindTCFwd || got[0].Seq != 2 {
 		t.Fatalf("incremental read = %+v", got)
 	}
 }
@@ -265,15 +284,61 @@ func TestTwoCursorsIndependent(t *testing.T) {
 	var b Buffer
 	b.Append(Record{Kind: KindHelloTx})
 	c1, c2 := NewCursor(&b), NewCursor(&b)
-	if len(c1.Read()) != 1 {
+	if len(readAll(c1)) != 1 {
 		t.Fatal("c1 missed record")
 	}
 	b.Append(Record{Kind: KindTCTx})
-	if len(c2.Read()) != 2 {
+	if len(readAll(c2)) != 2 {
 		t.Fatal("c2 should see both records")
 	}
-	if len(c1.Read()) != 1 {
+	if len(readAll(c1)) != 1 {
 		t.Fatal("c1 should see only the new record")
+	}
+}
+
+func TestLineAccessors(t *testing.T) {
+	var b Buffer
+	want := sample()
+	b.Append(want)
+	odd := Record{T: 1500 * time.Microsecond, Node: addr.NodeAt(3), Kind: "ODD KIND",
+		Fields: []Field{F("t", "x"), F("a b", "c=d%"), F("", ""), F("a b", "second")}}
+	b.Append(odd)
+	l, ok := b.LineAt(0)
+	if !ok || l.Text != want.String() || l.T != want.T || l.Node != addr.NodeAt(1) || l.Seq != 0 {
+		t.Fatalf("LineAt(0) = %+v, %v", l, ok)
+	}
+	if l.Kind() != KindHelloRx {
+		t.Errorf("Kind = %q", l.Kind())
+	}
+	if n, err := l.NodeField("from"); err != nil || n != addr.NodeAt(2) {
+		t.Errorf("NodeField = %v, %v", n, err)
+	}
+	if ns, err := l.NodesField("sym"); err != nil || len(ns) != 2 || ns[1] != addr.NodeAt(4) {
+		t.Errorf("NodesField = %v, %v", ns, err)
+	}
+	if ns, err := l.NodesField("absent"); err != nil || ns != nil {
+		t.Errorf("NodesField(absent) = %v, %v", ns, err)
+	}
+	if i, err := l.IntField("will"); err != nil || i != 3 {
+		t.Errorf("IntField = %d, %v", i, err)
+	}
+	if _, err := l.NodeField("absent"); err == nil {
+		t.Error("NodeField(absent) no error")
+	}
+	l, _ = b.LineAt(1)
+	if l.T != odd.T || l.Kind() != "ODD KIND" {
+		t.Errorf("odd line = %+v kind %q", l, l.Kind())
+	}
+	for _, f := range []Field{F("t", "x"), F("a b", "c=d%"), F("", "")} {
+		if v, ok := l.Get(f.Key); !ok || v != f.Value {
+			t.Errorf("Get(%q) = %q, %v", f.Key, v, ok)
+		}
+	}
+	if _, ok := l.Get("kind"); ok {
+		t.Error("Get(kind) read the header")
+	}
+	if _, ok := b.LineAt(2); ok {
+		t.Error("LineAt past the end")
 	}
 }
 
@@ -290,5 +355,30 @@ func TestDump(t *testing.T) {
 		if _, err := ParseLine(line); err != nil {
 			t.Errorf("line %q does not parse: %v", line, err)
 		}
+	}
+}
+
+// TestLineReadsAllocFree pins the reader side of the line store: walking
+// a buffer with a cursor and reading a line's kind and fields in place
+// allocates nothing.
+func TestLineReadsAllocFree(t *testing.T) {
+	var b Buffer
+	for i := 0; i < 64; i++ {
+		b.Append(sample())
+	}
+	c := NewCursor(&b)
+	got := testing.AllocsPerRun(20, func() {
+		c.next = 0
+		for l, ok := c.Next(); ok; l, ok = c.Next() {
+			if l.Kind() != KindHelloRx {
+				t.Fatal("kind")
+			}
+			if _, ok := l.Get("will"); !ok {
+				t.Fatal("will")
+			}
+		}
+	})
+	if got != 0 {
+		t.Errorf("cursor walk: %.1f allocs/run, want 0", got)
 	}
 }

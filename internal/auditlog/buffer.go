@@ -1,0 +1,309 @@
+package auditlog
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+	"unsafe"
+
+	"repro/internal/addr"
+)
+
+// Buffer is an append-only log with stable sequence numbers, so multiple
+// cursors can read it independently. With MaxLen > 0 it becomes a ring: the
+// oldest records are discarded but sequence numbers keep increasing, which
+// lets cursors detect loss.
+//
+// Each record is stored once, as its canonical line (Record.String), the
+// text a routing daemon would have written. The lines live in append-only
+// byte chunks; a pointer-free index keeps each retained record's exact
+// time (the line renders milliseconds), its node and where its line lies.
+// Readers take the lines as they are: the detector parses them
+// (logevent.Parse), citations, Export and Dump return them, and sealing
+// hashes them. Since decodes them back into Records — exactly, because
+// ParseLine inverts the rendering and T comes from the index.
+//
+// A buffer armed with SetSealKey also seals every appended record
+// (seal.go): its canonical line extends a forward-secure hash chain and
+// becomes a leaf of the log's Merkle tree, making any later rewrite of
+// history evident. Sealing is pure computation — it draws no randomness
+// and schedules nothing — so a sealed and an unsealed run of the same
+// simulation are byte-identical; an unarmed buffer pays no sealing cost
+// at all.
+type Buffer struct {
+	MaxLen int // 0 = unbounded
+
+	// chunks hold the retained lines. A chunk is only ever appended to,
+	// and a byte once written is never written again, which is what lets
+	// a Line's Text alias it. chunkBase is the number of chunks the ring
+	// has freed, so refs can name chunks by absolute number.
+	chunks    [][]byte
+	chunkBase int
+	refs      []lineRef // one per retained record, oldest first
+	base      uint64    // sequence number of refs[0]
+	scratch   []byte    // leaf prefix followed by the line being stored
+	seal      seal
+	// onSeal, when set, observes each sealed record's sequence number
+	// (the run-trace plane hooks here). It never fires on an unarmed
+	// buffer.
+	onSeal func(seq uint64)
+}
+
+// lineRef locates one retained record's line and carries the header
+// values a reader needs without re-parsing them.
+type lineRef struct {
+	t      time.Duration
+	node   addr.Node
+	chunk  uint32 // absolute chunk number
+	off, n uint32 // the line is chunk[off:off+n]
+}
+
+// Chunks start small, so the many short logs of a small campaign stay
+// cheap, and double up to maxChunk, so a long log wastes at most one
+// partly filled chunk.
+const (
+	firstChunk = 256
+	maxChunk   = 64 << 10
+)
+
+// SetOnSeal installs an observer called with the sequence number of
+// every record sealed into the hash chain. Observation only.
+func (b *Buffer) SetOnSeal(fn func(seq uint64)) { b.onSeal = fn }
+
+// Append adds a record, sealing it when the buffer is armed. A record
+// with no Kind has no line that decodes, so Append rejects it.
+func (b *Buffer) Append(r Record) {
+	leafInput := b.render(r)
+	if b.seal.enabled {
+		b.seal.append(leafInput)
+		if b.onSeal != nil {
+			b.onSeal(b.NextSeq())
+		}
+	}
+	line := leafInput[1:]
+	copy(b.reserve(r.T, r.Node, len(line)), line)
+	if b.MaxLen > 0 && len(b.refs) > b.MaxLen {
+		b.drop(len(b.refs) - b.MaxLen)
+	}
+}
+
+// render renders r once, into scratch after the leaf prefix byte, and
+// returns that leaf input: sealing hashes all of it, and the line
+// stored is the rest.
+func (b *Buffer) render(r Record) []byte {
+	if r.Kind == "" {
+		panic("auditlog: record with no kind")
+	}
+	b.scratch = r.appendLine(append(b.scratch[:0], prefixLeaf))
+	return b.scratch
+}
+
+// reserve indexes a new record whose line is n bytes long and returns the
+// chunk space to copy the line into.
+func (b *Buffer) reserve(t time.Duration, node addr.Node, n int) []byte {
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last])+n > cap(b.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(b.chunks[last]), maxChunk)
+		}
+		b.chunks = append(b.chunks, make([]byte, 0, max(size, n)))
+		last++
+	}
+	c := b.chunks[last]
+	off := len(c)
+	b.refs = append(b.refs, lineRef{
+		t: t, node: node,
+		chunk: uint32(b.chunkBase + last), //nolint:gosec // chunk count fits
+		off:   uint32(off),                //nolint:gosec // off < maxChunk or a lone line
+		n:     uint32(n),                  //nolint:gosec // one line
+	})
+	b.chunks[last] = c[:off+n]
+	return b.chunks[last][off:]
+}
+
+// drop discards the k oldest retained records and frees the chunks no
+// retained line lies in any more.
+func (b *Buffer) drop(k int) {
+	b.refs = append(b.refs[:0], b.refs[k:]...)
+	b.base += uint64(k) //nolint:gosec // k >= 0
+	if len(b.refs) == 0 {
+		return
+	}
+	if free := int(b.refs[0].chunk) - b.chunkBase; free > 0 {
+		clear(b.chunks[:free])
+		b.chunks = b.chunks[free:]
+		b.chunkBase += free
+	}
+}
+
+// line returns the retained record at index i of refs.
+func (b *Buffer) line(i int) Line {
+	ref := b.refs[i]
+	c := b.chunks[int(ref.chunk)-b.chunkBase]
+	return Line{
+		Seq:  b.base + uint64(i), //nolint:gosec // i >= 0
+		T:    ref.t,
+		Node: ref.node,
+		Text: unsafe.String(&c[ref.off], int(ref.n)),
+	}
+}
+
+// Len returns the number of retained records.
+func (b *Buffer) Len() int { return len(b.refs) }
+
+// NextSeq returns the sequence number the next appended record will get.
+func (b *Buffer) NextSeq() uint64 { return b.base + uint64(len(b.refs)) }
+
+// LineAt returns the retained record with sequence number seq, or false
+// when seq is older than the retention window or not yet appended.
+func (b *Buffer) LineAt(seq uint64) (Line, bool) {
+	if seq < b.base || seq >= b.NextSeq() {
+		return Line{}, false
+	}
+	return b.line(int(seq - b.base)), true //nolint:gosec // bounded by len
+}
+
+// Since decodes the records with sequence numbers >= seq and returns the
+// sequence number to pass next time. Records older than the retention
+// window are silently skipped.
+func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
+	if seq < b.base {
+		seq = b.base
+	}
+	start := int(seq - b.base) //nolint:gosec // bounded by len
+	if start >= len(b.refs) {
+		return nil, b.NextSeq()
+	}
+	out := make([]Record, 0, len(b.refs)-start)
+	for i := start; i < len(b.refs); i++ {
+		l := b.line(i)
+		r, err := ParseLine(l.Text)
+		if err != nil {
+			panic(fmt.Sprintf("auditlog: stored line does not decode: %v", err))
+		}
+		r.T = l.T
+		out = append(out, r)
+	}
+	return out, b.NextSeq()
+}
+
+// Dump renders every retained record, one per line.
+func (b *Buffer) Dump() string {
+	n := 0
+	for _, ref := range b.refs {
+		n += int(ref.n) + 1
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i := range b.refs {
+		sb.WriteString(b.line(i).Text)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// Line is one retained record as the canonical line it is stored as,
+// with the header values the buffer keeps beside it. Text aliases the
+// buffer's storage, which is never written again, so a Line stays valid
+// after later appends, ring drops and rewrites.
+//
+// The accessors read the line in place and allocate nothing unless a
+// token holds a percent escape, which no protocol token does. They rely
+// on the line being canonical — tokens separated by single spaces, as
+// appendLine renders them — which every Line a Buffer hands out is.
+type Line struct {
+	Seq  uint64
+	T    time.Duration // exact; the text renders whole milliseconds
+	Node addr.Node
+	Text string
+}
+
+// split returns the line's raw kind token and its raw field tokens.
+func (l Line) split() (kind, fields string) {
+	_, s, _ := strings.Cut(l.Text, " ") // t=
+	_, s, _ = strings.Cut(s, " ")       // node=
+	kind, fields, _ = strings.Cut(s, " ")
+	return strings.TrimPrefix(kind, "kind="), fields
+}
+
+// unescaped inverts appendEscaped on a token of a canonical line.
+func unescaped(tok string) string {
+	s, err := unescapeToken(tok)
+	if err != nil {
+		panic(fmt.Sprintf("auditlog: stored token %q: %v", tok, err))
+	}
+	return s
+}
+
+// Kind returns the record's kind.
+func (l Line) Kind() Kind {
+	kind, _ := l.split()
+	return Kind(unescaped(kind))
+}
+
+// Get returns the value of the first field with the given key, as
+// Record.Get does on the decoded record.
+func (l Line) Get(key string) (string, bool) {
+	_, fields := l.split()
+	for fields != "" {
+		var tok string
+		tok, fields, _ = strings.Cut(fields, " ")
+		k, v, _ := strings.Cut(tok, "=")
+		if unescaped(k) == key {
+			return unescaped(v), true
+		}
+	}
+	return "", false
+}
+
+// NodeField parses the named field as a single address.
+func (l Line) NodeField(key string) (addr.Node, error) {
+	v, ok := l.Get(key)
+	if !ok {
+		return addr.None, fmt.Errorf("auditlog: record %s has no field %q", l.Kind(), key)
+	}
+	return addr.Parse(v)
+}
+
+// NodesField parses the named field as a comma-separated address list. A
+// missing or empty field yields an empty list.
+func (l Line) NodesField(key string) ([]addr.Node, error) {
+	v, _ := l.Get(key)
+	return parseNodes(key, v)
+}
+
+// IntField parses the named field as an integer.
+func (l Line) IntField(key string) (int, error) {
+	v, ok := l.Get(key)
+	if !ok {
+		return 0, fmt.Errorf("auditlog: record %s has no field %q", l.Kind(), key)
+	}
+	return strconv.Atoi(v)
+}
+
+// Cursor incrementally reads a Buffer.
+type Cursor struct {
+	buf  *Buffer
+	next uint64
+}
+
+// NewCursor returns a cursor positioned at the start of the buffer's
+// retained history.
+func NewCursor(b *Buffer) *Cursor { return &Cursor{buf: b, next: b.base} }
+
+// Next returns the oldest retained record the cursor has not returned
+// yet. Records the ring dropped before they were read are skipped. Once
+// it reports false the cursor sits at NextSeq, so the records appended
+// after that are the ones it returns next.
+func (c *Cursor) Next() (Line, bool) {
+	c.next = max(c.next, c.buf.base)
+	l, ok := c.buf.LineAt(c.next)
+	if !ok {
+		c.next = c.buf.NextSeq()
+		return Line{}, false
+	}
+	c.next++
+	return l, true
+}

@@ -1,0 +1,358 @@
+package auditlog
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/addr"
+)
+
+// refLog is the reference the line store must agree with: every record
+// kept as a Record in a slice, sealed from its String rendering, with the
+// ring, cursor and rewrite semantics the Buffer documents.
+type refLog struct {
+	maxLen int
+	recs   []Record
+	base   uint64
+
+	sealed       bool
+	key, chain   Hash
+	leaves, tags []Hash
+	sealObserved []uint64 // what SetOnSeal must have seen
+	cursorNext   uint64
+}
+
+func (r *refLog) nextSeq() uint64 { return r.base + uint64(len(r.recs)) }
+
+func (r *refLog) sealOne(rec Record) {
+	leaf := LeafHash([]byte(rec.String()))
+	r.chain = chainStep(r.chain, leaf)
+	r.leaves = append(r.leaves, leaf)
+	r.tags = append(r.tags, sealTag(r.key, r.chain))
+	r.key = keyStep(r.key)
+}
+
+func (r *refLog) append(rec Record) {
+	if r.sealed {
+		r.sealObserved = append(r.sealObserved, r.nextSeq())
+		r.sealOne(rec)
+	}
+	r.recs = append(r.recs, rec)
+	if r.maxLen > 0 && len(r.recs) > r.maxLen {
+		drop := len(r.recs) - r.maxLen
+		r.recs = append([]Record(nil), r.recs[drop:]...)
+		r.base += uint64(drop) //nolint:gosec // drop >= 0
+	}
+}
+
+func (r *refLog) since(seq uint64) ([]Record, uint64) {
+	seq = max(seq, r.base)
+	start := int(seq - r.base) //nolint:gosec // bounded below
+	if start >= len(r.recs) {
+		return nil, r.nextSeq()
+	}
+	return append([]Record(nil), r.recs[start:]...), r.nextSeq()
+}
+
+// read is the reference cursor: everything since the last read.
+func (r *refLog) read() []Record {
+	recs, next := r.since(r.cursorNext)
+	r.cursorNext = next
+	return recs
+}
+
+func (r *refLog) rewrite(recs []Record) {
+	if r.maxLen > 0 && len(recs) > r.maxLen {
+		recs = recs[len(recs)-r.maxLen:]
+	}
+	r.recs = append([]Record(nil), recs...)
+	r.base = 0
+	if !r.sealed {
+		return
+	}
+	r.chain, r.leaves, r.tags = Hash{}, nil, nil
+	for _, rec := range r.recs {
+		r.sealOne(rec)
+	}
+}
+
+// hostileValues covers the codec's separator bytes, escapes, Unicode
+// whitespace, empty strings and invalid UTF-8.
+var hostileValues = []string{
+	"", "plain", "10.0.0.7", "10.0.0.3,10.0.0.4", "a b", "x=y", "=", "%", "100%",
+	"%41", "line\nbreak", "\ttab", "nbsp\u00a0x", "ls\u2028x", "nel\u0085x",
+	"é", "\xff\xfe", "\xe2\x80", "k=v w=z",
+}
+
+func randomHostileRecord(rng *rand.Rand) Record {
+	kinds := []Kind{KindHelloRx, KindHelloTx, KindTCRx, KindMPRSet, "ODD KIND", "%", "K=V", " "}
+	var t time.Duration
+	switch rng.Intn(5) {
+	case 0: // sub-millisecond
+		t = time.Duration(rng.Int63n(int64(10 * time.Second)))
+	case 1: // exactly on a half millisecond
+		t = time.Duration(rng.Int63n(1e5))*time.Millisecond + 500*time.Microsecond
+	case 2: // negative
+		t = -time.Duration(rng.Int63n(int64(time.Hour)))
+	case 3: // whole milliseconds
+		t = time.Duration(rng.Int63n(1e7)) * time.Millisecond
+	default: // far out
+		t = time.Duration(rng.Int63())
+	}
+	r := Record{T: t, Kind: kinds[rng.Intn(len(kinds))]}
+	if rng.Intn(6) > 0 { // otherwise the zero node
+		r.Node = addr.Node(rng.Uint32())
+	}
+	for n := rng.Intn(5); n > 0; n-- {
+		r.Fields = append(r.Fields, Field{
+			Key:   hostileValues[rng.Intn(len(hostileValues))],
+			Value: hostileValues[rng.Intn(len(hostileValues))],
+		})
+	}
+	return r
+}
+
+// sameRecord compares a decoded record with the reference one; nil and
+// empty field lists are the same record.
+func sameRecord(a, b Record) bool {
+	if a.T != b.T || a.Node != b.Node || a.Kind != b.Kind || len(a.Fields) != len(b.Fields) {
+		return false
+	}
+	for i := range a.Fields {
+		if a.Fields[i] != b.Fields[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBufferMatchesReference runs random op sequences — appends of
+// hostile records, cursor reads, Since, forger-style rewrites — through
+// the line store and the reference, sealed and unsealed, with and
+// without a ring, and requires every observable to agree.
+func TestBufferMatchesReference(t *testing.T) {
+	const sequences = 1200
+	for s := 0; s < sequences; s++ {
+		rng := rand.New(rand.NewSource(int64(9100 + s))) //nolint:gosec // test determinism
+		b := &Buffer{}
+		ref := &refLog{}
+		if rng.Intn(3) == 0 {
+			b.MaxLen = 1 + rng.Intn(8)
+			ref.maxLen = b.MaxLen
+		}
+		var observed []uint64
+		if rng.Intn(2) == 0 {
+			material := []byte(fmt.Sprintf("key-%d", s))
+			b.SetSealKey(material)
+			b.SetOnSeal(func(seq uint64) { observed = append(observed, seq) })
+			ref.sealed, ref.key = true, DeriveSealKey(material)
+		}
+		cur := NewCursor(b)
+		fail := func(op string, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("sequence %d (maxLen %d, sealed %v), %s: %s", s, b.MaxLen, ref.sealed, op, fmt.Sprintf(format, args...))
+		}
+		for op := 0; op < 5+rng.Intn(60); op++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				r := randomHostileRecord(rng)
+				b.Append(r)
+				ref.append(r)
+			case k < 7:
+				want := ref.read()
+				got := readAll(cur)
+				if len(got) != len(want) {
+					fail("cursor", "read %d lines, want %d", len(got), len(want))
+				}
+				first := ref.cursorNext - uint64(len(want)) //nolint:gosec // len >= 0
+				for i := range got {
+					if got[i].Text != want[i].String() || got[i].T != want[i].T ||
+						got[i].Node != want[i].Node || got[i].Seq != first+uint64(i) { //nolint:gosec // i >= 0
+						fail("cursor", "line %d = %+v, want %q", i, got[i], want[i].String())
+					}
+				}
+			case k < 8:
+				seq := uint64(rng.Int63n(int64(ref.nextSeq()) + 3)) //nolint:gosec // small
+				got, gnext := b.Since(seq)
+				want, wnext := ref.since(seq)
+				if gnext != wnext || len(got) != len(want) {
+					fail("since", "Since(%d) = %d recs next %d, want %d next %d", seq, len(got), gnext, len(want), wnext)
+				}
+				for i := range got {
+					if !sameRecord(got[i], want[i]) {
+						fail("since", "record %d = %+v, want %+v", i, got[i], want[i])
+					}
+				}
+			default:
+				// A forger-style rewrite: erase by kind or by position and
+				// plant fresh records after the survivors.
+				victim := randomHostileRecord(rng).Kind
+				stride := uint64(2 + rng.Intn(4)) //nolint:gosec // small
+				erase := func(seq uint64, kind Kind) bool { return kind == victim || seq%stride == 0 }
+				var add []Record
+				for n := rng.Intn(3); n > 0; n-- {
+					add = append(add, randomHostileRecord(rng))
+				}
+				all, _ := ref.since(0)
+				var kept []Record
+				for i, r := range all {
+					if !erase(ref.base+uint64(i), r.Kind) { //nolint:gosec // i >= 0
+						kept = append(kept, r)
+					}
+				}
+				ref.rewrite(append(kept, add...))
+				b.Rewrite(func(l Line) bool { return !erase(l.Seq, l.Kind()) }, add...)
+			}
+			checkAgainstReference(t, b, ref, fail, rng)
+		}
+		if fmt.Sprint(observed) != fmt.Sprint(ref.sealObserved) {
+			t.Fatalf("sequence %d: onSeal saw %v, want %v", s, observed, ref.sealObserved)
+		}
+	}
+}
+
+func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(string, string, ...any), rng *rand.Rand) {
+	t.Helper()
+	if b.Len() != len(ref.recs) || b.NextSeq() != ref.nextSeq() {
+		fail("size", "Len %d NextSeq %d, want %d %d", b.Len(), b.NextSeq(), len(ref.recs), ref.nextSeq())
+	}
+	var dump string
+	for _, r := range ref.recs {
+		dump += r.String() + "\n"
+	}
+	if got := b.Dump(); got != dump {
+		fail("dump", "%q, want %q", got, dump)
+	}
+	for i, r := range ref.recs {
+		seq := ref.base + uint64(i) //nolint:gosec // i >= 0
+		l, ok := b.LineAt(seq)
+		if !ok || l.Text != r.String() || l.T != r.T || l.Node != r.Node || l.Kind() != r.Kind {
+			fail("line", "LineAt(%d) = %+v, %v, want %q", seq, l, ok, r.String())
+		}
+		for _, f := range r.Fields {
+			want, _ := r.Get(f.Key)
+			if got, ok := l.Get(f.Key); !ok || got != want {
+				fail("get", "line %d Get(%q) = %q, %v, want %q", seq, f.Key, got, ok, want)
+			}
+		}
+	}
+	if _, ok := b.LineAt(ref.nextSeq()); ok {
+		fail("line", "LineAt(NextSeq) found a record")
+	}
+	if !ref.sealed {
+		if b.Export() != nil || b.SealedSize() != 0 {
+			fail("seal", "unsealed buffer exports or seals")
+		}
+		return
+	}
+	exp := b.Export()
+	if len(exp) != len(ref.recs) {
+		fail("export", "%d records, want %d", len(exp), len(ref.recs))
+	}
+	for i, e := range exp {
+		seq := ref.base + uint64(i) //nolint:gosec // i >= 0
+		if e.Index != seq || e.Line != ref.recs[i].String() || e.Tag != ref.tags[seq] {
+			fail("export", "record %d = %+v", i, e)
+		}
+	}
+	if b.ChainHead() != ref.chain || b.SealedSize() != uint64(len(ref.leaves)) {
+		fail("chain", "head or sealed size differs")
+	}
+	head := b.TreeHead()
+	if head.Size != uint64(len(ref.leaves)) || head.Root != merkleRoot(ref.leaves) {
+		fail("tree", "head %+v, want size %d", head, len(ref.leaves))
+	}
+	if len(ref.leaves) == 0 {
+		return
+	}
+	index := uint64(rng.Intn(len(ref.leaves))) //nolint:gosec // small
+	if tag, ok := b.SealTag(index); !ok || tag != ref.tags[index] {
+		fail("tag", "SealTag(%d) differs", index)
+	}
+	if leaf, ok := b.LeafAt(index); !ok || leaf != ref.leaves[index] {
+		fail("leaf", "LeafAt(%d) differs", index)
+	}
+	proof, err := b.InclusionProof(index, head.Size)
+	if err != nil || !VerifyInclusion(ref.leaves[index], index, head, proof) {
+		fail("inclusion", "proof for %d: %v", index, err)
+	}
+	old := uint64(rng.Intn(len(ref.leaves) + 1)) //nolint:gosec // small
+	oldHead := TreeHead{Size: old, Root: merkleRoot(ref.leaves[:old])}
+	cp, err := b.ConsistencyProof(old, head.Size)
+	if err != nil || !VerifyConsistency(oldHead, head, cp) {
+		fail("consistency", "proof %d -> %d: %v", old, head.Size, err)
+	}
+}
+
+// TestRingFreesChunks pins the ring's memory bound: a small ring over
+// many appends keeps only the chunks its retained lines lie in, while
+// sequence numbers keep rising and a cursor that fell behind skips the
+// dropped records.
+func TestRingFreesChunks(t *testing.T) {
+	b := Buffer{MaxLen: 64}
+	c := NewCursor(&b)
+	for i := 0; i < 100000; i++ {
+		b.Append(Record{T: time.Duration(i) * time.Millisecond, Node: addr.NodeAt(1), Kind: KindHelloTx,
+			Fields: []Field{FInt("i", i)}})
+		if i == 10 {
+			if got := readAll(c); len(got) != 11 {
+				t.Fatalf("early read = %d lines", len(got))
+			}
+		}
+	}
+	if b.Len() != 64 || b.NextSeq() != 100000 {
+		t.Fatalf("Len %d NextSeq %d", b.Len(), b.NextSeq())
+	}
+	if len(b.chunks) > 2 {
+		t.Errorf("ring of 64 short lines holds %d chunks", len(b.chunks))
+	}
+	got := readAll(c)
+	if len(got) != 64 || got[0].Seq != 100000-64 {
+		t.Fatalf("read after loss = %d lines from seq %d", len(got), got[0].Seq)
+	}
+	if v, _ := got[0].IntField("i"); v != 100000-64 {
+		t.Errorf("oldest retained i = %d", v)
+	}
+	recs, next := b.Since(0)
+	if len(recs) != 64 || next != 100000 || recs[63].T != 99999*time.Millisecond {
+		t.Fatalf("Since(0) = %d recs, next %d", len(recs), next)
+	}
+}
+
+// TestAppendSecondsMatchesFloat pins the integer seconds rendering to the
+// float one it stands in for, on random times and on every boundary it
+// reasons about: whole, half and near-half milliseconds, the 10^6 s
+// limit, negative times and the Duration extremes.
+func TestAppendSecondsMatchesFloat(t *testing.T) {
+	check := func(d time.Duration) {
+		got := string(appendSeconds(nil, d))
+		want := string(strconv.AppendFloat(nil, d.Seconds(), 'f', 3, 64))
+		if got != want {
+			t.Fatalf("appendSeconds(%d) = %s, want %s", int64(d), got, want)
+		}
+	}
+	for _, d := range []time.Duration{0, 1, -1, 499999, 500000, 500001, 999999, 1e6,
+		1e6*time.Second - 1, 1e6 * time.Second, 1e6*time.Second + 1,
+		math.MaxInt64, math.MinInt64, math.MaxInt64 - 499999} {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(5)) //nolint:gosec // test determinism
+	for i := 0; i < 2_000_000; i++ {
+		var d time.Duration
+		switch i % 4 {
+		case 0:
+			d = time.Duration(rng.Int63n(int64(1e6 * time.Second)))
+		case 1: // within a few ns of a millisecond or half-millisecond edge
+			d = time.Duration(rng.Int63n(1e9))*time.Millisecond/2 + time.Duration(rng.Intn(7)-3)
+		case 2: // short runs, where most virtual times lie
+			d = time.Duration(rng.Int63n(int64(10 * time.Minute)))
+		default:
+			d = time.Duration(rng.Int63())
+		}
+		check(d)
+	}
+}

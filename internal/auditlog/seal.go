@@ -25,9 +25,9 @@
 //     rewrote history cannot link its new head to any previously
 //     gossiped one, so its testimony is rejected (internal/detect).
 //
-// Leaves are the canonical text rendering of each record (Record.String)
-// — which is why the codec's escaping matters: two different records
-// must never share a rendering.
+// Leaves are the canonical text rendering of each record (Record.String),
+// the same bytes the Buffer stores — which is why the codec's escaping
+// matters: two different records must never share a rendering.
 package auditlog
 
 import (
@@ -309,7 +309,6 @@ type seal struct {
 	chain   Hash   // chain head after the last append
 	leaves  []Hash // leaf hash per sequence number
 	tags    []Hash // forward-secure tag per sequence number
-	scratch []byte // reusable leaf-hashing buffer
 
 	// stack is the RFC 6962 incremental-root state: one perfect-subtree
 	// root per set bit of stackCount, leftmost subtree first. It is
@@ -351,16 +350,14 @@ func (s *seal) root() Hash {
 	return r
 }
 
-// append seals one record: leaf hash, chain step, epoch tag, key
-// evolution — the per-record hot path the PR 4 benches pinned at ~4.3µs
-// and zero allocations (leaves/tags appends amortize into retained
-// capacity).
+// append seals one record, given as its canonical line prefixed with
+// prefixLeaf: leaf hash, chain step, epoch tag, key evolution — the
+// per-record hot path BenchmarkSealedAppend prices, with zero
+// allocations (leaves/tags appends amortize into retained capacity).
 //
 //repro:allocfree
-func (s *seal) append(r *Record) {
-	s.scratch = append(s.scratch[:0], prefixLeaf)
-	s.scratch = r.appendLine(s.scratch)
-	leaf := Hash(sha256.Sum256(s.scratch))
+func (s *seal) append(leafInput []byte) {
+	leaf := Hash(sha256.Sum256(leafInput))
 	s.chain = chainStep(s.chain, leaf)
 	s.leaves = append(s.leaves, leaf)
 	s.tags = append(s.tags, sealTag(s.key, s.chain))
@@ -377,7 +374,7 @@ func (s *seal) append(r *Record) {
 // from the very first record) and panics otherwise, because a late
 // start would silently void the forward-security property.
 func (b *Buffer) SetSealKey(material []byte) {
-	if len(b.recs) != 0 || b.base != 0 {
+	if len(b.refs) != 0 || b.base != 0 {
 		panic("auditlog: SetSealKey after records were appended")
 	}
 	b.seal.enabled = true
@@ -458,18 +455,33 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 	return Proof{Path: consistencyPath(int(oldSize), b.seal.leaves[:newSize])}, nil //nolint:gosec // bounded by len
 }
 
-// Rewrite is the ATTACKER's operation: it replaces the retained history
-// with recs and reseals everything from scratch — with the log's CURRENT
-// epoch key, because the pre-compromise keys were hashed forward and
-// erased. The rebuilt chain therefore cannot reproduce the original tags
-// (VerifySealedChain with k_0 fails), and the rebuilt Merkle tree
-// generally cannot be linked by any consistency proof to a previously
-// published head. Honest code never calls this; attack.LogForger does.
-func (b *Buffer) Rewrite(recs []Record) {
-	if b.MaxLen > 0 && len(recs) > b.MaxLen {
-		recs = recs[len(recs)-b.MaxLen:]
+// Rewrite is the ATTACKER's operation: it keeps the retained records
+// keep accepts, in order, appends add after them, and reseals everything
+// from scratch — with the log's CURRENT epoch key, because the
+// pre-compromise keys were hashed forward and erased. The rebuilt chain
+// therefore cannot reproduce the original tags (VerifySealedChain with k_0
+// fails), and the rebuilt Merkle tree generally cannot be linked by any
+// consistency proof to a previously published head. Sequence numbers
+// restart at 0, a ring keeps the newest MaxLen records, and the reseal
+// does not fire the SetOnSeal observer. Honest code never calls this;
+// attack.LogForger does.
+func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
+	// Filtering drops index entries only: the bytes stay where they are,
+	// so no Line handed out before changes.
+	kept := b.refs[:0]
+	for i, ref := range b.refs {
+		if keep(b.line(i)) {
+			kept = append(kept, ref)
+		}
 	}
-	b.recs = append(b.recs[:0], recs...)
+	b.refs = kept
+	for _, r := range add {
+		line := b.render(r)[1:]
+		copy(b.reserve(r.T, r.Node, len(line)), line)
+	}
+	if b.MaxLen > 0 && len(b.refs) > b.MaxLen {
+		b.drop(len(b.refs) - b.MaxLen)
+	}
 	b.base = 0
 	if !b.seal.enabled {
 		return
@@ -479,8 +491,9 @@ func (b *Buffer) Rewrite(recs []Record) {
 	b.seal.tags = b.seal.tags[:0]
 	b.seal.stack = b.seal.stack[:0]
 	b.seal.stackCount = 0
-	for i := range b.recs {
-		b.seal.append(&b.recs[i])
+	for i := range b.refs {
+		b.scratch = append(append(b.scratch[:0], prefixLeaf), b.line(i).Text...)
+		b.seal.append(b.scratch)
 	}
 }
 
@@ -500,13 +513,10 @@ func (b *Buffer) Export() []SealedRecord {
 	if !b.seal.enabled {
 		return nil
 	}
-	out := make([]SealedRecord, len(b.recs))
-	for i := range b.recs {
-		out[i] = SealedRecord{
-			Index: b.base + uint64(i), //nolint:gosec // i >= 0
-			Line:  b.recs[i].String(),
-			Tag:   b.seal.tags[b.base+uint64(i)], //nolint:gosec // i >= 0
-		}
+	out := make([]SealedRecord, len(b.refs))
+	for i := range b.refs {
+		l := b.line(i)
+		out[i] = SealedRecord{Index: l.Seq, Line: l.Text, Tag: b.seal.tags[l.Seq]}
 	}
 	return out
 }

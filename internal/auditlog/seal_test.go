@@ -193,9 +193,10 @@ func TestRewriteBreaksSeal(t *testing.T) {
 	}
 	before := b.TreeHead()
 
-	recs, _ := b.Since(0)
-	recs[3].Fields = []Field{F("forged", "yes")}
-	b.Rewrite(recs)
+	// Erase record 3 and plant a forged one at the end: same size, so
+	// only the roots can tell the trees apart.
+	b.Rewrite(func(l Line) bool { return l.Seq != 3 },
+		Record{Kind: KindHelloRx, Node: addr.NodeAt(1), Fields: []Field{F("forged", "yes")}})
 
 	after := b.TreeHead()
 	if after.Root == before.Root {

@@ -327,8 +327,7 @@ type Detector struct {
 	investigations uint64
 
 	// Scan scratch, reused across ticks.
-	recScratch []auditlog.Record
-	evScratch  []logevent.Event
+	evScratch []logevent.Event
 }
 
 // cell returns suspect n's state, assigning an index slot on first
@@ -437,10 +436,18 @@ func (d *Detector) ProofFailures() uint64 { return d.proofFailures }
 // Scan reads the new audit records, runs the signature engine, and opens
 // investigations for fresh alerts.
 func (d *Detector) Scan() {
-	d.recScratch = d.cursor.ReadInto(d.recScratch[:0])
-	events, skipped := logevent.ParseAllInto(d.evScratch[:0], d.recScratch)
+	// An unparseable line is a substrate bug, not an attack: it is
+	// counted and skipped rather than fatal.
+	events := d.evScratch[:0]
+	for l, ok := d.cursor.Next(); ok; l, ok = d.cursor.Next() {
+		ev, err := logevent.Parse(l)
+		if err != nil {
+			d.parseSkipped++
+			continue
+		}
+		events = append(events, ev)
+	}
 	d.evScratch = events
-	d.parseSkipped += skipped
 	alerts := d.engine.Feed(events, d.sched.Now())
 	d.alerts = append(d.alerts, alerts...)
 	for _, a := range alerts {

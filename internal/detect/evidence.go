@@ -101,34 +101,35 @@ func (p *EvidenceProvider) Attach(req VerifyRequest, rep *VerifyReply) {
 	}
 }
 
-// cite finds the most recent retained HELLO_RX from witness and proves
-// its inclusion in head. Only the search window's tail is fetched —
-// Since copies the records it returns, and replies are frequent enough
-// that copying the whole retained log per citation would dominate.
+// cite finds the most recent retained HELLO_RX from witness among the
+// last evidenceSearchWindow records and proves its inclusion in head. It
+// reads the stored lines in place; the citation carries the line itself.
 func (p *EvidenceProvider) cite(witness addr.Node, head auditlog.TreeHead) (Citation, bool) {
 	var start uint64
 	if next := p.Log.NextSeq(); next > evidenceSearchWindow {
 		start = next - evidenceSearchWindow
 	}
-	recs, next := p.Log.Since(start)
-	base := next - uint64(len(recs)) //nolint:gosec // len >= 0
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Kind != auditlog.KindHelloRx {
+	for seq := p.Log.NextSeq(); seq > start; {
+		seq--
+		l, ok := p.Log.LineAt(seq)
+		if !ok {
+			break // older than the retained window
+		}
+		if l.Kind() != auditlog.KindHelloRx {
 			continue
 		}
-		from, err := recs[i].NodeField("from")
+		from, err := l.NodeField("from")
 		if err != nil || from != witness {
 			continue
 		}
-		index := base + uint64(i) //nolint:gosec // i >= 0
-		if index >= head.Size {
+		if seq >= head.Size {
 			continue // sealed after the head was taken
 		}
-		proof, err := p.Log.InclusionProof(index, head.Size)
+		proof, err := p.Log.InclusionProof(seq, head.Size)
 		if err != nil {
 			return Citation{}, false
 		}
-		return Citation{Index: index, Record: recs[i].String(), Proof: proof}, true
+		return Citation{Index: seq, Record: l.Text, Proof: proof}, true
 	}
 	return Citation{}, false
 }

@@ -178,9 +178,10 @@ func TestForgedReplyConvictsResponder(t *testing.T) {
 	// Gossip recorded the honest head; then the responder rewrites its
 	// history (securelog's compromise-at-t model) before answering.
 	w.heads[w.endpoint] = w.respLogs.TreeHead()
-	recs, _ := w.respLogs.Since(0)
-	recs[2].Fields = []auditlog.Field{auditlog.F("alibi", "planted")}
-	w.respLogs.Rewrite(recs)
+	w.respLogs.Rewrite(func(l auditlog.Line) bool { return l.Seq != 2 }, auditlog.Record{
+		T: 8 * time.Second, Node: w.endpoint, Kind: auditlog.KindHelloTx,
+		Fields: []auditlog.Field{auditlog.F("alibi", "planted")},
+	})
 
 	w.det.OpenInvestigation(w.suspect, "test")
 	w.sched.RunUntil(5 * time.Second)
@@ -334,5 +335,100 @@ func TestEvidenceWorldSmoke(t *testing.T) {
 	}
 	if fmt.Sprint(w.reports[0].Suspect) == "" {
 		t.Fatal("empty suspect")
+	}
+}
+
+// citeByRecords is the record-decoding cite the line-level one replaced:
+// the last evidenceSearchWindow records, newest first, skipping records
+// sealed after the head.
+func citeByRecords(log *auditlog.Buffer, witness addr.Node, head auditlog.TreeHead) (Citation, bool) {
+	var start uint64
+	if next := log.NextSeq(); next > evidenceSearchWindow {
+		start = next - evidenceSearchWindow
+	}
+	recs, next := log.Since(start)
+	base := next - uint64(len(recs)) //nolint:gosec // len >= 0
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Kind != auditlog.KindHelloRx {
+			continue
+		}
+		from, err := recs[i].NodeField("from")
+		if err != nil || from != witness {
+			continue
+		}
+		index := base + uint64(i) //nolint:gosec // i >= 0
+		if index >= head.Size {
+			continue
+		}
+		proof, err := log.InclusionProof(index, head.Size)
+		if err != nil {
+			return Citation{}, false
+		}
+		return Citation{Index: index, Record: recs[i].String(), Proof: proof}, true
+	}
+	return Citation{}, false
+}
+
+// TestCiteMatchesRecordReference pins the line-level cite to the
+// record-decoding one: same window, same skips, same citation — including
+// a witness whose only HELLO lies just outside the 512-record window, a
+// head taken before the newest HELLO, and ring-trimmed logs.
+func TestCiteMatchesRecordReference(t *testing.T) {
+	witness, other := addr.NodeAt(2), addr.NodeAt(3)
+	hello := func(from addr.Node, i int) auditlog.Record {
+		return auditlog.Record{T: time.Duration(i) * time.Millisecond, Node: addr.NodeAt(1),
+			Kind: auditlog.KindHelloRx, Fields: []auditlog.Field{
+				auditlog.FNode("from", from), auditlog.FNodes("sym", []addr.Node{addr.NodeAt(1)})}}
+	}
+	filler := func(i int) auditlog.Record {
+		return auditlog.Record{T: time.Duration(i) * time.Millisecond, Node: addr.NodeAt(1),
+			Kind: auditlog.KindTCTx, Fields: []auditlog.Field{auditlog.FInt("ansn", i)}}
+	}
+	for _, tc := range []struct {
+		name      string
+		maxLen    int
+		helloAt   []int // positions of witness HELLOs
+		total     int
+		headShort uint64 // head taken this many records before the end
+		wantCite  bool
+	}{
+		{"only hello just outside the window", 0, []int{0}, 513, 0, false},
+		{"only hello at the window's oldest slot", 0, []int{1}, 513, 0, true},
+		{"newest hello sealed after the head", 0, []int{100, 590}, 600, 15, true},
+		{"every hello sealed after the head", 0, []int{598}, 600, 5, false},
+		{"ring dropped the hello", 64, []int{10}, 600, 0, false},
+		{"ring keeps the newest hello", 64, []int{10, 580}, 600, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &auditlog.Buffer{MaxLen: tc.maxLen}
+			log.SetSealKey([]byte("cite"))
+			at := map[int]bool{}
+			for _, i := range tc.helloAt {
+				at[i] = true
+			}
+			for i := 0; i < tc.total; i++ {
+				switch {
+				case at[i]:
+					log.Append(hello(witness, i))
+				case i%7 == 0:
+					log.Append(hello(other, i))
+				default:
+					log.Append(filler(i))
+				}
+			}
+			head, err := log.TreeHeadAt(log.SealedSize() - tc.headShort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &EvidenceProvider{Log: log}
+			got, gotOK := p.cite(witness, head)
+			want, wantOK := citeByRecords(log, witness, head)
+			if gotOK != tc.wantCite || wantOK != tc.wantCite {
+				t.Fatalf("cite found %v, reference %v, want %v", gotOK, wantOK, tc.wantCite)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("cite = %+v, reference %+v", got, want)
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-// Package logevent converts audit-log records into the typed events that
+// Package logevent converts audit-log lines into the typed events that
 // the signature matcher and the detector consume.
 //
 // This is the boundary the paper draws in §III: the routing daemon writes
@@ -136,144 +136,122 @@ type BadPacket struct {
 	Reason string
 }
 
-// Parse converts one audit record into its typed event.
-func Parse(r auditlog.Record) (Event, error) {
-	base := Base{At: r.T, Node: r.Node, Kind: r.Kind}
-	switch r.Kind {
+// Parse converts one audit-log line into its typed event. It reads the
+// line in place (auditlog.Line) — the detector never decodes a Record.
+func Parse(l auditlog.Line) (Event, error) {
+	kind := l.Kind()
+	base := Base{At: l.T, Node: l.Node, Kind: kind}
+	switch kind {
 	case auditlog.KindHelloRx:
-		from, err := r.NodeField("from")
+		from, err := l.NodeField("from")
 		if err != nil {
 			return nil, err
 		}
-		sym, err := r.NodesField("sym")
+		sym, err := l.NodesField("sym")
 		if err != nil {
 			return nil, err
 		}
-		will, _ := r.IntField("will")
+		will, _ := l.IntField("will")
 		return &HelloReceived{Base: base, From: from, SymNeighbors: sym, Willingness: will}, nil
 
 	case auditlog.KindHelloTx:
-		sym, err := r.NodesField("sym")
+		sym, err := l.NodesField("sym")
 		if err != nil {
 			return nil, err
 		}
 		return &HelloSent{Base: base, SymNeighbors: sym}, nil
 
 	case auditlog.KindTCRx:
-		orig, err := r.NodeField("orig")
+		orig, err := l.NodeField("orig")
 		if err != nil {
 			return nil, err
 		}
-		adv, err := r.NodesField("adv")
+		adv, err := l.NodesField("adv")
 		if err != nil {
 			return nil, err
 		}
-		ansn, _ := r.IntField("ansn")
+		ansn, _ := l.IntField("ansn")
 		return &TCReceived{Base: base, Originator: orig, ANSN: ansn, Advertised: adv}, nil
 
 	case auditlog.KindTCTx:
-		adv, err := r.NodesField("adv")
+		adv, err := l.NodesField("adv")
 		if err != nil {
 			return nil, err
 		}
-		ansn, _ := r.IntField("ansn")
+		ansn, _ := l.IntField("ansn")
 		return &TCSent{Base: base, ANSN: ansn, Advertised: adv}, nil
 
 	case auditlog.KindTCFwd:
-		orig, err := r.NodeField("orig")
+		orig, err := l.NodeField("orig")
 		if err != nil {
 			return nil, err
 		}
-		sender, err := r.NodeField("sender")
+		sender, err := l.NodeField("sender")
 		if err != nil {
 			return nil, err
 		}
 		return &TCForwarded{Base: base, Originator: orig, Sender: sender}, nil
 
 	case auditlog.KindMsgDrop:
-		from, err := r.NodeField("from")
+		from, err := l.NodeField("from")
 		if err != nil {
 			return nil, err
 		}
-		reason, _ := r.Get("reason")
+		reason, _ := l.Get("reason")
 		return &MessageDropped{Base: base, From: from, Reason: reason}, nil
 
 	case auditlog.KindNeighborUp, auditlog.KindNeighborDown:
-		n, err := r.NodeField("neighbor")
+		n, err := l.NodeField("neighbor")
 		if err != nil {
 			return nil, err
 		}
-		if r.Kind == auditlog.KindNeighborUp {
+		if kind == auditlog.KindNeighborUp {
 			return &NeighborUp{Base: base, Neighbor: n}, nil
 		}
 		return &NeighborDown{Base: base, Neighbor: n}, nil
 
 	case auditlog.KindTwoHopUp, auditlog.KindTwoHopDown:
-		via, err := r.NodeField("via")
+		via, err := l.NodeField("via")
 		if err != nil {
 			return nil, err
 		}
-		th, err := r.NodeField("twohop")
+		th, err := l.NodeField("twohop")
 		if err != nil {
 			return nil, err
 		}
-		if r.Kind == auditlog.KindTwoHopUp {
+		if kind == auditlog.KindTwoHopUp {
 			return &TwoHopUp{Base: base, Via: via, TwoHop: th}, nil
 		}
 		return &TwoHopDown{Base: base, Via: via, TwoHop: th}, nil
 
 	case auditlog.KindMPRSet:
-		added, err := r.NodesField("added")
+		added, err := l.NodesField("added")
 		if err != nil {
 			return nil, err
 		}
-		removed, err := r.NodesField("removed")
+		removed, err := l.NodesField("removed")
 		if err != nil {
 			return nil, err
 		}
-		mprs, err := r.NodesField("mprs")
+		mprs, err := l.NodesField("mprs")
 		if err != nil {
 			return nil, err
 		}
 		return &MPRSetChanged{Base: base, Added: added, Removed: removed, MPRs: mprs}, nil
 
 	case auditlog.KindMPRSelector:
-		sel, err := r.NodesField("selectors")
+		sel, err := l.NodesField("selectors")
 		if err != nil {
 			return nil, err
 		}
 		return &MPRSelectorChanged{Base: base, Selectors: sel}, nil
 
 	case auditlog.KindBadPacket:
-		from, _ := r.NodeField("from")
-		reason, _ := r.Get("reason")
+		from, _ := l.NodeField("from")
+		reason, _ := l.Get("reason")
 		return &BadPacket{Base: base, From: from, Reason: reason}, nil
 
 	default:
-		return nil, fmt.Errorf("logevent: unknown record kind %q", r.Kind)
+		return nil, fmt.Errorf("logevent: unknown record kind %q", kind)
 	}
-}
-
-// ParseAll parses a batch of records, skipping records it cannot parse and
-// returning how many were skipped. The detector treats unparseable records
-// as a substrate bug, not an attack, so they are counted rather than fatal.
-func ParseAll(recs []auditlog.Record) (events []Event, skipped int) {
-	return ParseAllInto(make([]Event, 0, len(recs)), recs)
-}
-
-// ParseAllInto is ParseAll appending into a caller-owned slice — the
-// detector's scan tick reuses one across polls. Only the slice is
-// reused; the parsed events themselves are freshly allocated (signature
-// rules retain them across feeds).
-func ParseAllInto(events []Event, recs []auditlog.Record) ([]Event, int) {
-	skipped := 0
-	for i := range recs {
-		ev, err := Parse(recs[i])
-		if err != nil {
-			skipped++
-			continue
-		}
-		events = append(events, ev)
-	}
-	return events, skipped
 }

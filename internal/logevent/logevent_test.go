@@ -12,13 +12,21 @@ func rec(kind auditlog.Kind, fields ...auditlog.Field) auditlog.Record {
 	return auditlog.Record{T: time.Second, Node: addr.NodeAt(1), Kind: kind, Fields: fields}
 }
 
+// line stores r in a fresh buffer and returns it as the buffer's line.
+func line(r auditlog.Record) auditlog.Line {
+	var b auditlog.Buffer
+	b.Append(r)
+	l, _ := b.LineAt(0)
+	return l
+}
+
 func TestParseHelloReceived(t *testing.T) {
 	r := rec(auditlog.KindHelloRx,
 		auditlog.FNode("from", addr.NodeAt(2)),
 		auditlog.FNodes("sym", []addr.Node{addr.NodeAt(3), addr.NodeAt(4)}),
 		auditlog.FInt("will", 6),
 	)
-	ev, err := Parse(r)
+	ev, err := Parse(line(r))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -36,7 +44,7 @@ func TestParseHelloReceived(t *testing.T) {
 
 func TestParseHelloReceivedEmptyNeighbors(t *testing.T) {
 	r := rec(auditlog.KindHelloRx, auditlog.FNode("from", addr.NodeAt(2)))
-	ev, err := Parse(r)
+	ev, err := Parse(line(r))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -66,7 +74,7 @@ func TestParseAllKinds(t *testing.T) {
 		{rec(auditlog.KindBadPacket, auditlog.FNode("from", addr.NodeAt(2)), auditlog.F("reason", "truncated")), "*logevent.BadPacket"},
 	}
 	for _, tt := range tests {
-		ev, err := Parse(tt.rec)
+		ev, err := Parse(line(tt.rec))
 		if err != nil {
 			t.Errorf("Parse(%s): %v", tt.rec.Kind, err)
 			continue
@@ -119,27 +127,38 @@ func TestParseMissingRequiredField(t *testing.T) {
 		rec(auditlog.KindTwoHopUp, auditlog.FNode("via", addr.NodeAt(2))),
 		rec(auditlog.KindMsgDrop),
 	} {
-		if _, err := Parse(r); err == nil {
+		if _, err := Parse(line(r)); err == nil {
 			t.Errorf("Parse(%s with missing fields) succeeded", r.Kind)
 		}
 	}
 }
 
 func TestParseUnknownKind(t *testing.T) {
-	if _, err := Parse(rec(auditlog.Kind("WEIRD"))); err == nil {
+	if _, err := Parse(line(rec(auditlog.Kind("WEIRD")))); err == nil {
 		t.Error("unknown kind parsed")
 	}
 }
 
+// TestParseAll parses every line of a buffer the way the detector's scan
+// does: an unparseable line is skipped and counted, not fatal.
 func TestParseAll(t *testing.T) {
-	recs := []auditlog.Record{
-		rec(auditlog.KindHelloRx, auditlog.FNode("from", addr.NodeAt(2))),
-		rec(auditlog.Kind("WEIRD")),
-		rec(auditlog.KindNeighborUp, auditlog.FNode("neighbor", addr.NodeAt(2))),
+	var b auditlog.Buffer
+	b.Append(rec(auditlog.KindHelloRx, auditlog.FNode("from", addr.NodeAt(2))))
+	b.Append(rec(auditlog.Kind("WEIRD")))
+	b.Append(rec(auditlog.KindNeighborUp, auditlog.FNode("neighbor", addr.NodeAt(2))))
+	var events []Event
+	skipped := 0
+	c := auditlog.NewCursor(&b)
+	for l, ok := c.Next(); ok; l, ok = c.Next() {
+		ev, err := Parse(l)
+		if err != nil {
+			skipped++
+			continue
+		}
+		events = append(events, ev)
 	}
-	events, skipped := ParseAll(recs)
 	if len(events) != 2 || skipped != 1 {
-		t.Errorf("ParseAll = %d events, %d skipped", len(events), skipped)
+		t.Errorf("parsed %d events, %d skipped", len(events), skipped)
 	}
 }
 
@@ -154,7 +173,7 @@ func TestLogLineRoundTripThroughText(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseLine: %v", err)
 	}
-	ev, err := Parse(back)
+	ev, err := Parse(line(back))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
