@@ -10,6 +10,7 @@ package repro
 // EXPERIMENTS.md records the series and the paper-vs-measured comparison.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,8 +35,9 @@ import (
 // 25 rounds with a sustained link-spoofing attack and 4 liars.
 func BenchmarkFig1Trustworthiness(b *testing.B) {
 	cfg := experiment.DefaultConfig()
+	eng := experiment.NewRunner(cfg.Seed, 0)
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig1(cfg)
+		res := eng.Fig1(cfg)
 		if res.LiarFinalMax > 0.1 {
 			b.Fatalf("figure shape broken: liar final %v", res.LiarFinalMax)
 		}
@@ -46,8 +48,9 @@ func BenchmarkFig1Trustworthiness(b *testing.B) {
 // the 0.4 default after the attack ceases.
 func BenchmarkFig2ForgettingFactor(b *testing.B) {
 	cfg := experiment.DefaultConfig()
+	eng := experiment.NewRunner(cfg.Seed, 0)
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig2(cfg)
+		res := eng.Fig2(cfg)
 		if !res.HighReachedDefault {
 			b.Fatal("figure shape broken: no relaxation to default")
 		}
@@ -58,8 +61,9 @@ func BenchmarkFig2ForgettingFactor(b *testing.B) {
 // per round for liar counts 1, 4 and 7 of 16 nodes.
 func BenchmarkFig3LiarImpact(b *testing.B) {
 	cfg := experiment.DefaultConfig()
+	eng := experiment.NewRunner(cfg.Seed, 0)
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig3(cfg, []int{1, 4, 7})
+		res := eng.Fig3(cfg, []int{1, 4, 7})
 		for name, final := range res.Final {
 			if final > -0.7 {
 				b.Fatalf("figure shape broken: %s final %v", name, final)
@@ -72,12 +76,9 @@ func BenchmarkFig3LiarImpact(b *testing.B) {
 // random-waypoint mobility, measuring the whole detection pipeline.
 func BenchmarkXMobilityImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiment.RunFullStack(experiment.FullStackConfig{
-			Seed:     int64(i + 1),
-			Speed:    2,
-			Duration: 2 * time.Minute,
-			AttackAt: 45 * time.Second,
-		})
+		if _, err := scenario.Run(fullStackSpec(int64(i+1), 2, 2*time.Minute, 45*time.Second)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -85,7 +86,7 @@ func BenchmarkXMobilityImpact(b *testing.B) {
 // on a 16-node network with one investigation campaign.
 func BenchmarkXOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiment.RunOverheadSweep(int64(i+1), []int{16})
+		pts := experiment.NewRunner(int64(i+1), 0).OverheadSweep([]int{16})
 		if pts[0].OLSRMessages == 0 {
 			b.Fatal("no routing traffic")
 		}
@@ -96,7 +97,7 @@ func BenchmarkXOverhead(b *testing.B) {
 // unrecognized-zone occupancy across confidence levels and sample sizes.
 func BenchmarkXConfidenceInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiment.RunCISweep(int64(i+1), []float64{0.90, 0.95, 0.99}, []int{5, 15, 45}, 0.26)
+		experiment.NewRunner(int64(i+1), 0).CISweep([]float64{0.90, 0.95, 0.99}, []int{5, 15, 45}, 0.26)
 	}
 }
 
@@ -104,8 +105,9 @@ func BenchmarkXConfidenceInterval(b *testing.B) {
 // trust weighting on the Fig-3 scenario.
 func BenchmarkXAblationUnweighted(b *testing.B) {
 	cfg := experiment.DefaultConfig()
+	eng := experiment.NewRunner(cfg.Seed, 0)
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunAblation(cfg)
+		res := eng.Ablation(cfg)
 		if res.FinalWeighted >= res.FinalUniform {
 			b.Fatal("ablation shape broken")
 		}
@@ -116,8 +118,9 @@ func BenchmarkXAblationUnweighted(b *testing.B) {
 // cumulative versus single-round confidence intervals.
 func BenchmarkXAblationCumulativeCI(b *testing.B) {
 	cfg := experiment.DefaultConfig()
+	eng := experiment.NewRunner(cfg.Seed, 0)
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunCIAccumulationAblation(cfg)
+		res := eng.CIAccumulationAblation(cfg)
 		if res.CumulativeRound < 0 {
 			b.Fatal("cumulative CI never convicted")
 		}
@@ -128,7 +131,7 @@ func BenchmarkXAblationCumulativeCI(b *testing.B) {
 // storm and drop baseline attacks on the packet-level stack.
 func BenchmarkXBaselineAttacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunBaselines(int64(i + 1))
+		res := experiment.NewRunner(int64(i+1), 0).Baselines()
 		if !res.StormFlagged {
 			b.Fatal("storm undetected")
 		}
@@ -170,7 +173,9 @@ func BenchmarkEngineFigures(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng := experiment.NewRunner(cfg.Seed, workers)
 			for i := 0; i < b.N; i++ {
-				eng.Figures(cfg, []int{1, 2, 4, 6, 7})
+				if _, err := eng.Figures(context.Background(), cfg, []int{1, 2, 4, 6, 7}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -18,10 +18,12 @@
 // Every scenario run prints its canonical metrics digest; the preset
 // digests are pinned under testdata/golden/ and enforced by CI.
 //
-// It prints a detection report: signature alerts, investigation rounds,
-// the final verdict, and traffic statistics. With -trials > 1 the
-// scenario is repeated with per-trial seeds derived from -seed on the
-// parallel experiment engine (DESIGN.md §6) and a summary is appended.
+// Flag mode maps its flags onto the same declarative Spec, so every run
+// prints one report: traffic, signature alerts, investigation rounds,
+// each suspect's verdict, and the digest. With -trials > 1 the scenario
+// is repeated on the parallel experiment engine (DESIGN.md §6) with
+// per-trial seeds from experiment.TrialSeed, and the per-trial digests
+// are appended. -trace works in both modes.
 package main
 
 import (
@@ -31,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/cliutil"
 	"repro/internal/experiment"
 	"repro/internal/scenario"
@@ -64,7 +65,7 @@ func listScenarios() {
 func run() error {
 	camp := cliutil.Bind(flag.CommandLine, 1, "random seed (root seed with -trials > 1)").
 		BindScenario("named preset or spec file (see `manetsim list`)").
-		BindTrace("NDJSON run-trace output: a file with -trials 1, a directory of per-trial files otherwise (scenario runs only)")
+		BindTrace("NDJSON run-trace output: a file with -trials 1, a directory of per-trial files otherwise")
 	var (
 		nodes    = flag.Int("nodes", 16, "population size")
 		speed    = flag.Float64("speed", 0, "max node speed in m/s (0 = static)")
@@ -75,113 +76,72 @@ func run() error {
 		trials   = flag.Int("trials", 1, "independent seeded runs of the scenario")
 	)
 	flag.Parse()
-	seed := &camp.Seed
 
 	eng := camp.Engine()
 	if camp.HasScenario() {
-		return runScenario(eng, camp, *trials)
-	}
-	if camp.HasTrace() {
-		return fmt.Errorf("-trace needs a declarative scenario; combine it with -scenario")
-	}
-
-	var mode attack.SpoofMode
-	switch *attackS {
-	case "phantom":
-		mode = attack.SpoofPhantom
-	case "claim":
-		mode = attack.SpoofClaim
-	case "omit":
-		mode = attack.SpoofOmit
-	case "none":
-		mode = 0
-	default:
-		return fmt.Errorf("unknown -attack %q", *attackS)
-	}
-
-	cfg := experiment.FullStackConfig{
-		Seed:     *seed,
-		Nodes:    *nodes,
-		Speed:    *speed,
-		Duration: *duration,
-		AttackAt: *attackAt,
-		Liars:    *liars,
-	}
-	if mode != 0 {
-		cfg.SpoofMode = mode
-	} else {
-		// No attack: push the spoof activation beyond the run.
-		cfg.AttackAt = *duration + time.Hour
-	}
-
-	fmt.Printf("manetsim: %d nodes, speed %.1f m/s, attack=%s at %s, %d liars, seed %d\n",
-		*nodes, *speed, *attackS, *attackAt, *liars, *seed)
-
-	if *trials <= 1 {
-		report(eng.FullStack(cfg))
-		return nil
-	}
-
-	// Repeated trials: fan the scenario out with derived per-trial seeds
-	// and summarize. Trial 0 reuses the root seed verbatim so a -trials 1
-	// run is reproducible as the first trial of a larger campaign.
-	results := make([]*experiment.FullStackResult, *trials)
-	eng.ForEach(*trials, func(i int) {
-		c := cfg
-		if i > 0 {
-			c.Seed = eng.TaskSeed("manetsim-trial", 0, i)
+		spec, err := camp.ResolvePacket()
+		if err != nil {
+			return err
 		}
-		results[i] = experiment.RunFullStack(c)
-	})
-	detected, falsePos := 0, 0
-	var totalDelay time.Duration
-	for i, res := range results {
-		fmt.Printf("trial %2d: %s\n", i, res)
-		switch {
-		case res.Convicted:
-			detected++
-			totalDelay += res.DetectionDelay
-		case res.FalsePositive:
-			falsePos++
-		}
+		fmt.Printf("scenario %s: %s\n", spec.Name, spec.Description)
+		return runScenario(eng, camp, spec, *trials)
 	}
-	fmt.Println()
-	fmt.Println("== campaign summary ==")
-	fmt.Printf("  detected:        %d/%d\n", detected, *trials)
-	fmt.Printf("  false positives: %d/%d\n", falsePos, *trials)
-	if detected > 0 {
-		fmt.Printf("  mean delay:      %s\n", totalDelay/time.Duration(detected))
-	}
-	return nil
-}
-
-// report prints the single-run detection report.
-func report(res *experiment.FullStackResult) {
-	fmt.Println()
-	fmt.Println("== detection report ==")
-	fmt.Printf("  convicted:        %v\n", res.Convicted)
-	if res.Convicted {
-		fmt.Printf("  detection delay:  %s after attack start\n", res.DetectionDelay)
-	}
-	fmt.Printf("  signature alerts: %d\n", res.Alerts)
-	fmt.Printf("  investigations:   %d rounds\n", res.Investigations)
-	fmt.Printf("  spoofer trust:    %.3f (default 0.4)\n", res.FinalSpooferTru)
-	fmt.Println("== traffic ==")
-	fmt.Printf("  OLSR frames:      %d\n", res.OLSRMessages)
-	fmt.Printf("  control frames:   %d\n", res.CtrlMessages)
-}
-
-// runScenario resolves and executes a declarative scenario campaign.
-func runScenario(eng *experiment.Runner, camp *cliutil.Campaign, trials int) error {
-	spec, err := camp.ResolvePacket()
+	spec, err := flagSpec(camp.Seed, *nodes, *speed, *duration, *attackAt, *attackS, *liars)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %s: %s\n", spec.Name, spec.Description)
+	fmt.Printf("manetsim: %d nodes, speed %.1f m/s, attack=%s at %s, %d liars, seed %d\n",
+		*nodes, *speed, *attackS, *attackAt, *liars, camp.Seed)
+	return runScenario(eng, camp, spec, *trials)
+}
 
+// flagSpec maps the flag-mode options onto a packet scenario: the victim
+// at node 1 in a 500 m arena with a 200 m radio range and, unless attack
+// is "none", a link spoofer as the last node, pinned beside the victim
+// and dropping the investigation traffic it should relay. Nodes move by
+// random waypoint between speed/2 and speed m/s with 5 s pauses, or
+// stand still at speed 0. With the default flags this is the X1 mobility
+// run at speed 0.
+func flagSpec(seed int64, nodes int, speed float64, duration, attackAt time.Duration, attack string, liars int) (scenario.Spec, error) {
+	spec := scenario.Spec{
+		Name:       "fullstack",
+		Seed:       seed,
+		Nodes:      nodes,
+		ArenaSide:  500,
+		Duration:   scenario.Dur(duration),
+		Radio:      scenario.RadioSpec{Range: 200},
+		Liars:      liars,
+		BinaryCtrl: true,
+	}
+	if speed > 0 {
+		spec.Mobility = scenario.MobilitySpec{
+			Model:    "waypoint",
+			MinSpeed: speed / 2,
+			MaxSpeed: speed,
+			Pause:    scenario.DurPtr(5 * time.Second),
+		}
+	}
+	switch attack {
+	case "none":
+	case "phantom", "claim", "omit":
+		spec.Attacks = []scenario.AttackSpec{{
+			Kind:     "linkspoof",
+			Node:     nodes,
+			Mode:     attack,
+			At:       scenario.Dur(attackAt),
+			Pin:      true,
+			DropCtrl: true,
+		}}
+	default:
+		return scenario.Spec{}, fmt.Errorf("unknown -attack %q", attack)
+	}
+	return spec, nil
+}
+
+// runScenario executes a packet scenario campaign and prints its report.
+func runScenario(eng *experiment.Runner, camp *cliutil.Campaign, spec scenario.Spec, trials int) error {
 	var results []*scenario.Result
-	switch {
-	case camp.HasTrace() && trials <= 1:
+	if camp.HasTrace() && trials <= 1 {
 		// One run, one NDJSON file — the reprotrace workflow's input.
 		sink, closeTrace, err := camp.OpenTrace()
 		if err != nil {
@@ -196,18 +156,16 @@ func runScenario(eng *experiment.Runner, camp *cliutil.Campaign, trials int) err
 		}
 		fmt.Printf("trace: %s (%d events)\n", camp.Trace, sink.Events())
 		results = []*scenario.Result{res}
-	case camp.HasTrace():
-		// A trial fan writes one trace per trial into a directory; the
-		// file layout is experiment.TraceFileName.
-		results, err = eng.ScenarioTrialsTracedContext(context.Background(), spec, trials, camp.Trace)
+	} else {
+		// With -trace, a trial fan writes one trace per trial into that
+		// directory; the file layout is experiment.TraceFileName.
+		var err error
+		results, err = eng.ScenarioTrials(context.Background(), spec, trials, camp.Trace)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("traces: %s/%s .. %s\n", camp.Trace, experiment.TraceFileName(0), experiment.TraceFileName(trials-1))
-	default:
-		results, err = eng.ScenarioTrials(spec, trials)
-		if err != nil {
-			return err
+		if camp.HasTrace() {
+			fmt.Printf("traces: %s/%s .. %s\n", camp.Trace, experiment.TraceFileName(0), experiment.TraceFileName(trials-1))
 		}
 	}
 	scenarioReport(results[0])

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -110,7 +111,10 @@ func run() error {
 	var f2 *experiment.Fig2Result
 	var f3 *experiment.Fig3Result
 	if *figure == "all" {
-		all := eng.Figures(cfg, fig3Counts)
+		all, err := eng.Figures(context.Background(), cfg, fig3Counts)
+		if err != nil {
+			return err
+		}
 		f1, f2, f3 = all.Fig1, all.Fig2, all.Fig3
 	} else {
 		if want("1") {

@@ -69,6 +69,7 @@ func main() {
 	cfg.Nodes = 8
 	cfg.Liars = 2
 	cfg.Rounds = 12
-	fmt.Println(experiment.RunFig1(cfg).Table.Render())
-	fmt.Println(experiment.RunFig2(cfg).Table.Render())
+	eng := experiment.NewRunner(cfg.Seed, 0)
+	fmt.Println(eng.Fig1(cfg).Table.Render())
+	fmt.Println(eng.Fig2(cfg).Table.Render())
 }

@@ -538,7 +538,7 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 	runtime.ReadMemStats(&ms)
 	startMallocs := ms.Mallocs
 	start := time.Now()
-	res, err := scenario.RunContextTraced(ctx, spec, sink)
+	res, err := scenario.RunContext(ctx, spec, sink)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)
 	allocs := ms.Mallocs - startMallocs

@@ -88,7 +88,7 @@ func TestDigestsMatchDirectEngineRun(t *testing.T) {
 	spec := tinySpec(42)
 
 	eng := experiment.NewRunner(spec.Seed, 2)
-	direct, err := eng.ScenarioTrials(spec, trials)
+	direct, err := eng.ScenarioTrials(context.Background(), spec, trials, "")
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}

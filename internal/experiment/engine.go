@@ -5,10 +5,10 @@
 // out across a bounded pool of goroutines. Determinism is preserved by
 // construction: no task reads a shared random stream. Instead each task
 // derives its own seed by hashing (rootSeed, sweepID, pointIndex,
-// trialIndex) with DeriveSeed, so the numbers a task draws depend only on
-// its coordinates, never on which worker ran it or in which order.
-// Results are written into an index-addressed slice, making the collected
-// output bit-identical whether the pool has 1 worker or 64.
+// trialIndex) with scenario.DeriveSeed, so the numbers a task draws
+// depend only on its coordinates, never on which worker ran it or in
+// which order. Results are written into an index-addressed slice, making
+// the collected output bit-identical whether the pool has 1 worker or 64.
 
 package experiment
 
@@ -52,26 +52,18 @@ func (a *Arena) Samples(n int) []float64 {
 	return a.samples[:0]
 }
 
-// DeriveSeed maps a task's coordinates to an independent RNG seed. The
-// implementation lives in internal/scenario (the scenario builder derives
-// per-node and per-attack streams from the same tree); this alias keeps
-// the engine's public surface unchanged (see TestDeriveSeedStable).
-func DeriveSeed(root int64, sweep string, point, trial int) int64 {
-	return scenario.DeriveSeed(root, sweep, point, trial)
-}
-
 // Runner executes experiment tasks on a worker pool. The zero value is
 // ready to use: RootSeed 0 and as many workers as GOMAXPROCS. A Runner is
 // stateless between calls and safe for concurrent use.
 type Runner struct {
 	// RootSeed is the root of the seed-derivation tree for runners that
 	// generate their own trials (CISweep, MobilitySweep, OverheadSweep):
-	// each such task's seed is DeriveSeed(RootSeed, sweep, point, trial).
-	// Runners parameterized by a scenario config (Fig1–Fig3, Figures,
-	// Ablation, CIAccumulationAblation, FullStack) take their seed from
-	// the config instead, so a given Config reproduces the same scenario
-	// on any runner; Baselines seeds its single run from RootSeed
-	// directly.
+	// each such task's seed is scenario.DeriveSeed(RootSeed, sweep, point,
+	// trial). Runners parameterized by a scenario config (Fig1–Fig3,
+	// Figures, Ablation, CIAccumulationAblation) or a spec
+	// (ScenarioTrials, ScenarioMatrix) take their seed from it instead, so
+	// a given Config or Spec reproduces the same run on any runner;
+	// Baselines seeds its single run from RootSeed directly.
 	RootSeed int64
 	// Workers bounds the goroutine pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -98,7 +90,7 @@ func (r *Runner) TaskSeed(sweep string, point, trial int) int64 {
 	if r != nil {
 		root = r.RootSeed
 	}
-	return DeriveSeed(root, sweep, point, trial)
+	return scenario.DeriveSeed(root, sweep, point, trial)
 }
 
 // mapTasks runs fn(0..n-1) on up to workers goroutines and returns the
@@ -148,17 +140,6 @@ func mapTasksArena[T any](workers, n int, fn func(int, *Arena) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// ForEach runs fn for every index in [0, n) on the pool. It is the
-// untyped convenience over mapTasks for callers that collect results
-// themselves (into index-addressed storage — never via shared mutable
-// state, which would reintroduce schedule dependence).
-func (r *Runner) ForEach(n int, fn func(i int)) {
-	mapTasks(r.workerCount(), n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
 }
 
 // mapTasksCtx is mapTasks with cooperative cancellation: workers stop
@@ -211,8 +192,11 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]
 	return out, nil
 }
 
-// ForEachContext is ForEach with cooperative cancellation (see
-// mapTasksCtx for the exact semantics).
+// ForEachContext runs fn for every index in [0, n) on the pool, with
+// cooperative cancellation (see mapTasksCtx for the exact semantics). It
+// is the untyped convenience over mapTasksCtx for callers that collect
+// results themselves (into index-addressed storage — never via shared
+// mutable state, which would reintroduce schedule dependence).
 func (r *Runner) ForEachContext(ctx context.Context, n int, fn func(i int)) error {
 	_, err := mapTasksCtx(ctx, r.workerCount(), n, func(i int) struct{} {
 		fn(i)

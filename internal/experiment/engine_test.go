@@ -1,47 +1,28 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/trust"
 )
 
-func TestDeriveSeedStable(t *testing.T) {
-	// The derivation must be stable across processes and platforms —
-	// recorded seeds in EXPERIMENTS.md depend on it. These golden values
-	// pin the hash; changing them is a breaking change to every recorded
-	// experiment.
-	golden := []struct {
-		root         int64
-		sweep        string
-		point, trial int
-		want         int64
-	}{
-		{1, "x3-ci", 0, 0, -6180441966806563301},
-		{42, "x1-mobility", 3, 7, -567676116528905925},
-	}
-	for _, g := range golden {
-		if got := DeriveSeed(g.root, g.sweep, g.point, g.trial); got != g.want {
-			t.Errorf("DeriveSeed(%d, %q, %d, %d) = %d, want %d",
-				g.root, g.sweep, g.point, g.trial, got, g.want)
-		}
-	}
-}
-
 func TestDeriveSeedDistinct(t *testing.T) {
-	// Every coordinate must perturb the seed: colliding streams would
-	// silently correlate "independent" trials.
-	base := DeriveSeed(1, "sweep", 2, 3)
+	// Every coordinate of a task — the runner's root seed included —
+	// must perturb its derived seed: colliding streams would silently
+	// correlate "independent" trials.
+	base := NewRunner(1, 0).TaskSeed("sweep", 2, 3)
 	variants := []int64{
-		DeriveSeed(2, "sweep", 2, 3),
-		DeriveSeed(1, "sweep2", 2, 3),
-		DeriveSeed(1, "sweep", 3, 3),
-		DeriveSeed(1, "sweep", 2, 4),
+		NewRunner(2, 0).TaskSeed("sweep", 2, 3),
+		NewRunner(1, 0).TaskSeed("sweep2", 2, 3),
+		NewRunner(1, 0).TaskSeed("sweep", 3, 3),
+		NewRunner(1, 0).TaskSeed("sweep", 2, 4),
 		// Field boundaries must not be ambiguous: (point, trial) swaps
 		// and string/int concatenation overlaps must differ.
-		DeriveSeed(1, "sweep", 3, 2),
+		NewRunner(1, 0).TaskSeed("sweep", 3, 2),
 	}
 	seen := map[int64]bool{base: true}
 	for i, v := range variants {
@@ -110,7 +91,7 @@ func TestTaskSeedNilRunner(t *testing.T) {
 	// A nil runner degrades to root seed 0 / GOMAXPROCS workers rather
 	// than panicking, so zero-value plumbing stays safe.
 	var r *Runner
-	if got, want := r.TaskSeed("s", 1, 2), DeriveSeed(0, "s", 1, 2); got != want {
+	if got, want := r.TaskSeed("s", 1, 2), scenario.DeriveSeed(0, "s", 1, 2); got != want {
 		t.Errorf("nil runner TaskSeed = %d, want %d", got, want)
 	}
 	if r.workerCount() <= 0 {
@@ -120,13 +101,17 @@ func TestTaskSeedNilRunner(t *testing.T) {
 
 // snapshotAll renders every ported runner's output to one string so runs
 // at different worker counts can be compared byte for byte.
-func snapshotAll(workers int, full bool) string {
+func snapshotAll(t *testing.T, workers int, full bool) string {
+	t.Helper()
 	var b strings.Builder
 	eng := NewRunner(7, workers)
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 
-	figs := eng.Figures(cfg, []int{1, 4, 7})
+	figs, err := eng.Figures(context.Background(), cfg, []int{1, 4, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.WriteString(figs.Fig1.Table.Render())
 	fmt.Fprintf(&b, "%+v\n", figs.Fig1.LiarFinalMax)
 	b.WriteString(figs.Fig2.Table.Render())
@@ -155,12 +140,12 @@ func TestEngineDeterminism(t *testing.T) {
 	// The acceptance property of the engine: with a fixed root seed the
 	// output is byte-identical no matter how many workers execute it.
 	full := !testing.Short() // packet-level runners are slower; skip with -short
-	baseline := snapshotAll(1, full)
+	baseline := snapshotAll(t, 1, full)
 	if len(baseline) == 0 {
 		t.Fatal("empty baseline snapshot")
 	}
 	for _, workers := range []int{4, 8} {
-		if got := snapshotAll(workers, full); got != baseline {
+		if got := snapshotAll(t, workers, full); got != baseline {
 			t.Errorf("workers=%d: output differs from serial run", workers)
 		}
 	}
@@ -169,8 +154,8 @@ func TestEngineDeterminism(t *testing.T) {
 func TestEngineDeterminismRepeated(t *testing.T) {
 	// Same worker count, repeated runs: flushes out any hidden shared
 	// state between tasks (a data race would also trip -race here).
-	a := snapshotAll(4, false)
-	b := snapshotAll(4, false)
+	a := snapshotAll(t, 4, false)
+	b := snapshotAll(t, 4, false)
 	if a != b {
 		t.Error("repeated parallel runs differ")
 	}

@@ -240,20 +240,13 @@ type Fig1Result struct {
 	HonestLowGain struct{ Initial, Final float64 }
 }
 
-// RunFig1 reproduces Figure 1: trust evolution over Rounds investigation
+// Fig1 reproduces Figure 1: trust evolution over Rounds investigation
 // rounds, as seen by the attacked node, with attack and lying sustained.
-func RunFig1(cfg Config) *Fig1Result {
-	return NewRunner(cfg.Seed, 0).Fig1(cfg)
-}
-
-// Fig1 runs the Figure 1 reproduction as one engine task, executed
-// inline. A single scenario is inherently sequential (each round feeds
-// the trust store the next round reads), so it is never subdivided;
-// parallelism comes from running it alongside other figure and sweep
-// points (see Figures).
-func (r *Runner) Fig1(cfg Config) *Fig1Result { return runFig1(cfg) }
-
-func runFig1(cfg Config) *Fig1Result {
+// It runs as one engine task, executed inline. A single scenario is
+// inherently sequential (each round feeds the trust store the next round
+// reads), so it is never subdivided; parallelism comes from running it
+// alongside other figure and sweep points (see Figures).
+func (r *Runner) Fig1(cfg Config) *Fig1Result {
 	p := NewPopulation(cfg)
 	table := metrics.NewTable("Fig 1: Trustworthiness (attack sustained)", "round")
 	tracked := p.trackedNodes()
@@ -305,19 +298,12 @@ type Fig2Result struct {
 	LowStillBelow bool
 }
 
-// RunFig2 reproduces Figure 2: the attack ceases and no evidence arrives;
+// Fig2 reproduces Figure 2: the attack ceases and no evidence arrives;
 // every trust value relaxes toward the default (0.4) under the forgetting
 // factor. Nodes with high or medium initial trust reach the default within
-// the run; low-trust nodes recover slowly.
-func RunFig2(cfg Config) *Fig2Result {
-	return NewRunner(cfg.Seed, 0).Fig2(cfg)
-}
-
-// Fig2 runs the Figure 2 reproduction as one engine task, executed
-// inline (see Fig1 for why a single scenario is not subdivided).
-func (r *Runner) Fig2(cfg Config) *Fig2Result { return runFig2(cfg) }
-
-func runFig2(cfg Config) *Fig2Result {
+// the run; low-trust nodes recover slowly. It runs as one engine task,
+// executed inline (see Fig1 for why a single scenario is not subdivided).
+func (r *Runner) Fig2(cfg Config) *Fig2Result {
 	p := NewPopulation(cfg)
 	table := metrics.NewTable("Fig 2: Impact of the forgetting factor (attack ceased)", "round")
 	tracked := p.trackedNodes()
@@ -364,14 +350,6 @@ type Fig3Result struct {
 	Final map[string]float64
 }
 
-// RunFig3 reproduces Figure 3: the investigation's Eq. 8 detection value
-// per round, for several liar counts. The paper labels its curves with
-// percentages; the closest integer counts out of 16 nodes are used and
-// both are printed.
-func RunFig3(cfg Config, liarCounts []int) *Fig3Result {
-	return NewRunner(cfg.Seed, 0).Fig3(cfg, liarCounts)
-}
-
 // fig3Series runs one Figure 3 sweep point: the Fig-3 scenario with the
 // given liar count, returning the per-round Eq. 8 detection values.
 func fig3Series(cfg Config, liars int) []float64 {
@@ -406,9 +384,13 @@ func assembleFig3(cfg Config, liarCounts []int, series [][]float64) *Fig3Result 
 	return res
 }
 
-// Fig3 fans the liar counts out as independent engine tasks — each count
-// is one sweep point with its own Population — and assembles the table in
-// liarCounts order, so the result is identical at any worker count.
+// Fig3 reproduces Figure 3: the investigation's Eq. 8 detection value
+// per round, for several liar counts. The paper labels its curves with
+// percentages; the closest integer counts out of 16 nodes are used and
+// both are printed. The liar counts fan out as independent engine tasks —
+// each count is one sweep point with its own Population — and the table
+// is assembled in liarCounts order, so the result is identical at any
+// worker count.
 func (r *Runner) Fig3(cfg Config, liarCounts []int) *Fig3Result {
 	series := mapTasks(r.workerCount(), len(liarCounts), func(i int) []float64 {
 		return fig3Series(cfg, liarCounts[i])
@@ -427,30 +409,19 @@ type FiguresResult struct {
 // figures and every Figure 3 liar count become sibling tasks on one flat
 // pool, so `trustlab -figure all` fills all cores instead of running the
 // figures back to back. Fig3 sub-results land at fixed task indices and
-// are assembled in liarCounts order afterwards.
-func (r *Runner) Figures(cfg Config, liarCounts []int) *FiguresResult {
-	res, err := r.FiguresContext(context.Background(), cfg, liarCounts)
-	if err != nil {
-		// Background contexts never cancel, and the fan-out has no other
-		// failure mode.
-		panic(err)
-	}
-	return res
-}
-
-// FiguresContext is Figures with cooperative cancellation: undispatched
-// figure tasks are abandoned once ctx is done. A single figure task is
-// milliseconds of arithmetic, so cancellation is checked between tasks
-// rather than inside them.
-func (r *Runner) FiguresContext(ctx context.Context, cfg Config, liarCounts []int) (*FiguresResult, error) {
+// are assembled in liarCounts order afterwards. Cancellation is
+// cooperative: undispatched figure tasks are abandoned once ctx is done.
+// A single figure task is milliseconds of arithmetic, so cancellation is
+// checked between tasks rather than inside them.
+func (r *Runner) Figures(ctx context.Context, cfg Config, liarCounts []int) (*FiguresResult, error) {
 	res := &FiguresResult{}
 	fig3Vals := make([][]float64, len(liarCounts))
 	err := r.ForEachContext(ctx, 2+len(liarCounts), func(i int) {
 		switch i {
 		case 0:
-			res.Fig1 = runFig1(cfg)
+			res.Fig1 = r.Fig1(cfg)
 		case 1:
-			res.Fig2 = runFig2(cfg)
+			res.Fig2 = r.Fig2(cfg)
 		default:
 			fig3Vals[i-2] = fig3Series(cfg, liarCounts[i-2])
 		}
@@ -460,34 +431,4 @@ func (r *Runner) FiguresContext(ctx context.Context, cfg Config, liarCounts []in
 	}
 	res.Fig3 = assembleFig3(cfg, liarCounts, fig3Vals)
 	return res, nil
-}
-
-// Fig1Context, Fig2Context and Fig3Context are the cancellable variants
-// of the single-figure runners. A figure regeneration is a few
-// milliseconds of work, so ctx is observed at task boundaries (and, for
-// the Figure 3 fan, between sweep points) rather than mid-computation.
-func (r *Runner) Fig1Context(ctx context.Context, cfg Config) (*Fig1Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runFig1(cfg), nil
-}
-
-// Fig2Context is the cancellable Fig2 (see Fig1Context).
-func (r *Runner) Fig2Context(ctx context.Context, cfg Config) (*Fig2Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runFig2(cfg), nil
-}
-
-// Fig3Context is the cancellable Fig3 (see Fig1Context).
-func (r *Runner) Fig3Context(ctx context.Context, cfg Config, liarCounts []int) (*Fig3Result, error) {
-	series, err := mapTasksCtx(ctx, r.workerCount(), len(liarCounts), func(i int) []float64 {
-		return fig3Series(cfg, liarCounts[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleFig3(cfg, liarCounts, series), nil
 }

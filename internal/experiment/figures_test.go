@@ -52,7 +52,7 @@ func TestFig1Shape(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7} {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
-		res := RunFig1(cfg)
+		res := NewRunner(cfg.Seed, 0).Fig1(cfg)
 
 		// (a) Liar trust collapses regardless of its initial value.
 		if res.LiarFinalMax > 0.1 {
@@ -75,7 +75,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestFig1AttackerCollapses(t *testing.T) {
 	cfg := DefaultConfig()
-	res := RunFig1(cfg)
+	res := NewRunner(cfg.Seed, 0).Fig1(cfg)
 	// The attacker's curve is in the table and must end near zero.
 	for _, name := range res.Table.Names() {
 		if !strings.HasPrefix(name, "attacker") {
@@ -93,7 +93,7 @@ func TestFig2Shape(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7} {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
-		res := RunFig2(cfg)
+		res := NewRunner(cfg.Seed, 0).Fig2(cfg)
 		if !res.HighReachedDefault {
 			t.Errorf("seed %d: high/medium-initial nodes did not reach the default", seed)
 		}
@@ -102,7 +102,7 @@ func TestFig2Shape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialTrustMin = 0.0
 	cfg.InitialTrustMax = 0.05
-	res := RunFig2(cfg)
+	res := NewRunner(cfg.Seed, 0).Fig2(cfg)
 	if !res.LowStillBelow {
 		t.Error("low-initial nodes fully recovered within 25 rounds; Fig. 2 requires slow recovery")
 	}
@@ -110,7 +110,7 @@ func TestFig2Shape(t *testing.T) {
 
 func TestFig2MonotoneTowardDefault(t *testing.T) {
 	cfg := DefaultConfig()
-	res := RunFig2(cfg)
+	res := NewRunner(cfg.Seed, 0).Fig2(cfg)
 	def := cfg.Params.Default
 	for _, name := range res.Table.Names() {
 		vals := res.Table.Series(name).Values
@@ -136,7 +136,7 @@ func abs(v float64) float64 {
 
 func TestFig3Shape(t *testing.T) {
 	cfg := DefaultConfig()
-	res := RunFig3(cfg, []int{1, 4, 7})
+	res := NewRunner(cfg.Seed, 0).Fig3(cfg, []int{1, 4, 7})
 
 	for name, round := range res.RoundToMinus04 {
 		// Paper: "after 10 rounds, the result of the investigation falls
@@ -159,7 +159,7 @@ func TestFig3MoreLiarsSlowerDetection(t *testing.T) {
 	// detection": early-round Detect must be ordered by liar count.
 	cfg := DefaultConfig()
 	cfg.NonAnswerProb = 0 // isolate the liar effect
-	res := RunFig3(cfg, []int{1, 7})
+	res := NewRunner(cfg.Seed, 0).Fig3(cfg, []int{1, 7})
 	var few, many string
 	for _, n := range res.Table.Names() {
 		if strings.HasPrefix(n, "liars=1") {
@@ -181,7 +181,7 @@ func TestFig3LiarInfluenceFades(t *testing.T) {
 	// rounds": the gap between liar fractions must shrink.
 	cfg := DefaultConfig()
 	cfg.NonAnswerProb = 0
-	res := RunFig3(cfg, []int{1, 7})
+	res := NewRunner(cfg.Seed, 0).Fig3(cfg, []int{1, 7})
 	names := res.Table.Names()
 	early := abs(res.Table.Series(names[0]).At(1) - res.Table.Series(names[1]).At(1))
 	late := abs(res.Table.Series(names[0]).Last() - res.Table.Series(names[1]).Last())
@@ -193,7 +193,7 @@ func TestFig3LiarInfluenceFades(t *testing.T) {
 func TestTablesRender(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 5
-	f1 := RunFig1(cfg)
+	f1 := NewRunner(cfg.Seed, 0).Fig1(cfg)
 	out := f1.Table.Render()
 	if !strings.Contains(out, "Fig 1") || !strings.Contains(out, "round") {
 		t.Errorf("render missing header: %q", out[:80])

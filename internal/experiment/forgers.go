@@ -135,8 +135,3 @@ func (r *Runner) ForgerSweep(trials int, counts []int) []ForgerPoint {
 	}
 	return out
 }
-
-// RunForgerSweep is the single-shot convenience wrapper.
-func RunForgerSweep(seed int64, trials int, counts []int) []ForgerPoint {
-	return NewRunner(seed, 0).ForgerSweep(trials, counts)
-}

@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/trust"
@@ -16,171 +13,6 @@ import (
 // packet-level simulation — OLSR, audit logs, signatures, investigations
 // over the control plane — rather than the round-based abstraction of
 // Figures 1-3.
-
-// FullStackConfig parameterizes the packet-level scenarios.
-type FullStackConfig struct {
-	Seed      int64
-	Nodes     int           // population (default 16)
-	ArenaSide float64       // square arena side in meters (default 500)
-	Range     float64       // radio range (default 200)
-	Speed     float64       // max node speed m/s (0 = static)
-	Duration  time.Duration // total simulated time (default 5 min)
-	AttackAt  time.Duration // when the spoof starts (default 60s)
-	SpoofMode attack.SpoofMode
-	Liars     int
-	DetectAll bool // run a detector on every node (default: victim only)
-}
-
-func (c FullStackConfig) withDefaults() FullStackConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 16
-	}
-	if c.ArenaSide <= 0 {
-		c.ArenaSide = 500
-	}
-	if c.Range <= 0 {
-		c.Range = 200
-	}
-	if c.Duration <= 0 {
-		c.Duration = 5 * time.Minute
-	}
-	if c.AttackAt <= 0 {
-		c.AttackAt = time.Minute
-	}
-	if c.SpoofMode == 0 {
-		c.SpoofMode = attack.SpoofPhantom
-	}
-	return c
-}
-
-// FullStackResult summarizes one packet-level run.
-type FullStackResult struct {
-	Convicted      bool
-	DetectionDelay time.Duration // from attack start to intruder verdict
-	// FalsePositive reports an intruder verdict against the (then still
-	// honest) attacker BEFORE the attack started — mobility churn can
-	// mimic an omission (see EXPERIMENTS.md X1).
-	FalsePositive   bool
-	Investigations  uint64
-	Alerts          int
-	CtrlMessages    uint64
-	OLSRMessages    uint64
-	FinalSpooferTru float64
-}
-
-// Spec converts the config into the equivalent declarative scenario
-// (victim = node 1, attacker = last node pinned beside the victim, liars
-// among the victim's neighbors-by-index). The conversion is exact: the
-// scenario builder replays the same construction order and seed tree, so
-// a given config produces bit-identical runs through either surface.
-func (c FullStackConfig) Spec() scenario.Spec {
-	c = c.withDefaults()
-	mob := scenario.MobilitySpec{}
-	if c.Speed > 0 {
-		mob = scenario.MobilitySpec{
-			Model:    "waypoint",
-			MinSpeed: c.Speed / 2,
-			MaxSpeed: c.Speed,
-			Pause:    scenario.DurPtr(5 * time.Second),
-		}
-	}
-	return scenario.Spec{
-		Name:      "fullstack",
-		Seed:      c.Seed,
-		Nodes:     c.Nodes,
-		ArenaSide: c.ArenaSide,
-		Duration:  scenario.Dur(c.Duration),
-		Radio:     scenario.RadioSpec{Range: c.Range},
-		Mobility:  mob,
-		DetectAll: c.DetectAll,
-		Liars:     c.Liars,
-		// Experiment runs take the binary control envelope — the hot-path
-		// codec of DESIGN.md §10. The golden presets keep JSON so every
-		// pinned digest (which counts ctrl payload bytes) stays identical.
-		BinaryCtrl: true,
-		Attacks: []scenario.AttackSpec{{
-			Kind:     "linkspoof",
-			Node:     c.Nodes,
-			Mode:     spoofModeName(c.SpoofMode),
-			At:       scenario.Dur(c.AttackAt),
-			Pin:      true,
-			DropCtrl: true,
-		}},
-	}
-}
-
-// spoofModeName renders a SpoofMode as the scenario-spec mode string.
-func spoofModeName(m attack.SpoofMode) string {
-	switch m {
-	case attack.SpoofClaim:
-		return "claim"
-	case attack.SpoofOmit:
-		return "omit"
-	default:
-		return "phantom"
-	}
-}
-
-// RunFullStack builds the scenario, runs it, and summarizes detection
-// performance.
-func RunFullStack(cfg FullStackConfig) *FullStackResult {
-	return NewRunner(cfg.Seed, 0).FullStack(cfg)
-}
-
-// FullStack runs one packet-level scenario as one engine task, executed
-// inline. The discrete-event kernel inside is single-threaded by design
-// (see internal/sim), so a run is never subdivided; sweeps parallelize
-// across runs instead.
-func (r *Runner) FullStack(cfg FullStackConfig) *FullStackResult {
-	return runFullStack(cfg)
-}
-
-// FullStackContext is FullStack with cooperative cancellation: the
-// underlying packet run aborts at the kernel's next verdict-poll step
-// once ctx is done (scenario.RunContext).
-func (r *Runner) FullStackContext(ctx context.Context, cfg FullStackConfig) (*FullStackResult, error) {
-	cfg = cfg.withDefaults()
-	sres, err := scenario.RunContext(ctx, cfg.Spec())
-	if err != nil {
-		return nil, err
-	}
-	return reduceFullStack(cfg, sres), nil
-}
-
-func runFullStack(cfg FullStackConfig) *FullStackResult {
-	cfg = cfg.withDefaults()
-	sres, err := scenario.Run(cfg.Spec())
-	if err != nil {
-		// The conversion above always yields a valid spec; an error here
-		// is a bug in the conversion itself.
-		panic(err)
-	}
-	return reduceFullStack(cfg, sres)
-}
-
-// reduceFullStack summarizes one packet-level scenario result as the
-// full-stack detection report.
-func reduceFullStack(cfg FullStackConfig, sres *scenario.Result) *FullStackResult {
-	att := sres.Suspects[0]
-	res := &FullStackResult{
-		Investigations:  sres.Investigations,
-		CtrlMessages:    sres.Ctrl.Sent,
-		OLSRMessages:    sres.Frames.FramesSent - sres.Ctrl.Sent,
-		FinalSpooferTru: att.FinalTrust,
-	}
-	for _, a := range sres.Alerts {
-		res.Alerts += a.Count
-	}
-	switch {
-	case att.ConvictedAt < 0:
-	case att.FalsePositive:
-		res.FalsePositive = true
-	default:
-		res.Convicted = true
-		res.DetectionDelay = att.ConvictedAt - cfg.AttackAt
-	}
-	return res
-}
 
 // X1: mobility impact (the paper's §VII future work: "evaluate the impact
 // of mobility on trustworthiness evaluation").
@@ -199,44 +31,62 @@ type MobilityPoint struct {
 // mobilitySweepID tags X1 task seeds in the DeriveSeed tree.
 const mobilitySweepID = "x1-mobility"
 
-// RunMobilitySweep measures detection rate, latency and false positives
-// across node speeds, one packet-level run per (speed, seed) pair. The
-// caller picks the seeds explicitly; MobilitySweep derives them from the
-// runner's root seed instead.
-func RunMobilitySweep(seeds []int64, speeds []float64) []MobilityPoint {
-	var root int64
-	if len(seeds) > 0 {
-		root = seeds[0]
+// mobilitySpec is the declarative form of one X1 run: 16 nodes in a
+// 500 m arena with a 200 m radio range, the victim at node 1 and a
+// phantom link spoofer as node 16, pinned beside the victim, dropping
+// the investigation traffic it should relay, and attacking from the
+// first minute of a 4-minute run. Nodes move by random waypoint between
+// speed/2 and speed m/s with 5 s pauses, or stand still at speed 0.
+func mobilitySpec(seed int64, speed float64) scenario.Spec {
+	mob := scenario.MobilitySpec{}
+	if speed > 0 {
+		mob = scenario.MobilitySpec{
+			Model:    "waypoint",
+			MinSpeed: speed / 2,
+			MaxSpeed: speed,
+			Pause:    scenario.DurPtr(5 * time.Second),
+		}
 	}
-	r := NewRunner(root, 0)
-	return r.mobilitySweep(speeds, len(seeds), func(point, trial int) int64 {
-		return seeds[trial]
-	})
+	return scenario.Spec{
+		Name:      "fullstack",
+		Seed:      seed,
+		Nodes:     16,
+		ArenaSide: 500,
+		Duration:  scenario.Dur(4 * time.Minute),
+		Radio:     scenario.RadioSpec{Range: 200},
+		Mobility:  mob,
+		// Experiment runs take the binary control envelope — the hot-path
+		// codec of DESIGN.md §10. The golden presets keep JSON so every
+		// pinned digest (which counts ctrl payload bytes) stays identical.
+		BinaryCtrl: true,
+		Attacks: []scenario.AttackSpec{{
+			Kind:     "linkspoof",
+			Node:     16,
+			Mode:     "phantom",
+			At:       scenario.Dur(time.Minute),
+			Pin:      true,
+			DropCtrl: true,
+		}},
+	}
 }
 
-// MobilitySweep fans runs×len(speeds) packet-level simulations onto the
-// pool, deriving every trial's seed from the root seed so distinct sweep
-// points never share a random stream.
+// MobilitySweep measures detection rate, latency and false positives
+// across node speeds. It fans runs×len(speeds) packet-level simulations
+// onto the pool, deriving every trial's seed from the root seed so
+// distinct sweep points never share a random stream. The task grid is
+// speeds × trials, flattened point-major, and the per-trial results are
+// reduced into per-speed points in index order.
 func (r *Runner) MobilitySweep(runs int, speeds []float64) []MobilityPoint {
-	return r.mobilitySweep(speeds, runs, func(point, trial int) int64 {
-		return r.TaskSeed(mobilitySweepID, point, trial)
-	})
-}
-
-// mobilitySweep is the shared fan-out: the task grid is speeds × trials,
-// flattened point-major, and the per-trial results are reduced into
-// per-speed points in index order.
-func (r *Runner) mobilitySweep(speeds []float64, runs int, seedFor func(point, trial int) int64) []MobilityPoint {
 	if runs <= 0 || len(speeds) == 0 {
 		return nil
 	}
-	results := mapTasks(r.workerCount(), len(speeds)*runs, func(task int) *FullStackResult {
+	spoofers := mapTasks(r.workerCount(), len(speeds)*runs, func(task int) scenario.Suspect {
 		point, trial := task/runs, task%runs
-		return runFullStack(FullStackConfig{
-			Seed:     seedFor(point, trial),
-			Speed:    speeds[point],
-			Duration: 4 * time.Minute,
-		})
+		res, err := scenario.Run(mobilitySpec(r.TaskSeed(mobilitySweepID, point, trial), speeds[point]))
+		if err != nil {
+			panic(err) // mobilitySpec is a valid packet spec
+		}
+		return res.Suspects[0]
 	})
 
 	out := make([]MobilityPoint, 0, len(speeds))
@@ -244,13 +94,14 @@ func (r *Runner) mobilitySweep(speeds []float64, runs int, seedFor func(point, t
 		p := MobilityPoint{Speed: speed, Runs: runs}
 		var total time.Duration
 		for trial := 0; trial < runs; trial++ {
-			res := results[pi*runs+trial]
+			att := spoofers[pi*runs+trial]
 			switch {
-			case res.Convicted:
-				p.Detected++
-				total += res.DetectionDelay
-			case res.FalsePositive:
+			case att.ConvictedAt < 0:
+			case att.FalsePositive:
 				p.FalsePositives++
+			default:
+				p.Detected++
+				total += att.ConvictedAt - att.AttackAt
 			}
 		}
 		if p.Detected > 0 {
@@ -273,17 +124,12 @@ type OverheadPoint struct {
 	LogRecords   int
 }
 
-// RunOverheadSweep measures control-plane and routing overhead versus
-// network size.
-func RunOverheadSweep(seed int64, sizes []int) []OverheadPoint {
-	return NewRunner(seed, 0).OverheadSweep(sizes)
-}
-
 // overheadSweepID tags X2 task seeds in the DeriveSeed tree.
 const overheadSweepID = "x2-size"
 
-// OverheadSweep fans the network sizes out as independent sweep points,
-// each a full packet-level simulation with its own derived seed.
+// OverheadSweep measures control-plane and routing overhead versus
+// network size. The sizes fan out as independent sweep points, each a
+// full packet-level simulation with its own derived seed.
 func (r *Runner) OverheadSweep(sizes []int) []OverheadPoint {
 	return mapTasks(r.workerCount(), len(sizes), func(i int) OverheadPoint {
 		return overheadPoint(r.TaskSeed(overheadSweepID, i, 0), sizes[i])
@@ -338,23 +184,16 @@ type BaselineResult struct {
 	DropTrustDamage float64 // default trust minus final trust of the dropper
 }
 
-// RunBaselines exercises the storm, replay and black-hole attacks on a
-// small line topology and reports signature coverage.
-func RunBaselines(seed int64) *BaselineResult {
-	return NewRunner(seed, 0).Baselines()
-}
-
-// Baselines runs the X5 baseline-attack scenario as one engine task,
-// executed inline and seeded directly by the root seed (one point, one
-// trial).
-func (r *Runner) Baselines() *BaselineResult { return runBaselines(r.RootSeed) }
-
-func runBaselines(seed int64) *BaselineResult {
+// Baselines exercises the storm, replay and black-hole attacks on a
+// small line topology and reports signature coverage. It runs the X5
+// baseline-attack scenario as one engine task, executed inline and
+// seeded directly by the root seed (one point, one trial).
+func (r *Runner) Baselines() *BaselineResult {
 	spec, ok := scenario.Get("baselines-x5")
 	if !ok {
 		panic("experiment: baselines-x5 preset not registered")
 	}
-	spec.Seed = seed
+	spec.Seed = r.RootSeed
 	sres, err := scenario.Run(spec)
 	if err != nil {
 		panic(err)
@@ -399,11 +238,4 @@ func OverheadTable(points []OverheadPoint) *metrics.Table {
 		t.Series("logRecords").Append(float64(p.LogRecords))
 	}
 	return t
-}
-
-// String renders a FullStackResult compactly for CLI output.
-func (r *FullStackResult) String() string {
-	return fmt.Sprintf("convicted=%v delay=%s investigations=%d alerts=%d ctrl=%d olsr=%d spooferTrust=%.3f",
-		r.Convicted, r.DetectionDelay, r.Investigations, r.Alerts,
-		r.CtrlMessages, r.OLSRMessages, r.FinalSpooferTru)
 }

@@ -4,46 +4,72 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trust"
+	"repro/internal/scenario"
 )
 
+// TestMobilitySpecDigests pins the X1 run spec. The digests were
+// recorded from the scenario language mobilitySpec replaced, so they
+// hold the conversion itself, not just its determinism.
+func TestMobilitySpecDigests(t *testing.T) {
+	for _, c := range []struct {
+		speed float64
+		want  string
+	}{
+		{0, "2610e3d3611a275d"},
+		{2, "41cdc1cb6556c223"},
+	} {
+		res, err := scenario.Run(mobilitySpec(1, c.speed))
+		if err != nil {
+			t.Fatalf("speed %v: %v", c.speed, err)
+		}
+		if got := res.Digest().Hash; got != c.want {
+			t.Errorf("mobilitySpec(1, %v) digest = %s, want %s", c.speed, got, c.want)
+		}
+	}
+}
+
+// runSpoofer runs a static X1 spec with the attack moved to attackAt and
+// returns the run with its spoofer.
+func runSpoofer(t *testing.T, seed int64, duration, attackAt time.Duration, liars int) (*scenario.Result, scenario.Suspect) {
+	t.Helper()
+	spec := mobilitySpec(seed, 0)
+	spec.Duration = scenario.Dur(duration)
+	spec.Attacks[0].At = scenario.Dur(attackAt)
+	spec.Liars = liars
+	res, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, res.Suspects[0]
+}
+
 func TestRunFullStackStaticDetects(t *testing.T) {
-	r := RunFullStack(FullStackConfig{
-		Seed:     1,
-		Duration: 3 * time.Minute,
-		AttackAt: 45 * time.Second,
-	})
-	if !r.Convicted {
-		t.Fatalf("static full-stack run did not convict: %s", r)
+	res, att := runSpoofer(t, 1, 3*time.Minute, 45*time.Second, 0)
+	if att.ConvictedAt < 0 || att.FalsePositive {
+		t.Fatalf("static full-stack run did not convict: %+v", att)
 	}
-	if r.DetectionDelay <= 0 || r.DetectionDelay > 2*time.Minute {
-		t.Errorf("detection delay = %v", r.DetectionDelay)
+	if delay := att.ConvictedAt - att.AttackAt; delay <= 0 || delay > 2*time.Minute {
+		t.Errorf("detection delay = %v", delay)
 	}
-	if r.FinalSpooferTru >= 0.4 {
-		t.Errorf("spoofer trust = %v", r.FinalSpooferTru)
+	if att.FinalTrust >= 0.4 {
+		t.Errorf("spoofer trust = %v", att.FinalTrust)
 	}
-	if r.CtrlMessages == 0 {
+	if res.Ctrl.Sent == 0 {
 		t.Error("no control traffic despite investigations")
 	}
-	if r.OLSRMessages == 0 {
+	if res.Frames.FramesSent == res.Ctrl.Sent {
 		t.Error("no OLSR traffic")
 	}
 }
 
 func TestRunFullStackWithLiars(t *testing.T) {
-	r := RunFullStack(FullStackConfig{
-		Seed:     3,
-		Duration: 4 * time.Minute,
-		AttackAt: 45 * time.Second,
-		Liars:    3,
-	})
-	if !r.Convicted {
-		t.Fatalf("liar run did not convict: %s", r)
+	if _, att := runSpoofer(t, 3, 4*time.Minute, 45*time.Second, 3); att.ConvictedAt < 0 || att.FalsePositive {
+		t.Fatalf("liar run did not convict: %+v", att)
 	}
 }
 
 func TestRunOverheadSweepGrows(t *testing.T) {
-	pts := RunOverheadSweep(1, []int{8, 16})
+	pts := NewRunner(1, 0).OverheadSweep([]int{8, 16})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -60,7 +86,7 @@ func TestRunOverheadSweepGrows(t *testing.T) {
 }
 
 func TestRunBaselines(t *testing.T) {
-	r := RunBaselines(1)
+	r := NewRunner(1, 0).Baselines()
 	if !r.StormFlagged {
 		t.Error("broadcast storm not flagged")
 	}
@@ -73,7 +99,7 @@ func TestRunBaselines(t *testing.T) {
 }
 
 func TestRunCISweep(t *testing.T) {
-	pts := RunCISweep(1, []float64{0.90, 0.99}, []int{5, 15, 45}, 0.25)
+	pts := NewRunner(1, 0).CISweep([]float64{0.90, 0.99}, []int{5, 15, 45}, 0.25)
 	if len(pts) != 6 {
 		t.Fatalf("points = %d, want 6", len(pts))
 	}
@@ -101,7 +127,7 @@ func TestRunCISweep(t *testing.T) {
 func TestRunAblation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Liars = 4
-	res := RunAblation(cfg)
+	res := NewRunner(cfg.Seed, 0).Ablation(cfg)
 	// The trust-weighted system must converge much deeper than uniform
 	// weighting, which stays pinned at the raw majority ratio.
 	if res.FinalWeighted >= res.FinalUniform {
@@ -119,7 +145,7 @@ func TestMobilitySweepSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mobility sweep is slow")
 	}
-	pts := RunMobilitySweep([]int64{1}, []float64{0})
+	pts := NewRunner(1, 0).MobilitySweep(1, []float64{0})
 	if len(pts) != 1 || pts[0].Runs != 1 {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -129,12 +155,4 @@ func TestMobilitySweepSmall(t *testing.T) {
 	if tab := MobilityTable(pts); tab.Rows() != 1 {
 		t.Errorf("table rows = %d", tab.Rows())
 	}
-}
-
-func TestFullStackResultString(t *testing.T) {
-	r := &FullStackResult{Convicted: true, DetectionDelay: 5 * time.Second}
-	if s := r.String(); s == "" {
-		t.Error("empty String()")
-	}
-	_ = trust.DefaultParams()
 }

@@ -193,8 +193,3 @@ func (r *Runner) RecommenderSweep(trials int, counts []int) []RecommenderPoint {
 	}
 	return out
 }
-
-// RunRecommenderSweep is the single-shot convenience wrapper.
-func RunRecommenderSweep(seed int64, trials int, counts []int) []RecommenderPoint {
-	return NewRunner(seed, 0).RecommenderSweep(trials, counts)
-}

@@ -1,18 +1,15 @@
 package experiment
 
 import (
-	"context"
 	"testing"
-	"time"
 
-	"repro/internal/scenario"
 	"repro/internal/trust"
 )
 
-// TestConfigSpecRoundTrip pins the inverse pair the facade's Figure
-// wrappers depend on: ConfigFromSpec(SpecFromConfig(cfg)) == cfg, so a
-// Config-typed call routed through the spec-typed Run surface executes
-// the exact configuration it was given.
+// TestConfigSpecRoundTrip pins the inverse pair a Config-typed caller of
+// the facade depends on: ConfigFromSpec(SpecFromConfig(cfg)) == cfg, so a
+// configuration routed through the spec-typed Run surface executes
+// exactly as given.
 func TestConfigSpecRoundTrip(t *testing.T) {
 	lossless := DefaultConfig()
 	lossless.NonAnswerProb = 0 // must survive via the explicit -1 convention
@@ -58,55 +55,5 @@ func TestTrialSeedContract(t *testing.T) {
 		if again := TrialSeed(42, i); again != s {
 			t.Errorf("TrialSeed(42, %d) unstable: %d then %d", i, s, again)
 		}
-	}
-}
-
-// TestContextVariantsMatchLegacy checks every new ctx-taking entrypoint
-// produces the result its legacy signature always did, and honors a
-// canceled context.
-func TestContextVariantsMatchLegacy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes, cfg.Liars, cfg.Rounds = 8, 2, 6
-	eng := NewRunner(cfg.Seed, 2)
-	ctx := context.Background()
-
-	f1, err := eng.Fig1Context(ctx, cfg)
-	if err != nil || f1.LiarFinalMax != eng.Fig1(cfg).LiarFinalMax {
-		t.Errorf("Fig1Context diverges (err %v)", err)
-	}
-	f3, err := eng.Fig3Context(ctx, cfg, []int{1, 2})
-	if err != nil || len(f3.Final) != len(eng.Fig3(cfg, []int{1, 2}).Final) {
-		t.Errorf("Fig3Context diverges (err %v)", err)
-	}
-	all, err := eng.FiguresContext(ctx, cfg, []int{1, 2})
-	if err != nil || all.Fig1 == nil || all.Fig2 == nil || all.Fig3 == nil {
-		t.Errorf("FiguresContext incomplete (err %v)", err)
-	}
-
-	spec := scenario.Spec{Name: "tiny", Seed: 3, Nodes: 4, Duration: scenario.Dur(5 * time.Second)}
-	direct, err := eng.ScenarioTrials(spec, 3)
-	if err != nil {
-		t.Fatalf("ScenarioTrials: %v", err)
-	}
-	viaCtx, err := eng.ScenarioTrialsContext(ctx, spec, 3)
-	if err != nil {
-		t.Fatalf("ScenarioTrialsContext: %v", err)
-	}
-	for i := range direct {
-		if direct[i].Digest() != viaCtx[i].Digest() {
-			t.Errorf("trial %d digest diverges between legacy and ctx paths", i)
-		}
-	}
-
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := eng.ScenarioTrialsContext(canceled, spec, 3); err == nil {
-		t.Error("ScenarioTrialsContext ignored a canceled context")
-	}
-	if _, err := eng.FiguresContext(canceled, cfg, []int{1}); err == nil {
-		t.Error("FiguresContext ignored a canceled context")
-	}
-	if _, err := eng.FullStackContext(canceled, FullStackConfig{}); err == nil {
-		t.Error("FullStackContext ignored a canceled context")
 	}
 }

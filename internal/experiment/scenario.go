@@ -20,40 +20,44 @@ import (
 // scenarioTrialID tags per-trial scenario seeds in the DeriveSeed tree.
 const scenarioTrialID = "scenario-trial"
 
-// Scenario runs one packet-level scenario spec inline.
-func (r *Runner) Scenario(spec scenario.Spec) (*scenario.Result, error) {
-	return scenario.Run(spec)
-}
-
 // TrialSeed maps a campaign trial index to its run seed: trial 0 keeps
 // the spec's own seed verbatim — a 1-trial campaign is reproducible as
 // the first trial of a larger one — and trial i > 0 runs with
-// DeriveSeed(spec.Seed, "scenario-trial", 0, i). Every campaign surface
-// (ScenarioTrials here, the campaign service's run expansion) derives
-// trial seeds through this one function, which is what makes a campaign
-// submitted over HTTP byte-identical to a direct engine run.
+// scenario.DeriveSeed(spec.Seed, "scenario-trial", 0, i). Every campaign
+// surface (ScenarioTrials here, the campaign service's run expansion,
+// manetsim -trials) derives trial seeds through this one function, which
+// is what makes a campaign submitted over HTTP byte-identical to a
+// direct engine run.
 func TrialSeed(specSeed int64, trial int) int64 {
 	if trial <= 0 {
 		return specSeed
 	}
-	return DeriveSeed(specSeed, scenarioTrialID, 0, trial)
+	return scenario.DeriveSeed(specSeed, scenarioTrialID, 0, trial)
 }
 
 // ScenarioTrials fans trials independent runs of the spec onto the pool,
-// with per-trial seeds from TrialSeed.
-func (r *Runner) ScenarioTrials(spec scenario.Spec, trials int) ([]*scenario.Result, error) {
-	return r.ScenarioTrialsContext(context.Background(), spec, trials)
-}
-
-// ScenarioTrialsContext is ScenarioTrials with cooperative cancellation:
+// with per-trial seeds from TrialSeed. Cancellation is cooperative:
 // undispatched trials are abandoned once ctx is done, and running trials
 // abort at the kernel's next verdict-poll step (scenario.RunContext).
-func (r *Runner) ScenarioTrialsContext(ctx context.Context, spec scenario.Spec, trials int) ([]*scenario.Result, error) {
+//
+// A non-empty traceDir turns the run-trace plane on: each trial streams
+// its events to traceDir/TraceFileName(i), and the directory is created
+// if needed. Trials still fan across the pool — traces are per-trial
+// files, so parallelism cannot interleave them, and each file is
+// byte-identical at any worker count (the per-run tracer ordinal is a
+// total order over that run alone). Tracing is pure observation: the
+// results are the same with or without it.
+func (r *Runner) ScenarioTrials(ctx context.Context, spec scenario.Spec, trials int, traceDir string) ([]*scenario.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if trials <= 0 {
 		trials = 1
+	}
+	if traceDir != "" {
+		if err := os.MkdirAll(traceDir, 0o755); err != nil {
+			return nil, fmt.Errorf("experiment: trace dir: %w", err)
+		}
 	}
 	type outcome struct {
 		res *scenario.Result
@@ -62,7 +66,11 @@ func (r *Runner) ScenarioTrialsContext(ctx context.Context, spec scenario.Spec, 
 	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int) outcome {
 		s := spec
 		s.Seed = TrialSeed(spec.Seed, i)
-		res, err := scenario.RunContext(ctx, s)
+		if traceDir == "" {
+			res, err := scenario.RunContext(ctx, s, nil)
+			return outcome{res, err}
+		}
+		res, err := runTraced(ctx, s, filepath.Join(traceDir, TraceFileName(i)))
 		return outcome{res, err}
 	})
 	if err != nil {
@@ -83,66 +91,27 @@ func (r *Runner) ScenarioTrialsContext(ctx context.Context, spec scenario.Spec, 
 // (reprotrace walkthroughs, CI smoke) agree on the layout.
 func TraceFileName(trial int) string { return fmt.Sprintf("trial-%03d.ndjson", trial) }
 
-// ScenarioTrialsTracedContext is ScenarioTrialsContext with the
-// run-trace plane on: each trial streams its events to
-// dir/TraceFileName(i). Trials still fan across the pool — traces are
-// per-trial files, so parallelism cannot interleave them, and each file
-// is byte-identical at any worker count (the per-run tracer ordinal is a
-// total order over that run alone). The directory is created if needed.
-func (r *Runner) ScenarioTrialsTracedContext(ctx context.Context, spec scenario.Spec, trials int, dir string) ([]*scenario.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if trials <= 0 {
-		trials = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("experiment: trace dir: %w", err)
-	}
-	type outcome struct {
-		res *scenario.Result
-		err error
-	}
-	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int) outcome {
-		s := spec
-		s.Seed = TrialSeed(spec.Seed, i)
-		path := filepath.Join(dir, TraceFileName(i))
-		f, err := os.Create(path) //nolint:gosec // operator-supplied directory
-		if err != nil {
-			return outcome{err: err}
-		}
-		sink := trace.NewWriter(f)
-		res, err := scenario.RunContextTraced(ctx, s, sink)
-		if err == nil {
-			err = sink.Err()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return outcome{res, err}
-	})
+// runTraced runs one spec with its run trace streamed to a new NDJSON
+// file at path.
+func runTraced(ctx context.Context, spec scenario.Spec, path string) (*scenario.Result, error) {
+	f, err := os.Create(path) //nolint:gosec // operator-supplied directory
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*scenario.Result, trials)
-	for i, o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("trial %d: %w", i, o.err)
-		}
-		out[i] = o.res
+	sink := trace.NewWriter(f)
+	res, err := scenario.RunContext(ctx, spec, sink)
+	if err == nil {
+		err = sink.Err()
 	}
-	return out, nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
 
 // ScenarioMatrix runs every spec once on the pool and returns the
 // digests in spec order — the golden-corpus regeneration primitive.
 func (r *Runner) ScenarioMatrix(specs []scenario.Spec) ([]scenario.Digest, error) {
-	return r.ScenarioMatrixContext(context.Background(), specs)
-}
-
-// ScenarioMatrixContext is ScenarioMatrix with cooperative cancellation
-// (the semantics of ScenarioTrialsContext).
-func (r *Runner) ScenarioMatrixContext(ctx context.Context, specs []scenario.Spec) ([]scenario.Digest, error) {
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -152,16 +121,13 @@ func (r *Runner) ScenarioMatrixContext(ctx context.Context, specs []scenario.Spe
 		d   scenario.Digest
 		err error
 	}
-	results, err := mapTasksCtx(ctx, r.workerCount(), len(specs), func(i int) outcome {
-		res, err := scenario.RunContext(ctx, specs[i])
+	results := mapTasks(r.workerCount(), len(specs), func(i int) outcome {
+		res, err := scenario.Run(specs[i])
 		if err != nil {
 			return outcome{err: err}
 		}
 		return outcome{d: res.Digest()}
 	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([]scenario.Digest, len(specs))
 	for i, o := range results {
 		if o.err != nil {
@@ -210,8 +176,8 @@ func ConfigFromSpec(s scenario.Spec) (Config, error) {
 
 // SpecFromConfig is the inverse of ConfigFromSpec: it renders a §V
 // round-based configuration as the equivalent rounds-kind scenario spec,
-// so the Config-typed legacy entrypoints (Figure1..3) can delegate to
-// the spec-typed campaign surface. The conversion is exact for every
+// so a Config-typed caller can run through the spec-typed campaign
+// surface (repro.Run). The conversion is exact for every
 // configuration ConfigFromSpec can produce — the round trip
 // ConfigFromSpec(SpecFromConfig(cfg)) == cfg is pinned by test — with
 // one degenerate exception: an all-zero initial-trust range decays to

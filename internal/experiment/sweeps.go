@@ -78,17 +78,13 @@ func ciTrial(rng *rand.Rand, a *Arena, cl float64, n int, liarFrac float64) ciTr
 	}
 }
 
-// RunCISweep samples investigation populations with the given liar
-// fraction and returns the mean margin and unrecognized-zone occupancy per
-// (confidence level, sample size).
-func RunCISweep(seed int64, levels []float64, sizes []int, liarFrac float64) []CIPoint {
-	return NewRunner(seed, 0).CISweep(levels, sizes, liarFrac)
-}
-
-// CISweep fans the full (point × trial) grid onto the pool: every
-// (confidence level, sample size) pair is a sweep point, every evidence
-// draw within it an independent trial seeded by TaskSeed, and the trial
-// contributions are reduced into per-point means in index order.
+// CISweep samples investigation populations with the given liar fraction
+// and returns the mean margin and unrecognized-zone occupancy per
+// (confidence level, sample size). It fans the full (point × trial) grid
+// onto the pool: every (confidence level, sample size) pair is a sweep
+// point, every evidence draw within it an independent trial seeded by
+// TaskSeed, and the trial contributions are reduced into per-point means
+// in index order.
 func (r *Runner) CISweep(levels []float64, sizes []int, liarFrac float64) []CIPoint {
 	type point struct {
 		cl float64
@@ -157,20 +153,11 @@ type CIAccumulationResult struct {
 	SingleRound     int
 }
 
-// RunCIAccumulationAblation replays the Fig-3 evidence stream and decides
-// each round with both interval policies.
-func RunCIAccumulationAblation(cfg Config) CIAccumulationResult {
-	return NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
-}
-
-// CIAccumulationAblation runs the X4b ablation as one engine task,
+// CIAccumulationAblation replays the Fig-3 evidence stream and decides
+// each round with both interval policies. It runs as one engine task,
 // executed inline: the two policies share one evidence stream round by
 // round, so the scenario cannot be split without replaying it.
 func (r *Runner) CIAccumulationAblation(cfg Config) CIAccumulationResult {
-	return runCIAccumulationAblation(cfg)
-}
-
-func runCIAccumulationAblation(cfg Config) CIAccumulationResult {
 	res := CIAccumulationResult{CumulativeRound: -1, SingleRound: -1}
 	p := NewPopulation(cfg)
 	var hist []float64
@@ -225,25 +212,18 @@ type AblationResult struct {
 	FinalWeighted, FinalUniform float64
 }
 
-// RunAblation runs the Fig-3 scenario twice: once with Eq. 8 as published
+// Ablation runs the Fig-3 scenario twice: once with Eq. 8 as published
 // and once with all responder trusts frozen at 1 (uniform weights, no
-// learning).
-func RunAblation(cfg Config) *AblationResult {
-	return NewRunner(cfg.Seed, 0).Ablation(cfg)
-}
-
-// Ablation runs the two X4 arms — trust-weighted and uniform — as sibling
-// engine tasks. Both arms build their own Population from the same config
-// (same seed, hence the same liar placement and loss draws), so they are
-// independent and can run concurrently.
+// learning). The two arms run as sibling engine tasks. Both build their
+// own Population from the same config (same seed, hence the same liar
+// placement and loss draws), so they are independent and can run
+// concurrently.
 func (r *Runner) Ablation(cfg Config) *AblationResult {
-	arms := make([][]float64, 2)
-	r.ForEach(2, func(i int) {
+	arms := mapTasks(r.workerCount(), 2, func(i int) []float64 {
 		if i == 0 {
-			arms[0] = ablationWeightedArm(cfg)
-		} else {
-			arms[1] = ablationUniformArm(cfg)
+			return ablationWeightedArm(cfg)
 		}
+		return ablationUniformArm(cfg)
 	})
 
 	table := metrics.NewTable("X4: Trust weighting ablation", "round")

@@ -5,7 +5,7 @@ import "testing"
 func TestCIAccumulationAblation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Liars = 4
-	res := RunCIAccumulationAblation(cfg)
+	res := NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
 
 	if res.CumulativeRound < 0 {
 		t.Fatal("cumulative CI never convicted within 25 rounds")
@@ -20,8 +20,8 @@ func TestCIAccumulationAblation(t *testing.T) {
 
 func TestCIAccumulationDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	a := RunCIAccumulationAblation(cfg)
-	b := RunCIAccumulationAblation(cfg)
+	a := NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
+	b := NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
 	if a != b {
 		t.Errorf("nondeterministic ablation: %+v vs %+v", a, b)
 	}

@@ -34,8 +34,9 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// derivers are the blessed seed-derivation functions (any package:
-// experiment.DeriveSeed, scenario.DeriveSeed, Runner.TaskSeed...).
+// derivers are the blessed seed-derivation functions, keyed by bare name
+// in any package (scenario.DeriveSeed, experiment.TrialSeed,
+// Runner.TaskSeed...).
 var derivers = map[string]bool{
 	"DeriveSeed": true,
 	"TrialSeed":  true,

@@ -186,7 +186,7 @@ func TestServiceDigestsMatchEngine(t *testing.T) {
 
 	const seed, trials = 1234, 3
 	spec := scenario.Spec{Name: "tiny", Seed: seed, Nodes: 4, Duration: scenario.Dur(5 * time.Second)}
-	direct, err := experiment.NewRunner(seed, 8).ScenarioTrials(spec, trials)
+	direct, err := experiment.NewRunner(seed, 8).ScenarioTrials(context.Background(), spec, trials, "")
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

@@ -21,8 +21,8 @@ import (
 
 // Seed-derivation labels. waypointSeedLabel predates this package (the
 // PR-1 full-stack runner used it for per-node waypoint streams) and is
-// kept verbatim so specs converted from the old FullStackConfig replay
-// the exact same trajectories.
+// kept verbatim so the X1 mobility specs (experiment.mobilitySpec)
+// replay the exact same trajectories.
 const (
 	waypointSeedLabel = "fullstack-waypoint"
 	walkSeedLabel     = "scenario-walk"
@@ -72,16 +72,16 @@ type Built struct {
 // attack-mix order, then the Custom hook runs; Start is left to the
 // caller (Run).
 func Build(spec Spec) (*Built, error) {
-	return BuildTraced(spec, nil)
+	return build(spec, nil)
 }
 
-// BuildTraced is Build with a run-trace sink (DESIGN.md §13) attached to
-// the network before any node exists, so the trace covers the whole run
-// from the first scheduler dispatch. A nil sink is exactly Build: the
+// build is Build with a run-trace sink (DESIGN.md §13) attached to the
+// network before any node exists, so the trace covers the whole run from
+// the first scheduler dispatch. A nil sink is exactly Build: the
 // network's tracer stays nil and every emission site reduces to one
 // predicted branch. Spec.Trace only *requests* tracing — this parameter
 // is where a runner supplies the destination.
-func BuildTraced(spec Spec, sink trace.Sink) (*Built, error) {
+func build(spec Spec, sink trace.Sink) (*Built, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -644,28 +644,24 @@ const verdictPollStep = 500 * time.Millisecond
 // Run builds, starts and executes a packet scenario and reduces it to a
 // Result.
 func Run(spec Spec) (*Result, error) {
-	return RunContext(context.Background(), spec)
+	return RunContext(context.Background(), spec, nil)
 }
 
 // RunTraced is Run with a run-trace sink. The Result is byte-identical
 // to an untraced run of the same spec — tracing is pure observation.
 func RunTraced(spec Spec, sink trace.Sink) (*Result, error) {
-	return RunContextTraced(context.Background(), spec, sink)
+	return RunContext(context.Background(), spec, sink)
 }
 
-// RunContext is Run with cancellation: the event loop checks ctx at
-// every verdict-poll step (500ms of simulated time), so a campaign
-// service can abandon a long run without waiting for it to finish. A
-// canceled run returns ctx's error and no Result; cancellation cannot
-// perturb a run that completes, because the check only ever aborts —
-// it never reorders or drops events.
-func RunContext(ctx context.Context, spec Spec) (*Result, error) {
-	return RunContextTraced(ctx, spec, nil)
-}
-
-// RunContextTraced is RunContext with a run-trace sink (nil = untraced).
-func RunContextTraced(ctx context.Context, spec Spec, sink trace.Sink) (*Result, error) {
-	b, err := BuildTraced(spec, sink)
+// RunContext is Run with cancellation and an optional run-trace sink
+// (nil = untraced): the event loop checks ctx at every verdict-poll step
+// (500ms of simulated time), so a campaign service can abandon a long
+// run without waiting for it to finish. A canceled run returns ctx's
+// error and no Result; cancellation cannot perturb a run that completes,
+// because the check only ever aborts — it never reorders or drops
+// events.
+func RunContext(ctx context.Context, spec Spec, sink trace.Sink) (*Result, error) {
+	b, err := build(spec, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -531,8 +531,8 @@ func (s Spec) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 // same seed on every platform and in every process, which is what makes
 // parallel runs bit-identical to serial ones. It lives here so both the
 // scenario builder (per-node mobility seeds, attack RNGs) and the
-// experiment engine derive from the same tree; experiment.DeriveSeed is
-// an alias.
+// experiment engine (Runner.TaskSeed, TrialSeed) derive from the same
+// tree.
 func DeriveSeed(root int64, label string, point, trial int) int64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -285,3 +285,25 @@ func TestZeroPauseExpressible(t *testing.T) {
 		t.Error("zero-pause and defaulted-pause waypoint models moved identically")
 	}
 }
+
+func TestDeriveSeedStable(t *testing.T) {
+	// The derivation must be stable across processes and platforms —
+	// recorded seeds in EXPERIMENTS.md depend on it. These golden values
+	// pin the hash; changing them is a breaking change to every recorded
+	// experiment.
+	golden := []struct {
+		root         int64
+		sweep        string
+		point, trial int
+		want         int64
+	}{
+		{1, "x3-ci", 0, 0, -6180441966806563301},
+		{42, "x1-mobility", 3, 7, -567676116528905925},
+	}
+	for _, g := range golden {
+		if got := DeriveSeed(g.root, g.sweep, g.point, g.trial); got != g.want {
+			t.Errorf("DeriveSeed(%d, %q, %d, %d) = %d, want %d",
+				g.root, g.sweep, g.point, g.trial, got, g.want)
+		}
+	}
+}

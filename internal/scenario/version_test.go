@@ -60,12 +60,12 @@ func TestRunContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, spec); err == nil || !strings.Contains(err.Error(), "cancelme") {
+	if _, err := RunContext(ctx, spec, nil); err == nil || !strings.Contains(err.Error(), "cancelme") {
 		t.Errorf("pre-canceled run: err = %v, want cancellation naming the scenario", err)
 	}
 
 	tiny := Spec{Name: "tiny", Seed: 1, Nodes: 4, Duration: Dur(5 * time.Second)}
-	bg, err := RunContext(context.Background(), tiny)
+	bg, err := RunContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatalf("background RunContext: %v", err)
 	}

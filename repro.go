@@ -21,12 +21,11 @@
 //     JSON scenario files, and the golden regression corpus under
 //     testdata/golden/ — internal/scenario.
 //
-// This root package is a thin facade: it re-exports the experiment entry
-// points that the benchmarks, examples and command-line tools share, all
-// of them funneling through one context-aware entrypoint, Run — the same
-// (Spec, RunOpts) surface the manetd campaign service (cmd/manetd,
-// internal/campaign) exposes over HTTP. The full API lives in the
-// internal packages; see README.md for a map.
+// This root package is a thin facade over one context-aware entrypoint,
+// Run — the same (Spec, RunOpts) surface the manetd campaign service
+// (cmd/manetd, internal/campaign) exposes over HTTP. A §V configuration
+// runs through it as experiment.SpecFromConfig(cfg). The full API lives
+// in the internal packages; see README.md for a map.
 package repro
 
 import (
@@ -71,13 +70,12 @@ type RunResult struct {
 	Figures *experiment.FiguresResult
 }
 
-// Run executes one declarative scenario under ctx — the single
-// entrypoint every per-figure and per-scenario function in this facade
-// is a thin wrapper over, and the same execution path the manetd
-// campaign service queues over HTTP. Packet-kind specs fan their trials
-// out on the worker-pool engine; rounds-kind specs regenerate the
-// paper's Figures 1–3. Cancellation is honored mid-simulation at event
-// granularity; results are bit-identical at any worker count.
+// Run executes one declarative scenario under ctx — the facade's single
+// entrypoint, and the same execution path the manetd campaign service
+// queues over HTTP. Packet-kind specs fan their trials out on the
+// worker-pool engine; rounds-kind specs regenerate the paper's Figures
+// 1–3. Cancellation is honored mid-simulation at event granularity;
+// results are bit-identical at any worker count.
 func Run(ctx context.Context, spec Scenario, opts RunOpts) (*RunResult, error) {
 	if opts.Seed != nil {
 		spec.Seed = *opts.Seed
@@ -95,7 +93,7 @@ func Run(ctx context.Context, spec Scenario, opts RunOpts) (*RunResult, error) {
 		if len(liarCounts) == 0 {
 			liarCounts = []int{1, 4, 7} // trustlab's default Figure-3 sweep
 		}
-		figs, err := eng.FiguresContext(ctx, cfg, liarCounts)
+		figs, err := eng.Figures(ctx, cfg, liarCounts)
 		if err != nil {
 			return nil, err
 		}
@@ -105,88 +103,20 @@ func Run(ctx context.Context, spec Scenario, opts RunOpts) (*RunResult, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	results, err := eng.ScenarioTrialsContext(ctx, spec, trials)
+	results, err := eng.ScenarioTrials(ctx, spec, trials, "")
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{Spec: spec, Trials: results}, nil
 }
 
-// Figure1 regenerates the data behind the paper's Figure 1
-// (trustworthiness under sustained attack).
-func Figure1(cfg ScenarioConfig) *experiment.Fig1Result {
-	f, err := Figure1Context(context.Background(), cfg)
-	if err != nil {
-		panic(err) // Background ctx never cancels; the config is its own spec
-	}
-	return f
-}
-
-// Figure1Context is Figure1 under a context: the config round-trips
-// through its scenario spec (experiment.SpecFromConfig) into Run.
-func Figure1Context(ctx context.Context, cfg ScenarioConfig) (*experiment.Fig1Result, error) {
-	res, err := Run(ctx, experiment.SpecFromConfig(cfg), RunOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Figures.Fig1, nil
-}
-
-// Figure2 regenerates the data behind Figure 2 (forgetting-factor
-// relaxation after the attack ceases).
-func Figure2(cfg ScenarioConfig) *experiment.Fig2Result {
-	f, err := Figure2Context(context.Background(), cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// Figure2Context is Figure2 under a context, through Run.
-func Figure2Context(ctx context.Context, cfg ScenarioConfig) (*experiment.Fig2Result, error) {
-	res, err := Run(ctx, experiment.SpecFromConfig(cfg), RunOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Figures.Fig2, nil
-}
-
-// Figure3 regenerates the data behind Figure 3 (impact of liars on the
-// detection value) for the given liar counts.
-func Figure3(cfg ScenarioConfig, liarCounts []int) *experiment.Fig3Result {
-	f, err := Figure3Context(context.Background(), cfg, liarCounts)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// Figure3Context is Figure3 under a context, through Run.
-func Figure3Context(ctx context.Context, cfg ScenarioConfig, liarCounts []int) (*experiment.Fig3Result, error) {
-	res, err := Run(ctx, experiment.SpecFromConfig(cfg), RunOpts{LiarCounts: liarCounts})
-	if err != nil {
-		return nil, err
-	}
-	return res.Figures.Fig3, nil
-}
-
-// FullStack runs the packet-level end-to-end scenario: OLSR over the
-// simulated radio, a link-spoofing attacker, and the victim's detector.
-func FullStack(cfg experiment.FullStackConfig) *experiment.FullStackResult {
-	return experiment.RunFullStack(cfg)
-}
-
-// FullStackContext is FullStack under a context.
-func FullStackContext(ctx context.Context, cfg experiment.FullStackConfig) (*experiment.FullStackResult, error) {
-	return experiment.NewRunner(cfg.Seed, 0).FullStackContext(ctx, cfg)
-}
-
 // Engine is the parallel experiment runner (DESIGN.md §6): a worker pool
 // that fans sweep points and trials out across cores while keeping
 // results bit-identical to a serial run, because no task reads a shared
 // random stream. Sweeps that generate their own trials derive each task
-// seed from (rootSeed, sweepID, pointIndex, trialIndex); scenario-config
-// runners (Figures, FullStack) are seeded by their config.
+// seed from (rootSeed, sweepID, pointIndex, trialIndex); config- and
+// spec-typed runners (Figures, ScenarioTrials) are seeded by their
+// config or spec.
 type Engine = experiment.Runner
 
 // NewEngine returns an Engine with the given root seed and worker count
@@ -211,12 +141,3 @@ func ScenarioPresets() []Scenario { return scenario.Presets() }
 
 // ResolveScenario returns the named preset, or loads a JSON spec file.
 func ResolveScenario(name string) (Scenario, error) { return scenario.Resolve(name) }
-
-// RunScenario executes one packet-level scenario.
-func RunScenario(spec Scenario) (*ScenarioResult, error) { return scenario.Run(spec) }
-
-// RunScenarioContext is RunScenario under a context: the simulation
-// checks for cancellation as it advances and unwinds mid-run.
-func RunScenarioContext(ctx context.Context, spec Scenario) (*ScenarioResult, error) {
-	return scenario.RunContext(ctx, spec)
-}

@@ -1,27 +1,30 @@
 package repro
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/scenario"
 )
 
 func TestFacadeFigures(t *testing.T) {
 	cfg := DefaultScenario()
 	cfg.Rounds = 10
 
-	f1 := Figure1(cfg)
-	if f1.Table.Rows() != 11 {
-		t.Errorf("Figure1 rows = %d", f1.Table.Rows())
+	res, err := Run(context.Background(), experiment.SpecFromConfig(cfg), RunOpts{LiarCounts: []int{2}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	f2 := Figure2(cfg)
-	if f2.Table.Rows() != 11 {
-		t.Errorf("Figure2 rows = %d", f2.Table.Rows())
+	if rows := res.Figures.Fig1.Table.Rows(); rows != 11 {
+		t.Errorf("Fig1 rows = %d", rows)
 	}
-	f3 := Figure3(cfg, []int{2})
-	if len(f3.Final) != 1 {
-		t.Errorf("Figure3 series = %d", len(f3.Final))
+	if rows := res.Figures.Fig2.Table.Rows(); rows != 11 {
+		t.Errorf("Fig2 rows = %d", rows)
+	}
+	if n := len(res.Figures.Fig3.Final); n != 1 {
+		t.Errorf("Fig3 series = %d", n)
 	}
 }
 
@@ -36,12 +39,38 @@ func TestFacadeFullStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full stack run")
 	}
-	r := FullStack(experiment.FullStackConfig{
-		Seed:     1,
-		Duration: 4 * time.Minute,
-		AttackAt: 45 * time.Second,
-	})
-	if !r.Convicted {
-		t.Errorf("facade full stack did not convict: %s", r)
+	res, err := Run(context.Background(), fullStackSpec(1, 0, 4*time.Minute, 45*time.Second), RunOpts{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
+	if s := res.Trials[0].Suspects[0]; s.ConvictedAt < 0 || s.FalsePositive {
+		t.Errorf("facade full stack did not convict: %+v", s)
+	}
+}
+
+// fullStackSpec is the packet-level detection run of the facade test and
+// the X1 benchmark: 16 nodes in a 500 m arena, a phantom link spoofer
+// pinned beside the victim from attackAt, random-waypoint mobility
+// between speed/2 and speed m/s (static at 0).
+func fullStackSpec(seed int64, speed float64, duration, attackAt time.Duration) Scenario {
+	spec := Scenario{
+		Name:       "fullstack",
+		Seed:       seed,
+		Nodes:      16,
+		ArenaSide:  500,
+		Duration:   scenario.Dur(duration),
+		Radio:      scenario.RadioSpec{Range: 200},
+		BinaryCtrl: true,
+		Attacks: []scenario.AttackSpec{{
+			Kind: "linkspoof", Node: 16, Mode: "phantom",
+			At: scenario.Dur(attackAt), Pin: true, DropCtrl: true,
+		}},
+	}
+	if speed > 0 {
+		spec.Mobility = scenario.MobilitySpec{
+			Model: "waypoint", MinSpeed: speed / 2, MaxSpeed: speed,
+			Pause: scenario.DurPtr(5 * time.Second),
+		}
+	}
+	return spec
 }

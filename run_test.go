@@ -20,7 +20,7 @@ func TestRunPacketSpec(t *testing.T) {
 	if len(res.Trials) != 3 || res.Figures != nil {
 		t.Fatalf("packet Run: %d trials, figures %v", len(res.Trials), res.Figures)
 	}
-	direct, err := experiment.NewRunner(spec.Seed, 2).ScenarioTrials(spec, 3)
+	direct, err := experiment.NewRunner(spec.Seed, 2).ScenarioTrials(context.Background(), spec, 3, "")
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -65,15 +65,14 @@ func TestRunRoundsSpec(t *testing.T) {
 		t.Errorf("Fig3 series = %d, want the 2 requested liar counts", got)
 	}
 
-	// The legacy per-figure wrappers ride the same path and agree with
-	// the experiment package's direct runners.
-	f1 := Figure1(cfg)
-	if want := experiment.RunFig1(cfg); f1.LiarFinalMax != want.LiarFinalMax {
-		t.Errorf("Figure1 through Run: LiarFinalMax %v, direct %v", f1.LiarFinalMax, want.LiarFinalMax)
+	// A Config routed through its spec agrees with the experiment
+	// package's direct runners.
+	eng := experiment.NewRunner(cfg.Seed, 0)
+	if got, want := res.Figures.Fig1.Table.Render(), eng.Fig1(cfg).Table.Render(); got != want {
+		t.Errorf("Fig1 through Run diverges from the direct runner:\n%s\nwant\n%s", got, want)
 	}
-	f3 := Figure3(cfg, []int{2})
-	if want := experiment.RunFig3(cfg, []int{2}); len(f3.Final) != len(want.Final) {
-		t.Errorf("Figure3 through Run: %d series, direct %d", len(f3.Final), len(want.Final))
+	if got, want := res.Figures.Fig3.Table.Render(), eng.Fig3(cfg, []int{1, 2}).Table.Render(); got != want {
+		t.Errorf("Fig3 through Run diverges from the direct runner:\n%s\nwant\n%s", got, want)
 	}
 }
 

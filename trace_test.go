@@ -116,7 +116,7 @@ func TestTraceTrialsWorkerInvariant(t *testing.T) {
 	run := func(workers int) string {
 		dir := filepath.Join(t.TempDir(), "traces")
 		eng := experiment.NewRunner(spec.WithDefaults().Seed, workers)
-		if _, err := eng.ScenarioTrialsTracedContext(context.Background(), spec, trials, dir); err != nil {
+		if _, err := eng.ScenarioTrials(context.Background(), spec, trials, dir); err != nil {
 			t.Fatal(err)
 		}
 		return dir
