@@ -47,13 +47,17 @@ manetbench:
 	bash bench/run.sh -workload all -out $(OUT)
 
 # Golden regression corpus: every scenario preset's metrics digest is
-# pinned under testdata/golden/ (see golden_test.go). `make golden`
-# verifies, `make golden-update` re-records after an intentional change.
+# pinned under testdata/golden/ (see golden_test.go), and the paper's
+# figures and extension sweeps under testdata/paper/ (the paper_test.go
+# files of cmd/trustlab and cmd/idsbench). `make golden` verifies, `make
+# golden-update` re-records after an intentional change.
 golden:
 	$(GO) test -run TestGoldenCorpus -count=1 .
+	$(GO) test -run 'TestPaper' -count=1 ./cmd/trustlab ./cmd/idsbench
 
 golden-update:
 	$(GO) test -run TestGoldenCorpus -update-golden -count=1 .
+	$(GO) test -count=1 ./cmd/trustlab ./cmd/idsbench -run 'TestPaper' -update-golden
 
 # Large-N golden matrix: the scale presets (200/500 nodes) under both
 # medium implementations at workers 1 and 8 (see golden_scale_test.go).

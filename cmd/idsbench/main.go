@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -40,27 +41,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "idsbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	camp := cliutil.Bind(flag.CommandLine, 1, "root seed; per-trial seeds are derived from it").
+// run parses args and writes the sweep's report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("idsbench", flag.ExitOnError)
+	camp := cliutil.Bind(fs, 1, "root seed; per-trial seeds are derived from it").
 		BindTrace("NDJSON run-trace directory for -sweep scenarios (one trace per preset)")
 	var (
-		sweep     = flag.String("sweep", "ablation", "mobility, size, ci, ablation, baselines, scenarios, scale, forgers or recommenders")
-		runs      = flag.Int("runs", 3, "trials per point (mobility sweep)")
-		serveLoad = flag.Bool("serve-load", false, "load-test the manetd campaign service instead of running a sweep")
-		campaigns = flag.Int("campaigns", 1000, "concurrent campaigns for -serve-load")
-		tenants   = flag.Int("tenants", 8, "tenants the -serve-load campaigns spread across")
+		sweep     = fs.String("sweep", "ablation", "mobility, size, ci, ablation, baselines, scenarios, scale, forgers or recommenders")
+		runs      = fs.Int("runs", 3, "trials per point (mobility sweep)")
+		serveLoad = fs.Bool("serve-load", false, "load-test the manetd campaign service instead of running a sweep")
+		campaigns = fs.Int("campaigns", 1000, "concurrent campaigns for -serve-load")
+		tenants   = fs.Int("tenants", 8, "tenants the -serve-load campaigns spread across")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	seed := &camp.Seed
 
 	if *serveLoad {
-		return runServeLoad(*campaigns, *tenants, camp.Seed)
+		return runServeLoad(w, *campaigns, *tenants, camp.Seed)
 	}
 
 	eng := camp.Engine()
@@ -68,28 +73,28 @@ func run() error {
 	switch *sweep {
 	case "mobility":
 		pts := eng.MobilitySweep(*runs, []float64{0, 1, 2, 5, 10})
-		fmt.Println("X1: detection vs mobility (random waypoint)")
-		fmt.Printf("%8s %10s %12s %14s\n", "speed", "detected", "meanDelay", "falsePositives")
+		fmt.Fprintln(w, "X1: detection vs mobility (random waypoint)")
+		fmt.Fprintf(w, "%8s %10s %12s %14s\n", "speed", "detected", "meanDelay", "falsePositives")
 		for _, p := range pts {
-			fmt.Printf("%6.1f/s %7d/%d %12s %11d/%d\n",
+			fmt.Fprintf(w, "%6.1f/s %7d/%d %12s %11d/%d\n",
 				p.Speed, p.Detected, p.Runs, p.MeanDelay, p.FalsePositives, p.Runs)
 		}
 
 	case "size":
 		pts := eng.OverheadSweep([]int{8, 16, 24, 32, 48})
-		fmt.Println("X2: overhead vs network size (2 simulated minutes)")
-		fmt.Printf("%6s %10s %10s %12s %10s\n", "nodes", "olsrMsgs", "ctrlMsgs", "ctrl/node", "logRecs")
+		fmt.Fprintln(w, "X2: overhead vs network size (2 simulated minutes)")
+		fmt.Fprintf(w, "%6s %10s %10s %12s %10s\n", "nodes", "olsrMsgs", "ctrlMsgs", "ctrl/node", "logRecs")
 		for _, p := range pts {
-			fmt.Printf("%6d %10d %10d %12.1f %10d\n",
+			fmt.Fprintf(w, "%6d %10d %10d %12.1f %10d\n",
 				p.Nodes, p.OLSRMessages, p.CtrlMessages, p.CtrlPerNode, p.LogRecords)
 		}
 
 	case "ci":
-		fmt.Println("X3: confidence interval (liar fraction 26%)")
-		fmt.Printf("%6s %4s %10s %14s %12s\n", "cl", "n", "margin", "unrecognized", "meanDetect")
+		fmt.Fprintln(w, "X3: confidence interval (liar fraction 26%)")
+		fmt.Fprintf(w, "%6s %4s %10s %14s %12s\n", "cl", "n", "margin", "unrecognized", "meanDetect")
 		pts := eng.CISweep([]float64{0.90, 0.95, 0.99}, []int{5, 15, 45, 135}, 0.26)
 		for _, p := range pts {
-			fmt.Printf("%6.2f %4d %10.4f %13.0f%% %12.3f\n",
+			fmt.Fprintf(w, "%6.2f %4d %10.4f %13.0f%% %12.3f\n",
 				p.Level, p.N, p.Margin, 100*p.UnrecognizedFrac, p.MeanDetect)
 		}
 
@@ -97,16 +102,16 @@ func run() error {
 		cfg := experiment.DefaultConfig()
 		cfg.Seed = *seed
 		res := eng.Ablation(cfg)
-		fmt.Print(res.Table.Render())
-		fmt.Printf("\nfinal: trust-weighted %.3f vs uniform %.3f\n", res.FinalWeighted, res.FinalUniform)
-		fmt.Println("(the trust weighting is what drives Detect toward -1 as liars lose standing)")
+		fmt.Fprint(w, res.Table.Render())
+		fmt.Fprintf(w, "\nfinal: trust-weighted %.3f vs uniform %.3f\n", res.FinalWeighted, res.FinalUniform)
+		fmt.Fprintln(w, "(the trust weighting is what drives Detect toward -1 as liars lose standing)")
 
 	case "baselines":
 		res := eng.Baselines()
-		fmt.Println("X5: baseline attack signature coverage")
-		fmt.Printf("  broadcast storm flagged: %v\n", res.StormFlagged)
-		fmt.Printf("  replay flagged:          %v\n", res.ReplayFlagged)
-		fmt.Printf("  black-hole trust damage: %.3f below default\n", res.DropTrustDamage)
+		fmt.Fprintln(w, "X5: baseline attack signature coverage")
+		fmt.Fprintf(w, "  broadcast storm flagged: %v\n", res.StormFlagged)
+		fmt.Fprintf(w, "  replay flagged:          %v\n", res.ReplayFlagged)
+		fmt.Fprintf(w, "  black-hole trust damage: %.3f below default\n", res.DropTrustDamage)
 
 	case "scenarios":
 		// The whole preset matrix in one parallel campaign. With the
@@ -123,13 +128,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("X6: scenario preset matrix (internal/scenario)")
-		fmt.Printf("%-18s %-16s\n", "scenario", "digest")
+		fmt.Fprintln(w, "X6: scenario preset matrix (internal/scenario)")
+		fmt.Fprintf(w, "%-18s %-16s\n", "scenario", "digest")
 		for i, d := range digests {
-			fmt.Printf("%-18s %-16s\n", specs[i].Name, d.Hash)
+			fmt.Fprintf(w, "%-18s %-16s\n", specs[i].Name, d.Hash)
 		}
 		if camp.HasTrace() {
-			fmt.Printf("traces: %s/<scenario>.ndjson\n", camp.Trace)
+			fmt.Fprintf(w, "traces: %s/<scenario>.ndjson\n", camp.Trace)
 		}
 
 	case "scale":
@@ -143,8 +148,8 @@ func run() error {
 				specs[i].Seed = *seed
 			}
 		}
-		fmt.Println("X7: large-N scaling (grid vs scan medium, end-to-end wall clock)")
-		fmt.Printf("%-22s %6s %8s %-16s %10s %10s %8s\n",
+		fmt.Fprintln(w, "X7: large-N scaling (grid vs scan medium, end-to-end wall clock)")
+		fmt.Fprintf(w, "%-22s %6s %8s %-16s %10s %10s %8s\n",
 			"scenario", "nodes", "simTime", "digest", "grid", "scan", "speedup")
 		for _, s := range specs {
 			grid, scan := s, s
@@ -166,7 +171,7 @@ func run() error {
 				return fmt.Errorf("scale %s: medium digests diverge: grid %s, scan %s",
 					s.Name, gd[0].Hash, sd[0].Hash)
 			}
-			fmt.Printf("%-22s %6d %8s %-16s %10s %10s %7.1fx\n",
+			fmt.Fprintf(w, "%-22s %6d %8s %-16s %10s %10s %7.1fx\n",
 				s.Name, s.Nodes, s.WithDefaults().Duration, gd[0].Hash,
 				gridWall.Round(10*time.Millisecond), scanWall.Round(10*time.Millisecond),
 				float64(scanWall)/float64(gridWall))
@@ -177,18 +182,18 @@ func run() error {
 		// with and without the tamper-evident evidence plane. The plain
 		// arm runs the same k responders as classic §V liars.
 		pts := eng.ForgerSweep(*runs, []int{0, 1, 2, 3})
-		fmt.Println("X8: detection vs log-forger fraction (16 nodes, phantom spoofer + k forging responders)")
-		fmt.Printf("%8s | %-30s | %-22s\n", "", "evidence plane (forgers)", "plain plane (liars)")
-		fmt.Printf("%8s | %9s %10s %9s | %9s %12s\n",
+		fmt.Fprintln(w, "X8: detection vs log-forger fraction (16 nodes, phantom spoofer + k forging responders)")
+		fmt.Fprintf(w, "%8s | %-30s | %-22s\n", "", "evidence plane (forgers)", "plain plane (liars)")
+		fmt.Fprintf(w, "%8s | %9s %10s %9s | %9s %12s\n",
 			"forgers", "spoofer", "meanDelay", "caught", "spoofer", "meanDelay")
 		for _, p := range pts {
-			fmt.Printf("%8d | %6d/%-2d %10s %6d/%-2d | %6d/%-2d %12s\n",
+			fmt.Fprintf(w, "%8d | %6d/%-2d %10s %6d/%-2d | %6d/%-2d %12s\n",
 				p.Forgers,
 				p.SpooferDetected, p.Trials, p.MeanDelay.Round(100*time.Millisecond),
 				p.ForgersCaught, p.Forgers*p.Trials,
 				p.LiarArmDetected, p.Trials, p.LiarArmMeanDelay.Round(100*time.Millisecond))
 		}
-		fmt.Println("(caught = forging responders convicted via tree-head gossip / reply proofs)")
+		fmt.Fprintln(w, "(caught = forging responders convicted via tree-head gossip / reply proofs)")
 
 	case "recommenders":
 		// X9: k dishonest recommenders against the reputation plane, with
@@ -196,22 +201,22 @@ func run() error {
 		// honest node; the shielding family ballot-stuffs for a phantom
 		// spoofer while lying in its investigations.
 		pts := eng.RecommenderSweep(*runs, []int{0, 1, 2, 3})
-		fmt.Println("X9: recommender attacks vs the deviation test (16 nodes, mobile, victim-only detector)")
-		fmt.Printf("%12s | %-40s | %-30s | %-25s\n", "",
+		fmt.Fprintln(w, "X9: recommender attacks vs the deviation test (16 nodes, mobile, victim-only detector)")
+		fmt.Fprintf(w, "%12s | %-40s | %-30s | %-25s\n", "",
 			"framing rate (badmouthers)", "shielding rate (stuffers)", "spoofer conviction")
-		fmt.Printf("%12s | %8s %10s %8s %9s | %8s %10s | %11s %11s\n",
+		fmt.Fprintf(w, "%12s | %8s %10s %8s %9s | %8s %10s | %11s %11s\n",
 			"recommenders", "filter", "no-filter", "flagged", "rejected", "filter", "no-filter", "filter", "no-filter")
 		for _, p := range pts {
-			fmt.Printf("%12d | %7.0f%% %9.0f%% %8d %9d | %7.0f%% %9.0f%% | %4d/%-2d %s %2d/%-2d %s\n",
+			fmt.Fprintf(w, "%12d | %7.0f%% %9.0f%% %8d %9d | %7.0f%% %9.0f%% | %4d/%-2d %s %2d/%-2d %s\n",
 				p.Recommenders,
 				100*p.FilterFramedFrac, 100*p.NoFilterFramedFrac, p.FilterFlagged, p.FilterRejected,
 				100*p.FilterShieldedFrac, 100*p.NoFilterShieldedFrac,
 				p.FilterSpooferDetected, p.Trials, p.FilterMeanDelay.Round(100*time.Millisecond),
 				p.NoFilterSpooferDetected, p.Trials, p.NoFilterMeanDelay.Round(100*time.Millisecond))
 		}
-		fmt.Println("(framing rate = honest nodes whose gossip-bootstrapped trust at the victim fell below half")
-		fmt.Println(" the cold default; shielding rate = attackers bootstrapped above double it; flagged/rejected")
-		fmt.Println(" = recommenders the victim reported dishonest / entries its deviation test discarded)")
+		fmt.Fprintln(w, "(framing rate = honest nodes whose gossip-bootstrapped trust at the victim fell below half")
+		fmt.Fprintln(w, " the cold default; shielding rate = attackers bootstrapped above double it; flagged/rejected")
+		fmt.Fprintln(w, " = recommenders the victim reported dishonest / entries its deviation test discarded)")
 
 	default:
 		return fmt.Errorf("unknown -sweep %q", *sweep)

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -27,7 +28,7 @@ const serveLoadSpec = `{"name": "serve-load", "seed": %d, "nodes": 4, "duration"
 // then holds the service to its own invariants — every campaign done,
 // zero quota or rate rejections, every digest byte-identical, and the
 // goroutine count back at baseline after drain.
-func runServeLoad(campaigns, tenants int, seed int64) error {
+func runServeLoad(w io.Writer, campaigns, tenants int, seed int64) error {
 	if campaigns < 1 || tenants < 1 {
 		return fmt.Errorf("-campaigns (%d) and -tenants (%d) must be positive", campaigns, tenants)
 	}
@@ -43,7 +44,7 @@ func runServeLoad(campaigns, tenants int, seed int64) error {
 	ts := httptest.NewServer(srv)
 	client := ts.Client()
 
-	fmt.Printf("serve-load: %d campaigns across %d tenants (quota %d active/tenant), spec seed %d\n",
+	fmt.Fprintf(w, "serve-load: %d campaigns across %d tenants (quota %d active/tenant), spec seed %d\n",
 		campaigns, tenants, perTenant, seed)
 	start := time.Now()
 
@@ -114,19 +115,19 @@ func runServeLoad(campaigns, tenants int, seed int64) error {
 	ts.Close()
 	srv.Close()
 
-	fmt.Printf("serve-load: %d campaigns done in %s (%.0f/s)\n",
+	fmt.Fprintf(w, "serve-load: %d campaigns done in %s (%.0f/s)\n",
 		done, elapsed.Round(time.Millisecond), float64(done)/elapsed.Seconds())
 	if st.RateLimited != 0 || st.QuotaRejected != 0 {
 		return fmt.Errorf("quota starvation: %d rate-limited, %d quota-rejected submissions (want 0)",
 			st.RateLimited, st.QuotaRejected)
 	}
-	fmt.Printf("serve-load: rejections rate=%d quota=%d\n", st.RateLimited, st.QuotaRejected)
+	fmt.Fprintf(w, "serve-load: rejections rate=%d quota=%d\n", st.RateLimited, st.QuotaRejected)
 	if len(digests) != 1 {
 		return fmt.Errorf("determinism breach: %d distinct digests across identical runs: %v",
 			len(digests), digestKeys(digests))
 	}
 	for d, n := range digests {
-		fmt.Printf("serve-load: %d runs, all digest %s\n", n, d)
+		fmt.Fprintf(w, "serve-load: %d runs, all digest %s\n", n, d)
 	}
 
 	// Goroutine-leak check (no goleak in a no-deps repo): after close,
@@ -143,8 +144,8 @@ func runServeLoad(campaigns, tenants int, seed int64) error {
 	if n > baseline+slack {
 		return fmt.Errorf("goroutine leak: %d live after shutdown, baseline %d (+%d slack)", n, baseline, slack)
 	}
-	fmt.Printf("serve-load: goroutines %d -> %d (baseline %d)\n", baseline, n, baseline)
-	fmt.Println("serve-load: PASS")
+	fmt.Fprintf(w, "serve-load: goroutines %d -> %d (baseline %d)\n", baseline, n, baseline)
+	fmt.Fprintln(w, "serve-load: PASS")
 	return nil
 }
 

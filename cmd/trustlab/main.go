@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -28,25 +29,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "trustlab:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	camp := cliutil.Bind(flag.CommandLine, 1, "random seed").
+// run parses args and writes the requested figures to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("trustlab", flag.ExitOnError)
+	camp := cliutil.Bind(fs, 1, "random seed").
 		BindScenario("rounds-kind scenario preset or spec file (e.g. paper-figures)").
 		BindTrace("NDJSON run-trace output (trust updates + per-round detection; byte-stable only with -workers 1)")
 	var (
-		figure = flag.String("figure", "all", "which figure to regenerate: 1, 2, 3 or all")
-		nodes  = flag.Int("nodes", 16, "population size (paper: 16)")
-		liars  = flag.Int("liars", 4, "colluding liars for figures 1-2 (paper: 4)")
-		rounds = flag.Int("rounds", 25, "investigation rounds (paper: 25)")
-		loss   = flag.Float64("loss", 0.1, "probability an answer is lost")
-		csv    = flag.Bool("csv", false, "emit CSV instead of a text table")
+		figure = fs.String("figure", "all", "which figure to regenerate: 1, 2, 3 or all")
+		nodes  = fs.Int("nodes", 16, "population size (paper: 16)")
+		liars  = fs.Int("liars", 4, "colluding liars for figures 1-2 (paper: 4)")
+		rounds = fs.Int("rounds", 25, "investigation rounds (paper: 25)")
+		loss   = fs.Float64("loss", 0.1, "probability an answer is lost")
+		csv    = fs.Bool("csv", false, "emit CSV instead of a text table")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := experiment.DefaultConfig()
 	cfg.Seed = camp.Seed
@@ -74,7 +79,7 @@ func run() error {
 		if len(liarCounts) > 0 {
 			fig3Counts = liarCounts
 		}
-		fmt.Printf("scenario %s: %s\n", spec.Name, spec.Description)
+		fmt.Fprintf(w, "scenario %s: %s\n", spec.Name, spec.Description)
 	}
 
 	// Tracing the rounds abstraction: one sink serves every figure task
@@ -91,18 +96,18 @@ func run() error {
 			if cerr := closeTrace(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "trustlab:", cerr)
 			} else {
-				fmt.Printf("trace: %s (%d events)\n", camp.Trace, sink.Events())
+				fmt.Fprintf(w, "trace: %s (%d events)\n", camp.Trace, sink.Events())
 			}
 		}()
 	}
 
 	render := func(t *metrics.Table) {
 		if *csv {
-			fmt.Print(t.CSV())
+			fmt.Fprint(w, t.CSV())
 		} else {
-			fmt.Print(t.Render())
+			fmt.Fprint(w, t.Render())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	want := func(f string) bool { return *figure == "all" || *figure == f }
@@ -132,19 +137,19 @@ func run() error {
 		ran = true
 		res := f1
 		render(res.Table)
-		fmt.Printf("shape: liar final max = %.3f (paper: near 0 regardless of initial trust)\n",
+		fmt.Fprintf(w, "shape: liar final max = %.3f (paper: near 0 regardless of initial trust)\n",
 			res.LiarFinalMax)
-		fmt.Printf("shape: honest trust monotone ascending = %v\n", res.HonestMonotone)
-		fmt.Printf("shape: lowest-initial honest node %.2f -> %.2f (paper: \"gains a little\")\n\n",
+		fmt.Fprintf(w, "shape: honest trust monotone ascending = %v\n", res.HonestMonotone)
+		fmt.Fprintf(w, "shape: lowest-initial honest node %.2f -> %.2f (paper: \"gains a little\")\n\n",
 			res.HonestLowGain.Initial, res.HonestLowGain.Final)
 	}
 	if f2 != nil {
 		ran = true
 		res := f2
 		render(res.Table)
-		fmt.Printf("shape: high/medium initial reached the %.1f default = %v\n",
+		fmt.Fprintf(w, "shape: high/medium initial reached the %.1f default = %v\n",
 			cfg.Params.Default, res.HighReachedDefault)
-		fmt.Printf("shape: low initial still below default = %v (paper: \"recovered slowly\")\n\n",
+		fmt.Fprintf(w, "shape: low initial still below default = %v (paper: \"recovered slowly\")\n\n",
 			res.LowStillBelow)
 	}
 	if f3 != nil {
@@ -157,7 +162,7 @@ func run() error {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("shape: %s reached -0.4 at round %d, final %.3f (paper: <=10, ~-0.8)\n",
+			fmt.Fprintf(w, "shape: %s reached -0.4 at round %d, final %.3f (paper: <=10, ~-0.8)\n",
 				name, res.RoundToMinus04[name], res.Final[name])
 		}
 	}
