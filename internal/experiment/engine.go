@@ -94,95 +94,57 @@ func (r *Runner) TaskSeed(sweep string, point, trial int) int64 {
 }
 
 // mapTasks runs fn(0..n-1) on up to workers goroutines and returns the
-// results in index order. Tasks are claimed from an atomic counter, so the
-// pool stays busy even when task costs are skewed; because results land at
-// their own index and every task is self-seeded, scheduling order cannot
-// influence the output.
-func mapTasks[T any](workers, n int, fn func(int) T) []T {
-	return mapTasksArena(workers, n, func(i int, _ *Arena) T { return fn(i) })
-}
-
-// mapTasksArena is mapTasks with per-worker arenas: each goroutine owns
-// one Arena for its lifetime, so a worker's trials reuse the same
-// scratch buffers back to back. Because results are index-addressed and
-// arenas carry capacity but never values between tasks, the output is
-// still bit-identical for any worker count.
-func mapTasksArena[T any](workers, n int, fn func(int, *Arena) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var a Arena
-		for i := range out {
-			out[i] = fn(i, &a)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var a Arena
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i, &a)
-			}
-		}()
-	}
-	wg.Wait()
+// results in index order (see mapTasksCtx, which it calls with a context
+// that is never done).
+func mapTasks[T any](workers, n int, fn func(int, *Arena) T) []T {
+	out, _ := mapTasksCtx(context.Background(), workers, n, fn)
 	return out
 }
 
-// mapTasksCtx is mapTasks with cooperative cancellation: workers stop
-// claiming tasks once ctx is done, and the call reports ctx's error if
-// any task went unclaimed. Tasks already started run to completion —
-// aborting mid-task is fn's job (the packet-scenario runners thread the
-// same ctx into scenario.RunContext, which polls it every simulated
-// 500ms). On a clean completion the result slice is exactly what
-// mapTasks would have produced: cancellation can only truncate a
-// campaign, never perturb the runs that finished.
-func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]T, error) {
+// mapTasksCtx is the engine's worker pool. It runs fn(0..n-1) on up to
+// workers goroutines (the caller's among them) and returns the results
+// in index order. Tasks are claimed from an atomic counter, so the pool
+// stays busy even when task costs are skewed; because results land at
+// their own index and every task is self-seeded, scheduling order cannot
+// influence the output. Each worker owns one Arena for its lifetime, so
+// its trials reuse the same scratch buffers back to back; arenas carry
+// capacity but never values between tasks.
+//
+// Cancellation is cooperative: workers stop claiming tasks once ctx is
+// done, and the call reports ctx's error if any task went unclaimed.
+// Tasks already started run to completion — aborting mid-task is fn's
+// job (the packet-scenario runners thread the same ctx into
+// scenario.RunContext, which polls it every simulated 500ms). On a clean
+// completion the result slice is the same at any worker count:
+// cancellation can only truncate a campaign, never perturb the runs that
+// finished.
+func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int, *Arena) T) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
 	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range out {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = fn(i)
-		}
-		return out, nil
-	}
+	workers = max(1, min(workers, n))
 	var next, done atomic.Int64
+	work := func() {
+		var a Arena
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			out[i] = fn(i, &a)
+			done.Add(1)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for range workers - 1 {
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-				done.Add(1)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if int(done.Load()) < n {
 		// Tasks only go unclaimed on cancellation, so ctx.Err() is
@@ -198,7 +160,7 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]
 // results themselves (into index-addressed storage — never via shared
 // mutable state, which would reintroduce schedule dependence).
 func (r *Runner) ForEachContext(ctx context.Context, n int, fn func(i int)) error {
-	_, err := mapTasksCtx(ctx, r.workerCount(), n, func(i int) struct{} {
+	_, err := mapTasksCtx(ctx, r.workerCount(), n, func(i int, _ *Arena) struct{} {
 		fn(i)
 		return struct{}{}
 	})

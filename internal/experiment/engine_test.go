@@ -35,14 +35,14 @@ func TestDeriveSeedDistinct(t *testing.T) {
 
 func TestMapTasksOrderAndEdgeCases(t *testing.T) {
 	for _, workers := range []int{1, 3, 16, 100} {
-		got := mapTasks(workers, 10, func(i int) int { return i * i })
+		got := mapTasks(workers, 10, func(i int, _ *Arena) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
-	if out := mapTasks(4, 0, func(i int) int { return i }); out != nil {
+	if out := mapTasks(4, 0, func(i int, _ *Arena) int { return i }); out != nil {
 		t.Errorf("n=0 returned %v, want nil", out)
 	}
 }
@@ -68,10 +68,10 @@ func TestArenaReuse(t *testing.T) {
 		t.Error("Samples did not return an empty 16-cap buffer")
 	}
 
-	// mapTasksArena with one worker funnels every task through one arena;
+	// mapTasks with one worker funnels every task through one arena;
 	// results must still be index-addressed and exact.
 	seen := make(map[*Arena]bool)
-	out := mapTasksArena(1, 5, func(i int, a *Arena) int {
+	out := mapTasks(1, 5, func(i int, a *Arena) int {
 		seen[a] = true
 		buf := a.Samples(3)
 		buf = append(buf, float64(i))

@@ -392,7 +392,7 @@ func assembleFig3(cfg Config, liarCounts []int, series [][]float64) *Fig3Result 
 // is assembled in liarCounts order, so the result is identical at any
 // worker count.
 func (r *Runner) Fig3(cfg Config, liarCounts []int) *Fig3Result {
-	series := mapTasks(r.workerCount(), len(liarCounts), func(i int) []float64 {
+	series := mapTasks(r.workerCount(), len(liarCounts), func(i int, _ *Arena) []float64 {
 		return fig3Series(cfg, liarCounts[i])
 	})
 	return assembleFig3(cfg, liarCounts, series)

@@ -80,7 +80,7 @@ func (r *Runner) MobilitySweep(runs int, speeds []float64) []MobilityPoint {
 	if runs <= 0 || len(speeds) == 0 {
 		return nil
 	}
-	spoofers := mapTasks(r.workerCount(), len(speeds)*runs, func(task int) scenario.Suspect {
+	spoofers := mapTasks(r.workerCount(), len(speeds)*runs, func(task int, _ *Arena) scenario.Suspect {
 		point, trial := task/runs, task%runs
 		res, err := scenario.Run(mobilitySpec(r.TaskSeed(mobilitySweepID, point, trial), speeds[point]))
 		if err != nil {
@@ -131,7 +131,7 @@ const overheadSweepID = "x2-size"
 // network size. The sizes fan out as independent sweep points, each a
 // full packet-level simulation with its own derived seed.
 func (r *Runner) OverheadSweep(sizes []int) []OverheadPoint {
-	return mapTasks(r.workerCount(), len(sizes), func(i int) OverheadPoint {
+	return mapTasks(r.workerCount(), len(sizes), func(i int, _ *Arena) OverheadPoint {
 		return overheadPoint(r.TaskSeed(overheadSweepID, i, 0), sizes[i])
 	})
 }

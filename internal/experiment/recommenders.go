@@ -130,7 +130,7 @@ func (r *Runner) RecommenderSweep(trials int, counts []int) []RecommenderPoint {
 	}
 	// Per task: family (frame/shield) × arm (filter/nofilter).
 	const arms = 4
-	results := mapTasks(r.workerCount(), len(counts)*trials*arms, func(task int) recommenderTrial {
+	results := mapTasks(r.workerCount(), len(counts)*trials*arms, func(task int, _ *Arena) recommenderTrial {
 		point := task / (trials * arms)
 		trial := (task / arms) % trials
 		family := "frame"

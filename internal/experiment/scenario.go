@@ -63,7 +63,7 @@ func (r *Runner) ScenarioTrials(ctx context.Context, spec scenario.Spec, trials 
 		res *scenario.Result
 		err error
 	}
-	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int) outcome {
+	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int, _ *Arena) outcome {
 		s := spec
 		s.Seed = TrialSeed(spec.Seed, i)
 		if traceDir == "" {
@@ -121,7 +121,7 @@ func (r *Runner) ScenarioMatrix(specs []scenario.Spec) ([]scenario.Digest, error
 		d   scenario.Digest
 		err error
 	}
-	results := mapTasks(r.workerCount(), len(specs), func(i int) outcome {
+	results := mapTasks(r.workerCount(), len(specs), func(i int, _ *Arena) outcome {
 		res, err := scenario.Run(specs[i])
 		if err != nil {
 			return outcome{err: err}

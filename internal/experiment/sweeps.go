@@ -97,7 +97,7 @@ func (r *Runner) CISweep(levels []float64, sizes []int, liarFrac float64) []CIPo
 		}
 	}
 
-	trials := mapTasksArena(r.workerCount(), len(pts)*ciTrials, func(task int, a *Arena) ciTrialResult {
+	trials := mapTasks(r.workerCount(), len(pts)*ciTrials, func(task int, a *Arena) ciTrialResult {
 		pi, trial := task/ciTrials, task%ciTrials
 		rng := rand.New(rand.NewSource(r.TaskSeed(ciSweepID, pi, trial))) //nolint:gosec // experiment
 		return ciTrial(rng, a, pts[pi].cl, pts[pi].n, liarFrac)
@@ -219,7 +219,7 @@ type AblationResult struct {
 // placement and loss draws), so they are independent and can run
 // concurrently.
 func (r *Runner) Ablation(cfg Config) *AblationResult {
-	arms := mapTasks(r.workerCount(), 2, func(i int) []float64 {
+	arms := mapTasks(r.workerCount(), 2, func(i int, _ *Arena) []float64 {
 		if i == 0 {
 			return ablationWeightedArm(cfg)
 		}
