@@ -108,7 +108,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzVerifyInclusion$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzLineEvent$$' -fuzztime=30s ./internal/logevent
-	$(GO) test -fuzz='^FuzzBinaryRoundTrip$$' -fuzztime=30s ./internal/core
+	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
 
 # reprolint: the in-repo determinism & hot-path analyzer suite

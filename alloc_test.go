@@ -118,7 +118,6 @@ func allocBudgetSpecs(t *testing.T) map[string]scenario.Spec {
 		Nodes:      16,
 		Duration:   scenario.Dur(90 * time.Second),
 		DetectAll:  true,
-		BinaryCtrl: true,
 		Reputation: &scenario.ReputationSpec{Enabled: true},
 		Attacks: []scenario.AttackSpec{{
 			Kind: "linkspoof", Node: 16, Mode: "phantom",

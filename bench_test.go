@@ -396,9 +396,6 @@ func BenchmarkScenarioReputation(b *testing.B) {
 		Nodes:     16,
 		Duration:  scenario.Dur(2 * time.Minute),
 		DetectAll: true,
-		// The hot path runs the binary control envelope (DESIGN.md §10);
-		// only the golden presets stay on JSON to keep digests pinned.
-		BinaryCtrl: true,
 		Attacks: []scenario.AttackSpec{{
 			Kind: "linkspoof", Node: 16, Mode: "phantom",
 			At: scenario.Dur(45 * time.Second), Pin: true, DropCtrl: true,

@@ -104,14 +104,13 @@ func run() error {
 // run at speed 0.
 func flagSpec(seed int64, nodes int, speed float64, duration, attackAt time.Duration, attack string, liars int) (scenario.Spec, error) {
 	spec := scenario.Spec{
-		Name:       "fullstack",
-		Seed:       seed,
-		Nodes:      nodes,
-		ArenaSide:  500,
-		Duration:   scenario.Dur(duration),
-		Radio:      scenario.RadioSpec{Range: 200},
-		Liars:      liars,
-		BinaryCtrl: true,
+		Name:      "fullstack",
+		Seed:      seed,
+		Nodes:     nodes,
+		ArenaSide: 500,
+		Duration:  scenario.Dur(duration),
+		Radio:     scenario.RadioSpec{Range: 200},
+		Liars:     liars,
 	}
 	if speed > 0 {
 		spec.Mobility = scenario.MobilitySpec{

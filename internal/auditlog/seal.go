@@ -39,25 +39,8 @@ import (
 // HashSize is the byte length of every digest used by the sealed log.
 const HashSize = sha256.Size
 
-// Hash is a SHA-256 digest. It marshals as lowercase hex so proofs and
-// tree heads survive the JSON control plane unharmed.
+// Hash is a SHA-256 digest.
 type Hash [HashSize]byte
-
-// MarshalText implements encoding.TextMarshaler (lowercase hex).
-func (h Hash) MarshalText() ([]byte, error) {
-	dst := make([]byte, hex.EncodedLen(len(h)))
-	hex.Encode(dst, h[:])
-	return dst, nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (h *Hash) UnmarshalText(b []byte) error {
-	if hex.DecodedLen(len(b)) != HashSize {
-		return fmt.Errorf("auditlog: hash must be %d hex bytes, got %d", 2*HashSize, len(b))
-	}
-	_, err := hex.Decode(h[:], b)
-	return err
-}
 
 // String renders the digest as hex.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
@@ -148,13 +131,13 @@ func sealTag(key, chain Hash) Hash {
 // TreeHead is the Merkle root over the first Size sealed records — what a
 // node gossips, and what proofs verify against.
 type TreeHead struct {
-	Size uint64 `json:"size"`
-	Root Hash   `json:"root"`
+	Size uint64
+	Root Hash
 }
 
 // Proof is a Merkle audit path, leaf-to-root order.
 type Proof struct {
-	Path []Hash `json:"path"`
+	Path []Hash
 }
 
 // merkleRoot computes the RFC 6962 tree head over leaf hashes.

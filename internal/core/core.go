@@ -86,14 +86,10 @@ type Config struct {
 	Radio radio.Config
 	// LogCap bounds each node's audit log (0 = unbounded).
 	LogCap int
-	// CtrlTTL bounds control-plane forwarding (default 16 hops).
+	// CtrlTTL bounds control-plane forwarding (default 16 hops). The
+	// control plane (verification traffic and tree-head gossip) always
+	// speaks the binary envelope of ctrlwire.go.
 	CtrlTTL int
-	// BinaryCtrl switches the control-plane envelope (verification
-	// traffic and tree-head gossip) from JSON to the length-prefixed
-	// binary codec (ctrlwire.go). Receivers auto-detect the format by
-	// leading byte, so the flag only selects what this network emits.
-	// Off by default: the JSON envelope is what the golden corpus pins.
-	BinaryCtrl bool
 	// Evidence enables tree-head gossip and proof-carrying replies.
 	Evidence EvidenceConfig
 	// Reputation enables recommendation gossip and Eq. 6/7 trust
@@ -249,7 +245,7 @@ type Node struct {
 	recDec      wire.Decoder       // recommend-packet decode arena
 	entScratch  []reputation.Entry // reused by ingest and gossip ticks
 	nbScratch   []addr.Node        // reused by forwardCtrl's neighbor scan
-	ctrlBuf     []byte             // reused binary ctrl encode scratch
+	ctrlBuf     []byte             // reused ctrl envelope encode scratch
 }
 
 // AddNode instantiates and wires a node; call before Start.

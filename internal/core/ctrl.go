@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"slices"
 
 	"repro/internal/addr"
@@ -9,17 +8,18 @@ import (
 	"repro/internal/detect"
 )
 
-// ctrlKind discriminates control-plane message types.
-type ctrlKind string
+// ctrlKind discriminates control-plane message types. The values are
+// the envelope's on-air kind byte (ctrlwire.go).
+type ctrlKind uint8
 
 const (
-	ctrlVerifyReq ctrlKind = "verify_req"
-	ctrlVerifyRep ctrlKind = "verify_rep"
+	ctrlVerifyReq ctrlKind = 1
+	ctrlVerifyRep ctrlKind = 2
 	// ctrlTreeHead is the evidence plane's gossip: an origin floods its
 	// sealed-log tree head, chained to its previous broadcast by a
 	// consistency proof, so every receiver can prove the origin's log
 	// only ever grew (DESIGN.md §8).
-	ctrlTreeHead ctrlKind = "tree_head"
+	ctrlTreeHead ctrlKind = 3
 )
 
 // ctrlMsg is the control-plane envelope, forwarded hop by hop using each
@@ -27,20 +27,20 @@ const (
 // Tree-head gossip uses the same envelope but floods: To is Broadcast
 // and relays rebroadcast each origin's head at most once per growth.
 type ctrlMsg struct {
-	Kind  ctrlKind              `json:"kind"`
-	From  addr.Node             `json:"from"`
-	To    addr.Node             `json:"to"`
-	TTL   int                   `json:"ttl"`
-	Avoid []addr.Node           `json:"avoid,omitempty"`
-	Req   *detect.VerifyRequest `json:"req,omitempty"`
-	Rep   *detect.VerifyReply   `json:"rep,omitempty"`
+	Kind  ctrlKind
+	From  addr.Node
+	To    addr.Node
+	TTL   int
+	Avoid []addr.Node
+	Req   *detect.VerifyRequest
+	Rep   *detect.VerifyReply
 	// Origin is the node whose tree head is gossiped (From is the relay).
-	Origin addr.Node          `json:"origin,omitempty"`
-	Head   *auditlog.TreeHead `json:"head,omitempty"`
+	Origin addr.Node
+	Head   *auditlog.TreeHead
 	// HeadPrev is the size of the origin's previous broadcast, the old
 	// side of HeadProof.
-	HeadPrev  uint64          `json:"headPrev,omitempty"`
-	HeadProof *auditlog.Proof `json:"headProof,omitempty"`
+	HeadPrev  uint64
+	HeadProof *auditlog.Proof
 }
 
 // nodeTransport implements detect.Transport for one node.
@@ -119,54 +119,30 @@ func (n *Node) forwardCtrl(m *ctrlMsg) {
 		return
 	}
 
-	payload, err := n.encodeCtrl(m)
-	if err != nil {
-		n.net.ctrlDropped++
-		return
-	}
 	n.net.traceSend(n.ID, "ctrl")
-	n.net.Medium.Send(n.ID, next, payload)
+	n.net.Medium.Send(n.ID, next, n.encodeCtrl(m))
 }
 
 // encodeCtrl renders the on-air form of m, PayloadCtrl discriminator
-// included: the binary envelope when the network opts in, JSON
-// otherwise. The payload is freshly allocated either way — the medium
-// retains it until delivery.
-func (n *Node) encodeCtrl(m *ctrlMsg) ([]byte, error) {
-	if n.net.cfg.BinaryCtrl {
-		// Build into the node's scratch (amortizing growth), then hand the
-		// medium an exact-size copy it may retain.
-		n.ctrlBuf = appendCtrlMsg(append(n.ctrlBuf[:0], PayloadCtrl), m)
-		return slices.Clone(n.ctrlBuf), nil
-	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte{PayloadCtrl}, raw...), nil
+// included. It builds into the node's scratch (amortizing growth) and
+// returns an exact-size copy, because the medium retains the payload
+// until delivery.
+func (n *Node) encodeCtrl(m *ctrlMsg) []byte {
+	n.ctrlBuf = appendCtrlMsg(append(n.ctrlBuf[:0], PayloadCtrl), m)
+	return slices.Clone(n.ctrlBuf)
 }
 
 // handleCtrl processes a received control payload: deliver locally or
-// relay onward. A misbehaving relay may silently discard it.
+// relay onward. A malformed envelope is dropped; a misbehaving relay may
+// silently discard a valid one.
 func (n *Node) handleCtrl(body []byte) {
-	// The leading byte tells the formats apart: JSON starts with '{',
-	// the binary envelope with its magic. Decoding by inspection (rather
-	// than by local config) keeps receivers agnostic to the sender's
-	// codec choice.
-	var m ctrlMsg
-	if len(body) > 0 && body[0] == ctrlBinaryMagic {
-		dm, err := decodeCtrlMsg(body)
-		if err != nil {
-			n.net.ctrlDropped++
-			return
-		}
-		m = *dm
-	} else if err := json.Unmarshal(body, &m); err != nil {
+	m, err := decodeCtrlMsg(body)
+	if err != nil {
 		n.net.ctrlDropped++
 		return
 	}
 	if m.Kind == ctrlTreeHead {
-		n.handleTreeHead(&m)
+		n.handleTreeHead(m)
 		return
 	}
 	if m.To != n.ID && n.dropControl {
@@ -175,7 +151,7 @@ func (n *Node) handleCtrl(body []byte) {
 		n.net.ctrlDropped++
 		return
 	}
-	n.forwardCtrl(&m)
+	n.forwardCtrl(m)
 }
 
 // gossipHead floods this node's current tree head, anchored to its
@@ -203,13 +179,8 @@ func (n *Node) gossipHead() {
 
 // broadcastTreeHead emits the gossip frame one hop in every direction.
 func (n *Node) broadcastTreeHead(m *ctrlMsg) {
-	payload, err := n.encodeCtrl(m)
-	if err != nil {
-		n.net.ctrlDropped++
-		return
-	}
 	n.net.traceSend(n.ID, "ctrl")
-	n.net.Medium.Send(n.ID, addr.Broadcast, payload)
+	n.net.Medium.Send(n.ID, addr.Broadcast, n.encodeCtrl(m))
 }
 
 // handleTreeHead processes one gossiped tree head: verify it against the

@@ -1,18 +1,13 @@
 package core
 
-// Length-prefixed binary codec for the control-plane envelope
-// (DESIGN.md §10). The JSON rendering of ctrlMsg is convenient but
-// dominates the investigation hot path's allocation profile: every hop
-// re-marshals the envelope, and encoding/json allocates per field in
-// both directions. The binary form is a flat, deterministic layout —
-// big-endian like the OLSR wire codec — written with append-style
-// helpers so one payload costs one allocation.
-//
-// The first byte disambiguates the two formats on receive: JSON
-// envelopes always start with '{', binary ones with ctrlBinaryMagic, so
-// receivers decode whatever arrives and Config.BinaryCtrl only selects
-// what a network emits. The JSON path stays the default because the
-// golden corpus pins its byte counts.
+// The control-plane envelope's wire codec (DESIGN.md §10): a flat,
+// length-prefixed, deterministic layout — big-endian like the OLSR wire
+// codec — written with append-style helpers so one payload costs one
+// allocation. It is the only encoding of ctrlMsg. Every envelope starts
+// with the format tag ctrlBinaryMagic, and the decoder rejects a frame
+// without it, like any other malformed frame. The decoder is canonical:
+// it accepts exactly the bytes the encoder writes, so every envelope it
+// accepts re-encodes to the same bytes.
 
 import (
 	"encoding/binary"
@@ -23,17 +18,13 @@ import (
 	"repro/internal/detect"
 )
 
-// ctrlBinaryMagic tags a binary-encoded control envelope. Deliberately
-// outside the ASCII range JSON output can start with.
+// ctrlBinaryMagic is the format tag every control envelope starts with.
 const ctrlBinaryMagic = 0xB1
 
-const (
-	ctrlWireVerifyReq = 1
-	ctrlWireVerifyRep = 2
-	ctrlWireTreeHead  = 3
+var (
+	errCtrlTruncated = errors.New("core: truncated binary ctrl message")
+	errCtrlBool      = errors.New("core: binary ctrl bool byte is neither 0 nor 1")
 )
-
-var errCtrlTruncated = errors.New("core: truncated binary ctrl message")
 
 func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
@@ -71,15 +62,7 @@ func appendProof(b []byte, p auditlog.Proof) []byte {
 // envelope header, optional request, optional reply, gossip fields —
 // each optional section behind a presence byte.
 func appendCtrlMsg(buf []byte, m *ctrlMsg) []byte {
-	buf = append(buf, ctrlBinaryMagic)
-	switch m.Kind {
-	case ctrlVerifyReq:
-		buf = append(buf, ctrlWireVerifyReq)
-	case ctrlVerifyRep:
-		buf = append(buf, ctrlWireVerifyRep)
-	default:
-		buf = append(buf, ctrlWireTreeHead)
-	}
+	buf = append(buf, ctrlBinaryMagic, byte(m.Kind))
 	buf = appendU32(buf, uint32(m.From))
 	buf = appendU32(buf, uint32(m.To))
 	buf = appendU32(buf, uint32(m.TTL)) //nolint:gosec // ≥0 when sent
@@ -166,7 +149,20 @@ func (r *ctrlReader) u8() uint8 {
 	return b[0]
 }
 
-func (r *ctrlReader) boolean() bool { return r.u8() != 0 }
+// boolean reads a presence or flag byte. Only 0 and 1 are valid, so
+// every value has exactly one encoding.
+func (r *ctrlReader) boolean() bool {
+	switch r.u8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	if r.err == nil {
+		r.err = errCtrlBool
+	}
+	return false
+}
 
 func (r *ctrlReader) u16() uint16 {
 	b := r.take(2)
@@ -233,22 +229,17 @@ func (r *ctrlReader) proof() auditlog.Proof {
 	return p
 }
 
-// decodeCtrlMsg decodes a binary control envelope (magic byte included).
+// decodeCtrlMsg decodes a control envelope (format tag included).
 // Nested structures are freshly allocated: the detector and responder
 // retain what they are handed.
 func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 	r := ctrlReader{b: b}
 	if r.u8() != ctrlBinaryMagic {
-		return nil, errors.New("core: not a binary ctrl message")
+		return nil, errors.New("core: ctrl message lacks its format tag")
 	}
-	var m ctrlMsg
-	switch r.u8() {
-	case ctrlWireVerifyReq:
-		m.Kind = ctrlVerifyReq
-	case ctrlWireVerifyRep:
-		m.Kind = ctrlVerifyRep
-	case ctrlWireTreeHead:
-		m.Kind = ctrlTreeHead
+	m := ctrlMsg{Kind: ctrlKind(r.u8())}
+	switch m.Kind {
+	case ctrlVerifyReq, ctrlVerifyRep, ctrlTreeHead:
 	default:
 		return nil, errors.New("core: unknown binary ctrl kind")
 	}

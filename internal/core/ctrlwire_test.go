@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -70,24 +70,6 @@ func TestCtrlBinaryRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(m, dec) {
 			t.Errorf("msg %d: round trip diverged:\n in: %+v\nout: %+v", i, m, dec)
 		}
-		// The binary form must also agree with what the JSON codec
-		// preserves: marshal the original, unmarshal, and the result must
-		// binary-round-trip to the same envelope.
-		raw, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("msg %d: json: %v", i, err)
-		}
-		var viaJSON ctrlMsg
-		if err := json.Unmarshal(raw, &viaJSON); err != nil {
-			t.Fatalf("msg %d: json round trip: %v", i, err)
-		}
-		dec2, err := decodeCtrlMsg(appendCtrlMsg(nil, &viaJSON))
-		if err != nil {
-			t.Fatalf("msg %d: binary after json: %v", i, err)
-		}
-		if !reflect.DeepEqual(&viaJSON, dec2) {
-			t.Errorf("msg %d: binary and json codecs disagree:\njson: %+v\n bin: %+v", i, &viaJSON, dec2)
-		}
 	}
 }
 
@@ -105,76 +87,63 @@ func TestCtrlBinaryRejectsTruncation(t *testing.T) {
 	}
 }
 
-// binaryCanonical reports whether m survives the binary layout exactly:
-// the codec cannot represent negative TTLs, unknown kinds, or the
-// empty-but-non-nil slices JSON unmarshalling can produce.
-func binaryCanonical(m *ctrlMsg) bool {
-	switch m.Kind {
-	case ctrlVerifyReq, ctrlVerifyRep, ctrlTreeHead:
-	default:
-		return false
+// TestCtrlDecodeRejectsNonCanonicalBool holds the decoder to one
+// encoding per envelope: a flag byte other than 0 or 1 is malformed, not
+// "true".
+func TestCtrlDecodeRejectsNonCanonicalBool(t *testing.T) {
+	m := sampleCtrlMsgs()[0]
+	if !m.Req.Advertised {
+		t.Fatal("sample request must be advertised")
 	}
-	if m.TTL < 0 || int64(m.TTL) > 0xFFFFFFFF {
-		return false
-	}
-	okNodes := func(ns []addr.Node) bool { return ns == nil || (len(ns) > 0 && len(ns) <= 0xFFFF) }
-	okProof := func(p *auditlog.Proof) bool {
-		return p == nil || p.Path == nil || (len(p.Path) > 0 && len(p.Path) <= 0xFFFF)
-	}
-	if !okNodes(m.Avoid) || !okProof(m.HeadProof) {
-		return false
-	}
-	if m.Req != nil && !okNodes(m.Req.Avoid) {
-		return false
-	}
-	if r := m.Rep; r != nil {
-		if !okProof(r.Consistency) {
-			return false
-		}
-		if r.Citations != nil && (len(r.Citations) == 0 || len(r.Citations) > 0xFFFF) {
-			return false
-		}
-		for i := range r.Citations {
-			p := r.Citations[i].Proof
-			if p.Path != nil && (len(p.Path) == 0 || len(p.Path) > 0xFFFF) {
-				return false
-			}
+	on := appendCtrlMsg(nil, m)
+	req := *m.Req
+	req.Advertised = false
+	plain := *m
+	plain.Req = &req
+	off := appendCtrlMsg(nil, &plain)
+
+	// The two encodings differ only in the Advertised byte.
+	flag := -1
+	for i := range on {
+		if on[i] != off[i] {
+			flag = i
 		}
 	}
-	return true
+	if flag < 0 || on[flag] != 1 || off[flag] != 0 {
+		t.Fatalf("no single Advertised flag byte found (index %d)", flag)
+	}
+	on[flag] = 2
+	if dec, err := decodeCtrlMsg(on); err == nil {
+		t.Fatalf("decode accepted flag byte 2 at offset %d: %+v", flag, dec.Req)
+	}
 }
 
-// FuzzBinaryRoundTrip proves two properties of the control codec: any
-// input the binary decoder accepts re-encodes to a deep-equal envelope,
-// and any JSON-decodable envelope in canonical form survives a binary
-// round trip — i.e. the two codecs carry the same information.
-func FuzzBinaryRoundTrip(f *testing.F) {
+func TestCtrlDecodeRequiresFormatTag(t *testing.T) {
+	enc := appendCtrlMsg(nil, sampleCtrlMsgs()[0])
+	enc[0] = '{'
+	if _, err := decodeCtrlMsg(enc); err == nil {
+		t.Fatal("decode accepted an envelope without its format tag")
+	}
+}
+
+// FuzzCtrlDecode holds the control-envelope decoder to two properties on
+// arbitrary bytes: it never panics, and any input it accepts re-encodes
+// to exactly the same bytes (the codec is canonical).
+func FuzzCtrlDecode(f *testing.F) {
 	for _, m := range sampleCtrlMsgs() {
-		f.Add(appendCtrlMsg(nil, m))
-		if raw, err := json.Marshal(m); err == nil {
-			f.Add(raw)
-		}
+		enc := appendCtrlMsg(nil, m)
+		f.Add(enc)
+		untagged := bytes.Clone(enc)
+		untagged[0] = '{'
+		f.Add(untagged)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := decodeCtrlMsg(data); err == nil {
-			enc := appendCtrlMsg(nil, m)
-			m2, err := decodeCtrlMsg(enc)
-			if err != nil {
-				t.Fatalf("re-decode of re-encode failed: %v", err)
-			}
-			if !reflect.DeepEqual(m, m2) {
-				t.Fatalf("binary round trip diverged:\n in: %+v\nout: %+v", m, m2)
-			}
+		m, err := decodeCtrlMsg(data)
+		if err != nil {
+			return
 		}
-		var m ctrlMsg
-		if err := json.Unmarshal(data, &m); err == nil && binaryCanonical(&m) {
-			dec, err := decodeCtrlMsg(appendCtrlMsg(nil, &m))
-			if err != nil {
-				t.Fatalf("binary decode of json-decoded envelope failed: %v", err)
-			}
-			if !reflect.DeepEqual(&m, dec) {
-				t.Fatalf("json envelope lost in binary transit:\n in: %+v\nout: %+v", &m, dec)
-			}
+		if enc := appendCtrlMsg(nil, m); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input does not re-encode to itself:\n in: %x\nout: %x", data, enc)
 		}
 	})
 }

@@ -70,7 +70,7 @@ type VerifyRequest struct {
 	// investigator learned through gossip, so the responder can attach a
 	// consistency proof from it (evidence.go). Nil outside the evidence
 	// plane.
-	KnownHead *auditlog.TreeHead `json:"knownHead,omitempty"`
+	KnownHead *auditlog.TreeHead
 }
 
 // VerifyReply carries a responder's answer.
@@ -91,9 +91,9 @@ type VerifyReply struct {
 	// Consistency links it to the request's KnownHead, and Citations are
 	// the sealed records grounding the answer (evidence.go). All empty
 	// outside the evidence plane.
-	Head        *auditlog.TreeHead `json:"head,omitempty"`
-	Consistency *auditlog.Proof    `json:"consistency,omitempty"`
-	Citations   []Citation         `json:"citations,omitempty"`
+	Head        *auditlog.TreeHead
+	Consistency *auditlog.Proof
+	Citations   []Citation
 }
 
 // Transport routes investigation traffic; the core package implements it

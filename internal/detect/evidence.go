@@ -42,9 +42,9 @@ import (
 // canonical line, its leaf index, and the inclusion proof tying it to the
 // reply's tree head.
 type Citation struct {
-	Index  uint64         `json:"index"`
-	Record string         `json:"record"`
-	Proof  auditlog.Proof `json:"proof"`
+	Index  uint64
+	Record string
+	Proof  auditlog.Proof
 }
 
 // HeadSource supplies the latest gossip-verified evidence-log tree head

@@ -55,10 +55,6 @@ func mobilitySpec(seed int64, speed float64) scenario.Spec {
 		Duration:  scenario.Dur(4 * time.Minute),
 		Radio:     scenario.RadioSpec{Range: 200},
 		Mobility:  mob,
-		// Experiment runs take the binary control envelope — the hot-path
-		// codec of DESIGN.md §10. The golden presets keep JSON so every
-		// pinned digest (which counts ctrl payload bytes) stays identical.
-		BinaryCtrl: true,
 		Attacks: []scenario.AttackSpec{{
 			Kind:     "linkspoof",
 			Node:     16,

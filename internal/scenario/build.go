@@ -114,7 +114,6 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 		Seed:       spec.Seed,
 		Evidence:   evidence,
 		Reputation: repCfg,
-		BinaryCtrl: spec.BinaryCtrl,
 		Trace:      sink,
 		Radio: radio.Config{
 			Prop:      spec.radioProp(),

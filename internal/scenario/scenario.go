@@ -252,7 +252,9 @@ type RoundsSpec struct {
 // keys via DisallowUnknownFields).
 const SpecVersion = 1
 
-// Spec is a complete declarative scenario.
+// Spec is a complete declarative scenario. No field selects the
+// control-plane codec: every run speaks the binary envelope (DESIGN.md
+// §10), and Parse ignores the retired v1 field "binaryCtrl".
 type Spec struct {
 	// Version is the wire-format version (0 or SpecVersion today; 0
 	// means "current", so hand-written specs need not carry the field).
@@ -294,10 +296,6 @@ type Spec struct {
 	Reputation *ReputationSpec `json:"reputation,omitempty"`
 	// Trace requests the run-trace plane; the runner picks the sink.
 	Trace *TraceSpec `json:"trace,omitempty"`
-	// BinaryCtrl switches the control-plane envelope to the binary
-	// codec (core.Config.BinaryCtrl). Off by default: the JSON envelope
-	// is what the golden corpus's byte counts pin.
-	BinaryCtrl bool `json:"binaryCtrl,omitempty"`
 	// Attacks is the adversary mix.
 	Attacks []AttackSpec `json:"attacks,omitempty"`
 	// Rounds parameterizes rounds-kind scenarios.
@@ -496,16 +494,22 @@ func (s Spec) validateAttack(a AttackSpec) error {
 
 // Parse decodes a JSON spec, rejecting unknown fields, and validates it.
 func Parse(data []byte) (Spec, error) {
-	var s Spec
+	var v struct {
+		Spec
+		// RetiredCodecFlag is the v1 field "binaryCtrl", accepted so
+		// stored specs keep parsing and otherwise ignored: the binary
+		// envelope it opted into is now the only control-plane codec.
+		RetiredCodecFlag bool `json:"binaryCtrl"`
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := dec.Decode(&v); err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := v.Spec.Validate(); err != nil {
 		return Spec{}, err
 	}
-	return s, nil
+	return v.Spec, nil
 }
 
 // Load reads and parses a spec file.

@@ -38,6 +38,47 @@ func TestSpecVersioning(t *testing.T) {
 	}
 }
 
+// TestParseIgnoresRetiredCodecField keeps stored v1 specs parsing: the
+// retired "binaryCtrl" field is accepted with either value and changes
+// nothing, since the binary envelope is the only control-plane codec.
+// The logforger preset carries every control payload (routed requests,
+// proof-carrying replies and tree-head gossip).
+func TestParseIgnoresRetiredCodecField(t *testing.T) {
+	spec, ok := Get("logforger")
+	if !ok {
+		t.Fatal("logforger preset missing")
+	}
+	data, err := spec.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "binaryCtrl") {
+		t.Fatalf("Spec.JSON emits the retired field:\n%s", data)
+	}
+	base, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"true", "false"} {
+		stored := strings.Replace(string(data), "{", `{"binaryCtrl": `+v+`,`, 1)
+		got, err := Parse([]byte(stored))
+		if err != nil {
+			t.Fatalf("binaryCtrl %s: %v", v, err)
+		}
+		res, err := Run(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Digest() != want.Digest() {
+			t.Errorf("binaryCtrl %s changed the digest:\n%s\nvs\n%s", v, res.Canonical(), want.Canonical())
+		}
+	}
+}
+
 // TestPresetsCarryNoVersion guards the golden corpus: presets leave the
 // version field at its omitted default, so their JSON serialization —
 // and with it every pinned digest input — is unchanged by versioning.

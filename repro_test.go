@@ -54,13 +54,12 @@ func TestFacadeFullStack(t *testing.T) {
 // between speed/2 and speed m/s (static at 0).
 func fullStackSpec(seed int64, speed float64, duration, attackAt time.Duration) Scenario {
 	spec := Scenario{
-		Name:       "fullstack",
-		Seed:       seed,
-		Nodes:      16,
-		ArenaSide:  500,
-		Duration:   scenario.Dur(duration),
-		Radio:      scenario.RadioSpec{Range: 200},
-		BinaryCtrl: true,
+		Name:      "fullstack",
+		Seed:      seed,
+		Nodes:     16,
+		ArenaSide: 500,
+		Duration:  scenario.Dur(duration),
+		Radio:     scenario.RadioSpec{Range: 200},
 		Attacks: []scenario.AttackSpec{{
 			Kind: "linkspoof", Node: 16, Mode: "phantom",
 			At: scenario.Dur(attackAt), Pin: true, DropCtrl: true,
