@@ -158,9 +158,8 @@ func (r *ctrlReader) boolean() bool {
 	case 1:
 		return true
 	}
-	if r.err == nil {
-		r.err = errCtrlBool
-	}
+	// u8 yields 0 once r.err is set, so r.err is still nil here.
+	r.err = errCtrlBool
 	return false
 }
 

@@ -84,6 +84,10 @@ func TestCtrlBinaryRejectsTruncation(t *testing.T) {
 		if _, err := decodeCtrlMsg(append(append([]byte{}, enc...), 0)); err == nil {
 			t.Fatal("decode accepted trailing garbage")
 		}
+		enc[0] = '{'
+		if _, err := decodeCtrlMsg(enc); err == nil {
+			t.Fatal("decode accepted an envelope without its format tag")
+		}
 	}
 }
 
@@ -115,14 +119,6 @@ func TestCtrlDecodeRejectsNonCanonicalBool(t *testing.T) {
 	on[flag] = 2
 	if dec, err := decodeCtrlMsg(on); err == nil {
 		t.Fatalf("decode accepted flag byte 2 at offset %d: %+v", flag, dec.Req)
-	}
-}
-
-func TestCtrlDecodeRequiresFormatTag(t *testing.T) {
-	enc := appendCtrlMsg(nil, sampleCtrlMsgs()[0])
-	enc[0] = '{'
-	if _, err := decodeCtrlMsg(enc); err == nil {
-		t.Fatal("decode accepted an envelope without its format tag")
 	}
 }
 
