@@ -2,7 +2,7 @@ package repro
 
 // Allocation-regression tier (DESIGN.md §10): the hot-path memory
 // architecture — dense node indices, slab trust state, arena reuse,
-// binary control codecs — bought a >5× cut in allocs/run (BENCH_PR6.json).
+// binary control codecs — bought a >5× cut in allocs/run.
 // These tests pin that win so it cannot silently erode:
 //
 //   - TestAllocCeiling*: testing.AllocsPerRun hard ceilings on the
@@ -28,6 +28,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/reputation"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/trust"
 	"repro/internal/wire"
 )
@@ -101,6 +102,29 @@ func TestAllocCeilingWireEncode(t *testing.T) {
 	}}}
 	buf := make([]byte, 0, 256)
 	allocCeiling(t, "wire.Packet.AppendTo", 0, func() { buf = p.AppendTo(buf[:0]) })
+}
+
+// TestAllocCeilingSim pins the event kernel: scheduling through At and
+// After with a non-capturing func, AfterCall with a pointer arg, Step,
+// and a ticker's steady-state firing allocate nothing once the queue
+// has capacity.
+func TestAllocCeilingSim(t *testing.T) {
+	s := sim.New(1)
+	noop := func() {}
+	bump := func(a any) { *a.(*int)++ }
+	calls := 0
+	s.Reserve(512) // AllocsPerRun(100) makes 101 calls per entry
+	allocCeiling(t, "sim.Scheduler.At", 0, func() { s.At(s.Now()+time.Second, noop) })
+	allocCeiling(t, "sim.Scheduler.After", 0, func() { s.After(time.Second, noop) })
+	allocCeiling(t, "sim.Scheduler.AfterCall", 0, func() { s.AfterCall(time.Second, bump, &calls) })
+	allocCeiling(t, "sim.Scheduler.Step", 0, func() { s.Step() })
+	s.Run()
+	s.Every(0, time.Millisecond, 0.5, noop)
+	s.Step()
+	allocCeiling(t, "sim.Ticker firing", 0, func() { s.Step() })
+	if calls == 0 {
+		t.Fatal("no AfterCall event ran")
+	}
 }
 
 // allocBudgetSpecs are the whole-run budget subjects: one detection-only

@@ -286,7 +286,7 @@ type investigation struct {
 	// gravity is the most serious evidence class observed this round
 	// (property 2/3 of §IV-A); it scales the verdict's trust impact.
 	gravity  trust.Gravity
-	deadline *sim.Event
+	deadline sim.Event
 }
 
 // suspectCell is the per-suspect detector state. Cells live in a dense
@@ -761,7 +761,7 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 			// stale past this point; inv is heap state and stays valid.)
 			d.proofFailures++
 			d.ReportForgedEvidence(rep.Responder, "reply evidence failed proof verification")
-			if len(inv.pending) == 0 && inv.deadline != nil {
+			if len(inv.pending) == 0 {
 				inv.deadline.Cancel()
 				d.finalize(inv)
 			}
@@ -776,7 +776,7 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 		}
 		c.noInfo.Add(rep.Responder)
 	}
-	if len(inv.pending) == 0 && inv.deadline != nil {
+	if len(inv.pending) == 0 {
 		inv.deadline.Cancel()
 		d.finalize(inv)
 	}

@@ -156,8 +156,8 @@ type Medium struct {
 
 	// pool recycles the per-delivery argument structs handed to
 	// sim.AfterCall, so a broadcast fan-out schedules its events without
-	// allocating (one pooled event + one pooled argument per receiver;
-	// the event count the scenario digests pin is untouched).
+	// allocating (one pooled argument per receiver; the event count the
+	// scenario digests pin is untouched).
 	pool []*delivery
 
 	// Spatial index (nil cells map when running the reference scan).

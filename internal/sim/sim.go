@@ -5,87 +5,71 @@
 // Determinism is a hard requirement for the reproduction — every experiment
 // in EXPERIMENTS.md records its seed, and re-running with the same seed must
 // produce byte-identical series.
+//
+// Pending events are stored by value in a binary min-heap keyed on
+// (time, sequence number), and every event has one callback form,
+// fn(arg): At and After store their func() as the argument, AfterCall
+// passes its own, and a Ticker re-arms itself through the same path.
+// Scheduling allocates nothing once the heap has grown to its working
+// size. Cancel marks an event in a set consulted when it is popped.
 package sim
 
 import (
-	"container/heap"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/trace"
 )
 
-// Event is a scheduled callback. The zero value is not useful; create events
-// through Scheduler.At or Scheduler.After.
+// key orders events by virtual time, then by scheduling order, so
+// same-instant events run FIFO. No two events share a seq.
+type key struct {
+	at  time.Duration
+	seq uint64
+}
+
+func (k key) before(o key) bool { return k.at < o.at || (k.at == o.at && k.seq < o.seq) }
+
+// event is one pending callback: fn(arg) runs at virtual time at.
+type event struct {
+	key
+	fn  func(any)
+	arg any
+}
+
+// Event is a handle to a callback scheduled by At or After. The zero
+// value is a handle to nothing; its Cancel is a no-op.
 type Event struct {
-	at       time.Duration
-	seq      uint64
-	fn       func()
-	fnArg    func(any) // pooled-call form: fnArg(arg) instead of fn()
-	arg      any
-	canceled bool
-	pooled   bool // recycled onto the scheduler free list after running
-	index    int  // heap index, -1 once popped
+	s *Scheduler
+	key
 }
 
 // Cancel prevents the event from running. Canceling an already-run or
 // already-canceled event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
-}
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
-// When returns the virtual time the event is scheduled for.
-func (e *Event) When() time.Duration { return e.at }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e, ok := x.(*Event)
-	if !ok {
+func (e Event) Cancel() {
+	s := e.s
+	if s == nil || s.gone(e) {
 		return
 	}
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	if s.canceled == nil {
+		s.canceled = make(map[uint64]struct{})
+	}
+	s.canceled[e.seq] = struct{}{}
 }
 
 // Scheduler owns the virtual clock and the pending event queue.
 type Scheduler struct {
-	now    time.Duration
-	seq    uint64
-	events eventHeap
+	now      time.Duration
+	seq      uint64
+	events   []event // binary min-heap on (at, seq)
+	canceled map[uint64]struct{}
+	// floor is the sequence number drawn next when the queue last ran
+	// empty: every event with a lower seq has run or been reaped.
+	floor  uint64
 	rng    *rand.Rand
 	ran    uint64
-	free   []*Event // recycled AfterCall events
 	tracer *trace.Tracer
 }
 
@@ -113,17 +97,11 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // events that have not been reaped yet.
 func (s *Scheduler) Pending() int { return len(s.events) }
 
-// Reserve grows the event queue's capacity so the next n At/After calls
+// Reserve grows the event queue's capacity so the next n schedule calls
 // do not reallocate it. Bulk schedulers (the radio medium fanning one
 // broadcast out to every receiver) call it once per burst; it has no
 // observable effect on event ordering or timing.
-func (s *Scheduler) Reserve(n int) {
-	if free := cap(s.events) - len(s.events); free < n {
-		grown := make(eventHeap, len(s.events), len(s.events)+n)
-		copy(grown, s.events)
-		s.events = grown
-	}
-}
+func (s *Scheduler) Reserve(n int) { s.events = slices.Grow(s.events, n) }
 
 // Processed returns how many events have run so far.
 func (s *Scheduler) Processed() uint64 { return s.ran }
@@ -131,102 +109,128 @@ func (s *Scheduler) Processed() uint64 { return s.ran }
 // At schedules fn to run at absolute virtual time t. Times in the past run
 // at the current instant (never before already-queued events for that
 // instant).
-func (s *Scheduler) At(t time.Duration, fn func()) *Event {
-	if t < s.now {
-		t = s.now
-	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, e)
-	return e
-}
+func (s *Scheduler) At(t time.Duration, fn func()) Event { return s.push(t, callFunc, fn) }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func()) *Event {
-	return s.At(s.now+d, fn)
-}
+func (s *Scheduler) After(d time.Duration, fn func()) Event { return s.push(s.now+d, callFunc, fn) }
 
-// reAt re-enqueues an event that has already run, keeping its callback.
-// The caller must be the event's only holder and the event must not be
-// pending (index -1). The event draws the sequence number a fresh
-// At call would draw, so ordering is unchanged.
-func (s *Scheduler) reAt(e *Event, t time.Duration) {
+// AfterCall schedules fn(arg) to run d after the current virtual time.
+// With a static fn and a pointer arg it schedules without building a
+// closure, which is what bulk schedulers (the radio medium fans one
+// broadcast out to every receiver) want. The call cannot be canceled.
+func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) { s.push(s.now+d, fn, arg) }
+
+// callFunc is the callback of events scheduled by At and After.
+func callFunc(fn any) { fn.(func())() }
+
+// push enqueues fn(arg) at time t, clamped to now, under the next
+// sequence number.
+func (s *Scheduler) push(t time.Duration, fn func(any), arg any) Event {
 	if t < s.now {
 		t = s.now
 	}
-	e.at, e.seq, e.canceled = t, s.seq, false
+	e := event{key: key{t, s.seq}, fn: fn, arg: arg}
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events = append(s.events, e)
+	h := s.events
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p].key) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	return Event{s, e.key}
 }
 
-// AfterCall schedules fn(arg) to run d after the current virtual time
-// on a recycled event. It is the allocation-free fast path for bulk
-// schedulers (the radio medium fans one broadcast out to every
-// receiver): no handle is returned, so the call cannot be canceled, and
-// the event object goes back on a free list the moment it has run.
-// Ordering is identical to After — the event draws the same sequence
-// number it would have drawn there.
-func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) {
-	t := s.now + d
-	if t < s.now {
-		t = s.now
+// pop removes and returns the earliest pending event.
+func (s *Scheduler) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = event{} // drop the callback's references
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		s.floor = s.seq
+		return top
 	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = new(Event)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c].key) {
+			c = r
+		}
+		if !h[c].before(e.key) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	*e = Event{at: t, seq: s.seq, fnArg: fn, arg: arg, pooled: true}
-	s.seq++
-	heap.Push(&s.events, e)
+	h[i] = e
+	return top
+}
+
+// gone reports whether the event behind handle e has run or been reaped.
+// Between two moments the queue runs empty, events leave it in (at, seq)
+// order and no later push sorts before them: next reaps only events due
+// by the time the clock then stands at, and a push is due no earlier
+// than the clock. So an event is gone exactly when its seq predates the
+// last empty queue or it sorts before the current head.
+func (s *Scheduler) gone(e Event) bool {
+	return e.seq < s.floor || len(s.events) == 0 || e.before(s.events[0].key)
+}
+
+// next removes and returns the earliest live event due at or before
+// limit, reaping canceled events on the way.
+func (s *Scheduler) next(limit time.Duration) (event, bool) {
+	for len(s.events) > 0 && s.events[0].at <= limit {
+		e := s.pop()
+		if len(s.canceled) > 0 {
+			if _, dead := s.canceled[e.seq]; dead {
+				delete(s.canceled, e.seq)
+				continue
+			}
+		}
+		return e, true
+	}
+	return event{}, false
+}
+
+// dispatch advances the clock to e and runs it.
+func (s *Scheduler) dispatch(e event) {
+	s.now = e.at
+	s.ran++
+	if s.tracer.On() {
+		s.tracer.Emit(trace.Event{Plane: trace.PlaneSched, Kind: trace.KindDispatch,
+			V0: float64(e.seq)})
+	}
+	e.fn(e.arg)
 }
 
 // Step runs the single earliest pending event. It reports false when the
 // queue is empty.
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		e, ok := heap.Pop(&s.events).(*Event)
-		if !ok {
-			return false
-		}
-		if e.canceled {
-			continue
-		}
-		s.now = e.at
-		s.ran++
-		if s.tracer.On() {
-			s.tracer.Emit(trace.Event{Plane: trace.PlaneSched, Kind: trace.KindDispatch,
-				V0: float64(e.seq)})
-		}
-		if e.pooled {
-			fn, arg := e.fnArg, e.arg
-			*e = Event{}
-			s.free = append(s.free, e)
-			fn(arg)
-		} else {
-			e.fn()
-		}
-		return true
+	e, ok := s.next(math.MaxInt64)
+	if ok {
+		s.dispatch(e)
 	}
-	return false
+	return ok
 }
 
 // RunUntil executes events in order until the queue is empty or the next
 // event lies strictly after t. The clock is advanced to t afterwards so that
 // subsequent After calls are relative to t.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	for len(s.events) > 0 {
-		if s.events[0].canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if s.events[0].at > t {
-			break
-		}
-		s.Step()
+	for e, ok := s.next(t); ok; e, ok = s.next(t) {
+		s.dispatch(e)
 	}
 	if s.now < t {
 		s.now = t
@@ -246,8 +250,7 @@ type Ticker struct {
 	interval time.Duration
 	jitter   float64
 	fn       func()
-	fireFn   func() // t.fire bound once; a fresh method value per firing allocates
-	next     *Event
+	next     Event
 	stopped  bool
 }
 
@@ -262,15 +265,14 @@ func (s *Scheduler) Every(start, interval time.Duration, jitter float64, fn func
 		jitter = 1
 	}
 	t := &Ticker{s: s, interval: interval, jitter: jitter, fn: fn}
-	t.fireFn = t.fire
-	t.next = s.After(start, t.fireFn)
+	t.next = s.push(s.now+start, fireTicker, t)
 	return t
 }
 
+// fireTicker is the callback of ticker events.
+func fireTicker(t any) { t.(*Ticker).fire() }
+
 func (t *Ticker) fire() {
-	if t.stopped {
-		return
-	}
 	t.fn()
 	if t.stopped { // fn may stop its own ticker
 		return
@@ -282,22 +284,12 @@ func (t *Ticker) fire() {
 	if d <= 0 {
 		d = 1
 	}
-	// The event that carried this firing has been popped (index -1) and
-	// only the ticker ever held it, so re-arm the same object instead of
-	// allocating one per tick. reAt draws a fresh sequence number, so
-	// ordering is identical to a newly created event.
-	if e := t.next; e != nil && e.index == -1 && !e.canceled {
-		t.s.reAt(e, t.s.now+d)
-		return
-	}
-	t.next = t.s.After(d, t.fireFn)
+	t.next = t.s.push(t.s.now+d, fireTicker, t)
 }
 
 // Stop cancels future firings. It is safe to call more than once and from
 // within the ticker's own callback.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.next != nil {
-		t.next.Cancel()
-	}
+	t.next.Cancel()
 }

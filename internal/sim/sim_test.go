@@ -80,15 +80,20 @@ func TestCancel(t *testing.T) {
 	ran := false
 	e := s.At(time.Second, func() { ran = true })
 	e.Cancel()
+	e.Cancel() // twice is a no-op
 	s.Run()
 	if ran {
 		t.Fatal("canceled event ran")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if len(s.canceled) != 0 {
+		t.Fatalf("%d cancel marks left after the event was reaped", len(s.canceled))
 	}
-	var nilEvent *Event
-	nilEvent.Cancel() // must not panic
+	e.Cancel() // after the event left the queue: no-op
+	if len(s.canceled) != 0 {
+		t.Fatal("Cancel of a reaped event left a mark")
+	}
+	var zero Event
+	zero.Cancel() // must not panic
 }
 
 func TestRunUntil(t *testing.T) {

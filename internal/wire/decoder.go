@@ -10,16 +10,14 @@ import (
 // addrOf reads one big-endian address.
 func addrOf(b []byte) addr.Node { return addr.Node(binary.BigEndian.Uint32(b)) }
 
-// Decoder decodes packets into storage it retains and reuses across
-// calls — the arena variant of DecodePacket for receive hot paths,
-// where every station decodes every overheard control packet. A decoded
-// packet (and everything reachable from it: messages, bodies, neighbor
-// lists) is valid only until the next Decode call on the same Decoder;
-// callers that keep state must copy out, exactly as they must for the
-// radio payload buffers.
-//
-// The decode is bit-for-bit the same as DecodePacket — same validation,
-// same errors — only the allocation behavior differs.
+// Decoder is the OLSR packet decoder. It decodes into storage it
+// retains and reuses across calls, so receive hot paths — every station
+// decodes every overheard control packet — allocate nothing once warm.
+// A decoded packet (and everything reachable from it: messages, bodies,
+// neighbor lists) is valid only until the next Decode call on the same
+// Decoder; callers that keep state must copy out, exactly as they must
+// for the radio payload buffers. DecodePacket decodes through a fresh
+// Decoder for callers that keep the result.
 type Decoder struct {
 	pkt Packet
 

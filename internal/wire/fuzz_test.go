@@ -1,21 +1,53 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
 )
 
-// FuzzDecodePacket: the codec must never panic and must stay consistent —
-// anything it accepts must re-encode and re-decode to the same bytes.
-// The decoder is attack surface: §II-B's active-forge attacks deliver
-// adversarial packets to every node.
+// mixedPacket carries every body type — a HELLO with several link
+// blocks, TC, MID, HNA, Recommend and an unknown type — so a Decoder
+// that has decoded it holds pooled storage of every shape.
+var mixedPacket = (&Packet{Seq: 9, Messages: []Message{{
+	VTime: 6 * time.Second, Originator: addr.NodeAt(1), TTL: 1, Seq: 1,
+	Body: &Hello{HTime: 2 * time.Second, Will: WillDefault, Links: []LinkBlock{
+		{Code: MakeLinkCode(NeighSym, LinkSym), Neighbors: []addr.Node{addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4)}},
+		{Code: MakeLinkCode(NeighMPR, LinkSym), Neighbors: []addr.Node{addr.NodeAt(5)}},
+		{Code: MakeLinkCode(NeighNot, LinkAsym)},
+		{Code: MakeLinkCode(NeighNot, LinkLost), Neighbors: []addr.Node{addr.NodeAt(6), addr.NodeAt(7)}},
+	}},
+}, {
+	VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 2,
+	Body: &TC{ANSN: 7, Advertised: []addr.Node{addr.NodeAt(1), addr.NodeAt(2)}},
+}, {
+	VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 3,
+	Body: &MID{Interfaces: []addr.Node{addr.NodeAt(200), addr.NodeAt(201)}},
+}, {
+	VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 4,
+	Body: &HNA{Networks: []HNANetwork{{Network: 0x0a000000, Mask: 0xff000000}}},
+}, {
+	VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: 5,
+	Body: &Recommend{Entries: []RecommendEntry{{About: addr.NodeAt(1), Trust: 40000}, {About: addr.NodeAt(9), Trust: 7}}},
+}, {
+	VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 64, Seq: 6,
+	Body: &RawBody{Type: 200, Data: []byte{1, 2, 3, 4, 5}},
+}}}).Encode()
+
+// FuzzDecodePacket: the decoder must never panic and must stay
+// consistent — anything it accepts must re-encode and re-decode to the
+// same bytes, and a Decoder reused across packets of different shapes
+// must decode each exactly as a fresh one does. The decoder is attack
+// surface: §II-B's active-forge attacks deliver adversarial packets to
+// every node.
 func FuzzDecodePacket(f *testing.F) {
 	seeds := [][]byte{
 		{},
 		{0, 0},
 		{0, 4, 0, 1},
+		mixedPacket,
 		(&Packet{Seq: 1, Messages: []Message{{
 			VTime: 2 * time.Second, Originator: addr.NodeAt(1), TTL: 1, Seq: 1,
 			Body: &Hello{HTime: 2 * time.Second, Will: WillDefault, Links: []LinkBlock{{
@@ -27,47 +59,34 @@ func FuzzDecodePacket(f *testing.F) {
 			VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 9,
 			Body: &TC{ANSN: 7, Advertised: []addr.Node{addr.NodeAt(1), addr.NodeAt(2)}},
 		}}}).Encode(),
-		(&Packet{Seq: 3, Messages: []Message{{
-			VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 10,
-			Body: &MID{Interfaces: []addr.Node{addr.NodeAt(200)}},
-		}, {
-			VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 11,
-			Body: &HNA{Networks: []HNANetwork{{Network: 0x0a000000, Mask: 0xff000000}}},
-		}}}).Encode(),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePacket(data)
-		if err != nil {
-			// The arena decoder must reject exactly what DecodePacket
-			// rejects.
-			if _, derr := new(Decoder).Decode(data); derr == nil {
-				t.Fatal("Decoder accepted input DecodePacket rejected")
-			}
-			return
-		}
-		re := p.Encode()
-		q, err := DecodePacket(re)
-		if err != nil {
-			t.Fatalf("accepted packet does not re-decode: %v", err)
-		}
-		if len(q.Messages) != len(p.Messages) || q.Seq != p.Seq {
-			t.Fatalf("re-decode changed structure: %d/%d messages", len(q.Messages), len(p.Messages))
-		}
-		// The arena decoder is a pure allocation substitution: decoding
-		// the same bytes twice through one Decoder (second pass reuses
-		// the first pass's storage) must reproduce DecodePacket's result
-		// byte for byte.
-		var dec Decoder
-		for i := 0; i < 2; i++ {
-			ap, err := dec.Decode(data)
+		if p, err := DecodePacket(data); err == nil {
+			re := p.Encode()
+			q, err := DecodePacket(re)
 			if err != nil {
-				t.Fatalf("Decoder pass %d rejected accepted packet: %v", i, err)
+				t.Fatalf("accepted packet does not re-decode: %v", err)
 			}
-			if got := ap.Encode(); string(got) != string(re) {
-				t.Fatalf("Decoder pass %d re-encodes differently:\n%x\n%x", i, got, re)
+			if got := q.Encode(); !bytes.Equal(got, re) {
+				t.Fatalf("re-encode is not a fixed point:\n%x\n%x", got, re)
+			}
+		}
+		// One Decoder alternates between the input and the mixed packet;
+		// every pass must match a fresh decode, error for error and byte
+		// for byte, whatever shapes (or half-finished failed decode) the
+		// previous pass left in its pools.
+		var dec Decoder
+		for i, in := range [][]byte{data, mixedPacket, data, mixedPacket} {
+			want, werr := DecodePacket(in)
+			got, gerr := dec.Decode(in)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("pass %d: reused Decoder error %v, fresh decode error %v", i, gerr, werr)
+			}
+			if werr == nil && !bytes.Equal(got.Encode(), want.Encode()) {
+				t.Fatalf("pass %d: reused Decoder re-encodes differently:\n%x\n%x", i, got.Encode(), want.Encode())
 			}
 		}
 	})

@@ -217,31 +217,6 @@ func (h *Hello) encodeTo(b []byte) {
 	}
 }
 
-func decodeHello(b []byte) (*Hello, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("hello header: %w", ErrTruncated)
-	}
-	h := &Hello{HTime: DecodeVTime(b[2]), Will: Willingness(b[3])}
-	off := 4
-	for off < len(b) {
-		if len(b)-off < 4 {
-			return nil, fmt.Errorf("hello link block header: %w", ErrTruncated)
-		}
-		code := LinkCode(b[off])
-		size := int(binary.BigEndian.Uint16(b[off+2:]))
-		if size < 4 || (size-4)%4 != 0 || off+size > len(b) {
-			return nil, fmt.Errorf("hello link block size %d: %w", size, ErrBadLength)
-		}
-		lb := LinkBlock{Code: code}
-		for p := off + 4; p < off+size; p += 4 {
-			lb.Neighbors = append(lb.Neighbors, addr.Node(binary.BigEndian.Uint32(b[p:])))
-		}
-		h.Links = append(h.Links, lb)
-		off += size
-	}
-	return h, nil
-}
-
 // SymNeighbors returns every address advertised with a symmetric or MPR
 // neighbor type — the advertised symmetric 1-hop neighborhood NS'(I) that
 // the detector compares against reality.
@@ -301,17 +276,6 @@ func (t *TC) encodeTo(b []byte) {
 	}
 }
 
-func decodeTC(b []byte) (*TC, error) {
-	if len(b) < 4 || (len(b)-4)%4 != 0 {
-		return nil, fmt.Errorf("tc body length %d: %w", len(b), ErrBadBody)
-	}
-	t := &TC{ANSN: binary.BigEndian.Uint16(b)}
-	for p := 4; p < len(b); p += 4 {
-		t.Advertised = append(t.Advertised, addr.Node(binary.BigEndian.Uint32(b[p:])))
-	}
-	return t, nil
-}
-
 // MID is the Multiple Interface Declaration body (RFC 3626 §5.1): the other
 // interface addresses of the originator.
 type MID struct {
@@ -331,17 +295,6 @@ func (m *MID) encodeTo(b []byte) {
 		binary.BigEndian.PutUint32(b[off:], uint32(n))
 		off += 4
 	}
-}
-
-func decodeMID(b []byte) (*MID, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("mid body length %d: %w", len(b), ErrBadBody)
-	}
-	m := &MID{}
-	for p := 0; p < len(b); p += 4 {
-		m.Interfaces = append(m.Interfaces, addr.Node(binary.BigEndian.Uint32(b[p:])))
-	}
-	return m, nil
 }
 
 // HNANetwork is one (network, netmask) pair announced in an HNA message.
@@ -370,20 +323,6 @@ func (h *HNA) encodeTo(b []byte) {
 		binary.BigEndian.PutUint32(b[off+4:], uint32(nw.Mask))
 		off += 8
 	}
-}
-
-func decodeHNA(b []byte) (*HNA, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("hna body length %d: %w", len(b), ErrBadBody)
-	}
-	h := &HNA{}
-	for p := 0; p < len(b); p += 8 {
-		h.Networks = append(h.Networks, HNANetwork{
-			Network: addr.Node(binary.BigEndian.Uint32(b[p:])),
-			Mask:    addr.Node(binary.BigEndian.Uint32(b[p+4:])),
-		})
-	}
-	return h, nil
 }
 
 // RecommendEntry is one subject of a gossiped trust vector: the node the
@@ -445,20 +384,6 @@ func (r *Recommend) encodeTo(b []byte) {
 	}
 }
 
-func decodeRecommend(b []byte) (*Recommend, error) {
-	if len(b)%recommendEntryLen != 0 {
-		return nil, fmt.Errorf("recommend body length %d: %w", len(b), ErrBadBody)
-	}
-	r := &Recommend{}
-	for p := 0; p < len(b); p += recommendEntryLen {
-		r.Entries = append(r.Entries, RecommendEntry{
-			About: addr.Node(binary.BigEndian.Uint32(b[p:])),
-			Trust: binary.BigEndian.Uint16(b[p+4:]),
-		})
-	}
-	return r, nil
-}
-
 // RawBody carries an unknown message type opaquely, as RFC 3626 §3.4
 // requires unknown messages to still be forwarded.
 type RawBody struct {
@@ -502,45 +427,6 @@ func (m *Message) encodeTo(b []byte) {
 	b[9] = m.HopCount
 	binary.BigEndian.PutUint16(b[10:], m.Seq)
 	m.Body.encodeTo(b[msgHeaderLen:])
-}
-
-func decodeMessage(b []byte) (Message, int, error) {
-	if len(b) < msgHeaderLen {
-		return Message{}, 0, fmt.Errorf("message header: %w", ErrTruncated)
-	}
-	size := int(binary.BigEndian.Uint16(b[2:]))
-	if size < msgHeaderLen || size > len(b) {
-		return Message{}, 0, fmt.Errorf("message size %d with %d available: %w", size, len(b), ErrBadLength)
-	}
-	m := Message{
-		VTime:      DecodeVTime(b[1]),
-		Originator: addr.Node(binary.BigEndian.Uint32(b[4:])),
-		TTL:        b[8],
-		HopCount:   b[9],
-		Seq:        binary.BigEndian.Uint16(b[10:]),
-	}
-	body := b[msgHeaderLen:size]
-	var err error
-	switch MessageType(b[0]) {
-	case MsgHello:
-		m.Body, err = decodeHello(body)
-	case MsgTC:
-		m.Body, err = decodeTC(body)
-	case MsgMID:
-		m.Body, err = decodeMID(body)
-	case MsgHNA:
-		m.Body, err = decodeHNA(body)
-	case MsgRecommend:
-		m.Body, err = decodeRecommend(body)
-	default:
-		data := make([]byte, len(body))
-		copy(data, body)
-		m.Body = &RawBody{Type: MessageType(b[0]), Data: data}
-	}
-	if err != nil {
-		return Message{}, 0, err
-	}
-	return m, size, nil
 }
 
 // pktHeaderLen is the fixed packet header size (RFC 3626 §3.3).
@@ -587,25 +473,6 @@ func (p *Packet) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// DecodePacket parses an RFC 3626 packet. It returns an error for any
-// truncation or length inconsistency.
-func DecodePacket(b []byte) (*Packet, error) {
-	if len(b) < pktHeaderLen {
-		return nil, fmt.Errorf("packet header: %w", ErrTruncated)
-	}
-	length := int(binary.BigEndian.Uint16(b))
-	if length != len(b) {
-		return nil, fmt.Errorf("packet length %d but %d bytes: %w", length, len(b), ErrBadLength)
-	}
-	p := &Packet{Seq: binary.BigEndian.Uint16(b[2:])}
-	off := pktHeaderLen
-	for off < len(b) {
-		m, n, err := decodeMessage(b[off:])
-		if err != nil {
-			return nil, err
-		}
-		p.Messages = append(p.Messages, m)
-		off += n
-	}
-	return p, nil
-}
+// DecodePacket parses an RFC 3626 packet into fresh storage. It returns
+// an error for any truncation or length inconsistency.
+func DecodePacket(b []byte) (*Packet, error) { return new(Decoder).Decode(b) }
