@@ -364,9 +364,6 @@ func (b *Buffer) SetSealKey(material []byte) {
 	b.seal.key = DeriveSealKey(material)
 }
 
-// Sealed reports whether sealing is armed.
-func (b *Buffer) Sealed() bool { return b.seal.enabled }
-
 // SealedSize returns how many records have been sealed — the size of the
 // current tree head, equal to NextSeq for an unrewritten log.
 func (b *Buffer) SealedSize() uint64 { return uint64(len(b.seal.leaves)) }

@@ -395,16 +395,6 @@ func (w *Network) Nodes() []addr.Node {
 	return out
 }
 
-// AllIDs returns the membership set (the paper's set N), usable as the
-// detectors' KnownNodes.
-func (w *Network) AllIDs() addr.Set {
-	s := make(addr.Set, len(w.order))
-	for _, id := range w.order {
-		s.Add(id)
-	}
-	return s
-}
-
 // Start launches every router and detector, and — with the evidence or
 // reputation plane enabled — the corresponding per-node gossip.
 func (w *Network) Start() {

@@ -395,9 +395,6 @@ func (d *Detector) Stop() {
 	}
 }
 
-// TrustStore exposes the detector's trust relations.
-func (d *Detector) TrustStore() *trust.Store { return d.store }
-
 // Reports returns every finalized investigation round so far.
 func (d *Detector) Reports() []Report {
 	out := make([]Report, len(d.reports))

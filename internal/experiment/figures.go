@@ -84,12 +84,6 @@ type Population struct {
 	round  int
 }
 
-// SetArena points the population at a worker-owned arena so consecutive
-// trials on one worker share round scratch. NewPopulation gives every
-// population a private arena, so calling this is an optimization, never
-// a requirement.
-func (p *Population) SetArena(a *Arena) { p.arena = a }
-
 // NewPopulation builds the scenario: node 1 observes, the last node
 // attacks, the first cfg.Liars responders (chosen by shuffled order) lie.
 func NewPopulation(cfg Config) *Population {

@@ -258,12 +258,6 @@ func (n *Node) Exclude(x addr.Node, banned bool) {
 // Excluded returns the currently banned nodes.
 func (n *Node) Excluded() addr.Set { return n.excluded.Clone() }
 
-// Addr returns the node's main address.
-func (n *Node) Addr() addr.Node { return n.cfg.Addr }
-
-// Config returns the node's effective (defaulted) configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // SetHooks installs attack hooks. Must be called before Start.
 func (n *Node) SetHooks(h Hooks) { n.hooks = h }
 
@@ -462,15 +456,6 @@ func (n *Node) MPRSelectors() addr.Set {
 		}
 	}
 	return out
-}
-
-// Willing returns the willingness last advertised by neighbor x, or
-// WillDefault when unknown.
-func (n *Node) Willing(x addr.Node) wire.Willingness {
-	if lt, ok := n.links[x]; ok {
-		return lt.will
-	}
-	return wire.WillDefault
 }
 
 // routeTable returns the routing table, recomputing it if topology

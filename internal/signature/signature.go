@@ -55,9 +55,6 @@ func NewEngine(rules ...Rule) *Engine {
 	return &Engine{rules: rules}
 }
 
-// AddRule appends another rule.
-func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, r) }
-
 // Feed processes a batch of events (oldest first) and then advances the
 // clock, returning every alert raised.
 func (e *Engine) Feed(events []logevent.Event, now time.Duration) []Alert {
