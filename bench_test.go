@@ -357,7 +357,8 @@ func BenchmarkScenarioLinkspoof(b *testing.B) {
 // BenchmarkScenarioTrace prices the run-trace plane (DESIGN.md §13):
 // the headline preset with the sink off (the nil-tracer branch every
 // emission site pays) and on (a Recorder accumulating the full NDJSON
-// stream). BENCH_PR10.json records the off/on overhead.
+// stream). manetbench's traced pass reports the overhead end to end
+// (trace.overhead_frac, bench/README.md).
 func BenchmarkScenarioTrace(b *testing.B) {
 	spec, err := scenario.Resolve("linkspoof")
 	if err != nil {
