@@ -194,9 +194,9 @@ func (p *kernelPair) callbacks(a action) (func(), func()) {
 // firing stopAfter (0: never).
 func (p *kernelPair) tickerCallbacks(stopAfter int) (func(), func()) {
 	i := len(p.tks)
-	var nReal, nRef int
+	var nKern, nRef int
 	kern := func() {
-		if nReal++; nReal == stopAfter {
+		if nKern++; nKern == stopAfter {
 			p.tks[i].Stop()
 		}
 	}

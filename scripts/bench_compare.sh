@@ -18,6 +18,7 @@ pairs=${2:?$usage}
 cd "$(dirname "$0")/.."
 work="$PWD/.bench_compare"
 rm -rf "$work"
+git worktree prune
 mkdir -p "$work"
 cleanup() {
 	git worktree remove --force "$work/base" 2>/dev/null || true
