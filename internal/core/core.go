@@ -41,10 +41,9 @@ const (
 )
 
 // EvidenceConfig parameterizes the tamper-evident evidence plane
-// (DESIGN.md §8). Disabled, the network behaves exactly as before —
-// sealing still runs inside every audit log (it is pure computation),
-// but no tree heads are gossiped, no citations ride on replies, and no
-// proofs are verified.
+// (DESIGN.md §8). Disabled, the network behaves exactly as before: audit
+// logs are not sealed, no tree heads are gossiped, no citations ride on
+// replies, and no proofs are verified.
 type EvidenceConfig struct {
 	Enabled bool
 	// GossipInterval is how often each node floods its evidence-log tree
@@ -79,6 +78,11 @@ type ReputationConfig struct {
 	DishonestAfter int
 }
 
+// ctrlTTL bounds control-plane forwarding, in hops. The control plane
+// (verification traffic, tree-head and recommendation gossip) speaks the
+// binary envelope of ctrlwire.go.
+const ctrlTTL = 16
+
 // Config parameterizes a Network.
 type Config struct {
 	Seed int64
@@ -86,10 +90,6 @@ type Config struct {
 	Radio radio.Config
 	// LogCap bounds each node's audit log (0 = unbounded).
 	LogCap int
-	// CtrlTTL bounds control-plane forwarding (default 16 hops). The
-	// control plane (verification traffic and tree-head gossip) always
-	// speaks the binary envelope of ctrlwire.go.
-	CtrlTTL int
 	// Evidence enables tree-head gossip and proof-carrying replies.
 	Evidence EvidenceConfig
 	// Reputation enables recommendation gossip and Eq. 6/7 trust
@@ -128,9 +128,6 @@ type Network struct {
 
 // NewNetwork creates an empty network.
 func NewNetwork(cfg Config) *Network {
-	if cfg.CtrlTTL <= 0 {
-		cfg.CtrlTTL = 16
-	}
 	// Resolve the reputation plane's defaults once, here, so every
 	// consumer — the gossip scheduler, the message VTime, the ledgers —
 	// sees the same effective values (reputation.Config re-defaults
@@ -178,8 +175,6 @@ type NodeSpec struct {
 	ID addr.Node
 	// Pos is the node's mobility model (default: static at the origin).
 	Pos mobility.Model
-	// OLSR overrides protocol timers; the Addr field is set from ID.
-	OLSR olsr.Config
 	// Detector enables an intrusion detector with this configuration
 	// (Self is set from ID). Nil disables detection on the node.
 	Detector *detect.Config
@@ -260,9 +255,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 		logs.SetSealKey([]byte("seal:" + id.String()))
 	}
 
-	olsrCfg := spec.OLSR
-	olsrCfg.Addr = id
-	router := olsr.New(olsrCfg, w.Sched, func(b []byte) {
+	router := olsr.New(olsr.Config{Addr: id}, w.Sched, func(b []byte) {
 		w.traceSend(id, "olsr")
 		w.Medium.Send(id, addr.Broadcast, append([]byte{PayloadOLSR}, b...))
 	}, logs)

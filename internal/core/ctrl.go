@@ -57,7 +57,7 @@ func (t *nodeTransport) SendVerify(req detect.VerifyRequest) {
 		Kind:  ctrlVerifyReq,
 		From:  t.node.ID,
 		To:    req.Responder,
-		TTL:   t.node.net.cfg.CtrlTTL,
+		TTL:   ctrlTTL,
 		Avoid: req.Avoid,
 		Req:   &r,
 	})
@@ -162,7 +162,7 @@ func (n *Node) gossipHead() {
 		Kind:   ctrlTreeHead,
 		From:   n.ID,
 		To:     addr.Broadcast,
-		TTL:    n.net.cfg.CtrlTTL,
+		TTL:    ctrlTTL,
 		Origin: n.ID,
 		Head:   &head,
 	}
@@ -282,7 +282,7 @@ func (n *Node) deliverCtrl(m *ctrlMsg) {
 			Kind:  ctrlVerifyRep,
 			From:  n.ID,
 			To:    m.Req.Investigator,
-			TTL:   n.net.cfg.CtrlTTL,
+			TTL:   ctrlTTL,
 			Avoid: m.Avoid,
 			Rep:   &rep,
 		})

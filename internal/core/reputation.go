@@ -101,15 +101,11 @@ func (n *Node) gossipRecommend() {
 		})
 	}
 	n.recSeq++
-	ttl := n.net.cfg.CtrlTTL
-	if ttl > 255 {
-		ttl = 255
-	}
 	n.net.ctrlSent++
 	n.broadcastRecommend(wire.Message{
 		VTime:      n.net.cfg.Reputation.Freshness,
 		Originator: n.ID,
-		TTL:        uint8(ttl), //nolint:gosec // clamped above
+		TTL:        ctrlTTL,
 		Seq:        n.recSeq,
 		Body:       body,
 	})

@@ -209,20 +209,24 @@ type Report struct {
 	Links []addr.Node
 }
 
+// Investigation timing and bounds.
+const (
+	// scanPeriod is how often the audit log is parsed.
+	scanPeriod = time.Second
+	// answerTimeout bounds how long an investigation round waits for
+	// replies.
+	answerTimeout = 3 * time.Second
+	// maxRounds bounds re-investigation of an unrecognized suspect (the
+	// paper's experiment length).
+	maxRounds = 25
+	// maxResponders caps interrogated nodes per link.
+	maxResponders = 8
+)
+
 // Config parameterizes a Detector.
 type Config struct {
 	Self addr.Node
 
-	// ScanPeriod is how often the audit log is parsed (default 1s).
-	ScanPeriod time.Duration
-	// AnswerTimeout bounds how long an investigation round waits for
-	// replies (default 3s).
-	AnswerTimeout time.Duration
-	// MaxRounds bounds re-investigation of an unrecognized suspect
-	// (default 25, the paper's experiment length).
-	MaxRounds int
-	// MaxResponders caps interrogated nodes per link (default 8).
-	MaxResponders int
 	// KnownNodes, when non-nil, is the network membership (the paper's
 	// set N in Expression 1); advertising a node outside it is immediate
 	// first-hand evidence of spoofing.
@@ -255,22 +259,6 @@ type Config struct {
 // boolean is false when no usable recommendation exists.
 type TrustBootstrapper interface {
 	BootstrapTrust(n addr.Node) (float64, bool)
-}
-
-func (c Config) withDefaults() Config {
-	if c.ScanPeriod <= 0 {
-		c.ScanPeriod = time.Second
-	}
-	if c.AnswerTimeout <= 0 {
-		c.AnswerTimeout = 3 * time.Second
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 25
-	}
-	if c.MaxResponders <= 0 {
-		c.MaxResponders = 8
-	}
-	return c
 }
 
 type investigation struct {
@@ -366,13 +354,12 @@ func NewDetector(
 	transport Transport,
 	store *trust.Store,
 ) *Detector {
-	cfg = cfg.withDefaults()
 	return &Detector{
 		cfg:       cfg,
 		sched:     sched,
 		router:    router,
 		cursor:    auditlog.NewCursor(logs),
-		engine:    signature.NewEngine(signature.Catalog(signature.DefaultCatalogConfig(cfg.Self))...),
+		engine:    signature.NewEngine(signature.Catalog()...),
 		store:     store,
 		transport: transport,
 		ix:        store.Index(),
@@ -383,7 +370,7 @@ func NewDetector(
 // Start begins periodic log scanning.
 func (d *Detector) Start() {
 	if d.ticker == nil {
-		d.ticker = d.sched.Every(d.cfg.ScanPeriod, d.cfg.ScanPeriod, 0.1, d.Scan)
+		d.ticker = d.sched.Every(scanPeriod, scanPeriod, 0.1, d.Scan)
 	}
 }
 
@@ -511,7 +498,7 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 		adv:     make(map[addr.Node]bool),
 		pending: make(map[uint64]VerifyRequest),
 	}
-	if inv.round > d.cfg.MaxRounds {
+	if inv.round > maxRounds {
 		return
 	}
 	d.investigations++
@@ -550,7 +537,7 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 			d.transport.SendVerify(req)
 		}
 	}
-	inv.deadline = d.sched.After(d.cfg.AnswerTimeout, func() { d.finalize(inv) })
+	inv.deadline = d.sched.After(answerTimeout, func() { d.finalize(inv) })
 }
 
 // trustOf resolves the trust weight an observation from n carries in
@@ -716,8 +703,8 @@ func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
 		resp.Remove(x)
 	}
 	out := resp.Sorted()
-	if len(out) > d.cfg.MaxResponders {
-		out = out[:d.cfg.MaxResponders]
+	if len(out) > maxResponders {
+		out = out[:maxResponders]
 	}
 	return out
 }
@@ -982,8 +969,8 @@ func (d *Detector) finalize(inv *investigation) {
 	}
 
 	// Unrecognized: gather more evidence next round (§IV-C).
-	if verdict == trust.Unrecognized && inv.round < d.cfg.MaxRounds && len(inv.links) > 0 && !d.tainted.Has(inv.suspect) {
-		d.sched.After(d.cfg.ScanPeriod, func() {
+	if verdict == trust.Unrecognized && inv.round < maxRounds && len(inv.links) > 0 && !d.tainted.Has(inv.suspect) {
+		d.sched.After(scanPeriod, func() {
 			d.OpenInvestigation(inv.suspect, inv.trigger)
 		})
 	}

@@ -9,26 +9,22 @@ import (
 )
 
 func TestMaxRoundsCapsInvestigation(t *testing.T) {
-	// A suspect whose evidence never resolves (everyone silent) must stop
-	// being investigated after MaxRounds.
+	// A suspect whose evidence has not resolved by round maxRounds must
+	// not be investigated again, however often alerts re-open it.
 	sc := newScenario(t, append(honestAdvertisement(), addr.NodeAt(4)), nil)
 	sc.tr.drop = addr.NewSet(addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4),
 		addr.NodeAt(5), addr.NodeAt(6))
-	sc.det.cfg.MaxRounds = 5
-	sc.det.OpenInvestigation(sc.suspect, "test")
-	sc.sched.RunUntil(5 * time.Minute)
+	sc.det.cell(sc.suspect).lastRound = maxRounds - 1
+	for range 3 {
+		sc.det.OpenInvestigation(sc.suspect, "test")
+		sc.sched.RunUntil(sc.sched.Now() + time.Minute)
+	}
 
-	if got := sc.det.InvestigationCount(); got > 5 {
-		t.Errorf("investigations = %d, want <= 5", got)
+	if got := sc.det.InvestigationCount(); got != 1 {
+		t.Errorf("investigations = %d, want 1", got)
 	}
-	maxRound := 0
-	for _, r := range sc.reports {
-		if r.Round > maxRound {
-			maxRound = r.Round
-		}
-	}
-	if maxRound > 5 {
-		t.Errorf("round %d exceeded MaxRounds", maxRound)
+	if len(sc.reports) != 1 || sc.reports[0].Round != maxRounds || sc.reports[0].Verdict != trust.Unrecognized {
+		t.Errorf("%d reports, want one unrecognized round %d", len(sc.reports), maxRounds)
 	}
 }
 

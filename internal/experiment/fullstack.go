@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/trust"
 )
@@ -209,29 +208,4 @@ func (r *Runner) Baselines() *BaselineResult {
 		}
 	}
 	return res
-}
-
-// MobilityTable renders a mobility sweep.
-func MobilityTable(points []MobilityPoint) *metrics.Table {
-	t := metrics.NewTable("X1: Detection vs mobility", "speedIdx")
-	for _, p := range points {
-		t.Series("speed").Append(p.Speed)
-		t.Series("detectionRate").Append(float64(p.Detected) / float64(p.Runs))
-		t.Series("falsePositiveRate").Append(float64(p.FalsePositives) / float64(p.Runs))
-		t.Series("meanDelaySec").Append(p.MeanDelay.Seconds())
-	}
-	return t
-}
-
-// OverheadTable renders an overhead sweep.
-func OverheadTable(points []OverheadPoint) *metrics.Table {
-	t := metrics.NewTable("X2: Overhead vs network size", "sizeIdx")
-	for _, p := range points {
-		t.Series("nodes").Append(float64(p.Nodes))
-		t.Series("ctrlMsgs").Append(float64(p.CtrlMessages))
-		t.Series("olsrMsgs").Append(float64(p.OLSRMessages))
-		t.Series("ctrlPerNode").Append(p.CtrlPerNode)
-		t.Series("logRecords").Append(float64(p.LogRecords))
-	}
-	return t
 }

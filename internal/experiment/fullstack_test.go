@@ -79,10 +79,6 @@ func TestRunOverheadSweepGrows(t *testing.T) {
 	if pts[0].LogRecords == 0 || pts[1].LogRecords == 0 {
 		t.Error("no log records collected")
 	}
-	tab := OverheadTable(pts)
-	if tab.Rows() != 2 {
-		t.Errorf("table rows = %d", tab.Rows())
-	}
 }
 
 func TestRunBaselines(t *testing.T) {
@@ -119,9 +115,6 @@ func TestRunCISweep(t *testing.T) {
 	if byLevel[0.99][0].Margin <= byLevel[0.90][0].Margin {
 		t.Error("margin not wider at higher confidence level")
 	}
-	if tab := CISweepTable(pts); tab.Rows() == 0 {
-		t.Error("empty CI sweep table")
-	}
 }
 
 func TestRunAblation(t *testing.T) {
@@ -151,8 +144,5 @@ func TestMobilitySweepSmall(t *testing.T) {
 	}
 	if pts[0].Detected != 1 {
 		t.Errorf("static run not detected: %+v", pts)
-	}
-	if tab := MobilityTable(pts); tab.Rows() != 1 {
-		t.Errorf("table rows = %d", tab.Rows())
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/metrics"
@@ -128,16 +127,6 @@ func (r *Runner) CISweep(levels []float64, sizes []int, liarFrac float64) []CIPo
 		})
 	}
 	return out
-}
-
-// CISweepTable renders the sweep as a table: one series per confidence
-// level, x = sample-size index.
-func CISweepTable(points []CIPoint) *metrics.Table {
-	t := metrics.NewTable("X3: Confidence-interval margin vs evidence count", "sizeIdx")
-	for _, p := range points {
-		t.Series(fmt.Sprintf("cl=%.2f", p.Level)).Append(p.Margin)
-	}
-	return t
 }
 
 // X4b: ablation of the cumulative confidence interval. DESIGN.md §5

@@ -38,6 +38,8 @@ var detPackages = map[string]bool{
 	"repro/internal/auditlog":   true,
 	"repro/internal/wire":       true,
 	"repro/internal/trace":      true,
+	"repro/internal/signature":  true,
+	"repro/internal/logevent":   true,
 }
 
 // Deterministic reports whether the deterministic-package rules

@@ -24,14 +24,9 @@ import (
 // protocol table must then match step for step.
 
 var (
-	eqSelf   = addr.NodeAt(1)
-	eqPeers  = []addr.Node{addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4), addr.NodeAt(5), addr.NodeAt(6)}
-	eqFar    = []addr.Node{addr.NodeAt(7), addr.NodeAt(8), addr.NodeAt(9), addr.NodeAt(10)}
-	eqIfaces = []addr.Node{addr.NodeAt(100), addr.NodeAt(101), addr.NodeAt(102)}
-	eqNets   = []wire.HNANetwork{
-		{Network: addr.Node(0xc0a80000), Mask: addr.Node(0xffff0000)},
-		{Network: addr.Node(0x0a000000), Mask: addr.Node(0xff000000)},
-	}
+	eqSelf  = addr.NodeAt(1)
+	eqPeers = []addr.Node{addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4), addr.NodeAt(5), addr.NodeAt(6)}
+	eqFar   = []addr.Node{addr.NodeAt(7), addr.NodeAt(8), addr.NodeAt(9), addr.NodeAt(10)}
 	// eqVTimes mixes validity times shorter than the 500ms tick with
 	// RFC-default holds; zero writes a tuple that is dead on arrival.
 	eqVTimes = []time.Duration{0, 50 * time.Millisecond, 300 * time.Millisecond,
@@ -145,12 +140,6 @@ func snapshot(n *Node) string {
 	for k, d := range n.dups {
 		add("dup %v/%d %d %v %v", k.orig, k.seq, d.until, d.processed, d.retransmitted)
 	}
-	for iface, until := range n.midUntil {
-		add("mid %v -> %v %d", iface, n.midAssoc[iface], until)
-	}
-	for nw, until := range n.hnaUntil {
-		add("hna %v -> %v %d", nw, n.hnaRoutes[nw], until)
-	}
 	for x, a := range n.lastHelloSym {
 		add("advertised %v %v %v", x, a.set, a.field)
 	}
@@ -192,16 +181,6 @@ func (p *eqPair) assertSwept() {
 	for k, d := range n.dups {
 		if d.until <= now {
 			p.fail("expired duplicate tuple %v survived the tick", k)
-		}
-	}
-	for iface, until := range n.midUntil {
-		if until <= now {
-			p.fail("expired MID tuple %v survived the tick", iface)
-		}
-	}
-	for nw, until := range n.hnaUntil {
-		if until <= now {
-			p.fail("expired HNA tuple %v survived the tick", nw)
 		}
 	}
 }
@@ -299,18 +278,14 @@ func (p *eqPair) randomStep(rng *rand.Rand) {
 		x, banned := pick(rng, eqPeers), rng.Intn(2) == 0
 		p.derivedNow = true
 		p.do(fmt.Sprintf("Exclude(%v, %v)", x, banned), func(n *Node) { n.Exclude(x, banned) })
-	case r < 98:
-		orig := pick(rng, append(eqPeers, eqFar...))
-		mid := &wire.MID{Interfaces: subset(rng, eqIfaces, 2)}
-		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: orig, TTL: 3, Seq: p.nextSeq(rng, orig), Body: mid}
-		sender := pick(rng, eqPeers)
-		p.do(fmt.Sprintf("MID %v %v", orig, mid.Interfaces), func(n *Node) { n.handleMessage(sender, &m) })
 	default:
+		// A flooded MID (type 3) or HNA (type 4), which the node relays
+		// without processing (RFC 3626 §3.4).
 		orig := pick(rng, append(eqPeers, eqFar...))
-		hna := &wire.HNA{Networks: []wire.HNANetwork{pick(rng, eqNets)}}
-		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: orig, TTL: 3, Seq: p.nextSeq(rng, orig), Body: hna}
+		raw := &wire.RawBody{Type: wire.MessageType(3 + rng.Intn(2)), Data: []byte{10, 0, 0, byte(100 + rng.Intn(3))}}
+		m := wire.Message{VTime: pick(rng, eqVTimes), Originator: orig, TTL: 3, Seq: p.nextSeq(rng, orig), Body: raw}
 		sender := pick(rng, eqPeers)
-		p.do(fmt.Sprintf("HNA %v", orig), func(n *Node) { n.handleMessage(sender, &m) })
+		p.do(fmt.Sprintf("%v %v %x", raw.Type, orig, raw.Data), func(n *Node) { n.handleMessage(sender, &m) })
 	}
 }
 

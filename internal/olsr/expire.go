@@ -107,22 +107,6 @@ func (n *Node) expire() {
 			delete(n.topo, last)
 		}
 	}
-	for iface, until := range n.midUntil {
-		if until <= now {
-			delete(n.midUntil, iface)
-			delete(n.midAssoc, iface)
-		} else {
-			next = min(next, until)
-		}
-	}
-	for nw, until := range n.hnaUntil {
-		if until <= now {
-			delete(n.hnaUntil, nw)
-			delete(n.hnaRoutes, nw)
-		} else {
-			next = min(next, until)
-		}
-	}
 	n.nextExpiry = next
 
 	if changed {

@@ -39,7 +39,7 @@ func (n *Node) buildHello() *wire.Hello {
 	for i := range cat {
 		slices.Sort(cat[i])
 	}
-	h := &wire.Hello{HTime: n.cfg.HelloInterval, Will: n.cfg.Willingness}
+	h := &wire.Hello{HTime: helloInterval, Will: wire.WillDefault}
 	add := func(code wire.LinkCode, nodes []addr.Node) {
 		if len(nodes) == 0 {
 			return
@@ -75,7 +75,7 @@ func (n *Node) sendHello() {
 			Node: n.cfg.Addr.String(), V0: float64(len(syms))})
 	}
 	n.broadcast(wire.Message{
-		VTime:      n.cfg.NeighborHold,
+		VTime:      neighborHold,
 		Originator: n.cfg.Addr,
 		TTL:        1,
 		Seq:        n.nextMsgSeq(),

@@ -2,8 +2,9 @@
 // protocol (RFC 3626): link sensing and neighbor detection through HELLO
 // messages, MPR selection, topology diffusion through TC messages with the
 // default forwarding algorithm, and shortest-path routing-table
-// calculation. MID and HNA messages are supported for multi-interface and
-// gateway declarations.
+// calculation. Nodes have one interface and no external networks, so they
+// originate no MID or HNA messages; received ones are flooded unprocessed,
+// like any type the node does not implement (RFC 3626 §3.4).
 //
 // Every externally observable action is recorded in an audit-log buffer;
 // the intrusion detection layer consumes only those logs, never the
@@ -27,61 +28,21 @@ import (
 	"repro/internal/wire"
 )
 
-// Config parameterizes one OLSR node. Zero fields take RFC 3626 §18.2
-// defaults.
+// Config parameterizes one OLSR node.
 type Config struct {
 	Addr addr.Node // main address, required
-
-	HelloInterval time.Duration // default 2s
-	TCInterval    time.Duration // default 5s
-	MIDInterval   time.Duration // default 5s; used only with ExtraInterfaces
-	NeighborHold  time.Duration // default 3 * HelloInterval
-	TopologyHold  time.Duration // default 3 * TCInterval
-	DuplicateHold time.Duration // default 30s
-	ExpiryTick    time.Duration // housekeeping period, default 500ms
-	Jitter        float64       // emission jitter fraction, default 0.25
-
-	// Willingness defaults to WillDefault. Because WillNever's wire value
-	// is zero, expressing it requires WillingnessSet.
-	Willingness    wire.Willingness
-	WillingnessSet bool
-
-	// ExtraInterfaces are announced in MID messages.
-	ExtraInterfaces []addr.Node
-	// ExternalNetworks are announced in HNA messages.
-	ExternalNetworks []wire.HNANetwork
 }
 
-func (c Config) withDefaults() Config {
-	if c.HelloInterval <= 0 {
-		c.HelloInterval = 2 * time.Second
-	}
-	if c.TCInterval <= 0 {
-		c.TCInterval = 5 * time.Second
-	}
-	if c.MIDInterval <= 0 {
-		c.MIDInterval = 5 * time.Second
-	}
-	if c.NeighborHold <= 0 {
-		c.NeighborHold = 3 * c.HelloInterval
-	}
-	if c.TopologyHold <= 0 {
-		c.TopologyHold = 3 * c.TCInterval
-	}
-	if c.DuplicateHold <= 0 {
-		c.DuplicateHold = 30 * time.Second
-	}
-	if c.ExpiryTick <= 0 {
-		c.ExpiryTick = 500 * time.Millisecond
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.25
-	}
-	if !c.WillingnessSet && c.Willingness == 0 {
-		c.Willingness = wire.WillDefault
-	}
-	return c
-}
+// Protocol constants: the RFC 3626 §18.2 defaults, which every run uses.
+const (
+	helloInterval = 2 * time.Second
+	tcInterval    = 5 * time.Second
+	neighborHold  = 3 * helloInterval
+	topologyHold  = 3 * tcInterval
+	duplicateHold = 30 * time.Second
+	expiryTick    = 500 * time.Millisecond // housekeeping period
+	jitter        = 0.25                   // emission jitter fraction
+)
 
 // Hooks let a behavior (an attack implementation) manipulate the node's
 // control traffic. Nil hooks are ignored.
@@ -155,11 +116,7 @@ type Node struct {
 	selectors    map[addr.Node]time.Duration
 	topo         map[addr.Node]*topoEntry
 	dups         map[dupKey]*dupTuple
-	midAssoc     map[addr.Node]addr.Node           // interface -> main address
-	midUntil     map[addr.Node]time.Duration       // interface -> expiry
-	hnaRoutes    map[wire.HNANetwork]addr.Node     // network -> gateway
-	hnaUntil     map[wire.HNANetwork]time.Duration // network -> expiry
-	lastHelloSym map[addr.Node]*advert             // neighbor -> last advertised sym set
+	lastHelloSym map[addr.Node]*advert // neighbor -> last advertised sym set
 	routes       map[addr.Node]Route
 	routesDirty  bool // routes trail the topology; recomputed on read
 
@@ -213,7 +170,7 @@ type Node struct {
 // until delivery, so prefix-and-copy as internal/core does, or clone).
 func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buffer) *Node {
 	return &Node{
-		cfg:          cfg.withDefaults(),
+		cfg:          cfg,
 		sched:        sched,
 		send:         send,
 		logb:         logb,
@@ -223,10 +180,6 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		selectors:    make(map[addr.Node]time.Duration),
 		topo:         make(map[addr.Node]*topoEntry),
 		dups:         make(map[dupKey]*dupTuple),
-		midAssoc:     make(map[addr.Node]addr.Node),
-		midUntil:     make(map[addr.Node]time.Duration),
-		hnaRoutes:    make(map[wire.HNANetwork]addr.Node),
-		hnaUntil:     make(map[wire.HNANetwork]time.Duration),
 		lastHelloSym: make(map[addr.Node]*advert),
 		routes:       make(map[addr.Node]Route),
 		prevSym:      make(addr.Set),
@@ -271,18 +224,11 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
-	c := n.cfg
 	n.tickers = append(n.tickers,
-		n.sched.Every(0, c.HelloInterval, c.Jitter, n.sendHello),
-		n.sched.Every(c.HelloInterval/2, c.TCInterval, c.Jitter, n.sendTC),
-		n.sched.Every(c.ExpiryTick, c.ExpiryTick, 0, n.expire),
+		n.sched.Every(0, helloInterval, jitter, n.sendHello),
+		n.sched.Every(helloInterval/2, tcInterval, jitter, n.sendTC),
+		n.sched.Every(expiryTick, expiryTick, 0, n.expire),
 	)
-	if len(c.ExtraInterfaces) > 0 {
-		n.tickers = append(n.tickers, n.sched.Every(c.MIDInterval/3, c.MIDInterval, c.Jitter, n.sendMID))
-	}
-	if len(c.ExternalNetworks) > 0 {
-		n.tickers = append(n.tickers, n.sched.Every(c.TCInterval/3, c.TCInterval, c.Jitter, n.sendHNA))
-	}
 }
 
 // Stop cancels the node's timers.
@@ -503,25 +449,6 @@ func (n *Node) RouteTo(dst addr.Node) (Route, bool) {
 	return r, ok
 }
 
-// MainAddrOf resolves an interface address to a main address using the MID
-// association set; unknown interfaces map to themselves.
-func (n *Node) MainAddrOf(iface addr.Node) addr.Node {
-	if main, ok := n.midAssoc[iface]; ok && n.midUntil[iface] > n.now() {
-		return main
-	}
-	return iface
-}
-
-// GatewayFor returns the HNA gateway currently announcing the network, if
-// any.
-func (n *Node) GatewayFor(nw wire.HNANetwork) (addr.Node, bool) {
-	gw, ok := n.hnaRoutes[nw]
-	if !ok || n.hnaUntil[nw] <= n.now() {
-		return addr.None, false
-	}
-	return gw, true
-}
-
 // TopologyLinks returns the learned (lastHop -> dest) topology pairs,
 // sorted, for inspection by tests and debug tools.
 func (n *Node) TopologyLinks() [][2]addr.Node {
@@ -607,7 +534,7 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 		d = &dupTuple{}
 		n.dups[key] = d
 	}
-	d.until = n.now() + n.cfg.DuplicateHold
+	d.until = n.now() + duplicateHold
 
 	if d.processed {
 		n.msgDrop++
@@ -617,15 +544,9 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 			auditlog.F("reason", "dup"))
 	} else {
 		d.processed = true
-		switch body := m.Body.(type) {
-		case *wire.TC:
-			n.processTC(sender, m, body)
-		case *wire.MID:
-			n.processMID(m, body)
-		case *wire.HNA:
-			n.processHNA(m, body)
-		case *wire.RawBody:
-			// Unknown types are forwarded but not processed (RFC §3.4).
+		// Other types are forwarded but not processed (RFC 3626 §3.4).
+		if tc, ok := m.Body.(*wire.TC); ok {
+			n.processTC(sender, m, tc)
 		}
 	}
 	n.maybeForward(sender, m, d)

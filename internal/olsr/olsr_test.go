@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -231,15 +232,18 @@ func TestMPRCoverageInvariant(t *testing.T) {
 	}
 }
 
+// advertiseWill makes a node's HELLOs carry will instead of WillDefault.
+func advertiseWill(will wire.Willingness) Hooks {
+	return Hooks{ModifyHello: func(h *wire.Hello) { h.Will = will }}
+}
+
 func TestWillNeverNeverSelected(t *testing.T) {
 	pos := map[addr.Node]geo.Point{
 		addr.NodeAt(1): geo.Pt(0, 0),
 		addr.NodeAt(3): geo.Pt(200, 0),
 	}
 	tn := newTestNet(5, 150, pos)
-	tn.addNode(addr.NodeAt(2), geo.Pt(100, 0), Config{
-		Addr: addr.NodeAt(2), Willingness: wire.WillNever, WillingnessSet: true,
-	})
+	tn.addNode(addr.NodeAt(2), geo.Pt(100, 0), Config{Addr: addr.NodeAt(2)}).SetHooks(advertiseWill(wire.WillNever))
 	tn.start()
 	tn.run(20 * time.Second)
 
@@ -256,7 +260,7 @@ func TestWillAlwaysAlwaysSelected(t *testing.T) {
 		addr.NodeAt(4): geo.Pt(200, 0),
 	}
 	tn := newTestNet(6, 150, pos)
-	tn.addNode(addr.NodeAt(2), geo.Pt(100, -50), Config{Addr: addr.NodeAt(2), Willingness: wire.WillAlways})
+	tn.addNode(addr.NodeAt(2), geo.Pt(100, -50), Config{Addr: addr.NodeAt(2)}).SetHooks(advertiseWill(wire.WillAlways))
 	tn.start()
 	tn.run(20 * time.Second)
 
@@ -393,37 +397,38 @@ func TestModifyHelloSpoofsTwoHopView(t *testing.T) {
 	}
 }
 
-func TestMIDAssociation(t *testing.T) {
-	tn := lineNet(11, 2, 100, 150)
-	iface := addr.NodeAt(200)
-	tn.addNode(addr.NodeAt(3), geo.Pt(200, 0), Config{
-		Addr: addr.NodeAt(3), ExtraInterfaces: []addr.Node{iface},
-	})
+func TestMIDAndHNAFloodedUnprocessed(t *testing.T) {
+	// Chain 1-2-3-4: a MID and an HNA that node 4 originates must be
+	// relayed by the MPRs 3 and 2 like any type they do not process.
+	tn := lineNet(11, 4, 100, 150)
+	relayed := make(map[addr.Node][]wire.MessageType)
+	for _, id := range []addr.Node{addr.NodeAt(2), addr.NodeAt(3)} {
+		tn.nodes[id].SetHooks(Hooks{DropForward: func(m *wire.Message, _ addr.Node) bool {
+			if m.Originator == addr.NodeAt(4) && m.Type() != wire.MsgTC {
+				relayed[id] = append(relayed[id], m.Type())
+			}
+			return false
+		}})
+	}
 	tn.start()
 	tn.run(30 * time.Second)
+	src := tn.nodes[addr.NodeAt(4)]
+	before := tn.nodes[addr.NodeAt(1)].Stats().MsgRx
+	src.broadcast(
+		wire.Message{VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: src.nextMsgSeq(),
+			Body: &wire.RawBody{Type: 3, Data: []byte{10, 0, 0, 200}}},
+		wire.Message{VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: src.nextMsgSeq(),
+			Body: &wire.RawBody{Type: 4, Data: []byte{192, 168, 0, 0, 255, 255, 0, 0}}},
+	)
+	tn.run(time.Second)
 
-	// Node 1 is two hops from node 3; the MID must have been flooded.
-	if got := tn.nodes[addr.NodeAt(1)].MainAddrOf(iface); got != addr.NodeAt(3) {
-		t.Errorf("MainAddrOf(%v) = %v, want %v", iface, got, addr.NodeAt(3))
+	for _, id := range []addr.Node{addr.NodeAt(3), addr.NodeAt(2)} {
+		if got := relayed[id]; !slices.Equal(got, []wire.MessageType{3, 4}) {
+			t.Errorf("node %v relayed %v, want [TYPE(3) TYPE(4)]", id, got)
+		}
 	}
-	// Unknown interfaces map to themselves.
-	if got := tn.nodes[addr.NodeAt(1)].MainAddrOf(addr.NodeAt(77)); got != addr.NodeAt(77) {
-		t.Errorf("unknown interface mapped to %v", got)
-	}
-}
-
-func TestHNAGateway(t *testing.T) {
-	nw := wire.HNANetwork{Network: addr.Node(0xc0a80000), Mask: addr.Node(0xffff0000)}
-	tn := lineNet(12, 2, 100, 150)
-	tn.addNode(addr.NodeAt(3), geo.Pt(200, 0), Config{
-		Addr: addr.NodeAt(3), ExternalNetworks: []wire.HNANetwork{nw},
-	})
-	tn.start()
-	tn.run(30 * time.Second)
-
-	gw, ok := tn.nodes[addr.NodeAt(1)].GatewayFor(nw)
-	if !ok || gw != addr.NodeAt(3) {
-		t.Errorf("GatewayFor = %v, %v; want node 3", gw, ok)
+	if tn.nodes[addr.NodeAt(1)].Stats().MsgRx == before {
+		t.Error("the flood never reached node 1")
 	}
 }
 
@@ -622,19 +627,16 @@ func TestBadPacketLogged(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Addr: addr.NodeAt(1)}.withDefaults()
-	if c.HelloInterval != 2*time.Second || c.TCInterval != 5*time.Second {
-		t.Errorf("intervals = %v/%v", c.HelloInterval, c.TCInterval)
+	// The protocol constants are the RFC 3626 §18.2 defaults, and HELLOs
+	// advertise the default willingness.
+	if helloInterval != 2*time.Second || tcInterval != 5*time.Second {
+		t.Errorf("intervals = %v/%v", helloInterval, tcInterval)
 	}
-	if c.NeighborHold != 6*time.Second || c.TopologyHold != 15*time.Second {
-		t.Errorf("holds = %v/%v", c.NeighborHold, c.TopologyHold)
+	if neighborHold != 6*time.Second || topologyHold != 15*time.Second {
+		t.Errorf("holds = %v/%v", neighborHold, topologyHold)
 	}
-	if c.Willingness != wire.WillDefault {
-		t.Errorf("will = %v", c.Willingness)
-	}
-	// Explicit values survive.
-	c2 := Config{Addr: addr.NodeAt(1), HelloInterval: time.Second}.withDefaults()
-	if c2.HelloInterval != time.Second || c2.NeighborHold != 3*time.Second {
-		t.Errorf("explicit hello interval mishandled: %+v", c2)
+	n := New(Config{Addr: addr.NodeAt(1)}, sim.New(1), func([]byte) {}, nil)
+	if h := n.buildHello(); h.Will != wire.WillDefault || h.HTime != helloInterval {
+		t.Errorf("hello will = %v htime = %v", h.Will, h.HTime)
 	}
 }

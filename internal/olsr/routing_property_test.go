@@ -193,49 +193,14 @@ func TestWillingnessTieBreakPrefersHigherWill(t *testing.T) {
 		addr.NodeAt(4): geo.Pt(200, 0),
 	}
 	tn := newTestNet(44, 150, pos)
-	tn.addNode(addr.NodeAt(2), geo.Pt(100, 40), Config{Addr: addr.NodeAt(2), Willingness: wire.WillLow, WillingnessSet: true})
-	tn.addNode(addr.NodeAt(3), geo.Pt(100, -40), Config{Addr: addr.NodeAt(3), Willingness: wire.WillHigh, WillingnessSet: true})
+	tn.addNode(addr.NodeAt(2), geo.Pt(100, 40), Config{Addr: addr.NodeAt(2)}).SetHooks(advertiseWill(wire.WillLow))
+	tn.addNode(addr.NodeAt(3), geo.Pt(100, -40), Config{Addr: addr.NodeAt(3)}).SetHooks(advertiseWill(wire.WillHigh))
 	tn.start()
 	tn.run(25 * time.Second)
 
 	mprs := tn.nodes[addr.NodeAt(1)].MPRs()
 	if !mprs.Has(addr.NodeAt(3)) || mprs.Has(addr.NodeAt(2)) {
 		t.Errorf("MPR tie-break ignored willingness: %v", mprs)
-	}
-}
-
-func TestMIDExpiry(t *testing.T) {
-	sched := sim.New(45)
-	n := New(Config{Addr: addr.NodeAt(1)}, sched, func([]byte) {}, nil)
-	// Hand-feed a MID with a short validity.
-	iface := addr.NodeAt(200)
-	n.processMID(&wire.Message{
-		VTime: 2 * time.Second, Originator: addr.NodeAt(3),
-	}, &wire.MID{Interfaces: []addr.Node{iface}})
-	if got := n.MainAddrOf(iface); got != addr.NodeAt(3) {
-		t.Fatalf("MainAddrOf = %v", got)
-	}
-	sched.At(3*time.Second, func() { n.expire() })
-	sched.Run()
-	if got := n.MainAddrOf(iface); got != iface {
-		t.Errorf("expired MID association survived: %v", got)
-	}
-}
-
-func TestHNAExpiry(t *testing.T) {
-	sched := sim.New(46)
-	n := New(Config{Addr: addr.NodeAt(1)}, sched, func([]byte) {}, nil)
-	nw := wire.HNANetwork{Network: addr.Node(0x0a630000), Mask: addr.Node(0xffff0000)}
-	n.processHNA(&wire.Message{
-		VTime: 2 * time.Second, Originator: addr.NodeAt(3),
-	}, &wire.HNA{Networks: []wire.HNANetwork{nw}})
-	if _, ok := n.GatewayFor(nw); !ok {
-		t.Fatal("gateway not recorded")
-	}
-	sched.At(3*time.Second, func() { n.expire() })
-	sched.Run()
-	if _, ok := n.GatewayFor(nw); ok {
-		t.Error("expired HNA association survived")
 	}
 }
 

@@ -36,7 +36,7 @@ func (n *Node) sendTC() {
 			Node: n.cfg.Addr.String(), V0: float64(tc.ANSN), V1: float64(len(tc.Advertised))})
 	}
 	n.broadcast(wire.Message{
-		VTime:      n.cfg.TopologyHold,
+		VTime:      topologyHold,
 		Originator: n.cfg.Addr,
 		TTL:        255,
 		Seq:        n.nextMsgSeq(),
@@ -99,56 +99,4 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 	}
 
 	n.afterTopologyChange()
-}
-
-// sendMID announces the node's extra interfaces (RFC 3626 §5.2).
-func (n *Node) sendMID() {
-	if len(n.cfg.ExtraInterfaces) == 0 {
-		return
-	}
-	n.broadcast(wire.Message{
-		VTime:      n.cfg.TopologyHold,
-		Originator: n.cfg.Addr,
-		TTL:        255,
-		Seq:        n.nextMsgSeq(),
-		Body:       &wire.MID{Interfaces: n.cfg.ExtraInterfaces},
-	})
-}
-
-// processMID maintains the interface association set (RFC 3626 §5.4).
-func (n *Node) processMID(m *wire.Message, mid *wire.MID) {
-	// MIDs are flooded; accept them regardless of the link to the
-	// originator, which is usually remote. (The sym check applies to the
-	// sender and is enforced by the caller.)
-	vuntil := n.now() + m.VTime
-	n.noteExpiry(vuntil)
-	for _, iface := range mid.Interfaces {
-		n.midAssoc[iface] = m.Originator
-		n.midUntil[iface] = vuntil
-	}
-}
-
-// sendHNA announces the node's external networks (RFC 3626 §12.3).
-func (n *Node) sendHNA() {
-	if len(n.cfg.ExternalNetworks) == 0 {
-		return
-	}
-	n.broadcast(wire.Message{
-		VTime:      n.cfg.TopologyHold,
-		Originator: n.cfg.Addr,
-		TTL:        255,
-		Seq:        n.nextMsgSeq(),
-		Body:       &wire.HNA{Networks: n.cfg.ExternalNetworks},
-	})
-}
-
-// processHNA maintains the association set of external routes
-// (RFC 3626 §12.5).
-func (n *Node) processHNA(m *wire.Message, hna *wire.HNA) {
-	vuntil := n.now() + m.VTime
-	n.noteExpiry(vuntil)
-	for _, nw := range hna.Networks {
-		n.hnaRoutes[nw] = m.Originator
-		n.hnaUntil[nw] = vuntil
-	}
 }

@@ -34,59 +34,42 @@ const (
 	RuleDishonestRecommender = "dishonest-recommender"
 )
 
-// CatalogConfig tunes the built-in signatures.
-type CatalogConfig struct {
-	Self addr.Node // the node whose log the rules will watch
-
-	// StormCount TCs from one originator within StormWindow is a storm.
-	StormCount  int
-	StormWindow time.Duration
-	// ReplayCount stale drops within ReplayWindow is a replay attack.
-	ReplayCount  int
-	ReplayWindow time.Duration
-	// EchoDeadline is how long after sending our own TC we expect an MPR
+// Catalog thresholds, matched to the RFC 3626 default timers (2s HELLO,
+// 5s TC).
+const (
+	// stormCount TCs or HELLOs from one originator within stormWindow is
+	// a storm; legitimate traffic is ~2 TCs per origin per 5s.
+	stormCount  = 12
+	stormWindow = 10 * time.Second
+	// replayCount stale drops within replayWindow is a replay attack.
+	replayCount  = 3
+	replayWindow = 30 * time.Second
+	// echoDeadline is how long after sending our own TC we expect an MPR
 	// echo (MSG_DROP reason=own) before suspecting a drop.
-	EchoDeadline time.Duration
-	// FlapCount neighbor up/down transitions within FlapWindow.
-	FlapCount  int
-	FlapWindow time.Duration
-	// MPRWarmup suppresses new-MPR alerts during initial convergence;
+	echoDeadline = 12 * time.Second
+	// flapCount neighbor up/down transitions within flapWindow.
+	flapCount  = 6
+	flapWindow = 30 * time.Second
+	// mprWarmup suppresses new-MPR alerts during initial convergence;
 	// after it, any MPR addition in a stable network is worth one
 	// investigation.
-	MPRWarmup time.Duration
-	// OmissionWindow is how recently the dropped endpoint must have
+	mprWarmup = 20 * time.Second
+	// omissionWindow is how recently the dropped endpoint must have
 	// advertised the suspect for a 2-hop loss to look like an omission
 	// rather than genuine link loss.
-	OmissionWindow time.Duration
-}
-
-// DefaultCatalogConfig returns thresholds matched to the RFC default
-// timers (2s HELLO, 5s TC).
-func DefaultCatalogConfig(self addr.Node) CatalogConfig {
-	return CatalogConfig{
-		Self:           self,
-		StormCount:     12, // legitimate: ~2 TC per origin per 5s window
-		StormWindow:    10 * time.Second,
-		ReplayCount:    3,
-		ReplayWindow:   30 * time.Second,
-		EchoDeadline:   12 * time.Second,
-		FlapCount:      6,
-		FlapWindow:     30 * time.Second,
-		MPRWarmup:      20 * time.Second,
-		OmissionWindow: 10 * time.Second,
-	}
-}
+	omissionWindow = 10 * time.Second
+)
 
 // Catalog builds the concrete signature set of §III for one node's log.
-func Catalog(cfg CatalogConfig) []Rule {
+func Catalog() []Rule {
 	return []Rule{
 		MPRReplacedRule(),
-		MPRAddedRule(cfg.MPRWarmup),
-		StormRule(cfg.StormCount, cfg.StormWindow),
-		ReplayRule(cfg.ReplayCount, cfg.ReplayWindow),
-		DroppedRelayRule(cfg.EchoDeadline),
-		FlappingRule(cfg.FlapCount, cfg.FlapWindow),
-		OmissionRule(cfg.OmissionWindow),
+		MPRAddedRule(mprWarmup),
+		StormRule(stormCount, stormWindow),
+		ReplayRule(replayCount, replayWindow),
+		DroppedRelayRule(echoDeadline),
+		FlappingRule(flapCount, flapWindow),
+		OmissionRule(omissionWindow),
 	}
 }
 

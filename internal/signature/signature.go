@@ -18,6 +18,7 @@
 package signature
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/addr"
@@ -151,8 +152,15 @@ func (r *SequenceRule) Observe(ev logevent.Event) []Alert {
 	}
 	var alerts []Alert
 
-	// Advance existing partial matches.
-	for subject, matched := range r.progress {
+	// Advance existing partial matches in subject order, so alerts come
+	// out in the same order every run.
+	var subjects []addr.Node
+	for subject := range r.progress {
+		subjects = append(subjects, subject)
+	}
+	slices.Sort(subjects)
+	for _, subject := range subjects {
+		matched := r.progress[subject]
 		if ev.When()-matched[0].When() > r.Window {
 			delete(r.progress, subject)
 			continue
@@ -233,21 +241,26 @@ func (r *AbsenceRule) Observe(ev logevent.Event) []Alert {
 	return nil
 }
 
-// Tick implements Rule: it fires alerts for every deadline that has
-// passed without the expected event.
+// Tick implements Rule: it fires alerts, in subject order, for every
+// deadline that has passed without the expected event.
 func (r *AbsenceRule) Tick(now time.Duration) []Alert {
-	var alerts []Alert
+	var due []addr.Node
 	for subject, trigger := range r.pending {
 		if now >= trigger.When()+r.Deadline {
-			delete(r.pending, subject)
-			alerts = append(alerts, Alert{
-				Rule:    r.RuleName,
-				Subject: subject,
-				At:      now,
-				Detail:  "expected event absent",
-				Events:  []logevent.Event{trigger},
-			})
+			due = append(due, subject)
 		}
+	}
+	slices.Sort(due)
+	var alerts []Alert
+	for _, subject := range due {
+		alerts = append(alerts, Alert{
+			Rule:    r.RuleName,
+			Subject: subject,
+			At:      now,
+			Detail:  "expected event absent",
+			Events:  []logevent.Event{r.pending[subject]},
+		})
+		delete(r.pending, subject)
 	}
 	return alerts
 }

@@ -214,6 +214,36 @@ func TestDroppedRelayRule(t *testing.T) {
 	}
 }
 
+func TestAbsenceRuleAlertsInSubjectOrder(t *testing.T) {
+	// Eight subjects time out in the same tick; the alerts must come out
+	// in ascending subject order, whatever the insertion order, on every
+	// one of many fresh rules (map iteration order varies per map).
+	subjects := []addr.Node{addr.NodeAt(5), addr.NodeAt(2), addr.NodeAt(8), addr.NodeAt(1),
+		addr.NodeAt(7), addr.NodeAt(3), addr.NodeAt(6), addr.NodeAt(4)}
+	for trial := range 20 {
+		r := &AbsenceRule{
+			RuleName: "absent",
+			Deadline: time.Second,
+			Trigger: func(ev logevent.Event) (addr.Node, bool) {
+				return ev.(*logevent.TCReceived).Originator, true
+			},
+			Expected: func(logevent.Event) (addr.Node, bool) { return addr.None, false },
+		}
+		for _, s := range subjects {
+			r.Observe(tcRx(0, s))
+		}
+		got := r.Tick(2 * time.Second)
+		if len(got) != len(subjects) {
+			t.Fatalf("trial %d: %d alerts, want %d", trial, len(got), len(subjects))
+		}
+		for i, a := range got {
+			if a.Subject != addr.NodeAt(i+1) {
+				t.Fatalf("trial %d: alert %d is about %v, want %v", trial, i, a.Subject, addr.NodeAt(i+1))
+			}
+		}
+	}
+}
+
 func TestFlappingRule(t *testing.T) {
 	r := FlappingRule(4, 30*time.Second)
 	nb := addr.NodeAt(3)
@@ -296,7 +326,7 @@ func TestMPRAddedRuleWarmup(t *testing.T) {
 }
 
 func TestEngineFeedsAllRules(t *testing.T) {
-	eng := NewEngine(Catalog(DefaultCatalogConfig(addr.NodeAt(1)))...)
+	eng := NewEngine(Catalog()...)
 	var events []logevent.Event
 	// A storm: 12 TCs in 6 seconds from one originator.
 	for i := 0; i < 12; i++ {
@@ -315,7 +345,7 @@ func TestEngineFeedsAllRules(t *testing.T) {
 }
 
 func TestEngineQuietOnNormalTraffic(t *testing.T) {
-	eng := NewEngine(Catalog(DefaultCatalogConfig(addr.NodeAt(1)))...)
+	eng := NewEngine(Catalog()...)
 	var events []logevent.Event
 	// Normal-rate traffic: one TC per origin per 5s, HELLOs every 2s,
 	// each TC_TX echoed promptly.

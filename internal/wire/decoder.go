@@ -24,13 +24,11 @@ type Decoder struct {
 	// Per-type body pools. The i-th body of a type within one packet
 	// reuses pool slot i, with the slot's slice storage (link blocks,
 	// neighbor lists, entries) truncated and refilled in place.
-	hellos                 []*Hello
-	tcs                    []*TC
-	mids                   []*MID
-	hnas                   []*HNA
-	recs                   []*Recommend
-	raws                   []*RawBody
-	nh, nt, nm, nn, nr, nw int
+	hellos         []*Hello
+	tcs            []*TC
+	recs           []*Recommend
+	raws           []*RawBody
+	nh, nt, nr, nw int
 }
 
 // Decode parses an RFC 3626 packet into the decoder's reused storage.
@@ -42,7 +40,7 @@ func (d *Decoder) Decode(b []byte) (*Packet, error) {
 	if length != len(b) {
 		return nil, fmt.Errorf("packet length %d but %d bytes: %w", length, len(b), ErrBadLength)
 	}
-	d.nh, d.nt, d.nm, d.nn, d.nr, d.nw = 0, 0, 0, 0, 0, 0
+	d.nh, d.nt, d.nr, d.nw = 0, 0, 0, 0
 	d.pkt.Seq = binary.BigEndian.Uint16(b[2:])
 	d.pkt.Messages = d.pkt.Messages[:0]
 	off := pktHeaderLen
@@ -79,10 +77,6 @@ func (d *Decoder) decodeMessage(b []byte) (Message, int, error) {
 		m.Body, err = d.decodeHello(body)
 	case MsgTC:
 		m.Body, err = d.decodeTC(body)
-	case MsgMID:
-		m.Body, err = d.decodeMID(body)
-	case MsgHNA:
-		m.Body, err = d.decodeHNA(body)
 	case MsgRecommend:
 		m.Body, err = d.decodeRecommend(body)
 	default:
@@ -152,33 +146,6 @@ func (d *Decoder) decodeTC(b []byte) (*TC, error) {
 		t.Advertised = append(t.Advertised, addrOf(b[p:]))
 	}
 	return t, nil
-}
-
-func (d *Decoder) decodeMID(b []byte) (*MID, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("mid body length %d: %w", len(b), ErrBadBody)
-	}
-	m := growPool(&d.mids, &d.nm)
-	m.Interfaces = m.Interfaces[:0]
-	for p := 0; p < len(b); p += 4 {
-		m.Interfaces = append(m.Interfaces, addrOf(b[p:]))
-	}
-	return m, nil
-}
-
-func (d *Decoder) decodeHNA(b []byte) (*HNA, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("hna body length %d: %w", len(b), ErrBadBody)
-	}
-	h := growPool(&d.hnas, &d.nn)
-	h.Networks = h.Networks[:0]
-	for p := 0; p < len(b); p += 8 {
-		h.Networks = append(h.Networks, HNANetwork{
-			Network: addrOf(b[p:]),
-			Mask:    addrOf(b[p+4:]),
-		})
-	}
-	return h, nil
 }
 
 func (d *Decoder) decodeRecommend(b []byte) (*Recommend, error) {

@@ -9,8 +9,9 @@ import (
 )
 
 // mixedPacket carries every body type — a HELLO with several link
-// blocks, TC, MID, HNA, Recommend and an unknown type — so a Decoder
-// that has decoded it holds pooled storage of every shape.
+// blocks, TC, Recommend, and MID, HNA and an unregistered type carried
+// raw — so a Decoder that has decoded it holds pooled storage of every
+// shape.
 var mixedPacket = (&Packet{Seq: 9, Messages: []Message{{
 	VTime: 6 * time.Second, Originator: addr.NodeAt(1), TTL: 1, Seq: 1,
 	Body: &Hello{HTime: 2 * time.Second, Will: WillDefault, Links: []LinkBlock{
@@ -24,10 +25,10 @@ var mixedPacket = (&Packet{Seq: 9, Messages: []Message{{
 	Body: &TC{ANSN: 7, Advertised: []addr.Node{addr.NodeAt(1), addr.NodeAt(2)}},
 }, {
 	VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 3,
-	Body: &MID{Interfaces: []addr.Node{addr.NodeAt(200), addr.NodeAt(201)}},
+	Body: &RawBody{Type: 3, Data: []byte{10, 0, 0, 200, 10, 0, 0, 201}}, // MID
 }, {
 	VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 4,
-	Body: &HNA{Networks: []HNANetwork{{Network: 0x0a000000, Mask: 0xff000000}}},
+	Body: &RawBody{Type: 4, Data: []byte{10, 0, 0, 0, 255, 0, 0, 0}}, // HNA
 }, {
 	VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: 5,
 	Body: &Recommend{Entries: []RecommendEntry{{About: addr.NodeAt(1), Trust: 40000}, {About: addr.NodeAt(9), Trust: 7}}},

@@ -1,7 +1,9 @@
 // Package wire implements the RFC 3626 (OLSR) binary packet and message
-// formats: packet framing, the common message header, and the HELLO, TC,
-// MID and HNA message bodies, plus the mantissa/exponent validity-time
-// encoding.
+// formats: packet framing, the common message header, and the HELLO and
+// TC message bodies, plus the mantissa/exponent validity-time encoding.
+// Every other type, MID and HNA included, decodes as a RawBody that
+// re-encodes byte for byte, so a node can flood it unprocessed
+// (RFC 3626 §3.4).
 //
 // The codec is strict on decode (truncated or inconsistent length fields
 // yield errors rather than partial results) because the intrusion detector
@@ -21,12 +23,10 @@ import (
 // MessageType identifies an OLSR message body (RFC 3626 §18.4).
 type MessageType uint8
 
-// Message types registered by RFC 3626.
+// Message types registered by RFC 3626 that this codec decodes.
 const (
 	MsgHello MessageType = 1
 	MsgTC    MessageType = 2
-	MsgMID   MessageType = 3
-	MsgHNA   MessageType = 4
 )
 
 // MsgRecommend is this testbed's extension type for the reputation
@@ -43,10 +43,6 @@ func (t MessageType) String() string {
 		return "HELLO"
 	case MsgTC:
 		return "TC"
-	case MsgMID:
-		return "MID"
-	case MsgHNA:
-		return "HNA"
 	case MsgRecommend:
 		return "RECOMMEND"
 	default:
@@ -273,55 +269,6 @@ func (t *TC) encodeTo(b []byte) {
 	for _, n := range t.Advertised {
 		binary.BigEndian.PutUint32(b[off:], uint32(n))
 		off += 4
-	}
-}
-
-// MID is the Multiple Interface Declaration body (RFC 3626 §5.1): the other
-// interface addresses of the originator.
-type MID struct {
-	Interfaces []addr.Node
-}
-
-var _ Body = (*MID)(nil)
-
-// MsgType implements Body.
-func (*MID) MsgType() MessageType { return MsgMID }
-
-func (m *MID) encodedSize() int { return 4 * len(m.Interfaces) }
-
-func (m *MID) encodeTo(b []byte) {
-	off := 0
-	for _, n := range m.Interfaces {
-		binary.BigEndian.PutUint32(b[off:], uint32(n))
-		off += 4
-	}
-}
-
-// HNANetwork is one (network, netmask) pair announced in an HNA message.
-type HNANetwork struct {
-	Network addr.Node
-	Mask    addr.Node
-}
-
-// HNA is the Host and Network Association body (RFC 3626 §12.1): external
-// routes reachable through the originator (a gateway).
-type HNA struct {
-	Networks []HNANetwork
-}
-
-var _ Body = (*HNA)(nil)
-
-// MsgType implements Body.
-func (*HNA) MsgType() MessageType { return MsgHNA }
-
-func (h *HNA) encodedSize() int { return 8 * len(h.Networks) }
-
-func (h *HNA) encodeTo(b []byte) {
-	off := 0
-	for _, nw := range h.Networks {
-		binary.BigEndian.PutUint32(b[off:], uint32(nw.Network))
-		binary.BigEndian.PutUint32(b[off+4:], uint32(nw.Mask))
-		off += 8
 	}
 }
 

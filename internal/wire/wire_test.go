@@ -79,7 +79,7 @@ func TestLinkCode(t *testing.T) {
 
 func TestMessageTypeString(t *testing.T) {
 	tests := map[MessageType]string{
-		MsgHello: "HELLO", MsgTC: "TC", MsgMID: "MID", MsgHNA: "HNA", 77: "TYPE(77)",
+		MsgHello: "HELLO", MsgTC: "TC", MsgRecommend: "RECOMMEND", 3: "TYPE(3)", 77: "TYPE(77)",
 	}
 	for mt, want := range tests {
 		if got := mt.String(); got != want {
@@ -171,26 +171,53 @@ func TestEmptyTC(t *testing.T) {
 	}
 }
 
-func TestMIDRoundTrip(t *testing.T) {
-	p := &Packet{Messages: []Message{{
-		VTime: 15 * time.Second, Originator: addr.NodeAt(3),
-		Body: &MID{Interfaces: []addr.Node{addr.NodeAt(100), addr.NodeAt(101)}},
-	}}}
-	mid, ok := roundTrip(t, p).Messages[0].Body.(*MID)
-	if !ok || len(mid.Interfaces) != 2 || mid.Interfaces[1] != addr.NodeAt(101) {
-		t.Fatalf("mid = %+v", mid)
+// rawPacket hand-builds a one-message packet of type mt with the given
+// body, independently of the encoder.
+func rawPacket(mt MessageType, body []byte) []byte {
+	size := msgHeaderLen + len(body)
+	b := make([]byte, pktHeaderLen+size)
+	binary.BigEndian.PutUint16(b, uint16(len(b)))
+	m := b[pktHeaderLen:]
+	m[0] = byte(mt)
+	m[1] = EncodeVTime(15 * time.Second)
+	binary.BigEndian.PutUint16(m[2:], uint16(size))
+	binary.BigEndian.PutUint32(m[4:], uint32(addr.NodeAt(3)))
+	m[8], m[10], m[11] = 255, 0, 7
+	copy(m[msgHeaderLen:], body)
+	return b
+}
+
+// assertRawRoundTrip checks that a type-mt message decodes as an opaque
+// RawBody and re-encodes to the input bytes, as a node must relay it
+// unprocessed (RFC 3626 §3.4).
+func assertRawRoundTrip(t *testing.T, mt MessageType, body []byte) {
+	t.Helper()
+	in := rawPacket(mt, body)
+	p, err := DecodePacket(in)
+	if err != nil {
+		t.Fatalf("type %d body %x: %v", mt, body, err)
+	}
+	raw, ok := p.Messages[0].Body.(*RawBody)
+	if !ok || raw.Type != mt || !reflect.DeepEqual(raw.Data, body) {
+		t.Fatalf("type %d decoded as %+v", mt, p.Messages[0].Body)
+	}
+	if re := p.Encode(); !reflect.DeepEqual(re, in) {
+		t.Fatalf("type %d re-encodes differently:\n got %x\nwant %x", mt, re, in)
 	}
 }
 
+// TestMIDRoundTrip: MID (type 3) is not decoded; its body, ragged or
+// not, is carried byte for byte.
+func TestMIDRoundTrip(t *testing.T) {
+	assertRawRoundTrip(t, 3, []byte{10, 0, 0, 100, 10, 0, 0, 101}) // two interfaces
+	assertRawRoundTrip(t, 3, []byte{10, 0, 0, 100, 1, 2})          // ragged
+	assertRawRoundTrip(t, 3, nil)
+}
+
+// TestHNARoundTrip: HNA (type 4) is carried like MID.
 func TestHNARoundTrip(t *testing.T) {
-	p := &Packet{Messages: []Message{{
-		VTime: 15 * time.Second, Originator: addr.NodeAt(3),
-		Body: &HNA{Networks: []HNANetwork{{Network: addr.Node(0xc0a80000), Mask: addr.Node(0xffff0000)}}},
-	}}}
-	hna, ok := roundTrip(t, p).Messages[0].Body.(*HNA)
-	if !ok || len(hna.Networks) != 1 || hna.Networks[0].Mask != addr.Node(0xffff0000) {
-		t.Fatalf("hna = %+v", hna)
-	}
+	assertRawRoundTrip(t, 4, []byte{192, 168, 0, 0, 255, 255, 0, 0})             // one network
+	assertRawRoundTrip(t, 4, []byte{192, 168, 0, 0, 255, 255, 0, 0, 1, 2, 3, 4}) // ragged
 }
 
 func TestUnknownTypeRoundTrip(t *testing.T) {
@@ -211,13 +238,13 @@ func TestMultiMessagePacket(t *testing.T) {
 		{VTime: 15 * time.Second, Originator: addr.NodeAt(1), TTL: 255, Seq: 2,
 			Body: &TC{ANSN: 5, Advertised: []addr.Node{addr.NodeAt(7)}}},
 		{VTime: 15 * time.Second, Originator: addr.NodeAt(1), TTL: 255, Seq: 3,
-			Body: &MID{Interfaces: []addr.Node{addr.NodeAt(50)}}},
+			Body: &RawBody{Type: 3, Data: []byte{10, 0, 0, 50}}},
 	}}
 	got := roundTrip(t, p)
 	if len(got.Messages) != 3 {
 		t.Fatalf("messages = %d, want 3", len(got.Messages))
 	}
-	types := []MessageType{MsgHello, MsgTC, MsgMID}
+	types := []MessageType{MsgHello, MsgTC, 3}
 	for i, want := range types {
 		if got.Messages[i].Type() != want {
 			t.Errorf("message %d type = %v, want %v", i, got.Messages[i].Type(), want)
@@ -294,8 +321,6 @@ func TestDecodeBadBodyLengths(t *testing.T) {
 	}{
 		{"tc too short", mk(MsgTC, 2)},
 		{"tc ragged", mk(MsgTC, 7)},
-		{"mid ragged", mk(MsgMID, 6)},
-		{"hna ragged", mk(MsgHNA, 12)},
 		{"hello too short", mk(MsgHello, 2)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
@@ -335,20 +360,11 @@ func randomPacket(rng *rand.Rand) *Packet {
 				tc.Advertised = append(tc.Advertised, addr.NodeAt(1+rng.Intn(250)))
 			}
 			m.Body = tc
-		case 2:
-			mid := &MID{}
-			for j := 0; j < rng.Intn(4); j++ {
-				mid.Interfaces = append(mid.Interfaces, addr.NodeAt(1+rng.Intn(250)))
-			}
-			m.Body = mid
 		default:
-			hna := &HNA{}
-			for j := 0; j < rng.Intn(3); j++ {
-				hna.Networks = append(hna.Networks, HNANetwork{
-					Network: addr.Node(rng.Uint32()), Mask: addr.Node(rng.Uint32()),
-				})
-			}
-			m.Body = hna
+			// MID, HNA or an unregistered type: carried opaquely.
+			raw := &RawBody{Type: []MessageType{3, 4, 200}[rng.Intn(3)], Data: make([]byte, rng.Intn(24))}
+			rng.Read(raw.Data)
+			m.Body = raw
 		}
 		p.Messages = append(p.Messages, m)
 	}
@@ -417,7 +433,7 @@ func TestAppendToMatchesEncode(t *testing.T) {
 			Body: &TC{ANSN: 12, Advertised: []addr.Node{addr.NodeAt(1), addr.NodeAt(9)}},
 		}, {
 			VTime: 15 * time.Second, Originator: addr.NodeAt(5), TTL: 64, Seq: 78,
-			Body: &MID{Interfaces: []addr.Node{addr.NodeAt(40)}},
+			Body: &RawBody{Type: 3, Data: []byte{10, 0, 0, 40}},
 		}}},
 	}
 	buf := []byte{0xde, 0xad, 0xbe, 0xef} // dirty scratch, reused across packets
