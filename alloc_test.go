@@ -70,7 +70,7 @@ func TestAllocCeilingReputation(t *testing.T) {
 	for i := 2; i <= 17; i++ {
 		direct.Set(addr.NodeAt(i), 0.4+0.01*float64(i))
 	}
-	led := reputation.NewLedger(addr.NodeAt(1), direct, reputation.Config{})
+	led := reputation.NewLedger(addr.NodeAt(1), direct, false)
 	vec := make([]reputation.Entry, 0, 32)
 	vec = led.AppendVector(vec[:0])
 	if len(vec) == 0 {

@@ -233,23 +233,6 @@ func TestAppendRejectsEmptyKind(t *testing.T) {
 	b.Append(Record{Node: addr.NodeAt(1)})
 }
 
-func TestBufferRing(t *testing.T) {
-	b := Buffer{MaxLen: 3}
-	for i := 0; i < 10; i++ {
-		b.Append(Record{Kind: KindHelloTx, Fields: []Field{FInt("i", i)}})
-	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	recs, next := b.Since(0)
-	if len(recs) != 3 || next != 10 {
-		t.Fatalf("Since(0) after wrap = %d recs, next %d", len(recs), next)
-	}
-	if v, _ := recs[0].IntField("i"); v != 7 {
-		t.Errorf("oldest retained = %d, want 7", v)
-	}
-}
-
 // readAll drains c.
 func readAll(c *Cursor) []Line {
 	var out []Line

@@ -11,14 +11,13 @@ import (
 )
 
 // Buffer is an append-only log with stable sequence numbers, so multiple
-// cursors can read it independently. With MaxLen > 0 it becomes a ring: the
-// oldest records are discarded but sequence numbers keep increasing, which
-// lets cursors detect loss.
+// cursors can read it independently. A record's sequence number is its
+// position in the log.
 //
 // Each record is stored once, as its canonical line (Record.String), the
 // text a routing daemon would have written. The lines live in append-only
-// byte chunks; a pointer-free index keeps each retained record's exact
-// time (the line renders milliseconds), its node and where its line lies.
+// byte chunks; a pointer-free index keeps each record's exact time (the
+// line renders milliseconds), its node and where its line lies.
 // Readers take the lines as they are: the detector parses them
 // (logevent.Parse), citations, Export and Dump return them, and sealing
 // hashes them. Since decodes them back into Records — exactly, because
@@ -32,30 +31,25 @@ import (
 // simulation are byte-identical; an unarmed buffer pays no sealing cost
 // at all.
 type Buffer struct {
-	MaxLen int // 0 = unbounded
-
-	// chunks hold the retained lines. A chunk is only ever appended to,
-	// and a byte once written is never written again, which is what lets
-	// a Line's Text alias it. chunkBase is the number of chunks the ring
-	// has freed, so refs can name chunks by absolute number.
-	chunks    [][]byte
-	chunkBase int
-	refs      []lineRef // one per retained record, oldest first
-	base      uint64    // sequence number of refs[0]
-	scratch   []byte    // leaf prefix followed by the line being stored
-	seal      seal
+	// chunks hold the lines. A chunk is only ever appended to, and a byte
+	// once written is never written again, which is what lets a Line's
+	// Text alias it.
+	chunks  [][]byte
+	refs    []lineRef // one per record, oldest first
+	scratch []byte    // leaf prefix followed by the line being stored
+	seal    seal
 	// onSeal, when set, observes each sealed record's sequence number
 	// (the run-trace plane hooks here). It never fires on an unarmed
 	// buffer.
 	onSeal func(seq uint64)
 }
 
-// lineRef locates one retained record's line and carries the header
-// values a reader needs without re-parsing them.
+// lineRef locates one record's line and carries the header values a
+// reader needs without re-parsing them.
 type lineRef struct {
 	t      time.Duration
 	node   addr.Node
-	chunk  uint32 // absolute chunk number
+	chunk  uint32 // index into chunks
 	off, n uint32 // the line is chunk[off:off+n]
 }
 
@@ -83,9 +77,6 @@ func (b *Buffer) Append(r Record) {
 	}
 	line := leafInput[1:]
 	copy(b.reserve(r.T, r.Node, len(line)), line)
-	if b.MaxLen > 0 && len(b.refs) > b.MaxLen {
-		b.drop(len(b.refs) - b.MaxLen)
-	}
 }
 
 // render renders r once, into scratch after the leaf prefix byte, and
@@ -115,67 +106,48 @@ func (b *Buffer) reserve(t time.Duration, node addr.Node, n int) []byte {
 	off := len(c)
 	b.refs = append(b.refs, lineRef{
 		t: t, node: node,
-		chunk: uint32(b.chunkBase + last), //nolint:gosec // chunk count fits
-		off:   uint32(off),                //nolint:gosec // off < maxChunk or a lone line
-		n:     uint32(n),                  //nolint:gosec // one line
+		chunk: uint32(last), //nolint:gosec // chunk count fits
+		off:   uint32(off),  //nolint:gosec // off < maxChunk or a lone line
+		n:     uint32(n),    //nolint:gosec // one line
 	})
 	b.chunks[last] = c[:off+n]
 	return b.chunks[last][off:]
 }
 
-// drop discards the k oldest retained records and frees the chunks no
-// retained line lies in any more.
-func (b *Buffer) drop(k int) {
-	b.refs = append(b.refs[:0], b.refs[k:]...)
-	b.base += uint64(k) //nolint:gosec // k >= 0
-	if len(b.refs) == 0 {
-		return
-	}
-	if free := int(b.refs[0].chunk) - b.chunkBase; free > 0 {
-		clear(b.chunks[:free])
-		b.chunks = b.chunks[free:]
-		b.chunkBase += free
-	}
-}
-
-// line returns the retained record at index i of refs.
+// line returns the record at index i of refs.
 func (b *Buffer) line(i int) Line {
 	ref := b.refs[i]
-	c := b.chunks[int(ref.chunk)-b.chunkBase]
+	c := b.chunks[ref.chunk]
 	return Line{
-		Seq:  b.base + uint64(i), //nolint:gosec // i >= 0
+		Seq:  uint64(i), //nolint:gosec // i >= 0
 		T:    ref.t,
 		Node: ref.node,
 		Text: unsafe.String(&c[ref.off], int(ref.n)),
 	}
 }
 
-// Len returns the number of retained records.
+// Len returns the number of records.
 func (b *Buffer) Len() int { return len(b.refs) }
 
 // NextSeq returns the sequence number the next appended record will get.
-func (b *Buffer) NextSeq() uint64 { return b.base + uint64(len(b.refs)) }
+func (b *Buffer) NextSeq() uint64 { return uint64(len(b.refs)) }
 
-// LineAt returns the retained record with sequence number seq, or false
-// when seq is older than the retention window or not yet appended.
+// LineAt returns the record with sequence number seq, or false when seq
+// is not yet appended.
 func (b *Buffer) LineAt(seq uint64) (Line, bool) {
-	if seq < b.base || seq >= b.NextSeq() {
+	if seq >= b.NextSeq() {
 		return Line{}, false
 	}
-	return b.line(int(seq - b.base)), true //nolint:gosec // bounded by len
+	return b.line(int(seq)), true //nolint:gosec // bounded by len
 }
 
 // Since decodes the records with sequence numbers >= seq and returns the
-// sequence number to pass next time. Records older than the retention
-// window are silently skipped.
+// sequence number to pass next time.
 func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
-	if seq < b.base {
-		seq = b.base
-	}
-	start := int(seq - b.base) //nolint:gosec // bounded by len
-	if start >= len(b.refs) {
+	if seq >= b.NextSeq() {
 		return nil, b.NextSeq()
 	}
+	start := int(seq) //nolint:gosec // bounded by len
 	out := make([]Record, 0, len(b.refs)-start)
 	for i := start; i < len(b.refs); i++ {
 		l := b.line(i)
@@ -189,7 +161,7 @@ func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
 	return out, b.NextSeq()
 }
 
-// Dump renders every retained record, one per line.
+// Dump renders every record, one per line.
 func (b *Buffer) Dump() string {
 	n := 0
 	for _, ref := range b.refs {
@@ -204,10 +176,10 @@ func (b *Buffer) Dump() string {
 	return sb.String()
 }
 
-// Line is one retained record as the canonical line it is stored as,
-// with the header values the buffer keeps beside it. Text aliases the
-// buffer's storage, which is never written again, so a Line stays valid
-// after later appends, ring drops and rewrites.
+// Line is one record as the canonical line it is stored as, with the
+// header values the buffer keeps beside it. Text aliases the buffer's
+// storage, which is never written again, so a Line stays valid after
+// later appends and rewrites.
 //
 // The accessors read the line in place and allocate nothing unless a
 // token holds a percent escape, which no protocol token does. They rely
@@ -289,16 +261,13 @@ type Cursor struct {
 	next uint64
 }
 
-// NewCursor returns a cursor positioned at the start of the buffer's
-// retained history.
-func NewCursor(b *Buffer) *Cursor { return &Cursor{buf: b, next: b.base} }
+// NewCursor returns a cursor positioned at the start of the buffer.
+func NewCursor(b *Buffer) *Cursor { return &Cursor{buf: b} }
 
-// Next returns the oldest retained record the cursor has not returned
-// yet. Records the ring dropped before they were read are skipped. Once
+// Next returns the oldest record the cursor has not returned yet. Once
 // it reports false the cursor sits at NextSeq, so the records appended
 // after that are the ones it returns next.
 func (c *Cursor) Next() (Line, bool) {
-	c.next = max(c.next, c.buf.base)
 	l, ok := c.buf.LineAt(c.next)
 	if !ok {
 		c.next = c.buf.NextSeq()

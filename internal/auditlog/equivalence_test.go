@@ -13,11 +13,9 @@ import (
 
 // refLog is the reference the line store must agree with: every record
 // kept as a Record in a slice, sealed from its String rendering, with the
-// ring, cursor and rewrite semantics the Buffer documents.
+// cursor and rewrite semantics the Buffer documents.
 type refLog struct {
-	maxLen int
-	recs   []Record
-	base   uint64
+	recs []Record
 
 	sealed       bool
 	key, chain   Hash
@@ -26,7 +24,7 @@ type refLog struct {
 	cursorNext   uint64
 }
 
-func (r *refLog) nextSeq() uint64 { return r.base + uint64(len(r.recs)) }
+func (r *refLog) nextSeq() uint64 { return uint64(len(r.recs)) }
 
 func (r *refLog) sealOne(rec Record) {
 	leaf := LeafHash([]byte(rec.String()))
@@ -42,20 +40,13 @@ func (r *refLog) append(rec Record) {
 		r.sealOne(rec)
 	}
 	r.recs = append(r.recs, rec)
-	if r.maxLen > 0 && len(r.recs) > r.maxLen {
-		drop := len(r.recs) - r.maxLen
-		r.recs = append([]Record(nil), r.recs[drop:]...)
-		r.base += uint64(drop) //nolint:gosec // drop >= 0
-	}
 }
 
 func (r *refLog) since(seq uint64) ([]Record, uint64) {
-	seq = max(seq, r.base)
-	start := int(seq - r.base) //nolint:gosec // bounded below
-	if start >= len(r.recs) {
+	if seq >= r.nextSeq() {
 		return nil, r.nextSeq()
 	}
-	return append([]Record(nil), r.recs[start:]...), r.nextSeq()
+	return append([]Record(nil), r.recs[seq:]...), r.nextSeq()
 }
 
 // read is the reference cursor: everything since the last read.
@@ -66,11 +57,7 @@ func (r *refLog) read() []Record {
 }
 
 func (r *refLog) rewrite(recs []Record) {
-	if r.maxLen > 0 && len(recs) > r.maxLen {
-		recs = recs[len(recs)-r.maxLen:]
-	}
 	r.recs = append([]Record(nil), recs...)
-	r.base = 0
 	if !r.sealed {
 		return
 	}
@@ -132,18 +119,14 @@ func sameRecord(a, b Record) bool {
 
 // TestBufferMatchesReference runs random op sequences — appends of
 // hostile records, cursor reads, Since, forger-style rewrites — through
-// the line store and the reference, sealed and unsealed, with and
-// without a ring, and requires every observable to agree.
+// the line store and the reference, sealed and unsealed, and requires
+// every observable to agree.
 func TestBufferMatchesReference(t *testing.T) {
 	const sequences = 1200
 	for s := 0; s < sequences; s++ {
 		rng := rand.New(rand.NewSource(int64(9100 + s))) //nolint:gosec // test determinism
 		b := &Buffer{}
 		ref := &refLog{}
-		if rng.Intn(3) == 0 {
-			b.MaxLen = 1 + rng.Intn(8)
-			ref.maxLen = b.MaxLen
-		}
 		var observed []uint64
 		if rng.Intn(2) == 0 {
 			material := []byte(fmt.Sprintf("key-%d", s))
@@ -154,7 +137,7 @@ func TestBufferMatchesReference(t *testing.T) {
 		cur := NewCursor(b)
 		fail := func(op string, format string, args ...any) {
 			t.Helper()
-			t.Fatalf("sequence %d (maxLen %d, sealed %v), %s: %s", s, b.MaxLen, ref.sealed, op, fmt.Sprintf(format, args...))
+			t.Fatalf("sequence %d (sealed %v), %s: %s", s, ref.sealed, op, fmt.Sprintf(format, args...))
 		}
 		for op := 0; op < 5+rng.Intn(60); op++ {
 			switch k := rng.Intn(10); {
@@ -200,7 +183,7 @@ func TestBufferMatchesReference(t *testing.T) {
 				all, _ := ref.since(0)
 				var kept []Record
 				for i, r := range all {
-					if !erase(ref.base+uint64(i), r.Kind) { //nolint:gosec // i >= 0
+					if !erase(uint64(i), r.Kind) { //nolint:gosec // i >= 0
 						kept = append(kept, r)
 					}
 				}
@@ -228,7 +211,7 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 		fail("dump", "%q, want %q", got, dump)
 	}
 	for i, r := range ref.recs {
-		seq := ref.base + uint64(i) //nolint:gosec // i >= 0
+		seq := uint64(i) //nolint:gosec // i >= 0
 		l, ok := b.LineAt(seq)
 		if !ok || l.Text != r.String() || l.T != r.T || l.Node != r.Node || l.Kind() != r.Kind {
 			fail("line", "LineAt(%d) = %+v, %v, want %q", seq, l, ok, r.String())
@@ -254,7 +237,7 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 		fail("export", "%d records, want %d", len(exp), len(ref.recs))
 	}
 	for i, e := range exp {
-		seq := ref.base + uint64(i) //nolint:gosec // i >= 0
+		seq := uint64(i) //nolint:gosec // i >= 0
 		if e.Index != seq || e.Line != ref.recs[i].String() || e.Tag != ref.tags[seq] {
 			fail("export", "record %d = %+v", i, e)
 		}
@@ -285,41 +268,6 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 	cp, err := b.ConsistencyProof(old, head.Size)
 	if err != nil || !VerifyConsistency(oldHead, head, cp) {
 		fail("consistency", "proof %d -> %d: %v", old, head.Size, err)
-	}
-}
-
-// TestRingFreesChunks pins the ring's memory bound: a small ring over
-// many appends keeps only the chunks its retained lines lie in, while
-// sequence numbers keep rising and a cursor that fell behind skips the
-// dropped records.
-func TestRingFreesChunks(t *testing.T) {
-	b := Buffer{MaxLen: 64}
-	c := NewCursor(&b)
-	for i := 0; i < 100000; i++ {
-		b.Append(Record{T: time.Duration(i) * time.Millisecond, Node: addr.NodeAt(1), Kind: KindHelloTx,
-			Fields: []Field{FInt("i", i)}})
-		if i == 10 {
-			if got := readAll(c); len(got) != 11 {
-				t.Fatalf("early read = %d lines", len(got))
-			}
-		}
-	}
-	if b.Len() != 64 || b.NextSeq() != 100000 {
-		t.Fatalf("Len %d NextSeq %d", b.Len(), b.NextSeq())
-	}
-	if len(b.chunks) > 2 {
-		t.Errorf("ring of 64 short lines holds %d chunks", len(b.chunks))
-	}
-	got := readAll(c)
-	if len(got) != 64 || got[0].Seq != 100000-64 {
-		t.Fatalf("read after loss = %d lines from seq %d", len(got), got[0].Seq)
-	}
-	if v, _ := got[0].IntField("i"); v != 100000-64 {
-		t.Errorf("oldest retained i = %d", v)
-	}
-	recs, next := b.Since(0)
-	if len(recs) != 64 || next != 100000 || recs[63].T != 99999*time.Millisecond {
-		t.Fatalf("Since(0) = %d recs, next %d", len(recs), next)
 	}
 }
 

@@ -282,10 +282,8 @@ func VerifyConsistency(old, new TreeHead, proof Proof) bool {
 	return sn == 0 && fr == old.Root && sr == new.Root
 }
 
-// seal is the tamper-evidence state of a Buffer. Leaves and tags cover
-// every record ever appended — unlike the record ring, they are never
-// discarded (32+32 bytes per record), because proofs about old records
-// must remain producible after the ring dropped their bodies.
+// seal is the tamper-evidence state of a Buffer: one leaf and one tag
+// per record (32+32 bytes), indexed by sequence number.
 type seal struct {
 	enabled bool   // armed by SetSealKey; unarmed buffers seal nothing
 	key     Hash   // evolving epoch key k_i
@@ -349,15 +347,14 @@ func (s *seal) append(leafInput []byte) {
 
 // SetSealKey arms sealing with the initial key k_0, derived from
 // material. Sealing is off until armed: an unarmed buffer pays nothing
-// per Append and keeps no seal state (the record ring's LogCap bound
-// stays real), which is why the core package arms logs only when the
-// evidence plane is enabled. Arming is observable-free — it draws no
+// per Append and keeps no seal state, which is why the core package arms
+// logs only when the evidence plane is enabled. Arming is observable-free — it draws no
 // randomness and schedules nothing — so it can never move a scenario
 // digest. It must happen before the first Append (the chain is keyed
 // from the very first record) and panics otherwise, because a late
 // start would silently void the forward-security property.
 func (b *Buffer) SetSealKey(material []byte) {
-	if len(b.refs) != 0 || b.base != 0 {
+	if len(b.refs) != 0 {
 		panic("auditlog: SetSealKey after records were appended")
 	}
 	b.seal.enabled = true
@@ -435,16 +432,15 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 	return Proof{Path: consistencyPath(int(oldSize), b.seal.leaves[:newSize])}, nil //nolint:gosec // bounded by len
 }
 
-// Rewrite is the ATTACKER's operation: it keeps the retained records
-// keep accepts, in order, appends add after them, and reseals everything
-// from scratch — with the log's CURRENT epoch key, because the
-// pre-compromise keys were hashed forward and erased. The rebuilt chain
-// therefore cannot reproduce the original tags (VerifySealedChain with k_0
-// fails), and the rebuilt Merkle tree generally cannot be linked by any
+// Rewrite is the ATTACKER's operation: it keeps the records keep
+// accepts, in order, appends add after them, and reseals everything from
+// scratch — with the log's CURRENT epoch key, because the pre-compromise
+// keys were hashed forward and erased. The rebuilt chain therefore
+// cannot reproduce the original tags (VerifySealedChain with k_0 fails),
+// and the rebuilt Merkle tree generally cannot be linked by any
 // consistency proof to a previously published head. Sequence numbers
-// restart at 0, a ring keeps the newest MaxLen records, and the reseal
-// does not fire the SetOnSeal observer. Honest code never calls this;
-// attack.LogForger does.
+// restart at 0 and the reseal does not fire the SetOnSeal observer.
+// Honest code never calls this; attack.LogForger does.
 func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 	// Filtering drops index entries only: the bytes stay where they are,
 	// so no Line handed out before changes.
@@ -459,10 +455,6 @@ func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 		line := b.render(r)[1:]
 		copy(b.reserve(r.T, r.Node, len(line)), line)
 	}
-	if b.MaxLen > 0 && len(b.refs) > b.MaxLen {
-		b.drop(len(b.refs) - b.MaxLen)
-	}
-	b.base = 0
 	if !b.seal.enabled {
 		return
 	}
@@ -485,10 +477,8 @@ type SealedRecord struct {
 	Tag   Hash
 }
 
-// Export returns every retained record in sealed form (records older than
-// the ring's retention window are gone; their leaves and tags remain
-// inside the log for proofs, but cannot be exported). An unsealed buffer
-// has nothing to export.
+// Export returns every record in sealed form. An unsealed buffer has
+// nothing to export.
 func (b *Buffer) Export() []SealedRecord {
 	if !b.seal.enabled {
 		return nil

@@ -40,42 +40,14 @@ const (
 	PayloadRecommend byte = 3
 )
 
-// EvidenceConfig parameterizes the tamper-evident evidence plane
-// (DESIGN.md §8). Disabled, the network behaves exactly as before: audit
-// logs are not sealed, no tree heads are gossiped, no citations ride on
-// replies, and no proofs are verified.
-type EvidenceConfig struct {
-	Enabled bool
-	// GossipInterval is how often each node floods its evidence-log tree
-	// head (default 5s).
-	GossipInterval time.Duration
-	// ProvenWeight is the Eq. 8 trust multiplier for proof-backed
-	// testimony (default 2; see detect.Config.ProvenWeight).
-	ProvenWeight float64
-}
-
 // ReputationConfig parameterizes the opt-in reputation plane
 // (DESIGN.md §9). Disabled, the network behaves exactly as before: no
 // ledgers are built, no vectors are gossiped, and detectors weigh
 // strangers from the cold default.
 type ReputationConfig struct {
 	Enabled bool
-	// GossipInterval is how often each node floods its trust vector
-	// (default 10s).
-	GossipInterval time.Duration
-	// Deviation is the acceptance threshold of the deviation test
-	// (default 0.25; see reputation.Config).
-	Deviation float64
-	// MaxEntries caps subjects per gossiped vector (default 32).
-	MaxEntries int
-	// Freshness bounds the age of recommendations used for trust
-	// bootstrapping (default 60s).
-	Freshness time.Duration
 	// NoFilter disables the deviation test — the X9 ablation arm.
 	NoFilter bool
-	// DishonestAfter is the majority-failed-vector count that flags a
-	// recommender (default 3).
-	DishonestAfter int
 }
 
 // ctrlTTL bounds control-plane forwarding, in hops. The control plane
@@ -83,15 +55,23 @@ type ReputationConfig struct {
 // binary envelope of ctrlwire.go.
 const ctrlTTL = 16
 
+// Gossip periods of the opt-in planes: how often each node floods its
+// evidence-log tree head, and its trust vector.
+const (
+	headGossipInterval      = 5 * time.Second
+	recommendGossipInterval = 10 * time.Second
+)
+
 // Config parameterizes a Network.
 type Config struct {
 	Seed int64
 	// Radio is the medium configuration (zero value: 250m unit disk).
 	Radio radio.Config
-	// LogCap bounds each node's audit log (0 = unbounded).
-	LogCap int
-	// Evidence enables tree-head gossip and proof-carrying replies.
-	Evidence EvidenceConfig
+	// Evidence enables the tamper-evident evidence plane (DESIGN.md §8):
+	// sealed audit logs, tree-head gossip and proof-carrying replies.
+	// Off, logs are not sealed, no tree heads are gossiped, no citations
+	// ride on replies, and no proofs are verified.
+	Evidence bool
 	// Reputation enables recommendation gossip and Eq. 6/7 trust
 	// propagation.
 	Reputation ReputationConfig
@@ -128,18 +108,6 @@ type Network struct {
 
 // NewNetwork creates an empty network.
 func NewNetwork(cfg Config) *Network {
-	// Resolve the reputation plane's defaults once, here, so every
-	// consumer — the gossip scheduler, the message VTime, the ledgers —
-	// sees the same effective values (reputation.Config re-defaults
-	// independently, but matching zeros would diverge at the edges).
-	if cfg.Reputation.Enabled {
-		if cfg.Reputation.GossipInterval <= 0 {
-			cfg.Reputation.GossipInterval = 10 * time.Second
-		}
-		if cfg.Reputation.Freshness <= 0 {
-			cfg.Reputation.Freshness = 60 * time.Second
-		}
-	}
 	sched := sim.New(cfg.Seed)
 	w := &Network{
 		Sched:  sched,
@@ -199,11 +167,6 @@ type NodeSpec struct {
 	Recommender *attack.Recommender
 	// TrustParams overrides the trust constants for this node's detector.
 	TrustParams *trust.Params
-	// AutoExclude enables the response action: a node this detector
-	// convicts is banned from the local MPR selection (and re-admitted if
-	// a later verdict clears it) — the paper's "trustworthiness is used
-	// to guide the decision making", as CAP-OLSR does.
-	AutoExclude bool
 }
 
 // Node is one device: router, log, detector, responder.
@@ -221,7 +184,7 @@ type Node struct {
 	pos         mobility.Model
 	dropControl bool
 
-	// Evidence-plane state (nil / unused unless Config.Evidence.Enabled):
+	// Evidence-plane state (nil / unused unless Config.Evidence):
 	// the latest gossip-verified tree head per origin, the origins whose
 	// gossip exposed a rewrite, and the size of this node's own last
 	// broadcast (the anchor of the next gossip's consistency proof).
@@ -246,8 +209,8 @@ type Node struct {
 // AddNode instantiates and wires a node; call before Start.
 func (w *Network) AddNode(spec NodeSpec) *Node {
 	id := spec.ID
-	logs := &auditlog.Buffer{MaxLen: w.cfg.LogCap}
-	if w.cfg.Evidence.Enabled {
+	logs := &auditlog.Buffer{}
+	if w.cfg.Evidence {
 		// A deterministic per-node key: forward security matters against
 		// the simulated forgers, not real adversaries, and deriving it
 		// from the address keeps the run seed-stable without drawing on
@@ -260,7 +223,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 		w.Medium.Send(id, addr.Broadcast, append([]byte{PayloadOLSR}, b...))
 	}, logs)
 	router.SetTracer(w.tracer)
-	if w.cfg.Evidence.Enabled && w.tracer.On() {
+	if w.cfg.Evidence && w.tracer.On() {
 		logs.SetOnSeal(func(seq uint64) {
 			w.tracer.Emit(trace.Event{Plane: trace.PlaneEvidence, Kind: trace.KindSeal,
 				Node: id.String(), V0: float64(seq)})
@@ -297,7 +260,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 	case spec.Liar != nil:
 		n.Responder.Liar = spec.Liar.Mutate
 	}
-	if w.cfg.Evidence.Enabled {
+	if w.cfg.Evidence {
 		n.Responder.Evidence = &detect.EvidenceProvider{Log: logs}
 		n.heads = make(map[addr.Node]auditlog.TreeHead)
 		n.gossipTainted = make(addr.Set)
@@ -324,13 +287,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 			})
 		}
 		if w.cfg.Reputation.Enabled {
-			n.Rep = reputation.NewLedger(id, n.Trust, reputation.Config{
-				Deviation:      w.cfg.Reputation.Deviation,
-				MaxEntries:     w.cfg.Reputation.MaxEntries,
-				Freshness:      w.cfg.Reputation.Freshness,
-				NoFilter:       w.cfg.Reputation.NoFilter,
-				DishonestAfter: w.cfg.Reputation.DishonestAfter,
-			})
+			n.Rep = reputation.NewLedger(id, n.Trust, w.cfg.Reputation.NoFilter)
 			if w.tracer.On() {
 				self := id.String()
 				n.Rep.OnIngest = func(rec addr.Node, passed, failed int) {
@@ -340,23 +297,8 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 			}
 			dcfg.Bootstrap = &ledgerBootstrap{node: n}
 		}
-		if spec.AutoExclude {
-			userReport := dcfg.OnReport
-			dcfg.OnReport = func(r detect.Report) {
-				switch r.Verdict {
-				case trust.Intruder:
-					router.Exclude(r.Suspect, true)
-				case trust.WellBehaving:
-					router.Exclude(r.Suspect, false)
-				}
-				if userReport != nil {
-					userReport(r)
-				}
-			}
-		}
-		if w.cfg.Evidence.Enabled {
+		if w.cfg.Evidence {
 			dcfg.Heads = n
-			dcfg.ProvenWeight = w.cfg.Evidence.ProvenWeight
 		}
 		n.Detector = detect.NewDetector(dcfg, w.Sched, router, logs, &nodeTransport{node: n}, n.Trust)
 		if n.Rep != nil {
@@ -391,22 +333,17 @@ func (w *Network) Nodes() []addr.Node {
 // Start launches every router and detector, and — with the evidence or
 // reputation plane enabled — the corresponding per-node gossip.
 func (w *Network) Start() {
-	interval := w.cfg.Evidence.GossipInterval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	recInterval := w.cfg.Reputation.GossipInterval // defaulted in NewNetwork
 	for _, id := range w.order {
 		n := w.nodes[id]
 		n.Router.Start()
 		if n.Detector != nil {
 			n.Detector.Start()
 		}
-		if w.cfg.Evidence.Enabled {
-			w.Sched.Every(interval, interval, 0.1, n.gossipHead)
+		if w.cfg.Evidence {
+			w.Sched.Every(headGossipInterval, headGossipInterval, 0.1, n.gossipHead)
 		}
 		if w.cfg.Reputation.Enabled && (n.Rep != nil || n.Recommender != nil) {
-			w.Sched.Every(recInterval, recInterval, 0.1, n.gossipRecommend)
+			w.Sched.Every(recommendGossipInterval, recommendGossipInterval, 0.1, n.gossipRecommend)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func (n *Node) gossipRecommend() {
 	n.recSeq++
 	n.net.ctrlSent++
 	n.broadcastRecommend(wire.Message{
-		VTime:      n.net.cfg.Reputation.Freshness,
+		VTime:      reputation.Freshness,
 		Originator: n.ID,
 		TTL:        ctrlTTL,
 		Seq:        n.recSeq,

@@ -15,13 +15,12 @@ import (
 // repNetwork builds a 5-node line 1—2—3—4—5 (150m spacing, 200m range)
 // with detectors (and hence ledgers) on every node, the reputation plane
 // on, and an optional recommender attack on node 5.
-func repNetwork(t *testing.T, rec *attack.Recommender, cfg ReputationConfig) *Network {
+func repNetwork(t *testing.T, rec *attack.Recommender) *Network {
 	t.Helper()
-	cfg.Enabled = true
 	w := NewNetwork(Config{
 		Seed:       1,
 		Radio:      radio.Config{Prop: radio.UnitDisk{Range: 200}, PropDelay: time.Millisecond},
-		Reputation: cfg,
+		Reputation: ReputationConfig{Enabled: true},
 	})
 	known := addr.NewSet()
 	for i := 1; i <= 5; i++ {
@@ -49,7 +48,7 @@ func TestRecommendGossipPropagates(t *testing.T) {
 	// honest vectors need explicit trust values, which a quiet honest
 	// line does not accumulate fast.
 	rec := &attack.Recommender{Strategy: BallotStrategyForTest(), Targets: []addr.Node{addr.NodeAt(4)}}
-	w := repNetwork(t, rec, ReputationConfig{})
+	w := repNetwork(t, rec)
 	w.Start()
 	w.RunFor(45 * time.Second)
 
@@ -71,7 +70,7 @@ func BallotStrategyForTest() attack.RecommenderStrategy { return attack.BallotSt
 // dedup would multiply Vectors far past the emission count.
 func TestRecommendDedupStopsFlood(t *testing.T) {
 	rec := &attack.Recommender{Strategy: attack.BallotStuff, Targets: []addr.Node{addr.NodeAt(4)}}
-	w := repNetwork(t, rec, ReputationConfig{GossipInterval: 10 * time.Second})
+	w := repNetwork(t, rec)
 	w.Start()
 	w.RunFor(35 * time.Second)
 
@@ -92,7 +91,7 @@ func TestRecommenderOnOffAlternates(t *testing.T) {
 		Targets:  []addr.Node{subject},
 		OnOff:    20 * time.Second,
 	}
-	w := repNetwork(t, rec, ReputationConfig{GossipInterval: 5 * time.Second})
+	w := repNetwork(t, rec)
 	w.Start()
 	w.RunFor(60 * time.Second)
 

@@ -26,12 +26,10 @@ func newBootstrapScenario(t *testing.T, boot TrustBootstrapper) *scenario {
 	sc := newScenario(t, append(honestAdvertisement(), addr.NodeAt(99)), nil)
 	// Rebuild the detector with the bootstrapper; everything else is the
 	// canonical honest world.
-	sc.reports = nil
 	sc.det = NewDetector(Config{
 		Self: sc.observer,
 		KnownNodes: addr.NewSet(sc.observer, sc.suspect, addr.NodeAt(2), addr.NodeAt(3),
 			addr.NodeAt(4), addr.NodeAt(5), addr.NodeAt(6)),
-		OnReport:  func(r Report) { sc.reports = append(sc.reports, r) },
 		Bootstrap: boot,
 	}, sc.sched, sc.obs, sc.logs, sc.tr, sc.store)
 	sc.tr.detector = sc.det
@@ -47,11 +45,11 @@ func TestBootstrapSeedsStrangerTrust(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(10 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no finalized round")
 	}
 	var got, def float64
-	for _, o := range sc.reports[0].Observations {
+	for _, o := range sc.reports()[0].Observations {
 		switch o.Source {
 		case addr.NodeAt(2):
 			got = o.Trust
@@ -81,10 +79,10 @@ func TestDirectHistoryOutranksBootstrap(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(10 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no finalized round")
 	}
-	for _, o := range sc.reports[0].Observations {
+	for _, o := range sc.reports()[0].Observations {
 		if o.Source == addr.NodeAt(2) && o.Trust != 0.1 {
 			t.Fatalf("direct history overridden: weighed at %v, want 0.1", o.Trust)
 		}

@@ -231,15 +231,11 @@ type Config struct {
 	// set N in Expression 1); advertising a node outside it is immediate
 	// first-hand evidence of spoofing.
 	KnownNodes addr.Set
-	// OnReport, when set, observes every finalized investigation round.
-	OnReport func(Report)
 	// Heads, when set, enables the evidence plane: replies are verified
 	// against gossiped tree heads (evidence.go), proof-backed testimony
-	// is boosted, and proof failures convict the responder.
+	// is boosted by provenWeight, and proof failures convict the
+	// responder.
 	Heads HeadSource
-	// ProvenWeight is the Eq. 8 trust multiplier for proof-backed
-	// testimony (default 2).
-	ProvenWeight float64
 	// Bootstrap, when set, supplies propagated trust for strangers (the
 	// reputation plane, DESIGN.md §9): when an observation's source has
 	// no explicit direct-trust value, the detector seeds one from the
@@ -737,7 +733,7 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 		contradicts := rep.Answered && rep.LinkExists != inv.adv[rep.Link]
 		switch d.verifyEvidence(rep, contradicts) {
 		case evidenceProven:
-			weight = d.provenWeight()
+			weight = provenWeight
 		case evidenceForged:
 			// The reply contradicts the responder's own sealed history:
 			// discard the testimony and convict the forger on first-hand
@@ -805,9 +801,6 @@ func (d *Detector) ReportForgedEvidence(node addr.Node, detail string) {
 	if d.cfg.Tracer.On() {
 		d.cfg.Tracer.Emit(trace.Event{Plane: trace.PlaneDetect, Kind: trace.KindForged,
 			Node: d.cfg.Self.String(), Peer: node.String(), Msg: detail, V1: float64(round)})
-	}
-	if d.cfg.OnReport != nil {
-		d.cfg.OnReport(report)
 	}
 }
 
@@ -963,9 +956,6 @@ func (d *Detector) finalize(inv *investigation) {
 	if !d.tainted.Has(inv.suspect) {
 		c.verdict = verdict
 		c.hasVerdict = true
-	}
-	if d.cfg.OnReport != nil {
-		d.cfg.OnReport(report)
 	}
 
 	// Unrecognized: gather more evidence next round (§IV-C).

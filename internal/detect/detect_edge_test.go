@@ -23,8 +23,8 @@ func TestMaxRoundsCapsInvestigation(t *testing.T) {
 	if got := sc.det.InvestigationCount(); got != 1 {
 		t.Errorf("investigations = %d, want 1", got)
 	}
-	if len(sc.reports) != 1 || sc.reports[0].Round != maxRounds || sc.reports[0].Verdict != trust.Unrecognized {
-		t.Errorf("%d reports, want one unrecognized round %d", len(sc.reports), maxRounds)
+	if len(sc.reports()) != 1 || sc.reports()[0].Round != maxRounds || sc.reports()[0].Verdict != trust.Unrecognized {
+		t.Errorf("%d reports, want one unrecognized round %d", len(sc.reports()), maxRounds)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestStaleRepliesIgnored(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.det.HandleReply(VerifyReply{ID: 12345, Suspect: sc.suspect, Answered: true})
 	sc.sched.RunUntil(10 * time.Second)
-	for _, r := range sc.reports {
+	for _, r := range sc.reports() {
 		for _, o := range r.Observations {
 			if o.Source == addr.NodeAt(42) {
 				t.Error("phantom responder leaked into observations")
@@ -66,20 +66,20 @@ func TestGravityInReport(t *testing.T) {
 	sc := newScenario(t, append(honestAdvertisement(), phantom), nil)
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(10 * time.Second)
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	if got := sc.reports[0].Gravity; got != trust.GravityCritical {
+	if got := sc.reports()[0].Gravity; got != trust.GravityCritical {
 		t.Errorf("phantom round gravity = %v, want critical", got)
 	}
 
 	sc2 := newScenario(t, honestAdvertisement(), nil)
 	sc2.det.OpenInvestigation(sc2.suspect, "test")
 	sc2.sched.RunUntil(10 * time.Second)
-	if len(sc2.reports) == 0 {
+	if len(sc2.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	if got := sc2.reports[0].Gravity; got != trust.GravityDefault {
+	if got := sc2.reports()[0].Gravity; got != trust.GravityDefault {
 		t.Errorf("clean round gravity = %v, want default", got)
 	}
 }

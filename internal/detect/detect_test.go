@@ -72,11 +72,13 @@ type scenario struct {
 	tr       *memTransport
 	det      *Detector
 	store    *trust.Store
-	reports  []Report
 	logs     *auditlog.Buffer
 	suspect  addr.Node
 	observer addr.Node
 }
+
+// reports returns every round the detector has finalized so far.
+func (sc *scenario) reports() []Report { return sc.det.Reports() }
 
 func newScenario(t *testing.T, suspectAdvertises []addr.Node, liars map[addr.Node]*attack.Liar) *scenario {
 	t.Helper()
@@ -140,7 +142,6 @@ func newScenario(t *testing.T, suspectAdvertises []addr.Node, liars map[addr.Nod
 		Self: observer,
 		KnownNodes: addr.NewSet(observer, suspect, addr.NodeAt(2), addr.NodeAt(3),
 			addr.NodeAt(4), addr.NodeAt(5), addr.NodeAt(6)),
-		OnReport: func(r Report) { sc.reports = append(sc.reports, r) },
 	}, sched, sc.obs, sc.logs, sc.tr, sc.store)
 	sc.tr.detector = sc.det
 	return sc
@@ -155,10 +156,10 @@ func TestHonestAdvertisementYieldsWellBehaving(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(10 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	last := sc.reports[len(sc.reports)-1]
+	last := sc.reports()[len(sc.reports())-1]
 	if last.Verdict == trust.Intruder {
 		t.Errorf("honest suspect convicted: %+v", last)
 	}
@@ -175,10 +176,10 @@ func TestPhantomNeighborConvicted(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(90 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	final := sc.reports[len(sc.reports)-1]
+	final := sc.reports()[len(sc.reports())-1]
 	if final.Verdict != trust.Intruder {
 		t.Fatalf("phantom spoofer verdict = %v (Detect %v, rounds %d)",
 			final.Verdict, final.Detect, final.Round)
@@ -200,10 +201,10 @@ func TestClaimedNonNeighborConvicted(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(90 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	final := sc.reports[len(sc.reports)-1]
+	final := sc.reports()[len(sc.reports())-1]
 	if final.Verdict != trust.Intruder {
 		t.Fatalf("claim spoofer verdict = %v (Detect %v, rounds %d)",
 			final.Verdict, final.Detect, final.Round)
@@ -217,10 +218,10 @@ func TestOmittedNeighborDetected(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(90 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	final := sc.reports[len(sc.reports)-1]
+	final := sc.reports()[len(sc.reports())-1]
 	if final.Detect >= 0 {
 		t.Errorf("omission not reflected: Detect = %v", final.Detect)
 	}
@@ -251,11 +252,11 @@ func TestLiarsSlowButDontStopConviction(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(150 * time.Second)
 
-	if len(sc.reports) < 2 {
-		t.Fatalf("expected multiple rounds with liars, got %d", len(sc.reports))
+	if len(sc.reports()) < 2 {
+		t.Fatalf("expected multiple rounds with liars, got %d", len(sc.reports()))
 	}
-	final := sc.reports[len(sc.reports)-1]
-	first := sc.reports[0]
+	final := sc.reports()[len(sc.reports())-1]
+	first := sc.reports()[0]
 	if final.Detect >= first.Detect {
 		t.Errorf("Detect did not fall across rounds: %v -> %v", first.Detect, final.Detect)
 	}
@@ -277,10 +278,10 @@ func TestNonAnsweringNodeIsZeroEvidence(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(30 * time.Second)
 
-	if len(sc.reports) == 0 {
+	if len(sc.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	rep := sc.reports[0]
+	rep := sc.reports()[0]
 	zero := false
 	for _, o := range rep.Observations {
 		if o.Source == addr.NodeAt(4) && o.Evidence == 0 {
@@ -300,8 +301,8 @@ func TestAbstainersExcludedFromLaterRounds(t *testing.T) {
 	sc.det.OpenInvestigation(sc.suspect, "test")
 	sc.sched.RunUntil(30 * time.Second)
 
-	if len(sc.reports) < 2 {
-		t.Skipf("only %d rounds ran", len(sc.reports))
+	if len(sc.reports()) < 2 {
+		t.Skipf("only %d rounds ran", len(sc.reports()))
 	}
 	asked := make(map[int]int) // round index by request order -> count to node 4
 	_ = asked

@@ -18,7 +18,7 @@
 //     (Detector.ReportForgedEvidence), the paper's property 5 applied to
 //     evidence integrity.
 //
-// Proven testimony is weight-boosted (Config.ProvenWeight) ONLY when it
+// Proven testimony is weight-boosted (provenWeight) ONLY when it
 // CONTRADICTS the suspect's advertisement. The asymmetry is deliberate.
 // Provability itself is asymmetric: a link's existence is witnessed by a
 // logged HELLO, but the phantom link at the heart of Expression 1 has no
@@ -63,8 +63,8 @@ func (m HeadMap) LatestHead(n addr.Node) (auditlog.TreeHead, bool) {
 	return h, ok
 }
 
-// evidenceSearchWindow bounds how far back a responder scans its retained
-// records for a supporting citation.
+// evidenceSearchWindow bounds how far back a responder scans its log for
+// a supporting citation.
 const evidenceSearchWindow = 512
 
 // EvidenceProvider attaches sealed-log evidence to a responder's replies.
@@ -101,7 +101,7 @@ func (p *EvidenceProvider) Attach(req VerifyRequest, rep *VerifyReply) {
 	}
 }
 
-// cite finds the most recent retained HELLO_RX from witness among the
+// cite finds the most recent HELLO_RX from witness among the
 // last evidenceSearchWindow records and proves its inclusion in head. It
 // reads the stored lines in place; the citation carries the line itself.
 func (p *EvidenceProvider) cite(witness addr.Node, head auditlog.TreeHead) (Citation, bool) {
@@ -111,10 +111,7 @@ func (p *EvidenceProvider) cite(witness addr.Node, head auditlog.TreeHead) (Cita
 	}
 	for seq := p.Log.NextSeq(); seq > start; {
 		seq--
-		l, ok := p.Log.LineAt(seq)
-		if !ok {
-			break // older than the retained window
-		}
+		l, _ := p.Log.LineAt(seq) // seq < NextSeq
 		if l.Kind() != auditlog.KindHelloRx {
 			continue
 		}
@@ -204,15 +201,7 @@ func (d *Detector) verifyEvidence(rep VerifyReply, contradicts bool) evidenceSta
 	return evidenceUnanchored
 }
 
-// provenWeight returns the Eq. 8 trust multiplier for proof-backed
-// testimony.
-func (d *Detector) provenWeight() float64 {
-	if d.cfg.ProvenWeight > 0 {
-		return d.cfg.ProvenWeight
-	}
-	return defaultProvenWeight
-}
-
-// defaultProvenWeight doubles the trust share of proof-backed testimony —
-// the same factor trust.GravityHigh applies to first-hand contradictions.
-const defaultProvenWeight = 2
+// provenWeight is the Eq. 8 trust multiplier for proof-backed testimony:
+// it doubles its trust share — the same factor trust.GravityHigh applies
+// to first-hand contradictions.
+const provenWeight = 2

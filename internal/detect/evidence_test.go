@@ -20,7 +20,6 @@ type evidenceWorld struct {
 	det      *Detector
 	store    *trust.Store
 	tr       *memTransport
-	reports  []Report
 	heads    HeadMap
 	resp     *Responder
 	respLogs *auditlog.Buffer
@@ -28,6 +27,9 @@ type evidenceWorld struct {
 	suspect  addr.Node
 	endpoint addr.Node
 }
+
+// reports returns every round the detector has finalized so far.
+func (w *evidenceWorld) reports() []Report { return w.det.Reports() }
 
 func newEvidenceWorld(t *testing.T) *evidenceWorld {
 	t.Helper()
@@ -74,7 +76,6 @@ func newEvidenceWorld(t *testing.T) *evidenceWorld {
 		Self:       w.observer,
 		KnownNodes: addr.NewSet(w.observer, w.suspect, w.endpoint),
 		Heads:      w.heads,
-		OnReport:   func(r Report) { w.reports = append(w.reports, r) },
 	}, w.sched, obs, &auditlog.Buffer{}, w.tr, w.store)
 	w.tr.detector = w.det
 	return w
@@ -116,18 +117,18 @@ func TestProvenContradictionBoosted(t *testing.T) {
 	w.det.OpenInvestigation(w.suspect, "test")
 	w.sched.RunUntil(5 * time.Second)
 
-	if len(w.reports) == 0 {
+	if len(w.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	rep := w.reports[0]
+	rep := w.reports()[0]
 	boosted := false
 	for _, o := range rep.Observations {
 		if o.Source == w.endpoint {
 			if o.Evidence != -1 {
 				t.Fatalf("responder evidence = %v, want -1 (denial)", o.Evidence)
 			}
-			if o.Weight != defaultProvenWeight {
-				t.Fatalf("responder weight = %v, want %v", o.Weight, float64(defaultProvenWeight))
+			if o.Weight != provenWeight {
+				t.Fatalf("responder weight = %v, want %v", o.Weight, float64(provenWeight))
 			}
 			boosted = true
 		}
@@ -154,10 +155,10 @@ func TestAgreementNeverBoosted(t *testing.T) {
 	w.det.OpenInvestigation(w.suspect, "test")
 	w.sched.RunUntil(5 * time.Second)
 
-	if len(w.reports) == 0 {
+	if len(w.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	for _, o := range w.reports[0].Observations {
+	for _, o := range w.reports()[0].Observations {
 		if o.Source == w.endpoint {
 			if o.Evidence != 1 {
 				t.Fatalf("responder evidence = %v, want +1 (confirmation)", o.Evidence)
@@ -206,7 +207,7 @@ func TestForgedReplyConvictsResponder(t *testing.T) {
 	}
 	// The round about the original suspect still finalizes (by timeout),
 	// with the forged testimony absent.
-	for _, r := range w.reports {
+	for _, r := range w.reports() {
 		if r.Suspect != w.suspect {
 			continue
 		}
@@ -330,10 +331,10 @@ func TestEvidenceWorldSmoke(t *testing.T) {
 	w.seedRespLog(w.suspect)
 	w.det.OpenInvestigation(w.suspect, "smoke")
 	w.sched.RunUntil(30 * time.Second)
-	if len(w.reports) == 0 {
+	if len(w.reports()) == 0 {
 		t.Fatal("no report")
 	}
-	if fmt.Sprint(w.reports[0].Suspect) == "" {
+	if fmt.Sprint(w.reports()[0].Suspect) == "" {
 		t.Fatal("empty suspect")
 	}
 }
@@ -371,8 +372,8 @@ func citeByRecords(log *auditlog.Buffer, witness addr.Node, head auditlog.TreeHe
 
 // TestCiteMatchesRecordReference pins the line-level cite to the
 // record-decoding one: same window, same skips, same citation — including
-// a witness whose only HELLO lies just outside the 512-record window, a
-// head taken before the newest HELLO, and ring-trimmed logs.
+// a witness whose only HELLO lies just outside the 512-record window and
+// a head taken before the newest HELLO.
 func TestCiteMatchesRecordReference(t *testing.T) {
 	witness, other := addr.NodeAt(2), addr.NodeAt(3)
 	hello := func(from addr.Node, i int) auditlog.Record {
@@ -386,21 +387,18 @@ func TestCiteMatchesRecordReference(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name      string
-		maxLen    int
 		helloAt   []int // positions of witness HELLOs
 		total     int
 		headShort uint64 // head taken this many records before the end
 		wantCite  bool
 	}{
-		{"only hello just outside the window", 0, []int{0}, 513, 0, false},
-		{"only hello at the window's oldest slot", 0, []int{1}, 513, 0, true},
-		{"newest hello sealed after the head", 0, []int{100, 590}, 600, 15, true},
-		{"every hello sealed after the head", 0, []int{598}, 600, 5, false},
-		{"ring dropped the hello", 64, []int{10}, 600, 0, false},
-		{"ring keeps the newest hello", 64, []int{10, 580}, 600, 0, true},
+		{"only hello just outside the window", []int{0}, 513, 0, false},
+		{"only hello at the window's oldest slot", []int{1}, 513, 0, true},
+		{"newest hello sealed after the head", []int{100, 590}, 600, 15, true},
+		{"every hello sealed after the head", []int{598}, 600, 5, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			log := &auditlog.Buffer{MaxLen: tc.maxLen}
+			log := &auditlog.Buffer{}
 			log.SetSealKey([]byte("cite"))
 			at := map[int]bool{}
 			for _, i := range tc.helloAt {

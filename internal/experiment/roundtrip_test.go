@@ -28,6 +28,9 @@ func TestConfigSpecRoundTrip(t *testing.T) {
 		"custom":   custom,
 	} {
 		spec := SpecFromConfig(cfg)
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: SpecFromConfig(cfg) does not validate: %v", name, err)
+		}
 		back, err := ConfigFromSpec(spec)
 		if err != nil {
 			t.Fatalf("%s: ConfigFromSpec(SpecFromConfig(cfg)): %v", name, err)

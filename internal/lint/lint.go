@@ -20,8 +20,9 @@ import (
 )
 
 // detPackages is the closed set of packages that must be bit-for-bit
-// reproducible: the event kernel, the protocol and attack planes, and
-// every codec feeding the golden digests. The service layer (campaign,
+// reproducible: the event kernel, the protocol and attack planes, every
+// codec feeding the golden digests, and the scenario builder with the
+// address and geometry types it feeds every digest through. The service layer (campaign,
 // manetd, cliutil, cmd/...) and the experiment orchestration (which
 // owns wall-clock-free parallelism already pinned by its own
 // determinism tests) are exempt by omission.
@@ -40,6 +41,9 @@ var detPackages = map[string]bool{
 	"repro/internal/trace":      true,
 	"repro/internal/signature":  true,
 	"repro/internal/logevent":   true,
+	"repro/internal/scenario":   true,
+	"repro/internal/addr":       true,
+	"repro/internal/geo":        true,
 }
 
 // Deterministic reports whether the deterministic-package rules

@@ -130,12 +130,23 @@ type submitRequest struct {
 	Seed    *int64 `json:"seed,omitempty"`
 }
 
+// maxSubmitBytes caps a POST /v1/campaigns body. A sweep of inline
+// specs fits in a few KiB; the cap keeps a hostile or broken client from
+// making the decoder buffer an unbounded body.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit implements POST /v1/campaigns.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", maxSubmitBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

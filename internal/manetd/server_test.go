@@ -222,6 +222,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown envelope field", `{"specc": {}}`, "unknown field"},
 		{"unknown spec field", `{"spec": {"name": "x", "seed": 1, "nodes": 4, "duration": "5s", "warp": 9}}`, "warp"},
 		{"invalid spec", `{"spec": {"name": "x", "seed": 1, "nodes": 4, "duration": "5s", "mobility": {"model": "teleport"}}}`, "teleport"},
+		{"retired plane key", `{"spec": {"name": "x", "seed": 1, "nodes": 4, "duration": "5s", "reputation": {"enabled": true, "deviation": 0.1}}}`, "deviation"},
 		{"bad version", `{"spec": {"name": "x", "version": 99, "seed": 1, "nodes": 4, "duration": "5s"}}`, "version"},
 		{"unknown preset", `{"presets": ["no-such-preset"]}`, "unknown preset"},
 		{"empty", `{}`, "no scenario"},
@@ -237,6 +238,41 @@ func TestSubmitValidation(t *testing.T) {
 		if !strings.Contains(body.Error, tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, body.Error, tc.wantErr)
 		}
+	}
+}
+
+// TestSubmitBodyCap pins the request-size bound: a body of exactly
+// maxSubmitBytes is decoded and queued, one byte more is refused with 413
+// before any spec is parsed.
+func TestSubmitBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	client := ts.Client()
+	body := func(size int) string {
+		head := fmt.Sprintf(`{"spec": `+tinySpecJSON, 5)
+		return head + strings.Repeat(" ", size-len(head)-1) + "}"
+	}
+
+	atCap := body(maxSubmitBytes)
+	if len(atCap) != maxSubmitBytes {
+		t.Fatalf("at-cap body is %d bytes", len(atCap))
+	}
+	var c campaign.Campaign
+	if resp := doJSON(t, client, http.MethodPost, ts.URL+"/v1/campaigns", atCap, &c); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("at-cap body: HTTP %d, want 202", resp.StatusCode)
+	}
+	if fin := pollDone(t, client, ts.URL+"/v1/campaigns/"+c.ID); fin.State != campaign.StateDone {
+		t.Fatalf("at-cap campaign finished %q: %s", fin.State, fin.Error)
+	}
+
+	var e struct {
+		Error string `json:"error"`
+	}
+	resp := doJSON(t, client, http.MethodPost, ts.URL+"/v1/campaigns", body(maxSubmitBytes+1), &e)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: HTTP %d, want 413", resp.StatusCode)
+	}
+	if !strings.Contains(e.Error, "exceeds") {
+		t.Errorf("over-cap error %q does not name the cap", e.Error)
 	}
 }
 

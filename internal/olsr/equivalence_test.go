@@ -144,7 +144,7 @@ func snapshot(n *Node) string {
 		add("advertised %v %v %v", x, a.set, a.field)
 	}
 	slices.Sort(lines)
-	return fmt.Sprintf("ansn=%d excluded=%v stats=%+v\n%s", n.ansn, n.excluded, n.Stats(), strings.Join(lines, "\n"))
+	return fmt.Sprintf("ansn=%d stats=%+v\n%s", n.ansn, n.Stats(), strings.Join(lines, "\n"))
 }
 
 // assertSwept fails if a swept table still holds a tuple that has expired.
@@ -274,10 +274,6 @@ func (p *eqPair) randomStep(rng *rand.Rand) {
 		p.assertSwept()
 	case r < 90:
 		p.do("emit", func(n *Node) { n.sendHello(); n.sendTC() })
-	case r < 95:
-		x, banned := pick(rng, eqPeers), rng.Intn(2) == 0
-		p.derivedNow = true
-		p.do(fmt.Sprintf("Exclude(%v, %v)", x, banned), func(n *Node) { n.Exclude(x, banned) })
 	default:
 		// A flooded MID (type 3) or HNA (type 4), which the node relays
 		// without processing (RFC 3626 §3.4).

@@ -27,14 +27,12 @@ func (n *Node) selectMPRs() (mprs addr.Set, validUntil time.Duration) {
 	sym := n.fillSymScratch()
 	validUntil = never
 
-	// N: willing symmetric neighbors; candidates for MPR. Convicted nodes
-	// (response action) are treated like WILL_NEVER: never entrusted with
-	// relaying.
+	// N: willing symmetric neighbors; candidates for MPR.
 	candidates := n.nodeScratch[:0]
 	for x := range sym {
 		lt := n.links[x]
 		validUntil = min(validUntil, lt.symUntil)
-		if lt.will != wire.WillNever && !n.excluded.Has(x) {
+		if lt.will != wire.WillNever {
 			candidates = append(candidates, x)
 		}
 	}

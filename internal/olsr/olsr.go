@@ -122,11 +122,9 @@ type Node struct {
 
 	prevSym addr.Set // for NEIGHBOR_UP/DOWN diffs
 
-	excluded addr.Set // nodes banned from MPR selection (response action)
-
 	// Recomputation schedule (DESIGN.md §10.1). prevSym and mprs are a pure
-	// function of the symmetric links and their willingness, the live
-	// 2-hop tuples, and excluded: afterTopologyChange re-derives them only
+	// function of the symmetric links and their willingness and the live
+	// 2-hop tuples: afterTopologyChange re-derives them only
 	// when a write flagged one of those inputs (mprStale) or a live input
 	// may have expired (now >= mprValidUntil, a lower bound on the earliest
 	// such expiry). nextExpiry is the same kind of lower bound over every
@@ -183,7 +181,6 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		lastHelloSym: make(map[addr.Node]*advert),
 		routes:       make(map[addr.Node]Route),
 		prevSym:      make(addr.Set),
-		excluded:     make(addr.Set),
 		symScratch:   make(addr.Set),
 		coverCount:   make(map[addr.Node]int),
 		soleCover:    make(map[addr.Node]addr.Node),
@@ -192,24 +189,6 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		mprScratch:   make(addr.Set),
 	}
 }
-
-// Exclude bans (or, with banned=false, re-admits) a node from this node's
-// MPR selection — the response action the trust system drives once a
-// neighbor is convicted (the paper's "trustworthiness is used to guide the
-// decision making"; CAP-OLSR applies the same exclusion). The node remains
-// a routable neighbor; it just stops being entrusted with relaying.
-func (n *Node) Exclude(x addr.Node, banned bool) {
-	if banned {
-		n.excluded.Add(x)
-	} else {
-		n.excluded.Remove(x)
-	}
-	n.mprStale = true
-	n.afterTopologyChange()
-}
-
-// Excluded returns the currently banned nodes.
-func (n *Node) Excluded() addr.Set { return n.excluded.Clone() }
 
 // SetHooks installs attack hooks. Must be called before Start.
 func (n *Node) SetHooks(h Hooks) { n.hooks = h }

@@ -157,34 +157,6 @@ func TestBuildHelloBlockStructure(t *testing.T) {
 	}
 }
 
-func TestExcludeRemovesMPR(t *testing.T) {
-	tn := lineNet(43, 3, 100, 150)
-	tn.start()
-	tn.run(20 * time.Second)
-
-	a := tn.nodes[addr.NodeAt(1)]
-	if !a.MPRs().Has(addr.NodeAt(2)) {
-		t.Fatal("precondition: node 2 not MPR")
-	}
-	a.Exclude(addr.NodeAt(2), true)
-	if a.MPRs().Has(addr.NodeAt(2)) {
-		t.Error("excluded node still MPR")
-	}
-	if !a.Excluded().Has(addr.NodeAt(2)) {
-		t.Error("exclusion set empty")
-	}
-	// Routes still exist (exclusion only affects relaying trust).
-	if _, ok := a.RouteTo(addr.NodeAt(2)); !ok {
-		t.Error("exclusion destroyed the direct route")
-	}
-	// Re-admission restores selection.
-	a.Exclude(addr.NodeAt(2), false)
-	tn.run(10 * time.Second)
-	if !a.MPRs().Has(addr.NodeAt(2)) {
-		t.Error("re-admitted node not re-selected")
-	}
-}
-
 func TestWillingnessTieBreakPrefersHigherWill(t *testing.T) {
 	// Nodes 2 and 3 both cover node 4; node 3 has higher willingness and
 	// must win the MPR tie-break.

@@ -126,21 +126,22 @@ type Config struct {
 	BitRate float64 // bits per second
 
 	// Grid selects the spatial-index implementation: stations are bucketed
-	// into square cells of side MaxRange + MaxSpeed·ReindexInterval and a
+	// into square cells of side MaxRange + MaxSpeed·reindexInterval and a
 	// broadcast only examines the 3×3 neighborhood of the transmitter.
 	// Results are identical to the linear scan as long as MaxSpeed truly
 	// bounds every station's speed.
 	Grid bool
 	// MaxSpeed is the declared upper bound on any station's speed in m/s.
-	// The grid pads its cells by MaxSpeed·ReindexInterval so a station
+	// The grid pads its cells by MaxSpeed·reindexInterval so a station
 	// that moved since it was last bucketed is still found. 0 means all
 	// stations are static between reindex passes.
 	MaxSpeed float64
-	// ReindexInterval is how much virtual time may pass before the grid
-	// re-buckets every station (default 1s). Transmitting stations are
-	// re-bucketed on every send regardless.
-	ReindexInterval time.Duration
 }
+
+// reindexInterval is how much virtual time may pass before the grid
+// re-buckets every station. Transmitting stations are re-bucketed on
+// every send regardless.
+const reindexInterval = time.Second
 
 // Medium connects stations and delivers frames between them through the
 // event scheduler.
@@ -188,9 +189,6 @@ func NewMedium(sched *sim.Scheduler, cfg Config) *Medium {
 	if cfg.PropDelay <= 0 {
 		cfg.PropDelay = time.Millisecond
 	}
-	if cfg.ReindexInterval <= 0 {
-		cfg.ReindexInterval = time.Second
-	}
 	m := &Medium{
 		sched:    sched,
 		cfg:      cfg,
@@ -198,7 +196,7 @@ func NewMedium(sched *sim.Scheduler, cfg Config) *Medium {
 		stations: make(map[addr.Node]*station),
 	}
 	if cfg.Grid {
-		side := cfg.Prop.MaxRange() + cfg.MaxSpeed*cfg.ReindexInterval.Seconds()
+		side := cfg.Prop.MaxRange() + cfg.MaxSpeed*reindexInterval.Seconds()
 		if side > 0 {
 			m.cells = make(map[geo.Cell][]*station)
 			m.nbhd = make(map[geo.Cell]*neighborhood)
@@ -415,17 +413,17 @@ func runDelivery(a any) {
 
 // --- spatial index maintenance ---
 
-// reindexIfStale re-buckets every station once ReindexInterval of virtual
+// reindexIfStale re-buckets every station once reindexInterval of virtual
 // time has passed since the last full pass. Between passes a station's
 // recorded cell may trail its true position by at most
-// MaxSpeed·ReindexInterval — exactly the padding built into the cell
+// MaxSpeed·reindexInterval — exactly the padding built into the cell
 // size — so the 3×3 candidate neighborhood still covers every station
 // the propagation model could reach. The pass runs lazily inside queries
 // rather than as a scheduled event: the medium must not perturb the
 // scheduler's event count, which the scenario digests pin.
 func (m *Medium) reindexIfStale() {
 	now := m.sched.Now()
-	if now-m.lastReindex < m.cfg.ReindexInterval {
+	if now-m.lastReindex < reindexInterval {
 		return
 	}
 	m.lastReindex = now

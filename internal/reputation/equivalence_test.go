@@ -21,21 +21,21 @@ const ledgerEps = 1e-12
 // deterministic iteration the dense rows replaced. Its semantics are the
 // contract the slab layout must reproduce exactly.
 type mapLedger struct {
-	self   addr.Node
-	cfg    Config
-	direct *trust.Store
-	rec    *trust.Store
-	table  map[addr.Node]map[addr.Node]received
+	self     addr.Node
+	noFilter bool
+	direct   *trust.Store
+	rec      *trust.Store
+	table    map[addr.Node]map[addr.Node]received
 
 	badVectors map[addr.Node]int
 	flagged    addr.Set
 	stats      Stats
 }
 
-func newMapLedger(self addr.Node, direct *trust.Store, cfg Config) *mapLedger {
+func newMapLedger(self addr.Node, direct *trust.Store, noFilter bool) *mapLedger {
 	return &mapLedger{
 		self:       self,
-		cfg:        cfg.withDefaults(),
+		noFilter:   noFilter,
 		direct:     direct,
 		rec:        trust.NewStore(direct.Params()),
 		table:      make(map[addr.Node]map[addr.Node]received),
@@ -54,12 +54,12 @@ func (l *mapLedger) Ingest(recommender addr.Node, entries []Entry, now time.Dura
 		if e.About == l.self || e.About == recommender {
 			continue
 		}
-		if !l.cfg.NoFilter && l.direct.FirstHand(e.About) {
+		if !l.noFilter && l.direct.FirstHand(e.About) {
 			dev := l.direct.Get(e.About) - e.Trust
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev > l.cfg.Deviation {
+			if dev > deviation {
 				failed++
 				l.stats.Rejected++
 				continue
@@ -74,7 +74,7 @@ func (l *mapLedger) Ingest(recommender addr.Node, entries []Entry, now time.Dura
 		}
 		m[recommender] = received{from: recommender, trust: e.Trust, at: now}
 	}
-	if l.cfg.NoFilter || passed+failed == 0 {
+	if l.noFilter || passed+failed == 0 {
 		return
 	}
 	l.rec.Update(recommender, []trust.Evidence{{
@@ -82,7 +82,7 @@ func (l *mapLedger) Ingest(recommender addr.Node, entries []Entry, now time.Dura
 	}})
 	if failed > passed {
 		l.badVectors[recommender]++
-		if l.badVectors[recommender] == l.cfg.DishonestAfter && !l.flagged.Has(recommender) {
+		if l.badVectors[recommender] == dishonestAfter && !l.flagged.Has(recommender) {
 			l.flagged.Add(recommender)
 			l.stats.Flagged++
 		}
@@ -103,14 +103,14 @@ func (l *mapLedger) BootstrapTrust(subject addr.Node, now time.Duration) (float6
 	var mass float64
 	for _, s := range recommenders {
 		r := m[s]
-		if now-r.at > l.cfg.Freshness {
+		if now-r.at > Freshness {
 			continue
 		}
 		rec := trust.Recommendation{R: l.rec.Get(s), T: r.trust}
 		mass += rec.R
 		recs = append(recs, rec)
 	}
-	if len(recs) == 0 || mass < l.cfg.MinMass {
+	if len(recs) == 0 || mass < minMass {
 		return 0, false
 	}
 	if len(recs) == 1 {
@@ -121,12 +121,12 @@ func (l *mapLedger) BootstrapTrust(subject addr.Node, now time.Duration) (float6
 
 func (l *mapLedger) BuildVector() []Entry {
 	nodes := l.direct.Nodes()
-	out := make([]Entry, 0, min(len(nodes), l.cfg.MaxEntries))
+	out := make([]Entry, 0, min(len(nodes), maxEntries))
 	for _, n := range nodes {
 		if n == l.self || !l.direct.FirstHand(n) {
 			continue
 		}
-		if len(out) >= l.cfg.MaxEntries {
+		if len(out) >= maxEntries {
 			break
 		}
 		out = append(out, Entry{About: n, Trust: l.direct.Get(n)})
@@ -144,7 +144,7 @@ type ledgerMirror struct {
 	now   time.Duration
 }
 
-func newLedgerMirror(t *testing.T, cfg Config, members int) *ledgerMirror {
+func newLedgerMirror(t *testing.T, noFilter bool, members int) *ledgerMirror {
 	t.Helper()
 	self := addr.NodeAt(1)
 	direct := trust.NewStore(trust.DefaultParams())
@@ -159,8 +159,8 @@ func newLedgerMirror(t *testing.T, cfg Config, members int) *ledgerMirror {
 	}
 	return &ledgerMirror{
 		t:     t,
-		dense: NewLedger(self, direct, cfg),
-		ref:   newMapLedger(self, direct, cfg),
+		dense: NewLedger(self, direct, noFilter),
+		ref:   newMapLedger(self, direct, noFilter),
 		pop:   pop,
 	}
 }
@@ -211,14 +211,7 @@ func (m *ledgerMirror) check() {
 func TestLedgerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed)) //nolint:gosec // test
-		cfg := Config{
-			Deviation:      0.1 + rng.Float64()*0.3,
-			MaxEntries:     4 + rng.Intn(12),
-			Freshness:      time.Duration(20+rng.Intn(60)) * time.Second,
-			NoFilter:       seed%6 == 0,
-			DishonestAfter: 2 + rng.Intn(3),
-		}
-		m := newLedgerMirror(t, cfg, 12+rng.Intn(8))
+		m := newLedgerMirror(t, seed%6 == 0, 12+rng.Intn(8))
 		// Seed direct-trust history so the deviation test has first-hand
 		// anchors (the shared direct store feeds both ledgers).
 		direct := m.dense.direct

@@ -33,52 +33,30 @@ import (
 	"repro/internal/trust"
 )
 
-// Config parameterizes a Ledger. The zero value takes defaults.
-type Config struct {
-	// Deviation is the acceptance threshold of the deviation test: a
+// The ledger's constants.
+const (
+	// deviation is the acceptance threshold of the deviation test: a
 	// recommendation about a subject the receiver knows first-hand is
-	// rejected when |T_direct − T_reported| exceeds it (default 0.25).
-	Deviation float64
-	// MaxEntries caps the subjects carried per gossiped vector
-	// (default 32). Truncation is deterministic: lowest addresses first.
-	MaxEntries int
+	// rejected when |T_direct − T_reported| exceeds it.
+	deviation = 0.25
+	// maxEntries caps the subjects carried per gossiped vector.
+	// Truncation is deterministic: lowest addresses first.
+	maxEntries = 32
 	// Freshness bounds the age of recommendations used by BootstrapTrust
-	// (default 60s) — property 4 of §IV-A applied to second-hand opinion.
-	Freshness time.Duration
-	// NoFilter disables the deviation test and the recommendation-trust
-	// updates: every entry is accepted at face value. This is the
-	// ablation arm of the X9 sweep, not a deployment mode.
-	NoFilter bool
-	// DishonestAfter is how many majority-failed vectors from one
-	// recommender trigger the OnDishonest callback (default 3).
-	DishonestAfter int
-	// MinMass is the minimum total recommendation trust ΣR behind a
-	// bootstrap (default 0.2, half a fresh recommender's default R):
-	// below it BootstrapTrust abstains rather than hand the caller an
-	// opinion nobody creditworthy stands behind. This is what stops a
+	// — property 4 of §IV-A applied to second-hand opinion. It is also
+	// the validity time of every gossiped vector.
+	Freshness = 60 * time.Second
+	// dishonestAfter is how many majority-failed vectors from one
+	// recommender trigger the OnDishonest callback.
+	dishonestAfter = 3
+	// minMass is the minimum total recommendation trust ΣR behind a
+	// bootstrap (half a fresh recommender's default R): below it
+	// BootstrapTrust abstains rather than hand the caller an opinion
+	// nobody creditworthy stands behind. This is what stops a
 	// deviation-collapsed recommender from still framing strangers — its
 	// reports survive in the table, but carry no usable mass.
-	MinMass float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Deviation <= 0 {
-		c.Deviation = 0.25
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 32
-	}
-	if c.Freshness <= 0 {
-		c.Freshness = 60 * time.Second
-	}
-	if c.DishonestAfter <= 0 {
-		c.DishonestAfter = 3
-	}
-	if c.MinMass <= 0 {
-		c.MinMass = 0.2
-	}
-	return c
-}
+	minMass = 0.2
+)
 
 // received is one accepted recommendation: who reported it, the reported
 // trust, and when it arrived. Rows keep their entries sorted by
@@ -97,7 +75,7 @@ type Stats struct {
 	Vectors uint64
 	// Accepted and Rejected count individual entries through the
 	// deviation test (untestable entries — unknown subjects — count as
-	// accepted; with NoFilter everything is accepted).
+	// accepted; with noFilter everything is accepted).
 	Accepted, Rejected uint64
 	// Flagged is how many recommenders were reported dishonest.
 	Flagged int
@@ -108,10 +86,13 @@ type Stats struct {
 // bookkeeping. It shares the node's *direct* trust store read-only (the
 // deviation test needs first-hand opinion to compare against).
 type Ledger struct {
-	self   addr.Node
-	cfg    Config
-	direct *trust.Store
-	rec    *trust.Store // R(A,S): trust in S as a recommender
+	self addr.Node
+	// noFilter disables the deviation test and the recommendation-trust
+	// updates: every entry is accepted at face value. This is the
+	// ablation arm of the X9 sweep, not a deployment mode.
+	noFilter bool
+	direct   *trust.Store
+	rec      *trust.Store // R(A,S): trust in S as a recommender
 
 	// rows holds the latest accepted report per (subject, recommender):
 	// the outer slice is dense over the run's node index (shared with the
@@ -127,7 +108,7 @@ type Ledger struct {
 	nodeScratch []addr.Node
 
 	// OnDishonest, when set, observes each recommender whose gossip
-	// failed the deviation test DishonestAfter times (fired once per
+	// failed the deviation test dishonestAfter times (fired once per
 	// recommender). The detector turns it into a signature alert.
 	OnDishonest func(rec addr.Node, detail string)
 	// OnIngest, when set, observes every processed vector with its
@@ -141,11 +122,12 @@ type Ledger struct {
 // NewLedger creates a ledger for self. direct is the node's own trust
 // store (read for the deviation test, never written); the
 // recommendation-trust ledger R starts every recommender at the same
-// params' default and evolves by deviation-test accuracy.
-func NewLedger(self addr.Node, direct *trust.Store, cfg Config) *Ledger {
+// params' default and evolves by deviation-test accuracy. noFilter
+// accepts every entry at face value (the X9 ablation arm).
+func NewLedger(self addr.Node, direct *trust.Store, noFilter bool) *Ledger {
 	return &Ledger{
 		self:       self,
-		cfg:        cfg.withDefaults(),
+		noFilter:   noFilter,
 		direct:     direct,
 		rec:        trust.NewStoreIndexed(direct.Params(), direct.Index()),
 		ix:         direct.Index(),
@@ -183,7 +165,7 @@ type Entry struct {
 
 // BuildVector renders this node's own outgoing recommendation: its
 // first-hand direct-trust values, sorted by subject, capped at
-// MaxEntries. Nodes with no explicit value are omitted — recommending
+// maxEntries. Nodes with no explicit value are omitted — recommending
 // the cold default would only dilute real information — and so are
 // values merely seeded from other nodes' gossip (trust.Store.FirstHand):
 // re-gossiping a seed would launder second-hand rumor as first-hand
@@ -205,7 +187,7 @@ func (l *Ledger) AppendVector(out []Entry) []Entry {
 		if n == l.self || !l.direct.FirstHand(n) {
 			continue
 		}
-		if appended >= l.cfg.MaxEntries {
+		if appended >= maxEntries {
 			break
 		}
 		out = append(out, Entry{About: n, Trust: l.direct.Get(n)})
@@ -234,12 +216,12 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 		if e.About == l.self || e.About == recommender {
 			continue
 		}
-		if !l.cfg.NoFilter && l.direct.FirstHand(e.About) {
+		if !l.noFilter && l.direct.FirstHand(e.About) {
 			dev := l.direct.Get(e.About) - e.Trust
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev > l.cfg.Deviation {
+			if dev > deviation {
 				failed++
 				l.stats.Rejected++
 				continue // the outlier is not stored
@@ -267,7 +249,7 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 	if l.OnIngest != nil {
 		l.OnIngest(recommender, passed, failed)
 	}
-	if l.cfg.NoFilter || passed+failed == 0 {
+	if l.noFilter || passed+failed == 0 {
 		return // nothing testable: the recommender's standing is unchanged
 	}
 	// R(A,S) moves by the vector's aggregate accuracy (Eq. 5 on the
@@ -278,13 +260,13 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 	}})
 	if failed > passed {
 		l.badVectors[recommender]++
-		if l.badVectors[recommender] == l.cfg.DishonestAfter && !l.flagged.Has(recommender) {
+		if l.badVectors[recommender] == dishonestAfter && !l.flagged.Has(recommender) {
 			l.flagged.Add(recommender)
 			l.stats.Flagged++
 			if l.OnDishonest != nil {
 				//reprolint:ignore allocann fires at most once per recommender per run (flag transition), never on the steady gossip path the alloc tier pins
 				l.OnDishonest(recommender, fmt.Sprintf(
-					"%d gossiped trust vectors majority-failed the deviation test", l.cfg.DishonestAfter))
+					"%d gossiped trust vectors majority-failed the deviation test", dishonestAfter))
 			}
 		}
 	}
@@ -297,7 +279,7 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 // paths combine by multipath aggregation (Eq. 7: recommendation-trust-
 // weighted mean of the reported values). The boolean is false when no
 // usable recommendation exists — none stored, none fresh, or the total
-// recommendation mass ΣR below MinMass — leaving the caller on the cold
+// recommendation mass ΣR below minMass — leaving the caller on the cold
 // default.
 func (l *Ledger) BootstrapTrust(subject addr.Node, now time.Duration) (float64, bool) {
 	slot, ok := l.ix.Slot(subject)
@@ -309,7 +291,7 @@ func (l *Ledger) BootstrapTrust(subject addr.Node, now time.Duration) (float64, 
 	recs := l.recsScratch[:0]
 	var mass float64
 	for _, r := range l.rows[slot] {
-		if now-r.at > l.cfg.Freshness {
+		if now-r.at > Freshness {
 			continue // stale opinion (property 4)
 		}
 		rec := trust.Recommendation{R: l.rec.Get(r.from), T: r.trust}
@@ -317,7 +299,7 @@ func (l *Ledger) BootstrapTrust(subject addr.Node, now time.Duration) (float64, 
 		recs = append(recs, rec)
 	}
 	l.recsScratch = recs
-	if len(recs) == 0 || mass < l.cfg.MinMass {
+	if len(recs) == 0 || mass < minMass {
 		return 0, false
 	}
 	if len(recs) == 1 {

@@ -9,9 +9,9 @@ import (
 	"repro/internal/trust"
 )
 
-func newTestLedger(cfg Config) (*Ledger, *trust.Store) {
+func newTestLedger(noFilter bool) (*Ledger, *trust.Store) {
 	direct := trust.NewStore(trust.DefaultParams())
-	return NewLedger(addr.NodeAt(1), direct, cfg), direct
+	return NewLedger(addr.NodeAt(1), direct, noFilter), direct
 }
 
 func entries(pairs ...any) []Entry {
@@ -23,7 +23,7 @@ func entries(pairs ...any) []Entry {
 }
 
 func TestBootstrapSinglePathIsConcatenated(t *testing.T) {
-	l, _ := newTestLedger(Config{})
+	l, _ := newTestLedger(false)
 	s, subject := addr.NodeAt(2), addr.NodeAt(9)
 	l.Ingest(s, entries(subject, 0.8), 0)
 	got, ok := l.BootstrapTrust(subject, time.Second)
@@ -37,7 +37,7 @@ func TestBootstrapSinglePathIsConcatenated(t *testing.T) {
 }
 
 func TestBootstrapMultipathCombinesRecommenders(t *testing.T) {
-	l, _ := newTestLedger(Config{})
+	l, _ := newTestLedger(false)
 	subject := addr.NodeAt(9)
 	l.Ingest(addr.NodeAt(2), entries(subject, 0.8), 0)
 	l.Ingest(addr.NodeAt(3), entries(subject, 0.6), 0)
@@ -55,7 +55,7 @@ func TestBootstrapMultipathCombinesRecommenders(t *testing.T) {
 }
 
 func TestDeviationTestRejectsOutliers(t *testing.T) {
-	l, direct := newTestLedger(Config{Deviation: 0.25})
+	l, direct := newTestLedger(false)
 	known := addr.NodeAt(5)
 	direct.Set(known, 0.7)
 	liar := addr.NodeAt(2)
@@ -82,7 +82,7 @@ func TestDeviationTestRejectsOutliers(t *testing.T) {
 }
 
 func TestNoFilterAcceptsEverything(t *testing.T) {
-	l, direct := newTestLedger(Config{NoFilter: true})
+	l, direct := newTestLedger(true)
 	known := addr.NodeAt(5)
 	direct.Set(known, 0.9)
 	liar := addr.NodeAt(2)
@@ -99,7 +99,7 @@ func TestNoFilterAcceptsEverything(t *testing.T) {
 }
 
 func TestDishonestFlagFiresOnceAfterThreshold(t *testing.T) {
-	l, direct := newTestLedger(Config{DishonestAfter: 3})
+	l, direct := newTestLedger(false)
 	known := addr.NodeAt(5)
 	direct.Set(known, 0.8)
 	var fired []addr.Node
@@ -117,24 +117,24 @@ func TestDishonestFlagFiresOnceAfterThreshold(t *testing.T) {
 }
 
 func TestFreshnessExpiresOldOpinion(t *testing.T) {
-	l, _ := newTestLedger(Config{Freshness: 10 * time.Second})
+	l, _ := newTestLedger(false)
 	subject := addr.NodeAt(9)
 	l.Ingest(addr.NodeAt(2), entries(subject, 0.8), 0)
-	if _, ok := l.BootstrapTrust(subject, 5*time.Second); !ok {
+	if _, ok := l.BootstrapTrust(subject, Freshness); !ok {
 		t.Fatal("fresh opinion ignored")
 	}
-	if _, ok := l.BootstrapTrust(subject, 11*time.Second); ok {
+	if _, ok := l.BootstrapTrust(subject, Freshness+time.Millisecond); ok {
 		t.Fatal("stale opinion used")
 	}
 	// A re-gossip refreshes it.
-	l.Ingest(addr.NodeAt(2), entries(subject, 0.8), 12*time.Second)
-	if _, ok := l.BootstrapTrust(subject, 20*time.Second); !ok {
+	l.Ingest(addr.NodeAt(2), entries(subject, 0.8), 70*time.Second)
+	if _, ok := l.BootstrapTrust(subject, 100*time.Second); !ok {
 		t.Fatal("refreshed opinion ignored")
 	}
 }
 
 func TestIngestIgnoresSelfAndSelfPromotion(t *testing.T) {
-	l, _ := newTestLedger(Config{})
+	l, _ := newTestLedger(false)
 	self, rec := addr.NodeAt(1), addr.NodeAt(2)
 	l.Ingest(rec, entries(self, 0.0, rec, 1.0), 0)
 	if _, ok := l.BootstrapTrust(self, time.Second); ok {
@@ -151,20 +151,20 @@ func TestIngestIgnoresSelfAndSelfPromotion(t *testing.T) {
 }
 
 func TestBuildVectorSortedAndCapped(t *testing.T) {
-	l, direct := newTestLedger(Config{MaxEntries: 3})
-	direct.Set(addr.NodeAt(7), 0.7)
-	direct.Set(addr.NodeAt(3), 0.3)
-	direct.Set(addr.NodeAt(5), 0.5)
-	direct.Set(addr.NodeAt(9), 0.9)
-	direct.Set(addr.NodeAt(1), 0.1) // self: omitted
-	v := l.BuildVector()
-	if len(v) != 3 {
-		t.Fatalf("len = %d, want cap 3", len(v))
+	l, direct := newTestLedger(false)
+	// 40 subjects set in descending order, plus self: the vector keeps
+	// the maxEntries lowest addresses, sorted, and omits self.
+	for i := 41; i >= 2; i-- {
+		direct.Set(addr.NodeAt(i), float64(i)/100)
 	}
-	want := []addr.Node{addr.NodeAt(3), addr.NodeAt(5), addr.NodeAt(7)}
+	direct.Set(addr.NodeAt(1), 0.1)
+	v := l.BuildVector()
+	if len(v) != maxEntries {
+		t.Fatalf("len = %d, want cap %d", len(v), maxEntries)
+	}
 	for i, e := range v {
-		if e.About != want[i] {
-			t.Fatalf("vector order %v, want %v", v, want)
+		if e.About != addr.NodeAt(i+2) {
+			t.Fatalf("vector[%d] is about %v, want %v", i, e.About, addr.NodeAt(i+2))
 		}
 	}
 }
@@ -173,7 +173,7 @@ func TestBuildVectorSortedAndCapped(t *testing.T) {
 // stuffer's R collapses via deviation failures on known subjects, its
 // inflated opinion about a stranger stops dominating the multipath mix.
 func TestBallotStuffingDiscountedByCollapsedR(t *testing.T) {
-	l, direct := newTestLedger(Config{DishonestAfter: 3})
+	l, direct := newTestLedger(false)
 	known, stranger := addr.NodeAt(5), addr.NodeAt(9)
 	direct.Set(known, 0.5)
 	stuffer, honest := addr.NodeAt(2), addr.NodeAt(3)
@@ -202,7 +202,7 @@ func TestBallotStuffingDiscountedByCollapsedR(t *testing.T) {
 // would be rejected) and must not appear in the node's own vector
 // (re-gossiping it would launder second-hand opinion as first-hand).
 func TestSeededOpinionIsNoAnchorAndNotGossiped(t *testing.T) {
-	l, direct := newTestLedger(Config{})
+	l, direct := newTestLedger(false)
 	subject := addr.NodeAt(9)
 	direct.SetSeeded(subject, 0.0) // a badmouther's frame, seeded via bootstrap
 

@@ -90,29 +90,13 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 		return nil, fmt.Errorf("scenario %q: Build needs a packet scenario, got kind %q", spec.Name, spec.Kind)
 	}
 
-	evidence := core.EvidenceConfig{}
-	if spec.Evidence != nil && spec.Evidence.Enabled {
-		evidence = core.EvidenceConfig{
-			Enabled:        true,
-			GossipInterval: spec.Evidence.GossipInterval.D(),
-			ProvenWeight:   spec.Evidence.ProvenWeight,
-		}
-	}
 	repCfg := core.ReputationConfig{}
 	if spec.Reputation != nil && spec.Reputation.Enabled {
-		repCfg = core.ReputationConfig{
-			Enabled:        true,
-			GossipInterval: spec.Reputation.GossipInterval.D(),
-			Deviation:      spec.Reputation.Deviation,
-			MaxEntries:     spec.Reputation.MaxEntries,
-			Freshness:      spec.Reputation.Freshness.D(),
-			NoFilter:       spec.Reputation.NoFilter,
-			DishonestAfter: spec.Reputation.DishonestAfter,
-		}
+		repCfg = core.ReputationConfig{Enabled: true, NoFilter: spec.Reputation.NoFilter}
 	}
 	w := core.NewNetwork(core.Config{
 		Seed:       spec.Seed,
-		Evidence:   evidence,
+		Evidence:   spec.Evidence != nil && spec.Evidence.Enabled,
 		Reputation: repCfg,
 		Trace:      sink,
 		Radio: radio.Config{

@@ -185,14 +185,10 @@ type AttackSpec struct {
 // replies carry record citations with inclusion proofs, and the victim's
 // detector verifies the proofs before counting testimony. Off by
 // default — the plane adds gossip traffic and scheduler events, so
-// enabling it changes a scenario's digest.
+// enabling it changes a scenario's digest. The gossip period and the
+// proof weight are constants of core and detect.
 type EvidenceSpec struct {
 	Enabled bool `json:"enabled"`
-	// GossipInterval is the tree-head flood period (default 5s).
-	GossipInterval Duration `json:"gossipInterval,omitempty"`
-	// ProvenWeight is the Eq. 8 trust multiplier for proof-backed
-	// testimony (default 2).
-	ProvenWeight float64 `json:"provenWeight,omitempty"`
 }
 
 // ReputationSpec enables the reputation plane (DESIGN.md §9): nodes
@@ -200,22 +196,12 @@ type EvidenceSpec struct {
 // maintain a separate recommendation-trust ledger, and detectors
 // bootstrap trust in strangers via Eq. 6/7. Off by default — the plane
 // adds gossip traffic and scheduler events, so enabling it changes a
-// scenario's digest.
+// scenario's digest. The gossip period and the ledger's thresholds are
+// constants of core and reputation.
 type ReputationSpec struct {
 	Enabled bool `json:"enabled"`
-	// GossipInterval is the trust-vector flood period (default 10s).
-	GossipInterval Duration `json:"gossipInterval,omitempty"`
-	// Deviation is the deviation-test acceptance threshold (default 0.25).
-	Deviation float64 `json:"deviation,omitempty"`
-	// MaxEntries caps subjects per gossiped vector (default 32).
-	MaxEntries int `json:"maxEntries,omitempty"`
-	// Freshness bounds the age of usable recommendations (default 60s).
-	Freshness Duration `json:"freshness,omitempty"`
 	// NoFilter disables the deviation test (the X9 ablation arm).
 	NoFilter bool `json:"noFilter,omitempty"`
-	// DishonestAfter is the majority-failed-vector count that flags a
-	// recommender (default 3).
-	DishonestAfter int `json:"dishonestAfter,omitempty"`
 }
 
 // TraceSpec requests the run-trace plane (DESIGN.md §13) for a scenario.
@@ -361,6 +347,11 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %q: unknown kind %q", s.Name, s.Kind)
 	}
+	if s.Trust != nil {
+		if err := validateTrust(*s.Trust); err != nil {
+			return fmt.Errorf("scenario %q: trust: %w", s.Name, err)
+		}
+	}
 	if s.Kind == KindRounds {
 		if len(s.Attacks) > 0 {
 			return fmt.Errorf("scenario %q: rounds scenarios take no attack mix", s.Name)
@@ -430,6 +421,29 @@ func (s Spec) Validate() error {
 			}
 			claimed[n] = a.Kind
 		}
+	}
+	return nil
+}
+
+// validateTrust checks a trust override. The override replaces every
+// constant, so a partial JSON object — {"Gamma": 0.6} — leaves the rest
+// at zero; the bounds below reject that instead of running it.
+func validateTrust(p trust.Params) error {
+	switch {
+	case !(p.Min < p.Max):
+		return fmt.Errorf("Min %v not below Max %v", p.Min, p.Max)
+	case !(p.Default >= p.Min && p.Default <= p.Max):
+		return fmt.Errorf("Default %v outside [Min %v, Max %v]", p.Default, p.Min, p.Max)
+	case !(p.ConfidenceLevel > 0 && p.ConfidenceLevel < 1):
+		return fmt.Errorf("ConfidenceLevel %v outside (0,1)", p.ConfidenceLevel)
+	case !(p.Beta >= 0 && p.Beta <= 1):
+		return fmt.Errorf("Beta %v outside [0,1]", p.Beta)
+	case !(p.RelaxBeta >= 0 && p.RelaxBeta <= 1):
+		return fmt.Errorf("RelaxBeta %v outside [0,1]", p.RelaxBeta)
+	case !(p.AlphaPos >= 0):
+		return fmt.Errorf("AlphaPos %v negative", p.AlphaPos)
+	case !(p.AlphaNeg >= 0):
+		return fmt.Errorf("AlphaNeg %v negative", p.AlphaNeg)
 	}
 	return nil
 }

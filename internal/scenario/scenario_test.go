@@ -1,12 +1,17 @@
 package scenario
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/trust"
 )
 
 // mobilityProbeStart is a fixed start point for mobility probes.
@@ -157,6 +162,89 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Spec{Name: "ok"}).Validate(); err != nil {
 		t.Errorf("minimal spec rejected: %v", err)
+	}
+}
+
+// TestParseRejectsRetiredPlaneKeys pins the narrowed plane specs: each
+// key the evidence and reputation planes no longer take fails Parse with
+// an error that names it, instead of running with the constant.
+func TestParseRejectsRetiredPlaneKeys(t *testing.T) {
+	for _, tc := range []struct{ plane, key, value string }{
+		{"evidence", "gossipInterval", `"10s"`},
+		{"evidence", "provenWeight", `3`},
+		{"reputation", "gossipInterval", `"5s"`},
+		{"reputation", "deviation", `0.1`},
+		{"reputation", "maxEntries", `4`},
+		{"reputation", "freshness", `"30s"`},
+		{"reputation", "dishonestAfter", `2`},
+	} {
+		data := fmt.Sprintf(`{"name": "x", "seed": 1, "nodes": 4, "duration": "5s", %q: {"enabled": true, %q: %s}}`,
+			tc.plane, tc.key, tc.value)
+		_, err := Parse([]byte(data))
+		if err == nil {
+			t.Errorf("%s.%s accepted", tc.plane, tc.key)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s.%s: error %q does not name the key", tc.plane, tc.key, err)
+		}
+	}
+	for _, plane := range []string{`"evidence": {"enabled": true}`, `"reputation": {"enabled": true, "noFilter": true}`} {
+		if _, err := Parse([]byte(`{"name": "x", "seed": 1, "nodes": 4, "duration": "5s", ` + plane + `}`)); err != nil {
+			t.Errorf("%s rejected: %v", plane, err)
+		}
+	}
+}
+
+// TestValidateTrustOverride pins the bounds on a spec's trust override,
+// for both spec kinds. A partial JSON object leaves every unnamed
+// constant at zero, so {"Gamma": 0.6} — the default Gamma — must fail
+// rather than run with Min = Max = 0.
+func TestValidateTrustOverride(t *testing.T) {
+	const (
+		packet = `{"name": "x", "seed": 1, "nodes": 4, "duration": "5s", "trust": %s}`
+		rounds = `{"name": "x", "kind": "rounds", "seed": 1, "nodes": 4, "rounds": {"rounds": 5}, "trust": %s}`
+	)
+	full, err := json.Marshal(trust.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{packet, rounds} {
+		if _, err := Parse([]byte(fmt.Sprintf(format, `{"Gamma": 0.6}`))); err == nil {
+			t.Errorf("partial trust object accepted: %s", fmt.Sprintf(format, `{"Gamma": 0.6}`))
+		}
+		if _, err := Parse([]byte(fmt.Sprintf(format, full))); err != nil {
+			t.Errorf("default trust params rejected: %v", err)
+		}
+	}
+	for name, mutate := range map[string]func(*trust.Params){
+		"Min = Max":           func(p *trust.Params) { p.Min = p.Max },
+		"Min > Max":           func(p *trust.Params) { p.Min, p.Max = 1, 0 },
+		"Default below Min":   func(p *trust.Params) { p.Default = -0.1 },
+		"Default above Max":   func(p *trust.Params) { p.Default = 1.1 },
+		"ConfidenceLevel 0":   func(p *trust.Params) { p.ConfidenceLevel = 0 },
+		"ConfidenceLevel 1":   func(p *trust.Params) { p.ConfidenceLevel = 1 },
+		"ConfidenceLevel NaN": func(p *trust.Params) { p.ConfidenceLevel = math.NaN() },
+		"Beta above 1":        func(p *trust.Params) { p.Beta = 1.01 },
+		"Beta negative":       func(p *trust.Params) { p.Beta = -0.01 },
+		"RelaxBeta above 1":   func(p *trust.Params) { p.RelaxBeta = 1.5 },
+		"RelaxBeta negative":  func(p *trust.Params) { p.RelaxBeta = -1 },
+		"AlphaPos negative":   func(p *trust.Params) { p.AlphaPos = -0.01 },
+		"AlphaNeg negative":   func(p *trust.Params) { p.AlphaNeg = -0.12 },
+	} {
+		p := trust.DefaultParams()
+		mutate(&p)
+		for _, kind := range []string{KindPacket, KindRounds} {
+			spec := Spec{Name: name, Kind: kind, Trust: &p}
+			if err := spec.Validate(); err == nil {
+				t.Errorf("%s (%s) validated", name, kind)
+			}
+		}
+	}
+	edges := trust.DefaultParams()
+	edges.Beta, edges.RelaxBeta, edges.AlphaPos, edges.AlphaNeg, edges.Default = 0, 1, 0, 0, edges.Max
+	if err := (Spec{Name: "edges", Trust: &edges}).Validate(); err != nil {
+		t.Errorf("closed-interval edges rejected: %v", err)
 	}
 }
 
