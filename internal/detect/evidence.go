@@ -101,9 +101,9 @@ func (p *EvidenceProvider) Attach(req VerifyRequest, rep *VerifyReply) {
 	}
 }
 
-// cite finds the most recent HELLO_RX from witness among the
-// last evidenceSearchWindow records and proves its inclusion in head. It
-// reads the stored lines in place; the citation carries the line itself.
+// cite finds the most recent HELLO_RX from witness among the last
+// evidenceSearchWindow records and proves its inclusion in head. It reads
+// the stored lines in place; the citation carries the line itself.
 func (p *EvidenceProvider) cite(witness addr.Node, head auditlog.TreeHead) (Citation, bool) {
 	var start uint64
 	if next := p.Log.NextSeq(); next > evidenceSearchWindow {

@@ -22,10 +22,10 @@ import (
 // detPackages is the closed set of packages that must be bit-for-bit
 // reproducible: the event kernel, the protocol and attack planes, every
 // codec feeding the golden digests, and the scenario builder with the
-// address and geometry types it feeds every digest through. The service layer (campaign,
-// manetd, cliutil, cmd/...) and the experiment orchestration (which
-// owns wall-clock-free parallelism already pinned by its own
-// determinism tests) are exempt by omission.
+// address and geometry types it feeds every digest through. The service
+// layer (campaign, manetd, cliutil, cmd/...) and the experiment
+// orchestration (which owns wall-clock-free parallelism already pinned
+// by its own determinism tests) are exempt by omission.
 var detPackages = map[string]bool{
 	"repro/internal/sim":        true,
 	"repro/internal/core":       true,

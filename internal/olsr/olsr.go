@@ -124,11 +124,11 @@ type Node struct {
 
 	// Recomputation schedule (DESIGN.md §10.1). prevSym and mprs are a pure
 	// function of the symmetric links and their willingness and the live
-	// 2-hop tuples: afterTopologyChange re-derives them only
-	// when a write flagged one of those inputs (mprStale) or a live input
-	// may have expired (now >= mprValidUntil, a lower bound on the earliest
-	// such expiry). nextExpiry is the same kind of lower bound over every
-	// tuple the expire sweep drops; the sweep runs only once it has passed.
+	// 2-hop tuples: afterTopologyChange re-derives them only when a write
+	// flagged one of those inputs (mprStale) or a live input may have
+	// expired (now >= mprValidUntil, a lower bound on the earliest such
+	// expiry). nextExpiry is the same kind of lower bound over every tuple
+	// the expire sweep drops; the sweep runs only once it has passed.
 	mprStale       bool
 	mprValidUntil  time.Duration
 	mprDerivations uint64 // re-derivations run; lets tests pin the memo
