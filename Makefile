@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race bench bench-test manetbench golden golden-update scale scale-update alloc alloc-update serve-smoke serve-load trace-smoke fuzz lint lint-external reprolint clean
+.PHONY: check fmt vet build test test-short race bench bench-test manetbench golden golden-update scale scale-update alloc alloc-update serve-smoke trace-smoke fuzz lint lint-external reprolint clean
 
 check: fmt vet build test
 
@@ -86,12 +86,6 @@ alloc-update:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Campaign-service load harness: 1000 concurrent small campaigns across
-# 8 tenants over real HTTP, asserting zero quota starvation, identical
-# digests and no goroutine leak (idsbench -serve-load).
-serve-load:
-	$(GO) run ./cmd/idsbench -serve-load -campaigns 1000 -tenants 8
-
 # Run-trace plane smoke (scripts/trace_smoke.sh): trace a preset twice
 # with the same seed and require `reprotrace diff` to find zero
 # divergences, reseed and require a reported first divergence, then
@@ -107,6 +101,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzVerifyInclusion$$' -fuzztime=30s ./internal/auditlog
+	$(GO) test -fuzz='^FuzzVerifyConsistency$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzLineEvent$$' -fuzztime=30s ./internal/logevent
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace

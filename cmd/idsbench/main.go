@@ -14,16 +14,6 @@
 // sets the pool size (default GOMAXPROCS) and -seed the root seed every
 // per-trial seed is derived from, so results are identical at any worker
 // count.
-//
-// With -serve-load the binary instead load-tests the manetd campaign
-// service end to end over HTTP:
-//
-//	idsbench -serve-load -campaigns 1000 -tenants 8
-//
-// It boots an in-process manetd behind an httptest listener, fans the
-// campaigns out across tenants under a per-tenant concurrency quota, and
-// asserts zero quota starvation, byte-identical digests on every run,
-// and no goroutine leak after drain (EXPERIMENTS.md records a run).
 package main
 
 import (
@@ -53,20 +43,13 @@ func run(args []string, w io.Writer) error {
 	camp := cliutil.Bind(fs, 1, "root seed; per-trial seeds are derived from it").
 		BindTrace("NDJSON run-trace directory for -sweep scenarios (one trace per preset)")
 	var (
-		sweep     = fs.String("sweep", "ablation", "mobility, size, ci, ablation, baselines, scenarios, scale, forgers or recommenders")
-		runs      = fs.Int("runs", 3, "trials per point (mobility sweep)")
-		serveLoad = fs.Bool("serve-load", false, "load-test the manetd campaign service instead of running a sweep")
-		campaigns = fs.Int("campaigns", 1000, "concurrent campaigns for -serve-load")
-		tenants   = fs.Int("tenants", 8, "tenants the -serve-load campaigns spread across")
+		sweep = fs.String("sweep", "ablation", "mobility, size, ci, ablation, baselines, scenarios, scale, forgers or recommenders")
+		runs  = fs.Int("runs", 3, "trials per point (mobility sweep)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	seed := &camp.Seed
-
-	if *serveLoad {
-		return runServeLoad(w, *campaigns, *tenants, camp.Seed)
-	}
 
 	eng := camp.Engine()
 

@@ -37,7 +37,7 @@ func main() {
 	for id := range positions {
 		membership.Add(id)
 	}
-	for _, id := range membership.Sorted() {
+	for _, id := range membership {
 		spec := core.NodeSpec{ID: id, Pos: mobility.Static{P: positions[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: membership}

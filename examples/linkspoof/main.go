@@ -64,7 +64,7 @@ func runVariant(mode attack.SpoofMode, target addr.Node) {
 	spoofer := &attack.LinkSpoofer{Mode: mode, Target: target}
 	spoofer.Active = func() bool { return w.Sched.Now() >= 30*time.Second }
 
-	for _, id := range membership.Sorted() {
+	for _, id := range membership {
 		spec := core.NodeSpec{ID: id, Pos: mobility.Static{P: positions[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: membership}

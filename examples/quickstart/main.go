@@ -50,7 +50,7 @@ func main() {
 	spoofer := &attack.LinkSpoofer{Mode: attack.SpoofPhantom, Target: addr.NodeAt(99)}
 	spoofer.Active = func() bool { return w.Sched.Now() >= 30*time.Second }
 
-	for _, id := range membership.Sorted() {
+	for _, id := range membership {
 		spec := core.NodeSpec{ID: id, Pos: mobility.Static{P: positions[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: membership}

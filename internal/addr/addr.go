@@ -103,110 +103,68 @@ func Parse(s string) (Node, error) {
 	return Node(v), nil
 }
 
-// Set is an unordered collection of nodes.
-type Set map[Node]struct{}
+// Set is a collection of nodes kept sorted in ascending address order
+// with no duplicates, so ranging over a set visits members in the same
+// order on every run. The zero value is the empty set. A set is a plain
+// slice: a copy shares storage, so Add and Remove on one copy are only
+// seen through the value they leave behind.
+type Set []Node
 
-// NewSet builds a Set from the given nodes.
+// NewSet builds a Set from the given nodes, in any order and with
+// duplicates allowed. The result is never nil.
 func NewSet(nodes ...Node) Set {
-	s := make(Set, len(nodes))
-	for _, n := range nodes {
-		s[n] = struct{}{}
-	}
-	return s
+	s := append(make(Set, 0, len(nodes)), nodes...)
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Add inserts n into the set.
-func (s Set) Add(n Node) { s[n] = struct{}{} }
+func (s *Set) Add(n Node) {
+	if i, found := slices.BinarySearch(*s, n); !found {
+		*s = slices.Insert(*s, i, n)
+	}
+}
 
 // Remove deletes n from the set.
-func (s Set) Remove(n Node) { delete(s, n) }
+func (s *Set) Remove(n Node) {
+	if i, found := slices.BinarySearch(*s, n); found {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
 
 // Has reports whether n is in the set.
 func (s Set) Has(n Node) bool {
-	_, ok := s[n]
-	return ok
+	_, found := slices.BinarySearch(s, n)
+	return found
 }
 
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	for n := range s {
-		c[n] = struct{}{}
-	}
-	return c
-}
+// Clone returns an independent copy of the set (nil stays nil).
+func (s Set) Clone() Set { return slices.Clone(s) }
 
 // Equal reports whether both sets contain exactly the same nodes.
-func (s Set) Equal(o Set) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for n := range s {
-		if !o.Has(n) {
-			return false
-		}
-	}
-	return true
-}
+func (s Set) Equal(o Set) bool { return slices.Equal(s, o) }
 
-// Union returns a new set with the members of both sets.
-func (s Set) Union(o Set) Set {
-	u := s.Clone()
-	for n := range o {
-		u[n] = struct{}{}
-	}
-	return u
-}
-
-// Intersect returns a new set with the members common to both sets.
-func (s Set) Intersect(o Set) Set {
-	r := make(Set)
-	for n := range s {
-		if o.Has(n) {
-			r[n] = struct{}{}
-		}
-	}
-	return r
-}
-
-// Diff returns the members of s that are not in o.
+// Diff returns the members of s that are not in o, merging the two
+// sorted sets in one pass.
 func (s Set) Diff(o Set) Set {
-	r := make(Set)
-	for n := range s {
-		if !o.Has(n) {
-			r[n] = struct{}{}
+	var r Set
+	j := 0
+	for _, n := range s {
+		for j < len(o) && o[j] < n {
+			j++
+		}
+		if j == len(o) || o[j] != n {
+			r = append(r, n)
 		}
 	}
 	return r
-}
-
-// Sorted returns the members in ascending address order.
-func (s Set) Sorted() []Node {
-	out := make([]Node, 0, len(s))
-	for n := range s {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// AppendSorted appends the members to out in ascending address order —
-// the allocation-free variant of Sorted for hot paths that own a
-// reusable buffer.
-func (s Set) AppendSorted(out []Node) []Node {
-	start := len(out)
-	for n := range s {
-		out = append(out, n)
-	}
-	slices.Sort(out[start:])
-	return out
 }
 
 // String renders the set as a bracketed, sorted, comma-separated list.
 func (s Set) String() string {
 	var b strings.Builder
 	b.WriteByte('[')
-	for i, n := range s.Sorted() {
+	for i, n := range s {
 		if i > 0 {
 			b.WriteByte(',')
 		}

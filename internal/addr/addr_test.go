@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -104,17 +105,17 @@ func TestSetAlgebra(t *testing.T) {
 	a := NewSet(NodeAt(1), NodeAt(2), NodeAt(3))
 	b := NewSet(NodeAt(2), NodeAt(3), NodeAt(4))
 
-	if got := a.Intersect(b); !got.Equal(NewSet(NodeAt(2), NodeAt(3))) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Union(b); !got.Equal(NewSet(NodeAt(1), NodeAt(2), NodeAt(3), NodeAt(4))) {
-		t.Errorf("Union = %v", got)
-	}
 	if got := a.Diff(b); !got.Equal(NewSet(NodeAt(1))) {
 		t.Errorf("Diff = %v", got)
 	}
 	if got := b.Diff(a); !got.Equal(NewSet(NodeAt(4))) {
 		t.Errorf("Diff = %v", got)
+	}
+	if got := a.Diff(nil); !got.Equal(a) {
+		t.Errorf("Diff(empty) = %v", got)
+	}
+	if got := a.Diff(a); len(got) != 0 {
+		t.Errorf("Diff(self) = %v", got)
 	}
 }
 
@@ -129,45 +130,63 @@ func TestSetEqual(t *testing.T) {
 	if a.Equal(NewSet(NodeAt(1), NodeAt(3))) {
 		t.Error("Equal must compare members")
 	}
+	if !NewSet().Equal(nil) {
+		t.Error("the empty set must equal the zero Set")
+	}
 }
 
 func TestSetSortedAndString(t *testing.T) {
-	s := NewSet(NodeAt(3), NodeAt(1), NodeAt(2))
-	got := s.Sorted()
+	s := NewSet(NodeAt(3), NodeAt(1), NodeAt(2), NodeAt(3))
 	want := []Node{NodeAt(1), NodeAt(2), NodeAt(3)}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sorted() = %v, want %v", got, want)
-		}
+	if !slices.Equal(s, want) {
+		t.Fatalf("NewSet = %v, want %v", []Node(s), want)
 	}
 	if str := s.String(); str != "[10.0.0.1,10.0.0.2,10.0.0.3]" {
 		t.Errorf("String() = %q", str)
 	}
+	if NewSet() == nil {
+		t.Error("NewSet() must not be nil: a nil set means \"no set\" to some callers")
+	}
 }
 
+// TestSetAlgebraProperties checks the sorted-slice set against a map
+// model: after any sequence of Adds and Removes the members ascend
+// strictly, membership matches the model, and Diff is the model's
+// difference.
 func TestSetAlgebraProperties(t *testing.T) {
-	mk := func(bits uint8) Set {
-		s := make(Set)
-		for i := 0; i < 8; i++ {
-			if bits&(1<<i) != 0 {
-				s.Add(NodeAt(i + 1))
+	f := func(ops []uint8, other uint16) bool {
+		var s Set
+		model := map[Node]bool{}
+		for _, op := range ops {
+			n := NodeAt(int(op % 16))
+			if op&0x80 != 0 {
+				s.Remove(n)
+				delete(model, n)
+			} else {
+				s.Add(n)
+				model[n] = true
 			}
 		}
-		return s
-	}
-	f := func(x, y uint8) bool {
-		a, b := mk(x), mk(y)
-		union := a.Union(b)
-		inter := a.Intersect(b)
-		// |A ∪ B| + |A ∩ B| == |A| + |B|
-		if len(union)+len(inter) != len(a)+len(b) {
+		if len(s) != len(model) || !slices.IsSorted(s) || len(slices.Compact(slices.Clone(s))) != len(s) {
 			return false
 		}
-		// A \ B and A ∩ B partition A.
-		if got := a.Diff(b).Union(inter); !got.Equal(a) {
-			return false
+		var o Set
+		for i := 0; i < 16; i++ {
+			if other&(1<<i) != 0 {
+				o = append(o, NodeAt(i))
+			}
 		}
-		return inter.Equal(b.Intersect(a))
+		var want Set
+		for i := 0; i < 16; i++ {
+			n := NodeAt(i)
+			if s.Has(n) != model[n] {
+				return false
+			}
+			if model[n] && !o.Has(n) {
+				want = append(want, n)
+			}
+		}
+		return s.Diff(o).Equal(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -188,7 +188,8 @@ type Wormhole struct {
 	// IgnoreFrom lists additional senders whose frames must not be
 	// tunneled — the mouths of every OTHER wormhole in the scenario.
 	// Without it, two tunnels whose mouths are in radio range of each
-	// other re-tunnel each other's output in an endless ping-pong.
+	// other re-tunnel each other's output in an endless ping-pong. Set it
+	// to the complete list: a later Add to the caller's copy is not seen.
 	IgnoreFrom addr.Set
 	// Delay is the extra tunnel latency applied to each relayed frame.
 	Delay time.Duration
@@ -418,7 +419,7 @@ func (f *LogForger) Forge(now time.Duration) {
 	if f.Active != nil && !f.Active() {
 		return
 	}
-	endpoints := make(addr.Set, len(f.Alibis))
+	endpoints := make(addr.Set, 0, len(f.Alibis))
 	for _, a := range f.Alibis {
 		endpoints.Add(a.Endpoint)
 	}

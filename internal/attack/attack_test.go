@@ -25,12 +25,12 @@ func TestSpoofPhantomAddsForgedLink(t *testing.T) {
 	s := &LinkSpoofer{Mode: SpoofPhantom, Target: addr.NodeAt(99)}
 	h := baseHello()
 	s.Hook()(h)
-	if !h.SymNeighbors().Has(addr.NodeAt(99)) {
-		t.Fatalf("phantom not advertised: %v", h.SymNeighbors())
+	if !h.SymNeighbors(nil).Has(addr.NodeAt(99)) {
+		t.Fatalf("phantom not advertised: %v", h.SymNeighbors(nil))
 	}
 	// Real links untouched.
 	for _, n := range []int{2, 3, 4} {
-		if !h.SymNeighbors().Has(addr.NodeAt(n)) {
+		if !h.SymNeighbors(nil).Has(addr.NodeAt(n)) {
 			t.Errorf("real neighbor %d lost", n)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSpoofClaimSameMechanism(t *testing.T) {
 	s := &LinkSpoofer{Mode: SpoofClaim, Target: addr.NodeAt(7)}
 	h := baseHello()
 	s.Hook()(h)
-	if !h.SymNeighbors().Has(addr.NodeAt(7)) {
+	if !h.SymNeighbors(nil).Has(addr.NodeAt(7)) {
 		t.Fatal("claimed non-neighbor not advertised")
 	}
 }
@@ -52,10 +52,10 @@ func TestSpoofOmitRemovesNeighbor(t *testing.T) {
 	s := &LinkSpoofer{Mode: SpoofOmit, Target: addr.NodeAt(3)}
 	h := baseHello()
 	s.Hook()(h)
-	if h.SymNeighbors().Has(addr.NodeAt(3)) {
+	if h.SymNeighbors(nil).Has(addr.NodeAt(3)) {
 		t.Fatal("omitted neighbor still advertised")
 	}
-	if !h.SymNeighbors().Has(addr.NodeAt(2)) || !h.SymNeighbors().Has(addr.NodeAt(4)) {
+	if !h.SymNeighbors(nil).Has(addr.NodeAt(2)) || !h.SymNeighbors(nil).Has(addr.NodeAt(4)) {
 		t.Error("other neighbors damaged")
 	}
 }
@@ -76,13 +76,13 @@ func TestSpooferActiveGate(t *testing.T) {
 	s := &LinkSpoofer{Mode: SpoofPhantom, Target: addr.NodeAt(99), Active: func() bool { return active }}
 	h := baseHello()
 	s.Hook()(h)
-	if !h.SymNeighbors().Has(addr.NodeAt(99)) {
+	if !h.SymNeighbors(nil).Has(addr.NodeAt(99)) {
 		t.Fatal("active spoofer idle")
 	}
 	active = false
 	h2 := baseHello()
 	s.Hook()(h2)
-	if h2.SymNeighbors().Has(addr.NodeAt(99)) {
+	if h2.SymNeighbors(nil).Has(addr.NodeAt(99)) {
 		t.Fatal("inactive spoofer still spoofing")
 	}
 	if s.Spoofed() != 1 {

@@ -2,6 +2,7 @@ package auditlog
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,6 +107,87 @@ func FuzzVerifyInclusion(f *testing.F) {
 		if VerifyInclusion(leaf, index%(1<<20), head, proof) &&
 			!(head.Size == 1 && head.Root == leaf && len(proof.Path) == 0) {
 			t.Fatalf("arbitrary proof accepted: index %d size %d", index, head.Size)
+		}
+	})
+}
+
+// FuzzVerifyConsistency hammers the consistency verifier, which checks
+// every tree head a peer gossips. It must not panic on any input. Then,
+// for the sizes the input names, folded into a sealed reference Buffer,
+// the honest heads and proof must verify, and flipping any one byte of
+// them (either root or the path) must make verification fail. The seeds
+// are honest heads and proofs cut from the same Buffer.
+//
+// Sizes are not bound by the hashes alone: a proof for 3 -> 7 also
+// verifies when the new head claims size 6, so the raw input is held
+// only to not panicking.
+func FuzzVerifyConsistency(f *testing.F) {
+	const logSize = 64
+	var b Buffer
+	b.SetSealKey(nil)
+	for i := 0; i < logSize; i++ {
+		b.Append(Record{Kind: KindTCTx, Fields: []Field{FInt("i", i)}})
+	}
+	honest := func(tb testing.TB, oldSize, newSize uint64) (TreeHead, TreeHead, Proof) {
+		oldHead, err := b.TreeHeadAt(oldSize)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		newHead, err := b.TreeHeadAt(newSize)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		proof, err := b.ConsistencyProof(oldSize, newSize)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return oldHead, newHead, proof
+	}
+	for _, sizes := range [][2]uint64{{0, 5}, {1, 2}, {3, 7}, {4, 9}, {8, 8}, {13, 64}, {31, 33}} {
+		oldHead, newHead, proof := honest(f, sizes[0], sizes[1])
+		var path []byte
+		for _, h := range proof.Path {
+			path = append(path, h[:]...)
+		}
+		f.Add(oldHead.Size, oldHead.Root[:], newHead.Size, newHead.Root[:], path, uint16(0))
+	}
+	f.Fuzz(func(t *testing.T, oldSize uint64, oldRoot []byte, newSize uint64, newRoot []byte, pathData []byte, flip uint16) {
+		old, head := TreeHead{Size: oldSize}, TreeHead{Size: newSize}
+		copy(old.Root[:], oldRoot)
+		copy(head.Root[:], newRoot)
+		var proof Proof
+		for i := 0; i+HashSize <= len(pathData) && i < 64*HashSize; i += HashSize {
+			var h Hash
+			copy(h[:], pathData[i:i+HashSize])
+			proof.Path = append(proof.Path, h)
+		}
+		VerifyConsistency(old, head, proof)
+
+		lo, hi := oldSize%(logSize+1), newSize%(logSize+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		realOld, realNew, real := honest(t, lo, hi)
+		if !VerifyConsistency(realOld, realNew, real) {
+			t.Fatalf("honest proof %d -> %d rejected", lo, hi)
+		}
+		if lo == 0 {
+			return // the empty tree is consistent with any head
+		}
+		// Flip one bit of one byte of old root, new root or path.
+		forged := Proof{Path: slices.Clone(real.Path)}
+		at := int(flip) % (2*HashSize + len(real.Path)*HashSize)
+		switch {
+		case at < HashSize:
+			realOld.Root[at] ^= 0x01
+		case at < 2*HashSize:
+			realNew.Root[at-HashSize] ^= 0x01
+		default:
+			p := at - 2*HashSize
+			forged.Path[p/HashSize][p%HashSize] ^= 0x01
+		}
+		if VerifyConsistency(realOld, realNew, forged) {
+			t.Fatalf("proof %d -> %d accepted with byte %d flipped", lo, hi, at)
 		}
 	})
 }

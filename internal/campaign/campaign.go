@@ -46,7 +46,8 @@ func (s State) Terminal() bool {
 type RunOpts struct {
 	// Trials is the number of seeded runs per spec (default 1). Trial
 	// seeds follow experiment.TrialSeed: trial 0 keeps the spec's seed,
-	// trial i > 0 derives an independent stream from it.
+	// trial i > 0 derives an independent stream from it. Specs × trials
+	// may not exceed MaxRuns.
 	Trials int `json:"trials,omitempty"`
 	// Workers bounds the run-level pool inside this campaign (<= 0 takes
 	// the manager's default).

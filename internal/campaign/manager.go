@@ -26,7 +26,16 @@ var (
 	ErrNotFound = errors.New("campaign: not found")
 	// ErrTerminal rejects canceling a campaign that already finished.
 	ErrTerminal = errors.New("campaign: already in a terminal state")
+	// ErrTooManyRuns rejects a campaign that expands to more than
+	// MaxRuns runs.
+	ErrTooManyRuns = errors.New("campaign: too many runs")
 )
+
+// MaxRuns caps the runs (specs × trials) one campaign may expand to.
+// Submit allocates every run record up front and the trial count comes
+// straight from a request body, so without a cap one submission could
+// exhaust the service's memory.
+const MaxRuns = 10000
 
 // Config parameterizes a Manager. The zero value is usable: in-memory
 // store, no quotas, GOMAXPROCS campaign executors.
@@ -152,6 +161,9 @@ func (m *Manager) Submit(tenant string, specs []scenario.Spec, opts RunOpts) (*C
 	}
 	if opts.Trials <= 0 {
 		opts.Trials = 1
+	}
+	if opts.Trials > MaxRuns/len(specs) { // specs × trials > MaxRuns, without overflow
+		return nil, fmt.Errorf("%w: %d specs × %d trials exceeds %d", ErrTooManyRuns, len(specs), opts.Trials, MaxRuns)
 	}
 
 	// The submit path is serialized so the quota check and the insert

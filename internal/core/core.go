@@ -263,7 +263,6 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 	if w.cfg.Evidence {
 		n.Responder.Evidence = &detect.EvidenceProvider{Log: logs}
 		n.heads = make(map[addr.Node]auditlog.TreeHead)
-		n.gossipTainted = make(addr.Set)
 	}
 	if w.cfg.Reputation.Enabled {
 		n.recSeen = make(map[addr.Node]uint16)

@@ -55,7 +55,7 @@ func newCluster(t *testing.T, opts clusterOpts) *Network {
 	for id := range positions {
 		known.Add(id)
 	}
-	for _, id := range known.Sorted() {
+	for _, id := range known {
 		spec := NodeSpec{ID: id, Pos: mobility.Static{P: positions[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: known}
@@ -230,7 +230,7 @@ func TestBlackholeLowersTrustEndToEnd(t *testing.T) {
 	}
 	known := addr.NewSet(addr.NodeAt(1), addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4))
 	bh := &attack.BlackHole{}
-	for _, id := range known.Sorted() {
+	for _, id := range known {
 		spec := NodeSpec{ID: id, Pos: mobility.Static{P: pos[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: known}
@@ -269,7 +269,7 @@ func TestControlPlaneAvoidsSuspect(t *testing.T) {
 		addr.NodeAt(4): geo.Pt(160, 0),
 	}
 	known := addr.NewSet(addr.NodeAt(1), addr.NodeAt(9), addr.NodeAt(5), addr.NodeAt(4))
-	for _, id := range known.Sorted() {
+	for _, id := range known {
 		spec := NodeSpec{ID: id, Pos: mobility.Static{P: pos[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: known}

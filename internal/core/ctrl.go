@@ -103,7 +103,7 @@ func (n *Node) forwardCtrl(m *ctrlMsg) {
 	// Any other symmetric neighbor that covers the destination (an
 	// alternative MPR in the paper's terms).
 	if next == addr.None {
-		n.nbScratch = n.Router.SymNeighborsSorted(n.nbScratch[:0])
+		n.nbScratch = n.Router.SymNeighbors(n.nbScratch)
 		for _, nb := range n.nbScratch {
 			if nb == m.From || slices.Contains(m.Avoid, nb) {
 				continue

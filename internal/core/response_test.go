@@ -53,7 +53,7 @@ func TestLossyRadioStillConvicts(t *testing.T) {
 	for id := range clusterPositions() {
 		known.Add(id)
 	}
-	for _, id := range known.Sorted() {
+	for _, id := range known {
 		spec := NodeSpec{ID: id, Pos: mobility.Static{P: clusterPositions()[id]}}
 		if id == addr.NodeAt(1) {
 			spec.Detector = &detect.Config{KnownNodes: known}
@@ -98,7 +98,7 @@ func TestPartitionNoFalseConviction(t *testing.T) {
 			t.Errorf("node %v convicted during a partition", id)
 		}
 	}
-	if len(w.Node(addr.NodeAt(1)).Router.SymNeighbors()) != 0 {
+	if len(w.Node(addr.NodeAt(1)).Router.SymNeighbors(nil)) != 0 {
 		t.Error("neighbors survived the partition")
 	}
 }
@@ -116,7 +116,7 @@ func TestMultiDetectorDeployment(t *testing.T) {
 	for id := range clusterPositions() {
 		known.Add(id)
 	}
-	for _, id := range known.Sorted() {
+	for _, id := range known {
 		spec := NodeSpec{ID: id, Pos: mobility.Static{P: clusterPositions()[id]}}
 		if id != addr.NodeAt(9) {
 			spec.Detector = &detect.Config{KnownNodes: known}

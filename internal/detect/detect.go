@@ -34,12 +34,13 @@ import (
 // for choosing whom to interrogate; attack evidence always comes from logs
 // and replies.
 type RouterView interface {
-	SymNeighbors() addr.Set
-	TwoHopNeighbors() addr.Set
+	// SymNeighbors returns the symmetric 1-hop neighborhood, built in
+	// dst's storage (nil allocates).
+	SymNeighbors(dst addr.Set) addr.Set
 	MPRs() addr.Set
-	// CoverOf returns the neighbors that via advertises as its own
-	// symmetric neighbors.
-	CoverOf(via addr.Node) addr.Set
+	// Covers reports whether via advertises dest as its own symmetric
+	// neighbor.
+	Covers(via, dest addr.Node) bool
 	// AdvertisedSym returns the symmetric-neighbor set x most recently
 	// advertised in a HELLO.
 	AdvertisedSym(x addr.Node) addr.Set
@@ -157,7 +158,7 @@ func (r *Responder) Answer(req VerifyRequest) VerifyReply {
 		// judges the claimed link from Link's side, not the suspect's —
 		// the non-circular direction.
 		rep.Answered = true
-		rep.LinkExists = r.Router.CoverOf(req.Link).Has(req.Suspect)
+		rep.LinkExists = r.Router.Covers(req.Link, req.Suspect)
 	case r.Router.IsSymNeighbor(req.Suspect):
 		// I am the suspect's neighbor. If the claimed endpoint really were
 		// adjacent to the suspect I would at least know of it — as my own
@@ -168,8 +169,8 @@ func (r *Responder) Answer(req VerifyRequest) VerifyReply {
 		// at all is a denial — no such node stands in the suspect's
 		// vicinity.
 		known := false
-		for via := range r.Router.SymNeighbors() {
-			if via != req.Suspect && r.Router.CoverOf(via).Has(req.Link) {
+		for _, via := range r.Router.SymNeighbors(nil) {
+			if via != req.Suspect && r.Router.Covers(via, req.Link) {
 				known = true
 				break
 			}
@@ -359,7 +360,6 @@ func NewDetector(
 		store:     store,
 		transport: transport,
 		ix:        store.Index(),
-		tainted:   make(addr.Set),
 	}
 }
 
@@ -445,9 +445,6 @@ func (d *Detector) handleAlert(a signature.Alert) {
 		for _, ev := range a.Events {
 			if td, ok := ev.(*logevent.TwoHopDown); ok {
 				c := d.cell(a.Subject)
-				if c.hintLinks == nil {
-					c.hintLinks = make(addr.Set)
-				}
 				c.hintLinks.Add(td.TwoHop)
 			}
 		}
@@ -457,7 +454,7 @@ func (d *Detector) handleAlert(a signature.Alert) {
 		// current MPRs. E2 counts the drop itself as misbehavior: with a
 		// single MPR the attribution is certain (full-gravity evidence);
 		// with several, the blame is split.
-		mprs := d.router.MPRs().Sorted()
+		mprs := d.router.MPRs()
 		for _, m := range mprs {
 			d.store.Update(m, []trust.Evidence{{Value: -1.0 / float64(len(mprs))}})
 			d.OpenInvestigation(m, a.Rule)
@@ -602,9 +599,9 @@ func (d *Detector) roundOf(suspect addr.Node) int {
 // local first-hand evidence.
 func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr.Node {
 	advertised := d.router.AdvertisedSym(suspect)
-	sym := d.router.SymNeighbors()
+	sym := d.router.SymNeighbors(nil)
 
-	links := make(addr.Set)
+	var links addr.Set
 	localEvidence := func(g trust.Gravity) {
 		// First-hand local observation (property 5): the investigator's
 		// own log already contradicts the suspect's advertisement.
@@ -615,7 +612,7 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 			inv.gravity = g
 		}
 	}
-	for x := range advertised {
+	for _, x := range advertised {
 		if x == d.cfg.Self || x == suspect {
 			continue
 		}
@@ -629,7 +626,7 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 			continue
 		}
 		if sym.Has(x) {
-			if d.router.CoverOf(x).Has(suspect) {
+			if d.router.Covers(x, suspect) {
 				// Confirmed from the other side: x's own HELLOs list the
 				// suspect. Nothing to verify.
 				continue
@@ -644,11 +641,11 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 	// Omission (Expression 3): a neighbor of mine advertises the suspect,
 	// but the suspect's advertisement omits it — again a first-hand
 	// contradiction from my own log.
-	for x := range sym {
+	for _, x := range sym {
 		if x == suspect || advertised.Has(x) {
 			continue
 		}
-		if d.router.CoverOf(x).Has(suspect) {
+		if d.router.Covers(x, suspect) {
 			inv.adv[x] = false
 			localEvidence(trust.GravityHigh)
 			links.Add(x)
@@ -659,28 +656,28 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 	// evidence here — once the live contradiction is gone, only the
 	// endpoint's own testimony counts.
 	if c := d.peek(suspect); c != nil {
-		for x := range c.hintLinks {
+		for _, x := range c.hintLinks {
 			if x != d.cfg.Self && !advertised.Has(x) && !links.Has(x) {
 				inv.adv[x] = false
 				links.Add(x)
 			}
 		}
 	}
-	return links.Sorted()
+	return links
 }
 
 // respondersFor selects whom to interrogate about the link suspect—link:
 // the link's own endpoint first (first-hand), then shared neighbors that
 // can hear the endpoint's HELLOs. The suspect itself is never asked.
 func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
-	resp := make(addr.Set)
+	var resp addr.Set
 	// Ask the endpoint itself unless membership knowledge says it cannot
 	// exist (a phantom has nobody to answer; the timeout produces e=0 and
 	// the membership check produced local evidence already).
 	if link != d.cfg.Self && (d.cfg.KnownNodes == nil || d.cfg.KnownNodes.Has(link)) {
 		resp.Add(link)
 	}
-	for x := range d.router.SymNeighbors() {
+	for _, x := range d.router.SymNeighbors(nil) {
 		if x != suspect && x != d.cfg.Self {
 			resp.Add(x)
 		}
@@ -690,19 +687,18 @@ func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
 	// Skip responders that declared having no basis to judge this suspect
 	// in an earlier round (Algorithm 1 moves on from unhelpful nodes).
 	if c := d.peek(suspect); c != nil {
-		for x := range c.noInfo {
+		for _, x := range c.noInfo {
 			resp.Remove(x)
 		}
 	}
 	// Evidence forgers are out of the witness pool for good.
-	for x := range d.tainted {
+	for _, x := range d.tainted {
 		resp.Remove(x)
 	}
-	out := resp.Sorted()
-	if len(out) > maxResponders {
-		out = out[:maxResponders]
+	if len(resp) > maxResponders {
+		resp = resp[:maxResponders]
 	}
-	return out
+	return resp
 }
 
 // HandleReply ingests one verification reply; the transport calls it when
@@ -751,9 +747,6 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 	inv.replies = append(inv.replies, rep)
 	inv.weights = append(inv.weights, weight)
 	if !rep.Answered {
-		if c.noInfo == nil {
-			c.noInfo = make(addr.Set)
-		}
 		c.noInfo.Add(rep.Responder)
 	}
 	if len(inv.pending) == 0 {
@@ -850,9 +843,6 @@ func (d *Detector) finalize(inv *investigation) {
 		}
 		c.timeouts[req.Responder]++
 		if c.timeouts[req.Responder] >= 2 {
-			if c.noInfo == nil {
-				c.noInfo = make(addr.Set)
-			}
 			c.noInfo.Add(req.Responder)
 		}
 	}

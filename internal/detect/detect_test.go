@@ -13,26 +13,19 @@ import (
 
 // fakeRouter is a scriptable RouterView.
 type fakeRouter struct {
-	self   addr.Node
-	sym    addr.Set
-	twoHop addr.Set
-	mprs   addr.Set
-	cover  map[addr.Node]addr.Set // x -> what x advertises
-	hears  addr.Set               // extra asymmetric receptions
+	self  addr.Node
+	sym   addr.Set
+	mprs  addr.Set
+	cover map[addr.Node]addr.Set // x -> what x advertises
+	hears addr.Set               // extra asymmetric receptions
 }
 
 var _ RouterView = (*fakeRouter)(nil)
 
-func (f *fakeRouter) SymNeighbors() addr.Set    { return f.sym.Clone() }
-func (f *fakeRouter) TwoHopNeighbors() addr.Set { return f.twoHop.Clone() }
-func (f *fakeRouter) MPRs() addr.Set            { return f.mprs.Clone() }
-func (f *fakeRouter) CoverOf(via addr.Node) addr.Set {
-	if s, ok := f.cover[via]; ok {
-		return s.Clone()
-	}
-	return make(addr.Set)
-}
-func (f *fakeRouter) AdvertisedSym(x addr.Node) addr.Set { return f.CoverOf(x) }
+func (f *fakeRouter) SymNeighbors(dst addr.Set) addr.Set { return append(dst[:0], f.sym...) }
+func (f *fakeRouter) MPRs() addr.Set                     { return f.mprs.Clone() }
+func (f *fakeRouter) Covers(via, dest addr.Node) bool    { return f.cover[via].Has(dest) }
+func (f *fakeRouter) AdvertisedSym(x addr.Node) addr.Set { return f.cover[x].Clone() }
 func (f *fakeRouter) IsSymNeighbor(x addr.Node) bool     { return f.sym.Has(x) }
 func (f *fakeRouter) HearsFrom(x addr.Node) bool         { return f.sym.Has(x) || f.hears.Has(x) }
 
@@ -107,7 +100,7 @@ func newScenario(t *testing.T, suspectAdvertises []addr.Node, liars map[addr.Nod
 	// neighbor's advertisement.
 	viewOf := func(x addr.Node) *fakeRouter {
 		fr := &fakeRouter{self: x, sym: truth[x].Clone(), cover: make(map[addr.Node]addr.Set)}
-		for nb := range truth[x] {
+		for _, nb := range truth[x] {
 			fr.cover[nb] = advert(nb)
 		}
 		return fr

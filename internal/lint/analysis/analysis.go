@@ -72,8 +72,8 @@ func PkgNameOf(info *types.Info, expr ast.Expr) (string, bool) {
 	return pn.Imported().Path(), true
 }
 
-// IsMap reports whether t's underlying type is a map (covering named
-// map types such as addr.Set).
+// IsMap reports whether t's underlying type is a map, named map types
+// included.
 func IsMap(t types.Type) bool {
 	if t == nil {
 		return false

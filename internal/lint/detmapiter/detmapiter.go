@@ -13,10 +13,9 @@
 // The check is structural, not a dataflow analysis:
 //
 //   - append targets are accepted when a recognized sort call
-//     (sort.*/slices.Sort*, or a Sort/Sorted/AppendSorted method on the
-//     value) mentioning the same variable appears later in the
-//     enclosing function — the sorted-after-range idiom used all over
-//     the OLSR plane;
+//     (sort.*/slices.Sort*, or a Sort method on the value) mentioning
+//     the same variable appears later in the enclosing function — the
+//     sorted-after-range idiom used all over the OLSR plane;
 //   - hash/stream writes, audit-log emission and scheduler posts are
 //     flagged unconditionally: no later sort can reorder a chained
 //     hash, a sealed log or an event sequence draw.
@@ -243,10 +242,9 @@ var sortFuncs = map[string]bool{
 	"Strings": true, "Ints": true, "Float64s": true,
 }
 
-// sortMethods are methods whose call renders a sorted view of the
-// receiver or argument.
+// sortMethods are methods whose call sorts the receiver or argument.
 var sortMethods = map[string]bool{
-	"Sort": true, "Sorted": true, "AppendSorted": true,
+	"Sort": true,
 }
 
 // sortedAfter reports whether the enclosing function, at any position

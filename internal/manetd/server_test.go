@@ -478,3 +478,35 @@ func scrape(t *testing.T, client *http.Client, base string) string {
 	}
 	return string(b)
 }
+
+// TestSubmitRunCap pins the campaign-size bound: a submission that
+// expands to one run over campaign.MaxRuns is refused with 400 before
+// any run record is allocated, and one at the cap is accepted.
+func TestSubmitRunCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	client := ts.Client()
+
+	var e struct {
+		Error string `json:"error"`
+	}
+	over := fmt.Sprintf(`{"spec": `+tinySpecJSON+`, "trials": %d}`, 1, campaign.MaxRuns+1)
+	resp := doJSON(t, client, http.MethodPost, ts.URL+"/v1/campaigns", over, &e)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-cap campaign: HTTP %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(e.Error, "too many runs") {
+		t.Errorf("over-cap error %q does not name the cap", e.Error)
+	}
+
+	// Two specs at half the cap each: exactly MaxRuns runs.
+	atCap := fmt.Sprintf(`{"specs": [`+tinySpecJSON+`, `+tinySpecJSON+`], "trials": %d}`, 1, 2, campaign.MaxRuns/2)
+	var c campaign.Campaign
+	if resp := doJSON(t, client, http.MethodPost, ts.URL+"/v1/campaigns", atCap, &c); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("at-cap campaign: HTTP %d, want 202", resp.StatusCode)
+	}
+	if len(c.Runs) != campaign.MaxRuns {
+		t.Errorf("at-cap campaign has %d runs, want %d", len(c.Runs), campaign.MaxRuns)
+	}
+	doJSON(t, client, http.MethodDelete, ts.URL+"/v1/campaigns/"+c.ID, "", nil)
+	pollDone(t, client, ts.URL+"/v1/campaigns/"+c.ID)
+}

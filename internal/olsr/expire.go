@@ -92,7 +92,7 @@ func (n *Node) expire() {
 		delete(n.selectors, x)
 		n.ansn++
 		n.log(auditlog.KindMPRSelector,
-			auditlog.FNodes("selectors", n.selectorsSorted(n.nodeScratch[:0])))
+			auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))
 	}
 	for last, e := range n.topo {
 		for d, until := range e.dests {
@@ -137,26 +137,26 @@ func (n *Node) afterTopologyChange() {
 
 	// Compare against the retained sets through scratch; allocate fresh
 	// copies only when something actually changed.
-	sym := n.fillSymScratch()
+	sym := n.SymNeighbors(n.nodeScratch)
+	n.nodeScratch = sym
 	if !sym.Equal(n.prevSym) {
-		for _, x := range sym.Diff(n.prevSym).Sorted() {
+		for _, x := range sym.Diff(n.prevSym) {
 			n.log(auditlog.KindNeighborUp, auditlog.FNode("neighbor", x))
 		}
-		for _, x := range n.prevSym.Diff(sym).Sorted() {
+		for _, x := range n.prevSym.Diff(sym) {
 			n.log(auditlog.KindNeighborDown, auditlog.FNode("neighbor", x))
 		}
 		n.prevSym = sym.Clone()
 	}
 
-	mprs, validUntil := n.selectMPRs() // scratch; invalidates sym above
+	// selectMPRs reuses nodeScratch, so it reads the retained copy.
+	mprs, validUntil := n.selectMPRs(n.prevSym)
 	n.mprValidUntil = validUntil
 	if !mprs.Equal(n.mprs) {
-		added := mprs.Diff(n.mprs)
-		removed := n.mprs.Diff(mprs)
-		n.mprs = mprs.Clone()
 		n.log(auditlog.KindMPRSet,
-			auditlog.FNodes("added", added.Sorted()),
-			auditlog.FNodes("removed", removed.Sorted()),
-			auditlog.FNodes("mprs", mprs.Sorted()))
+			auditlog.FNodes("added", mprs.Diff(n.mprs)),
+			auditlog.FNodes("removed", n.mprs.Diff(mprs)),
+			auditlog.FNodes("mprs", mprs))
+		n.mprs = mprs.Clone()
 	}
 }

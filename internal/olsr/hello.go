@@ -16,7 +16,7 @@ import (
 func (n *Node) buildHello() *wire.Hello {
 	now := n.now()
 	// Categorize into the reusable per-category buffers. Link-set keys are
-	// unique, so a plain sort reproduces the old NewSet(...).Sorted().
+	// unique, so a plain sort makes each category a set.
 	cat := &n.helloCat
 	for i := range cat {
 		cat[i] = cat[i][:0]
@@ -61,11 +61,7 @@ func (n *Node) sendHello() {
 		n.hooks.ModifyHello(h)
 	}
 	n.helloTx++
-	// Sort-and-compact over scratch renders the same bytes as
-	// SymNeighbors().Sorted() without materializing the set.
-	syms := h.AppendSymNeighbors(n.nodeScratch[:0])
-	slices.Sort(syms)
-	syms = slices.Compact(syms)
+	syms := h.SymNeighbors(n.nodeScratch)
 	n.nodeScratch = syms
 	n.log(auditlog.KindHelloTx,
 		auditlog.FNodes("sym", syms),
@@ -144,15 +140,14 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	// it changed; AdvertisedSym clones, so the swap is unobservable.
 	adv := n.lastHelloSym[from]
 	if adv == nil {
-		adv = &advert{set: make(addr.Set), field: auditlog.FNodes("sym", nil)}
+		adv = &advert{field: auditlog.FNodes("sym", nil)}
 		n.lastHelloSym[from] = adv
 	}
-	sym := n.symScratch
-	clear(sym)
-	h.SymNeighborsInto(sym)
+	sym := h.SymNeighbors(n.nodeScratch)
+	n.nodeScratch = sym
 	if !sym.Equal(adv.set) {
-		adv.set, n.symScratch = sym, adv.set
-		adv.field = auditlog.FNodes("sym", sym.AppendSorted(n.nodeScratch[:0]))
+		adv.set, n.nodeScratch = sym, adv.set
+		adv.field = auditlog.FNodes("sym", sym)
 	}
 
 	// 2-hop set: only populated through symmetric neighbors.
@@ -208,13 +203,13 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 		if !wasSelector {
 			n.ansn++
 			n.log(auditlog.KindMPRSelector,
-				auditlog.FNodes("selectors", n.selectorsSorted(n.nodeScratch[:0])))
+				auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))
 		}
 	} else if wasSelector {
 		delete(n.selectors, from)
 		n.ansn++
 		n.log(auditlog.KindMPRSelector,
-			auditlog.FNodes("selectors", n.selectorsSorted(n.nodeScratch[:0])))
+			auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))
 	}
 
 	n.log(auditlog.KindHelloRx,

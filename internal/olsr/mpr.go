@@ -14,29 +14,27 @@ import (
 // then degree, then lowest address) so identical inputs always produce the
 // same MPR set — a requirement for reproducible experiments.
 //
-// All working state — including the returned MPR set — lives in the
-// node's recalculation scratch; the caller clones the result if it needs
-// to retain it.
+// sym is the current symmetric neighborhood. All working state —
+// including the returned MPR set — lives in the node's recalculation
+// scratch; the caller clones the result if it needs to retain it.
 //
 // validUntil is the earliest expiry among the time-limited inputs the
 // heuristic read: the symmetric links and the live 2-hop tuples of the
 // candidates. Until then, and absent a write to an input, the result
 // cannot change.
-func (n *Node) selectMPRs() (mprs addr.Set, validUntil time.Duration) {
+func (n *Node) selectMPRs(sym addr.Set) (mprs addr.Set, validUntil time.Duration) {
 	now := n.now()
-	sym := n.fillSymScratch()
 	validUntil = never
 
-	// N: willing symmetric neighbors; candidates for MPR.
+	// N: willing symmetric neighbors; candidates for MPR, in address order.
 	candidates := n.nodeScratch[:0]
-	for x := range sym {
+	for _, x := range sym {
 		lt := n.links[x]
 		validUntil = min(validUntil, lt.symUntil)
 		if lt.will != wire.WillNever {
 			candidates = append(candidates, x)
 		}
 	}
-	slices.Sort(candidates)
 	n.nodeScratch = candidates
 
 	// N2: strict 2-hop neighbors, with per-node coverage counts. Only the
@@ -60,13 +58,12 @@ func (n *Node) selectMPRs() (mprs addr.Set, validUntil time.Duration) {
 		}
 	}
 
-	mprs = n.mprScratch
-	clear(mprs)
-	uncovered := n.uncovScratch
-	clear(uncovered)
+	mprs = n.mprScratch[:0]
+	uncovered := n.uncovScratch[:0]
 	for b := range n.coverCount {
-		uncovered.Add(b)
+		uncovered = append(uncovered, b)
 	}
+	slices.Sort(uncovered)
 
 	markCovered := func(m addr.Node) {
 		for b, until := range n.twoHop[m] {
@@ -86,7 +83,7 @@ func (n *Node) selectMPRs() (mprs addr.Set, validUntil time.Duration) {
 	// Step 2: neighbors that are the sole cover of some 2-hop node. The
 	// iteration order is a snapshot taken after step 1, exactly as the
 	// original map-backed pass did.
-	n.viaScratch = uncovered.AppendSorted(n.viaScratch[:0])
+	n.viaScratch = append(n.viaScratch[:0], uncovered...)
 	for _, b := range n.viaScratch {
 		if n.coverCount[b] == 1 && !mprs.Has(n.soleCover[b]) {
 			mprs.Add(n.soleCover[b])
@@ -120,6 +117,7 @@ func (n *Node) selectMPRs() (mprs addr.Set, validUntil time.Duration) {
 		mprs.Add(best)
 		markCovered(best)
 	}
+	n.mprScratch, n.uncovScratch = mprs, uncovered
 	return mprs, validUntil
 }
 

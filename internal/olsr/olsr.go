@@ -145,7 +145,6 @@ type Node struct {
 	// Recalculation scratch, reused across protocol events so the
 	// steady-state receive path allocates nothing. Each is valid only
 	// within one call; nothing here is ever retained or returned.
-	symScratch   addr.Set                // cleared per use
 	nodeScratch  []addr.Node             // sorted-render / candidate scratch
 	viaScratch   []addr.Node             // second node list live at the same time
 	coverCount   map[addr.Node]int       // 2-hop node -> # covering candidates
@@ -174,19 +173,14 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		logb:         logb,
 		links:        make(map[addr.Node]*linkTuple),
 		twoHop:       make(map[addr.Node]map[addr.Node]time.Duration),
-		mprs:         make(addr.Set),
 		selectors:    make(map[addr.Node]time.Duration),
 		topo:         make(map[addr.Node]*topoEntry),
 		dups:         make(map[dupKey]*dupTuple),
 		lastHelloSym: make(map[addr.Node]*advert),
 		routes:       make(map[addr.Node]Route),
-		prevSym:      make(addr.Set),
-		symScratch:   make(addr.Set),
 		coverCount:   make(map[addr.Node]int),
 		soleCover:    make(map[addr.Node]addr.Node),
 		reachCount:   make(map[addr.Node]int),
-		uncovScratch: make(addr.Set),
-		mprScratch:   make(addr.Set),
 	}
 }
 
@@ -256,58 +250,18 @@ func (n *Node) asymLink(x addr.Node) bool {
 	return ok && lt.symUntil <= n.now() && lt.asymUntil > n.now()
 }
 
-// SymNeighbors returns the current symmetric 1-hop neighborhood.
-func (n *Node) SymNeighbors() addr.Set {
-	out := make(addr.Set)
-	for x, lt := range n.links {
-		if lt.symUntil > n.now() {
-			out.Add(x)
-		}
-	}
-	return out
-}
-
-// SymNeighborsSorted appends the current symmetric neighbors to out in
-// ascending address order and returns the extended slice — the
-// allocation-free variant of SymNeighbors().Sorted() for hot callers.
-func (n *Node) SymNeighborsSorted(out []addr.Node) []addr.Node {
-	start := len(out)
+// SymNeighbors returns the current symmetric 1-hop neighborhood, built
+// in dst's storage (nil allocates) so hot callers can reuse one buffer.
+func (n *Node) SymNeighbors(dst addr.Set) addr.Set {
+	dst = slices.Grow(dst[:0], len(n.links))
 	now := n.now()
 	for x, lt := range n.links {
 		if lt.symUntil > now {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 	}
-	slices.Sort(out[start:])
-	return out
-}
-
-// fillSymScratch rebuilds the reusable symmetric-neighbor set. The
-// returned set is scratch: valid until the next fillSymScratch call,
-// never to be retained.
-func (n *Node) fillSymScratch() addr.Set {
-	clear(n.symScratch)
-	now := n.now()
-	for x, lt := range n.links {
-		if lt.symUntil > now {
-			n.symScratch.Add(x)
-		}
-	}
-	return n.symScratch
-}
-
-// selectorsSorted appends the current MPR selectors to out in ascending
-// address order — the scratch-friendly MPRSelectors().Sorted().
-func (n *Node) selectorsSorted(out []addr.Node) []addr.Node {
-	start := len(out)
-	now := n.now()
-	for x, until := range n.selectors {
-		if until > now {
-			out = append(out, x)
-		}
-	}
-	slices.Sort(out[start:])
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // IsSymNeighbor reports whether x is currently a symmetric neighbor. This
@@ -321,40 +275,9 @@ func (n *Node) IsSymNeighbor(x addr.Node) bool { return n.symLink(x) }
 // hear you — do you still hear the suspect?".
 func (n *Node) HearsFrom(x addr.Node) bool { return n.symLink(x) || n.asymLink(x) }
 
-// TwoHopNeighbors returns every node reachable in exactly two hops
-// (excluding the node itself and its symmetric neighbors).
-func (n *Node) TwoHopNeighbors() addr.Set {
-	sym := n.SymNeighbors()
-	out := make(addr.Set)
-	for via, m := range n.twoHop {
-		if !sym.Has(via) {
-			continue
-		}
-		for b, until := range m {
-			if until > n.now() && b != n.cfg.Addr && !sym.Has(b) {
-				out.Add(b)
-			}
-		}
-	}
-	return out
-}
-
-// CoverOf returns the set of nodes that the symmetric neighbor via has
-// advertised as its own symmetric neighbors (the basis of evidences E4/E5:
-// does an MPR really cover its adjacent neighbors?).
-func (n *Node) CoverOf(via addr.Node) addr.Set {
-	out := make(addr.Set)
-	for b, until := range n.twoHop[via] {
-		if until > n.now() {
-			out.Add(b)
-		}
-	}
-	return out
-}
-
 // Covers reports whether the symmetric neighbor via has advertised dest
-// as its own symmetric neighbor — CoverOf(via).Has(dest) without
-// materializing the set, for per-hop routing decisions.
+// as its own symmetric neighbor (the basis of evidences E4/E5: does an
+// MPR really cover its adjacent neighbors?).
 func (n *Node) Covers(via, dest addr.Node) bool {
 	until, ok := n.twoHop[via][dest]
 	return ok && until > n.now()
@@ -366,21 +289,24 @@ func (n *Node) AdvertisedSym(x addr.Node) addr.Set {
 	if a, ok := n.lastHelloSym[x]; ok {
 		return a.set.Clone()
 	}
-	return make(addr.Set)
+	return nil
 }
 
 // MPRs returns the current multipoint relay set.
 func (n *Node) MPRs() addr.Set { return n.mprs.Clone() }
 
-// MPRSelectors returns the neighbors that selected this node as an MPR.
-func (n *Node) MPRSelectors() addr.Set {
-	out := make(addr.Set)
+// MPRSelectors returns the neighbors that selected this node as an MPR,
+// built in dst's storage (nil allocates).
+func (n *Node) MPRSelectors(dst addr.Set) addr.Set {
+	dst = slices.Grow(dst[:0], len(n.selectors))
+	now := n.now()
 	for x, until := range n.selectors {
-		if until > n.now() {
-			out.Add(x)
+		if until > now {
+			dst = append(dst, x)
 		}
 	}
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // routeTable returns the routing table, recomputing it if topology

@@ -32,7 +32,7 @@ func newTestNet(seed int64, rangeM float64, positions map[addr.Node]geo.Point) *
 		nodes:  make(map[addr.Node]*Node),
 		logs:   make(map[addr.Node]*auditlog.Buffer),
 	}
-	for _, id := range addr.NewSet(keys(positions)...).Sorted() {
+	for _, id := range addr.NewSet(keys(positions)...) {
 		tn.addNode(id, positions[id], Config{Addr: id})
 	}
 	return tn
@@ -42,6 +42,21 @@ func keys(m map[addr.Node]geo.Point) []addr.Node {
 	out := make([]addr.Node, 0, len(m))
 	for k := range m {
 		out = append(out, k)
+	}
+	return out
+}
+
+// twoHopSet returns n's strict 2-hop neighborhood: the nodes its
+// symmetric neighbors advertise, minus n and its own neighbors.
+func twoHopSet(n *Node) addr.Set {
+	sym := n.SymNeighbors(nil)
+	var out addr.Set
+	for _, via := range sym {
+		for b := range n.twoHop[via] {
+			if n.Covers(via, b) && b != n.cfg.Addr && !sym.Has(b) {
+				out.Add(b)
+			}
+		}
 	}
 	return out
 }
@@ -83,7 +98,7 @@ func newLossyTestNet(seed int64, rangeM, loss float64, positions map[addr.Node]g
 		nodes: make(map[addr.Node]*Node),
 		logs:  make(map[addr.Node]*auditlog.Buffer),
 	}
-	for _, id := range addr.NewSet(keys(positions)...).Sorted() {
+	for _, id := range addr.NewSet(keys(positions)...) {
 		tn.addNode(id, positions[id], Config{Addr: id})
 	}
 	return tn
@@ -117,7 +132,7 @@ func TestOutOfRangeNodesStayStrangers(t *testing.T) {
 	tn := lineNet(1, 2, 500, 150)
 	tn.start()
 	tn.run(10 * time.Second)
-	if len(tn.nodes[addr.NodeAt(1)].SymNeighbors()) != 0 {
+	if len(tn.nodes[addr.NodeAt(1)].SymNeighbors(nil)) != 0 {
 		t.Error("out-of-range nodes became neighbors")
 	}
 }
@@ -131,14 +146,14 @@ func TestChainTwoHopAndMPR(t *testing.T) {
 	b := addr.NodeAt(2)
 	c := addr.NodeAt(3)
 
-	if !a.TwoHopNeighbors().Has(c) {
-		t.Fatalf("A's 2-hop set %v does not contain C", a.TwoHopNeighbors())
+	if !twoHopSet(a).Has(c) {
+		t.Fatalf("A's 2-hop set %v does not contain C", twoHopSet(a))
 	}
 	if !a.MPRs().Has(b) {
 		t.Fatalf("A's MPR set %v does not contain B", a.MPRs())
 	}
-	if !tn.nodes[b].MPRSelectors().Has(addr.NodeAt(1)) {
-		t.Fatalf("B's selector set %v does not contain A", tn.nodes[b].MPRSelectors())
+	if !tn.nodes[b].MPRSelectors(nil).Has(addr.NodeAt(1)) {
+		t.Fatalf("B's selector set %v does not contain A", tn.nodes[b].MPRSelectors(nil))
 	}
 	r, ok := a.RouteTo(c)
 	if !ok {
@@ -215,10 +230,10 @@ func TestMPRCoverageInvariant(t *testing.T) {
 		for _, id := range tn.order {
 			n := tn.nodes[id]
 			mprs := n.MPRs()
-			for _, twoHop := range n.TwoHopNeighbors().Sorted() {
+			for _, twoHop := range twoHopSet(n) {
 				covered := false
-				for m := range mprs {
-					if n.CoverOf(m).Has(twoHop) {
+				for _, m := range mprs {
+					if n.Covers(m, twoHop) {
 						covered = true
 						break
 					}
@@ -386,8 +401,8 @@ func TestModifyHelloSpoofsTwoHopView(t *testing.T) {
 	tn.run(15 * time.Second)
 
 	a := tn.nodes[addr.NodeAt(1)]
-	if !a.TwoHopNeighbors().Has(phantom) {
-		t.Fatalf("phantom not in 2-hop set: %v", a.TwoHopNeighbors())
+	if !twoHopSet(a).Has(phantom) {
+		t.Fatalf("phantom not in 2-hop set: %v", twoHopSet(a))
 	}
 	if !a.MPRs().Has(addr.NodeAt(2)) {
 		t.Errorf("spoofer not selected as MPR: %v", a.MPRs())
@@ -458,7 +473,7 @@ func TestRoutingInvariants(t *testing.T) {
 
 	for _, id := range tn.order {
 		n := tn.nodes[id]
-		sym := n.SymNeighbors()
+		sym := n.SymNeighbors(nil)
 		for _, r := range n.Routes() {
 			if r.Dest == id {
 				t.Errorf("node %v has route to itself", id)

@@ -17,16 +17,14 @@ import (
 func (n *Node) calculateRoutes() map[addr.Node]Route {
 	now := n.now()
 	routes := make(map[addr.Node]Route)
-	sym := n.fillSymScratch()
-
-	symSorted := sym.AppendSorted(n.nodeScratch[:0])
-	n.nodeScratch = symSorted
-	for _, x := range symSorted {
+	sym := n.SymNeighbors(n.nodeScratch)
+	n.nodeScratch = sym
+	for _, x := range sym {
 		routes[x] = Route{Dest: x, NextHop: x, Hops: 1}
 	}
 
 	// Strict 2-hop destinations, preferring MPR relays, then lower address.
-	vias := append(n.viaScratch[:0], symSorted...)
+	vias := append(n.viaScratch[:0], sym...)
 	n.viaScratch = vias
 	slices.SortStableFunc(vias, func(a, b addr.Node) int {
 		ma, mb := n.mprs.Has(a), n.mprs.Has(b)
@@ -55,7 +53,7 @@ func (n *Node) calculateRoutes() map[addr.Node]Route {
 		}
 	}
 
-	// Extend through the topology set, one hop count at a time. symSorted
+	// Extend through the topology set, one hop count at a time. sym
 	// is dead past this point, so topoLasts reclaims its buffer; the inner
 	// per-entry destination list reclaims the vias buffer the same way.
 	topoLasts := n.nodeScratch[:0]

@@ -20,7 +20,7 @@ func bfsDistances(adj map[addr.Node]addr.Set, src addr.Node) map[addr.Node]int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range adj[cur].Sorted() {
+		for _, nb := range adj[cur] {
 			if _, seen := dist[nb]; !seen {
 				dist[nb] = dist[cur] + 1
 				queue = append(queue, nb)
@@ -49,12 +49,13 @@ func TestRoutesMatchBFSReference(t *testing.T) {
 		// Ground-truth connectivity graph.
 		adj := make(map[addr.Node]addr.Set, len(pos))
 		for a, pa := range pos {
-			adj[a] = make(addr.Set)
+			var nbs addr.Set
 			for b, pb := range pos {
 				if a != b && pa.Dist(pb) <= rangeM {
-					adj[a].Add(b)
+					nbs.Add(b)
 				}
 			}
+			adj[a] = nbs
 		}
 
 		for _, src := range tn.order {
@@ -146,7 +147,7 @@ func TestBuildHelloBlockStructure(t *testing.T) {
 		t.Fatal("MPR neighbor missing from HELLO")
 	}
 	// No duplicate addresses across blocks.
-	seen := make(addr.Set)
+	var seen addr.Set
 	for _, lb := range h.Links {
 		for _, nb := range lb.Neighbors {
 			if seen.Has(nb) {

@@ -19,11 +19,11 @@ func seqNewer(a, b uint16) bool { return wire.SeqNewer(a, b) }
 // ceasing TC generation once an empty TC has drained; we keep the simpler
 // variant of not transmitting, which the expiry of old tuples handles).
 func (n *Node) sendTC() {
-	sel := n.MPRSelectors()
+	sel := n.MPRSelectors(nil)
 	if len(sel) == 0 {
 		return
 	}
-	tc := &wire.TC{ANSN: n.ansn, Advertised: sel.Sorted()}
+	tc := &wire.TC{ANSN: n.ansn, Advertised: sel}
 	if n.hooks.ModifyTC != nil {
 		n.hooks.ModifyTC(tc)
 	}
@@ -84,8 +84,8 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 	}
 
 	// Sorted-unique render of the advertised list (an attacker's TC may
-	// carry duplicates), equivalent to NewSet(...).Sorted() without the
-	// per-message set.
+	// carry duplicates), equivalent to NewSet(tc.Advertised...) without
+	// the per-message allocation.
 	adv := append(n.nodeScratch[:0], tc.Advertised...)
 	slices.Sort(adv)
 	n.nodeScratch = adv

@@ -40,7 +40,6 @@ func newMapLedger(self addr.Node, direct *trust.Store, noFilter bool) *mapLedger
 		rec:        trust.NewStore(direct.Params()),
 		table:      make(map[addr.Node]map[addr.Node]received),
 		badVectors: make(map[addr.Node]int),
-		flagged:    make(addr.Set),
 	}
 }
 
@@ -194,7 +193,7 @@ func (m *ledgerMirror) check() {
 			m.t.Fatalf("BuildVector[%d]: dense %+v, ref %+v", i, dvec[i], rvec[i])
 		}
 	}
-	df, rf := m.dense.FlaggedDishonest(), m.ref.flagged.Sorted()
+	df, rf := m.dense.FlaggedDishonest(), m.ref.flagged
 	if len(df) != len(rf) {
 		m.t.Fatalf("flagged: dense %v, ref %v", df, rf)
 	}

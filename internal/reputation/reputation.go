@@ -132,7 +132,6 @@ func NewLedger(self addr.Node, direct *trust.Store, noFilter bool) *Ledger {
 		rec:        trust.NewStoreIndexed(direct.Params(), direct.Index()),
 		ix:         direct.Index(),
 		badVectors: make(map[addr.Node]int),
-		flagged:    make(addr.Set),
 	}
 }
 
@@ -153,7 +152,7 @@ func (l *Ledger) Stats() Stats { return l.stats }
 func (l *Ledger) RecommendationTrust(s addr.Node) float64 { return l.rec.Get(s) }
 
 // FlaggedDishonest returns the recommenders reported dishonest, sorted.
-func (l *Ledger) FlaggedDishonest() []addr.Node { return l.flagged.Sorted() }
+func (l *Ledger) FlaggedDishonest() []addr.Node { return l.flagged.Clone() }
 
 // Entry is one subject of a trust vector in float form. The wire codec
 // (wire.Recommend) quantizes it to 16 bits; the ledger works on the

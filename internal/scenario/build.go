@@ -118,7 +118,7 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	known := make(addr.Set, spec.Nodes)
+	known := make(addr.Set, 0, spec.Nodes)
 	for i := 1; i <= spec.Nodes; i++ {
 		known.Add(addr.NodeAt(i))
 	}
@@ -149,8 +149,9 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 	// (wormhole mouths need node positions, storms need the medium).
 	var deferred []func()
 	// allMouths accumulates every wormhole mouth of the mix; each tunnel
-	// gets the shared set so no tunnel ever relays another's output.
-	allMouths := make(addr.Set)
+	// gets the whole set at install time so no tunnel ever relays
+	// another's output.
+	var allMouths addr.Set
 
 	for ai := range spec.Attacks {
 		a := spec.Attacks[ai]
@@ -206,16 +207,16 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 			}
 		case "wormhole":
 			wh := &attack.Wormhole{
-				MouthA:     addr.NodeAt(spec.Nodes + wormholeMouthBase + 2*ai),
-				MouthB:     addr.NodeAt(spec.Nodes + wormholeMouthBase + 2*ai + 1),
-				IgnoreFrom: allMouths,
-				Delay:      a.Delay.D(),
-				Active:     activeAfter(a.At),
+				MouthA: addr.NodeAt(spec.Nodes + wormholeMouthBase + 2*ai),
+				MouthB: addr.NodeAt(spec.Nodes + wormholeMouthBase + 2*ai + 1),
+				Delay:  a.Delay.D(),
+				Active: activeAfter(a.At),
 			}
 			allMouths.Add(wh.MouthA)
 			allMouths.Add(wh.MouthB)
 			nodeID, peerID := addr.NodeAt(a.Node), addr.NodeAt(a.Peer)
 			deferred = append(deferred, func() {
+				wh.IgnoreFrom = allMouths
 				wh.Install(w.Sched, w.Medium,
 					func() geo.Point { return w.Node(nodeID).Position() },
 					func() geo.Point { return w.Node(peerID).Position() })
@@ -295,7 +296,7 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 	}
 
 	// Liars protect every attacking node.
-	protect := make(addr.Set, len(b.suspects))
+	protect := make(addr.Set, 0, len(b.suspects))
 	for _, s := range b.suspects {
 		protect.Add(s.node)
 	}
@@ -447,7 +448,7 @@ func (s Spec) alibisFor(a AttackSpec) []attack.AlibiLink {
 // protectedBy resolves the suspects a logforge node lies for: its named
 // peer, or every attack node of the mix except itself.
 func (s Spec) protectedBy(a AttackSpec) addr.Set {
-	protect := make(addr.Set)
+	protect := addr.Set{}
 	if a.Peer != 0 {
 		protect.Add(addr.NodeAt(a.Peer))
 		return protect
@@ -503,7 +504,7 @@ func (s Spec) vouchedBy(a AttackSpec) []addr.Node {
 	if a.Peer != 0 {
 		return []addr.Node{addr.NodeAt(a.Peer)}
 	}
-	return s.protectedBy(a).Sorted()
+	return s.protectedBy(a)
 }
 
 // spoofTarget resolves a linkspoof/colluding target address.

@@ -240,7 +240,7 @@ const SpecVersion = 1
 
 // Spec is a complete declarative scenario. No field selects the
 // control-plane codec: every run speaks the binary envelope (DESIGN.md
-// §10), and Parse ignores the retired v1 field "binaryCtrl".
+// §10), and Parse rejects the retired v1 field "binaryCtrl" by name.
 type Spec struct {
 	// Version is the wire-format version (0 or SpecVersion today; 0
 	// means "current", so hand-written specs need not carry the field).
@@ -508,22 +508,16 @@ func (s Spec) validateAttack(a AttackSpec) error {
 
 // Parse decodes a JSON spec, rejecting unknown fields, and validates it.
 func Parse(data []byte) (Spec, error) {
-	var v struct {
-		Spec
-		// RetiredCodecFlag is the v1 field "binaryCtrl", accepted so
-		// stored specs keep parsing and otherwise ignored: the binary
-		// envelope it opted into is now the only control-plane codec.
-		RetiredCodecFlag bool `json:"binaryCtrl"`
-	}
+	var spec Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
+	if err := dec.Decode(&spec); err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	if err := v.Spec.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return Spec{}, err
 	}
-	return v.Spec, nil
+	return spec, nil
 }
 
 // Load reads and parses a spec file.

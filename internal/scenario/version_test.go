@@ -38,12 +38,11 @@ func TestSpecVersioning(t *testing.T) {
 	}
 }
 
-// TestParseIgnoresRetiredCodecField keeps stored v1 specs parsing: the
-// retired "binaryCtrl" field is accepted with either value and changes
-// nothing, since the binary envelope is the only control-plane codec.
-// The logforger preset carries every control payload (routed requests,
-// proof-carrying replies and tree-head gossip).
-func TestParseIgnoresRetiredCodecField(t *testing.T) {
+// TestParseRejectsRetiredCodecField pins the retirement of the v1
+// field "binaryCtrl": the binary envelope it opted into is the only
+// control-plane codec, so a stored spec that still sets it, with either
+// value, fails Parse with an error naming the field instead of running.
+func TestParseRejectsRetiredCodecField(t *testing.T) {
 	spec, ok := Get("logforger")
 	if !ok {
 		t.Fatal("logforger preset missing")
@@ -55,26 +54,16 @@ func TestParseIgnoresRetiredCodecField(t *testing.T) {
 	if strings.Contains(string(data), "binaryCtrl") {
 		t.Fatalf("Spec.JSON emits the retired field:\n%s", data)
 	}
-	base, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(base)
-	if err != nil {
+	if _, err := Parse(data); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"true", "false"} {
 		stored := strings.Replace(string(data), "{", `{"binaryCtrl": `+v+`,`, 1)
-		got, err := Parse([]byte(stored))
-		if err != nil {
-			t.Fatalf("binaryCtrl %s: %v", v, err)
-		}
-		res, err := Run(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Digest() != want.Digest() {
-			t.Errorf("binaryCtrl %s changed the digest:\n%s\nvs\n%s", v, res.Canonical(), want.Canonical())
+		_, err := Parse([]byte(stored))
+		if err == nil {
+			t.Errorf("binaryCtrl %s accepted", v)
+		} else if !strings.Contains(err.Error(), "binaryCtrl") {
+			t.Errorf("binaryCtrl %s: error %q does not name the field", v, err)
 		}
 	}
 }

@@ -27,7 +27,7 @@ type mapStore struct {
 }
 
 func newMapStore(p Params) *mapStore {
-	return &mapStore{params: p, values: make(map[addr.Node]float64), seeded: make(addr.Set)}
+	return &mapStore{params: p, values: make(map[addr.Node]float64)}
 }
 
 func (s *mapStore) Get(n addr.Node) float64 {

@@ -215,37 +215,18 @@ func (h *Hello) encodeTo(b []byte) {
 
 // SymNeighbors returns every address advertised with a symmetric or MPR
 // neighbor type — the advertised symmetric 1-hop neighborhood NS'(I) that
-// the detector compares against reality.
-func (h *Hello) SymNeighbors() addr.Set {
-	out := make(addr.Set)
-	h.SymNeighborsInto(out)
-	return out
-}
-
-// SymNeighborsInto adds the advertised symmetric neighborhood to out —
-// the variant for callers reusing a set across HELLOs.
-func (h *Hello) SymNeighborsInto(out addr.Set) {
+// the detector compares against reality. The set is built in dst's
+// storage (nil allocates), so a caller can reuse one buffer across HELLOs.
+func (h *Hello) SymNeighbors(dst addr.Set) addr.Set {
+	dst = dst[:0]
 	for _, lb := range h.Links {
 		nt, lt := lb.Code.Split()
 		if nt == NeighSym || nt == NeighMPR || lt == LinkSym {
-			for _, n := range lb.Neighbors {
-				out.Add(n)
-			}
+			dst = append(dst, lb.Neighbors...)
 		}
 	}
-}
-
-// AppendSymNeighbors appends every advertised symmetric neighbor to out,
-// in block order and without deduplication; sort-and-compact yields
-// exactly SymNeighbors().Sorted() without building the set.
-func (h *Hello) AppendSymNeighbors(out []addr.Node) []addr.Node {
-	for _, lb := range h.Links {
-		nt, lt := lb.Code.Split()
-		if nt == NeighSym || nt == NeighMPR || lt == LinkSym {
-			out = append(out, lb.Neighbors...)
-		}
-	}
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // TC is the Topology Control message body (RFC 3626 §9.1): the sender (an

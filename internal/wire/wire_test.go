@@ -136,10 +136,18 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestHelloSymNeighbors(t *testing.T) {
 	h := sampleHello()
-	sym := h.SymNeighbors()
+	sym := h.SymNeighbors(nil)
 	want := addr.NewSet(addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4))
 	if !sym.Equal(want) {
 		t.Errorf("SymNeighbors = %v, want %v", sym, want)
+	}
+	// An address listed in two sym blocks (an attacker's HELLO may do
+	// that) appears once, and a reused buffer's old contents do not leak.
+	h.Links = append(h.Links, LinkBlock{Code: MakeLinkCode(NeighSym, LinkSym), Neighbors: []addr.Node{addr.NodeAt(3), addr.NodeAt(1)}})
+	buf := addr.NewSet(addr.NodeAt(7), addr.NodeAt(8), addr.NodeAt(9), addr.NodeAt(10), addr.NodeAt(11))
+	want = addr.NewSet(addr.NodeAt(1), addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4))
+	if sym := h.SymNeighbors(buf); !sym.Equal(want) {
+		t.Errorf("SymNeighbors(buf) = %v, want %v", sym, want)
 	}
 }
 
