@@ -105,9 +105,10 @@ func Parse(s string) (Node, error) {
 
 // Set is a collection of nodes kept sorted in ascending address order
 // with no duplicates, so ranging over a set visits members in the same
-// order on every run. The zero value is the empty set. A set is a plain
-// slice: a copy shares storage, so Add and Remove on one copy are only
-// seen through the value they leave behind.
+// order on every run. The zero value is the empty set. A Set is a slice
+// value: Add and Remove update the variable they are called on, and any
+// other copy, which may share its storage, is stale afterwards. Hand a
+// set over complete, or Clone it.
 type Set []Node
 
 // NewSet builds a Set from the given nodes, in any order and with
