@@ -127,6 +127,22 @@ func TestAllocCeilingSim(t *testing.T) {
 	}
 }
 
+// TestAllocCeilingOLSRDuplicate pins the duplicate set: a warm node
+// handling another copy of a flooded TC it already holds allocates
+// nothing.
+func TestAllocCeilingOLSRDuplicate(t *testing.T) {
+	f := newFloodNode()
+	orig := addr.NodeAt(10)
+	f.tc(floodNbrs[0], orig, 1)
+	if st := f.node.Stats(); st.TCFwd != 1 {
+		t.Fatalf("the first copy was not processed and forwarded: %+v", st)
+	}
+	allocCeiling(t, "olsr.Node duplicate TC", 0, func() { f.tc(floodNbrs[1], orig, 1) })
+	if st := f.node.Stats(); st.MsgDrop < 100 || st.TCFwd != 1 {
+		t.Fatalf("the repeated copies were not dropped as duplicates: %+v", st)
+	}
+}
+
 // allocBudgetSpecs are the whole-run budget subjects: one detection-only
 // preset and one with every plane up (evidence + reputation + binary
 // ctrl), both small enough for the main test job.

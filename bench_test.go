@@ -334,6 +334,101 @@ func BenchmarkOLSRConvergence(b *testing.B) {
 	}
 }
 
+// floodNode is one OLSR node fed hand-encoded packets, to price its
+// flooded-message path apart from the radio and the other nodes. Its
+// three neighbors are symmetric, and the first selected it as an MPR, so
+// the node forwards the flooded messages that neighbor relays to it.
+type floodNode struct {
+	sched  *sim.Scheduler
+	node   *olsr.Node
+	pkt    wire.Packet
+	buf    []byte
+	hello  wire.Hello
+	tcBody wire.TC
+}
+
+var (
+	floodSelf = addr.NodeAt(1)
+	floodNbrs = []addr.Node{addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4)}
+)
+
+func newFloodNode() *floodNode {
+	f := &floodNode{sched: sim.New(1)}
+	f.node = olsr.New(olsr.Config{Addr: floodSelf}, f.sched, func([]byte) {}, nil)
+	f.tcBody = wire.TC{ANSN: 1, Advertised: []addr.Node{addr.NodeAt(5), addr.NodeAt(6), addr.NodeAt(7)}}
+	f.hellos()
+	return f
+}
+
+// deliver hands the node a one-message packet from sender, encoded into
+// reused storage.
+func (f *floodNode) deliver(sender addr.Node, m wire.Message) {
+	f.pkt.Seq++
+	f.pkt.Messages = append(f.pkt.Messages[:0], m)
+	f.buf = f.pkt.AppendTo(f.buf[:0])
+	f.node.HandlePacket(sender, f.buf)
+}
+
+// hellos has every neighbor advertise a symmetric link to the node.
+func (f *floodNode) hellos() {
+	for i, nb := range floodNbrs {
+		nt := wire.NeighSym
+		if i == 0 {
+			nt = wire.NeighMPR
+		}
+		f.hello = wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: append(f.hello.Links[:0],
+			wire.LinkBlock{Code: wire.MakeLinkCode(nt, wire.LinkSym), Neighbors: []addr.Node{floodSelf}})}
+		f.deliver(nb, wire.Message{VTime: 6 * time.Second, Originator: nb, TTL: 1, Seq: f.pkt.Seq, Body: &f.hello})
+	}
+}
+
+// tc hands the node a copy of originator orig's TC number seq, relayed
+// by sender.
+func (f *floodNode) tc(sender, orig addr.Node, seq uint16) {
+	f.deliver(sender, wire.Message{VTime: 15 * time.Second, Originator: orig, TTL: 8, Seq: seq, Body: &f.tcBody})
+}
+
+// BenchmarkOLSRFlood prices one node's share of TC flooding at the
+// linkspoof-200 scale: 200 originators each flood a TC every 5s, and
+// every TC reaches the node once through each of its three neighbors.
+// Each of the 40 TCs a second stays in the duplicate set for 30s, which
+// holds it at 1200 live tuples. One op is 500ms of the node's life: 20
+// new TCs in 60 copies, the neighbors' HELLOs every 2s, and one expiry
+// tick.
+func BenchmarkOLSRFlood(b *testing.B) {
+	const (
+		originators = 200
+		perTick     = 20 // new TCs per 500ms tick: originators / (5s / 500ms)
+		tick        = 500 * time.Millisecond
+	)
+	f := newFloodNode()
+	f.node.Start()
+	var seqs [originators]uint16
+	next := 0
+	step := func(i int) {
+		if i%4 == 0 {
+			f.hellos()
+		}
+		for range perTick {
+			orig := addr.NodeAt(10 + next)
+			seqs[next]++
+			for j := range floodNbrs { // rotate which neighbor's copy arrives first
+				f.tc(floodNbrs[(i+j)%len(floodNbrs)], orig, seqs[next])
+			}
+			next = (next + 1) % originators
+		}
+		f.sched.RunUntil(f.sched.Now() + tick)
+	}
+	for i := range 120 { // 60s: the duplicate set reaches its steady size
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
 // BenchmarkScenarioLinkspoof runs the headline scenario preset end to
 // end: the per-preset cost that bounds the golden corpus' CI time.
 func BenchmarkScenarioLinkspoof(b *testing.B) {

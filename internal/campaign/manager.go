@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +69,9 @@ type Manager struct {
 	quota   Quota
 	limiter *limiter
 	now     func() time.Time
+	// run executes one scenario: scenario.RunContext, which tests replace
+	// with a fake.
+	run func(context.Context, scenario.Spec, trace.Sink) (*scenario.Result, error)
 
 	runWorkers int
 	queue      chan string
@@ -122,6 +126,7 @@ func NewManager(cfg Config) *Manager {
 		quota:      cfg.Quota,
 		limiter:    newLimiter(cfg.Quota, cfg.Now),
 		now:        cfg.Now,
+		run:        scenario.RunContext,
 		runWorkers: cfg.RunWorkers,
 		queue:      make(chan string, cfg.MaxQueue),
 		baseCtx:    ctx,
@@ -546,14 +551,12 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 		sink = rec
 	}
 
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	startMallocs := ms.Mallocs
+	samples := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
+	startMallocs := readMallocs(samples)
 	start := time.Now()
-	res, err := scenario.RunContext(ctx, spec, sink)
+	res, err := m.runScenario(ctx, spec, sink)
 	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms)
-	allocs := ms.Mallocs - startMallocs
+	allocs := readMallocs(samples) - startMallocs
 
 	m.latency.observe(elapsed)
 	m.runs.Add(1)
@@ -570,7 +573,7 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 			r.TraceEvents = uint64(rec.Len()) //nolint:gosec // event count is non-negative
 		}
 		switch {
-		case err != nil && ctx.Err() != nil:
+		case err != nil && ctx.Err() != nil && !errors.Is(err, errPanic):
 			r.State = StateCanceled
 		case err != nil:
 			r.State = StateFailed
@@ -582,6 +585,33 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 			r.Canonical = d.Canonical
 		}
 	})
+}
+
+// errPanic marks the error of a run whose scenario panicked.
+var errPanic = errors.New("panic")
+
+// runScenario runs one scenario and reports a panic in it as the run's
+// error, so one faulty run fails alone instead of killing the service.
+func (m *Manager) runScenario(ctx context.Context, spec scenario.Spec, sink trace.Sink) (res *scenario.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("%w: %v", errPanic, v)
+		}
+	}()
+	return m.run(ctx, spec, sink)
+}
+
+// readMallocs reads the heap-object allocation counters into samples and
+// returns their sum, which counts what runtime.MemStats.Mallocs counts
+// (see Run.Allocs for its lag). Unlike runtime.ReadMemStats, it does not
+// stop the world.
+func readMallocs(samples []metrics.Sample) uint64 {
+	metrics.Read(samples)
+	var n uint64
+	for _, s := range samples {
+		n += s.Value.Uint64()
+	}
+	return n
 }
 
 // finishRun applies a terminal mutation to one run and notifies.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // tinySpec is the 4-node/5s packet scenario the lifecycle tests run:
@@ -77,6 +78,64 @@ func TestSubmitRunsToDone(t *testing.T) {
 	}
 	if st := m.Stats(); st.Completed != 1 || st.Runs != 3 {
 		t.Errorf("stats: completed %d runs %d", st.Completed, st.Runs)
+	}
+}
+
+// TestFinishedRunReportsAllocs checks the per-run allocation count. The
+// runtime/metrics counters advance a cached span at a time, so the run
+// must allocate well past one span: 16 nodes for two simulated minutes
+// allocate over ten thousand objects.
+func TestFinishedRunReportsAllocs(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	spec := scenario.Spec{Name: "allocs", Seed: 1, Nodes: 16, Duration: scenario.Dur(2 * time.Minute)}
+	c, err := m.Submit("t", []scenario.Spec{spec}, RunOpts{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	fin := waitTerminal(t, m, c.ID)
+	if r := fin.Runs[0]; r.State != StateDone || r.Allocs == 0 {
+		t.Fatalf("run: state %q allocs %d", r.State, r.Allocs)
+	}
+	if st := m.Stats(); st.LastRunAllocs != fin.Runs[0].Allocs {
+		t.Errorf("LastRunAllocs = %d, the run reported %d", st.LastRunAllocs, fin.Runs[0].Allocs)
+	}
+}
+
+// TestRunPanicFailsAlone checks that a panicking scenario fails its own
+// run and campaign, and that the manager then runs a normal campaign.
+func TestRunPanicFailsAlone(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	m.run = func(ctx context.Context, spec scenario.Spec, sink trace.Sink) (*scenario.Result, error) {
+		if spec.Name == "panics" {
+			panic("boom")
+		}
+		return scenario.RunContext(ctx, spec, sink)
+	}
+
+	bad := tinySpec(1)
+	bad.Name = "panics"
+	c, err := m.Submit("t", []scenario.Spec{bad}, RunOpts{Trials: 2})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	fin := waitTerminal(t, m, c.ID)
+	if fin.State != StateFailed || fin.Error != "panic: boom" {
+		t.Fatalf("panicking campaign: state %q error %q, want %q and %q", fin.State, fin.Error, StateFailed, "panic: boom")
+	}
+	for i, r := range fin.Runs {
+		if r.State != StateFailed || r.Error != "panic: boom" {
+			t.Errorf("run %d: state %q error %q", i, r.State, r.Error)
+		}
+	}
+
+	c, err = m.Submit("t", []scenario.Spec{tinySpec(2)}, RunOpts{})
+	if err != nil {
+		t.Fatalf("Submit after the panic: %v", err)
+	}
+	if fin := waitTerminal(t, m, c.ID); fin.State != StateDone {
+		t.Fatalf("campaign after the panic: state %q error %q", fin.State, fin.Error)
 	}
 }
 

@@ -80,8 +80,7 @@ type Stats struct {
 	// wall-clock cost.
 	Runs       uint64
 	RunLatency HistogramSnapshot
-	// LastRunAllocs is the malloc delta of the most recently finished
-	// run — the PR 6 allocation counter surfaced as a gauge.
+	// LastRunAllocs is Run.Allocs of the most recently finished run.
 	LastRunAllocs uint64
 	// TracedRuns counts finished runs that carried the run-trace plane;
 	// TraceEvents sums the events they emitted.

@@ -11,8 +11,8 @@ import (
 // handleMetrics implements GET /metrics in the Prometheus text
 // exposition format, hand-rolled — the repo takes no dependencies, and
 // the surface is small: queue/running gauges, lifecycle counters, the
-// run-latency histogram, and the allocs-per-run gauge wired to the same
-// runtime counter the PR 6 allocation tier budgets.
+// run-latency histogram, and the allocs-per-run gauge (campaign.Run.Allocs
+// for the most recently finished run).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.mgr.Stats()
 	var b strings.Builder
@@ -45,7 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeLatency(&b, st.RunLatency)
 
 	gauge("manetd_run_allocs",
-		"Mallocs of the most recently finished run (the PR 6 allocation counter; exact when runs are serial).",
+		"Heap objects allocated during the most recently finished run (runtime/metrics; process-wide).",
 		float64(st.LastRunAllocs))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

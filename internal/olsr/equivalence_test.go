@@ -14,14 +14,16 @@ import (
 	"repro/internal/wire"
 )
 
-// The equivalence harness: the MPR memo and the expire gate must be pure
-// schedule changes. Two nodes with the same address run the same
-// randomized op sequence on identically seeded schedulers. The reference
-// node is forced eager before every op — mprStale set and nextExpiry
-// cleared — so each afterTopologyChange re-derives and each tick sweeps,
-// which is the schedule the memo and the gate replaced. Audit records,
-// emitted packets, the retained neighbor and MPR sets, routes and every
-// protocol table must then match step for step.
+// The equivalence harness: the MPR memo, the expire gate, the per-entry
+// topology bound and the duplicate expiry queue must be pure schedule
+// changes. Two nodes with the same address run the same randomized op
+// sequence on identically seeded schedulers. The reference node is forced
+// eager before every op — mprStale set, nextExpiry and every topology
+// entry's next cleared, and every duplicate tuple queued at 0 — so each
+// afterTopologyChange re-derives and each tick examines every tuple, which
+// is the schedule these gates replaced. Audit records, emitted packets,
+// the retained neighbor and MPR sets, routes and every protocol table must
+// then match step for step.
 
 var (
 	eqSelf  = addr.NodeAt(1)
@@ -65,11 +67,24 @@ func newEqPair(t *testing.T, seed int64) *eqPair {
 func (p *eqPair) do(step string, op func(n *Node)) {
 	p.t.Helper()
 	p.step = step
-	p.eager.mprStale = true
-	p.eager.nextExpiry = 0
+	forceEager(p.eager)
 	op(p.memo)
 	op(p.eager)
 	p.compare()
+}
+
+// forceEager opens every gate on n, so its next afterTopologyChange
+// re-derives and its next tick examines every tuple of every table.
+func forceEager(n *Node) {
+	n.mprStale = true
+	n.nextExpiry = 0
+	for _, e := range n.topo {
+		e.next = 0
+	}
+	n.dupQueue = n.dupQueue[:0]
+	for k := range n.dups {
+		n.dupQueue = append(n.dupQueue, dupExpiry{at: 0, key: k})
+	}
 }
 
 func (p *eqPair) fail(format string, args ...any) {
@@ -138,7 +153,7 @@ func snapshot(n *Node) string {
 		}
 	}
 	for k, d := range n.dups {
-		add("dup %v/%d %d %v %v", k.orig, k.seq, d.until, d.processed, d.retransmitted)
+		add("dup %s %d %v %v", dupName(k), d.until, d.processed, d.retransmitted)
 	}
 	for x, a := range n.lastHelloSym {
 		add("advertised %v %v %v", x, a.set, a.field)
@@ -180,9 +195,42 @@ func (p *eqPair) assertSwept() {
 	}
 	for k, d := range n.dups {
 		if d.until <= now {
-			p.fail("expired duplicate tuple %v survived the tick", k)
+			p.fail("expired duplicate tuple %s survived the tick", dupName(k))
 		}
 	}
+	if err := checkDupQueue(n); err != nil {
+		p.fail("%v", err)
+	}
+}
+
+// dupName renders a duplicate key as originator/sequence.
+func dupName(k dupKey) string { return fmt.Sprintf("%v/%d", addr.Node(k>>16), uint16(k)) }
+
+// checkDupQueue verifies the duplicate expiry queue's invariant: it is a
+// min-heap on at holding exactly one entry per duplicate tuple, queued at
+// or before that tuple's until.
+func checkDupQueue(n *Node) error {
+	q := n.dupQueue
+	if len(q) != len(n.dups) {
+		return fmt.Errorf("expiry queue holds %d entries for %d duplicate tuples", len(q), len(n.dups))
+	}
+	seen := make(map[dupKey]bool, len(q))
+	for i, e := range q {
+		if i > 0 && q[(i-1)/2].at > e.at {
+			return fmt.Errorf("expiry queue is out of heap order at entry %d", i)
+		}
+		d, ok := n.dups[e.key]
+		switch {
+		case !ok:
+			return fmt.Errorf("expiry queue holds %s, which is not in the duplicate set", dupName(e.key))
+		case seen[e.key]:
+			return fmt.Errorf("expiry queue holds %s twice", dupName(e.key))
+		case e.at > d.until:
+			return fmt.Errorf("duplicate tuple %s queued at %v, after its until %v", dupName(e.key), e.at, d.until)
+		}
+		seen[e.key] = true
+	}
+	return nil
 }
 
 // assertHelloSym checks that the HELLO_RX record written since start
@@ -355,5 +403,80 @@ func TestMemoHoldsInSteadyState(t *testing.T) {
 	hello(addr.NodeAt(2), addr.NodeAt(7), addr.NodeAt(10)) // a new 2-hop tuple
 	if n.mprDerivations != base+1 {
 		t.Fatalf("a new 2-hop tuple ran %d re-derivations, want 1", n.mprDerivations-base)
+	}
+}
+
+// TestDuplicateLateRefresh scripts a copy that refreshes a duplicate tuple
+// just before its first expiry check. The check must re-queue the tuple at
+// its refreshed until instead of dropping it, and a copy arriving after the
+// real expiry must be handled as a new message.
+func TestDuplicateLateRefresh(t *testing.T) {
+	sched := sim.New(1)
+	logb := &auditlog.Buffer{}
+	sent := 0
+	n := New(Config{Addr: eqSelf}, sched, func([]byte) { sent++ }, logb)
+	nbr, orig := addr.NodeAt(2), addr.NodeAt(7)
+	var helloSeq uint16
+	hello := func() { // nbr selects n as its MPR
+		helloSeq++
+		h := &wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: []wire.LinkBlock{
+			{Code: wire.MakeLinkCode(wire.NeighMPR, wire.LinkSym), Neighbors: []addr.Node{eqSelf}},
+		}}
+		n.handleMessage(nbr, &wire.Message{VTime: 6 * time.Second, Originator: nbr, TTL: 1, Seq: helloSeq, Body: h})
+	}
+	// advance runs the 500ms ticks up to and including t, with nbr's HELLO
+	// every 2s ahead of the tick, as the node's own timers would.
+	var tick time.Duration
+	advance := func(t time.Duration) {
+		for ; tick <= t; tick += expiryTick {
+			sched.RunUntil(tick)
+			if tick%(2*time.Second) == 0 {
+				hello()
+			}
+			n.expire()
+		}
+	}
+	key := newDupKey(orig, 1)
+	held := func() bool { _, ok := n.dups[key]; return ok }
+	// deliver hands n a copy of the same TC and returns the kinds it logged.
+	deliver := func() []auditlog.Kind {
+		start := logb.NextSeq()
+		n.handleMessage(nbr, &wire.Message{VTime: 15 * time.Second, Originator: orig, TTL: 3, Seq: 1,
+			Body: &wire.TC{ANSN: 1, Advertised: []addr.Node{addr.NodeAt(9)}}})
+		recs, _ := logb.Since(start)
+		var kinds []auditlog.Kind
+		for _, r := range recs {
+			kinds = append(kinds, r.Kind)
+		}
+		return kinds
+	}
+	processed := []auditlog.Kind{auditlog.KindTCRx, auditlog.KindTCFwd}
+
+	const t0 = 10 * time.Second
+	advance(t0)
+	if got := deliver(); !slices.Equal(got, processed) || sent != 1 {
+		t.Fatalf("first copy logged %v and sent %d packets, want %v and 1", got, sent, processed)
+	}
+	advance(t0 + 29*time.Second)
+	if got, want := deliver(), []auditlog.Kind{auditlog.KindMsgDrop}; !slices.Equal(got, want) || sent != 1 {
+		t.Fatalf("copy at t0+29s logged %v and sent %d packets, want %v and 1", got, sent, want)
+	}
+	advance(t0 + 30*time.Second)
+	if !held() {
+		t.Fatal("the t0+30s tick dropped a tuple refreshed at t0+29s")
+	}
+	advance(t0 + 59*time.Second - expiryTick)
+	if !held() {
+		t.Fatal("a tick before t0+59s dropped the refreshed tuple")
+	}
+	advance(t0 + 59*time.Second)
+	if held() {
+		t.Fatal("the t0+59s tick kept a tuple that expired")
+	}
+	if err := checkDupQueue(n); err != nil {
+		t.Fatal(err)
+	}
+	if got := deliver(); !slices.Equal(got, processed) || sent != 2 {
+		t.Fatalf("copy after the drop logged %v and sent %d packets in all, want %v and 2", got, sent, processed)
 	}
 }

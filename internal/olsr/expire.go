@@ -16,19 +16,76 @@ const never = time.Duration(math.MaxInt64)
 // stays at or below the earliest expiry the sweep could act on.
 func (n *Node) noteExpiry(t time.Duration) { n.nextExpiry = min(n.nextExpiry, t) }
 
+// dupExpiry queues one duplicate tuple for the expiry check at time at.
+type dupExpiry struct {
+	at  time.Duration
+	key dupKey
+}
+
+// dupQueue is a binary min-heap of duplicate-tuple expiry checks on at.
+// It holds exactly one entry per tuple in the duplicate set, queued at or
+// before the tuple's until (DESIGN.md §10.1).
+type dupQueue []dupExpiry
+
+func (q *dupQueue) push(e dupExpiry) {
+	h := append(*q, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	*q = h
+}
+
+// fix restores the heap order below index i after q[i].at grew.
+func (q dupQueue) fix(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			return
+		}
+		if r := c + 1; r < len(q) && q[r].at < q[c].at {
+			c = r
+		}
+		if q[i].at <= q[c].at {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+}
+
+// expireDups drops every duplicate tuple whose until has passed. Each
+// popped check deletes a tuple that expired or re-queues it at its
+// refreshed until, so the pass costs O(due checks), not O(|dups|).
+func (n *Node) expireDups(now time.Duration) {
+	q := n.dupQueue
+	for len(q) > 0 && q[0].at <= now {
+		if d := n.dups[q[0].key]; d.until > now {
+			q[0].at = d.until
+		} else {
+			delete(n.dups, q[0].key)
+			last := len(q) - 1
+			q[0] = q[last]
+			q = q[:last]
+		}
+		q.fix(0)
+	}
+	n.dupQueue = q
+}
+
 // expire is the periodic housekeeping pass: it drops every tuple whose
-// validity time has elapsed and then re-derives MPRs and routes. Only the
-// duplicate set is swept on every tick; the other tables are swept once
-// nextExpiry has passed, because before that nothing in them has expired
-// and the sweep would be a no-op. The sweep recomputes nextExpiry from the
-// tuples that survive it.
+// validity time has elapsed and then re-derives MPRs and routes. The
+// duplicate set is expired from its queue on every tick; the other tables
+// are swept once nextExpiry has passed, because before that nothing in
+// them has expired and the sweep would be a no-op. The sweep recomputes
+// nextExpiry from the tuples that survive it.
 func (n *Node) expire() {
 	now := n.now()
-	for k, d := range n.dups {
-		if d.until <= now {
-			delete(n.dups, k)
-		}
-	}
+	n.expireDups(now)
 	if now < n.nextExpiry {
 		return
 	}
@@ -95,16 +152,23 @@ func (n *Node) expire() {
 			auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))
 	}
 	for last, e := range n.topo {
+		if e.next > now {
+			next = min(next, e.next)
+			continue
+		}
+		e.next = never
 		for d, until := range e.dests {
 			if until <= now {
 				delete(e.dests, d)
 				changed = true
 			} else {
-				next = min(next, until)
+				e.next = min(e.next, until)
 			}
 		}
 		if len(e.dests) == 0 {
 			delete(n.topo, last)
+		} else {
+			next = min(next, e.next)
 		}
 	}
 	n.nextExpiry = next

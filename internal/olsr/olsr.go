@@ -73,15 +73,20 @@ type linkTuple struct {
 }
 
 // topoEntry aggregates the topology tuples learned from one TC originator.
+// next is a lower bound on the earliest expiry in dests, and at most the
+// time of the write that left dests empty, so the sweep skips the entry
+// while next > now (DESIGN.md §10.1).
 type topoEntry struct {
 	ansn  uint16
+	next  time.Duration
 	dests map[addr.Node]time.Duration // advertised neighbor -> expiry
 }
 
-type dupKey struct {
-	orig addr.Node
-	seq  uint16
-}
+// dupKey identifies a flooded message: originator << 16 | sequence
+// number. A packed integer key hashes much faster than a struct key.
+type dupKey uint64
+
+func newDupKey(orig addr.Node, seq uint16) dupKey { return dupKey(orig)<<16 | dupKey(seq) }
 
 // dupTuple tracks one flooded message per RFC 3626 §3.4: whether its body
 // was already processed and whether it was already retransmitted. The two
@@ -115,7 +120,8 @@ type Node struct {
 	mprs         addr.Set
 	selectors    map[addr.Node]time.Duration
 	topo         map[addr.Node]*topoEntry
-	dups         map[dupKey]*dupTuple
+	dups         map[dupKey]dupTuple
+	dupQueue     dupQueue              // one expiry entry per duplicate tuple
 	lastHelloSym map[addr.Node]*advert // neighbor -> last advertised sym set
 	routes       map[addr.Node]Route
 	routesDirty  bool // routes trail the topology; recomputed on read
@@ -175,7 +181,7 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		twoHop:       make(map[addr.Node]map[addr.Node]time.Duration),
 		selectors:    make(map[addr.Node]time.Duration),
 		topo:         make(map[addr.Node]*topoEntry),
-		dups:         make(map[dupKey]*dupTuple),
+		dups:         make(map[dupKey]dupTuple),
 		lastHelloSym: make(map[addr.Node]*advert),
 		routes:       make(map[addr.Node]Route),
 		coverCount:   make(map[addr.Node]int),
@@ -433,13 +439,12 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 		return
 	}
 
-	key := dupKey{orig: m.Originator, seq: m.Seq}
-	d := n.dups[key]
-	if d == nil {
-		d = &dupTuple{}
-		n.dups[key] = d
-	}
+	key := newDupKey(m.Originator, m.Seq)
+	d, seen := n.dups[key]
 	d.until = n.now() + duplicateHold
+	if !seen {
+		n.dupQueue.push(dupExpiry{at: d.until, key: key})
+	}
 
 	if d.processed {
 		n.msgDrop++
@@ -454,26 +459,28 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 			n.processTC(sender, m, tc)
 		}
 	}
-	n.maybeForward(sender, m, d)
+	if !d.retransmitted {
+		d.retransmitted = n.maybeForward(sender, m)
+	}
+	n.dups[key] = d
 }
 
-// maybeForward applies the RFC 3626 §3.4.1 default forwarding algorithm:
-// retransmit iff the link-layer sender is a symmetric neighbor that
-// selected this node as an MPR, the message was not already retransmitted,
-// and the TTL allows another hop.
-func (n *Node) maybeForward(sender addr.Node, m *wire.Message, d *dupTuple) {
-	if m.TTL <= 1 || d.retransmitted {
-		return
+// maybeForward applies the RFC 3626 §3.4.1 default forwarding algorithm
+// to a message not yet retransmitted: retransmit iff the link-layer
+// sender is a symmetric neighbor that selected this node as an MPR and
+// the TTL allows another hop. It reports whether it retransmitted.
+func (n *Node) maybeForward(sender addr.Node, m *wire.Message) bool {
+	if m.TTL <= 1 {
+		return false
 	}
 	if until, sel := n.selectors[sender]; !sel || until <= n.now() {
-		return
+		return false
 	}
 	if n.hooks.DropForward != nil && n.hooks.DropForward(m, sender) {
 		// Dropped silently: a misbehaving relay does not log its own
 		// misdeed. Detection must come from other nodes' logs.
-		return
+		return false
 	}
-	d.retransmitted = true
 	fwd := *m
 	fwd.TTL--
 	fwd.HopCount++
@@ -484,4 +491,5 @@ func (n *Node) maybeForward(sender addr.Node, m *wire.Message, d *dupTuple) {
 			auditlog.FNode("sender", sender))
 	}
 	n.broadcast(fwd)
+	return true
 }

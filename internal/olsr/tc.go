@@ -61,13 +61,14 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 		return
 	}
 	if e == nil {
-		e = &topoEntry{dests: make(map[addr.Node]time.Duration)}
+		e = &topoEntry{next: never, dests: make(map[addr.Node]time.Duration)}
 		n.topo[m.Originator] = e
 	}
 	if seqNewer(tc.ANSN, e.ansn) {
 		// Newer advertisement set: drop every tuple recorded under the old
 		// ANSN (RFC 3626 §9.5 step 3).
 		e.dests = make(map[addr.Node]time.Duration, len(tc.Advertised))
+		e.next = never
 	}
 	e.ansn = tc.ANSN
 	for _, d := range tc.Advertised {
@@ -78,10 +79,11 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 	if len(e.dests) == 0 {
 		// The next sweep drops an entry left without destinations, whatever
 		// their expiry, so it must run at the next tick.
-		n.noteExpiry(now)
+		e.next = now
 	} else {
-		n.noteExpiry(vuntil)
+		e.next = min(e.next, vuntil)
 	}
+	n.noteExpiry(e.next)
 
 	// Sorted-unique render of the advertised list (an attacker's TC may
 	// carry duplicates), equivalent to NewSet(tc.Advertised...) without
