@@ -343,7 +343,7 @@ type floodNode struct {
 	node   *olsr.Node
 	pkt    wire.Packet
 	buf    []byte
-	hello  wire.Hello
+	hellos []wire.Hello // one per neighbor in floodNbrs
 	tcBody wire.TC
 }
 
@@ -355,8 +355,17 @@ var (
 func newFloodNode() *floodNode {
 	f := &floodNode{sched: sim.New(1)}
 	f.node = olsr.New(olsr.Config{Addr: floodSelf}, f.sched, func([]byte) {}, nil)
+	for i := range floodNbrs {
+		nt := wire.NeighSym
+		if i == 0 {
+			nt = wire.NeighMPR
+		}
+		f.hellos = append(f.hellos, wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: []wire.LinkBlock{
+			{Code: wire.MakeLinkCode(nt, wire.LinkSym), Neighbors: []addr.Node{floodSelf}},
+		}})
+	}
 	f.tcBody = wire.TC{ANSN: 1, Advertised: []addr.Node{addr.NodeAt(5), addr.NodeAt(6), addr.NodeAt(7)}}
-	f.hellos()
+	f.refresh()
 	return f
 }
 
@@ -369,16 +378,10 @@ func (f *floodNode) deliver(sender addr.Node, m wire.Message) {
 	f.node.HandlePacket(sender, f.buf)
 }
 
-// hellos has every neighbor advertise a symmetric link to the node.
-func (f *floodNode) hellos() {
+// refresh has every neighbor advertise its symmetric link to the node.
+func (f *floodNode) refresh() {
 	for i, nb := range floodNbrs {
-		nt := wire.NeighSym
-		if i == 0 {
-			nt = wire.NeighMPR
-		}
-		f.hello = wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: append(f.hello.Links[:0],
-			wire.LinkBlock{Code: wire.MakeLinkCode(nt, wire.LinkSym), Neighbors: []addr.Node{floodSelf}})}
-		f.deliver(nb, wire.Message{VTime: 6 * time.Second, Originator: nb, TTL: 1, Seq: f.pkt.Seq, Body: &f.hello})
+		f.deliver(nb, wire.Message{VTime: 6 * time.Second, Originator: nb, TTL: 1, Seq: f.pkt.Seq, Body: &f.hellos[i]})
 	}
 }
 
@@ -407,7 +410,7 @@ func BenchmarkOLSRFlood(b *testing.B) {
 	next := 0
 	step := func(i int) {
 		if i%4 == 0 {
-			f.hellos()
+			f.refresh()
 		}
 		for range perTick {
 			orig := addr.NodeAt(10 + next)
