@@ -81,14 +81,9 @@ type Run struct {
 	Error     string `json:"error,omitempty"`
 	// ElapsedMS is the run's wall-clock cost in milliseconds.
 	ElapsedMS float64 `json:"elapsedMs,omitempty"`
-	// Allocs is the process-wide heap-object allocation delta observed
-	// across the run: the sum of the runtime/metrics counters
-	// /gc/heap/allocs:objects and /gc/heap/tiny/allocs:objects, which
-	// together count what runtime.MemStats.Mallocs counts. They advance
-	// when a cached span is handed back, so the delta can trail by up to
-	// one span per size class and P, thousands of objects: a 16-node
-	// two-minute run (~14k mallocs) reads 10k-13k. Runs that overlap add
-	// their allocations to each other's counts.
+	// Allocs is the process-wide malloc delta observed across the run,
+	// read from runtime.MemStats.Mallocs. Exact when runs execute one at
+	// a time (the smoke configuration); an upper bound when runs overlap.
 	Allocs uint64 `json:"allocs,omitempty"`
 	// TraceEvents is how many run-trace events the run emitted (0 when
 	// the spec requested no trace). The NDJSON itself is held out of the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -551,12 +550,14 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 		sink = rec
 	}
 
-	samples := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
-	startMallocs := readMallocs(samples)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	startMallocs := ms.Mallocs
 	start := time.Now()
 	res, err := m.runScenario(ctx, spec, sink)
 	elapsed := time.Since(start)
-	allocs := readMallocs(samples) - startMallocs
+	runtime.ReadMemStats(&ms)
+	allocs := ms.Mallocs - startMallocs
 
 	m.latency.observe(elapsed)
 	m.runs.Add(1)
@@ -599,19 +600,6 @@ func (m *Manager) runScenario(ctx context.Context, spec scenario.Spec, sink trac
 		}
 	}()
 	return m.run(ctx, spec, sink)
-}
-
-// readMallocs reads the heap-object allocation counters into samples and
-// returns their sum, which counts what runtime.MemStats.Mallocs counts
-// (see Run.Allocs for its lag). Unlike runtime.ReadMemStats, it does not
-// stop the world.
-func readMallocs(samples []metrics.Sample) uint64 {
-	metrics.Read(samples)
-	var n uint64
-	for _, s := range samples {
-		n += s.Value.Uint64()
-	}
-	return n
 }
 
 // finishRun applies a terminal mutation to one run and notifies.

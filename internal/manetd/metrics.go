@@ -45,7 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeLatency(&b, st.RunLatency)
 
 	gauge("manetd_run_allocs",
-		"Heap objects allocated during the most recently finished run (runtime/metrics; process-wide).",
+		"Mallocs of the most recently finished run (runtime.MemStats; exact when runs are serial).",
 		float64(st.LastRunAllocs))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
