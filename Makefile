@@ -94,8 +94,8 @@ serve-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Short local fuzz pass over the codecs and the proof verifier (CI runs
-# the same budget per target).
+# Short local fuzz pass over the codecs, the proof verifier and OLSR's
+# packet handling (CI runs the same budget per target).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodePacket$$' -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzLineEvent$$' -fuzztime=30s ./internal/logevent
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
+	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/olsr
 
 # reprolint: the in-repo determinism & hot-path analyzer suite
 # (DESIGN.md §12) — detwalltime, detmapiter, detseed, allocann. Builds

@@ -143,6 +143,20 @@ func TestAllocCeilingOLSRDuplicate(t *testing.T) {
 	}
 }
 
+// TestAllocCeilingOLSRHello pins the neighbor tables' steady state: a
+// warm node taking another round of its neighbors' unchanged HELLOs
+// allocates nothing.
+func TestAllocCeilingOLSRHello(t *testing.T) {
+	f := newFloodNode()
+	if got := f.node.SymNeighbors(nil); len(got) != len(floodNbrs) {
+		t.Fatalf("symmetric neighbors %v, want %v", got, floodNbrs)
+	}
+	allocCeiling(t, "olsr.Node HELLO refresh", 0, f.refresh)
+	if st := f.node.Stats(); st.MsgRx < 100*uint64(len(floodNbrs)) {
+		t.Fatalf("the refreshes were not received: %+v", st)
+	}
+}
+
 // allocBudgetSpecs are the whole-run budget subjects: one detection-only
 // preset and one with every plane up (evidence + reputation + binary
 // ctrl), both small enough for the main test job.

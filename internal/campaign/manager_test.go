@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,8 +212,10 @@ func TestQuotaBoundsActiveCampaigns(t *testing.T) {
 }
 
 func TestRateLimiterThrottlesSubmissions(t *testing.T) {
-	clock := time.Unix(1, 0)
-	now := func() time.Time { return clock }
+	// The executors read the clock too, so it is an atomic.
+	var clock atomic.Int64
+	clock.Store(time.Unix(1, 0).UnixNano())
+	now := func() time.Time { return time.Unix(0, clock.Load()) }
 	m := NewManager(Config{Quota: Quota{RatePerSec: 1, Burst: 2}, Now: now})
 	defer m.Close()
 
@@ -225,7 +228,7 @@ func TestRateLimiterThrottlesSubmissions(t *testing.T) {
 		t.Fatalf("burst-exhausted submit err = %v, want ErrRateLimited", err)
 	}
 	// One second of refill buys exactly one more token.
-	clock = clock.Add(time.Second)
+	clock.Add(int64(time.Second))
 	if _, err := m.Submit("t", []scenario.Spec{tinySpec(10)}, RunOpts{}); err != nil {
 		t.Errorf("submit after refill: %v", err)
 	}

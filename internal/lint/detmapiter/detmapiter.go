@@ -15,7 +15,7 @@
 //   - append targets are accepted when a recognized sort call
 //     (sort.*/slices.Sort*, or a Sort method on the value) mentioning
 //     the same variable appears later in the enclosing function — the
-//     sorted-after-range idiom used all over the OLSR plane;
+//     sorted-after-range idiom;
 //   - hash/stream writes, audit-log emission and scheduler posts are
 //     flagged unconditionally: no later sort can reorder a chained
 //     hash, a sealed log or an event sequence draw.

@@ -78,8 +78,8 @@ func (p *eqPair) do(step string, op func(n *Node)) {
 func forceEager(n *Node) {
 	n.mprStale = true
 	n.nextExpiry = 0
-	for _, e := range n.topo {
-		e.next = 0
+	for i := range n.topo {
+		n.topo[i].val.next = 0
 	}
 	n.dupQueue = n.dupQueue[:0]
 	for k := range n.dups {
@@ -116,6 +116,11 @@ func (p *eqPair) compare() {
 	if g, w := fmt.Sprint(p.memo.Routes()), fmt.Sprint(p.eager.Routes()); g != w {
 		p.fail("routes diverged:\nmemo  %s\neager %s", g, w)
 	}
+	for _, n := range []*Node{p.memo, p.eager} {
+		if err := checkOrdered(n); err != nil {
+			p.fail("%v", err)
+		}
+	}
 	if g, w := snapshot(p.memo), snapshot(p.eager); g != w {
 		p.fail("protocol tables diverged:\nmemo\n%s\neager\n%s", g, w)
 	}
@@ -131,74 +136,119 @@ func (p *eqPair) compare() {
 }
 
 // snapshot renders every protocol table as sorted lines. Empty 2-hop
-// cover maps render nothing: they carry no tuple and no behaviour.
+// cover tables render nothing: they carry no tuple and no behaviour.
 func snapshot(n *Node) string {
 	var lines []string
 	add := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	for x, lt := range n.links {
-		add("link %v sym=%d asym=%d until=%d will=%d", x, lt.symUntil, lt.asymUntil, lt.until, lt.will)
+	for _, e := range n.links {
+		lt := e.val
+		add("link %v sym=%d asym=%d until=%d will=%d", e.key, lt.symUntil, lt.asymUntil, lt.until, lt.will)
 	}
-	for via, cover := range n.twoHop {
-		for b, until := range cover {
-			add("twohop %v %v %d", via, b, until)
+	for _, cover := range n.twoHop {
+		for _, e := range cover.val {
+			add("twohop %v %v %d", cover.key, e.key, e.val)
 		}
 	}
-	for x, until := range n.selectors {
-		add("selector %v %d", x, until)
+	for _, e := range n.selectors {
+		add("selector %v %d", e.key, e.val)
 	}
-	for orig, e := range n.topo {
-		add("topo %v ansn=%d", orig, e.ansn)
-		for d, until := range e.dests {
-			add("topo %v -> %v %d", orig, d, until)
+	for _, t := range n.topo {
+		add("topo %v ansn=%d", t.key, t.val.ansn)
+		for _, e := range t.val.dests {
+			add("topo %v -> %v %d", t.key, e.key, e.val)
 		}
 	}
 	for k, d := range n.dups {
 		add("dup %s %d %v %v", dupName(k), d.until, d.processed, d.retransmitted)
 	}
-	for x, a := range n.lastHelloSym {
-		add("advertised %v %v %v", x, a.set, a.field)
+	for _, e := range n.lastHelloSym {
+		add("advertised %v %v %v", e.key, e.val.set, e.val.field)
 	}
 	slices.Sort(lines)
 	return fmt.Sprintf("ansn=%d stats=%+v\n%s", n.ansn, n.Stats(), strings.Join(lines, "\n"))
 }
 
-// assertSwept fails if a swept table still holds a tuple that has expired.
-func (p *eqPair) assertSwept() {
-	p.t.Helper()
-	n, now := p.memo, p.memo.now()
-	for x, lt := range n.links {
-		if max(lt.until, lt.asymUntil, lt.symUntil) <= now {
-			p.fail("expired link tuple %v survived the tick", x)
+// ordered reports whether t's keys strictly ascend.
+func ordered[V any](t table[V]) bool {
+	for i := 1; i < len(t); i++ {
+		if t[i-1].key >= t[i].key {
+			return false
 		}
 	}
-	for via, cover := range n.twoHop {
-		for b, until := range cover {
-			if until <= now {
-				p.fail("expired 2-hop tuple %v via %v survived the tick", b, via)
+	return true
+}
+
+// checkOrdered verifies that every table of n, nested ones included,
+// holds strictly ascending keys.
+func checkOrdered(n *Node) error {
+	for _, t := range []struct {
+		name string
+		ok   bool
+	}{
+		{"link", ordered(n.links)}, {"2-hop", ordered(n.twoHop)}, {"selector", ordered(n.selectors)},
+		{"topology", ordered(n.topo)}, {"advertised", ordered(n.lastHelloSym)}, {"route", ordered(n.routes)},
+		{"coverage", ordered(n.coverage)}, {"reach", ordered(n.reachCount)},
+	} {
+		if !t.ok {
+			return fmt.Errorf("the %s table is out of order", t.name)
+		}
+	}
+	for _, e := range n.twoHop {
+		if !ordered(e.val) {
+			return fmt.Errorf("the 2-hop tuples via %v are out of order", e.key)
+		}
+	}
+	for _, e := range n.topo {
+		if !ordered(e.val.dests) {
+			return fmt.Errorf("the topology tuples from %v are out of order", e.key)
+		}
+	}
+	return nil
+}
+
+// checkSwept reports a swept table that still holds a tuple that has
+// expired.
+func checkSwept(n *Node) error {
+	now := n.now()
+	for _, e := range n.links {
+		if lt := e.val; max(lt.until, lt.asymUntil, lt.symUntil) <= now {
+			return fmt.Errorf("expired link tuple %v survived the tick", e.key)
+		}
+	}
+	for _, cover := range n.twoHop {
+		for _, e := range cover.val {
+			if e.val <= now {
+				return fmt.Errorf("expired 2-hop tuple %v via %v survived the tick", e.key, cover.key)
 			}
 		}
 	}
-	for x, until := range n.selectors {
-		if until <= now {
-			p.fail("expired selector %v survived the tick", x)
+	for _, e := range n.selectors {
+		if e.val <= now {
+			return fmt.Errorf("expired selector %v survived the tick", e.key)
 		}
 	}
-	for orig, e := range n.topo {
-		if len(e.dests) == 0 {
-			p.fail("empty topology entry %v survived the tick", orig)
+	for _, t := range n.topo {
+		if len(t.val.dests) == 0 {
+			return fmt.Errorf("empty topology entry %v survived the tick", t.key)
 		}
-		for d, until := range e.dests {
-			if until <= now {
-				p.fail("expired topology tuple %v -> %v survived the tick", orig, d)
+		for _, e := range t.val.dests {
+			if e.val <= now {
+				return fmt.Errorf("expired topology tuple %v -> %v survived the tick", t.key, e.key)
 			}
 		}
 	}
 	for k, d := range n.dups {
 		if d.until <= now {
-			p.fail("expired duplicate tuple %s survived the tick", dupName(k))
+			return fmt.Errorf("expired duplicate tuple %s survived the tick", dupName(k))
 		}
 	}
-	if err := checkDupQueue(n); err != nil {
+	return checkDupQueue(n)
+}
+
+// assertSwept fails if a swept table still holds a tuple that has expired.
+func (p *eqPair) assertSwept() {
+	p.t.Helper()
+	if err := checkSwept(p.memo); err != nil {
 		p.fail("%v", err)
 	}
 }
@@ -382,9 +432,9 @@ func TestMemoHoldsInSteadyState(t *testing.T) {
 		t.Fatalf("mprs = %v, want %v", n.mprs, want)
 	}
 
-	// An empty cover map is dropped by any sweep and matters to nothing
+	// An empty cover table is dropped by any sweep and matters to nothing
 	// else, so it survives exactly as long as the gate keeps the sweep off.
-	n.twoHop[addr.NodeAt(99)] = map[addr.Node]time.Duration{}
+	n.twoHop.put(addr.NodeAt(99))
 	base := n.mprDerivations
 	for range 8 { // 4s: every tuple still has at least 2s to live
 		sched.RunUntil(sched.Now() + 500*time.Millisecond)
@@ -396,7 +446,7 @@ func TestMemoHoldsInSteadyState(t *testing.T) {
 	if n.mprDerivations != base {
 		t.Fatalf("steady state re-derived the MPR set %d times: the memo is bypassed", n.mprDerivations-base)
 	}
-	if _, ok := n.twoHop[addr.NodeAt(99)]; !ok {
+	if n.twoHop.get(addr.NodeAt(99)) == nil {
 		t.Fatal("a tick with nothing expired swept the tables: the expire gate is bypassed")
 	}
 

@@ -2,9 +2,9 @@ package olsr
 
 import (
 	"math"
-	"slices"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/auditlog"
 )
 
@@ -92,85 +92,62 @@ func (n *Node) expire() {
 	next := never
 	changed := false
 
-	for x, lt := range n.links {
+	n.links.retain(func(x addr.Node, lt *linkTuple) bool {
 		if until := max(lt.until, lt.asymUntil, lt.symUntil); until > now {
 			next = min(next, until)
-			continue
+			return true
 		}
-		delete(n.links, x)
-		delete(n.twoHop, x)
-		delete(n.lastHelloSym, x)
+		n.twoHop.delete(x)
+		n.lastHelloSym.delete(x)
 		changed = true
-	}
-	// The 2-hop and selector passes emit audit records, and record order
-	// is observable (the log is hash-chained when sealing is armed), so
-	// the expiring keys are collected and sorted before any tuple is
-	// dropped — two tuples expiring in the same pass must log in the
-	// same order every run (reprolint detmapiter; DESIGN.md §12).
-	vias := n.viaScratch[:0]
-	for via := range n.twoHop {
-		vias = append(vias, via)
-	}
-	slices.Sort(vias)
-	n.viaScratch = vias
-	for _, via := range vias {
-		cover := n.twoHop[via]
-		down := n.nodeScratch[:0]
-		for b, until := range cover {
-			if until <= now {
-				down = append(down, b)
-			} else {
-				next = min(next, until)
+		return false
+	})
+	n.twoHop.retain(func(via addr.Node, cover *table[time.Duration]) bool {
+		cover.retain(func(b addr.Node, until *time.Duration) bool {
+			if *until > now {
+				next = min(next, *until)
+				return true
 			}
-		}
-		slices.Sort(down)
-		n.nodeScratch = down
-		for _, b := range down {
-			delete(cover, b)
 			n.log(auditlog.KindTwoHopDown,
 				auditlog.FNode("via", via), auditlog.FNode("twohop", b))
 			changed = true
+			return false
+		})
+		return len(*cover) > 0
+	})
+	// MPRSelectors reads only live selectors, so every record of this pass
+	// carries the same set: one per expired selector.
+	expired := 0
+	n.selectors.retain(func(_ addr.Node, until *time.Duration) bool {
+		if *until > now {
+			next = min(next, *until)
+			return true
 		}
-		if len(cover) == 0 {
-			delete(n.twoHop, via)
-		}
-	}
-	expired := n.viaScratch[:0]
-	for x, until := range n.selectors {
-		if until <= now {
-			expired = append(expired, x)
-		} else {
-			next = min(next, until)
-		}
-	}
-	slices.Sort(expired)
-	n.viaScratch = expired
-	for _, x := range expired {
-		delete(n.selectors, x)
+		expired++
+		return false
+	})
+	for range expired {
 		n.ansn++
 		n.log(auditlog.KindMPRSelector,
 			auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))
 	}
-	for last, e := range n.topo {
+	n.topo.retain(func(_ addr.Node, e *topoEntry) bool {
 		if e.next > now {
 			next = min(next, e.next)
-			continue
+			return true
 		}
 		e.next = never
-		for d, until := range e.dests {
-			if until <= now {
-				delete(e.dests, d)
+		e.dests.retain(func(_ addr.Node, until *time.Duration) bool {
+			if *until <= now {
 				changed = true
-			} else {
-				e.next = min(e.next, until)
+				return false
 			}
-		}
-		if len(e.dests) == 0 {
-			delete(n.topo, last)
-		} else {
-			next = min(next, e.next)
-		}
-	}
+			e.next = min(e.next, *until)
+			return true
+		})
+		next = min(next, e.next)
+		return len(e.dests) > 0
+	})
 	n.nextExpiry = next
 
 	if changed {

@@ -1,9 +1,6 @@
 package olsr
 
 import (
-	"slices"
-	"time"
-
 	"repro/internal/addr"
 	"repro/internal/auditlog"
 	"repro/internal/trace"
@@ -15,13 +12,14 @@ import (
 // (which drive the RFC's implicit 3-way handshake to symmetry).
 func (n *Node) buildHello() *wire.Hello {
 	now := n.now()
-	// Categorize into the reusable per-category buffers. Link-set keys are
-	// unique, so a plain sort makes each category a set.
+	// Categorize into the reusable per-category buffers. The link set is
+	// walked in address order, so each category comes out a set.
 	cat := &n.helloCat
 	for i := range cat {
 		cat[i] = cat[i][:0]
 	}
-	for x, lt := range n.links {
+	for _, e := range n.links {
+		x, lt := e.key, e.val
 		switch {
 		case lt.symUntil > now && n.mprs.Has(x):
 			cat[0] = append(cat[0], x)
@@ -32,12 +30,6 @@ func (n *Node) buildHello() *wire.Hello {
 		case lt.until > now:
 			cat[3] = append(cat[3], x)
 		}
-	}
-	// Sort each category straight after the map walk — the wire order of
-	// every link block must not inherit map iteration order (reprolint
-	// detmapiter wants the sort adjacent to the range that feeds it).
-	for i := range cat {
-		slices.Sort(cat[i])
 	}
 	h := &wire.Hello{HTime: helloInterval, Will: wire.WillDefault}
 	add := func(code wire.LinkCode, nodes []addr.Node) {
@@ -88,11 +80,7 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 
 	n.noteExpiry(vuntil) // the link, 2-hop and selector tuples all get vuntil
 
-	lt, ok := n.links[from]
-	if !ok {
-		lt = &linkTuple{}
-		n.links[from] = lt
-	}
+	lt := n.links.put(from)
 	wasSym := lt.symUntil > now
 	lt.asymUntil = vuntil
 	if lt.will != h.Will {
@@ -138,10 +126,10 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	// A neighbor re-advertises the same set in most HELLOs. Read it into
 	// scratch and swap it in, re-rendering the HELLO_RX field, only when
 	// it changed; AdvertisedSym clones, so the swap is unobservable.
-	adv := n.lastHelloSym[from]
+	adv := n.lastHelloSym.get(from)
 	if adv == nil {
-		adv = &advert{field: auditlog.FNodes("sym", nil)}
-		n.lastHelloSym[from] = adv
+		adv = n.lastHelloSym.put(from)
+		adv.field = auditlog.FNodes("sym", nil)
 	}
 	sym := h.SymNeighbors(n.nodeScratch)
 	n.nodeScratch = sym
@@ -152,11 +140,7 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 
 	// 2-hop set: only populated through symmetric neighbors.
 	if lt.symUntil > now {
-		cover := n.twoHop[from]
-		if cover == nil {
-			cover = make(map[addr.Node]time.Duration)
-			n.twoHop[from] = cover
-		}
+		cover := n.twoHop.put(from)
 		for _, lb := range h.Links {
 			nt, _ := lb.Code.Split()
 			for _, b := range lb.Neighbors {
@@ -165,20 +149,21 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 				}
 				switch nt {
 				case wire.NeighSym, wire.NeighMPR:
-					if old, exists := cover[b]; !exists || old <= now {
+					until := cover.put(b)
+					if *until <= now {
 						n.log(auditlog.KindTwoHopUp,
 							auditlog.FNode("via", from), auditlog.FNode("twohop", b))
 						n.mprStale = true
 					}
-					cover[b] = vuntil
+					*until = vuntil
 					n.mprValidUntil = min(n.mprValidUntil, vuntil)
 				case wire.NeighNot:
-					if old, exists := cover[b]; exists && old > now {
+					if until := cover.get(b); until != nil && *until > now {
 						n.log(auditlog.KindTwoHopDown,
 							auditlog.FNode("via", from), auditlog.FNode("twohop", b))
 						n.mprStale = true
 					}
-					delete(cover, b)
+					cover.delete(b)
 				}
 			}
 		}
@@ -197,16 +182,16 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 			}
 		}
 	}
-	_, wasSelector := n.selectors[from]
+	wasSelector := n.selectors.get(from) != nil
 	if selectedUs {
-		n.selectors[from] = vuntil
+		*n.selectors.put(from) = vuntil
 		if !wasSelector {
 			n.ansn++
 			n.log(auditlog.KindMPRSelector,
 				auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))
 		}
 	} else if wasSelector {
-		delete(n.selectors, from)
+		n.selectors.delete(from)
 		n.ansn++
 		n.log(auditlog.KindMPRSelector,
 			auditlog.FNodes("selectors", n.MPRSelectors(n.nodeScratch)))

@@ -1,7 +1,6 @@
 package olsr
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/addr"
@@ -29,7 +28,7 @@ func (n *Node) selectMPRs(sym addr.Set) (mprs addr.Set, validUntil time.Duration
 	// N: willing symmetric neighbors; candidates for MPR, in address order.
 	candidates := n.nodeScratch[:0]
 	for _, x := range sym {
-		lt := n.links[x]
+		lt := n.links.get(x)
 		validUntil = min(validUntil, lt.symUntil)
 		if lt.will != wire.WillNever {
 			candidates = append(candidates, x)
@@ -37,57 +36,54 @@ func (n *Node) selectMPRs(sym addr.Set) (mprs addr.Set, validUntil time.Duration
 	}
 	n.nodeScratch = candidates
 
-	// N2: strict 2-hop neighbors, with per-node coverage counts. Only the
-	// count and (for count==1) the identity of the sole coverer are needed
+	// N2: strict 2-hop neighbors, with per-node coverage. Only the count
+	// and (for count==1) the identity of the sole coverer are needed
 	// downstream, so no per-node coverer lists are built.
-	clear(n.coverCount)
-	clear(n.soleCover)
-	clear(n.reachCount)
+	n.coverage = n.coverage[:0]
+	n.reachCount = n.reachCount[:0]
 	for _, via := range candidates {
-		for b, until := range n.twoHop[via] {
-			if until <= now {
+		reach := n.reachCount.put(via)
+		for _, e := range n.cover(via) {
+			if e.val <= now {
 				continue
 			}
-			validUntil = min(validUntil, until)
-			if b == n.cfg.Addr || sym.Has(b) {
-				continue
+			validUntil = min(validUntil, e.val)
+			if b := e.key; b != n.cfg.Addr && !sym.Has(b) {
+				c := n.coverage.put(b)
+				c.count++
+				c.sole = via
+				*reach++
 			}
-			n.coverCount[b]++
-			n.soleCover[b] = via
-			n.reachCount[via]++
 		}
 	}
 
 	mprs = n.mprScratch[:0]
 	uncovered := n.uncovScratch[:0]
-	for b := range n.coverCount {
-		uncovered = append(uncovered, b)
+	for _, e := range n.coverage {
+		uncovered = append(uncovered, e.key)
 	}
-	slices.Sort(uncovered)
 
 	markCovered := func(m addr.Node) {
-		for b, until := range n.twoHop[m] {
-			if until > now {
-				uncovered.Remove(b)
+		for _, e := range n.cover(m) {
+			if e.val > now {
+				uncovered.Remove(e.key)
 			}
 		}
 	}
 
 	// Step 1: WILL_ALWAYS neighbors are always MPRs.
 	for _, x := range candidates {
-		if n.links[x].will == wire.WillAlways {
+		if n.links.get(x).will == wire.WillAlways {
 			mprs.Add(x)
 			markCovered(x)
 		}
 	}
-	// Step 2: neighbors that are the sole cover of some 2-hop node. The
-	// iteration order is a snapshot taken after step 1, exactly as the
-	// original map-backed pass did.
-	n.viaScratch = append(n.viaScratch[:0], uncovered...)
-	for _, b := range n.viaScratch {
-		if n.coverCount[b] == 1 && !mprs.Has(n.soleCover[b]) {
-			mprs.Add(n.soleCover[b])
-			markCovered(n.soleCover[b])
+	// Step 2: neighbors that are the sole cover of some 2-hop node. A node
+	// step 1 covered has its sole coverer in mprs already.
+	for _, e := range n.coverage {
+		if c := e.val; c.count == 1 && !mprs.Has(c.sole) {
+			mprs.Add(c.sole)
+			markCovered(c.sole)
 		}
 	}
 	// Step 3: greedy max-coverage until all of N2 is covered.
@@ -99,15 +95,15 @@ func (n *Node) selectMPRs(sym addr.Set) (mprs addr.Set, validUntil time.Duration
 				continue
 			}
 			count := 0
-			for b, until := range n.twoHop[x] {
-				if until > now && uncovered.Has(b) {
+			for _, e := range n.cover(x) {
+				if e.val > now && uncovered.Has(e.key) {
 					count++
 				}
 			}
 			if count == 0 {
 				continue
 			}
-			if best == addr.None || betterMPR(n, x, count, best, bestCount, n.reachCount) {
+			if best == addr.None || n.betterMPR(x, count, best, bestCount) {
 				best, bestCount = x, count
 			}
 		}
@@ -121,18 +117,34 @@ func (n *Node) selectMPRs(sym addr.Set) (mprs addr.Set, validUntil time.Duration
 	return mprs, validUntil
 }
 
+// coverage is what selectMPRs needs to know of one strict 2-hop node:
+// how many candidates cover it, and the last of them in address order,
+// which is the only one when count is 1.
+type coverage struct {
+	count int
+	sole  addr.Node
+}
+
+// cover returns the 2-hop tuples learned through via (nil if none).
+func (n *Node) cover(via addr.Node) table[time.Duration] {
+	if c := n.twoHop.get(via); c != nil {
+		return *c
+	}
+	return nil
+}
+
 // betterMPR reports whether candidate x (covering count uncovered nodes)
 // beats the current best per the RFC tie-break order.
-func betterMPR(n *Node, x addr.Node, count int, best addr.Node, bestCount int, reach map[addr.Node]int) bool {
+func (n *Node) betterMPR(x addr.Node, count int, best addr.Node, bestCount int) bool {
 	if count != bestCount {
 		return count > bestCount
 	}
-	wx, wb := n.links[x].will, n.links[best].will
+	wx, wb := n.links.get(x).will, n.links.get(best).will
 	if wx != wb {
 		return wx > wb
 	}
-	if reach[x] != reach[best] {
-		return reach[x] > reach[best]
+	if rx, rb := *n.reachCount.get(x), *n.reachCount.get(best); rx != rb {
+		return rx > rb
 	}
 	return x < best
 }

@@ -79,7 +79,7 @@ type linkTuple struct {
 type topoEntry struct {
 	ansn  uint16
 	next  time.Duration
-	dests map[addr.Node]time.Duration // advertised neighbor -> expiry
+	dests table[time.Duration] // advertised neighbor -> expiry
 }
 
 // dupKey identifies a flooded message: originator << 16 | sequence
@@ -115,16 +115,19 @@ type Node struct {
 	hooks  Hooks
 	tracer *trace.Tracer // nil = tracing off
 
-	links        map[addr.Node]*linkTuple
-	twoHop       map[addr.Node]map[addr.Node]time.Duration // via -> node -> expiry
+	// The protocol tables are address-ordered (table.go), so every walk
+	// over them is deterministic. The duplicate set is only ever looked up
+	// by key, and is expired in dupQueue order.
+	links        table[linkTuple]
+	twoHop       table[table[time.Duration]] // via -> node -> expiry
 	mprs         addr.Set
-	selectors    map[addr.Node]time.Duration
-	topo         map[addr.Node]*topoEntry
+	selectors    table[time.Duration]
+	topo         table[topoEntry]
 	dups         map[dupKey]dupTuple
-	dupQueue     dupQueue              // one expiry entry per duplicate tuple
-	lastHelloSym map[addr.Node]*advert // neighbor -> last advertised sym set
-	routes       map[addr.Node]Route
-	routesDirty  bool // routes trail the topology; recomputed on read
+	dupQueue     dupQueue      // one expiry entry per duplicate tuple
+	lastHelloSym table[advert] // neighbor -> last advertised sym set
+	routes       table[Route]  // by destination
+	routesDirty  bool          // routes trail the topology; recomputed on read
 
 	prevSym addr.Set // for NEIGHBOR_UP/DOWN diffs
 
@@ -151,11 +154,9 @@ type Node struct {
 	// Recalculation scratch, reused across protocol events so the
 	// steady-state receive path allocates nothing. Each is valid only
 	// within one call; nothing here is ever retained or returned.
-	nodeScratch  []addr.Node             // sorted-render / candidate scratch
-	viaScratch   []addr.Node             // second node list live at the same time
-	coverCount   map[addr.Node]int       // 2-hop node -> # covering candidates
-	soleCover    map[addr.Node]addr.Node // 2-hop node -> its only coverer
-	reachCount   map[addr.Node]int       // candidate -> |N2 coverage|
+	nodeScratch  []addr.Node     // sorted-render / candidate scratch
+	coverage     table[coverage] // strict 2-hop node -> its coverers
+	reachCount   table[int]      // every candidate -> |N2 coverage|
 	uncovScratch addr.Set
 	mprScratch   addr.Set       // selectMPRs result; cloned only on change
 	helloCat     [4][]addr.Node // HELLO link-block categories
@@ -173,20 +174,11 @@ type Node struct {
 // until delivery, so prefix-and-copy as internal/core does, or clone).
 func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buffer) *Node {
 	return &Node{
-		cfg:          cfg,
-		sched:        sched,
-		send:         send,
-		logb:         logb,
-		links:        make(map[addr.Node]*linkTuple),
-		twoHop:       make(map[addr.Node]map[addr.Node]time.Duration),
-		selectors:    make(map[addr.Node]time.Duration),
-		topo:         make(map[addr.Node]*topoEntry),
-		dups:         make(map[dupKey]dupTuple),
-		lastHelloSym: make(map[addr.Node]*advert),
-		routes:       make(map[addr.Node]Route),
-		coverCount:   make(map[addr.Node]int),
-		soleCover:    make(map[addr.Node]addr.Node),
-		reachCount:   make(map[addr.Node]int),
+		cfg:   cfg,
+		sched: sched,
+		send:  send,
+		logb:  logb,
+		dups:  make(map[dupKey]dupTuple),
 	}
 }
 
@@ -245,15 +237,15 @@ func (n *Node) broadcast(msgs ...wire.Message) {
 
 // symLink reports whether the link to x is currently symmetric.
 func (n *Node) symLink(x addr.Node) bool {
-	lt, ok := n.links[x]
-	return ok && lt.symUntil > n.now()
+	lt := n.links.get(x)
+	return lt != nil && lt.symUntil > n.now()
 }
 
 // asymLink reports whether x has been heard but the link is not (yet)
 // symmetric.
 func (n *Node) asymLink(x addr.Node) bool {
-	lt, ok := n.links[x]
-	return ok && lt.symUntil <= n.now() && lt.asymUntil > n.now()
+	lt := n.links.get(x)
+	return lt != nil && lt.symUntil <= n.now() && lt.asymUntil > n.now()
 }
 
 // SymNeighbors returns the current symmetric 1-hop neighborhood, built
@@ -261,12 +253,11 @@ func (n *Node) asymLink(x addr.Node) bool {
 func (n *Node) SymNeighbors(dst addr.Set) addr.Set {
 	dst = slices.Grow(dst[:0], len(n.links))
 	now := n.now()
-	for x, lt := range n.links {
-		if lt.symUntil > now {
-			dst = append(dst, x)
+	for _, e := range n.links {
+		if e.val.symUntil > now {
+			dst = append(dst, e.key)
 		}
 	}
-	slices.Sort(dst)
 	return dst
 }
 
@@ -285,14 +276,14 @@ func (n *Node) HearsFrom(x addr.Node) bool { return n.symLink(x) || n.asymLink(x
 // as its own symmetric neighbor (the basis of evidences E4/E5: does an
 // MPR really cover its adjacent neighbors?).
 func (n *Node) Covers(via, dest addr.Node) bool {
-	until, ok := n.twoHop[via][dest]
-	return ok && until > n.now()
+	until := n.cover(via).get(dest)
+	return until != nil && *until > n.now()
 }
 
 // AdvertisedSym returns the symmetric-neighbor set most recently advertised
 // by neighbor x in a HELLO, as recorded when the HELLO was processed.
 func (n *Node) AdvertisedSym(x addr.Node) addr.Set {
-	if a, ok := n.lastHelloSym[x]; ok {
+	if a := n.lastHelloSym.get(x); a != nil {
 		return a.set.Clone()
 	}
 	return nil
@@ -306,12 +297,11 @@ func (n *Node) MPRs() addr.Set { return n.mprs.Clone() }
 func (n *Node) MPRSelectors(dst addr.Set) addr.Set {
 	dst = slices.Grow(dst[:0], len(n.selectors))
 	now := n.now()
-	for x, until := range n.selectors {
-		if until > now {
-			dst = append(dst, x)
+	for _, e := range n.selectors {
+		if e.val > now {
+			dst = append(dst, e.key)
 		}
 	}
-	slices.Sort(dst)
 	return dst
 }
 
@@ -326,9 +316,9 @@ func (n *Node) MPRSelectors(dst addr.Set) addr.Set {
 // next expire tick, which is the RFC's intent (never route via expired
 // tuples). The golden corpus pins that no recorded scenario's digest
 // moved under the new schedule.
-func (n *Node) routeTable() map[addr.Node]Route {
+func (n *Node) routeTable() table[Route] {
 	if n.routesDirty {
-		n.routes = n.calculateRoutes()
+		n.calculateRoutes()
 		n.routesDirty = false
 	}
 	return n.routes
@@ -336,52 +326,33 @@ func (n *Node) routeTable() map[addr.Node]Route {
 
 // Routes returns a copy of the routing table sorted by destination.
 func (n *Node) Routes() []Route {
-	table := n.routeTable()
-	out := make([]Route, 0, len(table))
-	for _, r := range table {
-		out = append(out, r)
+	routes := n.routeTable()
+	out := make([]Route, 0, len(routes))
+	for _, e := range routes {
+		out = append(out, e.val)
 	}
-	slices.SortFunc(out, func(a, b Route) int {
-		switch {
-		case a.Dest < b.Dest:
-			return -1
-		case a.Dest > b.Dest:
-			return 1
-		default:
-			return 0
-		}
-	})
 	return out
 }
 
 // RouteTo returns the route to dst, if any.
 func (n *Node) RouteTo(dst addr.Node) (Route, bool) {
-	r, ok := n.routeTable()[dst]
-	return r, ok
+	if r := n.routeTable().get(dst); r != nil {
+		return *r, true
+	}
+	return Route{}, false
 }
 
 // TopologyLinks returns the learned (lastHop -> dest) topology pairs,
 // sorted, for inspection by tests and debug tools.
 func (n *Node) TopologyLinks() [][2]addr.Node {
 	var out [][2]addr.Node
-	for last, e := range n.topo {
-		for dest, until := range e.dests {
-			if until > n.now() {
-				out = append(out, [2]addr.Node{last, dest})
+	for _, e := range n.topo {
+		for _, d := range e.val.dests {
+			if d.val > n.now() {
+				out = append(out, [2]addr.Node{e.key, d.key})
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b [2]addr.Node) int {
-		for i := range a {
-			switch {
-			case a[i] < b[i]:
-				return -1
-			case a[i] > b[i]:
-				return 1
-			}
-		}
-		return 0
-	})
 	return out
 }
 
@@ -473,7 +444,7 @@ func (n *Node) maybeForward(sender addr.Node, m *wire.Message) bool {
 	if m.TTL <= 1 {
 		return false
 	}
-	if until, sel := n.selectors[sender]; !sel || until <= n.now() {
+	if until := n.selectors.get(sender); until == nil || *until <= n.now() {
 		return false
 	}
 	if n.hooks.DropForward != nil && n.hooks.DropForward(m, sender) {

@@ -52,8 +52,8 @@ func twoHopSet(n *Node) addr.Set {
 	sym := n.SymNeighbors(nil)
 	var out addr.Set
 	for _, via := range sym {
-		for b := range n.twoHop[via] {
-			if n.Covers(via, b) && b != n.cfg.Addr && !sym.Has(b) {
+		for _, e := range n.cover(via) {
+			if b := e.key; n.Covers(via, b) && b != n.cfg.Addr && !sym.Has(b) {
 				out.Add(b)
 			}
 		}

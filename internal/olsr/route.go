@@ -12,21 +12,20 @@ import (
 // topology set. Iteration order is sorted throughout so route selection is
 // deterministic under ties.
 //
-// Working lists live in the node's scratch buffers; only the returned
-// route map is freshly allocated (retained as n.routes).
-func (n *Node) calculateRoutes() map[addr.Node]Route {
+// It rebuilds n.routes in place; working lists live in the node's scratch
+// buffers.
+func (n *Node) calculateRoutes() {
 	now := n.now()
-	routes := make(map[addr.Node]Route)
+	routes := n.routes[:0]
 	sym := n.SymNeighbors(n.nodeScratch)
 	n.nodeScratch = sym
 	for _, x := range sym {
-		routes[x] = Route{Dest: x, NextHop: x, Hops: 1}
+		*routes.put(x) = Route{Dest: x, NextHop: x, Hops: 1}
 	}
 
 	// Strict 2-hop destinations, preferring MPR relays, then lower address.
-	vias := append(n.viaScratch[:0], sym...)
-	n.viaScratch = vias
-	slices.SortStableFunc(vias, func(a, b addr.Node) int {
+	// sym is scratch, so it is reordered in place.
+	slices.SortStableFunc(sym, func(a, b addr.Node) int {
 		ma, mb := n.mprs.Has(a), n.mprs.Has(b)
 		switch {
 		case ma != mb && ma:
@@ -41,58 +40,40 @@ func (n *Node) calculateRoutes() map[addr.Node]Route {
 			return 0
 		}
 	})
-	for _, via := range vias {
-		for b, until := range n.twoHop[via] {
-			if until <= now || b == n.cfg.Addr {
+	// put inserts a destination with Hops 0, so Hops 0 marks a new one.
+	for _, via := range sym {
+		for _, e := range n.cover(via) {
+			if e.val <= now || e.key == n.cfg.Addr {
 				continue
 			}
-			if _, have := routes[b]; have {
-				continue
+			if r := routes.put(e.key); r.Hops == 0 {
+				*r = Route{Dest: e.key, NextHop: via, Hops: 2}
 			}
-			routes[b] = Route{Dest: b, NextHop: via, Hops: 2}
 		}
 	}
 
-	// Extend through the topology set, one hop count at a time. sym
-	// is dead past this point, so topoLasts reclaims its buffer; the inner
-	// per-entry destination list reclaims the vias buffer the same way.
-	topoLasts := n.nodeScratch[:0]
-	for last := range n.topo {
-		topoLasts = append(topoLasts, last)
-	}
-	slices.Sort(topoLasts)
-	n.nodeScratch = topoLasts
-
+	// Extend through the topology set, one hop count at a time.
 	for h := 2; ; h++ {
 		added := false
-		for _, last := range topoLasts {
-			rl, ok := routes[last]
-			if !ok || rl.Hops != h {
+		for _, e := range n.topo {
+			rl := routes.get(e.key)
+			if rl == nil || rl.Hops != h {
 				continue
 			}
-			e := n.topo[last]
-			dests := n.viaScratch[:0]
-			for d, until := range e.dests {
-				if until > now {
-					dests = append(dests, d)
-				}
-			}
-			slices.Sort(dests)
-			n.viaScratch = dests
-			for _, d := range dests {
-				if d == n.cfg.Addr {
+			next := rl.NextHop // the puts below may move rl's entry
+			for _, d := range e.val.dests {
+				if d.val <= now || d.key == n.cfg.Addr {
 					continue
 				}
-				if _, have := routes[d]; have {
-					continue
+				if r := routes.put(d.key); r.Hops == 0 {
+					*r = Route{Dest: d.key, NextHop: next, Hops: h + 1}
+					added = true
 				}
-				routes[d] = Route{Dest: d, NextHop: rl.NextHop, Hops: h + 1}
-				added = true
 			}
 		}
 		if !added {
 			break
 		}
 	}
-	return routes
+	n.routes = routes
 }

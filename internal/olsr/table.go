@@ -1,0 +1,71 @@
+package olsr
+
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/addr"
+)
+
+// entry is one key and its value in a table.
+type entry[V any] struct {
+	key addr.Node
+	val V
+}
+
+// table maps node addresses to values of type V. It is a slice of entries
+// kept sorted by key with no key twice, so ranging over it visits entries
+// in address order on every run: whatever is derived from a walk (an
+// audit record, a HELLO link block, a route) needs no collect-and-sort
+// pass first. The zero value is the empty table. Lookups binary-search;
+// an insert or delete shifts the entries after it, which costs little at
+// the size of a neighborhood.
+//
+// A pointer returned by get or put stays valid only until the next put or
+// delete on the same table, either of which may move the entries.
+type table[V any] []entry[V]
+
+// search returns the index of k's entry, or where it would be inserted.
+func (t table[V]) search(k addr.Node) (int, bool) {
+	return slices.BinarySearchFunc(t, k, func(e entry[V], k addr.Node) int { return cmp.Compare(e.key, k) })
+}
+
+// get returns k's value, or nil when k is absent.
+func (t table[V]) get(k addr.Node) *V {
+	if i, ok := t.search(k); ok {
+		return &t[i].val
+	}
+	return nil
+}
+
+// put returns k's value, inserting a zero V first when k is absent.
+func (t *table[V]) put(k addr.Node) *V {
+	i, ok := t.search(k)
+	if !ok {
+		*t = slices.Insert(*t, i, entry[V]{key: k})
+	}
+	return &(*t)[i].val
+}
+
+// delete removes k's entry, if any.
+func (t *table[V]) delete(k addr.Node) {
+	if i, ok := t.search(k); ok {
+		*t = slices.Delete(*t, i, i+1)
+	}
+}
+
+// retain keeps the entries keep accepts and drops the rest, in place and
+// in address order. keep sees every entry once and may modify its value;
+// it must not put to or delete from t.
+func (t *table[V]) retain(keep func(k addr.Node, v *V) bool) {
+	s := *t
+	j := 0
+	for i := range s {
+		if keep(s[i].key, &s[i].val) {
+			s[j] = s[i]
+			j++
+		}
+	}
+	clear(s[j:]) // let dropped values' storage go
+	*t = s[:j]
+}

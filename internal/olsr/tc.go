@@ -2,7 +2,6 @@ package olsr
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
@@ -51,7 +50,7 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 	now := n.now()
 	vuntil := now + m.VTime
 
-	e := n.topo[m.Originator]
+	e := n.topo.get(m.Originator)
 	if e != nil && seqNewer(e.ansn, tc.ANSN) {
 		n.msgDrop++
 		n.log(auditlog.KindMsgDrop,
@@ -61,19 +60,19 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 		return
 	}
 	if e == nil {
-		e = &topoEntry{next: never, dests: make(map[addr.Node]time.Duration)}
-		n.topo[m.Originator] = e
+		e = n.topo.put(m.Originator)
+		e.next = never
 	}
 	if seqNewer(tc.ANSN, e.ansn) {
 		// Newer advertisement set: drop every tuple recorded under the old
 		// ANSN (RFC 3626 §9.5 step 3).
-		e.dests = make(map[addr.Node]time.Duration, len(tc.Advertised))
+		e.dests = e.dests[:0]
 		e.next = never
 	}
 	e.ansn = tc.ANSN
 	for _, d := range tc.Advertised {
 		if d != n.cfg.Addr {
-			e.dests[d] = vuntil
+			*e.dests.put(d) = vuntil
 		}
 	}
 	if len(e.dests) == 0 {
