@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/auditlog"
 	"repro/internal/reputation"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -157,9 +158,51 @@ func TestAllocCeilingOLSRHello(t *testing.T) {
 	}
 }
 
-// allocBudgetSpecs are the whole-run budget subjects: one detection-only
-// preset and one with every plane up (evidence + reputation + binary
-// ctrl), both small enough for the main test job.
+// TestAllocCeilingSealedLog pins audit-log sealing: on a warm sealed
+// log, appending a record and reading the tree head allocate nothing
+// (chunk, index and tree growth amortize to under one allocation per
+// call), and each proof allocates only its path.
+func TestAllocCeilingSealedLog(t *testing.T) {
+	var b auditlog.Buffer
+	b.SetSealKey([]byte("alloc"))
+	r := auditlog.Record{
+		T: 2500 * time.Millisecond, Node: addr.NodeAt(1), Kind: auditlog.KindHelloRx,
+		Fields: []auditlog.Field{
+			auditlog.FNode("from", addr.NodeAt(2)),
+			auditlog.FNodes("sym", []addr.Node{addr.NodeAt(3), addr.NodeAt(4)}),
+		},
+	}
+	for i := 0; i < 5000; i++ {
+		b.Append(r)
+	}
+	var head auditlog.TreeHead
+	allocCeiling(t, "auditlog.Buffer.Append sealed + TreeHead", 0, func() {
+		b.Append(r)
+		head = b.TreeHead()
+	})
+	size := b.SealedSize()
+	if head.Size != size {
+		t.Fatalf("TreeHead size %d, sealed %d", head.Size, size)
+	}
+	allocCeiling(t, "auditlog.Buffer.TreeHeadAt", 0, func() { head, _ = b.TreeHeadAt(size - 7) })
+	var proof auditlog.Proof
+	allocCeiling(t, "auditlog.Buffer.InclusionProof", 5, func() { proof, _ = b.InclusionProof(1234, size) })
+	if leaf, _ := b.LeafAt(1234); !auditlog.VerifyInclusion(leaf, 1234, b.TreeHead(), proof) {
+		t.Fatal("inclusion proof does not verify")
+	}
+	allocCeiling(t, "auditlog.Buffer.ConsistencyProof", 5, func() { proof, _ = b.ConsistencyProof(3001, size) })
+	old, _ := b.TreeHeadAt(3001)
+	if !auditlog.VerifyConsistency(old, b.TreeHead(), proof) {
+		t.Fatal("consistency proof does not verify")
+	}
+}
+
+// allocBudgetSpecs are the whole-run budget subjects, all small enough
+// for the main test job: the detection-only linkspoof preset,
+// fullstack (every-node detection, reputation gossip and a pinned
+// attacker dropping ctrl traffic), and evidence, the same run with the
+// evidence plane up, so sealed logs, tree-head gossip and proof-carrying
+// replies are under a budget too.
 func allocBudgetSpecs(t *testing.T) map[string]scenario.Spec {
 	t.Helper()
 	linkspoof, err := scenario.Resolve("linkspoof")
@@ -178,7 +221,10 @@ func allocBudgetSpecs(t *testing.T) map[string]scenario.Spec {
 			At: scenario.Dur(45 * time.Second), Pin: true, DropCtrl: true,
 		}},
 	}
-	return map[string]scenario.Spec{"linkspoof": linkspoof, "fullstack": fullstack}
+	evidence := fullstack
+	evidence.Name = "alloc-evidence"
+	evidence.Evidence = &scenario.EvidenceSpec{Enabled: true}
+	return map[string]scenario.Spec{"linkspoof": linkspoof, "fullstack": fullstack, "evidence": evidence}
 }
 
 // measureRunAllocs counts heap objects allocated by one scenario run,
