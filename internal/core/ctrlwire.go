@@ -21,6 +21,10 @@ import (
 // ctrlBinaryMagic is the format tag every control envelope starts with.
 const ctrlBinaryMagic = 0xB1
 
+// minCitationLen is the smallest encoded citation: its u64 index, the
+// u32 length of an empty record and the u16 count of an empty proof.
+const minCitationLen = 8 + 4 + 2
+
 var (
 	errCtrlTruncated = errors.New("core: truncated binary ctrl message")
 	errCtrlBool      = errors.New("core: binary ctrl bool byte is neither 0 nor 1")
@@ -189,13 +193,22 @@ func (r *ctrlReader) u64() uint64 {
 
 func (r *ctrlReader) node() addr.Node { return addr.Node(r.u32()) }
 
-func (r *ctrlReader) nodes() []addr.Node {
+// count reads a u16 element count and rejects it when the bytes left
+// cannot hold that many elements of at least size bytes each, so no
+// slice is ever sized from a count the frame does not back. It returns
+// 0 once r.err is set.
+func (r *ctrlReader) count(size int) int {
 	n := int(r.u16())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if len(r.b) < 4*n {
+	if len(r.b) < n*size {
 		r.err = errCtrlTruncated
+		return 0
+	}
+	return n
+}
+
+func (r *ctrlReader) nodes() []addr.Node {
+	n := r.count(4)
+	if n == 0 {
 		return nil
 	}
 	out := make([]addr.Node, n)
@@ -213,12 +226,8 @@ func (r *ctrlReader) head() auditlog.TreeHead {
 }
 
 func (r *ctrlReader) proof() auditlog.Proof {
-	n := int(r.u16())
-	if r.err != nil || n == 0 {
-		return auditlog.Proof{}
-	}
-	if len(r.b) < auditlog.HashSize*n {
-		r.err = errCtrlTruncated
+	n := r.count(auditlog.HashSize)
+	if n == 0 {
 		return auditlog.Proof{}
 	}
 	p := auditlog.Proof{Path: make([]auditlog.Hash, n)}
@@ -280,7 +289,7 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 			p := r.proof()
 			rep.Consistency = &p
 		}
-		if n := int(r.u16()); n > 0 && r.err == nil {
+		if n := r.count(minCitationLen); n > 0 {
 			rep.Citations = make([]detect.Citation, 0, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				var c detect.Citation

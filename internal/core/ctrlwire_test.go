@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -122,6 +123,38 @@ func TestCtrlDecodeRejectsNonCanonicalBool(t *testing.T) {
 	}
 }
 
+// hugeCitationCountFrame is a 45-byte reply envelope whose citation
+// count claims 65535 citations with no bytes left for any of them.
+func hugeCitationCountFrame() []byte {
+	b := []byte{ctrlBinaryMagic, byte(ctrlVerifyRep)}
+	b = append(b, make([]byte, 4+4+4+2)...) // from, to, TTL, empty avoid list
+	b = append(b, 0, 1)                     // no request; a reply follows
+	b = append(b, make([]byte, 8+3*4+3)...) // ID, responder, suspect, link, three flags
+	b = append(b, 0, 0)                     // no head, no consistency proof
+	return append(b, 0xff, 0xff)            // the citation count
+}
+
+// TestCtrlDecodeBoundsCitationCount holds the decoder to sizing the
+// citation slice only from a count the frame's bytes can back: a frame
+// claiming 65535 citations with none present is truncated, and decoding
+// it allocates next to nothing.
+func TestCtrlDecodeBoundsCitationCount(t *testing.T) {
+	frame := hugeCitationCountFrame()
+	if len(frame) != 45 {
+		t.Fatalf("frame is %d bytes, want 45", len(frame))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeCtrlMsg(frame)
+	runtime.ReadMemStats(&after)
+	if err != errCtrlTruncated {
+		t.Fatalf("decode error %v, want %v", err, errCtrlTruncated)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("decode allocated %d bytes, want under 64 KiB", got)
+	}
+}
+
 // FuzzCtrlDecode holds the control-envelope decoder to two properties on
 // arbitrary bytes: it never panics, and any input it accepts re-encodes
 // to exactly the same bytes (the codec is canonical).
@@ -133,6 +166,7 @@ func FuzzCtrlDecode(f *testing.F) {
 		untagged[0] = '{'
 		f.Add(untagged)
 	}
+	f.Add(hugeCitationCountFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeCtrlMsg(data)
 		if err != nil {
