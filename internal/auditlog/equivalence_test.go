@@ -1,9 +1,11 @@
 package auditlog
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -245,8 +247,7 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 	if b.ChainHead() != ref.chain || b.SealedSize() != uint64(len(ref.leaves)) {
 		fail("chain", "head or sealed size differs")
 	}
-	head := b.TreeHead()
-	if head.Size != uint64(len(ref.leaves)) || head.Root != merkleRoot(ref.leaves) {
+	if head := b.TreeHead(); head.Size != uint64(len(ref.leaves)) || head.Root != merkleRoot(ref.leaves) {
 		fail("tree", "head %+v, want size %d", head, len(ref.leaves))
 	}
 	if len(ref.leaves) == 0 {
@@ -259,15 +260,151 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 	if leaf, ok := b.LeafAt(index); !ok || leaf != ref.leaves[index] {
 		fail("leaf", "LeafAt(%d) differs", index)
 	}
-	proof, err := b.InclusionProof(index, head.Size)
-	if err != nil || !VerifyInclusion(ref.leaves[index], index, head, proof) {
-		fail("inclusion", "proof for %d: %v", index, err)
+	size := index + 1 + uint64(rng.Intn(len(ref.leaves)-int(index))) //nolint:gosec // small
+	old := uint64(rng.Intn(int(size) + 1))                           //nolint:gosec // small
+	if err := checkTree(b, ref.leaves, old, size, index); err != nil {
+		fail("tree", "%v", err)
 	}
-	old := uint64(rng.Intn(len(ref.leaves) + 1)) //nolint:gosec // small
-	oldHead := TreeHead{Size: old, Root: merkleRoot(ref.leaves[:old])}
-	cp, err := b.ConsistencyProof(old, head.Size)
-	if err != nil || !VerifyConsistency(oldHead, head, cp) {
-		fail("consistency", "proof %d -> %d: %v", old, head.Size, err)
+}
+
+// merkleRoot is the reference RFC 6962 tree head over leaf hashes,
+// computed from the leaves alone.
+func merkleRoot(leaves []Hash) Hash {
+	switch len(leaves) {
+	case 0:
+		return Hash(sha256.Sum256(nil))
+	case 1:
+		return leaves[0]
+	}
+	k := splitPoint(len(leaves))
+	return nodeHash(merkleRoot(leaves[:k]), merkleRoot(leaves[k:]))
+}
+
+// inclusionPath is the reference RFC 6962 audit path for leaf m over
+// leaves.
+func inclusionPath(m int, leaves []Hash) []Hash {
+	if len(leaves) <= 1 {
+		return nil
+	}
+	k := splitPoint(len(leaves))
+	if m < k {
+		return append(inclusionPath(m, leaves[:k]), merkleRoot(leaves[k:]))
+	}
+	return append(inclusionPath(m-k, leaves[k:]), merkleRoot(leaves[:k]))
+}
+
+// consistencyPath is the reference RFC 6962 consistency proof between
+// the tree over the first m leaves and the tree over all of them.
+func consistencyPath(m int, leaves []Hash) []Hash {
+	return subProof(m, leaves, true)
+}
+
+func subProof(m int, leaves []Hash, complete bool) []Hash {
+	if m == len(leaves) {
+		if complete {
+			return nil
+		}
+		return []Hash{merkleRoot(leaves)}
+	}
+	k := splitPoint(len(leaves))
+	if m <= k {
+		return append(subProof(m, leaves[:k], complete), merkleRoot(leaves[k:]))
+	}
+	return append(subProof(m-k, leaves[k:], false), merkleRoot(leaves[:k]))
+}
+
+// checkTree holds the log's tree to the reference over leaves, its
+// sealed leaf hashes: the head at size, the inclusion proof of index in
+// it and the consistency proof from old to it must equal the reference
+// byte for byte, and both proofs must verify. old <= size; index < size
+// unless size is 0.
+func checkTree(b *Buffer, leaves []Hash, old, size, index uint64) error {
+	head, err := b.TreeHeadAt(size)
+	if err != nil || head.Root != merkleRoot(leaves[:size]) {
+		return fmt.Errorf("TreeHeadAt(%d) = %v, %v; want root %v", size, head, err, merkleRoot(leaves[:size]))
+	}
+	cp, err := b.ConsistencyProof(old, size)
+	want := []Hash(nil)
+	if old > 0 && old < size {
+		want = consistencyPath(int(old), leaves[:size])
+	}
+	if err != nil || !slices.Equal(cp.Path, want) {
+		return fmt.Errorf("ConsistencyProof(%d, %d) = %v, %v; want %v", old, size, cp.Path, err, want)
+	}
+	oldHead := TreeHead{Size: old, Root: merkleRoot(leaves[:old])}
+	if !VerifyConsistency(oldHead, head, cp) {
+		return fmt.Errorf("ConsistencyProof(%d, %d) does not verify", old, size)
+	}
+	if size == 0 {
+		return nil
+	}
+	ip, err := b.InclusionProof(index, size)
+	want = inclusionPath(int(index), leaves[:size])
+	if err != nil || !slices.Equal(ip.Path, want) {
+		return fmt.Errorf("InclusionProof(%d, %d) = %v, %v; want %v", index, size, ip.Path, err, want)
+	}
+	if !VerifyInclusion(leaves[index], index, head, ip) {
+		return fmt.Errorf("InclusionProof(%d, %d) does not verify", index, size)
+	}
+	return nil
+}
+
+// TestTreeMatchesReference holds every head and proof of a growing log
+// to the reference: the head after every append up to 130 records,
+// every (old, size, index) triple of every log up to 64 records, and
+// random triples on logs of up to 1500 records across random rewrites.
+func TestTreeMatchesReference(t *testing.T) {
+	var b Buffer
+	b.SetSealKey([]byte("oracle"))
+	var leaves []Hash
+	for n := uint64(1); n <= 130; n++ {
+		r := Record{Kind: KindHelloTx, Fields: []Field{FInt("i", int(n))}}
+		b.Append(r)
+		leaves = append(leaves, LeafHash([]byte(r.String())))
+		if head := b.TreeHead(); head.Size != n || head.Root != merkleRoot(leaves) {
+			t.Fatalf("TreeHead at size %d = %v, want root %v", n, head, merkleRoot(leaves))
+		}
+		if n > 64 {
+			continue
+		}
+		// The two proofs depend on (old, size) and (index, size) alone,
+		// so walking both pairs covers every triple.
+		for x := uint64(0); x <= n; x++ {
+			if err := checkTree(&b, leaves, x, n, min(x, n-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(24)) //nolint:gosec // test determinism
+	for s := 0; s < 20; s++ {
+		b := &Buffer{}
+		ref := &refLog{sealed: true, key: DeriveSealKey([]byte("long"))}
+		b.SetSealKey([]byte("long"))
+		for round := 0; round < 3; round++ {
+			for n := rng.Intn(500); n > 0; n-- {
+				r := randomRecord(rng)
+				b.Append(r)
+				ref.append(r)
+			}
+			for i := 0; i < 20 && len(ref.leaves) > 0; i++ {
+				size := 1 + uint64(rng.Intn(len(ref.leaves))) //nolint:gosec // small
+				old := uint64(rng.Intn(int(size) + 1))        //nolint:gosec // small
+				index := uint64(rng.Intn(int(size)))          //nolint:gosec // small
+				if err := checkTree(b, ref.leaves, old, size, index); err != nil {
+					t.Fatalf("log %d round %d: %v", s, round, err)
+				}
+			}
+			stride := uint64(2 + rng.Intn(5)) //nolint:gosec // small
+			var kept []Record
+			for i, r := range ref.recs {
+				if uint64(i)%stride != 0 { //nolint:gosec // i >= 0
+					kept = append(kept, r)
+				}
+			}
+			ref.rewrite(kept)
+			b.Rewrite(func(l Line) bool { return l.Seq%stride != 0 })
+		}
 	}
 }
 

@@ -191,3 +191,35 @@ func FuzzVerifyConsistency(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTreeProofs holds the sealed log's tree to the reference: a log of
+// up to 2048 records, rewritten to keep the records whose sequence number
+// mod 64 is a set bit of keep, must produce the reference head at size,
+// inclusion proof of index and consistency proof from old, byte for
+// byte, and both proofs must verify.
+func FuzzTreeProofs(f *testing.F) {
+	f.Add(uint16(0), ^uint64(0), uint16(0), uint16(0), uint16(0))
+	f.Add(uint16(7), ^uint64(0), uint16(3), uint16(7), uint16(6))
+	f.Add(uint16(64), ^uint64(0), uint16(32), uint16(64), uint16(31))
+	f.Add(uint16(300), uint64(0x5555_5555_5555_5555), uint16(77), uint16(150), uint16(149))
+	f.Add(uint16(2048), uint64(0xffff_0000_ffff_fffe), uint16(1000), uint16(1537), uint16(1024))
+	f.Fuzz(func(t *testing.T, count uint16, keep uint64, old, size, index uint16) {
+		var b Buffer
+		b.SetSealKey([]byte("fuzz"))
+		var leaves []Hash
+		for i := 0; i < int(count)%2049; i++ {
+			r := Record{Kind: KindTCTx, Fields: []Field{FInt("i", i)}}
+			b.Append(r)
+			if keep&(1<<(i%64)) != 0 {
+				leaves = append(leaves, LeafHash([]byte(r.String())))
+			}
+		}
+		b.Rewrite(func(l Line) bool { return keep&(1<<(l.Seq%64)) != 0 })
+		n := uint64(size) % uint64(len(leaves)+1)
+		o := uint64(old) % (n + 1)
+		i := uint64(index) % max(n, 1)
+		if err := checkTree(&b, leaves, o, n, i); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 )
 
 // HashSize is the byte length of every digest used by the sealed log.
@@ -140,62 +141,12 @@ type Proof struct {
 	Path []Hash
 }
 
-// merkleRoot computes the RFC 6962 tree head over leaf hashes.
-func merkleRoot(leaves []Hash) Hash {
-	switch len(leaves) {
-	case 0:
-		// MTH({}) = H(""): the empty tree has a defined head so a brand
-		// new log can already gossip.
-		var out Hash
-		copy(out[:], sha256.New().Sum(nil))
-		return out
-	case 1:
-		return leaves[0]
-	}
-	k := splitPoint(len(leaves))
-	return nodeHash(merkleRoot(leaves[:k]), merkleRoot(leaves[k:]))
-}
+// emptyRoot is MTH({}) = H(""): the empty tree has a defined head so a
+// brand new log can already gossip.
+var emptyRoot = Hash(sha256.Sum256(nil))
 
 // splitPoint returns the largest power of two strictly less than n (n ≥ 2).
-func splitPoint(n int) int {
-	k := 1
-	for k*2 < n {
-		k *= 2
-	}
-	return k
-}
-
-// inclusionPath builds the RFC 6962 audit path for leaf m over leaves.
-func inclusionPath(m int, leaves []Hash) []Hash {
-	if len(leaves) <= 1 {
-		return nil
-	}
-	k := splitPoint(len(leaves))
-	if m < k {
-		return append(inclusionPath(m, leaves[:k]), merkleRoot(leaves[k:]))
-	}
-	return append(inclusionPath(m-k, leaves[k:]), merkleRoot(leaves[:k]))
-}
-
-// consistencyPath builds the RFC 6962 consistency proof between the tree
-// over the first m leaves and the tree over all of them.
-func consistencyPath(m int, leaves []Hash) []Hash {
-	return subProof(m, leaves, true)
-}
-
-func subProof(m int, leaves []Hash, complete bool) []Hash {
-	if m == len(leaves) {
-		if complete {
-			return nil
-		}
-		return []Hash{merkleRoot(leaves)}
-	}
-	k := splitPoint(len(leaves))
-	if m <= k {
-		return append(subProof(m, leaves[:k], complete), merkleRoot(leaves[k:]))
-	}
-	return append(subProof(m-k, leaves[k:], false), merkleRoot(leaves[:k]))
-}
+func splitPoint(n int) int { return 1 << (bits.Len(uint(n-1)) - 1) }
 
 // VerifyInclusion checks that leaf sits at index in the tree head (RFC
 // 9162 §2.1.3.2).
@@ -282,67 +233,104 @@ func VerifyConsistency(old, new TreeHead, proof Proof) bool {
 	return sn == 0 && fr == old.Root && sr == new.Root
 }
 
-// seal is the tamper-evidence state of a Buffer: one leaf and one tag
-// per record (32+32 bytes), indexed by sequence number.
+// seal is the tamper-evidence state of a Buffer: one tag per record and
+// the log's Merkle tree, indexed by sequence number.
 type seal struct {
 	enabled bool   // armed by SetSealKey; unarmed buffers seal nothing
 	key     Hash   // evolving epoch key k_i
 	chain   Hash   // chain head after the last append
-	leaves  []Hash // leaf hash per sequence number
 	tags    []Hash // forward-secure tag per sequence number
 
-	// stack is the RFC 6962 incremental-root state: one perfect-subtree
-	// root per set bit of stackCount, leftmost subtree first. It is
-	// advanced LAZILY — append pays nothing; each TreeHead call folds in
-	// only the leaves sealed since the previous call — so computing the
-	// current root costs O(new leaves) amortized and O(log n) to fold,
-	// instead of an O(n) full recomputation per gossip tick (quadratic
-	// over a run), while a log that never gossips pays nothing at all.
-	stack      []Hash
-	stackCount uint64
+	// levels is the Merkle tree: levels[0] holds the leaf hashes and
+	// levels[l][i] the root of the perfect subtree over leaves
+	// [i<<l, (i+1)<<l). Every head and proof reads its subtree roots from
+	// here (subtree), for under one extra hash per leaf.
+	levels [][]Hash
 }
 
-// advanceStack folds the leaves sealed since the last call into the
-// incremental stack (the standard CT merge: a new leaf collapses one
-// stack level per trailing 1-bit of the leaf count).
-func (s *seal) advanceStack() {
-	for s.stackCount < uint64(len(s.leaves)) {
-		s.stack = append(s.stack, s.leaves[s.stackCount])
-		for m := s.stackCount; m&1 == 1; m >>= 1 {
-			n := len(s.stack)
-			s.stack[n-2] = nodeHash(s.stack[n-2], s.stack[n-1])
-			s.stack = s.stack[:n-1]
+// leaves returns the leaf hash of every sealed record.
+func (s *seal) leaves() []Hash {
+	if len(s.levels) == 0 {
+		return nil
+	}
+	return s.levels[0]
+}
+
+// append seals one record, given as its canonical line prefixed with
+// prefixLeaf: leaf hash, chain step, epoch tag, key evolution, and one
+// node hash per perfect subtree the leaf completes — the per-record hot
+// path BenchmarkSealedAppend prices, with zero allocations (the tags and
+// levels appends amortize into retained capacity).
+//
+//repro:allocfree
+func (s *seal) append(leafInput []byte) {
+	h := Hash(sha256.Sum256(leafInput))
+	s.chain = chainStep(s.chain, h)
+	s.tags = append(s.tags, sealTag(s.key, s.chain))
+	s.key = keyStep(s.key)
+	for l := 0; ; l++ {
+		if l == len(s.levels) {
+			s.levels = append(s.levels, nil)
 		}
-		s.stackCount++
+		level := append(s.levels[l], h)
+		s.levels[l] = level
+		n := len(level)
+		if n%2 == 1 {
+			return
+		}
+		h = nodeHash(level[n-2], level[n-1])
 	}
 }
 
-// root returns the Merkle root over every sealed leaf via the
-// incremental stack.
-func (s *seal) root() Hash {
-	s.advanceStack()
-	if len(s.stack) == 0 {
-		return merkleRoot(nil)
+// subtree returns the RFC 6962 root over leaves [lo, hi). lo must be a
+// multiple of the largest power of two in hi-lo, as it is for every
+// range the RFC recursion visits: the range is then a run of aligned
+// perfect subtrees, one per set bit of hi-lo in decreasing size, each
+// one entry of levels. The root folds them right to left, from the
+// piece of the lowest set bit, in O(log n) hashes.
+func (s *seal) subtree(lo, hi int) Hash {
+	if lo == hi {
+		return emptyRoot
 	}
-	r := s.stack[len(s.stack)-1]
-	for i := len(s.stack) - 2; i >= 0; i-- {
-		r = nodeHash(s.stack[i], r)
+	l := bits.TrailingZeros(uint(hi - lo))
+	hi -= 1 << l
+	r := s.levels[l][hi>>l]
+	for hi > lo {
+		l = bits.TrailingZeros(uint(hi - lo))
+		hi -= 1 << l
+		r = nodeHash(s.levels[l][hi>>l], r)
 	}
 	return r
 }
 
-// append seals one record, given as its canonical line prefixed with
-// prefixLeaf: leaf hash, chain step, epoch tag, key evolution — the
-// per-record hot path BenchmarkSealedAppend prices, with zero
-// allocations (leaves/tags appends amortize into retained capacity).
-//
-//repro:allocfree
-func (s *seal) append(leafInput []byte) {
-	leaf := Hash(sha256.Sum256(leafInput))
-	s.chain = chainStep(s.chain, leaf)
-	s.leaves = append(s.leaves, leaf)
-	s.tags = append(s.tags, sealTag(s.key, s.chain))
-	s.key = keyStep(s.key)
+// inclusionPath builds the RFC 6962 audit path for leaf m of the tree
+// over leaves [lo, hi).
+func (s *seal) inclusionPath(m, lo, hi int) []Hash {
+	if hi-lo <= 1 {
+		return nil
+	}
+	k := lo + splitPoint(hi-lo)
+	if m < k {
+		return append(s.inclusionPath(m, lo, k), s.subtree(k, hi))
+	}
+	return append(s.inclusionPath(m, k, hi), s.subtree(lo, k))
+}
+
+// subProof builds the RFC 6962 SUBPROOF between the tree over leaves
+// [lo, m) and the tree over [lo, hi); complete says whether [lo, m) is a
+// whole tree the verifier already holds the root of.
+func (s *seal) subProof(m, lo, hi int, complete bool) []Hash {
+	if m == hi {
+		if complete {
+			return nil
+		}
+		return []Hash{s.subtree(lo, hi)}
+	}
+	k := lo + splitPoint(hi-lo)
+	if m <= k {
+		return append(s.subProof(m, lo, k, complete), s.subtree(k, hi))
+	}
+	return append(s.subProof(m, k, hi, false), s.subtree(lo, k))
 }
 
 // SetSealKey arms sealing with the initial key k_0, derived from
@@ -363,7 +351,7 @@ func (b *Buffer) SetSealKey(material []byte) {
 
 // SealedSize returns how many records have been sealed — the size of the
 // current tree head, equal to NextSeq for an unrewritten log.
-func (b *Buffer) SealedSize() uint64 { return uint64(len(b.seal.leaves)) }
+func (b *Buffer) SealedSize() uint64 { return uint64(len(b.seal.leaves())) }
 
 // ChainHead returns the forward-secure chain head over every sealed
 // record.
@@ -380,48 +368,44 @@ func (b *Buffer) SealTag(index uint64) (Hash, bool) {
 
 // LeafAt returns the leaf hash of the record at the given index.
 func (b *Buffer) LeafAt(index uint64) (Hash, bool) {
-	if index >= uint64(len(b.seal.leaves)) {
+	leaves := b.seal.leaves()
+	if index >= uint64(len(leaves)) {
 		return Hash{}, false
 	}
-	return b.seal.leaves[index], true
+	return leaves[index], true
 }
 
-// TreeHead returns the Merkle head over every sealed record. Amortized
-// cost is one node hash per record sealed since the previous call (the
-// incremental stack); proofs, by contrast, recompute over the leaf
-// prefix they cover — they are per-investigation, not per-tick.
+// TreeHead returns the Merkle head over every sealed record.
 func (b *Buffer) TreeHead() TreeHead {
-	return TreeHead{
-		Size: uint64(len(b.seal.leaves)),
-		Root: b.seal.root(),
-	}
+	n := len(b.seal.leaves())
+	return TreeHead{Size: uint64(n), Root: b.seal.subtree(0, n)}
 }
 
 // TreeHeadAt returns the head the log had when it held size records.
 func (b *Buffer) TreeHeadAt(size uint64) (TreeHead, error) {
-	if size > uint64(len(b.seal.leaves)) {
-		return TreeHead{}, fmt.Errorf("auditlog: tree head at %d exceeds sealed size %d", size, len(b.seal.leaves))
+	if n := b.SealedSize(); size > n {
+		return TreeHead{}, fmt.Errorf("auditlog: tree head at %d exceeds sealed size %d", size, n)
 	}
-	return TreeHead{Size: size, Root: merkleRoot(b.seal.leaves[:size])}, nil
+	return TreeHead{Size: size, Root: b.seal.subtree(0, int(size))}, nil //nolint:gosec // bounded by len
 }
 
 // InclusionProof proves that the record at index is a leaf of the tree
 // with the given size.
 func (b *Buffer) InclusionProof(index, size uint64) (Proof, error) {
-	if size > uint64(len(b.seal.leaves)) {
-		return Proof{}, fmt.Errorf("auditlog: inclusion proof for size %d exceeds sealed size %d", size, len(b.seal.leaves))
+	if n := b.SealedSize(); size > n {
+		return Proof{}, fmt.Errorf("auditlog: inclusion proof for size %d exceeds sealed size %d", size, n)
 	}
 	if index >= size {
 		return Proof{}, fmt.Errorf("auditlog: inclusion index %d outside tree of size %d", index, size)
 	}
-	return Proof{Path: inclusionPath(int(index), b.seal.leaves[:size])}, nil //nolint:gosec // bounded by len
+	return Proof{Path: b.seal.inclusionPath(int(index), 0, int(size))}, nil //nolint:gosec // bounded by len
 }
 
 // ConsistencyProof proves that the tree of size newSize extends the tree
 // of size oldSize append-only.
 func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
-	if newSize > uint64(len(b.seal.leaves)) {
-		return Proof{}, fmt.Errorf("auditlog: consistency proof for size %d exceeds sealed size %d", newSize, len(b.seal.leaves))
+	if n := b.SealedSize(); newSize > n {
+		return Proof{}, fmt.Errorf("auditlog: consistency proof for size %d exceeds sealed size %d", newSize, n)
 	}
 	if oldSize > newSize {
 		return Proof{}, fmt.Errorf("auditlog: consistency proof %d -> %d shrinks", oldSize, newSize)
@@ -429,7 +413,7 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 	if oldSize == 0 || oldSize == newSize {
 		return Proof{}, nil
 	}
-	return Proof{Path: consistencyPath(int(oldSize), b.seal.leaves[:newSize])}, nil //nolint:gosec // bounded by len
+	return Proof{Path: b.seal.subProof(int(oldSize), 0, int(newSize), true)}, nil //nolint:gosec // bounded by len
 }
 
 // Rewrite is the ATTACKER's operation: it keeps the records keep
@@ -459,10 +443,10 @@ func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 		return
 	}
 	b.seal.chain = Hash{}
-	b.seal.leaves = b.seal.leaves[:0]
 	b.seal.tags = b.seal.tags[:0]
-	b.seal.stack = b.seal.stack[:0]
-	b.seal.stackCount = 0
+	for l := range b.seal.levels {
+		b.seal.levels[l] = b.seal.levels[l][:0]
+	}
 	for i := range b.refs {
 		b.scratch = append(append(b.scratch[:0], prefixLeaf), b.line(i).Text...)
 		b.seal.append(b.scratch)
