@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -147,7 +148,7 @@ func TestCtrlDecodeBoundsCitationCount(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := decodeCtrlMsg(frame)
 	runtime.ReadMemStats(&after)
-	if err != errCtrlTruncated {
+	if !errors.Is(err, errCtrlTruncated) {
 		t.Fatalf("decode error %v, want %v", err, errCtrlTruncated)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
