@@ -103,6 +103,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzVerifyInclusion$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzVerifyConsistency$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzTreeProofs$$' -fuzztime=30s ./internal/auditlog
+	$(GO) test -fuzz='^FuzzTypedFields$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzLineEvent$$' -fuzztime=30s ./internal/logevent
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,6 +156,38 @@ func TestAllocCeilingOLSRHello(t *testing.T) {
 	allocCeiling(t, "olsr.Node HELLO refresh", 0, f.refresh)
 	if st := f.node.Stats(); st.MsgRx < 100*uint64(len(floodNbrs)) {
 		t.Fatalf("the refreshes were not received: %+v", st)
+	}
+}
+
+// TestAllocCeilingAuditAppend pins the audit-log write path: on a warm
+// unsealed log, appending a TC_RX record built from typed fields — the
+// originator, the ANSN and a 20-node advertised list — renders it into
+// the chunk with no intermediate string and allocates nothing (chunk and
+// index growth amortize to under one allocation per call).
+func TestAllocCeilingAuditAppend(t *testing.T) {
+	var b auditlog.Buffer
+	adv := make([]addr.Node, 20)
+	for i := range adv {
+		adv[i] = addr.NodeAt(3 + 7*i)
+	}
+	// The record is built per call, as the OLSR agent builds it per event.
+	appendTCRx := func() {
+		b.Append(auditlog.Record{
+			T: 2500 * time.Millisecond, Node: addr.NodeAt(1), Kind: auditlog.KindTCRx,
+			Fields: []auditlog.Field{
+				auditlog.FNode("orig", addr.NodeAt(2)),
+				auditlog.FInt("ansn", 7),
+				auditlog.FNodes("adv", adv),
+			},
+		})
+	}
+	for i := 0; i < 5000; i++ {
+		appendTCRx()
+	}
+	allocCeiling(t, "auditlog.Buffer.Append TC_RX", 0, appendTCRx)
+	l, _ := b.LineAt(b.NextSeq() - 1)
+	if want := "t=2.500s node=10.0.0.1 kind=TC_RX orig=10.0.0.2 ansn=7 adv=10.0.0.3,10.0.0.10,"; !strings.HasPrefix(l.Text, want) {
+		t.Fatalf("stored %q, want prefix %q", l.Text, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package addr
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -23,6 +25,42 @@ func TestNodeString(t *testing.T) {
 				t.Errorf("String() = %q, want %q", got, tt.want)
 			}
 		})
+	}
+}
+
+// TestAppendTextMatchesArithmetic holds the interned fast path of
+// AppendText to the dotted quad computed from the octets, on every
+// interned host, the first host past them, None, Broadcast and random
+// addresses, and to String on each.
+func TestAppendTextMatchesArithmetic(t *testing.T) {
+	quad := func(n Node) string {
+		if n == Broadcast {
+			return "*"
+		}
+		return fmt.Sprintf("%d.%d.%d.%d", n>>24, n>>16&0xff, n>>8&0xff, n&0xff)
+	}
+	check := func(n Node) {
+		t.Helper()
+		want := quad(n)
+		if got := string(n.AppendText([]byte("x="))); got != "x="+want {
+			t.Fatalf("AppendText(%#x) = %q, want %q", uint32(n), got, "x="+want)
+		}
+		if got := n.String(); got != want {
+			t.Fatalf("String(%#x) = %q, want %q", uint32(n), got, want)
+		}
+	}
+	for i := 0; i < internedHosts; i++ {
+		check(NodeAt(i))
+	}
+	if n := NodeAt(internedHosts); n.String() != "10.0.4.0" {
+		t.Fatalf("first host past the interned ones is %v, want 10.0.4.0", n)
+	}
+	for _, n := range []Node{NodeAt(internedHosts), None, Broadcast, Broadcast - 1, 0x0a000000 - 1} {
+		check(n)
+	}
+	rng := rand.New(rand.NewSource(7)) //nolint:gosec // test determinism
+	for i := 0; i < 100_000; i++ {
+		check(Node(rng.Uint32()))
 	}
 }
 

@@ -42,40 +42,89 @@ const (
 	KindBadPacket    Kind = "BAD_PACKET"
 )
 
-// Field is one key=value pair of a record. Keys and values may contain
-// arbitrary bytes — the codec percent-escapes the separator characters —
-// but conventional values are plain tokens; lists are comma-separated.
+// Field is one key=value pair of a record. Keys and free-text values may
+// contain arbitrary bytes — the codec percent-escapes the separator
+// characters — but conventional values are plain tokens; lists are
+// comma-separated.
+//
+// F builds a free-text field. FNode, FNodes and FInt keep their value
+// typed and render it into the record's line when the line is rendered:
+// an address, a list or an integer holds no byte that needs escaping, so
+// it is written straight into the line with no string built first. A
+// decoded record's fields are all free text; Get and the typed accessors
+// return the same values for a built record and for its decoded twin.
 type Field struct {
-	Key, Value string
+	Key   string
+	text  string      // formText: the value
+	nodes []addr.Node // formNodes: aliases the caller's slice
+	num   int         // formInt
+	node  addr.Node   // formNode
+	form  fieldForm
 }
 
-// F builds a plain string field.
-func F(key, value string) Field { return Field{Key: key, Value: value} }
+// fieldForm says which of a Field's value slots holds its value.
+type fieldForm uint8
+
+const (
+	formText fieldForm = iota // the zero Field is an empty free-text field
+	formNode
+	formNodes
+	formInt
+)
+
+// F builds a free-text field.
+func F(key, value string) Field { return Field{Key: key, text: value} }
 
 // FNode builds a field holding one node address.
-func FNode(key string, n addr.Node) Field { return Field{Key: key, Value: n.String()} }
+func FNode(key string, n addr.Node) Field { return Field{Key: key, node: n, form: formNode} }
 
 // FNodes builds a field holding a comma-separated node list in the given
-// order (callers sort for determinism). The render goes through one
-// buffer — no per-node String allocations — and is byte-identical to
-// joining the individual renderings.
+// order (callers sort for determinism). The field aliases nodes and
+// renders them when its record is rendered, so the caller must not
+// modify nodes before then.
 func FNodes(key string, nodes []addr.Node) Field {
-	if len(nodes) == 0 {
-		return Field{Key: key}
-	}
-	var arr [256]byte // typical lists fit on the stack; append spills if not
-	b := arr[:0]
-	for i, n := range nodes {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = n.AppendText(b)
-	}
-	return Field{Key: key, Value: string(b)}
+	return Field{Key: key, nodes: nodes, form: formNodes}
 }
 
 // FInt builds an integer field.
-func FInt(key string, v int) Field { return Field{Key: key, Value: strconv.Itoa(v)} }
+func FInt(key string, v int) Field { return Field{Key: key, num: v, form: formInt} }
+
+// value returns the field's value as its record's line renders it,
+// before escaping.
+func (f *Field) value() string {
+	switch f.form {
+	case formNode:
+		return f.node.String()
+	case formNodes:
+		return string(f.appendValue(nil))
+	case formInt:
+		return strconv.Itoa(f.num)
+	}
+	return f.text
+}
+
+// appendValue appends the field's value as the line renders it: free
+// text escaped, typed values written straight in, since no address,
+// comma or integer needs escaping.
+//
+//repro:allocfree
+func (f *Field) appendValue(b []byte) []byte {
+	switch f.form {
+	case formNode:
+		return f.node.AppendText(b)
+	case formNodes:
+		for i, n := range f.nodes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = n.AppendText(b)
+		}
+		return b
+	case formInt:
+		return strconv.AppendInt(b, int64(f.num), 10)
+	}
+	return appendEscaped(b, f.text)
+}
 
 // Record is one audit log entry.
 type Record struct {
@@ -87,9 +136,9 @@ type Record struct {
 
 // Get returns the value of the first field with the given key.
 func (r *Record) Get(key string) (string, bool) {
-	for _, f := range r.Fields {
-		if f.Key == key {
-			return f.Value, true
+	for i := range r.Fields {
+		if f := &r.Fields[i]; f.Key == key {
+			return f.value(), true
 		}
 	}
 	return "", false
@@ -156,8 +205,9 @@ func needsEscape(r rune) bool {
 
 // appendEscaped appends s to b, percent-escaping the separator runes
 // (each UTF-8 byte individually) so any string survives the line codec.
-// Ordinary protocol tokens (addresses, kinds, integers) contain none and
-// are appended verbatim.
+// It renders kinds, keys and free-text values; the protocol's own
+// (constant kinds and keys, reason words) contain none and are appended
+// verbatim after one plainASCII scan.
 func appendEscaped(b []byte, s string) []byte {
 	if plainASCII(s) || strings.IndexFunc(s, needsEscape) < 0 {
 		return append(b, s...)
@@ -258,6 +308,8 @@ func (r *Record) String() string {
 // appendLine appends the String rendering to b — every Buffer.Append
 // renders its record's line, so the renderer must not allocate per
 // record.
+//
+//repro:allocfree
 func (r *Record) appendLine(b []byte) []byte {
 	b = append(b, "t="...)
 	b = appendSeconds(b, r.T)
@@ -265,11 +317,12 @@ func (r *Record) appendLine(b []byte) []byte {
 	b = r.Node.AppendText(b)
 	b = append(b, " kind="...)
 	b = appendEscaped(b, string(r.Kind))
-	for _, f := range r.Fields {
+	for i := range r.Fields {
+		f := &r.Fields[i]
 		b = append(b, ' ')
 		b = appendEscaped(b, f.Key)
 		b = append(b, '=')
-		b = appendEscaped(b, f.Value)
+		b = f.appendValue(b)
 	}
 	return b
 }
@@ -363,7 +416,7 @@ func ParseLine(line string) (Record, error) {
 			if err != nil {
 				return fail(tok, "bad field value", err)
 			}
-			r.Fields = append(r.Fields, Field{Key: key, Value: val})
+			r.Fields = append(r.Fields, F(key, val))
 		}
 	}
 	if r.Kind == "" {

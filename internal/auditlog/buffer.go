@@ -16,8 +16,8 @@ import (
 //
 // Each record is stored once, as its canonical line (Record.String), the
 // text a routing daemon would have written. The lines live in append-only
-// byte chunks; a pointer-free index keeps each record's exact time (the
-// line renders milliseconds), its node and where its line lies.
+// byte chunks; a pointer-free index, in pages, keeps each record's exact
+// time (the line renders milliseconds), its node and where its line lies.
 // Readers take the lines as they are: the detector parses them
 // (logevent.Parse), citations, Export and Dump return them, and sealing
 // hashes them. Since decodes them back into Records — exactly, because
@@ -34,9 +34,14 @@ type Buffer struct {
 	// chunks hold the lines. A chunk is only ever appended to, and a byte
 	// once written is never written again, which is what lets a Line's
 	// Text alias it.
-	chunks  [][]byte
-	refs    []lineRef // one per record, oldest first
-	scratch []byte    // leaf prefix followed by the line being stored
+	chunks [][]byte
+	// pages index the records, oldest first, pageRefs to a page: record
+	// i is pages[i/pageRefs][i%pageRefs]. Every page but the last is
+	// full. The first page grows by append, so a short log costs no more
+	// than one slice; every later page is made at full size, so a long
+	// log's index is never copied as it grows.
+	pages   [][]lineRef
+	scratch []byte // leaf prefix followed by the line being stored
 	seal    seal
 	// onSeal, when set, observes each sealed record's sequence number
 	// (the run-trace plane hooks here). It never fires on an unarmed
@@ -60,6 +65,9 @@ const (
 	firstChunk = 256
 	maxChunk   = 64 << 10
 )
+
+// pageRefs is the number of index entries in a page (96 KiB).
+const pageRefs = 1 << 12
 
 // SetOnSeal installs an observer called with the sequence number of
 // every record sealed into the hash chain. Observation only.
@@ -104,7 +112,7 @@ func (b *Buffer) reserve(t time.Duration, node addr.Node, n int) []byte {
 	}
 	c := b.chunks[last]
 	off := len(c)
-	b.refs = append(b.refs, lineRef{
+	b.pushRef(lineRef{
 		t: t, node: node,
 		chunk: uint32(last), //nolint:gosec // chunk count fits
 		off:   uint32(off),  //nolint:gosec // off < maxChunk or a lone line
@@ -114,9 +122,38 @@ func (b *Buffer) reserve(t time.Duration, node addr.Node, n int) []byte {
 	return b.chunks[last][off:]
 }
 
-// line returns the record at index i of refs.
+// pushRef appends ref to the index, opening a full-size page when the
+// last one is full.
+func (b *Buffer) pushRef(ref lineRef) {
+	last := len(b.pages) - 1
+	if last < 0 || len(b.pages[last]) == pageRefs {
+		var p []lineRef // the first page grows by append
+		if last >= 0 {
+			p = make([]lineRef, 0, pageRefs)
+		}
+		b.pages = append(b.pages, p)
+		last++
+	}
+	b.pages[last] = append(b.pages[last], ref)
+}
+
+// ref returns the index entry of record i.
+func (b *Buffer) ref(i int) *lineRef { return &b.pages[i/pageRefs][i%pageRefs] }
+
+// truncate drops the index entries of records n and later, and the pages
+// left empty.
+func (b *Buffer) truncate(n int) {
+	np := (n + pageRefs - 1) / pageRefs
+	clear(b.pages[np:])
+	b.pages = b.pages[:np]
+	if np > 0 {
+		b.pages[np-1] = b.pages[np-1][:n-(np-1)*pageRefs]
+	}
+}
+
+// line returns record i.
 func (b *Buffer) line(i int) Line {
-	ref := b.refs[i]
+	ref := b.ref(i)
 	c := b.chunks[ref.chunk]
 	return Line{
 		Seq:  uint64(i), //nolint:gosec // i >= 0
@@ -127,10 +164,15 @@ func (b *Buffer) line(i int) Line {
 }
 
 // Len returns the number of records.
-func (b *Buffer) Len() int { return len(b.refs) }
+func (b *Buffer) Len() int {
+	if len(b.pages) == 0 {
+		return 0
+	}
+	return (len(b.pages)-1)*pageRefs + len(b.pages[len(b.pages)-1])
+}
 
 // NextSeq returns the sequence number the next appended record will get.
-func (b *Buffer) NextSeq() uint64 { return uint64(len(b.refs)) }
+func (b *Buffer) NextSeq() uint64 { return uint64(b.Len()) }
 
 // LineAt returns the record with sequence number seq, or false when seq
 // is not yet appended.
@@ -147,9 +189,9 @@ func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
 	if seq >= b.NextSeq() {
 		return nil, b.NextSeq()
 	}
-	start := int(seq) //nolint:gosec // bounded by len
-	out := make([]Record, 0, len(b.refs)-start)
-	for i := start; i < len(b.refs); i++ {
+	start, n := int(seq), b.Len() //nolint:gosec // bounded by len
+	out := make([]Record, 0, n-start)
+	for i := start; i < n; i++ {
 		l := b.line(i)
 		r, err := ParseLine(l.Text)
 		if err != nil {
@@ -163,13 +205,15 @@ func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
 
 // Dump renders every record, one per line.
 func (b *Buffer) Dump() string {
-	n := 0
-	for _, ref := range b.refs {
-		n += int(ref.n) + 1
+	size := 0
+	for _, p := range b.pages {
+		for _, ref := range p {
+			size += int(ref.n) + 1
+		}
 	}
 	var sb strings.Builder
-	sb.Grow(n)
-	for i := range b.refs {
+	sb.Grow(size)
+	for i := range b.Len() {
 		sb.WriteString(b.line(i).Text)
 		sb.WriteByte('\n')
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,10 +98,10 @@ func randomHostileRecord(rng *rand.Rand) Record {
 		r.Node = addr.Node(rng.Uint32())
 	}
 	for n := rng.Intn(5); n > 0; n-- {
-		r.Fields = append(r.Fields, Field{
-			Key:   hostileValues[rng.Intn(len(hostileValues))],
-			Value: hostileValues[rng.Intn(len(hostileValues))],
-		})
+		r.Fields = append(r.Fields, F(
+			hostileValues[rng.Intn(len(hostileValues))],
+			hostileValues[rng.Intn(len(hostileValues))],
+		))
 	}
 	return r
 }
@@ -112,11 +113,122 @@ func sameRecord(a, b Record) bool {
 		return false
 	}
 	for i := range a.Fields {
-		if a.Fields[i] != b.Fields[i] {
+		if fieldText(a.Fields[i]) != fieldText(b.Fields[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// refHarness drives one op sequence through a Buffer and the reference.
+type refHarness struct {
+	t        *testing.T
+	s        int // the sequence number, for failure messages
+	rng      *rand.Rand
+	b        *Buffer
+	ref      *refLog
+	cur      *Cursor
+	observed []uint64 // what SetOnSeal saw
+}
+
+// newRefHarness starts sequence s on an empty buffer, sealed or not as
+// rng draws.
+func newRefHarness(t *testing.T, s int, rng *rand.Rand) *refHarness {
+	h := &refHarness{t: t, s: s, rng: rng, b: &Buffer{}, ref: &refLog{}}
+	if rng.Intn(2) == 0 {
+		material := []byte(fmt.Sprintf("key-%d", s))
+		h.b.SetSealKey(material)
+		h.b.SetOnSeal(func(seq uint64) { h.observed = append(h.observed, seq) })
+		h.ref.sealed, h.ref.key = true, DeriveSealKey(material)
+	}
+	h.cur = NewCursor(h.b)
+	return h
+}
+
+func (h *refHarness) fail(op string, format string, args ...any) {
+	h.t.Helper()
+	h.t.Fatalf("sequence %d (sealed %v, %d records), %s: %s", h.s, h.ref.sealed, len(h.ref.recs), op, fmt.Sprintf(format, args...))
+}
+
+// appendRecord appends r to both logs.
+func (h *refHarness) appendRecord(r Record) {
+	h.b.Append(r)
+	h.ref.append(r)
+}
+
+// rewrite erases the records erase accepts from both logs and appends
+// add after the survivors, as a forger does.
+func (h *refHarness) rewrite(erase func(seq uint64, kind Kind) bool, add []Record) {
+	all, _ := h.ref.since(0)
+	var kept []Record
+	for i, r := range all {
+		if !erase(uint64(i), r.Kind) { //nolint:gosec // i >= 0
+			kept = append(kept, r)
+		}
+	}
+	h.ref.rewrite(append(kept, add...))
+	h.b.Rewrite(func(l Line) bool { return !erase(l.Seq, l.Kind()) }, add...)
+}
+
+// step runs one random op — an append of burst hostile records, a cursor
+// read, a Since, or a forger-style rewrite — and then compares every
+// observable.
+func (h *refHarness) step(burst int) {
+	rng := h.rng
+	switch k := rng.Intn(10); {
+	case k < 6:
+		for n := burst; n > 0; n-- {
+			h.appendRecord(randomHostileRecord(rng))
+		}
+	case k < 7:
+		want := h.ref.read()
+		got := readAll(h.cur)
+		if len(got) != len(want) {
+			h.fail("cursor", "read %d lines, want %d", len(got), len(want))
+		}
+		first := h.ref.cursorNext - uint64(len(want)) //nolint:gosec // len >= 0
+		for i := range got {
+			if got[i].Text != want[i].String() || got[i].T != want[i].T ||
+				got[i].Node != want[i].Node || got[i].Seq != first+uint64(i) { //nolint:gosec // i >= 0
+				h.fail("cursor", "line %d = %+v, want %q", i, got[i], want[i].String())
+			}
+		}
+	case k < 8:
+		seq := uint64(rng.Int63n(int64(h.ref.nextSeq()) + 3)) //nolint:gosec // small
+		got, gnext := h.b.Since(seq)
+		want, wnext := h.ref.since(seq)
+		if gnext != wnext || len(got) != len(want) {
+			h.fail("since", "Since(%d) = %d recs next %d, want %d next %d", seq, len(got), gnext, len(want), wnext)
+		}
+		for i := range got {
+			if !sameRecord(got[i], want[i]) {
+				h.fail("since", "record %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	default:
+		// Erase by kind or by position and plant fresh records after the
+		// survivors.
+		victim := randomHostileRecord(rng).Kind
+		stride := uint64(2 + rng.Intn(4)) //nolint:gosec // small
+		var add []Record
+		for n := rng.Intn(3); n > 0; n-- {
+			add = append(add, randomHostileRecord(rng))
+		}
+		h.rewrite(func(seq uint64, kind Kind) bool { return kind == victim || seq%stride == 0 }, add)
+	}
+	h.check()
+}
+
+func (h *refHarness) check() {
+	h.t.Helper()
+	checkAgainstReference(h.t, h.b, h.ref, h.fail, h.rng)
+}
+
+// finish checks what the seal observer saw over the whole sequence.
+func (h *refHarness) finish() {
+	if fmt.Sprint(h.observed) != fmt.Sprint(h.ref.sealObserved) {
+		h.t.Fatalf("sequence %d: onSeal saw %v, want %v", h.s, h.observed, h.ref.sealObserved)
+	}
 }
 
 // TestBufferMatchesReference runs random op sequences — appends of
@@ -127,76 +239,80 @@ func TestBufferMatchesReference(t *testing.T) {
 	const sequences = 1200
 	for s := 0; s < sequences; s++ {
 		rng := rand.New(rand.NewSource(int64(9100 + s))) //nolint:gosec // test determinism
-		b := &Buffer{}
-		ref := &refLog{}
-		var observed []uint64
-		if rng.Intn(2) == 0 {
-			material := []byte(fmt.Sprintf("key-%d", s))
-			b.SetSealKey(material)
-			b.SetOnSeal(func(seq uint64) { observed = append(observed, seq) })
-			ref.sealed, ref.key = true, DeriveSealKey(material)
-		}
-		cur := NewCursor(b)
-		fail := func(op string, format string, args ...any) {
-			t.Helper()
-			t.Fatalf("sequence %d (sealed %v), %s: %s", s, ref.sealed, op, fmt.Sprintf(format, args...))
-		}
+		h := newRefHarness(t, s, rng)
 		for op := 0; op < 5+rng.Intn(60); op++ {
-			switch k := rng.Intn(10); {
-			case k < 6:
-				r := randomHostileRecord(rng)
-				b.Append(r)
-				ref.append(r)
-			case k < 7:
-				want := ref.read()
-				got := readAll(cur)
-				if len(got) != len(want) {
-					fail("cursor", "read %d lines, want %d", len(got), len(want))
-				}
-				first := ref.cursorNext - uint64(len(want)) //nolint:gosec // len >= 0
-				for i := range got {
-					if got[i].Text != want[i].String() || got[i].T != want[i].T ||
-						got[i].Node != want[i].Node || got[i].Seq != first+uint64(i) { //nolint:gosec // i >= 0
-						fail("cursor", "line %d = %+v, want %q", i, got[i], want[i].String())
-					}
-				}
-			case k < 8:
-				seq := uint64(rng.Int63n(int64(ref.nextSeq()) + 3)) //nolint:gosec // small
-				got, gnext := b.Since(seq)
-				want, wnext := ref.since(seq)
-				if gnext != wnext || len(got) != len(want) {
-					fail("since", "Since(%d) = %d recs next %d, want %d next %d", seq, len(got), gnext, len(want), wnext)
-				}
-				for i := range got {
-					if !sameRecord(got[i], want[i]) {
-						fail("since", "record %d = %+v, want %+v", i, got[i], want[i])
-					}
-				}
-			default:
-				// A forger-style rewrite: erase by kind or by position and
-				// plant fresh records after the survivors.
-				victim := randomHostileRecord(rng).Kind
-				stride := uint64(2 + rng.Intn(4)) //nolint:gosec // small
-				erase := func(seq uint64, kind Kind) bool { return kind == victim || seq%stride == 0 }
-				var add []Record
-				for n := rng.Intn(3); n > 0; n-- {
-					add = append(add, randomHostileRecord(rng))
-				}
-				all, _ := ref.since(0)
-				var kept []Record
-				for i, r := range all {
-					if !erase(uint64(i), r.Kind) { //nolint:gosec // i >= 0
-						kept = append(kept, r)
-					}
-				}
-				ref.rewrite(append(kept, add...))
-				b.Rewrite(func(l Line) bool { return !erase(l.Seq, l.Kind()) }, add...)
+			h.step(1)
+		}
+		h.finish()
+	}
+}
+
+// randomTypedRecord builds a TC_RX-style record from typed fields, with
+// addresses inside and past the interned hosts.
+func randomTypedRecord(rng *rand.Rand) Record {
+	adv := make([]addr.Node, rng.Intn(25))
+	for i := range adv {
+		adv[i] = addr.NodeAt(1 + rng.Intn(1100))
+	}
+	return Record{
+		T:    time.Duration(rng.Int63n(int64(time.Hour))),
+		Node: addr.NodeAt(1 + rng.Intn(1100)),
+		Kind: KindTCRx,
+		Fields: []Field{
+			FNode("orig", addr.NodeAt(1+rng.Intn(1100))),
+			FInt("ansn", rng.Intn(1<<16)),
+			FNodes("adv", adv),
+		},
+	}
+}
+
+// TestBufferPagesMatchReference runs op sequences long enough that the
+// index spans more than two pages: appends come in bursts of up to a
+// page, mixing typed and hostile records, between the usual reads and
+// rewrites. Each log then takes two boundary rewrites: one drops
+// records on both sides of the first two page boundaries, one drops more
+// than a page so the index loses a page, and each is followed by
+// appends that cross a boundary again.
+func TestBufferPagesMatchReference(t *testing.T) {
+	for s := 0; s < 4; s++ {
+		rng := rand.New(rand.NewSource(int64(9900 + s))) //nolint:gosec // test determinism
+		h := newRefHarness(t, s, rng)
+		for h.ref.nextSeq() < 2*pageRefs+pageRefs/2 {
+			h.step(1 + rng.Intn(pageRefs))
+			for n := rng.Intn(pageRefs / 2); n > 0; n-- {
+				h.appendRecord(randomTypedRecord(rng))
 			}
-			checkAgainstReference(t, b, ref, fail, rng)
 		}
-		if fmt.Sprint(observed) != fmt.Sprint(ref.sealObserved) {
-			t.Fatalf("sequence %d: onSeal saw %v, want %v", s, observed, ref.sealObserved)
+		if len(h.b.pages) < 3 {
+			t.Fatalf("sequence %d: %d records span %d pages, want at least 3", s, h.b.Len(), len(h.b.pages))
 		}
+		around := func(seq uint64, boundaries ...uint64) bool {
+			for _, p := range boundaries {
+				if seq+2 >= p && seq <= p+1 {
+					return true
+				}
+			}
+			return false
+		}
+		h.rewrite(func(seq uint64, _ Kind) bool { return around(seq, pageRefs, 2*pageRefs) },
+			[]Record{randomTypedRecord(rng), randomHostileRecord(rng)})
+		h.check()
+		for n := 0; n < 16; n++ {
+			h.appendRecord(randomTypedRecord(rng))
+		}
+		h.check()
+		pages := len(h.b.pages)
+		h.rewrite(func(seq uint64, _ Kind) bool { return seq >= pageRefs-10 && seq < 2*pageRefs+10 }, nil)
+		if len(h.b.pages) >= pages {
+			t.Fatalf("sequence %d: dropping over a page left %d pages of %d", s, len(h.b.pages), pages)
+		}
+		h.check()
+		for n := 0; n < pageRefs/2; n++ {
+			h.appendRecord(randomTypedRecord(rng))
+		}
+		h.step(1)
+		h.step(1)
+		h.finish()
 	}
 }
 
@@ -205,12 +321,12 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 	if b.Len() != len(ref.recs) || b.NextSeq() != ref.nextSeq() {
 		fail("size", "Len %d NextSeq %d, want %d %d", b.Len(), b.NextSeq(), len(ref.recs), ref.nextSeq())
 	}
-	var dump string
+	var dump strings.Builder
 	for _, r := range ref.recs {
-		dump += r.String() + "\n"
+		dump.WriteString(r.String() + "\n")
 	}
-	if got := b.Dump(); got != dump {
-		fail("dump", "%q, want %q", got, dump)
+	if got := b.Dump(); got != dump.String() {
+		fail("dump", "%q, want %q", got, dump.String())
 	}
 	for i, r := range ref.recs {
 		seq := uint64(i) //nolint:gosec // i >= 0

@@ -1,8 +1,11 @@
 package auditlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,7 +68,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			T:      time.Duration(ms) * time.Millisecond,
 			Node:   addr.NodeAt(1 + int(uint64(ms)%250)), //nolint:gosec // bounded
 			Kind:   Kind(kind),
-			Fields: []Field{{Key: k1, Value: v1}, {Key: k2, Value: v2}},
+			Fields: []Field{F(k1, v1), F(k2, v2)},
 		}
 		got, err := ParseLine(r.String())
 		if err != nil {
@@ -78,8 +81,98 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			t.Fatalf("field count changed: got %+v want %+v (line %q)", got.Fields, r.Fields, r.String())
 		}
 		for i := range r.Fields {
-			if got.Fields[i] != r.Fields[i] {
-				t.Fatalf("field %d changed: got %+v want %+v (line %q)", i, got.Fields[i], r.Fields[i], r.String())
+			if g, w := fieldText(got.Fields[i]), fieldText(r.Fields[i]); g != w {
+				t.Fatalf("field %d changed: got %q want %q (line %q)", i, g, w, r.String())
+			}
+		}
+	})
+}
+
+// FuzzTypedFields holds the typed fields to the free-text rendering they
+// replace. raw is read five bytes to a node: a selector byte picks None
+// or Broadcast, a host in or past the interned range, any address, or a
+// repeat of the previous node, and the next four bytes give the value.
+// FNodes of the list must render byte-identically to F of the
+// comma-joined Strings, FNode of its first node to F of its String, and
+// FInt to F of strconv.Itoa; the line must decode back, through
+// ParseLine and through a Buffer's Line, to the same nodes and integer.
+func FuzzTypedFields(f *testing.F) {
+	f.Add("adv", []byte{}, 0)
+	f.Add("sym", []byte{1, 0, 0, 0, 3, 1, 0, 0, 3, 255, 3, 0, 0, 0, 0, 0, 1, 0, 0, 0}, -7)
+	f.Add("a b=%", []byte{2, 10, 0, 4, 0, 2, 255, 255, 255, 254, 1, 0, 0, 4, 1}, 1<<40)
+	f.Fuzz(func(t *testing.T, key string, raw []byte, v int) {
+		var nodes []addr.Node
+		for ; len(raw) >= 5; raw = raw[5:] {
+			x := binary.BigEndian.Uint32(raw[1:])
+			var n addr.Node
+			switch raw[0] % 5 {
+			case 0:
+				n = addr.None
+			case 1:
+				n = addr.Broadcast
+			case 2:
+				n = addr.NodeAt(int(x % 2048))
+			case 3:
+				n = addr.Node(x)
+			default:
+				if len(nodes) > 0 {
+					n = nodes[len(nodes)-1]
+				}
+			}
+			nodes = append(nodes, n)
+		}
+		names := make([]string, len(nodes))
+		for i, n := range nodes {
+			names[i] = n.String()
+		}
+		first := addr.None
+		if len(nodes) > 0 {
+			first = nodes[0]
+		}
+		typed := []Field{FNodes(key, nodes), FNode(key+"1", first), FInt(key+"2", v)}
+		text := []Field{F(key, strings.Join(names, ",")), F(key+"1", first.String()), F(key+"2", strconv.Itoa(v))}
+		for i := range typed {
+			if g, w := fieldText(typed[i]), fieldText(text[i]); g != w {
+				t.Fatalf("typed field renders %q, free text %q", g, w)
+			}
+		}
+		r := Record{T: time.Second, Node: first, Kind: KindTCRx, Fields: typed}
+		line := r.String()
+		if want := (&Record{T: r.T, Node: r.Node, Kind: r.Kind, Fields: text}).String(); line != want {
+			t.Fatalf("typed record renders %q, free text %q", line, want)
+		}
+		decoded, err := ParseLine(line)
+		if err != nil {
+			t.Fatalf("ParseLine(%q): %v", line, err)
+		}
+		var b Buffer
+		b.Append(r)
+		l, _ := b.LineAt(0)
+		if l.Text != line {
+			t.Fatalf("stored line %q, rendered %q", l.Text, line)
+		}
+		wantNodes := nodes
+		if len(wantNodes) == 0 {
+			wantNodes = nil
+		}
+		for _, get := range []struct {
+			name  string
+			nodes func(string) ([]addr.Node, error)
+			node  func(string) (addr.Node, error)
+			num   func(string) (int, error)
+		}{
+			{"built", r.NodesField, r.NodeField, r.IntField},
+			{"decoded", decoded.NodesField, decoded.NodeField, decoded.IntField},
+			{"line", l.NodesField, l.NodeField, l.IntField},
+		} {
+			if got, err := get.nodes(key); err != nil || !slices.Equal(got, wantNodes) {
+				t.Fatalf("%s NodesField(%q) = %v, %v, want %v", get.name, key, got, err, wantNodes)
+			}
+			if got, err := get.node(key + "1"); err != nil || got != first {
+				t.Fatalf("%s NodeField(%q) = %v, %v, want %v", get.name, key+"1", got, err, first)
+			}
+			if got, err := get.num(key + "2"); err != nil || got != v {
+				t.Fatalf("%s IntField(%q) = %d, %v, want %d", get.name, key+"2", got, err, v)
 			}
 		}
 	})

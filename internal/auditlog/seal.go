@@ -342,7 +342,7 @@ func (s *seal) subProof(m, lo, hi int, complete bool) []Hash {
 // from the very first record) and panics otherwise, because a late
 // start would silently void the forward-security property.
 func (b *Buffer) SetSealKey(material []byte) {
-	if len(b.refs) != 0 {
+	if b.Len() != 0 {
 		panic("auditlog: SetSealKey after records were appended")
 	}
 	b.seal.enabled = true
@@ -426,15 +426,16 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 // restart at 0 and the reseal does not fire the SetOnSeal observer.
 // Honest code never calls this; attack.LogForger does.
 func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
-	// Filtering drops index entries only: the bytes stay where they are,
-	// so no Line handed out before changes.
-	kept := b.refs[:0]
-	for i, ref := range b.refs {
+	// Filtering compacts the index in place, across pages; the bytes stay
+	// where they are, so no Line handed out before changes.
+	kept := 0
+	for i := range b.Len() {
 		if keep(b.line(i)) {
-			kept = append(kept, ref)
+			*b.ref(kept) = *b.ref(i)
+			kept++
 		}
 	}
-	b.refs = kept
+	b.truncate(kept)
 	for _, r := range add {
 		line := b.render(r)[1:]
 		copy(b.reserve(r.T, r.Node, len(line)), line)
@@ -447,7 +448,7 @@ func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 	for l := range b.seal.levels {
 		b.seal.levels[l] = b.seal.levels[l][:0]
 	}
-	for i := range b.refs {
+	for i := range b.Len() {
 		b.scratch = append(append(b.scratch[:0], prefixLeaf), b.line(i).Text...)
 		b.seal.append(b.scratch)
 	}
@@ -467,8 +468,8 @@ func (b *Buffer) Export() []SealedRecord {
 	if !b.seal.enabled {
 		return nil
 	}
-	out := make([]SealedRecord, len(b.refs))
-	for i := range b.refs {
+	out := make([]SealedRecord, b.Len())
+	for i := range out {
 		l := b.line(i)
 		out[i] = SealedRecord{Index: l.Seq, Line: l.Text, Tag: b.seal.tags[l.Seq]}
 	}

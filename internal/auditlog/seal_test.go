@@ -289,7 +289,7 @@ func TestTamperEvidenceProperty(t *testing.T) {
 				recs[i].Fields = append(recs[i].Fields, F("x", "1"))
 			} else {
 				f := &recs[i].Fields[rng.Intn(len(recs[i].Fields))]
-				f.Value += "!"
+				*f = F(f.Key, f.value()+"!")
 			}
 		case 1: // deletion
 			i := rng.Intn(len(recs))

@@ -101,7 +101,7 @@ func (p *eqPair) compare() {
 	}
 	for i := range want {
 		if got[i].String() != want[i].String() {
-			p.fail("audit record diverged:\nmemo  %s\neager %s", got[i], want[i])
+			p.fail("audit record diverged:\nmemo  %s\neager %s", got[i].String(), want[i].String())
 		}
 	}
 	p.cursor = next
@@ -162,7 +162,7 @@ func snapshot(n *Node) string {
 		add("dup %s %d %v %v", dupName(k), d.until, d.processed, d.retransmitted)
 	}
 	for _, e := range n.lastHelloSym {
-		add("advertised %v %v %v", e.key, e.val.set, e.val.field)
+		add("advertised %v %v", e.key, e.val)
 	}
 	slices.Sort(lines)
 	return fmt.Sprintf("ansn=%d stats=%+v\n%s", n.ansn, n.Stats(), strings.Join(lines, "\n"))
@@ -284,11 +284,12 @@ func checkDupQueue(n *Node) error {
 }
 
 // assertHelloSym checks that the HELLO_RX record written since start
-// renders h's advertised set, whether its field was re-rendered or shared.
+// renders h's advertised set.
 func (p *eqPair) assertHelloSym(start uint64, h *wire.Hello) {
 	p.t.Helper()
 	recs, _ := p.memoLog.Since(start)
-	want := auditlog.FNodes("sym", h.SymNeighbors(nil)).Value
+	advertised := auditlog.Record{Fields: []auditlog.Field{auditlog.FNodes("sym", h.SymNeighbors(nil))}}
+	want, _ := advertised.Get("sym")
 	for _, r := range recs {
 		if r.Kind == auditlog.KindHelloRx {
 			if got, _ := r.Get("sym"); got != want {

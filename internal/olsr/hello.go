@@ -124,18 +124,13 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	}
 
 	// A neighbor re-advertises the same set in most HELLOs. Read it into
-	// scratch and swap it in, re-rendering the HELLO_RX field, only when
-	// it changed; AdvertisedSym clones, so the swap is unobservable.
-	adv := n.lastHelloSym.get(from)
-	if adv == nil {
-		adv = n.lastHelloSym.put(from)
-		adv.field = auditlog.FNodes("sym", nil)
-	}
+	// scratch and swap it in only when it changed; AdvertisedSym clones,
+	// so the swap is unobservable.
+	adv := n.lastHelloSym.put(from)
 	sym := h.SymNeighbors(n.nodeScratch)
 	n.nodeScratch = sym
-	if !sym.Equal(adv.set) {
-		adv.set, n.nodeScratch = sym, adv.set
-		adv.field = auditlog.FNodes("sym", sym)
+	if !sym.Equal(*adv) {
+		*adv, n.nodeScratch = sym, *adv
 	}
 
 	// 2-hop set: only populated through symmetric neighbors.
@@ -199,11 +194,11 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 
 	n.log(auditlog.KindHelloRx,
 		auditlog.FNode("from", from),
-		adv.field,
+		auditlog.FNodes("sym", *adv),
 		auditlog.FInt("will", int(h.Will)))
 	if n.tracer.On() {
 		n.tracer.Emit(trace.Event{Plane: trace.PlaneOLSR, Kind: trace.KindHelloRx,
-			Node: n.cfg.Addr.String(), Peer: from.String(), V0: float64(len(adv.set))})
+			Node: n.cfg.Addr.String(), Peer: from.String(), V0: float64(len(*adv))})
 	}
 
 	n.afterTopologyChange()

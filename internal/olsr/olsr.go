@@ -98,14 +98,6 @@ type dupTuple struct {
 	retransmitted bool
 }
 
-// advert is the symmetric-neighbor set a neighbor last advertised in a
-// HELLO, with the HELLO_RX "sym" field rendered from it. Records share
-// the field until the set changes.
-type advert struct {
-	set   addr.Set
-	field auditlog.Field
-}
-
 // Node is one OLSR routing agent.
 type Node struct {
 	cfg    Config
@@ -124,10 +116,10 @@ type Node struct {
 	selectors    table[time.Duration]
 	topo         table[topoEntry]
 	dups         map[dupKey]dupTuple
-	dupQueue     dupQueue      // one expiry entry per duplicate tuple
-	lastHelloSym table[advert] // neighbor -> last advertised sym set
-	routes       table[Route]  // by destination
-	routesDirty  bool          // routes trail the topology; recomputed on read
+	dupQueue     dupQueue        // one expiry entry per duplicate tuple
+	lastHelloSym table[addr.Set] // neighbor -> last advertised sym set
+	routes       table[Route]    // by destination
+	routesDirty  bool            // routes trail the topology; recomputed on read
 
 	prevSym addr.Set // for NEIGHBOR_UP/DOWN diffs
 
@@ -284,7 +276,7 @@ func (n *Node) Covers(via, dest addr.Node) bool {
 // by neighbor x in a HELLO, as recorded when the HELLO was processed.
 func (n *Node) AdvertisedSym(x addr.Node) addr.Set {
 	if a := n.lastHelloSym.get(x); a != nil {
-		return a.set.Clone()
+		return a.Clone()
 	}
 	return nil
 }
