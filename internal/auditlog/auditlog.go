@@ -92,15 +92,10 @@ func FInt(key string, v int) Field { return Field{Key: key, num: v, form: formIn
 // value returns the field's value as its record's line renders it,
 // before escaping.
 func (f *Field) value() string {
-	switch f.form {
-	case formNode:
-		return f.node.String()
-	case formNodes:
-		return string(f.appendValue(nil))
-	case formInt:
-		return strconv.Itoa(f.num)
+	if f.form == formText {
+		return f.text
 	}
-	return f.text
+	return string(f.appendValue(nil))
 }
 
 // appendValue appends the field's value as the line renders it: free
