@@ -9,9 +9,10 @@ package repro
 //     steady-state hot functions. Most are zero — a warm store, ledger,
 //     or encoder must not allocate at all.
 //   - TestAllocBudget: whole-preset allocation budgets. Runs small
-//     full-stack presets, counts runtime.MemStats.Mallocs, and fails on
-//     a >10% regression over testdata/alloc_budget.json. Re-record an
-//     intentional change with -update-alloc-budget (make alloc-update).
+//     full-stack presets, counts runtime.MemStats.Mallocs and
+//     TotalAlloc, and fails on a >10% regression of either over
+//     testdata/alloc_budget.json. Re-record an intentional change with
+//     -update-alloc-budget (make alloc-update).
 //
 // The detect round-finalize ceiling lives in internal/detect (it needs
 // the package's investigation fixture). Run the whole tier with
@@ -260,37 +261,56 @@ func allocBudgetSpecs(t *testing.T) map[string]scenario.Spec {
 	return map[string]scenario.Spec{"linkspoof": linkspoof, "fullstack": fullstack, "evidence": evidence}
 }
 
-// measureRunAllocs counts heap objects allocated by one scenario run,
-// taking the minimum of two runs to shrug off warmup noise.
-func measureRunAllocs(t *testing.T, spec scenario.Spec) uint64 {
+// allocBudget is one run's heap allocation: objects (MemStats.Mallocs)
+// and bytes (MemStats.TotalAlloc).
+type allocBudget struct {
+	Objects uint64 `json:"objects"`
+	Bytes   uint64 `json:"bytes"`
+}
+
+// measureRunAllocs counts the heap objects and bytes allocated by one
+// scenario run, taking the minimum of two runs for each to shrug off
+// warmup noise.
+func measureRunAllocs(t *testing.T, spec scenario.Spec) allocBudget {
 	t.Helper()
-	best := ^uint64(0)
+	best := allocBudget{Objects: ^uint64(0), Bytes: ^uint64(0)}
 	var ms runtime.MemStats
 	for i := 0; i < 2; i++ {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+		objects, bytes := ms.Mallocs, ms.TotalAlloc
 		if _, err := scenario.Run(spec); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
-		if d := ms.Mallocs - before; d < best {
-			best = d
-		}
+		best.Objects = min(best.Objects, ms.Mallocs-objects)
+		best.Bytes = min(best.Bytes, ms.TotalAlloc-bytes)
 	}
 	return best
 }
 
-// TestAllocBudget gates whole-preset allocs/run against the checked-in
-// budget: >10% over fails. The margin absorbs map-growth jitter across
-// toolchains; genuine regressions (a per-packet allocation on a hot
-// path) overshoot it by integer factors.
+// checkBudget fails a count more than 10% over its budget.
+func checkBudget(t *testing.T, name, unit string, got, budget uint64) {
+	t.Helper()
+	if limit := budget + budget/10; got > limit {
+		t.Errorf("%s: %d %s/run, budget %d (+10%% = %d) — fix the regression or re-record with -update-alloc-budget",
+			name, got, unit, budget, limit)
+	} else {
+		t.Logf("%s: %d %s/run within budget %d", name, got, unit, budget)
+	}
+}
+
+// TestAllocBudget gates whole-preset objects and bytes per run against
+// the checked-in budget: >10% over on either fails. The margin absorbs
+// map-growth jitter across toolchains; genuine regressions (a
+// per-packet allocation on a hot path, a buffer kept that nothing
+// reads) overshoot it by integer factors.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs full preset runs")
 	}
 	const path = "testdata/alloc_budget.json"
-	budgets := map[string]uint64{}
+	budgets := map[string]allocBudget{}
 	raw, err := os.ReadFile(path)
 	if err == nil {
 		if err := json.Unmarshal(raw, &budgets); err != nil {
@@ -300,12 +320,12 @@ func TestAllocBudget(t *testing.T) {
 		t.Fatalf("read %s: %v (run with -update-alloc-budget to record)", path, err)
 	}
 
-	measured := map[string]uint64{}
+	measured := map[string]allocBudget{}
 	for name, spec := range allocBudgetSpecs(t) {
 		got := measureRunAllocs(t, spec)
 		measured[name] = got
 		if *updateAllocBudget {
-			t.Logf("%s: recording %d allocs/run", name, got)
+			t.Logf("%s: recording %d allocs and %d bytes/run", name, got.Objects, got.Bytes)
 			continue
 		}
 		budget, ok := budgets[name]
@@ -313,12 +333,8 @@ func TestAllocBudget(t *testing.T) {
 			t.Errorf("%s: no recorded budget in %s — run with -update-alloc-budget", name, path)
 			continue
 		}
-		if limit := budget + budget/10; got > limit {
-			t.Errorf("%s: %d allocs/run, budget %d (+10%% = %d) — fix the regression or re-record with -update-alloc-budget",
-				name, got, budget, limit)
-		} else {
-			t.Logf("%s: %d allocs/run within budget %d", name, got, budget)
-		}
+		checkBudget(t, name, "allocs", got.Objects, budget.Objects)
+		checkBudget(t, name, "bytes", got.Bytes, budget.Bytes)
 	}
 
 	if *updateAllocBudget {

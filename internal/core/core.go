@@ -173,7 +173,7 @@ type NodeSpec struct {
 type Node struct {
 	ID        addr.Node
 	Router    *olsr.Node
-	Logs      *auditlog.Buffer
+	Logs      *auditlog.Buffer // nil when nothing reads the log
 	Detector  *detect.Detector // nil if not detecting
 	Responder *detect.Responder
 	Trust     *trust.Store // nil if not detecting
@@ -209,7 +209,14 @@ type Node struct {
 // AddNode instantiates and wires a node; call before Start.
 func (w *Network) AddNode(spec NodeSpec) *Node {
 	id := spec.ID
-	logs := &auditlog.Buffer{}
+	// A log is kept only where something reads it: the node's own
+	// detector, the evidence plane (peers cite the log and gossip its
+	// heads) or a forger rewriting it. Elsewhere the router only counts
+	// its records (DESIGN.md §8).
+	var logs *auditlog.Buffer
+	if spec.Detector != nil || spec.Forger != nil || w.cfg.Evidence {
+		logs = &auditlog.Buffer{}
+	}
 	if w.cfg.Evidence {
 		// A deterministic per-node key: forward security matters against
 		// the simulated forgers, not real adversaries, and deriving it

@@ -24,6 +24,10 @@ import (
 // is the schedule these gates replaced. Audit records, emitted packets,
 // the retained neighbor and MPR sets, routes and every protocol table must
 // then match step for step.
+//
+// A third node, memoised like the first but with no audit log attached,
+// takes the same ops: logging is observation only, so its tables, its
+// packets and its record count must match the logged memo node's.
 
 var (
 	eqSelf  = addr.NodeAt(1)
@@ -37,14 +41,17 @@ var (
 		wire.WillNever, wire.WillLow, wire.WillHigh, wire.WillAlways}
 )
 
-// eqPair is one memoised node and its eager reference.
+// eqPair is one memoised node and its eager reference, plus the
+// memoised node's unlogged twin.
 type eqPair struct {
 	t            *testing.T
 	memo, eager  *Node
+	bare         *Node // memoised, no audit log
 	memoLog      *auditlog.Buffer
 	eagerLog     *auditlog.Buffer
 	memoSent     []string
 	eagerSent    []string
+	bareSent     []string
 	cursor       uint64
 	step         string
 	derivedNow   bool // the last op ran afterTopologyChange unconditionally
@@ -59,10 +66,11 @@ func newEqPair(t *testing.T, seed int64) *eqPair {
 	}
 	p.memo, p.memoLog = mk(&p.memoSent)
 	p.eager, p.eagerLog = mk(&p.eagerSent)
+	p.bare = New(Config{Addr: eqSelf}, sim.New(seed), func(b []byte) { p.bareSent = append(p.bareSent, fmt.Sprintf("%x", b)) }, nil)
 	return p
 }
 
-// do applies one op to both nodes, forcing the reference eager first, and
+// do applies one op to every node, forcing the reference eager first, and
 // then compares every observable.
 func (p *eqPair) do(step string, op func(n *Node)) {
 	p.t.Helper()
@@ -70,7 +78,17 @@ func (p *eqPair) do(step string, op func(n *Node)) {
 	forceEager(p.eager)
 	op(p.memo)
 	op(p.eager)
+	op(p.bare)
 	p.compare()
+}
+
+// checkRecords verifies that a node with an audit log attached counts
+// exactly the records its log holds.
+func checkRecords(n *Node) error {
+	if n.logb != nil && n.Records() != n.logb.Len() {
+		return fmt.Errorf("the node counts %d records, its log holds %d", n.Records(), n.logb.Len())
+	}
+	return nil
 }
 
 // forceEager opens every gate on n, so its next afterTopologyChange
@@ -108,7 +126,13 @@ func (p *eqPair) compare() {
 	if !slices.Equal(p.memoSent, p.eagerSent) {
 		p.fail("emitted packets diverged:\nmemo  %v\neager %v", p.memoSent, p.eagerSent)
 	}
-	p.memoSent, p.eagerSent = p.memoSent[:0], p.eagerSent[:0]
+	if !slices.Equal(p.memoSent, p.bareSent) {
+		p.fail("emitted packets diverged:\nlogged   %v\nunlogged %v", p.memoSent, p.bareSent)
+	}
+	p.memoSent, p.eagerSent, p.bareSent = p.memoSent[:0], p.eagerSent[:0], p.bareSent[:0]
+	if g, w := p.bare.Records(), p.memo.Records(); g != w {
+		p.fail("the unlogged node counts %d records, the logged one %d", g, w)
+	}
 	if !p.memo.mprs.Equal(p.eager.mprs) || !p.memo.prevSym.Equal(p.eager.prevSym) {
 		p.fail("mprs %v sym %v, eager reference mprs %v sym %v",
 			p.memo.mprs, p.memo.prevSym, p.eager.mprs, p.eager.prevSym)
@@ -120,9 +144,15 @@ func (p *eqPair) compare() {
 		if err := checkOrdered(n); err != nil {
 			p.fail("%v", err)
 		}
+		if err := checkRecords(n); err != nil {
+			p.fail("%v", err)
+		}
 	}
 	if g, w := snapshot(p.memo), snapshot(p.eager); g != w {
 		p.fail("protocol tables diverged:\nmemo\n%s\neager\n%s", g, w)
+	}
+	if g, w := snapshot(p.bare), snapshot(p.memo); g != w {
+		p.fail("protocol tables diverged:\nunlogged\n%s\nlogged\n%s", g, w)
 	}
 	if p.derivedNow {
 		p.derivedNow = false

@@ -51,7 +51,8 @@ func warmNode() (*Node, *sim.Scheduler) {
 // to a warm node, twice, with a wait and an expiry pass after each. A
 // spoofed sender or originator from outside the population lands in the
 // protocol tables as a key like any other. Nothing may panic, every table
-// must stay strictly ordered, and no expired tuple may survive the pass.
+// must stay strictly ordered, no expired tuple may survive the pass, and
+// the node's record count must match its log.
 func FuzzHandlePacket(f *testing.F) {
 	outsider := addr.NodeAt(200)
 	f.Add(uint32(eqPeers[0]), []byte{}, uint8(1))
@@ -70,6 +71,9 @@ func FuzzHandlePacket(f *testing.F) {
 			if err := checkOrdered(n); err != nil {
 				t.Fatal(err)
 			}
+			if err := checkRecords(n); err != nil {
+				t.Fatal(err)
+			}
 			sched.RunUntil(sched.Now() + time.Duration(wait)*100*time.Millisecond)
 			n.expire()
 			n.Routes()
@@ -77,6 +81,9 @@ func FuzzHandlePacket(f *testing.F) {
 				t.Fatal(err)
 			}
 			if err := checkSwept(n); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkRecords(n); err != nil {
 				t.Fatal(err)
 			}
 		}

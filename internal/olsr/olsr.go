@@ -6,9 +6,9 @@
 // originate no MID or HNA messages; received ones are flooded unprocessed,
 // like any type the node does not implement (RFC 3626 §3.4).
 //
-// Every externally observable action is recorded in an audit-log buffer;
-// the intrusion detection layer consumes only those logs, never the
-// protocol state directly (the paper's "no change to the routing protocol"
+// Every externally observable action is counted, and recorded when an
+// audit-log buffer is attached; the intrusion detection layer consumes
+// only those logs, never the protocol state directly (the paper's "no change to the routing protocol"
 // property — the read-only accessors exist for tests and for answering
 // investigation requests about the node's *own* links).
 //
@@ -104,6 +104,7 @@ type Node struct {
 	sched  *sim.Scheduler
 	send   func(payload []byte) // one-hop broadcast
 	logb   *auditlog.Buffer     // may be nil
+	logged int                  // records logged, attached or not
 	hooks  Hooks
 	tracer *trace.Tracer // nil = tracing off
 
@@ -158,7 +159,8 @@ type Node struct {
 }
 
 // New creates an OLSR node. send transmits an encoded packet as a one-hop
-// broadcast; logb (optional) receives the audit log.
+// broadcast; logb, when non-nil, receives the audit log. Without one the
+// node renders nothing and only counts its records (Records).
 //
 // The payload slice passed to send is a scratch buffer the node reuses
 // for its next emission: send must copy it before handing it to anything
@@ -205,7 +207,13 @@ func (n *Node) Stop() {
 
 func (n *Node) now() time.Duration { return n.sched.Now() }
 
+// Records returns how many audit records the node has logged, whether or
+// not a buffer is attached: with one, it equals the buffer's Len until
+// something else (a forger's Rewrite) changes that.
+func (n *Node) Records() int { return n.logged }
+
 func (n *Node) log(kind auditlog.Kind, fields ...auditlog.Field) {
+	n.logged++
 	if n.logb == nil {
 		return
 	}

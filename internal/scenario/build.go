@@ -609,7 +609,8 @@ type Result struct {
 	Events uint64
 	Frames radio.Stats
 	Ctrl   core.CtrlStats
-	// LogRecords sums every node's audit-log length.
+	// LogRecords is the number of audit records logged: a node's log
+	// length where it keeps a log, its router's record count elsewhere.
 	LogRecords int
 	// Alerts are the victim detector's signature alerts by rule.
 	Alerts []AlertCount
@@ -684,7 +685,13 @@ func RunContext(ctx context.Context, spec Spec, sink trace.Sink) (*Result, error
 		Investigations: det.InvestigationCount(),
 	}
 	for _, id := range w.Nodes() {
-		res.LogRecords += w.Node(id).Logs.Len()
+		// Len, not Records, where a log exists: a forger's Rewrite
+		// changes the length the log-forger goldens pin.
+		if n := w.Node(id); n.Logs != nil {
+			res.LogRecords += n.Logs.Len()
+		} else {
+			res.LogRecords += n.Router.Records()
+		}
 	}
 	byRule := map[string]int{}
 	for _, a := range det.Alerts() {
