@@ -212,7 +212,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 	// A log is kept only where something reads it: the node's own
 	// detector, the evidence plane (peers cite the log and gossip its
 	// heads) or a forger rewriting it. Elsewhere the router only counts
-	// its records (DESIGN.md §8).
+	// its records (DESIGN.md §8.4).
 	var logs *auditlog.Buffer
 	if spec.Detector != nil || spec.Forger != nil || w.cfg.Evidence {
 		logs = &auditlog.Buffer{}
