@@ -60,7 +60,9 @@ golden-update:
 	$(GO) test -count=1 ./cmd/trustlab ./cmd/idsbench -run 'TestPaper' -update-golden
 
 # Large-N golden matrix: the scale presets (200/500 nodes) under both
-# medium implementations at workers 1 and 8 (see golden_scale_test.go).
+# radio.medium settings — the grid and its one-cell case, the same medium
+# code with a different cell side — at workers 1 and 8 (see
+# golden_scale_test.go).
 # Minutes of simulation — CI runs it in the separate `scale` job, never
 # in the main test job.
 scale:
@@ -94,8 +96,9 @@ serve-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Short local fuzz pass over the codecs, the proof verifier and OLSR's
-# packet handling (CI runs the same budget per target).
+# Short local fuzz pass over the codecs, the proof verifier, OLSR's
+# packet handling and the radio medium against its brute-force oracle
+# (CI runs the same budget per target).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodePacket$$' -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
@@ -108,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/olsr
+	$(GO) test -fuzz='^FuzzMedium$$' -fuzztime=30s ./internal/radio
 
 # reprolint: the in-repo determinism & hot-path analyzer suite
 # (DESIGN.md §12) — detwalltime, detmapiter, detseed, allocann. Builds

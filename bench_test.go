@@ -198,13 +198,13 @@ func BenchmarkEngineOverheadSweep(b *testing.B) {
 	}
 }
 
-// --- radio medium: spatial grid vs reference scan (DESIGN.md §2.4) ---
+// --- radio medium: range-sized cells vs one cell (DESIGN.md §2.4) ---
 
 // benchMedium builds a medium with n static stations at constant density
 // (the scale-preset density: 200 nodes per 2000 m² arena at 200 m range)
 // so the mean degree stays put while the population grows — exactly the
-// regime where the scan's O(n) per broadcast should hurt and the grid's
-// O(degree) should not.
+// regime where one cell's O(n) per broadcast should hurt and range-sized
+// cells' O(degree) should not.
 func benchMedium(n int, grid bool) (*sim.Scheduler, *radio.Medium) {
 	sched := sim.New(1)
 	m := radio.NewMedium(sched, radio.Config{
@@ -221,15 +221,16 @@ func benchMedium(n int, grid bool) (*sim.Scheduler, *radio.Medium) {
 	return sched, m
 }
 
-// BenchmarkMediumBroadcast compares broadcast cost per implementation and
-// population. Run with -benchmem: the PR-3 acceptance bar is a ≥5×
-// grid-over-scan speedup at N=500.
+// BenchmarkMediumBroadcast compares broadcast cost per cell side and
+// population: "onecell" leaves Config.Grid unset, "grid" sets it. Run
+// with -benchmem: the grid's acceptance bar is a ≥5× speedup over one
+// cell at N=500.
 func BenchmarkMediumBroadcast(b *testing.B) {
 	payload := make([]byte, 64)
 	for _, n := range []int{50, 200, 500} {
-		for _, impl := range []string{"scan", "grid"} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, impl), func(b *testing.B) {
-				sched, m := benchMedium(n, impl == "grid")
+		for _, cells := range []string{"onecell", "grid"} {
+			b.Run(fmt.Sprintf("N=%d/%s", n, cells), func(b *testing.B) {
+				sched, m := benchMedium(n, cells == "grid")
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -241,13 +242,13 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighbors measures the range query per implementation, using
-// the append-into variant the hot paths are expected to call.
+// BenchmarkNeighbors measures the range query per cell side, using the
+// append-into variant the hot paths are expected to call.
 func BenchmarkNeighbors(b *testing.B) {
 	const n = 200
-	for _, impl := range []string{"scan", "grid"} {
-		b.Run(impl, func(b *testing.B) {
-			_, m := benchMedium(n, impl == "grid")
+	for _, cells := range []string{"onecell", "grid"} {
+		b.Run(cells, func(b *testing.B) {
+			_, m := benchMedium(n, cells == "grid")
 			buf := make([]addr.Node, 0, n)
 			b.ReportAllocs()
 			b.ResetTimer()

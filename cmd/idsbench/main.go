@@ -6,7 +6,7 @@
 //	idsbench -sweep ablation    # X4: Eq. 8 with vs without trust weights
 //	idsbench -sweep baselines   # X5: storm/replay/drop signature coverage
 //	idsbench -sweep scenarios   # X6: the scenario preset matrix + digests
-//	idsbench -sweep scale       # X7: large-N presets, grid vs scan medium
+//	idsbench -sweep scale       # X7: large-N presets, grid vs one-cell medium
 //	idsbench -sweep forgers     # X8: detection vs log-forger fraction
 //	idsbench -sweep recommenders # X9: recommender attacks vs the deviation test
 //
@@ -131,33 +131,33 @@ func run(args []string, w io.Writer) error {
 				specs[i].Seed = *seed
 			}
 		}
-		fmt.Fprintln(w, "X7: large-N scaling (grid vs scan medium, end-to-end wall clock)")
+		fmt.Fprintln(w, "X7: large-N scaling (grid vs one-cell medium, end-to-end wall clock)")
 		fmt.Fprintf(w, "%-22s %6s %8s %-16s %10s %10s %8s\n",
-			"scenario", "nodes", "simTime", "digest", "grid", "scan", "speedup")
+			"scenario", "nodes", "simTime", "digest", "grid", "onecell", "speedup")
 		for _, s := range specs {
-			grid, scan := s, s
+			grid, one := s, s
 			grid.Radio.Medium = "grid"
-			scan.Radio.Medium = "scan"
+			one.Radio.Medium = "scan" // one cell: Config.Grid unset
 			gridStart := time.Now()
 			gd, err := eng.ScenarioMatrix([]scenario.Spec{grid})
 			if err != nil {
 				return err
 			}
 			gridWall := time.Since(gridStart)
-			scanStart := time.Now()
-			sd, err := eng.ScenarioMatrix([]scenario.Spec{scan})
+			oneStart := time.Now()
+			od, err := eng.ScenarioMatrix([]scenario.Spec{one})
 			if err != nil {
 				return err
 			}
-			scanWall := time.Since(scanStart)
-			if gd[0] != sd[0] {
-				return fmt.Errorf("scale %s: medium digests diverge: grid %s, scan %s",
-					s.Name, gd[0].Hash, sd[0].Hash)
+			oneWall := time.Since(oneStart)
+			if gd[0] != od[0] {
+				return fmt.Errorf("scale %s: medium digests diverge: grid %s, one cell %s",
+					s.Name, gd[0].Hash, od[0].Hash)
 			}
 			fmt.Fprintf(w, "%-22s %6d %8s %-16s %10s %10s %7.1fx\n",
 				s.Name, s.Nodes, s.WithDefaults().Duration, gd[0].Hash,
-				gridWall.Round(10*time.Millisecond), scanWall.Round(10*time.Millisecond),
-				float64(scanWall)/float64(gridWall))
+				gridWall.Round(10*time.Millisecond), oneWall.Round(10*time.Millisecond),
+				float64(oneWall)/float64(gridWall))
 		}
 
 	case "forgers":

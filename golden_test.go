@@ -27,10 +27,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fr
 
 const goldenDir = "testdata/golden"
 
-// mediumMatrix runs the specs under both medium implementations (the
-// reference scan and the spatial grid) at the given worker count and
-// fails on any digest divergence — the grid is contractually a pure
-// performance substitution (DESIGN.md §2.4). It returns the digests.
+// mediumMatrix runs the specs under both radio.medium settings at the
+// given worker count and fails on any digest divergence. Both run the one
+// medium implementation: "scan" puts every station in one cell, "grid"
+// uses cells of range plus speed padding, and the cell side is
+// contractually a pure performance choice (DESIGN.md §2.4). It returns
+// the digests.
 func mediumMatrix(t *testing.T, specs []scenario.Spec, workers int) []scenario.Digest {
 	t.Helper()
 	scan := make([]scenario.Spec, len(specs))
@@ -64,7 +66,7 @@ func mediumMatrix(t *testing.T, specs []scenario.Spec, workers int) []scenario.D
 // this loop so the workflow cannot drift between them.
 //
 // The grid pass at workers=1 is transitively implied by the other three
-// (scan@8 == grid@8, scan@8 == scan@1) but runs anyway: each cell of
+// (scan@8 == grid@8, scan@8 == scan@1) but runs anyway: each entry of
 // the medium × worker matrix gets direct evidence, so a failure report
 // names the exact combination that drifted instead of leaving it to be
 // inferred.

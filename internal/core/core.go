@@ -130,12 +130,35 @@ func (w *Network) Tracer() *trace.Tracer { return w.tracer }
 // tracing off).
 func (w *Network) TraceEvents() uint64 { return w.tracer.Count() }
 
-// traceSend emits a net/send event for a frame handed to the medium.
-func (w *Network) traceSend(from addr.Node, msg string) {
+// Send hands a frame that node from originates to the medium, emitting
+// the net/send trace event first. Every node-originated frame goes
+// through here — OLSR emissions, control messages, tree-head and
+// recommendation gossip, and attack choreography that transmits as a
+// node (forged storms, replays) — so the trace counts each one. payload
+// starts with its discriminator byte.
+func (w *Network) Send(from, to addr.Node, payload []byte) {
 	if w.tracer.On() {
 		w.tracer.Emit(trace.Event{Plane: trace.PlaneNet, Kind: trace.KindSend,
-			Node: from.String(), Msg: msg})
+			Node: from.String(), Msg: payloadName(payload)})
 	}
+	w.Medium.Send(from, to, payload)
+}
+
+// payloadName is the trace name of a frame's wire type, read from its
+// discriminator byte ("" for an empty or unknown payload).
+func payloadName(payload []byte) string {
+	if len(payload) == 0 {
+		return ""
+	}
+	switch payload[0] {
+	case PayloadOLSR:
+		return "olsr"
+	case PayloadCtrl:
+		return "ctrl"
+	case PayloadRecommend:
+		return "recommend"
+	}
+	return ""
 }
 
 // NodeSpec describes one node to add.
@@ -226,8 +249,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 	}
 
 	router := olsr.New(olsr.Config{Addr: id}, w.Sched, func(b []byte) {
-		w.traceSend(id, "olsr")
-		w.Medium.Send(id, addr.Broadcast, append([]byte{PayloadOLSR}, b...))
+		w.Send(id, addr.Broadcast, append([]byte{PayloadOLSR}, b...))
 	}, logs)
 	router.SetTracer(w.tracer)
 	if w.cfg.Evidence && w.tracer.On() {
@@ -372,17 +394,8 @@ func (n *Node) handleFrame(f radio.Frame) {
 	}
 	body := f.Payload[1:]
 	if w := n.net; w.tracer.On() {
-		var msg string
-		switch f.Payload[0] {
-		case PayloadOLSR:
-			msg = "olsr"
-		case PayloadCtrl:
-			msg = "ctrl"
-		case PayloadRecommend:
-			msg = "recommend"
-		}
 		w.tracer.Emit(trace.Event{Plane: trace.PlaneNet, Kind: trace.KindRecv,
-			Node: n.ID.String(), Peer: f.From.String(), Msg: msg})
+			Node: n.ID.String(), Peer: f.From.String(), Msg: payloadName(f.Payload)})
 	}
 	switch f.Payload[0] {
 	case PayloadOLSR:

@@ -119,8 +119,7 @@ func (n *Node) forwardCtrl(m *ctrlMsg) {
 		return
 	}
 
-	n.net.traceSend(n.ID, "ctrl")
-	n.net.Medium.Send(n.ID, next, n.encodeCtrl(m))
+	n.net.Send(n.ID, next, n.encodeCtrl(m))
 }
 
 // encodeCtrl renders the on-air form of m, PayloadCtrl discriminator
@@ -179,8 +178,7 @@ func (n *Node) gossipHead() {
 
 // broadcastTreeHead emits the gossip frame one hop in every direction.
 func (n *Node) broadcastTreeHead(m *ctrlMsg) {
-	n.net.traceSend(n.ID, "ctrl")
-	n.net.Medium.Send(n.ID, addr.Broadcast, n.encodeCtrl(m))
+	n.net.Send(n.ID, addr.Broadcast, n.encodeCtrl(m))
 }
 
 // handleTreeHead processes one gossiped tree head: verify it against the

@@ -117,6 +117,5 @@ func (n *Node) broadcastRecommend(m wire.Message) {
 	pkt := &wire.Packet{Seq: m.Seq, Messages: []wire.Message{m}}
 	payload := make([]byte, 1, 1+pkt.EncodedSize())
 	payload[0] = PayloadRecommend
-	n.net.traceSend(n.ID, "recommend")
-	n.net.Medium.Send(n.ID, addr.Broadcast, pkt.AppendTo(payload))
+	n.net.Send(n.ID, addr.Broadcast, pkt.AppendTo(payload))
 }

@@ -19,38 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/scenario"
-	"repro/internal/trust"
 )
-
-// Arena is per-worker scratch memory (DESIGN.md §10): each pool worker
-// owns one, and every task it claims reuses the same buffers instead of
-// reallocating them trial after trial. Nothing handed out by an Arena
-// may be retained past the task that requested it — the next trial on
-// the same worker overwrites it. Determinism is unaffected: arenas hold
-// no values across tasks (every getter returns a length-zero or fully
-// overwritten slice), only capacity.
-type Arena struct {
-	obs     []trust.Observation
-	samples []float64
-}
-
-// Observations returns an empty observation buffer with capacity for at
-// least n entries.
-func (a *Arena) Observations(n int) []trust.Observation {
-	if cap(a.obs) < n {
-		a.obs = make([]trust.Observation, 0, n)
-	}
-	return a.obs[:0]
-}
-
-// Samples returns an empty float64 buffer with capacity for at least n
-// entries.
-func (a *Arena) Samples(n int) []float64 {
-	if cap(a.samples) < n {
-		a.samples = make([]float64, 0, n)
-	}
-	return a.samples[:0]
-}
 
 // Runner executes experiment tasks on a worker pool. The zero value is
 // ready to use: RootSeed 0 and as many workers as GOMAXPROCS. A Runner is
@@ -96,7 +65,7 @@ func (r *Runner) TaskSeed(sweep string, point, trial int) int64 {
 // mapTasks runs fn(0..n-1) on up to workers goroutines and returns the
 // results in index order (see mapTasksCtx, which it calls with a context
 // that is never done).
-func mapTasks[T any](workers, n int, fn func(int, *Arena) T) []T {
+func mapTasks[T any](workers, n int, fn func(int) T) []T {
 	out, _ := mapTasksCtx(context.Background(), workers, n, fn)
 	return out
 }
@@ -106,9 +75,7 @@ func mapTasks[T any](workers, n int, fn func(int, *Arena) T) []T {
 // in index order. Tasks are claimed from an atomic counter, so the pool
 // stays busy even when task costs are skewed; because results land at
 // their own index and every task is self-seeded, scheduling order cannot
-// influence the output. Each worker owns one Arena for its lifetime, so
-// its trials reuse the same scratch buffers back to back; arenas carry
-// capacity but never values between tasks.
+// influence the output.
 //
 // Cancellation is cooperative: workers stop claiming tasks once ctx is
 // done, and the call reports ctx's error if any task went unclaimed.
@@ -118,7 +85,7 @@ func mapTasks[T any](workers, n int, fn func(int, *Arena) T) []T {
 // completion the result slice is the same at any worker count:
 // cancellation can only truncate a campaign, never perturb the runs that
 // finished.
-func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int, *Arena) T) ([]T, error) {
+func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
@@ -126,13 +93,12 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int, *Arena
 	workers = max(1, min(workers, n))
 	var next, done atomic.Int64
 	work := func() {
-		var a Arena
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			out[i] = fn(i, &a)
+			out[i] = fn(i)
 			done.Add(1)
 		}
 	}
@@ -160,7 +126,7 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int, *Arena
 // results themselves (into index-addressed storage — never via shared
 // mutable state, which would reintroduce schedule dependence).
 func (r *Runner) ForEachContext(ctx context.Context, n int, fn func(i int)) error {
-	_, err := mapTasksCtx(ctx, r.workerCount(), n, func(i int, _ *Arena) struct{} {
+	_, err := mapTasksCtx(ctx, r.workerCount(), n, func(i int) struct{} {
 		fn(i)
 		return struct{}{}
 	})

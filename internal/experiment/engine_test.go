@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/trust"
 )
 
 func TestDeriveSeedDistinct(t *testing.T) {
@@ -35,55 +34,15 @@ func TestDeriveSeedDistinct(t *testing.T) {
 
 func TestMapTasksOrderAndEdgeCases(t *testing.T) {
 	for _, workers := range []int{1, 3, 16, 100} {
-		got := mapTasks(workers, 10, func(i int, _ *Arena) int { return i * i })
+		got := mapTasks(workers, 10, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
-	if out := mapTasks(4, 0, func(i int, _ *Arena) int { return i }); out != nil {
+	if out := mapTasks(4, 0, func(i int) int { return i }); out != nil {
 		t.Errorf("n=0 returned %v, want nil", out)
-	}
-}
-
-func TestArenaReuse(t *testing.T) {
-	// A worker's arena must hand back the same backing storage across
-	// tasks (that is the point) while never leaking values: each getter
-	// returns a length-zero slice.
-	var a Arena
-	first := a.Observations(8)
-	if len(first) != 0 || cap(first) < 8 {
-		t.Fatalf("Observations(8): len=%d cap=%d", len(first), cap(first))
-	}
-	first = append(first, trust.Observation{Trust: 1})
-	second := a.Observations(4)
-	if len(second) != 0 {
-		t.Fatalf("arena leaked %d observations into the next task", len(second))
-	}
-	if &first[0] != &second[:1][0] {
-		t.Error("arena reallocated despite sufficient capacity")
-	}
-	if cap(a.Samples(16)) < 16 || len(a.Samples(16)) != 0 {
-		t.Error("Samples did not return an empty 16-cap buffer")
-	}
-
-	// mapTasks with one worker funnels every task through one arena;
-	// results must still be index-addressed and exact.
-	seen := make(map[*Arena]bool)
-	out := mapTasks(1, 5, func(i int, a *Arena) int {
-		seen[a] = true
-		buf := a.Samples(3)
-		buf = append(buf, float64(i))
-		return int(buf[0]) * 2
-	})
-	if len(seen) != 1 {
-		t.Errorf("single worker used %d arenas, want 1", len(seen))
-	}
-	for i, v := range out {
-		if v != i*2 {
-			t.Errorf("out[%d] = %d, want %d", i, v, i*2)
-		}
 	}
 }
 

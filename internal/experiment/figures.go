@@ -76,7 +76,10 @@ type Population struct {
 	Initial    map[addr.Node]float64
 	rng        *rand.Rand
 	cfg        Config
-	arena      *Arena
+	// obs and samples are per-round scratch, reused round after round;
+	// nothing in them outlives the round that filled them.
+	obs     []trust.Observation
+	samples []float64
 
 	// tracer is the run-trace emitter (nil = off); round drives its
 	// synthetic clock — one second per investigation round.
@@ -102,7 +105,6 @@ func NewPopulation(cfg Config) *Population {
 		Initial:  make(map[addr.Node]float64),
 		rng:      rng,
 		cfg:      cfg,
-		arena:    new(Arena),
 	}
 	p.tracer = trace.New(cfg.Trace, func() time.Duration {
 		return time.Duration(p.round) * time.Second
@@ -140,8 +142,7 @@ func NewPopulation(cfg Config) *Population {
 // e = −1) is included per property 5 of §IV-A.
 func (p *Population) Round() float64 {
 	p.round++
-	obs := p.arena.Observations(len(p.Responders) + 1)
-	obs = append(obs, trust.Observation{Source: p.Observer, Trust: 1, Evidence: -1})
+	obs := append(p.obs[:0], trust.Observation{Source: p.Observer, Trust: 1, Evidence: -1})
 	for _, r := range p.Responders {
 		e := -1.0
 		if p.IsLiar[r] {
@@ -152,6 +153,7 @@ func (p *Population) Round() float64 {
 		}
 		obs = append(obs, trust.Observation{Source: r, Trust: p.Store.Get(r), Evidence: e})
 	}
+	p.obs = obs
 	detect, ok := trust.Detect(obs)
 	if !ok {
 		return 0
@@ -386,7 +388,7 @@ func assembleFig3(cfg Config, liarCounts []int, series [][]float64) *Fig3Result 
 // is assembled in liarCounts order, so the result is identical at any
 // worker count.
 func (r *Runner) Fig3(cfg Config, liarCounts []int) *Fig3Result {
-	series := mapTasks(r.workerCount(), len(liarCounts), func(i int, _ *Arena) []float64 {
+	series := mapTasks(r.workerCount(), len(liarCounts), func(i int) []float64 {
 		return fig3Series(cfg, liarCounts[i])
 	})
 	return assembleFig3(cfg, liarCounts, series)

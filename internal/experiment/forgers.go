@@ -80,7 +80,7 @@ func (r *Runner) ForgerSweep(trials int, counts []int) []ForgerPoint {
 		return nil
 	}
 	arms := 2
-	results := mapTasks(r.workerCount(), len(counts)*trials*arms, func(task int, _ *Arena) forgerTrial {
+	results := mapTasks(r.workerCount(), len(counts)*trials*arms, func(task int) forgerTrial {
 		point := task / (trials * arms)
 		trial := (task / arms) % trials
 		evidence := task%arms == 0

@@ -41,10 +41,9 @@ type ciTrialResult struct {
 }
 
 // ciTrial performs one synthetic evidence draw: honest deny (-1), liars
-// confirm (+1), uniform trusts. Scratch comes from the worker's arena —
-// nothing drawn here outlives the trial.
-func ciTrial(rng *rand.Rand, a *Arena, cl float64, n int, liarFrac float64) ciTrialResult {
-	obs := a.Observations(n)
+// confirm (+1), uniform trusts.
+func ciTrial(rng *rand.Rand, cl float64, n int, liarFrac float64) ciTrialResult {
+	obs := make([]trust.Observation, 0, n)
 	for i := 0; i < n; i++ {
 		e := -1.0
 		if rng.Float64() < liarFrac {
@@ -61,7 +60,7 @@ func ciTrial(rng *rand.Rand, a *Arena, cl float64, n int, liarFrac float64) ciTr
 		sumT += o.Trust
 	}
 	meanT := sumT / float64(n)
-	samples := a.Samples(n)
+	samples := make([]float64, 0, n)
 	for _, o := range obs {
 		samples = append(samples, o.Trust*o.Evidence/meanT)
 	}
@@ -96,10 +95,10 @@ func (r *Runner) CISweep(levels []float64, sizes []int, liarFrac float64) []CIPo
 		}
 	}
 
-	trials := mapTasks(r.workerCount(), len(pts)*ciTrials, func(task int, a *Arena) ciTrialResult {
+	trials := mapTasks(r.workerCount(), len(pts)*ciTrials, func(task int) ciTrialResult {
 		pi, trial := task/ciTrials, task%ciTrials
 		rng := rand.New(rand.NewSource(r.TaskSeed(ciSweepID, pi, trial))) //nolint:gosec // experiment
-		return ciTrial(rng, a, pts[pi].cl, pts[pi].n, liarFrac)
+		return ciTrial(rng, pts[pi].cl, pts[pi].n, liarFrac)
 	})
 
 	out := make([]CIPoint, 0, len(pts))
@@ -161,7 +160,7 @@ func (r *Runner) CIAccumulationAblation(cfg Config) CIAccumulationResult {
 		// expose them, so approximate with the aggregate value repeated
 		// per responder — spread comes from the liar/honest split, which
 		// the sign pattern preserves.
-		roundSamples := p.arena.Samples(len(p.Responders))
+		roundSamples := p.samples[:0]
 		for _, resp := range p.Responders {
 			e := -1.0
 			if p.IsLiar[resp] {
@@ -169,6 +168,7 @@ func (r *Runner) CIAccumulationAblation(cfg Config) CIAccumulationResult {
 			}
 			roundSamples = append(roundSamples, p.Store.Get(resp)*e/0.5)
 		}
+		p.samples = roundSamples
 		hist = append(hist, roundSamples...)
 
 		if res.SingleRound < 0 {
@@ -208,7 +208,7 @@ type AblationResult struct {
 // placement and loss draws), so they are independent and can run
 // concurrently.
 func (r *Runner) Ablation(cfg Config) *AblationResult {
-	arms := mapTasks(r.workerCount(), 2, func(i int, _ *Arena) []float64 {
+	arms := mapTasks(r.workerCount(), 2, func(i int) []float64 {
 		if i == 0 {
 			return ablationWeightedArm(cfg)
 		}
@@ -247,8 +247,7 @@ func ablationUniformArm(cfg Config) []float64 {
 	q := NewPopulation(cfg)
 	vals := make([]float64, 0, cfg.Rounds)
 	for r := 0; r < cfg.Rounds; r++ {
-		obs := q.arena.Observations(len(q.Responders) + 1)
-		obs = append(obs, trust.Observation{Source: q.Observer, Trust: 1, Evidence: -1})
+		obs := append(q.obs[:0], trust.Observation{Source: q.Observer, Trust: 1, Evidence: -1})
 		for _, resp := range q.Responders {
 			e := -1.0
 			if q.IsLiar[resp] {
@@ -259,6 +258,7 @@ func ablationUniformArm(cfg Config) []float64 {
 			}
 			obs = append(obs, trust.Observation{Source: resp, Trust: 1, Evidence: e})
 		}
+		q.obs = obs
 		v, _ := trust.Detect(obs)
 		vals = append(vals, v)
 	}

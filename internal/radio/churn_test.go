@@ -10,12 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Station churn edge cases, exercised under both medium implementations:
-// power-off while frames are in flight, re-attachment of a live id, and
-// the down-count bookkeeping the grid's lost-frame accounting leans on.
+// Station churn edge cases, exercised under both cell modes: power-off
+// while frames are in flight, re-attachment of a live id, and the
+// down-count bookkeeping the grid's lost-frame accounting leans on.
 
-// eachMedium runs the test body once on the scan medium and once on the
-// grid medium.
+// eachMedium runs the test body once on the one-cell medium (subtest
+// "scan", Grid unset) and once on the grid medium.
 func eachMedium(t *testing.T, body func(t *testing.T, s *sim.Scheduler, m *Medium)) {
 	t.Helper()
 	for _, grid := range []bool{false, true} {
@@ -47,8 +47,8 @@ func TestSetDownMidFlight(t *testing.T) {
 			t.Fatal("frame delivered to a station that went down mid-flight")
 		}
 		// The medium counts the frame as delivered (the loss model passed
-		// it); only the handler invocation is suppressed. Both
-		// implementations must agree on that accounting.
+		// it); only the handler invocation is suppressed. Both cell
+		// modes must agree on that accounting.
 		if st := m.Stats(); st.FramesDelivered != 1 || st.FramesLost != 0 {
 			t.Fatalf("stats = %+v, want FramesDelivered=1 FramesLost=0", st)
 		}
@@ -81,7 +81,7 @@ func TestDownStationExcludedEverywhere(t *testing.T) {
 			t.Fatal("InRange true for a down station")
 		}
 		// A down station is skipped silently: no lost-frame charge. Both
-		// implementations must account identically.
+		// cell modes must account identically.
 		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
 		s.Run()
 		if st := m.Stats(); st.FramesDelivered != 1 || st.FramesLost != 0 {

@@ -6,17 +6,18 @@
 // lost, all of which this model reproduces. See DESIGN.md §2 for the
 // substitution rationale versus a full 802.11 PHY/MAC.
 //
-// Two interchangeable implementations back broadcast delivery and the
-// Neighbors query: the reference linear scan over every attached station,
-// and a uniform spatial grid (Config.Grid) that visits only the 3×3 cell
-// neighborhood of the transmitter. The grid is a pure performance
-// substitution — candidate sets are re-sorted into attachment order and
-// the loss RNG is consulted for exactly the same stations in the same
-// order, so a seeded run is byte-identical under either implementation
-// (DESIGN.md §2.4).
+// One implementation backs broadcast delivery and the Neighbors query: a
+// uniform spatial grid that visits only the 3×3 cell neighborhood of the
+// transmitter. Config.Grid only picks the cell side. With it set, cells
+// are MaxRange + MaxSpeed·reindexInterval wide and distant stations are
+// never examined; without it, one cell holds every station and nothing is
+// pruned. Candidate sets are sorted into attachment order and the loss RNG
+// is consulted for exactly the same stations in the same order, so a
+// seeded run is byte-identical under either cell side (DESIGN.md §2.4).
 package radio
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -39,8 +40,8 @@ type Propagation interface {
 	// d meters is received. 0 means out of range.
 	DeliveryProb(d float64) float64
 	// MaxRange returns the distance beyond which DeliveryProb is always 0.
-	// The spatial grid derives its cell size from it; a model must never
-	// deliver past its MaxRange or grid runs diverge from the scan.
+	// The spatial grid derives its cell side from it; a model must never
+	// deliver past its MaxRange or Grid runs diverge from one-cell runs.
 	MaxRange() float64
 }
 
@@ -105,7 +106,7 @@ type station struct {
 	down    bool
 
 	ord  int      // attachment order — the deterministic iteration rank
-	cell geo.Cell // current grid bucket (grid medium only)
+	cell geo.Cell // current grid bucket
 }
 
 // Stats counts medium activity for the overhead experiments.
@@ -121,15 +122,13 @@ type Stats struct {
 type Config struct {
 	Prop      Propagation
 	PropDelay time.Duration // fixed propagation+processing delay per hop
-	// BitRate, if > 0, adds a size-proportional transmission delay
-	// (bits / BitRate) to every frame.
-	BitRate float64 // bits per second
 
-	// Grid selects the spatial-index implementation: stations are bucketed
-	// into square cells of side MaxRange + MaxSpeed·reindexInterval and a
-	// broadcast only examines the 3×3 neighborhood of the transmitter.
-	// Results are identical to the linear scan as long as MaxSpeed truly
-	// bounds every station's speed.
+	// Grid sets the spatial index's cell side: square cells of side
+	// MaxRange + MaxSpeed·reindexInterval, so a broadcast only examines
+	// the 3×3 neighborhood of the transmitter. Results are identical to
+	// the one-cell index as long as MaxSpeed truly bounds every station's
+	// speed. Unset, one cell holds every station: the caller declares no
+	// speed bound, so nothing is pruned.
 	Grid bool
 	// MaxSpeed is the declared upper bound on any station's speed in m/s.
 	// The grid pads its cells by MaxSpeed·reindexInterval so a station
@@ -161,7 +160,7 @@ type Medium struct {
 	// scenario digests pin is untouched).
 	pool []*delivery
 
-	// Spatial index (nil cells map when running the reference scan).
+	// Spatial index; cellSide is +Inf for the one-cell index.
 	cells       map[geo.Cell][]*station
 	cellSide    float64
 	lastReindex time.Duration
@@ -189,25 +188,25 @@ func NewMedium(sched *sim.Scheduler, cfg Config) *Medium {
 	if cfg.PropDelay <= 0 {
 		cfg.PropDelay = time.Millisecond
 	}
-	m := &Medium{
+	// One cell of infinite side holds every station unless Grid declares
+	// the speed bound; a propagation model with no range leaves no
+	// positive side to grid by, so it stays one cell too.
+	side := math.Inf(1)
+	if cfg.Grid {
+		if s := cfg.Prop.MaxRange() + cfg.MaxSpeed*reindexInterval.Seconds(); s > 0 {
+			side = s
+		}
+	}
+	return &Medium{
 		sched:    sched,
 		cfg:      cfg,
 		rng:      sched.Rand(),
 		stations: make(map[addr.Node]*station),
+		cells:    make(map[geo.Cell][]*station),
+		cellSide: side,
+		nbhd:     make(map[geo.Cell]*neighborhood),
 	}
-	if cfg.Grid {
-		side := cfg.Prop.MaxRange() + cfg.MaxSpeed*reindexInterval.Seconds()
-		if side > 0 {
-			m.cells = make(map[geo.Cell][]*station)
-			m.nbhd = make(map[geo.Cell]*neighborhood)
-			m.cellSide = side
-		}
-	}
-	return m
 }
-
-// GridEnabled reports whether this medium runs on the spatial index.
-func (m *Medium) GridEnabled() bool { return m.cells != nil }
 
 // Attach registers a station. pos is sampled at transmission time so moving
 // nodes are supported; handler receives delivered frames. Re-attaching an
@@ -220,17 +219,13 @@ func (m *Medium) Attach(id addr.Node, pos func() geo.Point, handler Handler) {
 		if old.down {
 			m.downCount--
 		}
-		if m.cells != nil {
-			m.bucketRemove(old)
-		}
+		m.bucketRemove(old)
 	} else {
 		st.ord = len(m.order)
 		m.order = append(m.order, id)
 	}
 	m.stations[id] = st
-	if m.cells != nil {
-		m.bucketInsert(st, st.pos())
-	}
+	m.bucketInsert(st, geo.CellOf(st.pos(), m.cellSide))
 }
 
 // SetDown marks a station as powered off (true) or on (false); a down
@@ -279,26 +274,15 @@ func (m *Medium) NeighborsInto(id addr.Node, out []addr.Node) []addr.Node {
 	if !ok || self.down {
 		return out
 	}
-	if m.cells != nil {
-		m.reindexIfStale()
-		p := self.pos()
-		m.bucketMove(self, p)
-		for _, other := range m.neighborhoodOf(self.cell) {
-			if other == self || other.down {
-				continue
-			}
-			if m.cfg.Prop.DeliveryProb(p.Dist(other.pos())) > 0 {
-				out = append(out, other.id)
-			}
-		}
-		return out
-	}
-	for _, other := range m.order {
-		if other == id {
+	m.reindexIfStale()
+	p := self.pos()
+	m.bucketMove(self, p)
+	for _, other := range m.neighborhoodOf(self.cell) {
+		if other == self || other.down {
 			continue
 		}
-		if m.InRange(id, other) {
-			out = append(out, other)
+		if m.cfg.Prop.DeliveryProb(p.Dist(other.pos())) > 0 {
+			out = append(out, other.id)
 		}
 	}
 	return out
@@ -316,10 +300,6 @@ func (m *Medium) Send(from, to addr.Node, payload []byte) {
 	m.stats.FramesSent++
 	m.stats.BytesSent += uint64(len(payload))
 
-	delay := m.cfg.PropDelay
-	if m.cfg.BitRate > 0 {
-		delay += time.Duration(float64(time.Second) * float64(len(payload)*8) / m.cfg.BitRate)
-	}
 	srcPos := src.pos()
 	frame := Frame{From: from, To: to, Payload: payload, Sent: m.sched.Now()}
 
@@ -335,37 +315,26 @@ func (m *Medium) Send(from, to addr.Node, payload []byte) {
 		dv := m.newDelivery()
 		dv.dst = dst
 		dv.frame = frame
-		m.sched.AfterCall(delay, runDelivery, dv)
+		m.sched.AfterCall(m.cfg.PropDelay, runDelivery, dv)
 	}
 
 	if to == addr.Broadcast {
-		if m.cells != nil {
-			m.reindexIfStale()
-			m.bucketMove(src, srcPos)
-			union := m.neighborhoodOf(src.cell)
-			m.sched.Reserve(len(union))
-			visited := 0
-			for _, dst := range union {
-				if dst == src || dst.down {
-					continue
-				}
-				visited++
-				deliver(dst)
-			}
-			// Every station the grid pruned is out of range by the cell-size
-			// contract; the scan would have charged each one a lost frame.
-			eligible := len(m.order) - m.downCount - 1
-			m.stats.FramesLost += uint64(eligible - visited) //nolint:gosec // visited ⊆ eligible
-			return
-		}
-		m.sched.Reserve(len(m.order) - 1)
-		for _, id := range m.order {
-			dst := m.stations[id]
-			if dst.id == from || dst.down {
+		m.reindexIfStale()
+		m.bucketMove(src, srcPos)
+		union := m.neighborhoodOf(src.cell)
+		m.sched.Reserve(len(union))
+		visited := 0
+		for _, dst := range union {
+			if dst == src || dst.down {
 				continue
 			}
+			visited++
 			deliver(dst)
 		}
+		// Every station the grid pruned is out of range by the cell-size
+		// contract; charge each one a lost frame, as if it had been visited.
+		eligible := len(m.order) - m.downCount - 1
+		m.stats.FramesLost += uint64(eligible - visited) //nolint:gosec // visited ⊆ eligible
 		return
 	}
 	if dst, ok := m.stations[to]; ok && !dst.down {
@@ -433,10 +402,10 @@ func (m *Medium) reindexIfStale() {
 	}
 }
 
-// bucketInsert places a station into the cell covering p.
-func (m *Medium) bucketInsert(st *station, p geo.Point) {
-	st.cell = geo.CellOf(p, m.cellSide)
-	m.cells[st.cell] = append(m.cells[st.cell], st)
+// bucketInsert places a station into cell c.
+func (m *Medium) bucketInsert(st *station, c geo.Cell) {
+	st.cell = c
+	m.cells[c] = append(m.cells[c], st)
 	m.gen++
 }
 
@@ -466,14 +435,12 @@ func (m *Medium) bucketMove(st *station, p geo.Point) {
 		return
 	}
 	m.bucketRemove(st)
-	st.cell = c
-	m.cells[c] = append(m.cells[c], st)
-	m.gen++
+	m.bucketInsert(st, c)
 }
 
 // neighborhoodOf returns every station bucketed in the 3×3 cell block
-// around c, sorted into attachment order so callers visit stations
-// exactly as the reference scan would. The union is cached per cell and
+// around c, sorted into attachment order so callers visit candidates in
+// the same order under any cell side. The union is cached per cell and
 // revalidated against the bucket generation — in quasi-static stretches
 // (most of a run, even under mobility: a station crosses a ≥range-sized
 // cell boundary rarely) a broadcast costs one map hit instead of nine
@@ -493,9 +460,10 @@ func (m *Medium) neighborhoodOf(c geo.Cell) []*station {
 			nb.union = append(nb.union, m.cells[geo.Cell{CX: c.CX + dx, CY: c.CY + dy}]...)
 		}
 	}
-	// Insertion sort: unions are small (~a dozen stations at working
-	// densities) and rebuilt rarely; a generic sort's indirection costs
-	// more than it saves here.
+	// Insertion sort: grid unions are small (~a dozen stations at working
+	// densities) and rebuilt rarely, and the one-cell union is already in
+	// attachment order unless a station re-attached; a generic sort's
+	// indirection costs more than it saves here.
 	s := nb.union
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j].ord < s[j-1].ord; j-- {

@@ -123,22 +123,6 @@ func TestDeliveryDelay(t *testing.T) {
 	}
 }
 
-func TestBitRateAddsTransmissionDelay(t *testing.T) {
-	s := sim.New(1)
-	m := NewMedium(s, Config{
-		Prop: UnitDisk{Range: 100}, PropDelay: time.Millisecond, BitRate: 8000, // 1 byte/ms
-	})
-	var when time.Duration
-	m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
-	m.Attach(addr.NodeAt(2), fixed(geo.Pt(10, 0)), func(Frame) { when = s.Now() })
-	m.Send(addr.NodeAt(1), addr.NodeAt(2), make([]byte, 100))
-	s.Run()
-	want := time.Millisecond + 100*time.Millisecond
-	if when != want {
-		t.Errorf("delivered at %v, want %v", when, want)
-	}
-}
-
 func TestDownStation(t *testing.T) {
 	s, m := newTestMedium(t, 100)
 	var b capture

@@ -102,7 +102,6 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 		Radio: radio.Config{
 			Prop:      spec.radioProp(),
 			PropDelay: spec.Radio.PropDelay.D(),
-			BitRate:   spec.Radio.BitRate,
 			Grid:      spec.Radio.Medium == "grid",
 			// Mobility.MaxSpeed bounds every moving station the builder
 			// creates: waypoint and walk models never exceed it, pinned
@@ -282,7 +281,7 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 			deferred = append(deferred, func() {
 				w.Sched.After(at, func() {
 					t := st.Start(w.Sched, func(p []byte) {
-						w.Medium.Send(emitter, addr.Broadcast, append([]byte{core.PayloadOLSR}, p...))
+						w.Send(emitter, addr.Broadcast, append([]byte{core.PayloadOLSR}, p...))
 					})
 					if dur > 0 {
 						w.Sched.After(dur, t.Stop)

@@ -295,9 +295,9 @@ func init() {
 }
 
 // registerScalePresets adds the large-N presets: the same attack
-// narratives as the small corpus, at populations the naive medium scan
-// cannot sustain. They default to the grid medium (the scale golden
-// check re-runs them on the scan to prove equivalence) and are excluded
+// narratives as the small corpus, at populations a one-cell medium
+// sustains only slowly. They default to range-sized grid cells (the scale
+// golden check re-runs them on one cell to prove equivalence) and are excluded
 // from the per-PR golden corpus — the scale CI job owns them.
 func registerScalePresets() {
 	Register(Spec{
@@ -407,7 +407,7 @@ func x5Baselines() Spec {
 			rp := &attack.Replayer{Delay: time.Second, Copies: 1}
 			for _, raw := range captured {
 				rp.Capture(w.Sched, func(b []byte) {
-					w.Medium.Send(addr.NodeAt(2), addr.Broadcast, b)
+					w.Send(addr.NodeAt(2), addr.Broadcast, b)
 				}, raw)
 			}
 		})

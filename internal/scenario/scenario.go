@@ -89,20 +89,21 @@ type Position struct {
 type RadioSpec struct {
 	// Model is "unitdisk" (default) or "lossy".
 	Model string `json:"model,omitempty"`
-	// Medium selects the delivery implementation: "scan" (default) is the
-	// reference linear scan, "grid" the spatial index (radio.Config.Grid).
-	// The two produce byte-identical digests — the golden cross-check
-	// enforces it — so the choice is purely about speed at scale.
+	// Medium picks the spatial index's cell side (radio.Config.Grid):
+	// "scan" (default) is one cell holding every station, with no
+	// pruning; "grid" is cells of range plus mobility.maxSpeed·1s, which
+	// skip distant stations. Both run the same medium code to
+	// byte-identical digests — the golden cross-check enforces it — so
+	// the choice is purely about speed at scale.
 	Medium string `json:"medium,omitempty"`
 	// Range is the (reliable) radio range in meters (default 200).
 	Range float64 `json:"range,omitempty"`
 	// FadeRange and Loss parameterize the lossy model (see radio.LossyDisk).
 	FadeRange float64 `json:"fadeRange,omitempty"`
 	Loss      float64 `json:"loss,omitempty"`
-	// PropDelay is the per-hop propagation delay (default 1ms).
+	// PropDelay is the per-hop propagation delay (default 1ms); it is
+	// the whole delivery delay, whatever the payload size.
 	PropDelay Duration `json:"propDelay,omitempty"`
-	// BitRate, if > 0, adds size-proportional transmission delay.
-	BitRate float64 `json:"bitRate,omitempty"`
 }
 
 // MobilitySpec selects and parameterizes the movement model applied to
@@ -380,6 +381,16 @@ func (s Spec) Validate() error {
 	case "static", "waypoint", "walk":
 	default:
 		return fmt.Errorf("scenario %q: unknown mobility model %q", s.Name, s.Mobility.Model)
+	}
+	// MaxSpeed pads the grid medium's cells, so it must bound every
+	// station's speed: a negative bound shrinks cells below the radio
+	// range, and a higher MinSpeed is what the waypoint model would run.
+	if s.Mobility.MaxSpeed < 0 {
+		return fmt.Errorf("scenario %q: mobility.maxSpeed %v is negative", s.Name, s.Mobility.MaxSpeed)
+	}
+	if s.Mobility.MinSpeed > s.Mobility.MaxSpeed {
+		return fmt.Errorf("scenario %q: mobility.minSpeed %v exceeds mobility.maxSpeed %v",
+			s.Name, s.Mobility.MinSpeed, s.Mobility.MaxSpeed)
 	}
 	if s.Victim > s.Nodes {
 		return fmt.Errorf("scenario %q: victim %d outside population %d", s.Name, s.Victim, s.Nodes)

@@ -160,16 +160,38 @@ func TestValidate(t *testing.T) {
 			t.Errorf("spec %q validated despite being invalid", s.Name)
 		}
 	}
+	// mobility.maxSpeed pads the grid medium's cells, so a speed it does
+	// not bound fails with an error that names the field.
+	for _, tc := range []struct {
+		spec  Spec
+		field string
+	}{
+		{Spec{Name: "neg-speed", Mobility: MobilitySpec{Model: "static", MaxSpeed: -150}}, "mobility.maxSpeed"},
+		{Spec{Name: "neg-walk", Mobility: MobilitySpec{Model: "walk", MaxSpeed: -1}}, "mobility.maxSpeed"},
+		{Spec{Name: "min-over-max", Mobility: MobilitySpec{Model: "waypoint", MinSpeed: 40, MaxSpeed: 2}}, "mobility.minSpeed"},
+		{Spec{Name: "min-no-max", Mobility: MobilitySpec{Model: "static", MinSpeed: 1}}, "mobility.minSpeed"},
+	} {
+		err := tc.spec.Validate()
+		if err == nil {
+			t.Errorf("spec %q validated despite being invalid", tc.spec.Name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("spec %q: error %q does not name %s", tc.spec.Name, err, tc.field)
+		}
+	}
 	if err := (Spec{Name: "ok"}).Validate(); err != nil {
 		t.Errorf("minimal spec rejected: %v", err)
 	}
 }
 
 // TestParseRejectsRetiredPlaneKeys pins the narrowed plane specs: each
-// key the evidence and reputation planes no longer take fails Parse with
-// an error that names it, instead of running with the constant.
+// key the evidence and reputation planes no longer take, and the radio's
+// retired bitRate, fails Parse with an error that names it, instead of
+// running with the constant.
 func TestParseRejectsRetiredPlaneKeys(t *testing.T) {
 	for _, tc := range []struct{ plane, key, value string }{
+		{"radio", "bitRate", `1e6`},
 		{"evidence", "gossipInterval", `"10s"`},
 		{"evidence", "provenWeight", `3`},
 		{"reputation", "gossipInterval", `"5s"`},
@@ -178,8 +200,11 @@ func TestParseRejectsRetiredPlaneKeys(t *testing.T) {
 		{"reputation", "freshness", `"30s"`},
 		{"reputation", "dishonestAfter", `2`},
 	} {
-		data := fmt.Sprintf(`{"name": "x", "seed": 1, "nodes": 4, "duration": "5s", %q: {"enabled": true, %q: %s}}`,
-			tc.plane, tc.key, tc.value)
+		body := fmt.Sprintf(`%q: %s`, tc.key, tc.value)
+		if tc.plane != "radio" {
+			body = `"enabled": true, ` + body
+		}
+		data := fmt.Sprintf(`{"name": "x", "seed": 1, "nodes": 4, "duration": "5s", %q: {%s}}`, tc.plane, body)
 		_, err := Parse([]byte(data))
 		if err == nil {
 			t.Errorf("%s.%s accepted", tc.plane, tc.key)

@@ -19,11 +19,27 @@ import (
 	"repro/internal/trace"
 )
 
+// sendCounter is a Recorder that also counts net/send events.
+type sendCounter struct {
+	trace.Recorder
+	sends uint64
+}
+
+func (r *sendCounter) Event(e trace.Event) {
+	if e.Plane == trace.PlaneNet && e.Kind == trace.KindSend {
+		r.sends++
+	}
+	r.Recorder.Event(e)
+}
+
 // TestTraceOffIsInert runs every packet preset twice — sink off, then a
 // Recorder — and requires the same digest both ways, byte-for-byte
 // against the checked-in golden file. This is the forced-ON golden
 // pass: the corpus digests hold with tracing enabled, not just when
-// the sink is nil.
+// the sink is nil. The traced run must also log one net/send per frame
+// the medium counts as sent: every node-originated frame, attack
+// choreography included, goes through core.Network.Send. Presets with
+// a wormhole are exempt, since its mouths are stations, not nodes.
 func TestTraceOffIsInert(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full preset corpus; skipped with -short")
@@ -36,13 +52,20 @@ func TestTraceOffIsInert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &trace.Recorder{}
+			rec := &sendCounter{}
 			traced, err := scenario.RunTraced(spec, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rec.Len() == 0 {
 				t.Fatal("traced run recorded no events")
+			}
+			wormhole := false
+			for _, a := range spec.Attacks {
+				wormhole = wormhole || a.Kind == "wormhole"
+			}
+			if !wormhole && rec.sends != traced.Frames.FramesSent {
+				t.Errorf("traced %d net/send events for %d frames sent", rec.sends, traced.Frames.FramesSent)
 			}
 			got, want := traced.Digest(), plain.Digest()
 			if got != want {
