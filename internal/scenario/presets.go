@@ -296,9 +296,10 @@ func init() {
 
 // registerScalePresets adds the large-N presets: the same attack
 // narratives as the small corpus, at populations a one-cell medium
-// sustains only slowly. They default to range-sized grid cells (the scale
-// golden check re-runs them on one cell to prove equivalence) and are excluded
-// from the per-PR golden corpus — the scale CI job owns them.
+// sustains only slowly. They default to range-sized grid cells (the
+// scale golden check re-runs them on one cell to prove equivalence) and
+// are excluded from the per-PR golden corpus — the scale CI job owns
+// them.
 func registerScalePresets() {
 	Register(Spec{
 		Name: "linkspoof-200",

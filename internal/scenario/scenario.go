@@ -384,7 +384,7 @@ func (s Spec) Validate() error {
 	}
 	// MaxSpeed pads the grid medium's cells, so it must bound every
 	// station's speed: a negative bound shrinks cells below the radio
-	// range, and a higher MinSpeed is what the waypoint model would run.
+	// range, and the waypoint model raises its top speed to MinSpeed.
 	if s.Mobility.MaxSpeed < 0 {
 		return fmt.Errorf("scenario %q: mobility.maxSpeed %v is negative", s.Name, s.Mobility.MaxSpeed)
 	}
