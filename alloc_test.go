@@ -198,7 +198,7 @@ func TestAllocCeilingAuditAppend(t *testing.T) {
 // call), and each proof allocates only its path.
 func TestAllocCeilingSealedLog(t *testing.T) {
 	var b auditlog.Buffer
-	b.SetSealKey([]byte("alloc"))
+	b.SetSealKey(nil)
 	r := auditlog.Record{
 		T: 2500 * time.Millisecond, Node: addr.NodeAt(1), Kind: auditlog.KindHelloRx,
 		Fields: []auditlog.Field{

@@ -371,9 +371,9 @@ type AlibiLink struct {
 // the citations attached to its lies point at fabricated records. The
 // rewrite is exactly what the sealed log makes evident — the forger's
 // rebuilt Merkle tree cannot be linked to any tree head it gossiped
-// before the rewrite, and its forward-secure chain fails k_0 audit — so
-// this attacker exists to be caught: the log-forger scenarios measure
-// how fast, and at what collusion fraction the catch still happens.
+// before the rewrite — so this attacker exists to be caught: the
+// log-forger scenarios measure how fast, and at what collusion fraction
+// the catch still happens.
 type LogForger struct {
 	// Self is the forger's own address (set by core when installed).
 	Self addr.Node
@@ -412,9 +412,8 @@ func (f *LogForger) Mutate(suspect addr.Node, linkExists, answered bool) (bool, 
 // Forge performs one rewrite pass at virtual time now: it erases every
 // retained HELLO_RX from the alibi endpoints (the records that would
 // contradict the story), plants fresh fabricated HELLOs advertising the
-// protected links, and reseals the log. The reseal necessarily uses the
-// forger's current epoch key — the pre-compromise keys are gone — and
-// rebuilds the Merkle tree from the rewritten history.
+// protected links, and reseals the log: the reseal rebuilds the Merkle
+// tree from the rewritten history.
 func (f *LogForger) Forge(now time.Duration) {
 	if f.Active != nil && !f.Active() {
 		return

@@ -19,17 +19,16 @@ import (
 // byte chunks; a pointer-free index, in pages, keeps each record's exact
 // time (the line renders milliseconds), its node and where its line lies.
 // Readers take the lines as they are: the detector parses them
-// (logevent.Parse), citations, Export and Dump return them, and sealing
-// hashes them. Since decodes them back into Records — exactly, because
+// (logevent.Parse), citations and Dump return them, and sealing hashes
+// them. Since decodes them back into Records — exactly, because
 // ParseLine inverts the rendering and T comes from the index.
 //
 // A buffer armed with SetSealKey also seals every appended record
-// (seal.go): its canonical line extends a forward-secure hash chain and
-// becomes a leaf of the log's Merkle tree, making any later rewrite of
-// history evident. Sealing is pure computation — it draws no randomness
-// and schedules nothing — so a sealed and an unsealed run of the same
-// simulation are byte-identical; an unarmed buffer pays no sealing cost
-// at all.
+// (seal.go): its canonical line becomes a leaf of the log's Merkle tree,
+// making any later rewrite of history evident. Sealing is pure
+// computation — it draws no randomness and schedules nothing — so a
+// sealed and an unsealed run of the same simulation are byte-identical;
+// an unarmed buffer pays no sealing cost at all.
 type Buffer struct {
 	// chunks hold the lines. A chunk is only ever appended to, and a byte
 	// once written is never written again, which is what lets a Line's
@@ -70,7 +69,7 @@ const (
 const pageRefs = 1 << 12
 
 // SetOnSeal installs an observer called with the sequence number of
-// every record sealed into the hash chain. Observation only.
+// every record sealed into the Merkle tree. Observation only.
 func (b *Buffer) SetOnSeal(fn func(seq uint64)) { b.onSeal = fn }
 
 // Append adds a record, sealing it when the buffer is armed. A record

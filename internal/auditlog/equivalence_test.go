@@ -21,26 +21,17 @@ type refLog struct {
 	recs []Record
 
 	sealed       bool
-	key, chain   Hash
-	leaves, tags []Hash
+	leaves       []Hash
 	sealObserved []uint64 // what SetOnSeal must have seen
 	cursorNext   uint64
 }
 
 func (r *refLog) nextSeq() uint64 { return uint64(len(r.recs)) }
 
-func (r *refLog) sealOne(rec Record) {
-	leaf := LeafHash([]byte(rec.String()))
-	r.chain = chainStep(r.chain, leaf)
-	r.leaves = append(r.leaves, leaf)
-	r.tags = append(r.tags, sealTag(r.key, r.chain))
-	r.key = keyStep(r.key)
-}
-
 func (r *refLog) append(rec Record) {
 	if r.sealed {
 		r.sealObserved = append(r.sealObserved, r.nextSeq())
-		r.sealOne(rec)
+		r.leaves = append(r.leaves, LeafHash([]byte(rec.String())))
 	}
 	r.recs = append(r.recs, rec)
 }
@@ -64,9 +55,9 @@ func (r *refLog) rewrite(recs []Record) {
 	if !r.sealed {
 		return
 	}
-	r.chain, r.leaves, r.tags = Hash{}, nil, nil
+	r.leaves = nil
 	for _, rec := range r.recs {
-		r.sealOne(rec)
+		r.leaves = append(r.leaves, LeafHash([]byte(rec.String())))
 	}
 }
 
@@ -136,10 +127,9 @@ type refHarness struct {
 func newRefHarness(t *testing.T, s int, rng *rand.Rand) *refHarness {
 	h := &refHarness{t: t, s: s, rng: rng, b: &Buffer{}, ref: &refLog{}}
 	if rng.Intn(2) == 0 {
-		material := []byte(fmt.Sprintf("key-%d", s))
-		h.b.SetSealKey(material)
+		h.b.SetSealKey(nil)
 		h.b.SetOnSeal(func(seq uint64) { h.observed = append(h.observed, seq) })
-		h.ref.sealed, h.ref.key = true, DeriveSealKey(material)
+		h.ref.sealed = true
 	}
 	h.cur = NewCursor(h.b)
 	return h
@@ -345,23 +335,13 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 		fail("line", "LineAt(NextSeq) found a record")
 	}
 	if !ref.sealed {
-		if b.Export() != nil || b.SealedSize() != 0 {
-			fail("seal", "unsealed buffer exports or seals")
+		if b.SealedSize() != 0 {
+			fail("seal", "unsealed buffer seals")
 		}
 		return
 	}
-	exp := b.Export()
-	if len(exp) != len(ref.recs) {
-		fail("export", "%d records, want %d", len(exp), len(ref.recs))
-	}
-	for i, e := range exp {
-		seq := uint64(i) //nolint:gosec // i >= 0
-		if e.Index != seq || e.Line != ref.recs[i].String() || e.Tag != ref.tags[seq] {
-			fail("export", "record %d = %+v", i, e)
-		}
-	}
-	if b.ChainHead() != ref.chain || b.SealedSize() != uint64(len(ref.leaves)) {
-		fail("chain", "head or sealed size differs")
+	if b.SealedSize() != uint64(len(ref.leaves)) {
+		fail("seal", "sealed size %d, want %d", b.SealedSize(), len(ref.leaves))
 	}
 	if head := b.TreeHead(); head.Size != uint64(len(ref.leaves)) || head.Root != merkleRoot(ref.leaves) {
 		fail("tree", "head %+v, want size %d", head, len(ref.leaves))
@@ -370,9 +350,6 @@ func checkAgainstReference(t *testing.T, b *Buffer, ref *refLog, fail func(strin
 		return
 	}
 	index := uint64(rng.Intn(len(ref.leaves))) //nolint:gosec // small
-	if tag, ok := b.SealTag(index); !ok || tag != ref.tags[index] {
-		fail("tag", "SealTag(%d) differs", index)
-	}
 	if leaf, ok := b.LeafAt(index); !ok || leaf != ref.leaves[index] {
 		fail("leaf", "LeafAt(%d) differs", index)
 	}
@@ -471,7 +448,7 @@ func checkTree(b *Buffer, leaves []Hash, old, size, index uint64) error {
 // random triples on logs of up to 1500 records across random rewrites.
 func TestTreeMatchesReference(t *testing.T) {
 	var b Buffer
-	b.SetSealKey([]byte("oracle"))
+	b.SetSealKey(nil)
 	var leaves []Hash
 	for n := uint64(1); n <= 130; n++ {
 		r := Record{Kind: KindHelloTx, Fields: []Field{FInt("i", int(n))}}
@@ -495,8 +472,8 @@ func TestTreeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24)) //nolint:gosec // test determinism
 	for s := 0; s < 20; s++ {
 		b := &Buffer{}
-		ref := &refLog{sealed: true, key: DeriveSealKey([]byte("long"))}
-		b.SetSealKey([]byte("long"))
+		ref := &refLog{sealed: true}
+		b.SetSealKey(nil)
 		for round := 0; round < 3; round++ {
 			for n := rng.Intn(500); n > 0; n-- {
 				r := randomRecord(rng)

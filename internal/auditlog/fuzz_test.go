@@ -298,7 +298,7 @@ func FuzzTreeProofs(f *testing.F) {
 	f.Add(uint16(2048), uint64(0xffff_0000_ffff_fffe), uint16(1000), uint16(1537), uint16(1024))
 	f.Fuzz(func(t *testing.T, count uint16, keep uint64, old, size, index uint16) {
 		var b Buffer
-		b.SetSealKey([]byte("fuzz"))
+		b.SetSealKey(nil)
 		var leaves []Hash
 		for i := 0; i < int(count)%2049; i++ {
 			r := Record{Kind: KindTCTx, Fields: []Field{FInt("i", i)}}

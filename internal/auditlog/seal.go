@@ -3,27 +3,14 @@
 // The paper's IDS trusts the routing daemon's own log — which makes the
 // log itself an attack surface: a compromised responder can rewrite its
 // history and "prove" anything it likes. Sealing makes that rewriting
-// *evident* with two complementary mechanisms, borrowed from the
-// transparency-log literature:
-//
-//   - A forward-secure hash chain (securelog-style): every appended
-//     record extends a running chain head and is authenticated with a
-//     keyed tag (sealTag — a domain-separated prefix-MAC over fixed-size
-//     inputs, see its comment) under an evolving key that is hashed
-//     forward (and the old key erased) after each append. A node
-//     compromised at time t cannot
-//     recompute the tags of records sealed before t, so an auditor who
-//     holds the initial key detects any rewrite of pre-compromise
-//     history (VerifySealedChain).
-//
-//   - An incremental Merkle tree (sigsum/RFC 6962-style): the sealed
-//     records double as tree leaves, and the log exposes TreeHead,
-//     InclusionProof and ConsistencyProof. Tree heads are gossiped;
-//     replies to investigations cite records together with inclusion
-//     proofs against the responder's current head plus a consistency
-//     proof from the head the investigator already knows. A forger who
-//     rewrote history cannot link its new head to any previously
-//     gossiped one, so its testimony is rejected (internal/detect).
+// *evident* with an incremental Merkle tree (sigsum/RFC 6962-style): the
+// sealed records are the tree's leaves, and the log exposes TreeHead,
+// InclusionProof and ConsistencyProof. Tree heads are gossiped; replies
+// to investigations cite records together with inclusion proofs against
+// the responder's current head plus a consistency proof from the head the
+// investigator already knows. A forger who rewrote history cannot link
+// its new head to any previously gossiped one, so its testimony is
+// rejected (internal/detect).
 //
 // Leaves are the canonical text rendering of each record (Record.String),
 // the same bytes the Buffer stores — which is why the codec's escaping
@@ -46,16 +33,11 @@ type Hash [HashSize]byte
 // String renders the digest as hex.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
-// Domain-separation prefixes. Leaf and interior prefixes follow RFC 6962;
-// the chain/key/seed prefixes keep the forward-secure chain's inputs
-// disjoint from the tree's.
+// Domain-separation prefixes for leaves and interior nodes, as in RFC
+// 6962.
 const (
-	prefixLeaf    byte = 0x00
-	prefixNode    byte = 0x01
-	prefixChain   byte = 0x02
-	prefixKeyStep byte = 0x03
-	prefixKeySeed byte = 0x04
-	prefixTag     byte = 0x05
+	prefixLeaf byte = 0x00
+	prefixNode byte = 0x01
 )
 
 // LeafHash hashes one leaf datum (a canonical record line) the RFC 6962
@@ -75,57 +57,6 @@ func nodeHash(left, right Hash) Hash {
 	buf[0] = prefixNode
 	copy(buf[1:], left[:])
 	copy(buf[1+HashSize:], right[:])
-	return sha256.Sum256(buf[:])
-}
-
-// chainStep extends the forward-secure chain: H(0x02 || chain || leaf).
-//
-//repro:allocfree
-func chainStep(chain, leaf Hash) Hash {
-	var buf [1 + 2*HashSize]byte
-	buf[0] = prefixChain
-	copy(buf[1:], chain[:])
-	copy(buf[1+HashSize:], leaf[:])
-	return sha256.Sum256(buf[:])
-}
-
-// keyStep evolves the sealing key one epoch forward: H(0x03 || key). The
-// step is one-way, which is the whole point — knowing k_i reveals nothing
-// about k_{i-1}.
-//
-//repro:allocfree
-func keyStep(key Hash) Hash {
-	var buf [1 + HashSize]byte
-	buf[0] = prefixKeyStep
-	copy(buf[1:], key[:])
-	return sha256.Sum256(buf[:])
-}
-
-// DeriveSealKey maps arbitrary key material to the initial sealing key
-// k_0: H(0x04 || material).
-func DeriveSealKey(material []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{prefixKeySeed})
-	h.Write(material)
-	var out Hash
-	copy(out[:], h.Sum(out[:0]))
-	return out
-}
-
-// sealTag authenticates one chain head under the epoch key as
-// H(0x05 || key || chain). A prefix-MAC is safe here where generic HMAC
-// hedging is not needed: both inputs are fixed 32-byte values (no
-// length-extension surface — a tag is never a prefix of another MAC
-// input) and the domain byte separates it from every other hash in the
-// package. One Sum256 per record instead of crypto/hmac's four hash
-// states matters: every audit record of every node pays this.
-//
-//repro:allocfree
-func sealTag(key, chain Hash) Hash {
-	var buf [1 + 2*HashSize]byte
-	buf[0] = prefixTag
-	copy(buf[1:], key[:])
-	copy(buf[1+HashSize:], chain[:])
 	return sha256.Sum256(buf[:])
 }
 
@@ -233,13 +164,10 @@ func VerifyConsistency(old, new TreeHead, proof Proof) bool {
 	return sn == 0 && fr == old.Root && sr == new.Root
 }
 
-// seal is the tamper-evidence state of a Buffer: one tag per record and
-// the log's Merkle tree, indexed by sequence number.
+// seal is the tamper-evidence state of a Buffer: the log's Merkle tree,
+// indexed by sequence number.
 type seal struct {
-	enabled bool   // armed by SetSealKey; unarmed buffers seal nothing
-	key     Hash   // evolving epoch key k_i
-	chain   Hash   // chain head after the last append
-	tags    []Hash // forward-secure tag per sequence number
+	enabled bool // armed by SetSealKey; unarmed buffers seal nothing
 
 	// levels is the Merkle tree: levels[0] holds the leaf hashes and
 	// levels[l][i] the root of the perfect subtree over leaves
@@ -257,17 +185,14 @@ func (s *seal) leaves() []Hash {
 }
 
 // append seals one record, given as its canonical line prefixed with
-// prefixLeaf: leaf hash, chain step, epoch tag, key evolution, and one
-// node hash per perfect subtree the leaf completes — the per-record hot
-// path BenchmarkSealedAppend prices, with zero allocations (the tags and
-// levels appends amortize into retained capacity).
+// prefixLeaf: the leaf hash and one node hash per perfect subtree the
+// leaf completes — the per-record hot path BenchmarkSealedAppend prices,
+// with zero allocations (the levels appends amortize into retained
+// capacity).
 //
 //repro:allocfree
 func (s *seal) append(leafInput []byte) {
 	h := Hash(sha256.Sum256(leafInput))
-	s.chain = chainStep(s.chain, h)
-	s.tags = append(s.tags, sealTag(s.key, s.chain))
-	s.key = keyStep(s.key)
 	for l := 0; ; l++ {
 		if l == len(s.levels) {
 			s.levels = append(s.levels, nil)
@@ -333,38 +258,24 @@ func (s *seal) subProof(m, lo, hi int, complete bool) []Hash {
 	return append(s.subProof(m, k, hi, false), s.subtree(lo, k))
 }
 
-// SetSealKey arms sealing with the initial key k_0, derived from
-// material. Sealing is off until armed: an unarmed buffer pays nothing
-// per Append and keeps no seal state, which is why the core package arms
-// logs only when the evidence plane is enabled. Arming is observable-free — it draws no
-// randomness and schedules nothing — so it can never move a scenario
-// digest. It must happen before the first Append (the chain is keyed
-// from the very first record) and panics otherwise, because a late
-// start would silently void the forward-security property.
+// SetSealKey arms sealing; material is unused. Sealing is off until
+// armed: an unarmed buffer pays nothing per Append and keeps no seal
+// state, which is why the core package arms logs only when the evidence
+// plane is enabled. Arming is observable-free — it draws no randomness
+// and schedules nothing — so it can never move a scenario digest. It
+// must happen before the first Append and panics otherwise: a record's
+// leaf index is its sequence number, which citations rely on when they
+// prove a Line's Seq, and a late start would shift every leaf.
 func (b *Buffer) SetSealKey(material []byte) {
 	if b.Len() != 0 {
 		panic("auditlog: SetSealKey after records were appended")
 	}
 	b.seal.enabled = true
-	b.seal.key = DeriveSealKey(material)
 }
 
 // SealedSize returns how many records have been sealed — the size of the
 // current tree head, equal to NextSeq for an unrewritten log.
 func (b *Buffer) SealedSize() uint64 { return uint64(len(b.seal.leaves())) }
-
-// ChainHead returns the forward-secure chain head over every sealed
-// record.
-func (b *Buffer) ChainHead() Hash { return b.seal.chain }
-
-// SealTag returns the forward-secure tag of the record at the given leaf
-// index.
-func (b *Buffer) SealTag(index uint64) (Hash, bool) {
-	if index >= uint64(len(b.seal.tags)) {
-		return Hash{}, false
-	}
-	return b.seal.tags[index], true
-}
 
 // LeafAt returns the leaf hash of the record at the given index.
 func (b *Buffer) LeafAt(index uint64) (Hash, bool) {
@@ -418,10 +329,7 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 
 // Rewrite is the ATTACKER's operation: it keeps the records keep
 // accepts, in order, appends add after them, and reseals everything from
-// scratch — with the log's CURRENT epoch key, because the pre-compromise
-// keys were hashed forward and erased. The rebuilt chain therefore
-// cannot reproduce the original tags (VerifySealedChain with k_0 fails),
-// and the rebuilt Merkle tree generally cannot be linked by any
+// scratch. The rebuilt Merkle tree generally cannot be linked by any
 // consistency proof to a previously published head. Sequence numbers
 // restart at 0 and the reseal does not fire the SetOnSeal observer.
 // Honest code never calls this; attack.LogForger does.
@@ -443,8 +351,6 @@ func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 	if !b.seal.enabled {
 		return
 	}
-	b.seal.chain = Hash{}
-	b.seal.tags = b.seal.tags[:0]
 	for l := range b.seal.levels {
 		b.seal.levels[l] = b.seal.levels[l][:0]
 	}
@@ -452,50 +358,4 @@ func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 		b.scratch = append(append(b.scratch[:0], prefixLeaf), b.line(i).Text...)
 		b.seal.append(b.scratch)
 	}
-}
-
-// SealedRecord pairs a record line with its position and tag, as handed
-// to an auditor.
-type SealedRecord struct {
-	Index uint64
-	Line  string
-	Tag   Hash
-}
-
-// Export returns every record in sealed form. An unsealed buffer has
-// nothing to export.
-func (b *Buffer) Export() []SealedRecord {
-	if !b.seal.enabled {
-		return nil
-	}
-	out := make([]SealedRecord, b.Len())
-	for i := range out {
-		l := b.line(i)
-		out[i] = SealedRecord{Index: l.Seq, Line: l.Text, Tag: b.seal.tags[l.Seq]}
-	}
-	return out
-}
-
-// VerifySealedChain replays an exported record sequence against the
-// initial key material and reports the first index whose tag does not
-// match, or -1 when the whole sequence (and, when expectHead is non-nil,
-// the final chain head) checks out. The sequence must start at index 0 —
-// forward security means the auditor must walk the key schedule from k_0.
-func VerifySealedChain(material []byte, recs []SealedRecord, expectHead *Hash) (int, error) {
-	key := DeriveSealKey(material)
-	var chain Hash
-	for i, r := range recs {
-		if r.Index != uint64(i) { //nolint:gosec // i >= 0
-			return i, fmt.Errorf("auditlog: sealed record %d carries index %d", i, r.Index)
-		}
-		chain = chainStep(chain, LeafHash([]byte(r.Line)))
-		if sealTag(key, chain) != r.Tag {
-			return i, fmt.Errorf("auditlog: sealed record %d fails tag verification", i)
-		}
-		key = keyStep(key)
-	}
-	if expectHead != nil && chain != *expectHead {
-		return len(recs), fmt.Errorf("auditlog: chain head mismatch after %d records", len(recs))
-	}
-	return -1, nil
 }

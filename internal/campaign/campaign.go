@@ -5,10 +5,10 @@
 // worker pool, observable while running, and cancelable.
 //
 // The package is the library API behind cmd/manetd (the HTTP/JSON
-// front-end) and the CLIs: a Store abstracts campaign persistence
-// (MemStore today, a durable backend later), a Manager owns the queue,
-// per-tenant concurrency quotas and token-bucket rate limits, and
-// graceful shutdown drains running campaigns before the process exits.
+// front-end) and the CLIs: a MemStore keeps the campaigns in memory, a
+// Manager owns the queue, per-tenant concurrency quotas and token-bucket
+// rate limits, and graceful shutdown drains running campaigns before the
+// process exits.
 //
 // Determinism discipline carries over from the engine: run seeds are
 // expanded at submit time through experiment.TrialSeed — the same

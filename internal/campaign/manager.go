@@ -37,11 +37,9 @@ var (
 // exhaust the service's memory.
 const MaxRuns = 10000
 
-// Config parameterizes a Manager. The zero value is usable: in-memory
-// store, no quotas, GOMAXPROCS campaign executors.
+// Config parameterizes a Manager. The zero value is usable: no quotas,
+// GOMAXPROCS campaign executors.
 type Config struct {
-	// Store persists campaigns; nil selects a fresh MemStore.
-	Store Store
 	// Quota bounds every tenant (per-tenant overrides can come later;
 	// the wire format already carries the tenant).
 	Quota Quota
@@ -64,7 +62,7 @@ type Config struct {
 // queued or running ones; Drain stops intake and waits for the queue to
 // empty. All methods are safe for concurrent use.
 type Manager struct {
-	store   Store
+	store   *MemStore
 	quota   Quota
 	limiter *limiter
 	now     func() time.Time
@@ -104,9 +102,6 @@ type Manager struct {
 
 // NewManager starts a manager and its executor pool.
 func NewManager(cfg Config) *Manager {
-	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
-	}
 	if cfg.CampaignWorkers <= 0 {
 		cfg.CampaignWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -121,7 +116,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		store:      cfg.Store,
+		store:      NewMemStore(),
 		quota:      cfg.Quota,
 		limiter:    newLimiter(cfg.Quota, cfg.Now),
 		now:        cfg.Now,

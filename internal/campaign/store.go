@@ -6,31 +6,11 @@ import (
 	"sync"
 )
 
-// Store abstracts campaign persistence. The Manager is the only writer;
-// reads may come from any goroutine (HTTP handlers, the metrics
-// exporter), so implementations must be safe for concurrent use and
-// must return snapshots — a caller can never observe a campaign
-// mid-mutation. MemStore is the in-process implementation; a durable
-// backend (file, SQLite) slots in behind the same interface.
-type Store interface {
-	// Create inserts a new campaign; the ID must be unused.
-	Create(c *Campaign) error
-	// Get returns a snapshot of the campaign, if known.
-	Get(id string) (*Campaign, bool)
-	// List returns snapshots, oldest submission first; tenant "" lists
-	// every tenant.
-	List(tenant string) []*Campaign
-	// Update applies mutate to the stored campaign under the store's
-	// lock and reports whether the ID was known. mutate must not retain
-	// the *Campaign it is handed.
-	Update(id string, mutate func(*Campaign)) bool
-	// ActiveCount counts the tenant's non-terminal campaigns — the
-	// quota denominator.
-	ActiveCount(tenant string) int
-}
-
-// MemStore is the in-memory Store: a mutex-guarded map. Campaigns
-// survive as long as the process; a service restart starts empty.
+// MemStore is the campaign store: a mutex-guarded map. The Manager is
+// the only writer; reads may come from any goroutine (HTTP handlers, the
+// metrics exporter), so every read returns a snapshot — a caller can
+// never observe a campaign mid-mutation. Campaigns survive as long as
+// the process; a service restart starts empty.
 type MemStore struct {
 	mu        sync.RWMutex
 	campaigns map[string]*Campaign
@@ -41,7 +21,7 @@ func NewMemStore() *MemStore {
 	return &MemStore{campaigns: make(map[string]*Campaign)}
 }
 
-// Create implements Store.
+// Create inserts a new campaign; the ID must be unused.
 func (s *MemStore) Create(c *Campaign) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -52,7 +32,7 @@ func (s *MemStore) Create(c *Campaign) error {
 	return nil
 }
 
-// Get implements Store.
+// Get returns a snapshot of the campaign, if known.
 func (s *MemStore) Get(id string) (*Campaign, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -63,7 +43,8 @@ func (s *MemStore) Get(id string) (*Campaign, bool) {
 	return c.Clone(), true
 }
 
-// List implements Store.
+// List returns snapshots, oldest submission first; tenant "" lists
+// every tenant.
 func (s *MemStore) List(tenant string) []*Campaign {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -83,7 +64,9 @@ func (s *MemStore) List(tenant string) []*Campaign {
 	return out
 }
 
-// Update implements Store.
+// Update applies mutate to the stored campaign under the store's lock
+// and reports whether the ID was known. mutate must not retain the
+// *Campaign it is handed.
 func (s *MemStore) Update(id string, mutate func(*Campaign)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -95,7 +78,8 @@ func (s *MemStore) Update(id string, mutate func(*Campaign)) bool {
 	return true
 }
 
-// ActiveCount implements Store.
+// ActiveCount counts the tenant's non-terminal campaigns — the quota
+// denominator.
 func (s *MemStore) ActiveCount(tenant string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

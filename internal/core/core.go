@@ -241,11 +241,9 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 		logs = &auditlog.Buffer{}
 	}
 	if w.cfg.Evidence {
-		// A deterministic per-node key: forward security matters against
-		// the simulated forgers, not real adversaries, and deriving it
-		// from the address keeps the run seed-stable without drawing on
-		// the simulation RNG.
-		logs.SetSealKey([]byte("seal:" + id.String()))
+		// Sealing keeps the log's Merkle tree, whose heads the evidence
+		// plane gossips and whose proofs back citations.
+		logs.SetSealKey(nil)
 	}
 
 	router := olsr.New(olsr.Config{Addr: id}, w.Sched, func(b []byte) {

@@ -41,7 +41,7 @@ func newEvidenceWorld(t *testing.T) *evidenceWorld {
 		heads:    HeadMap{},
 		respLogs: &auditlog.Buffer{},
 	}
-	w.respLogs.SetSealKey([]byte("resp"))
+	w.respLogs.SetSealKey(nil)
 
 	// Observer: neighbor of 2 only; the suspect's advertisement claims
 	// {1, 2} while 2's own HELLOs do not list the suspect — a first-hand
@@ -399,7 +399,7 @@ func TestCiteMatchesRecordReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			log := &auditlog.Buffer{}
-			log.SetSealKey([]byte("cite"))
+			log.SetSealKey(nil)
 			at := map[int]bool{}
 			for _, i := range tc.helloAt {
 				at[i] = true

@@ -50,8 +50,6 @@ type Hooks struct {
 	// ModifyHello rewrites the HELLO body just before emission — the link
 	// spoofing attack surface (paper §III-A).
 	ModifyHello func(h *wire.Hello)
-	// ModifyTC rewrites TC bodies the node originates.
-	ModifyTC func(t *wire.TC)
 	// DropForward, when returning true, silently suppresses the relaying
 	// of a message the node should forward as an MPR (black/gray hole).
 	DropForward func(m *wire.Message, sender addr.Node) bool

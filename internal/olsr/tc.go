@@ -23,9 +23,6 @@ func (n *Node) sendTC() {
 		return
 	}
 	tc := &wire.TC{ANSN: n.ansn, Advertised: sel}
-	if n.hooks.ModifyTC != nil {
-		n.hooks.ModifyTC(tc)
-	}
 	n.tcTx++
 	n.log(auditlog.KindTCTx,
 		auditlog.FInt("ansn", int(tc.ANSN)),

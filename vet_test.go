@@ -6,7 +6,12 @@ package repro
 // may never run.
 
 import (
+	"io/fs"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,5 +63,69 @@ func TestGofmtClean(t *testing.T) {
 	}
 	if files := strings.TrimSpace(string(out)); files != "" {
 		t.Errorf("files need gofmt:\n%s", files)
+	}
+}
+
+// TestFuzzTargetsWired keeps the two hand-kept fuzz lists, the Makefile
+// `fuzz` target and the CI `fuzz` matrix, equal to the module's fuzz
+// targets: every `func FuzzX(*testing.F)` must appear in both with its
+// package, and neither may name a target that is gone.
+func TestFuzzTargetsWired(t *testing.T) {
+	funcRE := regexp.MustCompile(`(?m)^func (Fuzz\w*)\(\w+ \*testing\.F\)`)
+	var want []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && err == nil {
+				return filepath.SkipDir // another module, such as bench/
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			want = append(want, string(m[1])+" ./"+filepath.ToSlash(filepath.Dir(path)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("found no fuzz targets")
+	}
+	slices.Sort(want)
+
+	for _, list := range []struct {
+		file string
+		re   *regexp.Regexp
+	}{
+		{"Makefile", regexp.MustCompile(`-fuzz='\^(\w+)\$\$'\S* +\S+ +(\./\S+)`)},
+		{".github/workflows/ci.yml", regexp.MustCompile(`\{ *fuzz: *(\w+), *pkg: *(\./[^ }]+) *\}`)},
+	} {
+		src, err := os.ReadFile(list.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, m := range list.re.FindAllSubmatch(src, -1) {
+			got = append(got, string(m[1])+" "+string(m[2]))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s fuzz list:\n  %s\nwant the module's fuzz targets:\n  %s",
+				list.file, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
 	}
 }
