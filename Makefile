@@ -76,7 +76,7 @@ scale-update:
 # testdata/alloc_budget.json. `make alloc-update` re-records the budget
 # after an intentional change.
 alloc:
-	$(GO) test -run 'TestAlloc' -count=1 . ./internal/detect
+	$(GO) test -run 'TestAlloc' -count=1 . ./internal/detect ./internal/core
 
 alloc-update:
 	$(GO) test -run 'TestAllocBudget' -update-alloc-budget -count=1 .
@@ -97,8 +97,9 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Short local fuzz pass over the codecs, the proof verifier, OLSR's
-# packet handling and the radio medium against its brute-force oracle
-# (CI runs the same budget per target).
+# packet handling, the radio medium against its brute-force oracle and
+# the event kernel against its reference (CI runs the same budget per
+# target).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodePacket$$' -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/olsr
 	$(GO) test -fuzz='^FuzzMedium$$' -fuzztime=30s ./internal/radio
+	$(GO) test -fuzz='^FuzzKernel$$' -fuzztime=30s ./internal/sim
 
 # reprolint: the in-repo determinism & hot-path analyzer suite
 # (DESIGN.md §12) — detwalltime, detmapiter, detseed, allocann. Builds

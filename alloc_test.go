@@ -15,8 +15,9 @@ package repro
 //     -update-alloc-budget (make alloc-update).
 //
 // The detect round-finalize ceiling lives in internal/detect (it needs
-// the package's investigation fixture). Run the whole tier with
-// `make alloc`.
+// the package's investigation fixture), and the core OLSR emission
+// ceiling in internal/core (the router's send function is the node's
+// own). Run the whole tier with `make alloc`.
 
 import (
 	"encoding/json"
@@ -29,6 +30,8 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
+	"repro/internal/geo"
+	"repro/internal/radio"
 	"repro/internal/reputation"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -108,7 +111,7 @@ func TestAllocCeilingWireEncode(t *testing.T) {
 }
 
 // TestAllocCeilingSim pins the event kernel: scheduling through At and
-// After with a non-capturing func, AfterCall with a pointer arg, Step,
+// After with a non-capturing func, AfterBurst with a pointer arg, Step,
 // and a ticker's steady-state firing allocate nothing once the queue
 // has capacity.
 func TestAllocCeilingSim(t *testing.T) {
@@ -116,17 +119,45 @@ func TestAllocCeilingSim(t *testing.T) {
 	noop := func() {}
 	bump := func(a any) { *a.(*int)++ }
 	calls := 0
-	s.Reserve(512) // AllocsPerRun(100) makes 101 calls per entry
+	// Grow the heap past the 101 entries AllocsPerRun(100) pushes per call
+	// under test; it keeps its capacity once drained.
+	for range 512 {
+		s.After(0, noop)
+	}
+	s.Run()
 	allocCeiling(t, "sim.Scheduler.At", 0, func() { s.At(s.Now()+time.Second, noop) })
 	allocCeiling(t, "sim.Scheduler.After", 0, func() { s.After(time.Second, noop) })
-	allocCeiling(t, "sim.Scheduler.AfterCall", 0, func() { s.AfterCall(time.Second, bump, &calls) })
+	allocCeiling(t, "sim.Scheduler.AfterBurst", 0, func() { s.AfterBurst(time.Second, 8, bump, &calls) })
 	allocCeiling(t, "sim.Scheduler.Step", 0, func() { s.Step() })
 	s.Run()
 	s.Every(0, time.Millisecond, 0.5, noop)
 	s.Step()
 	allocCeiling(t, "sim.Ticker firing", 0, func() { s.Step() })
-	if calls == 0 {
-		t.Fatal("no AfterCall event ran")
+	if calls != 8*101 {
+		t.Fatalf("AfterBurst calls ran %d times, want %d", calls, 8*101)
+	}
+}
+
+// TestAllocCeilingMedium pins the radio medium: on a warm medium, a
+// broadcast to eight receivers, queued as one burst that owns a copy of
+// the payload, and its delivery allocate nothing.
+func TestAllocCeilingMedium(t *testing.T) {
+	s := sim.New(1)
+	m := radio.NewMedium(s, radio.Config{Prop: radio.UnitDisk{Range: 100}})
+	got := 0
+	for i := 1; i <= 9; i++ {
+		p := geo.Pt(float64(10*i), 0)
+		m.Attach(addr.NodeAt(i), func() geo.Point { return p }, func(f radio.Frame) { got += len(f.Payload) })
+	}
+	payload := make([]byte, 64)
+	send := func() {
+		m.Send(addr.NodeAt(1), addr.Broadcast, payload)
+		s.Run()
+	}
+	send()
+	allocCeiling(t, "radio.Medium.Send broadcast + drain", 0, send)
+	if want := 102 * 8 * len(payload); got != want {
+		t.Fatalf("receivers got %d payload bytes, want %d", got, want)
 	}
 }
 

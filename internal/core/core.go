@@ -226,7 +226,7 @@ type Node struct {
 	recDec      wire.Decoder       // recommend-packet decode arena
 	entScratch  []reputation.Entry // reused by ingest and gossip ticks
 	nbScratch   []addr.Node        // reused by forwardCtrl's neighbor scan
-	ctrlBuf     []byte             // reused ctrl envelope encode scratch
+	txBuf       []byte             // reused encode scratch of every frame sent
 }
 
 // AddNode instantiates and wires a node; call before Start.
@@ -246,20 +246,8 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 		logs.SetSealKey(nil)
 	}
 
-	router := olsr.New(olsr.Config{Addr: id}, w.Sched, func(b []byte) {
-		w.Send(id, addr.Broadcast, append([]byte{PayloadOLSR}, b...))
-	}, logs)
-	router.SetTracer(w.tracer)
-	if w.cfg.Evidence && w.tracer.On() {
-		logs.SetOnSeal(func(seq uint64) {
-			w.tracer.Emit(trace.Event{Plane: trace.PlaneEvidence, Kind: trace.KindSeal,
-				Node: id.String(), V0: float64(seq)})
-		})
-	}
-
 	n := &Node{
 		ID:          id,
-		Router:      router,
 		Logs:        logs,
 		net:         w,
 		pos:         spec.Pos,
@@ -269,6 +257,15 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 	}
 	if n.pos == nil {
 		n.pos = mobility.Static{}
+	}
+	router := olsr.New(olsr.Config{Addr: id}, w.Sched, n.broadcastOLSR, logs)
+	router.SetTracer(w.tracer)
+	n.Router = router
+	if w.cfg.Evidence && w.tracer.On() {
+		logs.SetOnSeal(func(seq uint64) {
+			w.tracer.Emit(trace.Event{Plane: trace.PlaneEvidence, Kind: trace.KindSeal,
+				Node: id.String(), V0: float64(seq)})
+		})
 	}
 
 	switch {
@@ -339,6 +336,15 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 	w.nodes[id] = n
 	w.order = append(w.order, id)
 	return n
+}
+
+// broadcastOLSR is the router's send function: it prefixes an encoded
+// OLSR packet with its discriminator in the node's transmit scratch and
+// broadcasts it. The medium copies the payload, so the scratch is free
+// again once Send returns.
+func (n *Node) broadcastOLSR(pkt []byte) {
+	n.txBuf = append(append(n.txBuf[:0], PayloadOLSR), pkt...)
+	n.net.Send(n.ID, addr.Broadcast, n.txBuf)
 }
 
 // Node returns the node with the given id, or nil.

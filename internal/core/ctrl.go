@@ -123,12 +123,11 @@ func (n *Node) forwardCtrl(m *ctrlMsg) {
 }
 
 // encodeCtrl renders the on-air form of m, PayloadCtrl discriminator
-// included. It builds into the node's scratch (amortizing growth) and
-// returns an exact-size copy, because the medium retains the payload
-// until delivery.
+// included, into the node's transmit scratch. The result is valid until
+// the node's next send; the medium copies it in Send.
 func (n *Node) encodeCtrl(m *ctrlMsg) []byte {
-	n.ctrlBuf = appendCtrlMsg(append(n.ctrlBuf[:0], PayloadCtrl), m)
-	return slices.Clone(n.ctrlBuf)
+	n.txBuf = appendCtrlMsg(append(n.txBuf[:0], PayloadCtrl), m)
+	return n.txBuf
 }
 
 // handleCtrl processes a received control payload: deliver locally or

@@ -111,11 +111,10 @@ func (n *Node) gossipRecommend() {
 	})
 }
 
-// broadcastRecommend frames one recommendation message and emits it as a
-// one-hop broadcast.
+// broadcastRecommend frames one recommendation message in the node's
+// transmit scratch and emits it as a one-hop broadcast.
 func (n *Node) broadcastRecommend(m wire.Message) {
 	pkt := &wire.Packet{Seq: m.Seq, Messages: []wire.Message{m}}
-	payload := make([]byte, 1, 1+pkt.EncodedSize())
-	payload[0] = PayloadRecommend
-	n.net.Send(n.ID, addr.Broadcast, pkt.AppendTo(payload))
+	n.txBuf = pkt.AppendTo(append(n.txBuf[:0], PayloadRecommend))
+	n.net.Send(n.ID, addr.Broadcast, n.txBuf)
 }

@@ -69,10 +69,10 @@ var emitMethods = map[string]bool{
 // schedulerMethods post events: each call draws a sequence number, so
 // call order IS event order.
 var schedulerMethods = map[string]bool{
-	"At":        true,
-	"After":     true,
-	"AfterCall": true,
-	"Every":     true,
+	"At":         true,
+	"After":      true,
+	"AfterBurst": true,
+	"Every":      true,
 }
 
 // fmtStreamFuncs write a formatted stream in call order.

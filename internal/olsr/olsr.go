@@ -161,9 +161,9 @@ type Node struct {
 // node renders nothing and only counts its records (Records).
 //
 // The payload slice passed to send is a scratch buffer the node reuses
-// for its next emission: send must copy it before handing it to anything
-// that retains it past the call (a simulated medium keeps payloads alive
-// until delivery, so prefix-and-copy as internal/core does, or clone).
+// for its next emission, valid only during the call: send must copy
+// whatever it keeps. The radio medium copies in Send, so internal/core
+// prefixes into its own scratch and hands that over.
 func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buffer) *Node {
 	return &Node{
 		cfg:   cfg,

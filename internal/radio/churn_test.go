@@ -60,6 +60,27 @@ func TestSetDownMidFlight(t *testing.T) {
 		if len(got.frames) != 1 {
 			t.Fatalf("got %d frames after power-up, want 1", len(got.frames))
 		}
+
+		// Within one burst: the first receiver's handler powers off a
+		// later receiver of the same frame, which then gets nothing, as
+		// if each delivery were its own event; the one after it still
+		// receives.
+		var later, last capture
+		m.Attach(addr.NodeAt(3), fixed(geo.Pt(60, 0)), later.handler())
+		m.Attach(addr.NodeAt(4), fixed(geo.Pt(70, 0)), last.handler())
+		m.Attach(addr.NodeAt(2), fixed(geo.Pt(50, 0)), func(f Frame) {
+			got.handler()(f)
+			m.SetDown(addr.NodeAt(3), true)
+		})
+		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("z"))
+		s.Run()
+		if len(got.frames) != 2 || len(later.frames) != 0 || len(last.frames) != 1 {
+			t.Fatalf("frames got/later/last = %d/%d/%d, want 2/0/1",
+				len(got.frames), len(later.frames), len(last.frames))
+		}
+		if st := m.Stats(); st.FramesDelivered != 5 || st.FramesLost != 0 {
+			t.Fatalf("stats = %+v, want FramesDelivered=5 FramesLost=0", st)
+		}
 	})
 }
 

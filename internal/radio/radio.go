@@ -28,8 +28,11 @@ import (
 
 // Frame is one link-layer transmission.
 type Frame struct {
-	From    addr.Node
-	To      addr.Node // addr.Broadcast for one-hop broadcast
+	From addr.Node
+	To   addr.Node // addr.Broadcast for one-hop broadcast
+	// Payload is the medium's copy of the sent bytes, valid only during
+	// the handler call: the medium reuses it for a later frame. A handler
+	// that keeps the bytes (a relay, a sniffer) clones them.
 	Payload []byte
 	Sent    time.Duration // virtual time the transmission started
 }
@@ -154,11 +157,10 @@ type Medium struct {
 
 	downCount int // stations currently marked down
 
-	// pool recycles the per-delivery argument structs handed to
-	// sim.AfterCall, so a broadcast fan-out schedules its events without
-	// allocating (one pooled argument per receiver; the event count the
-	// scenario digests pin is untouched).
-	pool []*delivery
+	// pool recycles the bursts handed to sim.AfterBurst, payload buffers
+	// and receiver lists included, so a warm medium sends without
+	// allocating.
+	pool []*burst
 
 	// Spatial index; cellSide is +Inf for the one-cell index.
 	cells       map[geo.Cell][]*station
@@ -291,7 +293,12 @@ func (m *Medium) NeighborsInto(id addr.Node, out []addr.Node) []addr.Node {
 // Send transmits payload from the named station. to may be a station id
 // (link-layer unicast: delivered only to that station, still subject to
 // range and loss) or addr.Broadcast (delivered to every station in range).
-// Delivery happens asynchronously after the configured delays.
+// Loss is drawn now, receiver by receiver in attachment order; the
+// receivers that survive it get the frame after PropDelay, in that order,
+// as one scheduler burst. Send copies payload, so the caller may reuse
+// it as soon as Send returns.
+//
+//repro:allocfree
 func (m *Medium) Send(from, to addr.Node, payload []byte) {
 	src, ok := m.stations[from]
 	if !ok || src.down {
@@ -301,83 +308,91 @@ func (m *Medium) Send(from, to addr.Node, payload []byte) {
 	m.stats.BytesSent += uint64(len(payload))
 
 	srcPos := src.pos()
-	frame := Frame{From: from, To: to, Payload: payload, Sent: m.sched.Now()}
-
-	deliver := func(dst *station) {
-		d := srcPos.Dist(dst.pos())
-		p := m.cfg.Prop.DeliveryProb(d)
-		if p <= 0 || m.rng.Float64() >= p {
-			m.stats.FramesLost++
-			return
-		}
-		m.stats.FramesDelivered++
-		m.stats.BytesDelivered += uint64(len(frame.Payload))
-		dv := m.newDelivery()
-		dv.dst = dst
-		dv.frame = frame
-		m.sched.AfterCall(m.cfg.PropDelay, runDelivery, dv)
-	}
-
+	b := m.takeBurst()
 	if to == addr.Broadcast {
 		m.reindexIfStale()
 		m.bucketMove(src, srcPos)
-		union := m.neighborhoodOf(src.cell)
-		m.sched.Reserve(len(union))
 		visited := 0
-		for _, dst := range union {
+		for _, dst := range m.neighborhoodOf(src.cell) {
 			if dst == src || dst.down {
 				continue
 			}
 			visited++
-			deliver(dst)
+			m.draw(b, srcPos, dst)
 		}
 		// Every station the grid pruned is out of range by the cell-size
 		// contract; charge each one a lost frame, as if it had been visited.
 		eligible := len(m.order) - m.downCount - 1
 		m.stats.FramesLost += uint64(eligible - visited) //nolint:gosec // visited ⊆ eligible
+	} else if dst, ok := m.stations[to]; ok && !dst.down {
+		m.draw(b, srcPos, dst)
+	}
+	if len(b.dsts) == 0 {
+		m.pool = append(m.pool, b)
 		return
 	}
-	if dst, ok := m.stations[to]; ok && !dst.down {
-		deliver(dst)
+	m.stats.BytesDelivered += uint64(len(b.dsts) * len(payload)) //nolint:gosec // both non-negative
+	b.buf = append(b.buf[:0], payload...)
+	b.frame = Frame{From: from, To: to, Payload: b.buf, Sent: m.sched.Now()}
+	m.sched.AfterBurst(m.cfg.PropDelay, len(b.dsts), runBurst, b)
+}
+
+// draw consults the propagation model and the loss RNG for one candidate
+// receiver and queues it on b if the frame survives.
+func (m *Medium) draw(b *burst, srcPos geo.Point, dst *station) {
+	p := m.cfg.Prop.DeliveryProb(srcPos.Dist(dst.pos()))
+	if p <= 0 || m.rng.Float64() >= p {
+		m.stats.FramesLost++
+		return
 	}
+	m.stats.FramesDelivered++
+	b.dsts = append(b.dsts, dst)
 }
 
-// delivery carries one scheduled frame handoff; instances cycle through
-// Medium.pool instead of being closure-allocated per receiver.
-type delivery struct {
+// burst is one transmission in flight: the frame, its own copy of the
+// payload, and the receivers that survived the loss draw, in draw order.
+// Instances cycle through Medium.pool; a burst returns there after its
+// last receiver's handler, so a handler that sends gets another one.
+type burst struct {
 	m     *Medium
-	dst   *station
 	frame Frame
+	buf   []byte
+	dsts  []*station
+	next  int // index into dsts of the receiver the next call serves
 }
 
-// newDelivery takes a recycled delivery or makes one.
-func (m *Medium) newDelivery() *delivery {
+// takeBurst takes a recycled burst or makes one.
+func (m *Medium) takeBurst() *burst {
 	if n := len(m.pool); n > 0 {
-		dv := m.pool[n-1]
+		b := m.pool[n-1]
 		m.pool[n-1] = nil
 		m.pool = m.pool[:n-1]
-		return dv
+		return b
 	}
-	return &delivery{m: m}
+	return &burst{m: m}
 }
 
-// runDelivery is the static sim.AfterCall trampoline: hand the frame to
-// the receiver (unless it powered down meanwhile) and recycle the
-// argument struct. Fields are copied out before the handler runs so the
-// handler's own sends may reuse the struct immediately.
-func runDelivery(a any) {
-	dv, ok := a.(*delivery)
+// runBurst is the sim.AfterBurst callback: hand the frame to the burst's
+// next receiver, unless it powered down meanwhile, and recycle the burst
+// after the last. The frame's payload is the burst's buffer, valid only
+// during the handler call.
+func runBurst(a any) {
+	b, ok := a.(*burst)
 	if !ok {
 		return
 	}
-	m, dst, frame := dv.m, dv.dst, dv.frame
-	dv.dst = nil
-	dv.frame = Frame{}
-	m.pool = append(m.pool, dv)
-	if dst.down || dst.handler == nil {
-		return
+	dst := b.dsts[b.next]
+	b.next++
+	if !dst.down && dst.handler != nil {
+		dst.handler(b.frame)
 	}
-	dst.handler(frame)
+	if b.next == len(b.dsts) {
+		clear(b.dsts)
+		b.dsts = b.dsts[:0]
+		b.next = 0
+		b.frame = Frame{}
+		b.m.pool = append(b.m.pool, b)
+	}
 }
 
 // --- spatial index maintenance ---

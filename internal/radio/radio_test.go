@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -15,8 +16,13 @@ type capture struct {
 	frames []Frame
 }
 
+// handler keeps each frame with its own copy of the payload, which the
+// medium lends only for the call.
 func (c *capture) handler() Handler {
-	return func(f Frame) { c.frames = append(c.frames, f) }
+	return func(f Frame) {
+		f.Payload = slices.Clone(f.Payload)
+		c.frames = append(c.frames, f)
+	}
 }
 
 func TestUnitDisk(t *testing.T) {
@@ -241,5 +247,43 @@ func TestStatsBytes(t *testing.T) {
 	st := m.Stats()
 	if st.BytesSent != 64 || st.BytesDelivered != 64 {
 		t.Errorf("bytes sent/delivered = %d/%d, want 64/64", st.BytesSent, st.BytesDelivered)
+	}
+}
+
+// TestSendCopiesPayload checks the medium owns what it sends: the caller
+// may overwrite its buffer as soon as Send returns, and a receiver that
+// sends mid-burst, from a buffer of its own or one the caller shares,
+// changes nothing the burst's later receivers see.
+func TestSendCopiesPayload(t *testing.T) {
+	s, m := newTestMedium(t, 100)
+	buf := []byte("first")
+	var got [4]capture
+	m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
+	for i := range got {
+		h := got[i].handler()
+		if i == 0 {
+			// The first receiver answers at once, reusing the caller's
+			// buffer as a node reuses its transmit scratch.
+			h = func(f Frame) {
+				got[0].handler()(f)
+				copy(buf, "reply")
+				m.Send(addr.NodeAt(2), addr.Broadcast, buf)
+			}
+		}
+		m.Attach(addr.NodeAt(2+i), fixed(geo.Pt(float64(10*(i+1)), 0)), h)
+	}
+	m.Send(addr.NodeAt(1), addr.Broadcast, buf)
+	copy(buf, "xxxxx") // overwritten before any delivery
+	s.Run()
+	for i, c := range got {
+		if len(c.frames) == 0 || c.frames[0].From != addr.NodeAt(1) || string(c.frames[0].Payload) != "first" {
+			t.Fatalf("receiver %d: frames %q, want the first broadcast's bytes first", i, c.frames)
+		}
+	}
+	// The reply reached every other receiver, after the first broadcast.
+	for i, c := range got[1:] {
+		if len(c.frames) != 2 || c.frames[1].From != addr.NodeAt(2) || string(c.frames[1].Payload) != "reply" {
+			t.Fatalf("receiver %d: frames %q, want the reply second", i+1, c.frames)
+		}
 	}
 }

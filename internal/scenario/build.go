@@ -280,8 +280,10 @@ func build(spec Spec, sink trace.Sink) (*Built, error) {
 			at, dur := a.At.D(), a.For.D()
 			deferred = append(deferred, func() {
 				w.Sched.After(at, func() {
+					var buf []byte // the medium copies what it sends
 					t := st.Start(w.Sched, func(p []byte) {
-						w.Send(emitter, addr.Broadcast, append([]byte{core.PayloadOLSR}, p...))
+						buf = append(append(buf[:0], core.PayloadOLSR), p...)
+						w.Send(emitter, addr.Broadcast, buf)
 					})
 					if dur > 0 {
 						w.Sched.After(dur, t.Stop)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -164,10 +165,12 @@ func newKernelPair(t *testing.T, seed int64) *kernelPair {
 }
 
 // action is what a scheduled callback does besides being dispatched:
-// stop ticker stop (-1: none), and schedule a plain event in the past.
+// stop ticker stop (-1: none), cancel handle cancel (-1: none), and
+// schedule a plain event in the past (clamped to the current instant)
+// or at the current instant.
 type action struct {
-	stop int
-	past bool
+	stop, cancel int
+	past, now    bool
 }
 
 func (p *kernelPair) callbacks(a action) (func(), func()) {
@@ -175,19 +178,55 @@ func (p *kernelPair) callbacks(a action) (func(), func()) {
 		if a.stop >= 0 {
 			p.tks[a.stop].Stop()
 		}
+		if a.cancel >= 0 {
+			p.evs[a.cancel].Cancel()
+		}
 		if a.past {
 			p.s.At(p.s.Now()-time.Second, func() {})
+		}
+		if a.now {
+			p.s.At(p.s.Now(), func() {})
 		}
 	}
 	ref := func() {
 		if a.stop >= 0 {
 			p.refTks[a.stop].stop()
 		}
+		if a.cancel >= 0 {
+			p.refEvs[a.cancel].canceled = true
+		}
 		if a.past {
 			p.r.at(p.r.now-time.Second, func() {})
 		}
+		if a.now {
+			p.r.at(p.r.now, func() {})
+		}
 	}
 	return kern, ref
+}
+
+// burstArg is a kernel burst's state: call k runs kern[k].
+type burstArg struct {
+	calls int
+	kern  []func()
+}
+
+func runBurstArg(a any) {
+	b := a.(*burstArg)
+	b.calls++
+	b.kern[b.calls-1]()
+}
+
+// burst schedules n calls d from now on the kernel as one AfterBurst and
+// on the reference as n single events, call k doing acts[k].
+func (p *kernelPair) burst(d time.Duration, acts []action) {
+	b := &burstArg{}
+	for _, a := range acts {
+		kern, ref := p.callbacks(a)
+		b.kern = append(b.kern, kern)
+		p.r.at(p.r.now+d, ref)
+	}
+	p.s.AfterBurst(d, len(acts), runBurstArg, b)
 }
 
 // tickerCallbacks returns a ticker body that stops its own ticker on
@@ -225,98 +264,162 @@ func (p *kernelPair) check(op string) {
 	}
 }
 
-func TestKernelMatchesReference(t *testing.T) {
-	bump := func(a any) { *a.(*int)++ }
-	for seed := int64(1); seed <= 200; seed++ {
-		gen := rand.New(rand.NewSource(seed))
-		p := newKernelPair(t, seed)
-		// Times on a 100ms grid so same-instant ties are common.
-		dur := func(lo, hi int) time.Duration { return time.Duration(lo+gen.Intn(hi-lo+1)) * 100 * time.Millisecond }
-		randAction := func() action {
-			a := action{stop: -1, past: gen.Intn(8) == 0}
-			if len(p.tks) > 0 && gen.Intn(6) == 0 {
-				a.stop = gen.Intn(len(p.tks))
-			}
-			return a
+// chooser is the op generator's source of choices: a seeded rand for
+// TestKernelMatchesReference, the fuzzer's bytes for FuzzKernel.
+type chooser interface{ Intn(n int) int }
+
+// fuzzChoices reads one choice per byte and reads 0 once spent.
+type fuzzChoices []byte
+
+func (c *fuzzChoices) Intn(n int) int {
+	if len(*c) == 0 {
+		return 0
+	}
+	v := int((*c)[0]) % n
+	*c = (*c)[1:]
+	return v
+}
+
+// drive runs ops random operations on the pair, checking it after each,
+// then drains both queues and checks that every handle is stale.
+func (p *kernelPair) drive(gen chooser, ops int, done func() bool) {
+	t := p.t
+	t.Helper()
+	// Times on a 100ms grid so same-instant ties are common.
+	dur := func(lo, hi int) time.Duration { return time.Duration(lo+gen.Intn(hi-lo+1)) * 100 * time.Millisecond }
+	randAction := func() action {
+		a := action{stop: -1, cancel: -1, past: gen.Intn(8) == 0, now: gen.Intn(8) == 0}
+		if len(p.tks) > 0 && gen.Intn(6) == 0 {
+			a.stop = gen.Intn(len(p.tks))
 		}
-		var calls, refCalls int
-		for op := 0; op < 300; op++ {
-			var name string
-			switch k := gen.Intn(12); {
-			case k < 2:
-				name = "At"
-				kern, ref := p.callbacks(randAction())
-				at := p.s.Now() + dur(-20, 50) // negative: in the past
-				p.evs = append(p.evs, p.s.At(at, kern))
-				p.refEvs = append(p.refEvs, p.r.at(at, ref))
-			case k < 4:
-				name = "After"
-				kern, ref := p.callbacks(randAction())
-				d := dur(-5, 50)
-				p.evs = append(p.evs, p.s.After(d, kern))
-				p.refEvs = append(p.refEvs, p.r.at(p.r.now+d, ref))
-			case k < 5:
-				name = "AfterCall"
-				d := dur(-5, 50)
-				p.s.AfterCall(d, bump, &calls)
-				p.r.at(p.r.now+d, func() { refCalls++ })
-			case k < 7 && len(p.evs) > 0:
-				// Any handle: pending, already run, or already canceled.
-				name = "Cancel"
-				i := gen.Intn(len(p.evs))
+		if len(p.evs) > 0 && gen.Intn(6) == 0 {
+			a.cancel = gen.Intn(len(p.evs))
+		}
+		return a
+	}
+	plain := func(at time.Duration) {
+		kern, ref := p.callbacks(randAction())
+		p.evs = append(p.evs, p.s.At(at, kern))
+		p.refEvs = append(p.refEvs, p.r.at(at, ref))
+	}
+	randBurst := func(d time.Duration) {
+		acts := make([]action, gen.Intn(6)) // 0: schedules nothing
+		for i := range acts {
+			acts[i] = randAction()
+		}
+		p.burst(d, acts)
+	}
+	var lastBurst time.Duration // virtual time of the latest burst
+	for op := 0; op < ops && !done(); op++ {
+		var name string
+		switch k := gen.Intn(14); {
+		case k < 2:
+			name = "At"
+			plain(p.s.Now() + dur(-20, 50)) // negative: in the past
+		case k < 4:
+			name = "After"
+			kern, ref := p.callbacks(randAction())
+			d := dur(-5, 50)
+			p.evs = append(p.evs, p.s.After(d, kern))
+			p.refEvs = append(p.refEvs, p.r.at(p.r.now+d, ref))
+		case k < 5:
+			name = "AfterBurst"
+			d := dur(-5, 50)
+			lastBurst = max(p.s.Now()+d, p.s.Now())
+			randBurst(d)
+		case k < 6:
+			// A burst with plain events at its instant on either side,
+			// either of which may be canceled now or later.
+			name = "AfterBurst sandwiched"
+			d := dur(0, 20)
+			lastBurst = p.s.Now() + d
+			plain(lastBurst)
+			randBurst(d)
+			plain(lastBurst)
+			if c := gen.Intn(4); c < 2 {
+				i := len(p.evs) - 2 + c
 				p.evs[i].Cancel()
 				p.refEvs[i].canceled = true
-			case k < 8:
-				name = "Every"
-				start, interval := dur(0, 30), dur(1, 20)
-				jitter := []float64{0, 0.1, 0.5, 1, 1.5}[gen.Intn(5)]
-				stopAfter := gen.Intn(4) * gen.Intn(6)
-				kern, ref := p.tickerCallbacks(stopAfter)
-				p.tks = append(p.tks, p.s.Every(start, interval, jitter, kern))
-				p.refTks = append(p.refTks, p.r.every(start, interval, jitter, ref))
-			case k < 9 && len(p.tks) > 0:
-				name = "Stop"
-				i := gen.Intn(len(p.tks))
-				p.tks[i].Stop()
-				p.refTks[i].stop()
-			case k < 10:
-				name = "Reserve"
-				p.s.Reserve(gen.Intn(64))
-			case k < 11:
-				name = "Step"
+			}
+		case k < 8 && len(p.evs) > 0:
+			// Any handle: pending, already run, or already canceled.
+			name = "Cancel"
+			i := gen.Intn(len(p.evs))
+			p.evs[i].Cancel()
+			p.refEvs[i].canceled = true
+		case k < 9:
+			name = "Every"
+			start, interval := dur(0, 30), dur(1, 20)
+			jitter := []float64{0, 0.1, 0.5, 1, 1.5}[gen.Intn(5)]
+			stopAfter := gen.Intn(4) * gen.Intn(6)
+			kern, ref := p.tickerCallbacks(stopAfter)
+			p.tks = append(p.tks, p.s.Every(start, interval, jitter, kern))
+			p.refTks = append(p.refTks, p.r.every(start, interval, jitter, ref))
+		case k < 10 && len(p.tks) > 0:
+			name = "Stop"
+			i := gen.Intn(len(p.tks))
+			p.tks[i].Stop()
+			p.refTks[i].stop()
+		case k < 12:
+			name = "Step"
+			for range 1 + gen.Intn(4) {
 				if got, want := p.s.Step(), p.r.step(); got != want {
-					t.Fatalf("seed %d op %d: Step = %v, want %v", seed, op, got, want)
+					t.Fatalf("op %d: Step = %v, want %v", op, got, want)
 				}
-			default:
-				name = "RunUntil"
-				at := p.s.Now() + dur(0, 40)
-				p.s.RunUntil(at)
-				p.r.runUntil(at)
+				p.check(name)
 			}
-			p.check(name)
-			if calls != refCalls {
-				t.Fatalf("seed %d op %d: AfterCall ran %d times, want %d", seed, op, calls, refCalls)
-			}
+		case k < 13 && lastBurst >= p.s.Now():
+			name = "RunUntil burst time"
+			p.s.RunUntil(lastBurst)
+			p.r.runUntil(lastBurst)
+		default:
+			name = "RunUntil"
+			at := p.s.Now() + dur(0, 40)
+			p.s.RunUntil(at)
+			p.r.runUntil(at)
 		}
-		for _, tk := range p.tks {
-			tk.Stop()
-		}
-		for _, tk := range p.refTks {
-			tk.stop()
-		}
-		p.s.Run()
-		for p.r.step() {
-		}
-		p.check("drain")
-		if len(p.s.canceled) != 0 || p.s.Pending() != 0 {
-			t.Fatalf("seed %d: drained queue holds %d events, %d cancel marks", seed, p.s.Pending(), len(p.s.canceled))
-		}
-		// Every handle is now stale: canceling any of them is a no-op.
-		for _, e := range p.evs {
-			e.Cancel()
-		}
-		if len(p.s.canceled) != 0 {
-			t.Fatalf("seed %d: canceling run events left %d marks", seed, len(p.s.canceled))
-		}
+		p.check(name)
 	}
+	for _, tk := range p.tks {
+		tk.Stop()
+	}
+	for _, tk := range p.refTks {
+		tk.stop()
+	}
+	p.s.Run()
+	for p.r.step() {
+	}
+	p.check("drain")
+	if len(p.s.canceled) != 0 || p.s.Pending() != 0 {
+		t.Fatalf("drained queue holds %d events, %d cancel marks", p.s.Pending(), len(p.s.canceled))
+	}
+	// Every handle is now stale: canceling any of them is a no-op.
+	for _, e := range p.evs {
+		e.Cancel()
+	}
+	if len(p.s.canceled) != 0 {
+		t.Fatalf("canceling run events left %d marks", len(p.s.canceled))
+	}
+}
+
+func TestKernelMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			newKernelPair(t, seed).drive(rand.New(rand.NewSource(seed)), 300, func() bool { return false })
+		})
+	}
+}
+
+// FuzzKernel drives the kernel and the reference through the operation
+// sequence the fuzzer's bytes choose; seed seeds both tickers' jitter.
+func FuzzKernel(f *testing.F) {
+	f.Add(int64(1), []byte{4, 2, 3, 5, 1, 10, 10, 11, 12, 0})
+	f.Add(int64(7), []byte{5, 3, 9, 4, 0, 2, 5, 12, 5, 10, 13, 8, 3})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		c := fuzzChoices(ops)
+		newKernelPair(t, seed).drive(&c, len(ops), func() bool { return len(c) == 0 })
+	})
 }

@@ -8,8 +8,10 @@
 //
 // Pending events are stored by value in a binary min-heap keyed on
 // (time, sequence number), and every event has one callback form,
-// fn(arg): At and After store their func() as the argument, AfterCall
+// fn(arg): At and After store their func() as the argument, AfterBurst
 // passes its own, and a Ticker re-arms itself through the same path.
+// A burst is n calls at one instant under n consecutive sequence
+// numbers, held in one heap entry that hands them out in place.
 // Scheduling allocates nothing once the heap has grown to its working
 // size. Cancel marks an event in a set consulted when it is popped.
 package sim
@@ -17,7 +19,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/trace"
@@ -32,11 +33,14 @@ type key struct {
 
 func (k key) before(o key) bool { return k.at < o.at || (k.at == o.at && k.seq < o.seq) }
 
-// event is one pending callback: fn(arg) runs at virtual time at.
+// event is one pending callback: fn(arg) runs at virtual time at. A
+// burst entry also runs it under each of the next more seqs: its key is
+// always that of its next sub-event.
 type event struct {
 	key
-	fn  func(any)
-	arg any
+	fn   func(any)
+	arg  any
+	more int
 }
 
 // Event is a handle to a callback scheduled by At or After. The zero
@@ -64,6 +68,7 @@ type Scheduler struct {
 	now      time.Duration
 	seq      uint64
 	events   []event // binary min-heap on (at, seq)
+	held     int     // sub-events queued behind their burst entry's head
 	canceled map[uint64]struct{}
 	// floor is the sequence number drawn next when the queue last ran
 	// empty: every event with a lower seq has run or been reaped.
@@ -93,15 +98,9 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // seed fully determines a run.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// Pending returns the number of events waiting to run, including canceled
-// events that have not been reaped yet.
-func (s *Scheduler) Pending() int { return len(s.events) }
-
-// Reserve grows the event queue's capacity so the next n schedule calls
-// do not reallocate it. Bulk schedulers (the radio medium fanning one
-// broadcast out to every receiver) call it once per burst; it has no
-// observable effect on event ordering or timing.
-func (s *Scheduler) Reserve(n int) { s.events = slices.Grow(s.events, n) }
+// Pending returns the number of events waiting to run, counting each of
+// a burst's calls and canceled events that have not been reaped yet.
+func (s *Scheduler) Pending() int { return len(s.events) + s.held }
 
 // Processed returns how many events have run so far.
 func (s *Scheduler) Processed() uint64 { return s.ran }
@@ -109,28 +108,39 @@ func (s *Scheduler) Processed() uint64 { return s.ran }
 // At schedules fn to run at absolute virtual time t. Times in the past run
 // at the current instant (never before already-queued events for that
 // instant).
-func (s *Scheduler) At(t time.Duration, fn func()) Event { return s.push(t, callFunc, fn) }
+func (s *Scheduler) At(t time.Duration, fn func()) Event { return s.push(t, callFunc, fn, 1) }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func()) Event { return s.push(s.now+d, callFunc, fn) }
+func (s *Scheduler) After(d time.Duration, fn func()) Event { return s.push(s.now+d, callFunc, fn, 1) }
 
-// AfterCall schedules fn(arg) to run d after the current virtual time.
-// With a static fn and a pointer arg it schedules without building a
-// closure, which is what bulk schedulers (the radio medium fans one
-// broadcast out to every receiver) want. The call cannot be canceled.
-func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) { s.push(s.now+d, fn, arg) }
+// AfterBurst schedules n calls of fn(arg), back to back, d after the
+// current virtual time: exactly the calls that scheduling fn(arg) n
+// times in a row would run, in the same order under the same sequence
+// numbers, each counted in Processed and traced as its own dispatch. The n calls
+// share one queue entry, so a broadcast fanning out to every receiver
+// costs one push and one pop; fn tells the calls apart by state it keeps
+// in arg. With a static fn and a pointer arg nothing allocates. The
+// calls cannot be canceled; n <= 0 schedules nothing.
+func (s *Scheduler) AfterBurst(d time.Duration, n int, fn func(any), arg any) {
+	if n > 0 {
+		s.push(s.now+d, fn, arg, n)
+	}
+}
 
 // callFunc is the callback of events scheduled by At and After.
 func callFunc(fn any) { fn.(func())() }
 
-// push enqueues fn(arg) at time t, clamped to now, under the next
-// sequence number.
-func (s *Scheduler) push(t time.Duration, fn func(any), arg any) Event {
+// push enqueues n calls of fn(arg) at time t, clamped to now, under the
+// next n sequence numbers, and returns the handle of the first.
+//
+//repro:allocfree
+func (s *Scheduler) push(t time.Duration, fn func(any), arg any, n int) Event {
 	if t < s.now {
 		t = s.now
 	}
-	e := event{key: key{t, s.seq}, fn: fn, arg: arg}
-	s.seq++
+	e := event{key: key{t, s.seq}, fn: fn, arg: arg, more: n - 1}
+	s.seq += uint64(n) //nolint:gosec // n >= 1
+	s.held += n - 1
 	s.events = append(s.events, e)
 	h := s.events
 	i := len(h) - 1
@@ -189,9 +199,20 @@ func (s *Scheduler) gone(e Event) bool {
 }
 
 // next removes and returns the earliest live event due at or before
-// limit, reaping canceled events on the way.
+// limit, reaping canceled events on the way. A burst at the head hands
+// out its next call in place: the entry's key moves to its next reserved
+// seq, which still sorts first, since any other event at that instant
+// holds a seq outside the reserved range and every event pushed since
+// holds a later one (DESIGN.md §10). The entry leaves with its last call.
 func (s *Scheduler) next(limit time.Duration) (event, bool) {
 	for len(s.events) > 0 && s.events[0].at <= limit {
+		if h := &s.events[0]; h.more > 0 {
+			e := *h
+			h.seq++
+			h.more--
+			s.held--
+			return e, true
+		}
 		e := s.pop()
 		if len(s.canceled) > 0 {
 			if _, dead := s.canceled[e.seq]; dead {
@@ -265,7 +286,7 @@ func (s *Scheduler) Every(start, interval time.Duration, jitter float64, fn func
 		jitter = 1
 	}
 	t := &Ticker{s: s, interval: interval, jitter: jitter, fn: fn}
-	t.next = s.push(s.now+start, fireTicker, t)
+	t.next = s.push(s.now+start, fireTicker, t, 1)
 	return t
 }
 
@@ -284,7 +305,7 @@ func (t *Ticker) fire() {
 	if d <= 0 {
 		d = 1
 	}
-	t.next = t.s.push(t.s.now+d, fireTicker, t)
+	t.next = t.s.push(t.s.now+d, fireTicker, t, 1)
 }
 
 // Stop cancels future firings. It is safe to call more than once and from

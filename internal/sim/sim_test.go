@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -238,16 +242,43 @@ func TestManyEventsStaySorted(t *testing.T) {
 	}
 }
 
-func TestReservePreservesOrdering(t *testing.T) {
+// TestBurstOrdering pins a burst's place among same-instant events: its
+// calls run back to back in its reserved slot, after what was scheduled
+// before it and before what was scheduled after it, mid-burst pushes
+// included; each call is counted and traced with its own seq.
+func TestBurstOrdering(t *testing.T) {
 	s := New(1)
-	var got []int
-	s.After(2*time.Millisecond, func() { got = append(got, 2) })
-	s.Reserve(64)
-	s.After(time.Millisecond, func() { got = append(got, 1) })
-	s.After(3*time.Millisecond, func() { got = append(got, 3) })
-	s.Reserve(0) // no-op
+	var got []string
+	var seqs dispatchLog
+	s.SetTracer(trace.New(&seqs, s.Now))
+	s.After(time.Millisecond, func() { got = append(got, "before") })
+	calls := 0
+	s.AfterBurst(time.Millisecond, 3, func(any) {
+		calls++
+		got = append(got, fmt.Sprint("burst", calls))
+		if calls == 1 {
+			s.After(0, func() { got = append(got, "pushed mid-burst") })
+		}
+	}, nil)
+	s.After(time.Millisecond, func() { got = append(got, "after") })
+	s.After(0, func() { got = append(got, "earlier") })
+	s.AfterBurst(time.Millisecond, 0, func(any) { t.Fatal("an empty burst ran") }, nil)
+	if s.Pending() != 6 {
+		t.Fatalf("Pending = %d, want 6 (each burst call counts)", s.Pending())
+	}
 	s.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("events ran as %v, want [1 2 3]", got)
+	want := []string{"earlier", "before", "burst1", "burst2", "burst3", "after", "pushed mid-burst"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if s.Processed() != 7 {
+		t.Fatalf("Processed = %d, want 7", s.Processed())
+	}
+	var order []uint64
+	for _, f := range seqs {
+		order = append(order, f.seq)
+	}
+	if wantSeqs := []uint64{5, 0, 1, 2, 3, 4, 6}; !slices.Equal(order, wantSeqs) {
+		t.Fatalf("dispatched seqs %v, want %v", order, wantSeqs)
 	}
 }
