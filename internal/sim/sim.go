@@ -68,7 +68,6 @@ type Scheduler struct {
 	now      time.Duration
 	seq      uint64
 	events   []event // binary min-heap on (at, seq)
-	held     int     // sub-events queued behind their burst entry's head
 	canceled map[uint64]struct{}
 	// floor is the sequence number drawn next when the queue last ran
 	// empty: every event with a lower seq has run or been reaped.
@@ -100,7 +99,13 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 // Pending returns the number of events waiting to run, counting each of
 // a burst's calls and canceled events that have not been reaped yet.
-func (s *Scheduler) Pending() int { return len(s.events) + s.held }
+func (s *Scheduler) Pending() int {
+	n := len(s.events)
+	for _, e := range s.events {
+		n += e.more
+	}
+	return n
+}
 
 // Processed returns how many events have run so far.
 func (s *Scheduler) Processed() uint64 { return s.ran }
@@ -116,11 +121,11 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event { return s.push(s.no
 // AfterBurst schedules n calls of fn(arg), back to back, d after the
 // current virtual time: exactly the calls that scheduling fn(arg) n
 // times in a row would run, in the same order under the same sequence
-// numbers, each counted in Processed and traced as its own dispatch. The n calls
-// share one queue entry, so a broadcast fanning out to every receiver
-// costs one push and one pop; fn tells the calls apart by state it keeps
-// in arg. With a static fn and a pointer arg nothing allocates. The
-// calls cannot be canceled; n <= 0 schedules nothing.
+// numbers, each counted in Processed and traced as its own dispatch.
+// The n calls share one queue entry, so a broadcast fanning out to every
+// receiver costs one push and one pop; fn tells the calls apart by state
+// it keeps in arg. With a static fn and a pointer arg nothing allocates.
+// The calls cannot be canceled; n <= 0 schedules nothing.
 func (s *Scheduler) AfterBurst(d time.Duration, n int, fn func(any), arg any) {
 	if n > 0 {
 		s.push(s.now+d, fn, arg, n)
@@ -140,7 +145,6 @@ func (s *Scheduler) push(t time.Duration, fn func(any), arg any, n int) Event {
 	}
 	e := event{key: key{t, s.seq}, fn: fn, arg: arg, more: n - 1}
 	s.seq += uint64(n) //nolint:gosec // n >= 1
-	s.held += n - 1
 	s.events = append(s.events, e)
 	h := s.events
 	i := len(h) - 1
@@ -210,7 +214,6 @@ func (s *Scheduler) next(limit time.Duration) (event, bool) {
 			e := *h
 			h.seq++
 			h.more--
-			s.held--
 			return e, true
 		}
 		e := s.pop()
