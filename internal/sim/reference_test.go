@@ -166,11 +166,11 @@ func newKernelPair(t *testing.T, seed int64) *kernelPair {
 
 // action is what a scheduled callback does besides being dispatched:
 // stop ticker stop (-1: none), cancel handle cancel (-1: none), and
-// schedule a plain event in the past (clamped to the current instant)
-// or at the current instant.
+// schedule a plain event in the past, which runs at the current instant
+// (mid-burst: at the burst's own instant).
 type action struct {
 	stop, cancel int
-	past, now    bool
+	past         bool
 }
 
 func (p *kernelPair) callbacks(a action) (func(), func()) {
@@ -184,9 +184,6 @@ func (p *kernelPair) callbacks(a action) (func(), func()) {
 		if a.past {
 			p.s.At(p.s.Now()-time.Second, func() {})
 		}
-		if a.now {
-			p.s.At(p.s.Now(), func() {})
-		}
 	}
 	ref := func() {
 		if a.stop >= 0 {
@@ -197,9 +194,6 @@ func (p *kernelPair) callbacks(a action) (func(), func()) {
 		}
 		if a.past {
 			p.r.at(p.r.now-time.Second, func() {})
-		}
-		if a.now {
-			p.r.at(p.r.now, func() {})
 		}
 	}
 	return kern, ref
@@ -288,7 +282,7 @@ func (p *kernelPair) drive(gen chooser, ops int, done func() bool) {
 	// Times on a 100ms grid so same-instant ties are common.
 	dur := func(lo, hi int) time.Duration { return time.Duration(lo+gen.Intn(hi-lo+1)) * 100 * time.Millisecond }
 	randAction := func() action {
-		a := action{stop: -1, cancel: -1, past: gen.Intn(8) == 0, now: gen.Intn(8) == 0}
+		a := action{stop: -1, cancel: -1, past: gen.Intn(4) == 0}
 		if len(p.tks) > 0 && gen.Intn(6) == 0 {
 			a.stop = gen.Intn(len(p.tks))
 		}
