@@ -191,6 +191,96 @@ func TestAllocCeilingOLSRHello(t *testing.T) {
 	}
 }
 
+// emissionAllocs steps f's node through its own HELLO, TC and expiry
+// timers, with the neighbors' HELLOs refreshed before every step, until
+// the node has emitted 100 messages of type typ after one warm-up
+// emission. It returns the heap objects allocated per step that emitted
+// one, counted as testing.AllocsPerRun counts; the other steps are not
+// charged.
+func emissionAllocs(t *testing.T, f *floodNode, typ wire.MessageType) float64 {
+	t.Helper()
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var objects uint64
+	for emitted := -1; emitted < runs; {
+		f.refresh()
+		f.sent = 0
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if !f.sched.Step() {
+			t.Fatal("the node's timers stopped")
+		}
+		runtime.ReadMemStats(&ms)
+		if f.sent != typ {
+			continue
+		}
+		if emitted++; emitted > 0 {
+			objects += ms.Mallocs - before
+		}
+	}
+	return float64(objects / runs)
+}
+
+// TestAllocCeilingOLSRHelloEmission pins the HELLO send path: a warm node
+// building its HELLO from the link set in node scratch, and encoding and
+// handing it to the radio, allocates nothing.
+func TestAllocCeilingOLSRHelloEmission(t *testing.T) {
+	f := newFloodNode()
+	f.node.Start()
+	if got := emissionAllocs(t, f, wire.MsgHello); got > 0 {
+		t.Errorf("olsr.Node HELLO emission: %.1f allocs/run, ceiling 0", got)
+	}
+	if st := f.node.Stats(); st.HelloTx < 101 {
+		t.Fatalf("the node sent %d HELLOs, want at least 101", st.HelloTx)
+	}
+}
+
+// TestAllocCeilingOLSRTCEmission pins the TC send path: a warm node
+// advertising its MPR selectors in a TC body held in node scratch
+// allocates nothing.
+func TestAllocCeilingOLSRTCEmission(t *testing.T) {
+	f := newFloodNode()
+	f.node.Start()
+	if got := emissionAllocs(t, f, wire.MsgTC); got > 0 {
+		t.Errorf("olsr.Node TC emission: %.1f allocs/run, ceiling 0", got)
+	}
+	if st := f.node.Stats(); st.TCTx < 101 {
+		t.Fatalf("the node sent %d TCs, want at least 101", st.TCTx)
+	}
+	if sel := f.node.MPRSelectors(nil); !sel.Equal(addr.NewSet(floodNbrs[0])) {
+		t.Fatalf("MPR selectors %v, want %v", sel, floodNbrs[:1])
+	}
+}
+
+// TestAllocCeilingOLSRTopology pins the topology set's steady state on a
+// warm node, TCs forwarded included. A TC from a new originator carves
+// that originator's destination table from the node's chunk, so it costs
+// no growth allocations (the chunk's own allocation amortizes to under one
+// per call). A TC from a known originator under a newer ANSN, whose
+// advertised set fits the capacity that table was carved with, reuses it
+// and allocates nothing.
+func TestAllocCeilingOLSRTopology(t *testing.T) {
+	f := newFloodNode()
+	seq := uint16(1)
+	orig := addr.NodeAt(1000)
+	allocCeiling(t, "olsr.Node new-originator TC", 0, func() {
+		orig++
+		f.tc(floodNbrs[0], orig, seq)
+	})
+	allocCeiling(t, "olsr.Node newer-ANSN TC", 0, func() {
+		seq++
+		f.tcBody.ANSN++
+		f.tc(floodNbrs[0], orig, seq)
+	})
+	if st := f.node.Stats(); st.TCFwd != 2*101 || st.MsgDrop != 0 {
+		t.Fatalf("the TCs were not all processed and forwarded: %+v", st)
+	}
+	if got, want := len(f.node.TopologyLinks()), 101*len(f.tcBody.Advertised); got != want {
+		t.Fatalf("%d topology links, want %d", got, want)
+	}
+}
+
 // TestAllocCeilingAuditAppend pins the audit-log write path: on a warm
 // unsealed log, appending a TC_RX record built from typed fields — the
 // originator, the ANSN and a 20-node advertised list — renders it into

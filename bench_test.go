@@ -346,6 +346,7 @@ type floodNode struct {
 	buf    []byte
 	hellos []wire.Hello // one per neighbor in floodNbrs
 	tcBody wire.TC
+	sent   wire.MessageType // type of the node's last emitted message
 }
 
 var (
@@ -355,7 +356,9 @@ var (
 
 func newFloodNode() *floodNode {
 	f := &floodNode{sched: sim.New(1)}
-	f.node = olsr.New(olsr.Config{Addr: floodSelf}, f.sched, func([]byte) {}, nil)
+	// The first message's type byte follows the 4-byte packet header
+	// (RFC 3626 §3.3).
+	f.node = olsr.New(olsr.Config{Addr: floodSelf}, f.sched, func(b []byte) { f.sent = wire.MessageType(b[4]) }, nil)
 	for i := range floodNbrs {
 		nt := wire.NeighSym
 		if i == 0 {

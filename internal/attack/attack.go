@@ -64,6 +64,7 @@ type LinkSpoofer struct {
 	Active func() bool
 
 	spoofed uint64
+	forged  [1]addr.Node // the forged link block's neighbor list
 }
 
 // Spoofed returns how many HELLOs were forged.
@@ -79,10 +80,13 @@ func (s *LinkSpoofer) Hook() func(*wire.Hello) {
 		switch s.Mode {
 		case SpoofPhantom, SpoofClaim:
 			// Both insert a forged symmetric link; they differ only in
-			// whether Target exists in the network.
+			// whether Target exists in the network. The HELLO is encoded
+			// before the next one is built, so the block can share one
+			// array across HELLOs.
+			s.forged[0] = s.Target
 			h.Links = append(h.Links, wire.LinkBlock{
 				Code:      wire.MakeLinkCode(wire.NeighSym, wire.LinkSym),
-				Neighbors: []addr.Node{s.Target},
+				Neighbors: s.forged[:],
 			})
 		case SpoofOmit:
 			for i := range h.Links {

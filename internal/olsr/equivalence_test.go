@@ -144,6 +144,9 @@ func (p *eqPair) compare() {
 		if err := checkOrdered(n); err != nil {
 			p.fail("%v", err)
 		}
+		if err := checkDisjoint(n); err != nil {
+			p.fail("%v", err)
+		}
 		if err := checkRecords(n); err != nil {
 			p.fail("%v", err)
 		}

@@ -51,8 +51,9 @@ func warmNode() (*Node, *sim.Scheduler) {
 // to a warm node, twice, with a wait and an expiry pass after each. A
 // spoofed sender or originator from outside the population lands in the
 // protocol tables as a key like any other. Nothing may panic, every table
-// must stay strictly ordered, no expired tuple may survive the pass, and
-// the node's record count must match its log.
+// must stay strictly ordered, no two live topology or 2-hop tables may
+// share storage, no expired tuple may survive the pass, and the node's
+// record count must match its log.
 func FuzzHandlePacket(f *testing.F) {
 	outsider := addr.NodeAt(200)
 	f.Add(uint32(eqPeers[0]), []byte{}, uint8(1))
@@ -69,6 +70,9 @@ func FuzzHandlePacket(f *testing.F) {
 			n.HandlePacket(addr.Node(sender), data)
 			n.Routes()
 			if err := checkOrdered(n); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkDisjoint(n); err != nil {
 				t.Fatal(err)
 			}
 			if err := checkRecords(n); err != nil {

@@ -9,7 +9,8 @@ import (
 
 // buildHello assembles the HELLO body from the current link set: MPR
 // neighbors, other symmetric neighbors, and heard-but-asymmetric links
-// (which drive the RFC's implicit 3-way handshake to symmetry).
+// (which drive the RFC's implicit 3-way handshake to symmetry). The body
+// and its link blocks are node scratch, valid until the next call.
 func (n *Node) buildHello() *wire.Hello {
 	now := n.now()
 	// Categorize into the reusable per-category buffers. The link set is
@@ -31,7 +32,8 @@ func (n *Node) buildHello() *wire.Hello {
 			cat[3] = append(cat[3], x)
 		}
 	}
-	h := &wire.Hello{HTime: helloInterval, Will: wire.WillDefault}
+	h := &n.hello
+	*h = wire.Hello{HTime: helloInterval, Will: wire.WillDefault, Links: h.Links[:0]}
 	add := func(code wire.LinkCode, nodes []addr.Node) {
 		if len(nodes) == 0 {
 			return
@@ -133,9 +135,20 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 		*adv, n.nodeScratch = sym, *adv
 	}
 
-	// 2-hop set: only populated through symmetric neighbors.
+	// 2-hop set: only populated through symmetric neighbors. A fresh
+	// cover table is carved with room for every advertised symmetric
+	// neighbor.
 	if lt.symUntil > now {
 		cover := n.twoHop.put(from)
+		if cap(*cover) == 0 {
+			k := 0
+			for _, lb := range h.Links {
+				if nt, _ := lb.Code.Split(); nt == wire.NeighSym || nt == wire.NeighMPR {
+					k += len(lb.Neighbors)
+				}
+			}
+			*cover = carve(&n.carved, k)
+		}
 		for _, lb := range h.Links {
 			nt, _ := lb.Code.Split()
 			for _, b := range lb.Neighbors {

@@ -48,7 +48,10 @@ const (
 // control traffic. Nil hooks are ignored.
 type Hooks struct {
 	// ModifyHello rewrites the HELLO body just before emission — the link
-	// spoofing attack surface (paper §III-A).
+	// spoofing attack surface (paper §III-A). h and its link blocks are
+	// node scratch, rebuilt for every HELLO and valid only during the
+	// call: the hook may rewrite or append to them, but must not keep h,
+	// h.Links or a block's Neighbors.
 	ModifyHello func(h *wire.Hello)
 	// DropForward, when returning true, silently suppresses the relaying
 	// of a message the node should forward as an MPR (black/gray hole).
@@ -120,6 +123,12 @@ type Node struct {
 	routes       table[Route]    // by destination
 	routesDirty  bool            // routes trail the topology; recomputed on read
 
+	// carved is the chunk every fresh topology-destination and 2-hop
+	// cover table is carved from (table.go, carve), sized by the message
+	// that creates it, so learning a new originator or 2-hop path costs no
+	// growth allocations.
+	carved []entry[time.Duration]
+
 	prevSym addr.Set // for NEIGHBOR_UP/DOWN diffs
 
 	// Recomputation schedule (DESIGN.md §10.1). prevSym and mprs are a pure
@@ -151,6 +160,8 @@ type Node struct {
 	uncovScratch addr.Set
 	mprScratch   addr.Set       // selectMPRs result; cloned only on change
 	helloCat     [4][]addr.Node // HELLO link-block categories
+	hello        wire.Hello     // HELLO body, built over helloCat
+	tc           wire.TC        // TC body, advertising the MPR selectors
 
 	// Stats for the overhead experiments.
 	helloTx, tcTx, tcFwd, msgRx, msgDrop uint64

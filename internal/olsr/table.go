@@ -47,6 +47,30 @@ func (t *table[V]) put(k addr.Node) *V {
 	return &(*t)[i].val
 }
 
+// carveChunk is the size, in entries, of the chunks that fresh tables
+// are carved from.
+const carveChunk = 128
+
+// carve returns an empty table with room for k entries, cut from the
+// free end of *chunk with a full-slice expression. Its capacity ends
+// where the next table carved from the chunk begins, so a table that
+// outgrows its carve reallocates alone, through put's slices.Insert,
+// and never writes into a neighbour's entries. A chunk with less than k
+// entries left is replaced by a fresh one; the tables carved from the
+// old chunk keep it alive. k <= 0 returns the nil table.
+func carve[V any](chunk *[]entry[V], k int) table[V] {
+	if k <= 0 {
+		return nil
+	}
+	c := *chunk
+	if cap(c)-len(c) < k {
+		c = make([]entry[V], 0, max(carveChunk, k))
+	}
+	l := len(c)
+	*chunk = c[:l+k]
+	return table[V](c[l : l : l+k])
+}
+
 // delete removes k's entry, if any.
 func (t *table[V]) delete(k addr.Node) {
 	if i, ok := t.search(k); ok {

@@ -17,12 +17,13 @@ func seqNewer(a, b uint16) bool { return wire.SeqNewer(a, b) }
 // selectors. Nodes with no selectors stay silent (RFC 3626 §9.3 allows
 // ceasing TC generation once an empty TC has drained; we keep the simpler
 // variant of not transmitting, which the expiry of old tuples handles).
+// The body is node scratch, rebuilt for every TC.
 func (n *Node) sendTC() {
-	sel := n.MPRSelectors(nil)
-	if len(sel) == 0 {
+	tc := &n.tc
+	tc.ANSN, tc.Advertised = n.ansn, n.MPRSelectors(tc.Advertised)
+	if len(tc.Advertised) == 0 {
 		return
 	}
-	tc := &wire.TC{ANSN: n.ansn, Advertised: sel}
 	n.tcTx++
 	n.log(auditlog.KindTCTx,
 		auditlog.FInt("ansn", int(tc.ANSN)),
@@ -59,6 +60,9 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 	if e == nil {
 		e = n.topo.put(m.Originator)
 		e.next = never
+	}
+	if cap(e.dests) == 0 {
+		e.dests = carve(&n.carved, len(tc.Advertised))
 	}
 	if seqNewer(tc.ANSN, e.ansn) {
 		// Newer advertisement set: drop every tuple recorded under the old

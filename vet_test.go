@@ -66,13 +66,11 @@ func TestGofmtClean(t *testing.T) {
 	}
 }
 
-// TestFuzzTargetsWired keeps the two hand-kept fuzz lists, the Makefile
-// `fuzz` target and the CI `fuzz` matrix, equal to the module's fuzz
-// targets: every `func FuzzX(*testing.F)` must appear in both with its
-// package, and neither may name a target that is gone.
-func TestFuzzTargetsWired(t *testing.T) {
-	funcRE := regexp.MustCompile(`(?m)^func (Fuzz\w*)\(\w+ \*testing\.F\)`)
-	var want []string
+// visitTestFiles calls visit with the package directory ("." or
+// "./internal/x") and the source of every _test.go file in this module,
+// skipping hidden directories, testdata and nested modules such as bench/.
+func visitTestFiles(t *testing.T, visit func(pkg string, src []byte)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -94,14 +92,30 @@ func TestFuzzTargetsWired(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, m := range funcRE.FindAllSubmatch(src, -1) {
-			want = append(want, string(m[1])+" ./"+filepath.ToSlash(filepath.Dir(path)))
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		if pkg != "." {
+			pkg = "./" + pkg
 		}
+		visit(pkg, src)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFuzzTargetsWired keeps the two hand-kept fuzz lists, the Makefile
+// `fuzz` target and the CI `fuzz` matrix, equal to the module's fuzz
+// targets: every `func FuzzX(*testing.F)` must appear in both with its
+// package, and neither may name a target that is gone.
+func TestFuzzTargetsWired(t *testing.T) {
+	funcRE := regexp.MustCompile(`(?m)^func (Fuzz\w*)\(\w+ \*testing\.F\)`)
+	var want []string
+	visitTestFiles(t, func(pkg string, src []byte) {
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			want = append(want, string(m[1])+" "+pkg)
+		}
+	})
 	if len(want) == 0 {
 		t.Fatal("found no fuzz targets")
 	}
@@ -127,5 +141,50 @@ func TestFuzzTargetsWired(t *testing.T) {
 			t.Errorf("%s fuzz list:\n  %s\nwant the module's fuzz targets:\n  %s",
 				list.file, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 		}
+	}
+}
+
+// TestAllocTargetsWired keeps the Makefile `alloc` target, which CI's
+// blocking `alloc` job runs, equal to the packages holding the allocation
+// tier: every package declaring a `func TestAllocX(*testing.T)` must be
+// on the target's `go test` line, and the line may name no other package.
+func TestAllocTargetsWired(t *testing.T) {
+	funcRE := regexp.MustCompile(`(?m)^func TestAlloc\w*\(\w+ \*testing\.T\)`)
+	var want []string
+	visitTestFiles(t, func(pkg string, src []byte) {
+		if funcRE.Match(src) && !slices.Contains(want, pkg) {
+			want = append(want, pkg)
+		}
+	})
+	if len(want) == 0 {
+		t.Fatal("found no allocation tests")
+	}
+	slices.Sort(want)
+
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^alloc:\n\t(.*)$`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("Makefile has no alloc target")
+	}
+	var got []string
+	for _, f := range strings.Fields(string(m[1])) {
+		if f == "." || strings.HasPrefix(f, "./") {
+			got = append(got, f)
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("Makefile alloc target tests %v, want the packages declaring TestAlloc* tests: %v", got, want)
+	}
+
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^\s+run: make alloc$`).Match(ci) {
+		t.Error("no CI job runs make alloc")
 	}
 }
