@@ -47,8 +47,9 @@ func (t *table[V]) put(k addr.Node) *V {
 	return &(*t)[i].val
 }
 
-// carveChunk is the size, in entries, of the chunks that fresh tables
-// are carved from.
+// carveChunk caps the size, in entries, of the chunks that fresh tables
+// are carved from. A node's chunks start at the size of its first carve
+// and double, so the nodes of a small network keep small chunks.
 const carveChunk = 128
 
 // carve returns an empty table with room for k entries, cut from the
@@ -64,7 +65,7 @@ func carve[V any](chunk *[]entry[V], k int) table[V] {
 	}
 	c := *chunk
 	if cap(c)-len(c) < k {
-		c = make([]entry[V], 0, max(carveChunk, k))
+		c = make([]entry[V], 0, max(k, min(2*cap(c), carveChunk)))
 	}
 	l := len(c)
 	*chunk = c[:l+k]
