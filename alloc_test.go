@@ -222,34 +222,17 @@ func emissionAllocs(t *testing.T, f *floodNode, typ wire.MessageType) float64 {
 	return float64(objects / runs)
 }
 
-// TestAllocCeilingOLSRHelloEmission pins the HELLO send path: a warm node
-// building its HELLO from the link set in node scratch, and encoding and
-// handing it to the radio, allocates nothing.
-func TestAllocCeilingOLSRHelloEmission(t *testing.T) {
-	f := newFloodNode()
-	f.node.Start()
-	if got := emissionAllocs(t, f, wire.MsgHello); got > 0 {
-		t.Errorf("olsr.Node HELLO emission: %.1f allocs/run, ceiling 0", got)
-	}
-	if st := f.node.Stats(); st.HelloTx < 101 {
-		t.Fatalf("the node sent %d HELLOs, want at least 101", st.HelloTx)
-	}
-}
-
-// TestAllocCeilingOLSRTCEmission pins the TC send path: a warm node
-// advertising its MPR selectors in a TC body held in node scratch
-// allocates nothing.
-func TestAllocCeilingOLSRTCEmission(t *testing.T) {
-	f := newFloodNode()
-	f.node.Start()
-	if got := emissionAllocs(t, f, wire.MsgTC); got > 0 {
-		t.Errorf("olsr.Node TC emission: %.1f allocs/run, ceiling 0", got)
-	}
-	if st := f.node.Stats(); st.TCTx < 101 {
-		t.Fatalf("the node sent %d TCs, want at least 101", st.TCTx)
-	}
-	if sel := f.node.MPRSelectors(nil); !sel.Equal(addr.NewSet(floodNbrs[0])) {
-		t.Fatalf("MPR selectors %v, want %v", sel, floodNbrs[:1])
+// TestAllocCeilingOLSRBodies pins a warm node's own emissions: building
+// a HELLO from the link set, or a TC advertising the MPR selectors, in
+// node scratch, then encoding it and handing it to the radio, allocates
+// nothing.
+func TestAllocCeilingOLSRBodies(t *testing.T) {
+	for _, typ := range []wire.MessageType{wire.MsgHello, wire.MsgTC} {
+		f := newFloodNode()
+		f.node.Start()
+		if got := emissionAllocs(t, f, typ); got > 0 {
+			t.Errorf("olsr.Node %v emission: %.1f allocs/run, ceiling 0", typ, got)
+		}
 	}
 }
 
