@@ -97,7 +97,7 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Short local fuzz pass over the codecs, the proof verifier, OLSR's
-# packet handling, the radio medium against its brute-force oracle and
+# packet handling and duplicate set, the radio medium against its brute-force oracle and
 # the event kernel against its reference (CI runs the same budget per
 # target).
 fuzz:
@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/olsr
+	$(GO) test -fuzz='^FuzzDupSet$$' -fuzztime=30s ./internal/olsr
 	$(GO) test -fuzz='^FuzzMedium$$' -fuzztime=30s ./internal/radio
 	$(GO) test -fuzz='^FuzzKernel$$' -fuzztime=30s ./internal/sim
 

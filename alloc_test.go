@@ -177,6 +177,34 @@ func TestAllocCeilingOLSRDuplicate(t *testing.T) {
 	}
 }
 
+// TestAllocCeilingOLSRNextSequence pins the duplicate set's other steady
+// state: a running node taking a known originator's next TC every 5s,
+// in three copies, stores a new tuple in the originator's slot and
+// expires the tuple 30s older, allocating nothing. The 5s includes the
+// node's own HELLO, TC and expiry timers and its neighbors' HELLOs.
+func TestAllocCeilingOLSRNextSequence(t *testing.T) {
+	f := newFloodNode()
+	f.node.Start()
+	orig := addr.NodeAt(10)
+	var seq uint16
+	next := func() {
+		f.sched.RunUntil(f.sched.Now() + 5*time.Second)
+		f.refresh()
+		seq++
+		for _, nb := range floodNbrs {
+			f.tc(nb, orig, seq)
+		}
+	}
+	for range 10 { // past the 30s hold: tuples now expire as fast as they come
+		next()
+	}
+	before := f.node.Stats()
+	allocCeiling(t, "olsr.Node next-sequence TC", 0, next)
+	if st := f.node.Stats(); st.TCFwd-before.TCFwd != 101 || st.MsgDrop-before.MsgDrop != 2*101 {
+		t.Fatalf("each TC was not processed once and dropped twice as a duplicate: %+v, before %+v", st, before)
+	}
+}
+
 // TestAllocCeilingOLSRHello pins the neighbor tables' steady state: a
 // warm node taking another round of its neighbors' unchanged HELLOs
 // allocates nothing.

@@ -14,30 +14,38 @@ import (
 	"repro/internal/wire"
 )
 
-// checkDisjoint verifies that no two live topology-destination or 2-hop
-// cover tables share backing storage. A table's whole capacity counts,
-// since a put may write anywhere in it: carved tables are cut from one
-// chunk, and one whose capacity ran into the next carve would overwrite
-// a neighbour's tuples.
+// checkDisjoint verifies that no two live carved slices share backing
+// storage: topology-destination and 2-hop cover tables, stored HELLO
+// sets and duplicate windows. A slice's whole capacity counts, since a
+// put or an append may write anywhere in it: carved slices are cut from
+// one chunk, and one whose capacity ran into the next carve would
+// overwrite a neighbour's elements.
 func checkDisjoint(n *Node) error {
 	type span struct {
 		lo, hi uintptr
 		name   string
 	}
 	var spans []span
-	add := func(t table[time.Duration], format string, args ...any) {
-		if cap(t) == 0 {
-			return
+	add := func(lo, hi uintptr, format string, args ...any) {
+		if lo < hi {
+			spans = append(spans, span{lo, hi, fmt.Sprintf(format, args...)})
 		}
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(t)))
-		hi := lo + uintptr(cap(t))*unsafe.Sizeof(entry[time.Duration]{})
-		spans = append(spans, span{lo, hi, fmt.Sprintf(format, args...)})
 	}
 	for _, e := range n.topo {
-		add(e.val.dests, "topology tuples from %v", e.key)
+		lo, hi := storage(e.val.dests)
+		add(lo, hi, "topology tuples from %v", e.key)
 	}
 	for _, e := range n.twoHop {
-		add(e.val, "2-hop tuples via %v", e.key)
+		lo, hi := storage(e.val)
+		add(lo, hi, "2-hop tuples via %v", e.key)
+	}
+	for _, e := range n.lastHelloSym {
+		lo, hi := storage(e.val)
+		add(lo, hi, "HELLO set stored for %v", e.key)
+	}
+	for i, w := range n.dups.slots {
+		lo, hi := storage(w)
+		add(lo, hi, "duplicate window of %v", addr.NodeAt(i))
 	}
 	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 	for i := 1; i < len(spans); i++ {
@@ -46,6 +54,12 @@ func checkDisjoint(n *Node) error {
 		}
 	}
 	return nil
+}
+
+// storage returns the address range of s's whole capacity.
+func storage[T any](s []T) (lo, hi uintptr) {
+	lo = uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return lo, lo + uintptr(cap(s))*unsafe.Sizeof(*new(T))
 }
 
 // refTopo is the map-based reference for one originator's topology

@@ -100,7 +100,7 @@ func forceEager(n *Node) {
 		n.topo[i].val.next = 0
 	}
 	n.dupQueue = n.dupQueue[:0]
-	for k := range n.dups {
+	for k := range n.dups.all() {
 		n.dupQueue = append(n.dupQueue, dupExpiry{at: 0, key: k})
 	}
 }
@@ -191,7 +191,7 @@ func snapshot(n *Node) string {
 			add("topo %v -> %v %d", t.key, e.key, e.val)
 		}
 	}
-	for k, d := range n.dups {
+	for k, d := range n.dups.all() {
 		add("dup %s %d %v %v", dupName(k), d.until, d.processed, d.retransmitted)
 	}
 	for _, e := range n.lastHelloSym {
@@ -270,7 +270,7 @@ func checkSwept(n *Node) error {
 			}
 		}
 	}
-	for k, d := range n.dups {
+	for k, d := range n.dups.all() {
 		if d.until <= now {
 			return fmt.Errorf("expired duplicate tuple %s survived the tick", dupName(k))
 		}
@@ -291,18 +291,23 @@ func dupName(k dupKey) string { return fmt.Sprintf("%v/%d", addr.Node(k>>16), ui
 
 // checkDupQueue verifies the duplicate expiry queue's invariant: it is a
 // min-heap on at holding exactly one entry per duplicate tuple, queued at
-// or before that tuple's until.
+// or before that tuple's until. It checks the duplicate set first
+// (checkDupSet).
 func checkDupQueue(n *Node) error {
+	dups, err := checkDupSet(&n.dups)
+	if err != nil {
+		return err
+	}
 	q := n.dupQueue
-	if len(q) != len(n.dups) {
-		return fmt.Errorf("expiry queue holds %d entries for %d duplicate tuples", len(q), len(n.dups))
+	if len(q) != len(dups) {
+		return fmt.Errorf("expiry queue holds %d entries for %d duplicate tuples", len(q), len(dups))
 	}
 	seen := make(map[dupKey]bool, len(q))
 	for i, e := range q {
 		if i > 0 && q[(i-1)/2].at > e.at {
 			return fmt.Errorf("expiry queue is out of heap order at entry %d", i)
 		}
-		d, ok := n.dups[e.key]
+		d, ok := dups[e.key]
 		switch {
 		case !ok:
 			return fmt.Errorf("expiry queue holds %s, which is not in the duplicate set", dupName(e.key))
@@ -521,7 +526,14 @@ func TestDuplicateLateRefresh(t *testing.T) {
 		}
 	}
 	key := newDupKey(orig, 1)
-	held := func() bool { _, ok := n.dups[key]; return ok }
+	held := func() bool {
+		for k := range n.dups.all() {
+			if k == key {
+				return true
+			}
+		}
+		return false
+	}
 	// deliver hands n a copy of the same TC and returns the kinds it logged.
 	deliver := func() []auditlog.Kind {
 		start := logb.NextSeq()

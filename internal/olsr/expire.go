@@ -64,10 +64,10 @@ func (q dupQueue) fix(i int) {
 func (n *Node) expireDups(now time.Duration) {
 	q := n.dupQueue
 	for len(q) > 0 && q[0].at <= now {
-		if d := n.dups[q[0].key]; d.until > now {
+		if d := n.dups.get(q[0].key); d != nil && d.until > now {
 			q[0].at = d.until
 		} else {
-			delete(n.dups, q[0].key)
+			n.dups.delete(q[0].key)
 			last := len(q) - 1
 			q[0] = q[last]
 			q = q[:last]

@@ -26,6 +26,19 @@ func tcPacket(orig addr.Node, seq, ansn uint16, ttl uint8, adv ...addr.Node) []b
 	}}}).Encode()
 }
 
+// tcBurst encodes one packet carrying count TCs from orig, numbered from
+// seq on, so all of them are live in the duplicate set at once.
+func tcBurst(orig addr.Node, seq uint16, count int, adv ...addr.Node) []byte {
+	p := &wire.Packet{Seq: seq}
+	for i := range count {
+		p.Messages = append(p.Messages, wire.Message{
+			VTime: 15 * time.Second, Originator: orig, TTL: 2, Seq: seq + uint16(i),
+			Body: &wire.TC{ANSN: 1, Advertised: adv},
+		})
+	}
+	return p.Encode()
+}
+
 // warmNode returns a started node with three symmetric neighbors, the
 // first of which selected it as an MPR, a 2-hop neighborhood and one TC
 // originator's topology.
@@ -50,10 +63,10 @@ func warmNode() (*Node, *sim.Scheduler) {
 // FuzzHandlePacket hands arbitrary packet bytes from an arbitrary sender
 // to a warm node, twice, with a wait and an expiry pass after each. A
 // spoofed sender or originator from outside the population lands in the
-// protocol tables as a key like any other. Nothing may panic, every table
-// must stay strictly ordered, no two live topology or 2-hop tables may
-// share storage, no expired tuple may survive the pass, and the node's
-// record count must match its log.
+// protocol tables as a key like any other, and in the duplicate set's
+// spill. Nothing may panic, every table must stay strictly ordered, no
+// two live carved slices may share storage, no expired tuple may survive
+// the pass, and the node's record count must match its log.
 func FuzzHandlePacket(f *testing.F) {
 	outsider := addr.NodeAt(200)
 	f.Add(uint32(eqPeers[0]), []byte{}, uint8(1))
@@ -62,6 +75,10 @@ func FuzzHandlePacket(f *testing.F) {
 		wire.LinkBlock{Code: wire.MakeLinkCode(wire.NeighMPR, wire.LinkSym), Neighbors: []addr.Node{eqSelf, eqFar[3]}},
 		wire.LinkBlock{Code: wire.MakeLinkCode(wire.NeighNot, wire.LinkLost), Neighbors: []addr.Node{eqPeers[1]}}), uint8(20))
 	f.Add(uint32(eqPeers[0]), tcPacket(outsider, 3, 65535, 2, eqSelf, eqFar[3], eqFar[3], outsider), uint8(160))
+	// More live TCs from one originator than its duplicate window holds,
+	// across the sequence wrap; and a TC from past the dense range.
+	f.Add(uint32(eqPeers[0]), tcBurst(eqFar[1], 65530, 2*dupWindow, eqFar[3]), uint8(10))
+	f.Add(uint32(eqPeers[0]), tcPacket(addr.NodeAt(dupSlots), 4, 2, 3, eqFar[2]), uint8(5))
 	f.Add(uint32(eqPeers[2]), helloPacket(eqPeers[2], 2,
 		wire.LinkBlock{Code: wire.MakeLinkCode(wire.NeighNot, wire.LinkSym), Neighbors: []addr.Node{eqFar[2]}}), uint8(70))
 	f.Fuzz(func(t *testing.T, sender uint32, data []byte, wait uint8) {

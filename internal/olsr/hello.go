@@ -126,13 +126,19 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	}
 
 	// A neighbor re-advertises the same set in most HELLOs. Read it into
-	// scratch and swap it in only when it changed; AdvertisedSym clones,
-	// so the swap is unobservable.
+	// scratch and copy it into the stored set only when it changed, so the
+	// scratch keeps its capacity. A stored set without room for the new
+	// one is carved afresh from the node's set chunk, so first sight of a
+	// neighbor costs no allocation of its own. AdvertisedSym clones, so
+	// the reuse is unobservable.
 	adv := n.lastHelloSym.put(from)
 	sym := h.SymNeighbors(n.nodeScratch)
 	n.nodeScratch = sym
 	if !sym.Equal(*adv) {
-		*adv, n.nodeScratch = sym, *adv
+		if cap(*adv) < len(sym) {
+			*adv = carve(&n.carvedSets, len(sym))
+		}
+		*adv = append((*adv)[:0], sym...)
 	}
 
 	// 2-hop set: only populated through symmetric neighbors. A fresh

@@ -83,22 +83,6 @@ type topoEntry struct {
 	dests table[time.Duration] // advertised neighbor -> expiry
 }
 
-// dupKey identifies a flooded message: originator << 16 | sequence
-// number. A packed integer key hashes much faster than a struct key.
-type dupKey uint64
-
-func newDupKey(orig addr.Node, seq uint16) dupKey { return dupKey(orig)<<16 | dupKey(seq) }
-
-// dupTuple tracks one flooded message per RFC 3626 §3.4: whether its body
-// was already processed and whether it was already retransmitted. The two
-// are independent — a copy can arrive first via a path that forbids
-// forwarding and later via one that allows it.
-type dupTuple struct {
-	until         time.Duration
-	processed     bool
-	retransmitted bool
-}
-
 // Node is one OLSR routing agent.
 type Node struct {
 	cfg    Config
@@ -111,13 +95,13 @@ type Node struct {
 
 	// The protocol tables are address-ordered (table.go), so every walk
 	// over them is deterministic. The duplicate set is only ever looked up
-	// by key, and is expired in dupQueue order.
+	// by key, and is expired in dupQueue order (dupset.go).
 	links        table[linkTuple]
 	twoHop       table[table[time.Duration]] // via -> node -> expiry
 	mprs         addr.Set
 	selectors    table[time.Duration]
 	topo         table[topoEntry]
-	dups         map[dupKey]dupTuple
+	dups         dupSet
 	dupQueue     dupQueue        // one expiry entry per duplicate tuple
 	lastHelloSym table[addr.Set] // neighbor -> last advertised sym set
 	routes       table[Route]    // by destination
@@ -128,6 +112,8 @@ type Node struct {
 	// that creates it, so learning a new originator or 2-hop path costs no
 	// growth allocations.
 	carved []entry[time.Duration]
+	// carvedSets is the same for the stored HELLO sets in lastHelloSym.
+	carvedSets []addr.Node
 
 	prevSym addr.Set // for NEIGHBOR_UP/DOWN diffs
 
@@ -181,7 +167,6 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		sched: sched,
 		send:  send,
 		logb:  logb,
-		dups:  make(map[dupKey]dupTuple),
 	}
 }
 
@@ -420,9 +405,9 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 	}
 
 	key := newDupKey(m.Originator, m.Seq)
-	d, seen := n.dups[key]
+	d, created := n.dups.ref(key)
 	d.until = n.now() + duplicateHold
-	if !seen {
+	if created {
 		n.dupQueue.push(dupExpiry{at: d.until, key: key})
 	}
 
@@ -442,7 +427,6 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 	if !d.retransmitted {
 		d.retransmitted = n.maybeForward(sender, m)
 	}
-	n.dups[key] = d
 }
 
 // maybeForward applies the RFC 3626 §3.4.1 default forwarding algorithm

@@ -47,29 +47,30 @@ func (t *table[V]) put(k addr.Node) *V {
 	return &(*t)[i].val
 }
 
-// carveChunk caps the size, in entries, of the chunks that fresh tables
-// are carved from. A node's chunks start at the size of its first carve
-// and double, so the nodes of a small network keep small chunks.
+// carveChunk caps the size, in elements, of the chunks that fresh tables,
+// stored HELLO sets and duplicate tuples are carved from. A node's chunks
+// start at the size of its first carve and double, so the nodes of a
+// small network keep small chunks.
 const carveChunk = 128
 
-// carve returns an empty table with room for k entries, cut from the
+// carve returns an empty slice with room for k elements, cut from the
 // free end of *chunk with a full-slice expression. Its capacity ends
-// where the next table carved from the chunk begins, so a table that
+// where the next slice carved from the chunk begins, so a table that
 // outgrows its carve reallocates alone, through put's slices.Insert,
 // and never writes into a neighbour's entries. A chunk with less than k
-// entries left is replaced by a fresh one; the tables carved from the
-// old chunk keep it alive. k <= 0 returns the nil table.
-func carve[V any](chunk *[]entry[V], k int) table[V] {
+// elements left is replaced by a fresh one; the slices carved from the
+// old chunk keep it alive. k <= 0 returns nil.
+func carve[T any](chunk *[]T, k int) []T {
 	if k <= 0 {
 		return nil
 	}
 	c := *chunk
 	if cap(c)-len(c) < k {
-		c = make([]entry[V], 0, max(k, min(2*cap(c), carveChunk)))
+		c = make([]T, 0, max(k, min(2*cap(c), carveChunk)))
 	}
 	l := len(c)
 	*chunk = c[:l+k]
-	return table[V](c[l : l : l+k])
+	return c[l : l : l+k]
 }
 
 // delete removes k's entry, if any.
