@@ -85,9 +85,6 @@ func dupOp(kind, orig int, seq uint16, v byte) []byte {
 	return []byte{byte(kind + dupOpKinds*orig), byte(seq - 65530), v}
 }
 
-// dupOps concatenates encoded operations.
-func dupOps(ops ...[]byte) []byte { return slices.Concat(ops...) }
-
 // FuzzDupSet model-checks the duplicate set against a plain map over
 // random ref, get and delete sequences. Sequence numbers run from 65530
 // across the wrap to 249, so one originator can hold more live tuples
@@ -115,7 +112,7 @@ func FuzzDupSet(f *testing.F) {
 	outside = append(outside, dupOp(dupDelete, 5, 7, 0), dupOp(dupGet, 5, 7, 0))
 	recreate = [][]byte{dupOp(dupRef, 2, 5, 3), dupOp(dupDelete, 2, 5, 0), dupOp(dupGet, 2, 5, 0), dupOp(dupRef, 2, 5, 0)}
 	for _, seed := range [][][]byte{overflow, wrap, outside, recreate} {
-		f.Add(dupOps(seed...))
+		f.Add(slices.Concat(seed...))
 	}
 	f.Fuzz(fuzzDupBody)
 }
