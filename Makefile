@@ -97,9 +97,9 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Short local fuzz pass over the codecs, the proof verifier, OLSR's
-# packet handling and duplicate set, the radio medium against its brute-force oracle and
-# the event kernel against its reference (CI runs the same budget per
-# target).
+# packet handling and duplicate set, the radio medium against its brute-force oracle,
+# and the event kernel and signature matcher against their references (CI
+# runs the same budget per target).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodePacket$$' -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
@@ -108,13 +108,13 @@ fuzz:
 	$(GO) test -fuzz='^FuzzVerifyConsistency$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzTreeProofs$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzTypedFields$$' -fuzztime=30s ./internal/auditlog
-	$(GO) test -fuzz='^FuzzLineEvent$$' -fuzztime=30s ./internal/logevent
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/olsr
 	$(GO) test -fuzz='^FuzzDupSet$$' -fuzztime=30s ./internal/olsr
 	$(GO) test -fuzz='^FuzzMedium$$' -fuzztime=30s ./internal/radio
 	$(GO) test -fuzz='^FuzzKernel$$' -fuzztime=30s ./internal/sim
+	$(GO) test -fuzz='^FuzzMatcher$$' -fuzztime=30s ./internal/signature
 
 # reprolint: the in-repo determinism & hot-path analyzer suite
 # (DESIGN.md §12) — detwalltime, detmapiter, detseed, allocann. Builds

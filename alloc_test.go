@@ -14,8 +14,8 @@ package repro
 //     testdata/alloc_budget.json. Re-record an intentional change with
 //     -update-alloc-budget (make alloc-update).
 //
-// The detect round-finalize ceiling lives in internal/detect (it needs
-// the package's investigation fixture), and the core OLSR emission
+// The detect round-finalize and scan ceilings live in internal/detect
+// (they need the package's investigation fixture), and the core OLSR emission
 // ceiling in internal/core (the router's send function is the node's
 // own). Run the whole tier with `make alloc`.
 

@@ -12,6 +12,7 @@ package auditlog
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -152,19 +153,20 @@ func (r *Record) NodeField(key string) (addr.Node, error) {
 // missing or empty field yields an empty list.
 func (r *Record) NodesField(key string) ([]addr.Node, error) {
 	v, _ := r.Get(key)
-	return parseNodes(key, v)
+	return parseNodes(key, v, nil)
 }
 
 // parseNodes parses the value v of field key as a comma-separated address
-// list; an empty value is an empty list.
-func parseNodes(key, v string) ([]addr.Node, error) {
+// list, built in dst's storage (nil allocates); an empty value is an
+// empty list.
+func parseNodes(key, v string, dst []addr.Node) ([]addr.Node, error) {
 	if v == "" {
-		return nil, nil
+		return dst[:0], nil
 	}
 	// Walk the commas in place instead of materializing a []string; the
 	// segment semantics (including empty segments around stray commas)
 	// match strings.Split exactly.
-	out := make([]addr.Node, 0, strings.Count(v, ",")+1)
+	out := slices.Grow(dst[:0], strings.Count(v, ",")+1)
 	for {
 		p, rest, found := strings.Cut(v, ",")
 		n, err := addr.Parse(p)

@@ -303,11 +303,15 @@ func TestLineAccessors(t *testing.T) {
 	if n, err := l.NodeField("from"); err != nil || n != addr.NodeAt(2) {
 		t.Errorf("NodeField = %v, %v", n, err)
 	}
-	if ns, err := l.NodesField("sym"); err != nil || len(ns) != 2 || ns[1] != addr.NodeAt(4) {
+	if ns, err := l.NodesField("sym", nil); err != nil || len(ns) != 2 || ns[1] != addr.NodeAt(4) {
 		t.Errorf("NodesField = %v, %v", ns, err)
 	}
-	if ns, err := l.NodesField("absent"); err != nil || ns != nil {
+	if ns, err := l.NodesField("absent", nil); err != nil || ns != nil {
 		t.Errorf("NodesField(absent) = %v, %v", ns, err)
+	}
+	dst := make([]addr.Node, 1, 4)
+	if ns, err := l.NodesField("sym", dst); err != nil || len(ns) != 2 || &ns[0] != &dst[0] {
+		t.Errorf("NodesField(sym, dst) = %v, %v, not built in dst", ns, err)
 	}
 	if i, err := l.IntField("will"); err != nil || i != 3 {
 		t.Errorf("IntField = %d, %v", i, err)

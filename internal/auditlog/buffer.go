@@ -18,8 +18,8 @@ import (
 // text a routing daemon would have written. The lines live in append-only
 // byte chunks; a pointer-free index, in pages, keeps each record's exact
 // time (the line renders milliseconds), its node and where its line lies.
-// Readers take the lines as they are: the detector parses them
-// (logevent.Parse), citations and Dump return them, and sealing hashes
+// Readers take the lines as they are: the detector's signature matcher
+// reads their fields in place, citations and Dump return them, and sealing hashes
 // them. Since decodes them back into Records — exactly, because
 // ParseLine inverts the rendering and T comes from the index.
 //
@@ -282,11 +282,12 @@ func (l Line) NodeField(key string) (addr.Node, error) {
 	return addr.Parse(v)
 }
 
-// NodesField parses the named field as a comma-separated address list. A
-// missing or empty field yields an empty list.
-func (l Line) NodesField(key string) ([]addr.Node, error) {
+// NodesField parses the named field as a comma-separated address list,
+// built in dst's storage (nil allocates). A missing or empty field yields
+// an empty list.
+func (l Line) NodesField(key string, dst []addr.Node) ([]addr.Node, error) {
 	v, _ := l.Get(key)
-	return parseNodes(key, v)
+	return parseNodes(key, v, dst)
 }
 
 // IntField parses the named field as an integer.

@@ -155,16 +155,30 @@ func FuzzTypedFields(f *testing.F) {
 		if len(wantNodes) == 0 {
 			wantNodes = nil
 		}
+		// The line parses its lists into stale scratch, which must not
+		// leak into the result.
+		lineNodes := func(key string) ([]addr.Node, error) {
+			return l.NodesField(key, []addr.Node{addr.Broadcast, addr.Broadcast})
+		}
 		for _, get := range []struct {
 			name  string
+			raw   func(string) (string, bool)
 			nodes func(string) ([]addr.Node, error)
 			node  func(string) (addr.Node, error)
 			num   func(string) (int, error)
 		}{
-			{"built", r.NodesField, r.NodeField, r.IntField},
-			{"decoded", decoded.NodesField, decoded.NodeField, decoded.IntField},
-			{"line", l.NodesField, l.NodeField, l.IntField},
+			{"built", r.Get, r.NodesField, r.NodeField, r.IntField},
+			{"decoded", decoded.Get, decoded.NodesField, decoded.NodeField, decoded.IntField},
+			{"line", l.Get, lineNodes, l.NodeField, l.IntField},
 		} {
+			for i := range text {
+				if got, ok := get.raw(text[i].Key); !ok || got != text[i].value() {
+					t.Fatalf("%s Get(%q) = %q, %v, want %q", get.name, text[i].Key, got, ok, text[i].value())
+				}
+			}
+			if got, ok := get.raw(key + "3"); ok {
+				t.Fatalf("%s Get(%q) = %q on an absent key", get.name, key+"3", got)
+			}
 			if got, err := get.nodes(key); err != nil || !slices.Equal(got, wantNodes) {
 				t.Fatalf("%s NodesField(%q) = %v, %v, want %v", get.name, key, got, err, wantNodes)
 			}

@@ -2,8 +2,8 @@
 // signature-based intrusion detector (§III) secured by the trust system
 // (§IV):
 //
-//  1. The detector periodically parses its own node's audit log (never the
-//     routing internals) and feeds the events to the signature engine.
+//  1. The detector periodically reads its own node's audit log (never the
+//     routing internals) and matches the new lines against the signatures.
 //  2. Signature alerts — chiefly E1, "an MPR was replaced", and E2, "a
 //     selected MPR misbehaves" — open a cooperative investigation
 //     (Algorithm 1) about the suspicious MPR.
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
-	"repro/internal/logevent"
 	"repro/internal/signature"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -295,7 +294,7 @@ type Detector struct {
 	sched     *sim.Scheduler
 	router    RouterView
 	cursor    *auditlog.Cursor
-	engine    *signature.Engine
+	matcher   *signature.Matcher
 	store     *trust.Store
 	transport Transport
 
@@ -305,14 +304,10 @@ type Detector struct {
 	tainted        addr.Set      // nodes caught forging evidence
 	reports        []Report
 	alerts         []signature.Alert
-	parseSkipped   int
 	lateReplies    uint64
 	proofFailures  uint64
 	ticker         *sim.Ticker
 	investigations uint64
-
-	// Scan scratch, reused across ticks.
-	evScratch []logevent.Event
 }
 
 // cell returns suspect n's state, assigning an index slot on first
@@ -341,8 +336,7 @@ func (d *Detector) peek(n addr.Node) *suspectCell {
 const maxCISamples = 256
 
 // NewDetector wires a detector to its node's log buffer, router view,
-// trust store and transport. The signature engine is built from the
-// default catalog.
+// trust store and transport.
 func NewDetector(
 	cfg Config,
 	sched *sim.Scheduler,
@@ -356,7 +350,7 @@ func NewDetector(
 		sched:     sched,
 		router:    router,
 		cursor:    auditlog.NewCursor(logs),
-		engine:    signature.NewEngine(signature.Catalog()...),
+		matcher:   signature.NewMatcher(),
 		store:     store,
 		transport: transport,
 		ix:        store.Index(),
@@ -413,24 +407,16 @@ func (d *Detector) LateReplies() uint64 { return d.lateReplies }
 // evidence proofs failed verification.
 func (d *Detector) ProofFailures() uint64 { return d.proofFailures }
 
-// Scan reads the new audit records, runs the signature engine, and opens
-// investigations for fresh alerts.
+// Scan matches the new audit lines against the signatures and opens
+// investigations for fresh alerts. Every alert of the scan is matched
+// before any is handled.
 func (d *Detector) Scan() {
-	// An unparseable line is a substrate bug, not an attack: it is
-	// counted and skipped rather than fatal.
-	events := d.evScratch[:0]
+	fresh := len(d.alerts)
 	for l, ok := d.cursor.Next(); ok; l, ok = d.cursor.Next() {
-		ev, err := logevent.Parse(l)
-		if err != nil {
-			d.parseSkipped++
-			continue
-		}
-		events = append(events, ev)
+		d.alerts = d.matcher.Observe(d.alerts, l)
 	}
-	d.evScratch = events
-	alerts := d.engine.Feed(events, d.sched.Now())
-	d.alerts = append(d.alerts, alerts...)
-	for _, a := range alerts {
+	d.alerts = d.matcher.Tick(d.alerts, d.sched.Now())
+	for _, a := range d.alerts[fresh:] {
 		d.handleAlert(a)
 	}
 }
@@ -442,12 +428,7 @@ func (d *Detector) handleAlert(a signature.Alert) {
 	case signature.RuleOmission:
 		// Remember which endpoint the suspect dropped, so later rounds can
 		// keep verifying it after the protocol state has expired.
-		for _, ev := range a.Events {
-			if td, ok := ev.(*logevent.TwoHopDown); ok {
-				c := d.cell(a.Subject)
-				c.hintLinks.Add(td.TwoHop)
-			}
-		}
+		d.cell(a.Subject).hintLinks.Add(a.Endpoint)
 		d.OpenInvestigation(a.Subject, a.Rule)
 	case signature.RuleDroppedRelay:
 		// The absence alert names ourselves; the silent relay is among our

@@ -40,7 +40,6 @@ var detPackages = map[string]bool{
 	"repro/internal/wire":       true,
 	"repro/internal/trace":      true,
 	"repro/internal/signature":  true,
-	"repro/internal/logevent":   true,
 	"repro/internal/scenario":   true,
 	"repro/internal/addr":       true,
 	"repro/internal/geo":        true,

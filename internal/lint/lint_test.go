@@ -79,8 +79,8 @@ func TestSuppressed(t *testing.T) {
 
 func TestDeterministicCatalog(t *testing.T) {
 	pkgs := DeterministicPackages()
-	if len(pkgs) != 17 {
-		t.Fatalf("catalog has %d packages, want 17: %v", len(pkgs), pkgs)
+	if len(pkgs) != 16 {
+		t.Fatalf("catalog has %d packages, want 16: %v", len(pkgs), pkgs)
 	}
 	for _, p := range pkgs {
 		if !Deterministic(p) {

@@ -214,6 +214,21 @@ func (n *Node) log(kind auditlog.Kind, fields ...auditlog.Field) {
 	n.logb.Append(auditlog.Record{T: n.now(), Node: n.cfg.Addr, Kind: kind, Fields: fields})
 }
 
+// dropMsg counts a discarded message and logs its MSG_DROP record. With
+// no buffer attached it only counts, before building any field: most
+// nodes of a large run drop every duplicate copy this way.
+func (n *Node) dropMsg(sender addr.Node, m *wire.Message, reason string) {
+	n.msgDrop++
+	if n.logb == nil {
+		n.logged++
+		return
+	}
+	n.log(auditlog.KindMsgDrop,
+		auditlog.FNode("from", sender),
+		auditlog.FNode("orig", m.Originator),
+		auditlog.F("reason", reason))
+}
+
 // nextMsgSeq returns the next message sequence number.
 func (n *Node) nextMsgSeq() uint16 {
 	n.msgSeq++
@@ -379,11 +394,7 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 		// Our own message echoed back by a forwarder. The MSG_DROP log with
 		// reason=own is load-bearing: it proves the neighbor relayed our
 		// traffic, which the drop-attack signature relies on.
-		n.msgDrop++
-		n.log(auditlog.KindMsgDrop,
-			auditlog.FNode("from", sender),
-			auditlog.FNode("orig", m.Originator),
-			auditlog.F("reason", "own"))
+		n.dropMsg(sender, m, "own")
 		return
 	}
 	if h, ok := m.Body.(*wire.Hello); ok {
@@ -396,11 +407,7 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 	// set is consulted, so a later copy from a symmetric neighbor is still
 	// processed.
 	if !n.symLink(sender) {
-		n.msgDrop++
-		n.log(auditlog.KindMsgDrop,
-			auditlog.FNode("from", sender),
-			auditlog.FNode("orig", m.Originator),
-			auditlog.F("reason", "nonsym"))
+		n.dropMsg(sender, m, "nonsym")
 		return
 	}
 
@@ -412,11 +419,7 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 	}
 
 	if d.processed {
-		n.msgDrop++
-		n.log(auditlog.KindMsgDrop,
-			auditlog.FNode("from", sender),
-			auditlog.FNode("orig", m.Originator),
-			auditlog.F("reason", "dup"))
+		n.dropMsg(sender, m, "dup")
 	} else {
 		d.processed = true
 		// Other types are forwarded but not processed (RFC 3626 §3.4).

@@ -50,11 +50,7 @@ func (n *Node) processTC(sender addr.Node, m *wire.Message, tc *wire.TC) {
 
 	e := n.topo.get(m.Originator)
 	if e != nil && seqNewer(e.ansn, tc.ANSN) {
-		n.msgDrop++
-		n.log(auditlog.KindMsgDrop,
-			auditlog.FNode("from", sender),
-			auditlog.FNode("orig", m.Originator),
-			auditlog.F("reason", "stale"))
+		n.dropMsg(sender, m, "stale")
 		return
 	}
 	if e == nil {

@@ -1,28 +1,78 @@
-// Package signature implements the log-signature matching engine of the
-// paper's IDS (§III): an intrusion signature is a partially ordered,
-// time-constrained pattern of audit-log events, and any log stream that
-// comes close to a signature raises an alert.
+// Package signature matches the paper's IDS signatures (§III) against one
+// node's audit log: an intrusion signature is a time-constrained pattern
+// of log lines, and any log stream that comes close to one raises an
+// alert.
 //
-// Three rule families cover the attack classes of §II-B:
+// The catalog is fixed. Threshold signatures count matches about one
+// subject inside a sliding window (broadcast storm, stale replays,
+// neighbor flapping); event signatures fire on one line (an MPR replaced
+// or added, a 2-hop link lost while its endpoint still advertised the
+// suspect); relay-drop fires when our own TC is never echoed back. The
+// Matcher reads each auditlog.Line in place and keeps only times, so a
+// warm scan allocates nothing.
 //
-//   - ThresholdRule — N matching events about one subject inside a sliding
-//     window (broadcast storm, repeated stale replays).
-//   - SequenceRule — ordered steps about one subject inside a window
-//     (multi-stage active-forge patterns such as an MPR replacement
-//     following a neighborhood change).
-//   - AbsenceRule — a triggering event starts a deadline; the alert fires
-//     when the expected follow-up never appears (drop/black-hole: the MPR
-//     never echoed our TC back).
-//
-// The concrete signatures used by the detector are built in Catalog.
+// This is the boundary the paper draws: the routing daemon writes logs,
+// the IDS reads them. Nothing here touches routing internals.
 package signature
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/logevent"
+	"repro/internal/auditlog"
+)
+
+// Rule names.
+const (
+	RuleMPRReplaced  = "mpr-replaced"      // E1: investigation trigger
+	RuleMPRAdded     = "mpr-added"         // E1 variant: new MPR in steady state
+	RuleStorm        = "broadcast-storm"   // active forge: message storm
+	RuleReplay       = "replay-stale"      // modify-and-forward: replays
+	RuleDroppedRelay = "relay-drop"        // drop attack: TC never echoed
+	RuleFlappingLink = "neighbor-flapping" // instability / identity games
+	RuleOmission     = "omitted-neighbor"  // Expression 3: live link dropped from HELLOs
+
+	// RuleEvidenceForged is raised by the evidence plane rather than a log
+	// signature: a node's sealed-log proofs failed verification — its tree
+	// head diverged from gossiped history or a cited record's inclusion
+	// proof was invalid (DESIGN.md §8). Forged evidence is first-hand,
+	// cryptographic proof of tampering, so the detector treats it as an
+	// immediate conviction rather than an investigation trigger.
+	RuleEvidenceForged = "evidence-forged"
+
+	// RuleDishonestRecommender is raised by the reputation plane
+	// (DESIGN.md §9): a node's gossiped trust vectors repeatedly
+	// majority-failed the receiver's deviation test. Unlike forged
+	// evidence this is statistical, not cryptographic — an honest node
+	// with a genuinely divergent view can trip it — so it costs direct
+	// trust and recommendation standing but never convicts by itself.
+	RuleDishonestRecommender = "dishonest-recommender"
+)
+
+// Catalog thresholds, matched to the RFC 3626 default timers (2s HELLO,
+// 5s TC).
+const (
+	// stormCount TCs or HELLOs from one originator within stormWindow is
+	// a storm; legitimate traffic is ~2 TCs per origin per 5s.
+	stormCount  = 12
+	stormWindow = 10 * time.Second
+	// replayCount stale drops within replayWindow is a replay attack.
+	replayCount  = 3
+	replayWindow = 30 * time.Second
+	// echoDeadline is how long after sending our own TC we expect an MPR
+	// echo (MSG_DROP reason=own) before suspecting a drop.
+	echoDeadline = 12 * time.Second
+	// flapCount neighbor up/down transitions within flapWindow.
+	flapCount  = 6
+	flapWindow = 30 * time.Second
+	// mprWarmup suppresses new-MPR alerts during initial convergence;
+	// after it, any MPR addition in a stable network is worth one
+	// investigation.
+	mprWarmup = 20 * time.Second
+	// omissionWindow is how recently the dropped endpoint must have
+	// advertised the suspect for a 2-hop loss to look like an omission
+	// rather than genuine link loss.
+	omissionWindow = 10 * time.Second
 )
 
 // Alert is one signature match.
@@ -31,236 +81,205 @@ type Alert struct {
 	Subject addr.Node // the suspected node
 	At      time.Duration
 	Detail  string
-	Events  []logevent.Event // the matched evidence, oldest first
+	// Endpoint is, for RuleOmission, the 2-hop node the subject dropped
+	// from its HELLOs; it is addr.None for every other rule.
+	Endpoint addr.Node
 }
 
-// Rule is a live signature instance. Rules are stateful and single-stream:
-// one Rule instance serves one node's log.
-type Rule interface {
-	// Name identifies the rule in alerts.
-	Name() string
-	// Observe feeds one parsed log event and returns any alerts it
-	// completes.
-	Observe(ev logevent.Event) []Alert
-	// Tick advances virtual time for deadline-based rules.
-	Tick(now time.Duration) []Alert
+// threshold is one threshold signature: count matches about one subject
+// within span. seen keeps each subject's match times, oldest first.
+type threshold struct {
+	count int
+	span  time.Duration
+	seen  map[addr.Node][]time.Duration
 }
 
-// Engine runs a set of rules over a log-event stream.
-type Engine struct {
-	rules []Rule
-}
-
-// NewEngine builds an engine over the given rules.
-func NewEngine(rules ...Rule) *Engine {
-	return &Engine{rules: rules}
-}
-
-// Feed processes a batch of events (oldest first) and then advances the
-// clock, returning every alert raised.
-func (e *Engine) Feed(events []logevent.Event, now time.Duration) []Alert {
-	var alerts []Alert
-	for _, ev := range events {
-		for _, r := range e.rules {
-			alerts = append(alerts, r.Observe(ev)...)
-		}
-	}
-	for _, r := range e.rules {
-		alerts = append(alerts, r.Tick(now)...)
-	}
-	return alerts
-}
-
-// Predicate matches an event and, on success, names the subject node the
-// event is about.
-type Predicate func(ev logevent.Event) (subject addr.Node, ok bool)
-
-// ThresholdRule alerts when at least Count events matching Match about the
-// same subject occur within Window. After alerting it resets that
-// subject's history to avoid alert storms about the storm.
-type ThresholdRule struct {
-	RuleName string
-	Match    Predicate
-	Count    int
-	Window   time.Duration
-
-	seen map[addr.Node][]logevent.Event
-}
-
-var _ Rule = (*ThresholdRule)(nil)
-
-// Name implements Rule.
-func (r *ThresholdRule) Name() string { return r.RuleName }
-
-// Observe implements Rule.
-func (r *ThresholdRule) Observe(ev logevent.Event) []Alert {
-	subject, ok := r.Match(ev)
-	if !ok {
-		return nil
-	}
-	if r.seen == nil {
-		r.seen = make(map[addr.Node][]logevent.Event)
-	}
-	hist := append(r.seen[subject], ev)
-	// Evict events older than the window.
-	cutoff := ev.When() - r.Window
+// hit records a match about s at at and reports whether it completes the
+// signature. Times older than at-span leave the window first; an alert
+// empties s's window, so a storm raises one alert, not one per message.
+func (th *threshold) hit(s addr.Node, at time.Duration) bool {
+	ts := th.seen[s]
+	cutoff := at - th.span
 	start := 0
-	for start < len(hist) && hist[start].When() < cutoff {
+	for start < len(ts) && ts[start] < cutoff {
 		start++
 	}
-	hist = hist[start:]
-	if len(hist) >= r.Count {
-		r.seen[subject] = nil
-		return []Alert{{
-			Rule:    r.RuleName,
-			Subject: subject,
-			At:      ev.When(),
-			Detail:  "threshold reached",
-			Events:  hist,
-		}}
+	ts = append(ts[:copy(ts, ts[start:])], at)
+	full := len(ts) >= th.count
+	if full {
+		ts = ts[:0]
 	}
-	r.seen[subject] = hist
-	return nil
+	th.seen[s] = ts
+	return full
 }
 
-// Tick implements Rule; threshold rules are purely event-driven.
-func (r *ThresholdRule) Tick(time.Duration) []Alert { return nil }
+// Matcher runs the signature catalog over one node's audit log, oldest
+// line first. It is stateful and serves a single log.
+type Matcher struct {
+	storm, replay, flap threshold
 
-// SequenceRule alerts when its steps match in order, about the same
-// subject, with the whole sequence inside Window.
-type SequenceRule struct {
-	RuleName string
-	Steps    []Predicate
-	Window   time.Duration
+	// lastSym[{x, y}] is when y last advertised x as a symmetric
+	// neighbor (omitted-neighbor).
+	lastSym map[[2]addr.Node]time.Duration
 
-	// progress[subject] = events matched so far
-	progress map[addr.Node][]logevent.Event
+	// The mpr-added warm-up starts at the first line a signature sees.
+	started bool
+	firstAt time.Duration
+
+	// The one pending relay-drop deadline: our earliest TC not yet
+	// echoed back, and the node that sent it.
+	echoPending bool
+	echoFrom    time.Duration
+	echoBy      addr.Node
+
+	// Parse scratch for the list fields.
+	added, nodes []addr.Node
 }
 
-var _ Rule = (*SequenceRule)(nil)
-
-// Name implements Rule.
-func (r *SequenceRule) Name() string { return r.RuleName }
-
-// Observe implements Rule.
-func (r *SequenceRule) Observe(ev logevent.Event) []Alert {
-	if len(r.Steps) == 0 {
-		return nil
+// NewMatcher returns a matcher that has seen no line.
+func NewMatcher() *Matcher {
+	return &Matcher{
+		storm:   threshold{count: stormCount, span: stormWindow, seen: make(map[addr.Node][]time.Duration)},
+		replay:  threshold{count: replayCount, span: replayWindow, seen: make(map[addr.Node][]time.Duration)},
+		flap:    threshold{count: flapCount, span: flapWindow, seen: make(map[addr.Node][]time.Duration)},
+		lastSym: make(map[[2]addr.Node]time.Duration),
 	}
-	if r.progress == nil {
-		r.progress = make(map[addr.Node][]logevent.Event)
-	}
-	var alerts []Alert
+}
 
-	// Advance existing partial matches in subject order, so alerts come
-	// out in the same order every run.
-	var subjects []addr.Node
-	for subject := range r.progress {
-		subjects = append(subjects, subject)
-	}
-	slices.Sort(subjects)
-	for _, subject := range subjects {
-		matched := r.progress[subject]
-		if ev.When()-matched[0].When() > r.Window {
-			delete(r.progress, subject)
-			continue
+// Observe matches one audit line, appending to dst the alerts it
+// completes, in catalog order. A line of an unknown kind, or one whose
+// fields fail to parse, is seen by no signature.
+func (m *Matcher) Observe(dst []Alert, l auditlog.Line) []Alert {
+	at := l.T
+	var err, err2, err3 error
+	switch kind := l.Kind(); kind {
+	case auditlog.KindHelloRx:
+		var from addr.Node
+		from, err = l.NodeField("from")
+		m.nodes, err2 = l.NodesField("sym", m.nodes)
+		if err != nil || err2 != nil {
+			return dst
 		}
-		s, ok := r.Steps[len(matched)](ev)
-		if !ok || s != subject {
-			continue
+		if m.storm.hit(from, at) {
+			dst = append(dst, Alert{Rule: RuleStorm, Subject: from, At: at, Detail: "threshold reached"})
 		}
-		matched = append(matched, ev)
-		if len(matched) == len(r.Steps) {
-			delete(r.progress, subject)
-			alerts = append(alerts, Alert{
-				Rule:    r.RuleName,
-				Subject: subject,
-				At:      ev.When(),
-				Detail:  "sequence complete",
-				Events:  matched,
-			})
-			continue
+		for _, s := range m.nodes {
+			m.lastSym[[2]addr.Node{s, from}] = at
 		}
-		r.progress[subject] = matched
-	}
 
-	// Try to start a new match.
-	if subject, ok := r.Steps[0](ev); ok {
-		if _, busy := r.progress[subject]; !busy {
-			if len(r.Steps) == 1 {
-				alerts = append(alerts, Alert{
-					Rule:    r.RuleName,
-					Subject: subject,
-					At:      ev.When(),
-					Detail:  "sequence complete",
-					Events:  []logevent.Event{ev},
-				})
-			} else {
-				r.progress[subject] = []logevent.Event{ev}
+	case auditlog.KindTCRx:
+		var orig addr.Node
+		orig, err = l.NodeField("orig")
+		m.nodes, err2 = l.NodesField("adv", m.nodes)
+		if err != nil || err2 != nil {
+			return dst
+		}
+		if m.storm.hit(orig, at) {
+			dst = append(dst, Alert{Rule: RuleStorm, Subject: orig, At: at, Detail: "threshold reached"})
+		}
+
+	case auditlog.KindTCTx:
+		if m.nodes, err = l.NodesField("adv", m.nodes); err != nil {
+			return dst
+		}
+		if !m.echoPending {
+			m.echoPending, m.echoFrom, m.echoBy = true, at, l.Node
+		}
+
+	case auditlog.KindMsgDrop:
+		var from addr.Node
+		if from, err = l.NodeField("from"); err != nil {
+			return dst
+		}
+		switch reason, _ := l.Get("reason"); reason {
+		case "stale":
+			if m.replay.hit(from, at) {
+				dst = append(dst, Alert{Rule: RuleReplay, Subject: from, At: at, Detail: "threshold reached"})
+			}
+		case "own":
+			m.echoPending = false
+		}
+
+	case auditlog.KindNeighborUp, auditlog.KindNeighborDown:
+		var nb addr.Node
+		if nb, err = l.NodeField("neighbor"); err != nil {
+			return dst
+		}
+		if m.flap.hit(nb, at) {
+			dst = append(dst, Alert{Rule: RuleFlappingLink, Subject: nb, At: at, Detail: "threshold reached"})
+		}
+
+	case auditlog.KindTwoHopDown:
+		var via, twohop addr.Node
+		via, err = l.NodeField("via")
+		twohop, err2 = l.NodeField("twohop")
+		if err != nil || err2 != nil {
+			return dst
+		}
+		// Was the lost endpoint still advertising the suspect recently?
+		if last, seen := m.lastSym[[2]addr.Node{via, twohop}]; seen && at-last <= omissionWindow {
+			dst = append(dst, Alert{Rule: RuleOmission, Subject: via, At: at,
+				Detail: "2-hop link lost while endpoint still advertised the suspect", Endpoint: twohop})
+		}
+
+	case auditlog.KindMPRSet:
+		m.added, err = l.NodesField("added", m.added)
+		m.nodes, err2 = l.NodesField("removed", m.nodes)
+		removed := len(m.nodes)
+		m.nodes, err3 = l.NodesField("mprs", m.nodes)
+		if err != nil || err2 != nil || err3 != nil {
+			return dst
+		}
+		// A replacement names the replacing MPR.
+		if len(m.added) > 0 && removed > 0 {
+			dst = append(dst, Alert{Rule: RuleMPRReplaced, Subject: m.added[0], At: at, Detail: "sequence complete"})
+		}
+		if m.started && at >= m.firstAt+mprWarmup {
+			for _, a := range m.added {
+				dst = append(dst, Alert{Rule: RuleMPRAdded, Subject: a, At: at, Detail: "new MPR after steady state"})
 			}
 		}
-	}
-	return alerts
-}
 
-// Tick implements Rule; expired partial matches are dropped lazily in
-// Observe.
-func (r *SequenceRule) Tick(time.Duration) []Alert { return nil }
+	case auditlog.KindBadPacket:
 
-// AbsenceRule alerts when, after a Trigger event about a subject, no
-// Expected event about the same subject arrives within Deadline. This is
-// how a drop attack becomes visible in logs: the expected relay echo never
-// happens.
-type AbsenceRule struct {
-	RuleName string
-	Trigger  Predicate
-	Expected Predicate
-	Deadline time.Duration
-
-	pending map[addr.Node]logevent.Event // subject -> trigger event
-}
-
-var _ Rule = (*AbsenceRule)(nil)
-
-// Name implements Rule.
-func (r *AbsenceRule) Name() string { return r.RuleName }
-
-// Observe implements Rule.
-func (r *AbsenceRule) Observe(ev logevent.Event) []Alert {
-	if r.pending == nil {
-		r.pending = make(map[addr.Node]logevent.Event)
-	}
-	if subject, ok := r.Expected(ev); ok {
-		delete(r.pending, subject)
-	}
-	if subject, ok := r.Trigger(ev); ok {
-		if _, busy := r.pending[subject]; !busy {
-			r.pending[subject] = ev
+	case auditlog.KindHelloTx, auditlog.KindTCFwd, auditlog.KindTwoHopUp, auditlog.KindMPRSelector:
+		// No signature reads these kinds; a well-formed one only starts
+		// the warm-up.
+		if m.started {
+			return dst
 		}
+		switch kind {
+		case auditlog.KindHelloTx:
+			m.nodes, err = l.NodesField("sym", m.nodes)
+		case auditlog.KindTCFwd:
+			_, err = l.NodeField("orig")
+			_, err2 = l.NodeField("sender")
+		case auditlog.KindTwoHopUp:
+			_, err = l.NodeField("via")
+			_, err2 = l.NodeField("twohop")
+		default:
+			m.nodes, err = l.NodesField("selectors", m.nodes)
+		}
+		if err != nil || err2 != nil {
+			return dst
+		}
+
+	default:
+		return dst
 	}
-	return nil
+	if !m.started {
+		m.started, m.firstAt = true, at
+	}
+	return dst
 }
 
-// Tick implements Rule: it fires alerts, in subject order, for every
-// deadline that has passed without the expected event.
-func (r *AbsenceRule) Tick(now time.Duration) []Alert {
-	var due []addr.Node
-	for subject, trigger := range r.pending {
-		if now >= trigger.When()+r.Deadline {
-			due = append(due, subject)
-		}
+// Tick advances the clock to now, after a scan's lines, appending the
+// relay-drop alert to dst when our own TC has gone unechoed past its
+// deadline. The alert is stamped now and names the node that sent the TC.
+func (m *Matcher) Tick(dst []Alert, now time.Duration) []Alert {
+	if m.echoPending && now >= m.echoFrom+echoDeadline {
+		m.echoPending = false
+		dst = append(dst, Alert{Rule: RuleDroppedRelay, Subject: m.echoBy, At: now, Detail: "expected event absent"})
 	}
-	slices.Sort(due)
-	var alerts []Alert
-	for _, subject := range due {
-		alerts = append(alerts, Alert{
-			Rule:    r.RuleName,
-			Subject: subject,
-			At:      now,
-			Detail:  "expected event absent",
-			Events:  []logevent.Event{r.pending[subject]},
-		})
-		delete(r.pending, subject)
-	}
-	return alerts
+	return dst
 }

@@ -6,361 +6,323 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
-	"repro/internal/logevent"
 )
 
-func base(at time.Duration, kind auditlog.Kind) logevent.Base {
-	return logevent.Base{At: at, Node: addr.NodeAt(1), Kind: kind}
+// self is the node whose log the tests match.
+var self = addr.NodeAt(1)
+
+func rec(at time.Duration, kind auditlog.Kind, fields ...auditlog.Field) auditlog.Record {
+	return auditlog.Record{T: at, Node: self, Kind: kind, Fields: fields}
 }
 
-func tcRx(at time.Duration, orig addr.Node) logevent.Event {
-	return &logevent.TCReceived{Base: base(at, auditlog.KindTCRx), Originator: orig}
+func tcRx(at time.Duration, orig addr.Node) auditlog.Record {
+	return rec(at, auditlog.KindTCRx, auditlog.FNode("orig", orig), auditlog.FInt("ansn", 1),
+		auditlog.FNodes("adv", []addr.Node{self}))
 }
 
-func staleDrop(at time.Duration, from addr.Node) logevent.Event {
-	return &logevent.MessageDropped{Base: base(at, auditlog.KindMsgDrop), From: from, Reason: "stale"}
+func tcTx(at time.Duration) auditlog.Record {
+	return rec(at, auditlog.KindTCTx, auditlog.FInt("ansn", 1), auditlog.FNodes("adv", nil))
+}
+
+func drop(at time.Duration, from addr.Node, reason string) auditlog.Record {
+	return rec(at, auditlog.KindMsgDrop, auditlog.FNode("from", from), auditlog.FNode("orig", from),
+		auditlog.F("reason", reason))
+}
+
+func mprSet(at time.Duration, added, removed []addr.Node) auditlog.Record {
+	return rec(at, auditlog.KindMPRSet, auditlog.FNodes("added", added),
+		auditlog.FNodes("removed", removed), auditlog.FNodes("mprs", added))
+}
+
+// observe stores r as a node's daemon would and matches its line.
+func observe(m *Matcher, r auditlog.Record) []Alert {
+	var b auditlog.Buffer
+	b.Append(r)
+	l, _ := b.LineAt(0)
+	return m.Observe(nil, l)
 }
 
 func TestThresholdRuleFiresAtCount(t *testing.T) {
-	r := StormRule(3, 10*time.Second)
+	m := NewMatcher()
 	orig := addr.NodeAt(5)
-	if got := r.Observe(tcRx(1*time.Second, orig)); len(got) != 0 {
-		t.Fatalf("fired after 1 event: %+v", got)
+	for i := range stormCount - 1 {
+		if got := observe(m, tcRx(time.Duration(i)*100*time.Millisecond, orig)); len(got) != 0 {
+			t.Fatalf("fired after %d messages: %+v", i+1, got)
+		}
 	}
-	if got := r.Observe(tcRx(2*time.Second, orig)); len(got) != 0 {
-		t.Fatalf("fired after 2 events: %+v", got)
-	}
-	got := r.Observe(tcRx(3*time.Second, orig))
-	if len(got) != 1 {
-		t.Fatalf("did not fire at threshold: %+v", got)
-	}
-	a := got[0]
-	if a.Rule != RuleStorm || a.Subject != orig || len(a.Events) != 3 {
-		t.Errorf("alert = %+v", a)
+	got := observe(m, tcRx(2*time.Second, orig))
+	want := Alert{Rule: RuleStorm, Subject: orig, At: 2 * time.Second, Detail: "threshold reached"}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("at threshold: %+v, want %+v", got, want)
 	}
 }
 
 func TestThresholdRuleWindowEviction(t *testing.T) {
-	r := StormRule(3, 5*time.Second)
+	m := NewMatcher()
 	orig := addr.NodeAt(5)
-	r.Observe(tcRx(0, orig))
-	r.Observe(tcRx(1*time.Second, orig))
-	// Third event outside the window of the first: the first is evicted,
-	// so no alert.
-	if got := r.Observe(tcRx(7*time.Second, orig)); len(got) != 0 {
+	observe(m, tcRx(0, orig))
+	for range stormCount - 2 {
+		observe(m, tcRx(time.Second, orig))
+	}
+	// The count is reached only by the first message, which is outside
+	// the window of this one and leaves it.
+	if got := observe(m, tcRx(stormWindow+time.Second/2, orig)); len(got) != 0 {
 		t.Fatalf("fired across window boundary: %+v", got)
 	}
-	// Two more inside the window fire.
-	r.Observe(tcRx(8*time.Second, orig))
-	if got := r.Observe(tcRx(9*time.Second, orig)); len(got) != 1 {
+	// A time exactly at the window's edge stays in it.
+	if got := observe(m, tcRx(stormWindow+time.Second, orig)); len(got) != 1 {
 		t.Fatalf("did not fire: %+v", got)
 	}
 }
 
 func TestThresholdRulePerSubject(t *testing.T) {
-	r := StormRule(3, 10*time.Second)
-	r.Observe(tcRx(1*time.Second, addr.NodeAt(5)))
-	r.Observe(tcRx(2*time.Second, addr.NodeAt(6)))
-	r.Observe(tcRx(3*time.Second, addr.NodeAt(5)))
-	if got := r.Observe(tcRx(4*time.Second, addr.NodeAt(6))); len(got) != 0 {
-		t.Fatalf("subjects mixed: %+v", got)
+	m := NewMatcher()
+	x, y := addr.NodeAt(5), addr.NodeAt(6)
+	for i := range stormCount - 1 {
+		at := time.Duration(i) * 100 * time.Millisecond
+		// HELLOs and TCs from one originator share its window.
+		observe(m, rec(at, auditlog.KindHelloRx, auditlog.FNode("from", x)))
+		observe(m, tcRx(at, y))
 	}
-	if got := r.Observe(tcRx(5*time.Second, addr.NodeAt(5))); len(got) != 1 {
+	got := observe(m, tcRx(2*time.Second, x))
+	if len(got) != 1 || got[0].Subject != x {
 		t.Fatalf("per-subject count broken: %+v", got)
+	}
+	if got := observe(m, tcRx(2*time.Second, addr.NodeAt(7))); len(got) != 0 {
+		t.Fatalf("subjects mixed: %+v", got)
 	}
 }
 
 func TestThresholdResetsAfterAlert(t *testing.T) {
-	r := StormRule(2, 10*time.Second)
-	orig := addr.NodeAt(5)
-	r.Observe(tcRx(1*time.Second, orig))
-	if got := r.Observe(tcRx(2*time.Second, orig)); len(got) != 1 {
-		t.Fatal("no first alert")
+	m := NewMatcher()
+	from := addr.NodeAt(5)
+	for i := range replayCount {
+		observe(m, drop(time.Duration(i)*time.Second, from, "stale"))
 	}
-	// History reset: one more event does not immediately re-alert.
-	if got := r.Observe(tcRx(3*time.Second, orig)); len(got) != 0 {
+	// The alert emptied the window: one more stale drop does not
+	// immediately re-alert.
+	if got := observe(m, drop(replayCount*time.Second, from, "stale")); len(got) != 0 {
 		t.Fatalf("re-alerted immediately: %+v", got)
 	}
 }
 
-func TestSequenceRuleOrderAndSubject(t *testing.T) {
-	// Two-step sequence: a stale drop from X followed by a TC from X.
-	r := &SequenceRule{
-		RuleName: "test-seq",
-		Window:   10 * time.Second,
-		Steps: []Predicate{
-			func(ev logevent.Event) (addr.Node, bool) {
-				if d, ok := ev.(*logevent.MessageDropped); ok && d.Reason == "stale" {
-					return d.From, true
-				}
-				return addr.None, false
-			},
-			func(ev logevent.Event) (addr.Node, bool) {
-				if tc, ok := ev.(*logevent.TCReceived); ok {
-					return tc.Originator, true
-				}
-				return addr.None, false
-			},
-		},
-	}
-	x, y := addr.NodeAt(5), addr.NodeAt(6)
-
-	// Wrong order: TC first matches step 1 only as a new start candidate.
-	if got := r.Observe(tcRx(1*time.Second, x)); len(got) != 0 {
-		t.Fatalf("fired on wrong order: %+v", got)
-	}
-	r.Observe(staleDrop(2*time.Second, x))
-	// TC from a different subject must not complete x's sequence.
-	if got := r.Observe(tcRx(3*time.Second, y)); len(got) != 0 {
-		t.Fatalf("cross-subject completion: %+v", got)
-	}
-	got := r.Observe(tcRx(4*time.Second, x))
-	if len(got) != 1 || got[0].Subject != x || len(got[0].Events) != 2 {
-		t.Fatalf("sequence did not complete: %+v", got)
-	}
-}
-
-func TestSequenceRuleWindowExpiry(t *testing.T) {
-	r := &SequenceRule{
-		RuleName: "test-seq",
-		Window:   5 * time.Second,
-		Steps: []Predicate{
-			func(ev logevent.Event) (addr.Node, bool) {
-				if d, ok := ev.(*logevent.MessageDropped); ok {
-					return d.From, true
-				}
-				return addr.None, false
-			},
-			func(ev logevent.Event) (addr.Node, bool) {
-				if tc, ok := ev.(*logevent.TCReceived); ok {
-					return tc.Originator, true
-				}
-				return addr.None, false
-			},
-		},
-	}
-	x := addr.NodeAt(5)
-	r.Observe(staleDrop(0, x))
-	if got := r.Observe(tcRx(10*time.Second, x)); len(got) != 0 {
-		t.Fatalf("completed outside window: %+v", got)
-	}
-}
-
 func TestMPRReplacedRule(t *testing.T) {
-	r := MPRReplacedRule()
+	m := NewMatcher()
 	// Pure addition (initial selection): no alert.
-	ev := &logevent.MPRSetChanged{
-		Base:  base(time.Second, auditlog.KindMPRSet),
-		Added: []addr.Node{addr.NodeAt(2)},
-		MPRs:  []addr.Node{addr.NodeAt(2)},
-	}
-	if got := r.Observe(ev); len(got) != 0 {
+	if got := observe(m, mprSet(time.Second, []addr.Node{addr.NodeAt(2)}, nil)); len(got) != 0 {
 		t.Fatalf("alerted on initial MPR selection: %+v", got)
 	}
-	// Replacement: alert naming the replacing MPR.
-	ev2 := &logevent.MPRSetChanged{
-		Base:    base(2*time.Second, auditlog.KindMPRSet),
-		Added:   []addr.Node{addr.NodeAt(9)},
-		Removed: []addr.Node{addr.NodeAt(2)},
-		MPRs:    []addr.Node{addr.NodeAt(9)},
-	}
-	got := r.Observe(ev2)
-	if len(got) != 1 || got[0].Subject != addr.NodeAt(9) || got[0].Rule != RuleMPRReplaced {
-		t.Fatalf("alert = %+v", got)
+	// Replacement: alert naming the first replacing MPR.
+	got := observe(m, mprSet(2*time.Second, []addr.Node{addr.NodeAt(9), addr.NodeAt(8)}, []addr.Node{addr.NodeAt(2)}))
+	want := Alert{Rule: RuleMPRReplaced, Subject: addr.NodeAt(9), At: 2 * time.Second, Detail: "sequence complete"}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("alert = %+v, want %+v", got, want)
 	}
 }
 
 func TestReplayRule(t *testing.T) {
-	r := ReplayRule(3, 30*time.Second)
+	m := NewMatcher()
 	from := addr.NodeAt(7)
-	r.Observe(staleDrop(1*time.Second, from))
-	r.Observe(staleDrop(2*time.Second, from))
-	// Non-stale drops must not count.
-	r.Observe(&logevent.MessageDropped{
-		Base: base(3*time.Second, auditlog.KindMsgDrop), From: from, Reason: "dup",
-	})
-	if got := r.Observe(staleDrop(4*time.Second, from)); len(got) != 1 {
+	for i := range replayCount - 1 {
+		observe(m, drop(time.Duration(i)*time.Second, from, "stale"))
+	}
+	// Other drop reasons do not count.
+	for _, reason := range []string{"dup", "own", "nonsym"} {
+		if got := observe(m, drop(5*time.Second, from, reason)); len(got) != 0 {
+			t.Fatalf("%s drop counted: %+v", reason, got)
+		}
+	}
+	got := observe(m, drop(replayWindow, from, "stale"))
+	if len(got) != 1 || got[0].Rule != RuleReplay || got[0].Subject != from {
 		t.Fatalf("replay rule: %+v", got)
 	}
 }
 
 func TestDroppedRelayRule(t *testing.T) {
-	r := DroppedRelayRule(12 * time.Second)
-	self := addr.NodeAt(1)
-	sent := &logevent.TCSent{Base: base(0, auditlog.KindTCTx), ANSN: 1}
-	r.Observe(sent)
-
+	m := NewMatcher()
+	observe(m, tcTx(0))
 	// Echo arrives in time: no alert at the deadline.
-	echo := &logevent.MessageDropped{
-		Base: base(3*time.Second, auditlog.KindMsgDrop), From: addr.NodeAt(2), Reason: "own",
-	}
-	r.Observe(echo)
-	if got := r.Tick(20 * time.Second); len(got) != 0 {
+	observe(m, drop(3*time.Second, addr.NodeAt(2), "own"))
+	if got := m.Tick(nil, 20*time.Second); len(got) != 0 {
 		t.Fatalf("alerted despite echo: %+v", got)
 	}
 
-	// No echo: alert after the deadline.
-	r.Observe(&logevent.TCSent{Base: base(30*time.Second, auditlog.KindTCTx), ANSN: 2})
-	if got := r.Tick(35 * time.Second); len(got) != 0 {
+	// No echo: alert once the deadline of the earliest unechoed TC
+	// passes; a later TC does not push it back.
+	observe(m, tcTx(30*time.Second))
+	observe(m, tcTx(40*time.Second))
+	if got := m.Tick(nil, 30*time.Second+echoDeadline-time.Millisecond); len(got) != 0 {
 		t.Fatalf("alerted before deadline: %+v", got)
 	}
-	got := r.Tick(45 * time.Second)
-	if len(got) != 1 || got[0].Subject != self || got[0].Rule != RuleDroppedRelay {
-		t.Fatalf("alert = %+v", got)
+	got := m.Tick(nil, 45*time.Second)
+	want := Alert{Rule: RuleDroppedRelay, Subject: self, At: 45 * time.Second, Detail: "expected event absent"}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("alert = %+v, want %+v", got, want)
 	}
 	// One-shot: no repeat alert.
-	if got := r.Tick(60 * time.Second); len(got) != 0 {
+	if got := m.Tick(nil, 60*time.Second); len(got) != 0 {
 		t.Fatalf("repeated alert: %+v", got)
 	}
 }
 
-func TestAbsenceRuleAlertsInSubjectOrder(t *testing.T) {
-	// Eight subjects time out in the same tick; the alerts must come out
-	// in ascending subject order, whatever the insertion order, on every
-	// one of many fresh rules (map iteration order varies per map).
-	subjects := []addr.Node{addr.NodeAt(5), addr.NodeAt(2), addr.NodeAt(8), addr.NodeAt(1),
-		addr.NodeAt(7), addr.NodeAt(3), addr.NodeAt(6), addr.NodeAt(4)}
-	for trial := range 20 {
-		r := &AbsenceRule{
-			RuleName: "absent",
-			Deadline: time.Second,
-			Trigger: func(ev logevent.Event) (addr.Node, bool) {
-				return ev.(*logevent.TCReceived).Originator, true
-			},
-			Expected: func(logevent.Event) (addr.Node, bool) { return addr.None, false },
-		}
-		for _, s := range subjects {
-			r.Observe(tcRx(0, s))
-		}
-		got := r.Tick(2 * time.Second)
-		if len(got) != len(subjects) {
-			t.Fatalf("trial %d: %d alerts, want %d", trial, len(got), len(subjects))
-		}
-		for i, a := range got {
-			if a.Subject != addr.NodeAt(i+1) {
-				t.Fatalf("trial %d: alert %d is about %v, want %v", trial, i, a.Subject, addr.NodeAt(i+1))
-			}
-		}
-	}
-}
-
 func TestFlappingRule(t *testing.T) {
-	r := FlappingRule(4, 30*time.Second)
+	m := NewMatcher()
 	nb := addr.NodeAt(3)
-	mk := func(at time.Duration, up bool) logevent.Event {
-		if up {
-			return &logevent.NeighborUp{Base: base(at, auditlog.KindNeighborUp), Neighbor: nb}
+	var got []Alert
+	for i := range flapCount {
+		kind := auditlog.KindNeighborUp
+		if i%2 == 1 {
+			kind = auditlog.KindNeighborDown
 		}
-		return &logevent.NeighborDown{Base: base(at, auditlog.KindNeighborDown), Neighbor: nb}
+		got = observe(m, rec(time.Duration(i)*time.Second, kind, auditlog.FNode("neighbor", nb)))
+		if i < flapCount-1 && len(got) != 0 {
+			t.Fatalf("fired after %d transitions: %+v", i+1, got)
+		}
 	}
-	r.Observe(mk(1*time.Second, true))
-	r.Observe(mk(2*time.Second, false))
-	r.Observe(mk(3*time.Second, true))
-	if got := r.Observe(mk(4*time.Second, false)); len(got) != 1 {
+	if len(got) != 1 || got[0].Rule != RuleFlappingLink || got[0].Subject != nb {
 		t.Fatalf("flapping not detected: %+v", got)
 	}
 }
 
 func TestOmissionRule(t *testing.T) {
-	r := OmissionRule(10 * time.Second)
 	suspect, victim := addr.NodeAt(9), addr.NodeAt(2)
-
-	// Victim advertises the suspect at t=1s.
-	r.Observe(&logevent.HelloReceived{
-		Base: base(1*time.Second, auditlog.KindHelloRx),
-		From: victim, SymNeighbors: []addr.Node{suspect},
-	})
-	// 2-hop (via suspect, of victim) lost at t=7s: within the window.
-	got := r.Observe(&logevent.TwoHopDown{
-		Base: base(7*time.Second, auditlog.KindTwoHopDown),
-		Via:  suspect, TwoHop: victim,
-	})
-	if len(got) != 1 || got[0].Subject != suspect || got[0].Rule != RuleOmission {
-		t.Fatalf("omission alert = %+v", got)
+	hello := rec(time.Second, auditlog.KindHelloRx, auditlog.FNode("from", victim),
+		auditlog.FNodes("sym", []addr.Node{self, suspect}))
+	lost := func(at time.Duration) auditlog.Record {
+		return rec(at, auditlog.KindTwoHopDown, auditlog.FNode("via", suspect), auditlog.FNode("twohop", victim))
 	}
 
-	// Outside the window: the endpoint's advertisement is stale — that is
-	// ordinary link loss, not an omission.
-	r2 := OmissionRule(10 * time.Second)
-	r2.Observe(&logevent.HelloReceived{
-		Base: base(1*time.Second, auditlog.KindHelloRx),
-		From: victim, SymNeighbors: []addr.Node{suspect},
-	})
-	if got := r2.Observe(&logevent.TwoHopDown{
-		Base: base(30*time.Second, auditlog.KindTwoHopDown),
-		Via:  suspect, TwoHop: victim,
-	}); len(got) != 0 {
+	// The victim advertised the suspect within the window of the 2-hop
+	// loss: the alert names the suspect and the dropped endpoint.
+	m := NewMatcher()
+	observe(m, hello)
+	got := observe(m, lost(time.Second+omissionWindow))
+	want := Alert{Rule: RuleOmission, Subject: suspect, At: time.Second + omissionWindow,
+		Detail: "2-hop link lost while endpoint still advertised the suspect", Endpoint: victim}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("omission alert = %+v, want %+v", got, want)
+	}
+
+	// Outside the window the advertisement is stale: that is ordinary
+	// link loss, not an omission.
+	m = NewMatcher()
+	observe(m, hello)
+	if got := observe(m, lost(30*time.Second)); len(got) != 0 {
 		t.Fatalf("stale advertisement alerted: %+v", got)
 	}
 
 	// Never-advertised pair: no alert.
-	r3 := OmissionRule(10 * time.Second)
-	if got := r3.Observe(&logevent.TwoHopDown{
-		Base: base(2*time.Second, auditlog.KindTwoHopDown),
-		Via:  suspect, TwoHop: victim,
-	}); len(got) != 0 {
+	if got := observe(NewMatcher(), lost(2*time.Second)); len(got) != 0 {
 		t.Fatalf("unadvertised pair alerted: %+v", got)
 	}
 }
 
 func TestMPRAddedRuleWarmup(t *testing.T) {
-	r := MPRAddedRule(20 * time.Second)
-	added := func(at time.Duration) logevent.Event {
-		return &logevent.MPRSetChanged{
-			Base:  base(at, auditlog.KindMPRSet),
-			Added: []addr.Node{addr.NodeAt(9)},
-			MPRs:  []addr.Node{addr.NodeAt(9)},
-		}
-	}
-	// First event anchors the warmup; additions inside it are silent.
-	if got := r.Observe(added(1 * time.Second)); len(got) != 0 {
+	m := NewMatcher()
+	added := []addr.Node{addr.NodeAt(9)}
+	// The first line of any kind starts the warm-up, even one no
+	// signature reads.
+	observe(m, rec(time.Second, auditlog.KindHelloTx, auditlog.FNodes("sym", nil)))
+	if got := observe(m, mprSet(10*time.Second, added, nil)); len(got) != 0 {
 		t.Fatalf("alerted during warmup: %+v", got)
 	}
-	if got := r.Observe(added(10 * time.Second)); len(got) != 0 {
+	if got := observe(m, mprSet(time.Second+mprWarmup-time.Millisecond, added, nil)); len(got) != 0 {
 		t.Fatalf("alerted during warmup: %+v", got)
 	}
-	got := r.Observe(added(30 * time.Second))
+	got := observe(m, mprSet(time.Second+mprWarmup, added, nil))
 	if len(got) != 1 || got[0].Subject != addr.NodeAt(9) || got[0].Rule != RuleMPRAdded {
 		t.Fatalf("post-warmup alert = %+v", got)
 	}
 }
 
-func TestEngineFeedsAllRules(t *testing.T) {
-	eng := NewEngine(Catalog()...)
-	var events []logevent.Event
-	// A storm: 12 TCs in 6 seconds from one originator.
-	for i := 0; i < 12; i++ {
-		events = append(events, tcRx(time.Duration(i)*500*time.Millisecond, addr.NodeAt(9)))
+// TestMPRSetAlertOrder: one MPR_SET line raises its replacement alert
+// before one addition alert per added MPR, in the line's order.
+func TestMPRSetAlertOrder(t *testing.T) {
+	m := NewMatcher()
+	observe(m, rec(0, auditlog.KindBadPacket))
+	got := observe(m, mprSet(mprWarmup, []addr.Node{addr.NodeAt(4), addr.NodeAt(3)}, []addr.Node{addr.NodeAt(2)}))
+	want := []struct {
+		rule    string
+		subject addr.Node
+	}{{RuleMPRReplaced, addr.NodeAt(4)}, {RuleMPRAdded, addr.NodeAt(4)}, {RuleMPRAdded, addr.NodeAt(3)}}
+	if len(got) != len(want) {
+		t.Fatalf("alerts = %+v", got)
 	}
-	alerts := eng.Feed(events, 6*time.Second)
-	found := false
-	for _, a := range alerts {
-		if a.Rule == RuleStorm && a.Subject == addr.NodeAt(9) {
-			found = true
+	for i, w := range want {
+		if got[i].Rule != w.rule || got[i].Subject != w.subject {
+			t.Fatalf("alert %d = %+v, want %s about %v", i, got[i], w.rule, w.subject)
 		}
 	}
-	if !found {
+}
+
+// TestBadLinesSeenByNoSignature: a line of an unknown kind, or one whose
+// fields a signature would read fail to parse, neither alerts nor
+// starts the warm-up.
+func TestBadLinesSeenByNoSignature(t *testing.T) {
+	m := NewMatcher()
+	for _, r := range []auditlog.Record{
+		rec(0, "WEIRD"),
+		rec(0, auditlog.KindHelloTx, auditlog.F("sym", "10.0.0.2,")),
+		rec(0, auditlog.KindTCFwd, auditlog.FNode("orig", addr.NodeAt(3))), // no sender
+		rec(0, auditlog.KindTwoHopUp, auditlog.FNode("via", addr.NodeAt(2))),
+		rec(0, auditlog.KindMPRSelector, auditlog.F("selectors", "garbage")),
+		rec(0, auditlog.KindMPRSet, auditlog.FNodes("added", []addr.Node{addr.NodeAt(4)}),
+			auditlog.FNodes("removed", []addr.Node{addr.NodeAt(2)}), auditlog.F("mprs", "10.0.0.300")),
+		rec(0, auditlog.KindTCTx, auditlog.F("adv", "*,x")),
+	} {
+		if got := observe(m, r); len(got) != 0 {
+			t.Fatalf("%s line alerted: %+v", r.Kind, got)
+		}
+	}
+	if got := m.Tick(nil, time.Hour); len(got) != 0 {
+		t.Fatalf("malformed TC_TX armed relay-drop: %+v", got)
+	}
+	// The warm-up starts here, at the first well-formed line.
+	observe(m, rec(mprWarmup, auditlog.KindBadPacket))
+	if got := observe(m, mprSet(mprWarmup+time.Second, []addr.Node{addr.NodeAt(4)}, nil)); len(got) != 0 {
+		t.Fatalf("warm-up started on a malformed line: %+v", got)
+	}
+	for i := range stormCount {
+		bad := rec(time.Duration(i), auditlog.KindTCRx, auditlog.FNode("orig", addr.NodeAt(5)),
+			auditlog.F("adv", "garbage"))
+		if got := observe(m, bad); len(got) != 0 {
+			t.Fatalf("malformed TC_RX counted: %+v", got)
+		}
+	}
+}
+
+func TestEngineFeedsAllRules(t *testing.T) {
+	m := NewMatcher()
+	var alerts []Alert
+	// A storm: 12 TCs in 6 seconds from one originator.
+	for i := range 12 {
+		alerts = append(alerts, observe(m, tcRx(time.Duration(i)*500*time.Millisecond, addr.NodeAt(9)))...)
+	}
+	alerts = m.Tick(alerts, 6*time.Second)
+	if len(alerts) != 1 || alerts[0].Rule != RuleStorm || alerts[0].Subject != addr.NodeAt(9) {
 		t.Errorf("storm not flagged; alerts = %+v", alerts)
 	}
 }
 
 func TestEngineQuietOnNormalTraffic(t *testing.T) {
-	eng := NewEngine(Catalog()...)
-	var events []logevent.Event
+	m := NewMatcher()
+	var alerts []Alert
 	// Normal-rate traffic: one TC per origin per 5s, HELLOs every 2s,
 	// each TC_TX echoed promptly.
 	for s := 0; s < 60; s += 5 {
 		at := time.Duration(s) * time.Second
-		events = append(events,
+		for _, r := range []auditlog.Record{
 			tcRx(at, addr.NodeAt(2)),
-			&logevent.TCSent{Base: base(at, auditlog.KindTCTx), ANSN: s},
-			&logevent.MessageDropped{
-				Base: base(at+time.Second, auditlog.KindMsgDrop),
-				From: addr.NodeAt(2), Reason: "own",
-			},
-		)
+			rec(at, auditlog.KindHelloRx, auditlog.FNode("from", addr.NodeAt(2)),
+				auditlog.FNodes("sym", []addr.Node{self})),
+			tcTx(at),
+			drop(at+time.Second, addr.NodeAt(2), "own"),
+			drop(at+time.Second, addr.NodeAt(3), "dup"),
+		} {
+			alerts = append(alerts, observe(m, r)...)
+		}
+		alerts = m.Tick(alerts, at+2*time.Second)
 	}
-	alerts := eng.Feed(events, 61*time.Second)
 	if len(alerts) != 0 {
 		t.Errorf("false positives on normal traffic: %+v", alerts)
 	}

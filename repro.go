@@ -11,7 +11,7 @@
 //   - a complete RFC 3626 OLSR implementation with audit logging —
 //     internal/olsr, wire, auditlog;
 //   - the paper's log- and signature-based intrusion detector with
-//     cooperative investigations — internal/logevent, signature, detect;
+//     cooperative investigations — internal/signature, detect;
 //   - the entropy-based trust system of §IV (Eq. 5–10) — internal/trust;
 //   - the attacks of §II-B/§III-A (link spoofing ×3, black/gray hole,
 //     storm, replay, liars) — internal/attack;
