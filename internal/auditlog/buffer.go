@@ -19,9 +19,9 @@ import (
 // byte chunks; a pointer-free index, in pages, keeps each record's exact
 // time (the line renders milliseconds), its node and where its line lies.
 // Readers take the lines as they are: the detector's signature matcher
-// reads their fields in place, citations and Dump return them, and sealing hashes
-// them. Since decodes them back into Records — exactly, because
-// ParseLine inverts the rendering and T comes from the index.
+// reads their fields in place, citations and Dump return them, and
+// sealing hashes them. Since decodes them back into Records — exactly,
+// because ParseLine inverts the rendering and T comes from the index.
 //
 // A buffer armed with SetSealKey also seals every appended record
 // (seal.go): its canonical line becomes a leaf of the log's Merkle tree,

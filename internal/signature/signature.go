@@ -241,10 +241,12 @@ func (m *Matcher) Observe(dst []Alert, l auditlog.Line) []Alert {
 		}
 
 	case auditlog.KindBadPacket:
+		// No signature reads it, and it has no required field; it only
+		// starts the warm-up.
 
 	case auditlog.KindHelloTx, auditlog.KindTCFwd, auditlog.KindTwoHopUp, auditlog.KindMPRSelector:
-		// No signature reads these kinds; a well-formed one only starts
-		// the warm-up.
+		// No signature reads these kinds either; a well-formed one only
+		// starts the warm-up.
 		if m.started {
 			return dst
 		}
