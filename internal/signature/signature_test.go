@@ -255,13 +255,17 @@ func TestMPRSetAlertOrder(t *testing.T) {
 	}
 }
 
-// TestBadLinesSeenByNoSignature: a line of an unknown kind, or one whose
-// fields a signature would read fail to parse, neither alerts nor
-// starts the warm-up.
-func TestBadLinesSeenByNoSignature(t *testing.T) {
-	m := NewMatcher()
-	for _, r := range []auditlog.Record{
-		rec(0, "WEIRD"),
+// TestUnknownKindSeenByNoSignature: a line of an unknown kind neither
+// alerts nor starts the warm-up.
+func TestUnknownKindSeenByNoSignature(t *testing.T) {
+	checkSeenByNoSignature(t, rec(0, "WEIRD"), rec(0, "HELLO_TX2"))
+}
+
+// TestMissingFieldSeenByNoSignature: a line whose fields a signature would
+// read are missing or fail to parse neither alerts nor starts the warm-up,
+// and a malformed TC_RX does not count towards a storm.
+func TestMissingFieldSeenByNoSignature(t *testing.T) {
+	checkSeenByNoSignature(t,
 		rec(0, auditlog.KindHelloTx, auditlog.F("sym", "10.0.0.2,")),
 		rec(0, auditlog.KindTCFwd, auditlog.FNode("orig", addr.NodeAt(3))), // no sender
 		rec(0, auditlog.KindTwoHopUp, auditlog.FNode("via", addr.NodeAt(2))),
@@ -269,25 +273,34 @@ func TestBadLinesSeenByNoSignature(t *testing.T) {
 		rec(0, auditlog.KindMPRSet, auditlog.FNodes("added", []addr.Node{addr.NodeAt(4)}),
 			auditlog.FNodes("removed", []addr.Node{addr.NodeAt(2)}), auditlog.F("mprs", "10.0.0.300")),
 		rec(0, auditlog.KindTCTx, auditlog.F("adv", "*,x")),
-	} {
-		if got := observe(m, r); len(got) != 0 {
-			t.Fatalf("%s line alerted: %+v", r.Kind, got)
-		}
-	}
-	if got := m.Tick(nil, time.Hour); len(got) != 0 {
-		t.Fatalf("malformed TC_TX armed relay-drop: %+v", got)
-	}
-	// The warm-up starts here, at the first well-formed line.
-	observe(m, rec(mprWarmup, auditlog.KindBadPacket))
-	if got := observe(m, mprSet(mprWarmup+time.Second, []addr.Node{addr.NodeAt(4)}, nil)); len(got) != 0 {
-		t.Fatalf("warm-up started on a malformed line: %+v", got)
-	}
+	)
+	m := NewMatcher()
 	for i := range stormCount {
 		bad := rec(time.Duration(i), auditlog.KindTCRx, auditlog.FNode("orig", addr.NodeAt(5)),
 			auditlog.F("adv", "garbage"))
 		if got := observe(m, bad); len(got) != 0 {
 			t.Fatalf("malformed TC_RX counted: %+v", got)
 		}
+	}
+}
+
+// checkSeenByNoSignature feeds bad to a fresh matcher and fails if any of
+// them alerts, arms relay-drop, or starts the MPR warm-up.
+func checkSeenByNoSignature(t *testing.T, bad ...auditlog.Record) {
+	t.Helper()
+	m := NewMatcher()
+	for _, r := range bad {
+		if got := observe(m, r); len(got) != 0 {
+			t.Fatalf("%s line alerted: %+v", r.Kind, got)
+		}
+	}
+	if got := m.Tick(nil, time.Hour); len(got) != 0 {
+		t.Fatalf("malformed line armed relay-drop: %+v", got)
+	}
+	// The warm-up starts here, at the first well-formed line.
+	observe(m, rec(mprWarmup, auditlog.KindBadPacket))
+	if got := observe(m, mprSet(mprWarmup+time.Second, []addr.Node{addr.NodeAt(4)}, nil)); len(got) != 0 {
+		t.Fatalf("warm-up started on a malformed line: %+v", got)
 	}
 }
 
