@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/experiment"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -48,6 +48,9 @@ func run(args []string, w io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if cliutil.FlagPassed(fs, "trace") && *sweep != "scenarios" {
+		return fmt.Errorf("-trace applies only to -sweep scenarios, not -sweep %s", *sweep)
 	}
 	seed := &camp.Seed
 
@@ -107,14 +110,20 @@ func run(args []string, w io.Writer) error {
 				specs[i].Seed = *seed
 			}
 		}
-		digests, err := runScenarioMatrix(eng, camp, specs)
+		// With -trace every preset also streams its NDJSON run trace to
+		// <dir>/<preset>.ndjson; the digests are the same either way.
+		var tracePath func(int) string
+		if camp.HasTrace() {
+			tracePath = func(i int) string { return filepath.Join(camp.Trace, specs[i].Name+".ndjson") }
+		}
+		results, err := eng.Scenarios(context.Background(), specs, tracePath)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "X6: scenario preset matrix (internal/scenario)")
 		fmt.Fprintf(w, "%-18s %-16s\n", "scenario", "digest")
-		for i, d := range digests {
-			fmt.Fprintf(w, "%-18s %-16s\n", specs[i].Name, d.Hash)
+		for i, res := range results {
+			fmt.Fprintf(w, "%-18s %-16s\n", specs[i].Name, res.Digest().Hash)
 		}
 		if camp.HasTrace() {
 			fmt.Fprintf(w, "traces: %s/<scenario>.ndjson\n", camp.Trace)
@@ -205,37 +214,4 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown -sweep %q", *sweep)
 	}
 	return nil
-}
-
-// runScenarioMatrix runs the preset matrix; with -trace it additionally
-// writes one NDJSON run trace per preset into the named directory. The
-// digests are identical either way — tracing is pure observation — so
-// the traced matrix is still the golden-corpus check.
-func runScenarioMatrix(eng *experiment.Runner, camp *cliutil.Campaign, specs []scenario.Spec) ([]scenario.Digest, error) {
-	if !camp.HasTrace() {
-		return eng.ScenarioMatrix(specs)
-	}
-	if err := os.MkdirAll(camp.Trace, 0o755); err != nil {
-		return nil, fmt.Errorf("trace dir: %w", err)
-	}
-	digests := make([]scenario.Digest, len(specs))
-	for i, s := range specs {
-		f, err := os.Create(filepath.Join(camp.Trace, s.Name+".ndjson")) //nolint:gosec // operator-supplied directory
-		if err != nil {
-			return nil, err
-		}
-		sink := trace.NewWriter(f)
-		res, err := scenario.RunTraced(s, sink)
-		if err == nil {
-			err = sink.Err()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		digests[i] = res.Digest()
-	}
-	return digests, nil
 }

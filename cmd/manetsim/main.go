@@ -43,7 +43,7 @@ func main() {
 		listScenarios()
 		return
 	}
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "manetsim:", err)
 		os.Exit(1)
 	}
@@ -62,23 +62,33 @@ func listScenarios() {
 	}
 }
 
-func run() error {
-	camp := cliutil.Bind(flag.CommandLine, 1, "random seed (root seed with -trials > 1)").
+func run(args []string) error {
+	fs := flag.NewFlagSet("manetsim", flag.ExitOnError)
+	camp := cliutil.Bind(fs, 1, "random seed (root seed with -trials > 1)").
 		BindScenario("named preset or spec file (see `manetsim list`)").
 		BindTrace("NDJSON run-trace output: a file with -trials 1, a directory of per-trial files otherwise")
 	var (
-		nodes    = flag.Int("nodes", 16, "population size")
-		speed    = flag.Float64("speed", 0, "max node speed in m/s (0 = static)")
-		duration = flag.Duration("duration", 4*time.Minute, "simulated time")
-		attackAt = flag.Duration("attack-at", time.Minute, "when the attack starts")
-		attackS  = flag.String("attack", "phantom", "attack: phantom, claim, omit or none")
-		liars    = flag.Int("liars", 0, "colluding liars answering investigations falsely")
-		trials   = flag.Int("trials", 1, "independent seeded runs of the scenario")
+		nodes    = fs.Int("nodes", 16, "population size")
+		speed    = fs.Float64("speed", 0, "max node speed in m/s (0 = static)")
+		duration = fs.Duration("duration", 4*time.Minute, "simulated time")
+		attackAt = fs.Duration("attack-at", time.Minute, "when the attack starts")
+		attackS  = fs.String("attack", "phantom", "attack: phantom, claim, omit or none")
+		liars    = fs.Int("liars", 0, "colluding liars answering investigations falsely")
+		trials   = fs.Int("trials", 1, "independent seeded runs of the scenario")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	eng := camp.Engine()
 	if camp.HasScenario() {
+		// A spec names what the flag-mode options would, so passing one
+		// here is an error rather than a silently ignored setting.
+		for _, name := range []string{"nodes", "speed", "duration", "attack-at", "attack", "liars"} {
+			if cliutil.FlagPassed(fs, name) {
+				return fmt.Errorf("-%s is a flag-mode option; -scenario %s takes it from the spec", name, camp.Scenario)
+			}
+		}
 		spec, err := camp.ResolvePacket()
 		if err != nil {
 			return err
@@ -140,32 +150,23 @@ func flagSpec(seed int64, nodes int, speed float64, duration, attackAt time.Dura
 // runScenario executes a packet scenario campaign and prints its report.
 func runScenario(eng *experiment.Runner, camp *cliutil.Campaign, spec scenario.Spec, trials int) error {
 	var results []*scenario.Result
+	var err error
 	if camp.HasTrace() && trials <= 1 {
 		// One run, one NDJSON file — the reprotrace workflow's input.
-		sink, closeTrace, err := camp.OpenTrace()
-		if err != nil {
-			return err
-		}
-		res, err := scenario.RunTraced(spec, sink)
-		if cerr := closeTrace(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("trace: %s (%d events)\n", camp.Trace, sink.Events())
-		results = []*scenario.Result{res}
+		results, err = eng.Scenarios(context.Background(), []scenario.Spec{spec}, func(int) string { return camp.Trace })
 	} else {
 		// With -trace, a trial fan writes one trace per trial into that
 		// directory; the file layout is experiment.TraceFileName.
-		var err error
 		results, err = eng.ScenarioTrials(context.Background(), spec, trials, camp.Trace)
-		if err != nil {
-			return err
-		}
-		if camp.HasTrace() {
-			fmt.Printf("traces: %s/%s .. %s\n", camp.Trace, experiment.TraceFileName(0), experiment.TraceFileName(trials-1))
-		}
+	}
+	if err != nil {
+		return err
+	}
+	switch {
+	case camp.HasTrace() && trials <= 1:
+		fmt.Printf("trace: %s\n", camp.Trace)
+	case camp.HasTrace():
+		fmt.Printf("traces: %s/%s .. %s\n", camp.Trace, experiment.TraceFileName(0), experiment.TraceFileName(trials-1))
 	}
 	scenarioReport(results[0])
 	if trials <= 1 {

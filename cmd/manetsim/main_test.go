@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -40,5 +41,20 @@ func TestFlagSpecAttackModes(t *testing.T) {
 	}
 	if _, err := flagSpec(1, 8, 0, time.Minute, 20*time.Second, "bogus", 0); err == nil {
 		t.Error("unknown -attack accepted")
+	}
+}
+
+// TestScenarioRejectsFlagModeFlags: a -scenario run takes its topology
+// and attack from the spec, so a flag-mode option next to it is a usage
+// error naming the flag rather than a silently ignored setting.
+func TestScenarioRejectsFlagModeFlags(t *testing.T) {
+	for _, f := range [][2]string{
+		{"nodes", "40"}, {"speed", "2"}, {"duration", "1m"},
+		{"attack-at", "10s"}, {"attack", "claim"}, {"liars", "2"},
+	} {
+		err := run([]string{"-scenario", "baseline", "-" + f[0], f[1]})
+		if err == nil || !strings.HasPrefix(err.Error(), "-"+f[0]+" ") {
+			t.Errorf("-scenario baseline -%s %s: err = %v, want a usage error naming -%s", f[0], f[1], err, f[0])
+		}
 	}
 }

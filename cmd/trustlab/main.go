@@ -64,7 +64,7 @@ func run(args []string, w io.Writer) error {
 
 	// With -figure all the three figures run as one engine fan-out; single
 	// figures still go through the pool (Figure 3 fans its liar counts).
-	fig3Counts := []int{1, 4, 7}
+	fig3Counts := experiment.DefaultLiarCounts()
 
 	// A declarative scenario overrides the ad-hoc flags wholesale: the
 	// spec names the population, liar count, rounds, answer loss, trust

@@ -463,32 +463,20 @@ func (m *Manager) execute(id string) {
 		return
 	}
 
-	// Fan the runs out on this campaign's pool. Results land at their
-	// own index; seeds were fixed at submit time, so neither scheduling
-	// nor concurrent campaigns can perturb a digest.
+	// Fan the runs out on the engine's pool, bounded by the campaign's
+	// own worker limit. Results land at their own index; seeds were
+	// fixed at submit time, so neither scheduling nor concurrent
+	// campaigns can perturb a digest. The pool gets a context that is
+	// never done, so it claims every run and returns no error: executeRun
+	// checks the campaign's ctx itself and records a canceled run as
+	// such, which the verdict below needs.
 	workers := m.runWorkers
 	if snap.Workers > 0 && snap.Workers < workers {
 		workers = snap.Workers
 	}
-	if len(snap.Runs) < workers {
-		workers = len(snap.Runs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(snap.Runs) {
-					return
-				}
-				m.executeRun(ctx, id, snap, i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = experiment.NewRunner(0, workers).ForEachContext(context.Background(), len(snap.Runs), func(i int) {
+		m.executeRun(ctx, id, snap, i)
+	})
 
 	// Reduce run states to the campaign verdict.
 	final, errMsg := StateDone, ""

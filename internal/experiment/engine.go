@@ -30,9 +30,9 @@ type Runner struct {
 	// each such task's seed is scenario.DeriveSeed(RootSeed, sweep, point,
 	// trial). Runners parameterized by a scenario config (Fig1–Fig3,
 	// Figures, Ablation, CIAccumulationAblation) or a spec
-	// (ScenarioTrials, ScenarioMatrix) take their seed from it instead, so
-	// a given Config or Spec reproduces the same run on any runner;
-	// Baselines seeds its single run from RootSeed directly.
+	// (Scenarios, ScenarioTrials, ScenarioMatrix) take their seed from it
+	// instead, so a given Config or Spec reproduces the same run on any
+	// runner; Baselines seeds its single run from RootSeed directly.
 	RootSeed int64
 	// Workers bounds the goroutine pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -75,7 +75,8 @@ func mapTasks[T any](workers, n int, fn func(int) T) []T {
 // in index order. Tasks are claimed from an atomic counter, so the pool
 // stays busy even when task costs are skewed; because results land at
 // their own index and every task is self-seeded, scheduling order cannot
-// influence the output.
+// influence the output. A pool of one worker is the caller alone: it
+// starts no goroutine and allocates no counter.
 //
 // Cancellation is cooperative: workers stop claiming tasks once ctx is
 // done, and the call reports ctx's error if any task went unclaimed.
@@ -90,8 +91,16 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]
 		return nil, ctx.Err()
 	}
 	out := make([]T, n)
-	workers = max(1, min(workers, n))
-	var next, done atomic.Int64
+	if workers = min(workers, n); workers <= 1 {
+		for i := range out {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			out[i] = fn(i)
+		}
+		return out, nil
+	}
+	var next atomic.Int64
 	work := func() {
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
@@ -99,7 +108,6 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]
 				return
 			}
 			out[i] = fn(i)
-			done.Add(1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -112,9 +120,9 @@ func mapTasksCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]
 	}
 	work()
 	wg.Wait()
-	if int(done.Load()) < n {
-		// Tasks only go unclaimed on cancellation, so ctx.Err() is
-		// non-nil here.
+	if next.Load() < int64(n) {
+		// Every claimed task ran to completion, so a task went unclaimed,
+		// which only happens on cancellation: ctx.Err() is non-nil here.
 		return nil, ctx.Err()
 	}
 	return out, nil

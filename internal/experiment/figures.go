@@ -346,6 +346,11 @@ type Fig3Result struct {
 	Final map[string]float64
 }
 
+// DefaultLiarCounts returns the Figure 3 liar sweep used when neither
+// the caller nor the scenario names one: 1, 4 and 7 liars, the closest
+// counts out of 16 nodes to the paper's curves.
+func DefaultLiarCounts() []int { return []int{1, 4, 7} }
+
 // fig3Series runs one Figure 3 sweep point: the Fig-3 scenario with the
 // given liar count, returning the per-round Eq. 8 detection values.
 func fig3Series(cfg Config, liars int) []float64 {

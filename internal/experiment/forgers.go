@@ -65,13 +65,6 @@ func forgerSpec(seed int64, k int, evidence bool) scenario.Spec {
 	return spec
 }
 
-// forgerTrial is one reduced run.
-type forgerTrial struct {
-	spooferConvicted bool
-	delay            time.Duration
-	forgersCaught    int
-}
-
 // ForgerSweep fans the counts×trials×2-arm grid onto the pool and
 // reduces it per forger count. Seeds derive from the runner's root, so
 // the sweep is bit-identical at any worker count.
@@ -79,50 +72,35 @@ func (r *Runner) ForgerSweep(trials int, counts []int) []ForgerPoint {
 	if trials <= 0 || len(counts) == 0 {
 		return nil
 	}
-	arms := 2
-	results := mapTasks(r.workerCount(), len(counts)*trials*arms, func(task int) forgerTrial {
-		point := task / (trials * arms)
-		trial := (task / arms) % trials
-		evidence := task%arms == 0
-		seed := r.TaskSeed(forgerSweepID, point, trial)
-		res, err := scenario.Run(forgerSpec(seed, counts[point], evidence))
-		if err != nil {
-			// Specs are built above and validated in Run; an error here is
-			// a programming bug, and the zero trial keeps the grid shape.
-			return forgerTrial{}
+	// Per (point, trial): the evidence arm, then the plain arm.
+	specs := make([]scenario.Spec, 0, len(counts)*trials*2)
+	for point, k := range counts {
+		for trial := 0; trial < trials; trial++ {
+			seed := r.TaskSeed(forgerSweepID, point, trial)
+			specs = append(specs, forgerSpec(seed, k, true), forgerSpec(seed, k, false))
 		}
-		var out forgerTrial
-		for _, s := range res.Suspects {
-			switch s.Kind {
-			case "linkspoof":
-				if s.ConvictedAt >= 0 && !s.FalsePositive {
-					out.spooferConvicted = true
-					out.delay = s.ConvictedAt - s.AttackAt
-				}
-			case "logforge":
-				if s.ConvictedAt >= 0 {
-					out.forgersCaught++
-				}
-			}
-		}
-		return out
-	})
+	}
+	results := r.sweepResults(specs)
 
 	out := make([]ForgerPoint, 0, len(counts))
 	for pi, k := range counts {
 		p := ForgerPoint{Forgers: k, Trials: trials}
 		var evTotal, liarTotal time.Duration
 		for trial := 0; trial < trials; trial++ {
-			ev := results[(pi*trials+trial)*arms]
-			liar := results[(pi*trials+trial)*arms+1]
-			if ev.spooferConvicted {
+			ev := results[(pi*trials+trial)*2]
+			liar := results[(pi*trials+trial)*2+1]
+			if delay, ok := spooferConviction(ev); ok {
 				p.SpooferDetected++
-				evTotal += ev.delay
+				evTotal += delay
 			}
-			p.ForgersCaught += ev.forgersCaught
-			if liar.spooferConvicted {
+			for _, s := range ev.Suspects {
+				if s.Kind == "logforge" && s.ConvictedAt >= 0 {
+					p.ForgersCaught++
+				}
+			}
+			if delay, ok := spooferConviction(liar); ok {
 				p.LiarArmDetected++
-				liarTotal += liar.delay
+				liarTotal += delay
 			}
 		}
 		if p.SpooferDetected > 0 {

@@ -75,21 +75,20 @@ func (r *Runner) MobilitySweep(runs int, speeds []float64) []MobilityPoint {
 	if runs <= 0 || len(speeds) == 0 {
 		return nil
 	}
-	spoofers := mapTasks(r.workerCount(), len(speeds)*runs, func(task int) scenario.Suspect {
-		point, trial := task/runs, task%runs
-		res, err := scenario.Run(mobilitySpec(r.TaskSeed(mobilitySweepID, point, trial), speeds[point]))
-		if err != nil {
-			panic(err) // mobilitySpec is a valid packet spec
+	specs := make([]scenario.Spec, 0, len(speeds)*runs)
+	for point, speed := range speeds {
+		for trial := 0; trial < runs; trial++ {
+			specs = append(specs, mobilitySpec(r.TaskSeed(mobilitySweepID, point, trial), speed))
 		}
-		return res.Suspects[0]
-	})
+	}
+	results := r.sweepResults(specs)
 
 	out := make([]MobilityPoint, 0, len(speeds))
 	for pi, speed := range speeds {
 		p := MobilityPoint{Speed: speed, Runs: runs}
 		var total time.Duration
 		for trial := 0; trial < runs; trial++ {
-			att := spoofers[pi*runs+trial]
+			att := results[pi*runs+trial].Suspects[0]
 			switch {
 			case att.ConvictedAt < 0:
 			case att.FalsePositive:
@@ -105,6 +104,17 @@ func (r *Runner) MobilitySweep(runs int, speeds []float64) []MobilityPoint {
 		out = append(out, p)
 	}
 	return out
+}
+
+// spooferConviction reports whether a run convicted its link spoofer
+// after the attack began, and how long after.
+func spooferConviction(res *scenario.Result) (time.Duration, bool) {
+	for _, s := range res.Suspects {
+		if s.Kind == "linkspoof" && s.ConvictedAt >= 0 && !s.FalsePositive {
+			return s.ConvictedAt - s.AttackAt, true
+		}
+	}
+	return 0, false
 }
 
 // X2: resource consumption (§VII: "the resource consumption that is
@@ -126,9 +136,22 @@ const overheadSweepID = "x2-size"
 // network size. The sizes fan out as independent sweep points, each a
 // full packet-level simulation with its own derived seed.
 func (r *Runner) OverheadSweep(sizes []int) []OverheadPoint {
-	return mapTasks(r.workerCount(), len(sizes), func(i int) OverheadPoint {
-		return overheadPoint(r.TaskSeed(overheadSweepID, i, 0), sizes[i])
-	})
+	specs := make([]scenario.Spec, len(sizes))
+	for i, n := range sizes {
+		specs[i] = overheadSpec(r.TaskSeed(overheadSweepID, i, 0), n)
+	}
+	out := make([]OverheadPoint, len(sizes))
+	for i, res := range r.sweepResults(specs) {
+		n := sizes[i]
+		out[i] = OverheadPoint{
+			Nodes:        n,
+			CtrlMessages: res.Ctrl.Sent,
+			OLSRMessages: res.Frames.FramesSent - res.Ctrl.Sent,
+			CtrlPerNode:  float64(res.Ctrl.Sent) / float64(n),
+			LogRecords:   res.LogRecords,
+		}
+	}
+	return out
 }
 
 // overheadSpec is the declarative form of one X2 measurement point: a
@@ -154,21 +177,6 @@ func overheadSpec(seed int64, n int) scenario.Spec {
 	}
 }
 
-// overheadPoint measures one network size for two simulated minutes.
-func overheadPoint(seed int64, n int) OverheadPoint {
-	res, err := scenario.Run(overheadSpec(seed, n))
-	if err != nil {
-		panic(err)
-	}
-	return OverheadPoint{
-		Nodes:        n,
-		CtrlMessages: res.Ctrl.Sent,
-		OLSRMessages: res.Frames.FramesSent - res.Ctrl.Sent,
-		CtrlPerNode:  float64(res.Ctrl.Sent) / float64(n),
-		LogRecords:   res.LogRecords,
-	}
-}
-
 // X5: baseline attacks — the §II-B attacks beyond link spoofing, detected
 // by their dedicated signatures.
 
@@ -189,10 +197,7 @@ func (r *Runner) Baselines() *BaselineResult {
 		panic("experiment: baselines-x5 preset not registered")
 	}
 	spec.Seed = r.RootSeed
-	sres, err := scenario.Run(spec)
-	if err != nil {
-		panic(err)
-	}
+	sres := r.sweepResults([]scenario.Spec{spec})[0]
 	res := &BaselineResult{}
 	for _, a := range sres.Alerts {
 		switch a.Rule {

@@ -85,42 +85,6 @@ func recommenderSpec(seed int64, k int, family string, filter bool) scenario.Spe
 	return spec
 }
 
-// recommenderTrial is one reduced run.
-type recommenderTrial struct {
-	framed, honest     int
-	shielded, suspects int
-	flagged            int
-	rejected           uint64
-	spooferConvicted   bool
-	delay              time.Duration
-}
-
-// runRecommenderTrial executes one (family, arm) run and reduces it.
-func runRecommenderTrial(seed int64, k int, family string, filter bool) recommenderTrial {
-	res, err := scenario.Run(recommenderSpec(seed, k, family, filter))
-	if err != nil {
-		// Specs are built above and validated in Run; an error here is a
-		// programming bug, and the zero trial keeps the grid shape.
-		return recommenderTrial{}
-	}
-	var out recommenderTrial
-	if rep := res.Reputation; rep != nil {
-		out.framed = rep.FramedHonest
-		out.honest = rep.HonestCount
-		out.shielded = rep.ShieldedSuspects
-		out.suspects = rep.SuspectCount
-		out.flagged = rep.Flagged
-		out.rejected = rep.Rejected
-	}
-	for _, s := range res.Suspects {
-		if s.Kind == "linkspoof" && s.ConvictedAt >= 0 && !s.FalsePositive {
-			out.spooferConvicted = true
-			out.delay = s.ConvictedAt - s.AttackAt
-		}
-	}
-	return out
-}
-
 // RecommenderSweep fans the counts×trials×families×arms grid onto the
 // pool and reduces it per recommender count. Seeds derive from the
 // runner's root, so the sweep is bit-identical at any worker count.
@@ -128,19 +92,19 @@ func (r *Runner) RecommenderSweep(trials int, counts []int) []RecommenderPoint {
 	if trials <= 0 || len(counts) == 0 {
 		return nil
 	}
-	// Per task: family (frame/shield) × arm (filter/nofilter).
+	// Per (point, trial): framing with and without the filter, then
+	// shielding with and without it.
 	const arms = 4
-	results := mapTasks(r.workerCount(), len(counts)*trials*arms, func(task int) recommenderTrial {
-		point := task / (trials * arms)
-		trial := (task / arms) % trials
-		family := "frame"
-		if task%arms >= 2 {
-			family = "shield"
+	specs := make([]scenario.Spec, 0, len(counts)*trials*arms)
+	for point, k := range counts {
+		for trial := 0; trial < trials; trial++ {
+			seed := r.TaskSeed(recommenderSweepID, point, trial)
+			specs = append(specs,
+				recommenderSpec(seed, k, "frame", true), recommenderSpec(seed, k, "frame", false),
+				recommenderSpec(seed, k, "shield", true), recommenderSpec(seed, k, "shield", false))
 		}
-		filter := task%2 == 0
-		seed := r.TaskSeed(recommenderSweepID, point, trial)
-		return runRecommenderTrial(seed, counts[point], family, filter)
-	})
+	}
+	results := r.sweepResults(specs)
 
 	out := make([]RecommenderPoint, 0, len(counts))
 	for pi, k := range counts {
@@ -150,25 +114,25 @@ func (r *Runner) RecommenderSweep(trials int, counts []int) []RecommenderPoint {
 		var filterDelay, noFilterDelay time.Duration
 		for trial := 0; trial < trials; trial++ {
 			base := (pi*trials + trial) * arms
-			frameOn, frameOff := results[base], results[base+1]
+			frameOn, frameOff := results[base].Reputation, results[base+1].Reputation
 			shieldOn, shieldOff := results[base+2], results[base+3]
-			filterFramed += frameOn.framed
-			filterHonest += frameOn.honest
-			p.FilterFlagged += frameOn.flagged
-			p.FilterRejected += frameOn.rejected
-			noFilterFramed += frameOff.framed
-			noFilterHonest += frameOff.honest
-			filterShielded += shieldOn.shielded
-			filterSuspects += shieldOn.suspects
-			noFilterShielded += shieldOff.shielded
-			noFilterSuspects += shieldOff.suspects
-			if shieldOn.spooferConvicted {
+			filterFramed += frameOn.FramedHonest
+			filterHonest += frameOn.HonestCount
+			p.FilterFlagged += frameOn.Flagged
+			p.FilterRejected += frameOn.Rejected
+			noFilterFramed += frameOff.FramedHonest
+			noFilterHonest += frameOff.HonestCount
+			filterShielded += shieldOn.Reputation.ShieldedSuspects
+			filterSuspects += shieldOn.Reputation.SuspectCount
+			noFilterShielded += shieldOff.Reputation.ShieldedSuspects
+			noFilterSuspects += shieldOff.Reputation.SuspectCount
+			if delay, ok := spooferConviction(shieldOn); ok {
 				p.FilterSpooferDetected++
-				filterDelay += shieldOn.delay
+				filterDelay += delay
 			}
-			if shieldOff.spooferConvicted {
+			if delay, ok := spooferConviction(shieldOff); ok {
 				p.NoFilterSpooferDetected++
-				noFilterDelay += shieldOff.delay
+				noFilterDelay += delay
 			}
 		}
 		if filterHonest > 0 {

@@ -35,66 +35,57 @@ func TrialSeed(specSeed int64, trial int) int64 {
 	return scenario.DeriveSeed(specSeed, scenarioTrialID, 0, trial)
 }
 
-// ScenarioTrials fans trials independent runs of the spec onto the pool,
-// with per-trial seeds from TrialSeed. Cancellation is cooperative:
-// undispatched trials are abandoned once ctx is done, and running trials
-// abort at the kernel's next verdict-poll step (scenario.RunContext).
+// Scenarios is the engine's one batch path for packet scenarios: it
+// validates every spec, runs each once on the pool and returns the
+// Results in spec order. Cancellation is cooperative: undispatched runs
+// are abandoned once ctx is done, and running ones abort at the
+// kernel's next verdict-poll step (scenario.RunContext).
 //
-// A non-empty traceDir turns the run-trace plane on: each trial streams
-// its events to traceDir/TraceFileName(i), and the directory is created
-// if needed. Trials still fan across the pool — traces are per-trial
-// files, so parallelism cannot interleave them, and each file is
+// A non-nil tracePath turns the run-trace plane on: run i streams its
+// events to a new NDJSON file at tracePath(i), whose directory is
+// created if needed. Runs still fan across the pool — traces are
+// per-run files, so parallelism cannot interleave them, and each file is
 // byte-identical at any worker count (the per-run tracer ordinal is a
 // total order over that run alone). Tracing is pure observation: the
 // results are the same with or without it.
-func (r *Runner) ScenarioTrials(ctx context.Context, spec scenario.Spec, trials int, traceDir string) ([]*scenario.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if trials <= 0 {
-		trials = 1
-	}
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			return nil, fmt.Errorf("experiment: trace dir: %w", err)
+func (r *Runner) Scenarios(ctx context.Context, specs []scenario.Spec, tracePath func(i int) string) ([]*scenario.Result, error) {
+	for _, s := range specs {
+		if err := s.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	type outcome struct {
 		res *scenario.Result
 		err error
 	}
-	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int) outcome {
-		s := spec
-		s.Seed = TrialSeed(spec.Seed, i)
-		if traceDir == "" {
-			res, err := scenario.RunContext(ctx, s, nil)
+	results, err := mapTasksCtx(ctx, r.workerCount(), len(specs), func(i int) outcome {
+		if tracePath == nil {
+			res, err := scenario.RunContext(ctx, specs[i], nil)
 			return outcome{res, err}
 		}
-		res, err := runTraced(ctx, s, filepath.Join(traceDir, TraceFileName(i)))
+		res, err := runTraced(ctx, specs[i], tracePath(i))
 		return outcome{res, err}
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*scenario.Result, trials)
+	out := make([]*scenario.Result, len(specs))
 	for i, o := range results {
 		if o.err != nil {
-			return nil, fmt.Errorf("trial %d: %w", i, o.err)
+			return nil, fmt.Errorf("run %d (%s): %w", i, specs[i].Name, o.err)
 		}
 		out[i] = o.res
 	}
 	return out, nil
 }
 
-// TraceFileName names trial i's NDJSON trace within a campaign's trace
-// directory. One function so the engine's writer and any reader
-// (reprotrace walkthroughs, CI smoke) agree on the layout.
-func TraceFileName(trial int) string { return fmt.Sprintf("trial-%03d.ndjson", trial) }
-
 // runTraced runs one spec with its run trace streamed to a new NDJSON
 // file at path.
 func runTraced(ctx context.Context, spec scenario.Spec, path string) (*scenario.Result, error) {
-	f, err := os.Create(path) //nolint:gosec // operator-supplied directory
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("trace dir: %w", err)
+	}
+	f, err := os.Create(path) //nolint:gosec // operator-supplied path
 	if err != nil {
 		return nil, err
 	}
@@ -109,33 +100,50 @@ func runTraced(ctx context.Context, spec scenario.Spec, path string) (*scenario.
 	return res, err
 }
 
-// ScenarioMatrix runs every spec once on the pool and returns the
-// digests in spec order — the golden-corpus regeneration primitive.
+// ScenarioTrials fans trials (at least one) independent runs of the spec
+// onto the pool through Scenarios, with per-trial seeds from TrialSeed.
+// A non-empty traceDir streams trial i's trace to
+// traceDir/TraceFileName(i).
+func (r *Runner) ScenarioTrials(ctx context.Context, spec scenario.Spec, trials int, traceDir string) ([]*scenario.Result, error) {
+	specs := make([]scenario.Spec, max(trials, 1))
+	for i := range specs {
+		specs[i] = spec
+		specs[i].Seed = TrialSeed(spec.Seed, i)
+	}
+	var tracePath func(int) string
+	if traceDir != "" {
+		tracePath = func(i int) string { return filepath.Join(traceDir, TraceFileName(i)) }
+	}
+	return r.Scenarios(ctx, specs, tracePath)
+}
+
+// TraceFileName names trial i's NDJSON trace within a campaign's trace
+// directory. One function so the engine's writer and any reader
+// (reprotrace walkthroughs, CI smoke) agree on the layout.
+func TraceFileName(trial int) string { return fmt.Sprintf("trial-%03d.ndjson", trial) }
+
+// ScenarioMatrix runs every spec once, untraced, on the pool and returns
+// the digests in spec order — the golden-corpus regeneration primitive.
 func (r *Runner) ScenarioMatrix(specs []scenario.Spec) ([]scenario.Digest, error) {
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
+	results, err := r.Scenarios(context.Background(), specs, nil)
+	if err != nil {
+		return nil, err
 	}
-	type outcome struct {
-		d   scenario.Digest
-		err error
-	}
-	results := mapTasks(r.workerCount(), len(specs), func(i int) outcome {
-		res, err := scenario.Run(specs[i])
-		if err != nil {
-			return outcome{err: err}
-		}
-		return outcome{d: res.Digest()}
-	})
-	out := make([]scenario.Digest, len(specs))
-	for i, o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", specs[i].Name, o.err)
-		}
-		out[i] = o.d
+	out := make([]scenario.Digest, len(results))
+	for i, res := range results {
+		out[i] = res.Digest()
 	}
 	return out, nil
+}
+
+// sweepResults runs a sweep's specs untraced on the pool. A sweep builds
+// its specs itself, so a run error is a programming bug and panics.
+func (r *Runner) sweepResults(specs []scenario.Spec) []*scenario.Result {
+	results, err := r.Scenarios(context.Background(), specs, nil)
+	if err != nil {
+		panic(err)
+	}
+	return results
 }
 
 // ErrNotRounds rejects a packet spec where a rounds one is needed.

@@ -1,13 +1,11 @@
 // Package metrics provides the time-series collection and rendering used
-// by the experiment harness: per-round series, summary statistics, and
-// fixed-width table output that mirrors the data series behind the paper's
-// figures.
+// by the experiment harness: per-round series and fixed-width table
+// output that mirrors the data series behind the paper's figures.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -42,17 +40,6 @@ func (s *Series) At(i int) float64 {
 func (s *Series) FirstRoundBelow(threshold float64) int {
 	for i, v := range s.Values {
 		if v <= threshold {
-			return i
-		}
-	}
-	return -1
-}
-
-// FirstRoundAbove returns the first round index whose value is >=
-// threshold, or -1.
-func (s *Series) FirstRoundAbove(threshold float64) int {
-	for i, v := range s.Values {
-		if v >= threshold {
 			return i
 		}
 	}
@@ -168,55 +155,4 @@ func firstNonEmpty(a, b string) string {
 		return a
 	}
 	return b
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N           int
-	Mean, Std   float64
-	Min, Max    float64
-	Median, P90 float64
-}
-
-// Summarize computes descriptive statistics.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(values), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, v := range values {
-		sum += v
-		s.Min = math.Min(s.Min, v)
-		s.Max = math.Max(s.Max, v)
-	}
-	s.Mean = sum / float64(len(values))
-	var ss float64
-	for _, v := range values {
-		d := v - s.Mean
-		ss += d * d
-	}
-	if len(values) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(values)-1))
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	s.Median = quantile(sorted, 0.5)
-	s.P90 = quantile(sorted, 0.9)
-	return s
-}
-
-// quantile interpolates the q-quantile of a sorted sample.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

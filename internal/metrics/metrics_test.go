@@ -29,12 +29,6 @@ func TestFirstRoundBelowAbove(t *testing.T) {
 	if got := s.FirstRoundBelow(-2); got != -1 {
 		t.Errorf("FirstRoundBelow(-2) = %d, want -1", got)
 	}
-	if got := s.FirstRoundAbove(0.4); got != 0 {
-		t.Errorf("FirstRoundAbove = %d, want 0", got)
-	}
-	if got := s.FirstRoundAbove(2); got != -1 {
-		t.Errorf("FirstRoundAbove(2) = %d, want -1", got)
-	}
 }
 
 func TestTableSeriesReuse(t *testing.T) {
@@ -83,25 +77,5 @@ func TestRenderAndCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[2], "1,-0.250000,") {
 		t.Errorf("csv ragged row = %q", lines[2])
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
-		t.Errorf("std = %v", s.Std)
-	}
-	if math.Abs(s.P90-4.6) > 1e-9 {
-		t.Errorf("p90 = %v", s.P90)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-	one := Summarize([]float64{7})
-	if one.Mean != 7 || one.Std != 0 || one.Median != 7 {
-		t.Errorf("single summary = %+v", one)
 	}
 }

@@ -91,7 +91,7 @@ func Run(ctx context.Context, spec Scenario, opts RunOpts) (*RunResult, error) {
 			liarCounts = spec.Rounds.LiarCounts
 		}
 		if len(liarCounts) == 0 {
-			liarCounts = []int{1, 4, 7} // trustlab's default Figure-3 sweep
+			liarCounts = experiment.DefaultLiarCounts()
 		}
 		figs, err := eng.Figures(ctx, cfg, liarCounts)
 		if err != nil {
@@ -99,11 +99,7 @@ func Run(ctx context.Context, spec Scenario, opts RunOpts) (*RunResult, error) {
 		}
 		return &RunResult{Spec: spec, Figures: figs}, nil
 	}
-	trials := opts.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	results, err := eng.ScenarioTrials(ctx, spec, trials, "")
+	results, err := eng.ScenarioTrials(ctx, spec, opts.Trials, "")
 	if err != nil {
 		return nil, err
 	}

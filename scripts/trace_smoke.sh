@@ -2,8 +2,9 @@
 # trace_smoke.sh — end-to-end smoke of the run-trace plane (DESIGN.md
 # §13): run a preset traced twice with the same seed and require
 # `reprotrace diff` to report zero divergences; run it reseeded and
-# require a first divergence; then require `reprotrace stats` to parse
-# the trace and report the conviction. `make trace-smoke` runs this; CI
+# require a first divergence; require trial 0 of a 3-trial fan to match
+# the single-run trace (trial 0 keeps the spec seed); then require
+# `reprotrace stats` to parse the trace and report the conviction. `make trace-smoke` runs this; CI
 # wires it as the trace-smoke job.
 set -eu
 
@@ -34,6 +35,16 @@ echo "trace-smoke: tracing $PRESET (same seed, twice; then reseeded)"
 grep -q "0 divergences" "$TMP/diff-same.txt" ||
     fail "unexpected diff output: $(cat "$TMP/diff-same.txt")"
 echo "trace-smoke: same-seed pair identical ($(wc -l <"$TMP/a.ndjson") events)"
+
+# The trial-fan branch: trial 0 keeps the spec seed, so its trace is
+# the single run's, byte for byte.
+echo "trace-smoke: tracing $PRESET as a 3-trial fan"
+"$TMP/manetsim" -scenario "$PRESET" -trials 3 -trace "$TMP/fan" >/dev/null
+"$TMP/reprotrace" diff "$TMP/fan/trial-000.ndjson" "$TMP/a.ndjson" >"$TMP/diff-fan.txt" ||
+    fail "fan trial 0 diverged from the single run: $(cat "$TMP/diff-fan.txt")"
+grep -q "0 divergences" "$TMP/diff-fan.txt" ||
+    fail "unexpected diff output: $(cat "$TMP/diff-fan.txt")"
+echo "trace-smoke: fan trial 0 matches the single run"
 
 # Perturbed seed: a first divergence, exit 1 (and only 1 — 2 is an
 # I/O or usage error).
