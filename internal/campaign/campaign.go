@@ -5,10 +5,11 @@
 // worker pool, observable while running, and cancelable.
 //
 // The package is the library API behind cmd/manetd (the HTTP/JSON
-// front-end) and the CLIs: a MemStore keeps the campaigns in memory, a
-// Manager owns the queue, per-tenant concurrency quotas and token-bucket
-// rate limits, and graceful shutdown drains running campaigns before the
-// process exits.
+// front-end) and the CLIs: a Manager keeps the campaigns in memory and
+// owns the queue, per-tenant concurrency quotas and token-bucket rate
+// limits, and graceful shutdown drains running campaigns before the
+// process exits. One mutex, Manager.mu, guards all of that state,
+// counters and latency histogram included.
 //
 // Determinism discipline carries over from the engine: run seeds are
 // expanded at submit time through experiment.TrialSeed — the same
@@ -55,10 +56,6 @@ type RunOpts struct {
 	// Seed, when non-nil, overrides every spec's embedded seed before
 	// trial expansion — one knob to reseed a whole sweep.
 	Seed *int64 `json:"seed,omitempty"`
-	// LiarCounts is the Figure-3 sweep axis for rounds-kind specs run
-	// through the repro facade. The campaign service itself executes
-	// packet-kind specs only and ignores this field.
-	LiarCounts []int `json:"liarCounts,omitempty"`
 }
 
 // Run is one (spec, trial) cell of a campaign.

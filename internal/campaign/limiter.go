@@ -3,7 +3,6 @@ package campaign
 import (
 	"errors"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -40,43 +39,26 @@ func (q Quota) burst() float64 {
 	return math.Max(1, math.Ceil(q.RatePerSec))
 }
 
-// limiter holds one token bucket per tenant. Buckets are created full
-// on first use, so a new tenant can always burst immediately.
-type limiter struct {
-	mu      sync.Mutex
-	quota   Quota
-	now     func() time.Time
-	buckets map[string]*bucket
-}
-
+// bucket is one tenant's token bucket. Buckets are created full on
+// first use, so a new tenant can always burst immediately.
 type bucket struct {
 	tokens float64
 	last   time.Time
 }
 
-func newLimiter(quota Quota, now func() time.Time) *limiter {
-	return &limiter{quota: quota, now: now, buckets: make(map[string]*bucket)}
-}
-
-// allow consumes one token from the tenant's bucket, reporting
-// ErrRateLimited when it is empty.
-func (l *limiter) allow(tenant string) error {
-	if l.quota.RatePerSec <= 0 {
+// allow consumes one token from the tenant's bucket at time now,
+// reporting ErrRateLimited when it is empty. m.mu must be held.
+func (m *Manager) allow(tenant string, now time.Time) error {
+	if m.quota.RatePerSec <= 0 {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.now()
-	b, ok := l.buckets[tenant]
-	if !ok {
-		b = &bucket{tokens: l.quota.burst(), last: now}
-		l.buckets[tenant] = b
-	} else {
-		elapsed := now.Sub(b.last).Seconds()
-		if elapsed > 0 {
-			b.tokens = math.Min(l.quota.burst(), b.tokens+elapsed*l.quota.RatePerSec)
-			b.last = now
-		}
+	b := m.buckets[tenant]
+	if b == nil {
+		b = &bucket{tokens: m.quota.burst(), last: now}
+		m.buckets[tenant] = b
+	} else if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
+		b.tokens = math.Min(m.quota.burst(), b.tokens+elapsed*m.quota.RatePerSec)
+		b.last = now
 	}
 	if b.tokens < 1 {
 		return ErrRateLimited

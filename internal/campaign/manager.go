@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiment"
@@ -60,12 +61,11 @@ type Config struct {
 // quotas, expands (spec × trial) into seeded runs and queues the
 // campaign; a bounded executor pool runs campaigns; Cancel aborts
 // queued or running ones; Drain stops intake and waits for the queue to
-// empty. All methods are safe for concurrent use.
+// empty. All methods are safe for concurrent use. Campaigns live in
+// memory for the life of the process; a restart starts empty.
 type Manager struct {
-	store   *MemStore
-	quota   Quota
-	limiter *limiter
-	now     func() time.Time
+	quota Quota
+	now   func() time.Time
 	// run executes one scenario: scenario.RunContext, which tests replace
 	// with a fake.
 	run func(context.Context, scenario.Spec, trace.Sink) (*scenario.Result, error)
@@ -78,26 +78,21 @@ type Manager struct {
 	executorWG sync.WaitGroup // executor goroutines
 	activeWG   sync.WaitGroup // campaigns from enqueue to terminal
 
-	mu       sync.Mutex
+	// mu guards all of the manager's mutable state below. Readers get
+	// clones, so no caller ever observes a campaign mid-mutation.
+	mu        sync.Mutex
+	campaigns map[string]*Campaign
+	// cancels holds the context cancel func of every running campaign;
+	// a campaign is running exactly while its func is registered.
 	cancels  map[string]context.CancelFunc
 	watchers map[string]map[chan struct{}]struct{}
-	seq      atomic.Int64
-	draining atomic.Bool
-
-	// Counters behind Stats.
-	queued        atomic.Int64
-	running       atomic.Int64
-	submitted     atomic.Uint64
-	completed     atomic.Uint64
-	failed        atomic.Uint64
-	canceled      atomic.Uint64
-	rateLimited   atomic.Uint64
-	quotaRejected atomic.Uint64
-	runs          atomic.Uint64
-	lastRunAllocs atomic.Uint64
-	tracedRuns    atomic.Uint64
-	traceEvents   atomic.Uint64
-	latency       histogram
+	buckets  map[string]*bucket // per-tenant rate limits (limiter.go)
+	seq      int
+	// stats holds the counters and gauges behind Stats, Draining among
+	// them: once set, Submit rejects everything. RunLatency is filled in
+	// from latency by Stats.
+	stats   Stats
+	latency histogram
 }
 
 // NewManager starts a manager and its executor pool.
@@ -116,17 +111,17 @@ func NewManager(cfg Config) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		store:      NewMemStore(),
 		quota:      cfg.Quota,
-		limiter:    newLimiter(cfg.Quota, cfg.Now),
 		now:        cfg.Now,
 		run:        scenario.RunContext,
 		runWorkers: cfg.RunWorkers,
 		queue:      make(chan string, cfg.MaxQueue),
 		baseCtx:    ctx,
 		baseCancel: cancel,
+		campaigns:  make(map[string]*Campaign),
 		cancels:    make(map[string]context.CancelFunc),
 		watchers:   make(map[string]map[chan struct{}]struct{}),
+		buckets:    make(map[string]*bucket),
 	}
 	m.executorWG.Add(cfg.CampaignWorkers)
 	for i := 0; i < cfg.CampaignWorkers; i++ {
@@ -140,8 +135,15 @@ func NewManager(cfg Config) *Manager {
 // returned snapshot is the queued state; poll Get or subscribe with
 // Watch for progress. Rounds-kind specs are rejected — the campaign
 // plane serves packet scenarios, whose runs reduce to metrics digests.
+// A rejected submission leaves no campaign behind.
 func (m *Manager) Submit(tenant string, specs []scenario.Spec, opts RunOpts) (*Campaign, error) {
-	if m.draining.Load() {
+	// One hold of mu covers every check and the enqueue, so the quota
+	// check and the insert are atomic with respect to other submissions,
+	// and no submission can enqueue once Drain or Close has set the
+	// draining flag.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.stats.Draining {
 		return nil, ErrDraining
 	}
 	if len(specs) == 0 {
@@ -164,33 +166,40 @@ func (m *Manager) Submit(tenant string, specs []scenario.Spec, opts RunOpts) (*C
 	if opts.Trials > MaxRuns/len(specs) { // specs × trials > MaxRuns, without overflow
 		return nil, fmt.Errorf("%w: %d specs × %d trials exceeds %d", ErrTooManyRuns, len(specs), opts.Trials, MaxRuns)
 	}
-
-	// The submit path is serialized so the quota check and the insert
-	// are atomic with respect to other submissions. The draining flag is
-	// re-checked under the lock: Close quiesces the queue by acquiring
-	// this mutex once after setting the flag.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.draining.Load() {
-		return nil, ErrDraining
-	}
-	if err := m.limiter.allow(tenant); err != nil {
-		m.rateLimited.Add(1)
+	now := m.now()
+	if err := m.allow(tenant, now); err != nil {
+		m.stats.RateLimited++
 		return nil, err
 	}
-	if m.quota.MaxActive > 0 && m.store.ActiveCount(tenant) >= m.quota.MaxActive {
-		m.quotaRejected.Add(1)
-		return nil, ErrQuotaExceeded
+	if m.quota.MaxActive > 0 {
+		active := 0
+		for _, c := range m.campaigns {
+			if c.Tenant == tenant && !c.Terminal() {
+				active++
+			}
+		}
+		if active >= m.quota.MaxActive {
+			m.stats.QuotaRejected++
+			return nil, ErrQuotaExceeded
+		}
 	}
-
+	// An executor that dequeues the ID before the campaign is stored
+	// blocks on mu until Submit returns.
+	id := fmt.Sprintf("c-%06d", m.seq+1)
+	select {
+	case m.queue <- id:
+	default:
+		return nil, ErrQueueFull
+	}
+	m.seq++
 	c := &Campaign{
-		ID:          fmt.Sprintf("c-%06d", m.seq.Add(1)),
+		ID:          id,
 		Tenant:      tenant,
 		State:       StateQueued,
 		Specs:       specs,
 		Trials:      opts.Trials,
 		Workers:     opts.Workers,
-		SubmittedAt: m.now(),
+		SubmittedAt: now,
 	}
 	c.Runs = make([]Run, 0, len(specs)*opts.Trials)
 	for si := range specs {
@@ -204,29 +213,43 @@ func (m *Manager) Submit(tenant string, specs []scenario.Spec, opts RunOpts) (*C
 			})
 		}
 	}
-	if err := m.store.Create(c); err != nil {
-		return nil, err
-	}
-	select {
-	case m.queue <- c.ID:
-	default:
-		m.store.Update(c.ID, func(st *Campaign) {
-			st.State = StateFailed
-			st.Error = ErrQueueFull.Error()
-		})
-		return nil, ErrQueueFull
-	}
-	m.submitted.Add(1)
-	m.queued.Add(1)
+	m.campaigns[id] = c
+	m.stats.Submitted++
+	m.stats.QueueDepth++
 	m.activeWG.Add(1)
 	return c.Clone(), nil
 }
 
 // Get returns a snapshot of the campaign.
-func (m *Manager) Get(id string) (*Campaign, bool) { return m.store.Get(id) }
+func (m *Manager) Get(id string) (*Campaign, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.campaigns[id]
+	if !ok {
+		return nil, false
+	}
+	return c.Clone(), true
+}
 
-// List returns snapshots, oldest first; tenant "" lists all.
-func (m *Manager) List(tenant string) []*Campaign { return m.store.List(tenant) }
+// List returns snapshots, oldest submission first; tenant "" lists
+// every tenant.
+func (m *Manager) List(tenant string) []*Campaign {
+	m.mu.Lock()
+	out := make([]*Campaign, 0, len(m.campaigns))
+	for _, c := range m.campaigns {
+		if tenant == "" || c.Tenant == tenant {
+			out = append(out, c.Clone())
+		}
+	}
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Campaign) int {
+		if c := a.SubmittedAt.Compare(b.SubmittedAt); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
+	return out
+}
 
 // Cancel aborts a queued or running campaign. A queued campaign is
 // marked canceled immediately (the executor discards it on dequeue); a
@@ -234,48 +257,40 @@ func (m *Manager) List(tenant string) []*Campaign { return m.store.List(tenant) 
 // the kernel's next verdict-poll step.
 func (m *Manager) Cancel(id string) (*Campaign, error) {
 	m.mu.Lock()
-	var err error
-	marked := false
-	ok := m.store.Update(id, func(c *Campaign) {
-		switch {
-		case c.Terminal():
-			err = ErrTerminal
-		case c.State == StateQueued:
-			// Finalize in place: the executor will skip the ID.
-			now := m.now()
-			c.State = StateCanceled
-			c.FinishedAt = &now
-			for i := range c.Runs {
-				c.Runs[i].State = StateCanceled
-			}
-			c.RunsDone = len(c.Runs)
-			marked = true
-		default:
-			// Running: the executor finalizes once its runs unwind.
-		}
-	})
-	// Read the cancel func after the state decision, under the same
-	// lock: a running campaign's func is guaranteed registered (execute
-	// transitions and registers atomically), and canceling an
-	// already-finished context is a harmless no-op.
-	cancel := m.cancels[id]
-	m.mu.Unlock()
-	if !ok {
+	defer m.mu.Unlock()
+	c, ok := m.campaigns[id]
+	switch {
+	case !ok:
 		return nil, ErrNotFound
+	case c.Terminal():
+		return nil, ErrTerminal
+	case c.State == StateQueued:
+		m.cancelQueued(c)
+	default:
+		// Running: the executor finalizes once its runs unwind.
+		m.cancels[id]()
 	}
-	if err != nil {
-		return nil, err
+	return c.Clone(), nil
+}
+
+// cancelQueued finalizes a campaign that never started as canceled,
+// with every run canceled. A campaign no longer queued is left alone.
+// m.mu must be held.
+func (m *Manager) cancelQueued(c *Campaign) {
+	if c.State != StateQueued {
+		return
 	}
-	if marked {
-		m.queued.Add(-1)
-		m.canceled.Add(1)
-		m.activeWG.Done()
-		m.notify(id)
-	} else if cancel != nil {
-		cancel()
+	now := m.now()
+	c.State = StateCanceled
+	c.FinishedAt = &now
+	for i := range c.Runs {
+		c.Runs[i].State = StateCanceled
 	}
-	c, _ := m.store.Get(id)
-	return c, nil
+	c.RunsDone = len(c.Runs)
+	m.stats.QueueDepth--
+	m.stats.Canceled++
+	m.activeWG.Done()
+	m.notify(c.ID)
 }
 
 // Watch subscribes to change notifications for one campaign: the
@@ -303,16 +318,14 @@ func (m *Manager) Watch(id string) (<-chan struct{}, func()) {
 	}
 }
 
-// notify wakes every watcher of id without blocking.
+// notify wakes every watcher of id without blocking. m.mu must be held.
 func (m *Manager) notify(id string) {
-	m.mu.Lock()
 	for ch := range m.watchers[id] {
 		select {
 		case ch <- struct{}{}:
 		default:
 		}
 	}
-	m.mu.Unlock()
 }
 
 // Drain stops intake and waits until every queued and running campaign
@@ -320,7 +333,7 @@ func (m *Manager) notify(id string) {
 // remaining campaigns keep running and the caller decides whether to
 // force-stop with Close.
 func (m *Manager) Drain(ctx context.Context) error {
-	m.draining.Store(true)
+	m.stopIntake()
 	done := make(chan struct{})
 	go func() {
 		m.activeWG.Wait()
@@ -337,67 +350,33 @@ func (m *Manager) Drain(ctx context.Context) error {
 // Close force-cancels everything and waits for the executors to exit.
 // Campaigns still queued or running are finalized as canceled.
 func (m *Manager) Close() {
-	m.draining.Store(true)
+	m.stopIntake()
 	m.baseCancel()
 	m.executorWG.Wait()
-	// Quiescence barrier: any Submit that passed the draining check
-	// before the flag flipped holds (or will acquire) the mutex; after
-	// one acquisition here, no further enqueue can happen.
+	// The draining flag was set under mu, so no Submit enqueues any
+	// more, and the executors are gone: what is left in the queue never
+	// started.
 	m.mu.Lock()
-	m.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	// Finalize whatever the executors never dequeued.
-	for {
-		select {
-		case id := <-m.queue:
-			m.finalizeSkipped(id)
-		default:
-			return
-		}
+	defer m.mu.Unlock()
+	for len(m.queue) > 0 {
+		m.cancelQueued(m.campaigns[<-m.queue])
 	}
 }
 
-// finalizeSkipped marks a never-started campaign canceled.
-func (m *Manager) finalizeSkipped(id string) {
-	changed := false
-	m.store.Update(id, func(c *Campaign) {
-		if c.Terminal() {
-			return
-		}
-		now := m.now()
-		c.State = StateCanceled
-		c.FinishedAt = &now
-		for i := range c.Runs {
-			c.Runs[i].State = StateCanceled
-		}
-		c.RunsDone = len(c.Runs)
-		changed = true
-	})
-	if changed {
-		m.queued.Add(-1)
-		m.canceled.Add(1)
-		m.activeWG.Done()
-		m.notify(id)
-	}
+// stopIntake sets the draining flag: every later Submit is rejected.
+func (m *Manager) stopIntake() {
+	m.mu.Lock()
+	m.stats.Draining = true
+	m.mu.Unlock()
 }
 
 // Stats snapshots the manager for the metrics exporter.
 func (m *Manager) Stats() Stats {
-	return Stats{
-		QueueDepth:    int(m.queued.Load()),
-		Running:       int(m.running.Load()),
-		Submitted:     m.submitted.Load(),
-		Completed:     m.completed.Load(),
-		Failed:        m.failed.Load(),
-		Canceled:      m.canceled.Load(),
-		RateLimited:   m.rateLimited.Load(),
-		QuotaRejected: m.quotaRejected.Load(),
-		Runs:          m.runs.Load(),
-		RunLatency:    m.latency.snapshot(),
-		LastRunAllocs: m.lastRunAllocs.Load(),
-		TracedRuns:    m.tracedRuns.Load(),
-		TraceEvents:   m.traceEvents.Load(),
-		Draining:      m.draining.Load(),
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.stats
+	st.RunLatency = m.latency.snapshot()
+	return st
 }
 
 // executor pulls campaign IDs off the queue and runs them until the
@@ -416,52 +395,31 @@ func (m *Manager) executor() {
 
 // execute runs one dequeued campaign to a terminal state.
 func (m *Manager) execute(id string) {
-	// The queued→running transition and the cancel-func registration
-	// happen under one lock acquisition, so Cancel always sees a
-	// consistent pair: either the campaign is still queued (Cancel
-	// finalizes it in place and this dequeue is a no-op), or it is
-	// running and the cancel func is registered.
 	ctx, cancel := context.WithCancel(m.baseCtx)
-	now := m.now()
-	started := false
+	defer cancel()
+	// The queued→running transition and the cancel-func registration
+	// happen in one hold of mu, so Cancel sees either a queued campaign
+	// (and finalizes it in place, making this dequeue a no-op) or a
+	// running one whose cancel func is registered.
 	m.mu.Lock()
-	m.store.Update(id, func(c *Campaign) {
-		if c.State != StateQueued {
-			return
-		}
-		c.State = StateRunning
-		c.StartedAt = &now
-		for i := range c.Runs {
-			c.Runs[i].State = StateRunning
-		}
-		started = true
-	})
-	if started {
-		m.cancels[id] = cancel
-	}
-	m.mu.Unlock()
-	if !started {
-		// Canceled while queued — Cancel already did the accounting.
-		cancel()
-		return
-	}
-	defer func() {
-		m.mu.Lock()
-		delete(m.cancels, id)
+	c := m.campaigns[id]
+	if c.State != StateQueued {
+		// Canceled while queued — cancelQueued did the accounting.
 		m.mu.Unlock()
-		cancel()
-		m.activeWG.Done()
-	}()
-
-	m.queued.Add(-1)
-	m.running.Add(1)
-	defer m.running.Add(-1)
-	m.notify(id)
-
-	snap, ok := m.store.Get(id)
-	if !ok {
 		return
 	}
+	now := m.now()
+	c.State = StateRunning
+	c.StartedAt = &now
+	for i := range c.Runs {
+		c.Runs[i].State = StateRunning
+	}
+	m.cancels[id] = cancel
+	m.stats.QueueDepth--
+	m.stats.Running++
+	m.notify(id)
+	snap := c.Clone()
+	m.mu.Unlock()
 
 	// Fan the runs out on the engine's pool, bounded by the campaign's
 	// own worker limit. Results land at their own index; seeds were
@@ -475,50 +433,55 @@ func (m *Manager) execute(id string) {
 		workers = snap.Workers
 	}
 	_ = experiment.NewRunner(0, workers).ForEachContext(context.Background(), len(snap.Runs), func(i int) {
-		m.executeRun(ctx, id, snap, i)
+		m.executeRun(ctx, c, snap, i)
 	})
 
 	// Reduce run states to the campaign verdict.
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	final, errMsg := StateDone, ""
-	fin, _ := m.store.Get(id)
-	if fin != nil {
-		for _, r := range fin.Runs {
-			switch r.State {
-			case StateFailed:
-				final = StateFailed
-				if errMsg == "" {
-					errMsg = r.Error
-				}
-			case StateCanceled:
-				if final != StateFailed {
-					final = StateCanceled
-				}
+	for _, r := range c.Runs {
+		switch r.State {
+		case StateFailed:
+			final = StateFailed
+			if errMsg == "" {
+				errMsg = r.Error
+			}
+		case StateCanceled:
+			if final != StateFailed {
+				final = StateCanceled
 			}
 		}
 	}
 	end := m.now()
-	m.store.Update(id, func(c *Campaign) {
-		c.State = final
-		c.Error = errMsg
-		c.FinishedAt = &end
-		c.RunsDone = len(c.Runs)
-	})
+	c.State = final
+	c.Error = errMsg
+	c.FinishedAt = &end
+	c.RunsDone = len(c.Runs)
+	delete(m.cancels, id)
+	m.stats.Running--
 	switch final {
 	case StateDone:
-		m.completed.Add(1)
+		m.stats.Completed++
 	case StateFailed:
-		m.failed.Add(1)
+		m.stats.Failed++
 	case StateCanceled:
-		m.canceled.Add(1)
+		m.stats.Canceled++
 	}
+	m.activeWG.Done()
 	m.notify(id)
 }
 
-// executeRun runs one (spec, trial) cell and records its outcome.
-func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i int) {
+// executeRun runs one (spec, trial) cell of campaign c and records its
+// outcome; snap is c's snapshot at start, which the run reads its spec
+// and seed from.
+func (m *Manager) executeRun(ctx context.Context, c, snap *Campaign, i int) {
 	run := snap.Runs[i]
 	if ctx.Err() != nil {
-		m.finishRun(id, i, func(r *Run) { r.State = StateCanceled })
+		run.State = StateCanceled
+		m.mu.Lock()
+		m.finishRun(c, run)
+		m.mu.Unlock()
 		return
 	}
 	spec := snap.Specs[i/snap.Trials]
@@ -540,35 +503,36 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 	res, err := m.runScenario(ctx, spec, sink)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)
-	allocs := ms.Mallocs - startMallocs
 
-	m.latency.observe(elapsed)
-	m.runs.Add(1)
-	m.lastRunAllocs.Store(allocs)
+	run.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	run.Allocs = ms.Mallocs - startMallocs
 	if rec != nil {
-		m.tracedRuns.Add(1)
-		m.traceEvents.Add(uint64(rec.Len())) //nolint:gosec // event count is non-negative
+		run.trace = rec.NDJSON()
+		run.TraceEvents = uint64(rec.Len()) //nolint:gosec // event count is non-negative
 	}
-	m.finishRun(id, i, func(r *Run) {
-		r.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-		r.Allocs = allocs
-		if rec != nil {
-			r.trace = rec.NDJSON()
-			r.TraceEvents = uint64(rec.Len()) //nolint:gosec // event count is non-negative
-		}
-		switch {
-		case err != nil && ctx.Err() != nil && !errors.Is(err, errPanic):
-			r.State = StateCanceled
-		case err != nil:
-			r.State = StateFailed
-			r.Error = err.Error()
-		default:
-			d := res.Digest()
-			r.State = StateDone
-			r.Digest = d.Hash
-			r.Canonical = d.Canonical
-		}
-	})
+	switch {
+	case err != nil && ctx.Err() != nil && !errors.Is(err, errPanic):
+		run.State = StateCanceled
+	case err != nil:
+		run.State = StateFailed
+		run.Error = err.Error()
+	default:
+		d := res.Digest()
+		run.State = StateDone
+		run.Digest = d.Hash
+		run.Canonical = d.Canonical
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.latency.observe(elapsed)
+	m.stats.Runs++
+	m.stats.LastRunAllocs = run.Allocs
+	if rec != nil {
+		m.stats.TracedRuns++
+		m.stats.TraceEvents += run.TraceEvents
+	}
+	m.finishRun(c, run)
 }
 
 // errPanic marks the error of a run whose scenario panicked.
@@ -585,11 +549,10 @@ func (m *Manager) runScenario(ctx context.Context, spec scenario.Spec, sink trac
 	return m.run(ctx, spec, sink)
 }
 
-// finishRun applies a terminal mutation to one run and notifies.
-func (m *Manager) finishRun(id string, i int, mutate func(*Run)) {
-	m.store.Update(id, func(c *Campaign) {
-		mutate(&c.Runs[i])
-		c.RunsDone++
-	})
-	m.notify(id)
+// finishRun stores a terminal run in its campaign and notifies the
+// campaign's watchers. m.mu must be held.
+func (m *Manager) finishRun(c *Campaign, run Run) {
+	c.Runs[run.Index] = run
+	c.RunsDone++
+	m.notify(c.ID)
 }

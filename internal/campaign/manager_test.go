@@ -366,3 +366,103 @@ func TestSeedOverrideReseedsSweep(t *testing.T) {
 	}
 	waitTerminal(t, m, c.ID)
 }
+
+// blockingRun returns a run seam that signals started (without
+// blocking) as each run begins and then holds the run until release is
+// closed or the run's context ends.
+func blockingRun(started chan<- struct{}, release <-chan struct{}) func(context.Context, scenario.Spec, trace.Sink) (*scenario.Result, error) {
+	return func(ctx context.Context, spec scenario.Spec, sink trace.Sink) (*scenario.Result, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+			return scenario.RunContext(ctx, spec, sink)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// TestQueueFullLeavesNoCampaign checks that a submission the queue has
+// no room for is rejected like a quota rejection: nothing is stored and
+// nothing is counted.
+func TestQueueFullLeavesNoCampaign(t *testing.T) {
+	m := NewManager(Config{CampaignWorkers: 1, MaxQueue: 1})
+	defer m.Close()
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	m.run = blockingRun(started, release)
+
+	first, err := m.Submit("t", []scenario.Spec{tinySpec(1)}, RunOpts{})
+	if err != nil {
+		t.Fatalf("first Submit: %v", err)
+	}
+	<-started // the executor holds the first campaign; the queue is empty
+	second, err := m.Submit("t", []scenario.Spec{tinySpec(2)}, RunOpts{})
+	if err != nil {
+		t.Fatalf("second Submit: %v", err)
+	}
+	if _, err := m.Submit("t", []scenario.Spec{tinySpec(3)}, RunOpts{}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third Submit err = %v, want ErrQueueFull", err)
+	}
+	if got := m.List(""); len(got) != 2 || got[0].ID != first.ID || got[1].ID != second.ID {
+		ids := make([]string, len(got))
+		for i, c := range got {
+			ids[i] = c.ID + ":" + string(c.State)
+		}
+		t.Errorf("List after a queue-full rejection = %v, want [%s %s]", ids, first.ID, second.ID)
+	}
+	if st := m.Stats(); st.Submitted != 2 || st.QueueDepth != 1 || st.Running != 1 {
+		t.Errorf("stats: submitted %d queueDepth %d running %d, want 2, 1, 1", st.Submitted, st.QueueDepth, st.Running)
+	}
+
+	close(release)
+	for _, id := range []string{first.ID, second.ID} {
+		if fin := waitTerminal(t, m, id); fin.State != StateDone {
+			t.Errorf("campaign %s: state %q error %q", id, fin.State, fin.Error)
+		}
+	}
+}
+
+// TestCloseCancelsQueuedCampaigns checks that Close finalizes a running
+// campaign and every queued one as canceled, run by run, and leaves the
+// counters balanced.
+func TestCloseCancelsQueuedCampaigns(t *testing.T) {
+	m := NewManager(Config{CampaignWorkers: 1})
+	started := make(chan struct{}, 1)
+	m.run = blockingRun(started, nil)
+
+	var ids []string
+	for i := 0; i < 3; i++ {
+		c, err := m.Submit("t", []scenario.Spec{tinySpec(int64(i + 1))}, RunOpts{Trials: 2})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		ids = append(ids, c.ID)
+	}
+	<-started // the first campaign runs; the other two stay queued
+	m.Close()
+
+	for _, id := range ids {
+		c, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("campaign %s vanished", id)
+		}
+		if c.State != StateCanceled || c.RunsDone != len(c.Runs) || c.FinishedAt == nil {
+			t.Errorf("campaign %s: state %q runsDone %d/%d", id, c.State, c.RunsDone, len(c.Runs))
+		}
+		for _, r := range c.Runs {
+			if r.State != StateCanceled {
+				t.Errorf("campaign %s run %d: state %q, want canceled", id, r.Index, r.State)
+			}
+		}
+	}
+	st := m.Stats()
+	if st.QueueDepth != 0 || st.Running != 0 {
+		t.Errorf("after Close: queueDepth %d running %d, want 0 and 0", st.QueueDepth, st.Running)
+	}
+	if st.Submitted != 3 || st.Submitted != st.Completed+st.Failed+st.Canceled {
+		t.Errorf("after Close: submitted %d, completed %d + failed %d + canceled %d", st.Submitted, st.Completed, st.Failed, st.Canceled)
+	}
+}

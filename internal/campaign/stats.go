@@ -1,9 +1,6 @@
 package campaign
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // numBounds is the finite bucket count of the run-latency histogram.
 const numBounds = 16
@@ -16,12 +13,13 @@ var latencyBounds = [numBounds]float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
-// histogram is a fixed-bucket latency histogram with atomic counters —
-// enough for a Prometheus-style exposition without a dependency.
+// histogram is a fixed-bucket latency histogram — enough for a
+// Prometheus-style exposition without a dependency. Manager.mu guards
+// it.
 type histogram struct {
-	counts [numBounds + 1]atomic.Uint64 // one per bound, plus +Inf
-	sumNS  atomic.Int64
-	count  atomic.Uint64
+	counts [numBounds + 1]uint64 // one per bound, plus +Inf
+	sum    time.Duration
+	count  uint64
 }
 
 // observe records one duration.
@@ -31,9 +29,9 @@ func (h *histogram) observe(d time.Duration) {
 	for i < numBounds && s > latencyBounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-	h.count.Add(1)
+	h.counts[i]++
+	h.sum += d
+	h.count++
 }
 
 // HistogramSnapshot is a point-in-time copy of the run-latency
@@ -49,16 +47,12 @@ type HistogramSnapshot struct {
 
 // snapshot copies the histogram.
 func (h *histogram) snapshot() HistogramSnapshot {
-	out := HistogramSnapshot{
+	return HistogramSnapshot{
 		Bounds: latencyBounds[:],
-		Counts: make([]uint64, numBounds+1),
-		Sum:    time.Duration(h.sumNS.Load()).Seconds(),
-		Count:  h.count.Load(),
+		Counts: append([]uint64(nil), h.counts[:]...),
+		Sum:    h.sum.Seconds(),
+		Count:  h.count,
 	}
-	for i := range out.Counts {
-		out.Counts[i] = h.counts[i].Load()
-	}
-	return out
 }
 
 // Stats is a point-in-time view of the manager, shaped for the /metrics

@@ -200,8 +200,6 @@ type Node struct {
 	Detector  *detect.Detector // nil if not detecting
 	Responder *detect.Responder
 	Trust     *trust.Store // nil if not detecting
-	Liar      *attack.Liar
-	Spoofer   *attack.LinkSpoofer
 
 	net         *Network
 	pos         mobility.Model
@@ -251,8 +249,6 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 		Logs:        logs,
 		net:         w,
 		pos:         spec.Pos,
-		Liar:        spec.Liar,
-		Spoofer:     spec.Spoofer,
 		dropControl: spec.DropControl,
 	}
 	if n.pos == nil {

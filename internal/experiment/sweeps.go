@@ -210,7 +210,9 @@ type AblationResult struct {
 func (r *Runner) Ablation(cfg Config) *AblationResult {
 	arms := mapTasks(r.workerCount(), 2, func(i int) []float64 {
 		if i == 0 {
-			return ablationWeightedArm(cfg)
+			// The real system, Eq. 8 with learned weights: the Fig-3 series
+			// at the config's own liar count.
+			return fig3Series(cfg, cfg.Liars)
 		}
 		return ablationUniformArm(cfg)
 	})
@@ -229,16 +231,6 @@ func (r *Runner) Ablation(cfg Config) *AblationResult {
 		FinalWeighted: weighted.Last(),
 		FinalUniform:  uniform.Last(),
 	}
-}
-
-// ablationWeightedArm runs the real system: Eq. 8 with learned weights.
-func ablationWeightedArm(cfg Config) []float64 {
-	p := NewPopulation(cfg)
-	vals := make([]float64, 0, cfg.Rounds)
-	for r := 0; r < cfg.Rounds; r++ {
-		vals = append(vals, p.Round())
-	}
-	return vals
 }
 
 // ablationUniformArm replays the identical evidence stream with trusts

@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/addr"
@@ -95,7 +96,11 @@ func (s *dupSet) ref(k dupKey) (d *dupTuple, created bool) {
 	if w == nil {
 		if i := uint(k.orig().Index()); i < dupSlots {
 			// Grow the slot array to cover i, by append's amortized rule.
-			s.slots = append(s.slots, make([][]dupTuple, int(i)+1-len(s.slots))...)
+			// slices.Grow, not append of a make: under -race the make's
+			// temporary is a real allocation.
+			n := len(s.slots)
+			s.slots = slices.Grow(s.slots, int(i)+1-n)[:i+1]
+			clear(s.slots[n:])
 			w = &s.slots[i]
 		}
 	}

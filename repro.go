@@ -52,9 +52,10 @@ type TrustParams = trust.Params
 func DefaultTrustParams() TrustParams { return trust.DefaultParams() }
 
 // RunOpts are the execution options of a Run call: trial count, worker
-// pool bound, an optional seed override and the Figure-3 liar sweep for
-// rounds-kind scenarios. It is the campaign service's option type — what
-// a POST /v1/campaigns body carries is exactly what Run accepts.
+// pool bound and an optional seed override. It is the campaign service's
+// option type — what a POST /v1/campaigns body carries is exactly what
+// Run accepts. A rounds-kind scenario's Figure-3 liar sweep is part of
+// the spec (Scenario.Rounds.LiarCounts).
 type RunOpts = campaign.RunOpts
 
 // RunResult is what Run produces. Exactly one of the two payloads is
@@ -86,8 +87,8 @@ func Run(ctx context.Context, spec Scenario, opts RunOpts) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		liarCounts := opts.LiarCounts
-		if len(liarCounts) == 0 && spec.Rounds != nil {
+		var liarCounts []int
+		if spec.Rounds != nil {
 			liarCounts = spec.Rounds.LiarCounts
 		}
 		if len(liarCounts) == 0 {

@@ -13,7 +13,9 @@ func TestFacadeFigures(t *testing.T) {
 	cfg := DefaultScenario()
 	cfg.Rounds = 10
 
-	res, err := Run(context.Background(), experiment.SpecFromConfig(cfg), RunOpts{LiarCounts: []int{2}})
+	spec := experiment.SpecFromConfig(cfg)
+	spec.Rounds.LiarCounts = []int{2}
+	res, err := Run(context.Background(), spec, RunOpts{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

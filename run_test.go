@@ -45,13 +45,22 @@ func TestRunPacketSpec(t *testing.T) {
 }
 
 // TestRunRoundsSpec drives the rounds branch: figures come back and the
-// liar sweep resolves opts > spec > default.
+// liar sweep resolves spec > default.
 func TestRunRoundsSpec(t *testing.T) {
 	cfg := experiment.DefaultConfig()
 	cfg.Nodes, cfg.Liars, cfg.Rounds = 8, 2, 6
 	spec := experiment.SpecFromConfig(cfg)
 
-	res, err := Run(context.Background(), spec, RunOpts{LiarCounts: []int{1, 2}})
+	def, err := Run(context.Background(), spec, RunOpts{})
+	if err != nil {
+		t.Fatalf("Run without a liar sweep: %v", err)
+	}
+	if got, want := len(def.Figures.Fig3.Final), len(experiment.DefaultLiarCounts()); got != want {
+		t.Errorf("Fig3 series without a spec sweep = %d, want the %d default liar counts", got, want)
+	}
+
+	spec.Rounds.LiarCounts = []int{1, 2}
+	res, err := Run(context.Background(), spec, RunOpts{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
