@@ -96,10 +96,11 @@ serve-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Short local fuzz pass over the codecs, the proof verifier, OLSR's
-# packet handling and duplicate set, the radio medium against its brute-force oracle,
-# and the event kernel and signature matcher against their references (CI
-# runs the same budget per target).
+# Short local fuzz pass over the codecs, the proof verifier, the partial
+# reseal of a rewrite, the tree-head scratch decode and verification memo,
+# OLSR's packet handling and duplicate set, the radio medium against its
+# brute-force oracle, and the event kernel and signature matcher against
+# their references (CI runs the same budget per target).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodePacket$$' -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
@@ -107,8 +108,11 @@ fuzz:
 	$(GO) test -fuzz='^FuzzVerifyInclusion$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzVerifyConsistency$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzTreeProofs$$' -fuzztime=30s ./internal/auditlog
+	$(GO) test -fuzz='^FuzzRewrite$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzTypedFields$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzCtrlDecode$$' -fuzztime=30s ./internal/core
+	$(GO) test -fuzz='^FuzzCtrlScratchDecode$$' -fuzztime=30s ./internal/core
+	$(GO) test -fuzz='^FuzzConsistencyMemo$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/olsr
 	$(GO) test -fuzz='^FuzzDupSet$$' -fuzztime=30s ./internal/olsr

@@ -3,6 +3,7 @@ package auditlog
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -303,7 +304,8 @@ func FuzzVerifyConsistency(f *testing.F) {
 // up to 2048 records, rewritten to keep the records whose sequence number
 // mod 64 is a set bit of keep, must produce the reference head at size,
 // inclusion proof of index and consistency proof from old, byte for
-// byte, and both proofs must verify.
+// byte, and both proofs must verify. Every seal level must equal a full
+// reseal of the kept records.
 func FuzzTreeProofs(f *testing.F) {
 	f.Add(uint16(0), ^uint64(0), uint16(0), uint16(0), uint16(0))
 	f.Add(uint16(7), ^uint64(0), uint16(3), uint16(7), uint16(6))
@@ -322,11 +324,109 @@ func FuzzTreeProofs(f *testing.F) {
 			}
 		}
 		b.Rewrite(func(l Line) bool { return keep&(1<<(l.Seq%64)) != 0 })
+		if err := resealLevels(&b); err != nil {
+			t.Fatal(err)
+		}
 		n := uint64(size) % uint64(len(leaves)+1)
 		o := uint64(old) % (n + 1)
 		i := uint64(index) % max(n, 1)
 		if err := checkTree(&b, leaves, o, n, i); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// resealLevels rebuilds b's Merkle tree from scratch, from every stored
+// line, and reports the first level entry where b's kept-and-resealed
+// tree differs from it. Levels past the rebuilt tree's height must be
+// empty.
+func resealLevels(b *Buffer) error {
+	var fresh seal
+	for i := range b.Len() {
+		fresh.append(append([]byte{prefixLeaf}, b.line(i).Text...))
+	}
+	for l := range max(len(b.seal.levels), len(fresh.levels)) {
+		var got, want []Hash
+		if l < len(b.seal.levels) {
+			got = b.seal.levels[l]
+		}
+		if l < len(fresh.levels) {
+			want = fresh.levels[l]
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("level %d holds %d nodes, a full reseal %d", l, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("level %d node %d = %v, a full reseal %v", l, i, got[i], want[i])
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzRewrite holds Rewrite's partial reseal to a full one across two
+// forger-style rewrites in a row with appends between them. Each rewrite
+// erases the record at drop (an index past the end erases nothing) and
+// every later record whose distance from it is a set bit of mask mod 64,
+// then plants add fresh records. After each rewrite every seal level
+// must equal a from-scratch reseal of the stored lines, and the heads
+// and proofs at old, size and index must match the reference.
+func FuzzRewrite(f *testing.F) {
+	f.Add(uint16(0), uint16(0), uint64(0), uint8(0), uint8(0), uint16(0), uint64(0), uint8(0), uint16(0), uint16(0), uint16(0))
+	f.Add(uint16(12), uint16(3), uint64(0), uint8(1), uint8(5), uint16(12), uint64(0), uint8(2), uint16(4), uint16(13), uint16(7))
+	f.Add(uint16(64), uint16(64), uint64(0), uint8(3), uint8(0), uint16(0), uint64(1), uint8(0), uint16(32), uint16(66), uint16(65))
+	f.Add(uint16(300), uint16(256), uint64(0x8000_0000_0000_0001), uint8(2), uint8(40), uint16(255), uint64(0x5555), uint8(7), uint16(100), uint16(341), uint16(200))
+	f.Add(uint16(2048), uint16(1537), uint64(0xffff), uint8(4), uint8(9), uint16(2047), uint64(0), uint8(1), uint16(1024), uint16(2048), uint16(1536))
+	f.Fuzz(func(t *testing.T, count, drop1 uint16, mask1 uint64, add1, between uint8,
+		drop2 uint16, mask2 uint64, add2 uint8, old, size, index uint16) {
+		var b Buffer
+		b.SetSealKey(nil)
+		var recs []Record // the reference history
+		next := 0
+		record := func() Record {
+			next++
+			return Record{Kind: KindTCTx, Fields: []Field{FInt("i", next)}}
+		}
+		for range int(count) % 2049 {
+			r := record()
+			b.Append(r)
+			recs = append(recs, r)
+		}
+		rewrite := func(drop uint16, mask uint64, add uint8) {
+			at := int(drop) % (len(recs) + 1)
+			erased := func(i int) bool { return i == at || i > at && mask&(1<<((i-at)%64)) != 0 }
+			var kept []Record
+			for i, r := range recs {
+				if !erased(i) {
+					kept = append(kept, r)
+				}
+			}
+			var planted []Record
+			for range add % 9 {
+				planted = append(planted, record())
+			}
+			recs = append(kept, planted...)
+			b.Rewrite(func(l Line) bool { return !erased(int(l.Seq)) }, planted...) //nolint:gosec // bounded by len
+			if err := resealLevels(&b); err != nil {
+				t.Fatal(err)
+			}
+			leaves := make([]Hash, len(recs))
+			for i, r := range recs {
+				leaves[i] = LeafHash([]byte(r.String()))
+			}
+			n := uint64(size) % uint64(len(leaves)+1)
+			o := uint64(old) % (n + 1)
+			if err := checkTree(&b, leaves, o, n, uint64(index)%max(n, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rewrite(drop1, mask1, add1)
+		for range between {
+			r := record()
+			b.Append(r)
+			recs = append(recs, r)
+		}
+		rewrite(drop2, mask2, add2)
 	})
 }

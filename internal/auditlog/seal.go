@@ -328,19 +328,27 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 }
 
 // Rewrite is the ATTACKER's operation: it keeps the records keep
-// accepts, in order, appends add after them, and reseals everything from
-// scratch. The rebuilt Merkle tree generally cannot be linked by any
+// accepts, in order, appends add after them, and reseals the rewritten
+// history. The rebuilt Merkle tree generally cannot be linked by any
 // consistency proof to a previously published head. Sequence numbers
 // restart at 0 and the reseal does not fire the SetOnSeal observer.
 // Honest code never calls this; attack.LogForger does.
+//
+// The records before the first one keep rejects stay where they were,
+// so their leaves and every perfect subtree over them stand: level l
+// keeps its first first>>l nodes, and the reseal hashes only from the
+// first rewritten record on. The tree is the one a full reseal builds.
 func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 	// Filtering compacts the index in place, across pages; the bytes stay
 	// where they are, so no Line handed out before changes.
-	kept := 0
-	for i := range b.Len() {
+	n := b.Len()
+	kept, first := 0, n
+	for i := range n {
 		if keep(b.line(i)) {
 			*b.ref(kept) = *b.ref(i)
 			kept++
+		} else if first == n {
+			first = i
 		}
 	}
 	b.truncate(kept)
@@ -352,9 +360,9 @@ func (b *Buffer) Rewrite(keep func(Line) bool, add ...Record) {
 		return
 	}
 	for l := range b.seal.levels {
-		b.seal.levels[l] = b.seal.levels[l][:0]
+		b.seal.levels[l] = b.seal.levels[l][:first>>l]
 	}
-	for i := range b.Len() {
+	for i := first; i < b.Len(); i++ {
 		b.scratch = append(append(b.scratch[:0], prefixLeaf), b.line(i).Text...)
 		b.seal.append(b.scratch)
 	}

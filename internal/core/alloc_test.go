@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/auditlog"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/radio"
@@ -42,5 +43,57 @@ func TestAllocCeilingOLSREmission(t *testing.T) {
 	}
 	if want := 102 * 4; heard != want {
 		t.Fatalf("stations heard %d OLSR frames, want %d", heard, want)
+	}
+}
+
+// TestAllocCeilingTreeHeadRx pins the evidence plane's gossip receive
+// path, part of the allocation tier (`make alloc`): on a warm network, a
+// node handed a tree-head envelope decodes it into the network's scratch
+// and allocates nothing, whether the head grew with a proof it verifies
+// and relays, equals the recorded head, or is stale.
+func TestAllocCeilingTreeHeadRx(t *testing.T) {
+	w := NewNetwork(Config{Seed: 1, Evidence: true, Radio: radio.Config{Prop: radio.UnitDisk{Range: 100}}})
+	n := w.AddNode(NodeSpec{ID: addr.NodeAt(1), Pos: mobility.Static{}})
+	origin := addr.NodeAt(2)
+
+	var log auditlog.Buffer
+	log.SetSealKey(nil)
+	for i := range 20 {
+		log.Append(auditlog.Record{Kind: auditlog.KindHelloTx, Fields: []auditlog.Field{auditlog.FInt("i", i)}})
+	}
+	old, err := log.TreeHeadAt(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := log.TreeHead()
+	proof, err := log.ConsistencyProof(old.Size, head.Size)
+	if err != nil || len(proof.Path) == 0 {
+		t.Fatalf("consistency proof %d -> %d: %v, %v", old.Size, head.Size, proof, err)
+	}
+	gossip := func(h auditlog.TreeHead, prev uint64, p *auditlog.Proof) []byte {
+		return appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlTreeHead, From: origin, To: addr.Broadcast,
+			TTL: ctrlTTL, Origin: origin, Head: &h, HeadPrev: prev, HeadProof: p})
+	}
+	for _, c := range []struct {
+		name  string
+		known auditlog.TreeHead
+		body  []byte
+	}{
+		{"grown head", old, gossip(head, old.Size, &proof)},
+		{"equal head", head, gossip(head, 0, nil)},
+		{"stale head", head, gossip(old, 0, nil)},
+	} {
+		rx := func() {
+			n.heads[origin] = c.known
+			n.handleCtrl(c.body)
+			w.Sched.Run()
+		}
+		rx()
+		if got := testing.AllocsPerRun(100, rx); got > 0 {
+			t.Errorf("core tree-head receive, %s: %.1f allocs/run, ceiling 0", c.name, got)
+		}
+		if n.heads[origin] != head || n.gossipTainted.Has(origin) {
+			t.Fatalf("%s: recorded head %v (tainted %v), want %v", c.name, n.heads[origin], n.gossipTainted.Has(origin), head)
+		}
 	}
 }

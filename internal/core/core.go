@@ -103,6 +103,12 @@ type Network struct {
 	// single-threaded, so the ordinal is a total order over the run.
 	tracer *trace.Tracer
 
+	// The evidence plane's shared work (ctrl.go), nil unless
+	// Config.Evidence: the decode target of tree-head envelopes and the
+	// memo of their consistency checks.
+	ctrlScratch *ctrlScratch
+	headMemo    *consistencyMemo
+
 	ctrlSent, ctrlDelivered, ctrlDropped uint64
 }
 
@@ -116,6 +122,9 @@ func NewNetwork(cfg Config) *Network {
 		nodes:  make(map[addr.Node]*Node),
 		index:  addr.NewIndex(64),
 		tracer: trace.New(cfg.Trace, sched.Now),
+	}
+	if cfg.Evidence {
+		w.ctrlScratch, w.headMemo = new(ctrlScratch), new(consistencyMemo)
 	}
 	sched.SetTracer(w.tracer)
 	return w

@@ -134,7 +134,7 @@ func (n *Node) encodeCtrl(m *ctrlMsg) []byte {
 // relay onward. A malformed envelope is dropped; a misbehaving relay may
 // silently discard a valid one.
 func (n *Node) handleCtrl(body []byte) {
-	m, err := decodeCtrlMsg(body)
+	m, err := decodeCtrlMsg(body, n.net.ctrlScratch)
 	if err != nil {
 		n.net.ctrlDropped++
 		return
@@ -238,13 +238,37 @@ func (n *Node) handleTreeHead(m *ctrlMsg) {
 	if m.HeadProof == nil || m.HeadPrev != known.Size {
 		return // unverifiable against our view; stay pinned
 	}
-	if !auditlog.VerifyConsistency(known, *m.Head, *m.HeadProof) {
+	if !n.net.headMemo.verify(known, *m.Head, *m.HeadProof) {
 		n.taintOrigin(m.Origin)
 		return
 	}
 	n.net.ctrlDelivered++
 	n.heads[m.Origin] = *m.Head
 	n.relayTreeHead(m)
+}
+
+// consistencyMemo holds the inputs and verdict of the last
+// auditlog.VerifyConsistency call. The function is pure, so a call with
+// the same known head, new head and proof path has the same verdict, at
+// any receiver and any time. Every receiver of a gossip flood that holds
+// the same head of its origin checks the same inputs, so most checks
+// are repeats.
+type consistencyMemo struct {
+	known, head auditlog.TreeHead
+	path        []auditlog.Hash // a copy, kept across calls
+	ok, set     bool
+}
+
+// verify returns auditlog.VerifyConsistency(known, head, proof), from
+// the memo when the inputs repeat.
+func (c *consistencyMemo) verify(known, head auditlog.TreeHead, proof auditlog.Proof) bool {
+	if c.set && c.known == known && c.head == head && slices.Equal(c.path, proof.Path) {
+		return c.ok
+	}
+	c.ok = auditlog.VerifyConsistency(known, head, proof)
+	c.known, c.head, c.set = known, head, true
+	c.path = append(c.path[:0], proof.Path...)
+	return c.ok
 }
 
 // taintOrigin marks an origin as a caught forger and convicts it locally.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -69,4 +70,80 @@ func TestGossipHeadSizeNotBoundToRoot(t *testing.T) {
 	if len(alerts) != 1 || alerts[0].Rule != signature.RuleEvidenceForged || alerts[0].Subject != origin {
 		t.Fatalf("detector alerts %v, want one forged-evidence alert on %v", alerts, origin)
 	}
+}
+
+// FuzzConsistencyMemo holds the gossip verification memo to
+// auditlog.VerifyConsistency: over one memo, a run of calls whose inputs
+// repeat, differ in one bit, or come raw from the fuzzer must each get
+// the verdict a direct call gives. The calls are, in order: an honest
+// old -> new proof cut from a 64-record log; the same inputs with one
+// bit of the old root, the new root or the proof path flipped in place,
+// in the caller's own slice; the honest inputs again; the new head
+// against itself with the honest proof and then with that proof flipped
+// (equal heads, a proof one byte apart); and the raw path.
+func FuzzConsistencyMemo(f *testing.F) {
+	const logSize = 64
+	var log auditlog.Buffer
+	log.SetSealKey(nil)
+	for i := range logSize {
+		log.Append(auditlog.Record{Kind: auditlog.KindTCTx, Fields: []auditlog.Field{auditlog.FInt("i", i)}})
+	}
+	f.Add(uint8(3), uint8(7), uint16(0), []byte{})
+	f.Add(uint8(7), uint8(3), uint16(70), []byte{})
+	f.Add(uint8(8), uint8(8), uint16(33), make([]byte, auditlog.HashSize))
+	f.Add(uint8(13), uint8(64), uint16(100), make([]byte, 3*auditlog.HashSize))
+	f.Add(uint8(0), uint8(5), uint16(7), []byte("not a hash"))
+	f.Fuzz(func(t *testing.T, oldSize, newSize uint8, flip uint16, raw []byte) {
+		lo, hi := uint64(oldSize)%(logSize+1), uint64(newSize)%(logSize+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		known, err := log.TreeHeadAt(lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := log.TreeHeadAt(hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := log.ConsistencyProof(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var memo consistencyMemo
+		check := func(call string, known, head auditlog.TreeHead, proof auditlog.Proof) {
+			t.Helper()
+			if got, want := memo.verify(known, head, proof), auditlog.VerifyConsistency(known, head, proof); got != want {
+				t.Fatalf("%s %d -> %d: memo says %v, VerifyConsistency %v", call, lo, hi, got, want)
+			}
+		}
+		check("honest", known, head, proof)
+
+		honest := slices.Clone(proof.Path)
+		flipped, flippedHead := known, head
+		at := int(flip) % (2*auditlog.HashSize + len(proof.Path)*auditlog.HashSize)
+		switch {
+		case at < auditlog.HashSize:
+			flipped.Root[at] ^= 0x01
+		case at < 2*auditlog.HashSize:
+			flippedHead.Root[at-auditlog.HashSize] ^= 0x01
+		default:
+			p := at - 2*auditlog.HashSize
+			proof.Path[p/auditlog.HashSize][p%auditlog.HashSize] ^= 0x01
+		}
+		check("flipped", flipped, flippedHead, proof)
+		check("honest again", known, head, auditlog.Proof{Path: honest})
+
+		check("equal heads", head, head, auditlog.Proof{Path: honest})
+		if len(honest) > 0 {
+			honest[len(honest)-1][flip%auditlog.HashSize] ^= 0x01
+		}
+		check("equal heads, proof one byte apart", head, head, auditlog.Proof{Path: honest})
+
+		var path []auditlog.Hash
+		for i := 0; i+auditlog.HashSize <= len(raw) && i < 64*auditlog.HashSize; i += auditlog.HashSize {
+			path = append(path, auditlog.Hash(raw[i:i+auditlog.HashSize]))
+		}
+		check("raw path", known, head, auditlog.Proof{Path: path})
+	})
 }

@@ -206,12 +206,15 @@ func (r *ctrlReader) count(size int) int {
 	return n
 }
 
-func (r *ctrlReader) nodes() []addr.Node {
+// nodes reads a node list. A nil buf allocates the list; otherwise it
+// is read into *buf's storage, which grows to fit and is kept for the
+// next read. An empty list is nil either way.
+func (r *ctrlReader) nodes(buf *[]addr.Node) []addr.Node {
 	n := r.count(4)
 	if n == 0 {
 		return nil
 	}
-	out := make([]addr.Node, n)
+	out := grown(buf, n)
 	for i := range out {
 		out[i] = r.node()
 	}
@@ -225,36 +228,84 @@ func (r *ctrlReader) head() auditlog.TreeHead {
 	return h
 }
 
-func (r *ctrlReader) proof() auditlog.Proof {
+// proof reads a proof path, into *buf's storage unless buf is nil, as
+// nodes does.
+func (r *ctrlReader) proof(buf *[]auditlog.Hash) auditlog.Proof {
 	n := r.count(auditlog.HashSize)
 	if n == 0 {
 		return auditlog.Proof{}
 	}
-	p := auditlog.Proof{Path: make([]auditlog.Hash, n)}
+	p := auditlog.Proof{Path: grown(buf, n)}
 	for i := range p.Path {
 		copy(p.Path[i][:], r.take(auditlog.HashSize))
 	}
 	return p
 }
 
-// decodeCtrlMsg decodes a control envelope (format tag included).
-// Nested structures are freshly allocated: the detector and responder
-// retain what they are handed.
-func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
+// grown returns n elements of *buf's storage, growing it first when it
+// is too short, or a fresh slice when buf is nil.
+func grown[E any](buf *[]E, n int) []E {
+	if buf == nil {
+		return make([]E, n)
+	}
+	if cap(*buf) < n {
+		*buf = make([]E, n)
+	}
+	return (*buf)[:n]
+}
+
+// ctrlScratch is the decode target of tree-head envelopes, owned by a
+// Network with the evidence plane on: the envelope, its head and proof,
+// and the storage its Avoid list and proof path are read into. Each
+// decode overwrites it, so a tree-head handler keeps nothing it points
+// to: handleTreeHead stores the head by value and relayTreeHead encodes
+// its copy before it returns. The kernel runs one handler at a time and
+// no handler decodes another frame, so one scratch serves every node of
+// the network.
+type ctrlScratch struct {
+	msg   ctrlMsg
+	head  auditlog.TreeHead
+	proof auditlog.Proof
+	avoid []addr.Node
+	path  []auditlog.Hash
+}
+
+// decodeCtrlMsg decodes a control envelope (format tag included). A
+// tree-head envelope is decoded into s when s is not nil, so it is valid
+// only until the next decode into s. Everything else is freshly
+// allocated, down to each nested structure, because the detector and the
+// responder keep the requests and replies they are handed.
+func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 	r := ctrlReader{b: b}
 	if r.u8() != ctrlBinaryMagic {
 		return nil, errors.New("core: ctrl message lacks its format tag")
 	}
-	m := ctrlMsg{Kind: ctrlKind(r.u8())}
-	switch m.Kind {
+	kind := ctrlKind(r.u8())
+	switch kind {
 	case ctrlVerifyReq, ctrlVerifyRep, ctrlTreeHead:
 	default:
 		return nil, errors.New("core: unknown binary ctrl kind")
 	}
+	// Pointers taken here, not to locals, so a fresh decode allocates
+	// only what it sets and a scratch decode allocates nothing.
+	var (
+		m     *ctrlMsg
+		avoid *[]addr.Node
+		path  *[]auditlog.Hash
+		head  *auditlog.TreeHead
+		proof *auditlog.Proof
+	)
+	if s != nil && kind == ctrlTreeHead {
+		m, avoid, path, head, proof = &s.msg, &s.avoid, &s.path, &s.head, &s.proof
+		*m = ctrlMsg{}
+	} else {
+		m = new(ctrlMsg)
+	}
+	m.Kind = kind
 	m.From = r.node()
 	m.To = r.node()
 	m.TTL = int(r.u32())
-	m.Avoid = r.nodes()
+	m.Avoid = r.nodes(avoid)
 
 	if r.boolean() {
 		req := &detect.VerifyRequest{}
@@ -264,7 +315,7 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 		req.Suspect = r.node()
 		req.Link = r.node()
 		req.Advertised = r.boolean()
-		req.Avoid = r.nodes()
+		req.Avoid = r.nodes(nil)
 		if r.boolean() {
 			h := r.head()
 			req.KnownHead = &h
@@ -286,7 +337,7 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 			rep.Head = &h
 		}
 		if r.boolean() {
-			p := r.proof()
+			p := r.proof(nil)
 			rep.Consistency = &p
 		}
 		if n := r.count(minCitationLen); n > 0 {
@@ -295,7 +346,7 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 				var c detect.Citation
 				c.Index = r.u64()
 				c.Record = string(r.take(int(r.u32())))
-				c.Proof = r.proof()
+				c.Proof = r.proof(nil)
 				rep.Citations = append(rep.Citations, c)
 			}
 		}
@@ -304,13 +355,19 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 
 	m.Origin = r.node()
 	if r.boolean() {
-		h := r.head()
-		m.Head = &h
+		if head == nil {
+			head = new(auditlog.TreeHead)
+		}
+		*head = r.head()
+		m.Head = head
 	}
 	m.HeadPrev = r.u64()
 	if r.boolean() {
-		p := r.proof()
-		m.HeadProof = &p
+		if proof == nil {
+			proof = new(auditlog.Proof)
+		}
+		*proof = r.proof(path)
+		m.HeadProof = proof
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -318,5 +375,5 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 	if len(r.b) != 0 {
 		return nil, errors.New("core: trailing bytes after binary ctrl message")
 	}
-	return &m, nil
+	return m, nil
 }

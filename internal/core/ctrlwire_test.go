@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"reflect"
 	"runtime"
 	"testing"
@@ -65,7 +66,7 @@ func TestCtrlBinaryRoundTrip(t *testing.T) {
 		if enc[0] != ctrlBinaryMagic {
 			t.Fatalf("msg %d: missing magic byte", i)
 		}
-		dec, err := decodeCtrlMsg(enc)
+		dec, err := decodeCtrlMsg(enc, nil)
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
@@ -79,15 +80,15 @@ func TestCtrlBinaryRejectsTruncation(t *testing.T) {
 	for _, m := range sampleCtrlMsgs() {
 		enc := appendCtrlMsg(nil, m)
 		for cut := 0; cut < len(enc); cut++ {
-			if _, err := decodeCtrlMsg(enc[:cut]); err == nil {
+			if _, err := decodeCtrlMsg(enc[:cut], nil); err == nil {
 				t.Fatalf("decode accepted a %d/%d-byte prefix", cut, len(enc))
 			}
 		}
-		if _, err := decodeCtrlMsg(append(append([]byte{}, enc...), 0)); err == nil {
+		if _, err := decodeCtrlMsg(append(append([]byte{}, enc...), 0), nil); err == nil {
 			t.Fatal("decode accepted trailing garbage")
 		}
 		enc[0] = '{'
-		if _, err := decodeCtrlMsg(enc); err == nil {
+		if _, err := decodeCtrlMsg(enc, nil); err == nil {
 			t.Fatal("decode accepted an envelope without its format tag")
 		}
 	}
@@ -119,7 +120,7 @@ func TestCtrlDecodeRejectsNonCanonicalBool(t *testing.T) {
 		t.Fatalf("no single Advertised flag byte found (index %d)", flag)
 	}
 	on[flag] = 2
-	if dec, err := decodeCtrlMsg(on); err == nil {
+	if dec, err := decodeCtrlMsg(on, nil); err == nil {
 		t.Fatalf("decode accepted flag byte 2 at offset %d: %+v", flag, dec.Req)
 	}
 }
@@ -146,7 +147,7 @@ func TestCtrlDecodeBoundsCitationCount(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeCtrlMsg(frame)
+	_, err := decodeCtrlMsg(frame, nil)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, errCtrlTruncated) {
 		t.Fatalf("decode error %v, want %v", err, errCtrlTruncated)
@@ -169,12 +170,67 @@ func FuzzCtrlDecode(f *testing.F) {
 	}
 	f.Add(hugeCitationCountFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeCtrlMsg(data)
+		m, err := decodeCtrlMsg(data, nil)
 		if err != nil {
 			return
 		}
 		if enc := appendCtrlMsg(nil, m); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted input does not re-encode to itself:\n in: %x\nout: %x", data, enc)
+		}
+	})
+}
+
+// FuzzCtrlScratchDecode holds the tree-head scratch decode to the fresh
+// one. Input a is decoded both ways, and both must fail or both
+// re-encode to a. A node then handles a, if it is a tree head. Input b
+// is decoded into the same scratch: it must re-encode to b, whatever a
+// left behind, and the heads the node recorded from a must not change.
+func FuzzCtrlScratchDecode(f *testing.F) {
+	var encs [][]byte
+	for _, m := range sampleCtrlMsgs() {
+		encs = append(encs, appendCtrlMsg(nil, m))
+	}
+	long := auditlog.Proof{Path: []auditlog.Hash{{1}, {2}, {3}, {4}}}
+	encs = append(encs, appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlTreeHead, From: 3, To: addr.Broadcast,
+		TTL: 2, Avoid: []addr.Node{5, 6, 7}, Origin: 3, Head: &auditlog.TreeHead{Size: 9, Root: auditlog.Hash{9}},
+		HeadPrev: 4, HeadProof: &long}))
+	for _, a := range encs {
+		for _, b := range encs {
+			f.Add(a, b)
+		}
+	}
+	f.Add(encs[len(encs)-1], []byte{ctrlBinaryMagic, byte(ctrlTreeHead)})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		w := NewNetwork(Config{Seed: 1, Evidence: true})
+		n := w.AddNode(NodeSpec{ID: addr.NodeAt(1)})
+		s := w.ctrlScratch
+
+		fresh, err := decodeCtrlMsg(a, nil)
+		m, serr := decodeCtrlMsg(a, s)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("fresh decode error %v, scratch decode error %v", err, serr)
+		}
+		if err == nil {
+			if enc := appendCtrlMsg(nil, m); !bytes.Equal(enc, a) {
+				t.Fatalf("scratch decode re-encodes to %x, fresh to %x", enc, appendCtrlMsg(nil, fresh))
+			}
+			if fresh.Kind == ctrlTreeHead {
+				n.handleCtrl(a)
+			}
+		}
+		recorded := maps.Clone(n.heads)
+		if err == nil && fresh.Head != nil && fresh.Kind == ctrlTreeHead &&
+			fresh.Origin != addr.None && fresh.Origin != n.ID && recorded[fresh.Origin] != *fresh.Head {
+			t.Fatalf("node recorded %v from origin %v, want %v", recorded[fresh.Origin], fresh.Origin, *fresh.Head)
+		}
+
+		if m, err := decodeCtrlMsg(b, s); err == nil {
+			if enc := appendCtrlMsg(nil, m); !bytes.Equal(enc, b) {
+				t.Fatalf("b decoded into a's scratch re-encodes to itself no more:\n in: %x\nout: %x", b, enc)
+			}
+		}
+		if !maps.Equal(n.heads, recorded) {
+			t.Fatalf("decoding b changed the heads recorded from a: %v, want %v", n.heads, recorded)
 		}
 	})
 }
