@@ -97,7 +97,7 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Short local fuzz pass over the codecs, the proof verifier, the partial
-# reseal of a rewrite, the tree-head scratch decode and verification memo,
+# reseal of a rewrite, the ctrl envelope scratch decode and verification memo,
 # OLSR's packet handling and duplicate set, the radio medium against its
 # brute-force oracle, and the event kernel and signature matcher against
 # their references (CI runs the same budget per target).

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
+	"repro/internal/detect"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/radio"
@@ -94,6 +95,78 @@ func TestAllocCeilingTreeHeadRx(t *testing.T) {
 		}
 		if n.heads[origin] != head || n.gossipTainted.Has(origin) {
 			t.Fatalf("%s: recorded head %v (tainted %v), want %v", c.name, n.heads[origin], n.gossipTainted.Has(origin), head)
+		}
+	}
+}
+
+// hearHello hands n's router a HELLO from `from` that lists n and sym as
+// its symmetric neighbors, so n holds a symmetric link to `from` for the
+// HELLO's 6s validity and knows what `from` advertises.
+func hearHello(n *Node, from addr.Node, sym ...addr.Node) {
+	pkt := wire.Packet{Seq: 1, Messages: []wire.Message{{
+		VTime: 6 * time.Second, Originator: from, TTL: 1, Seq: 1,
+		Body: &wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: []wire.LinkBlock{
+			{Code: wire.MakeLinkCode(wire.NeighSym, wire.LinkSym), Neighbors: append([]addr.Node{n.ID}, sym...)},
+		}},
+	}}}
+	n.Router.HandlePacket(from, pkt.Encode())
+}
+
+// TestAllocCeilingVerifyRx pins the verify exchange's receive path, part
+// of the allocation tier (`make alloc`): on a warm network, a relay
+// handed a verify request or an evidence-free verify reply decodes it
+// into the network's scratch and forwards it, and a responder handed a
+// request addressed to it answers from its neighbor scan and sends the
+// reply, each allocating nothing. Stations 1 (the investigator), 3 and
+// 9 (the suspect) are bare radios; nodes 2 and 4 hold symmetric links
+// to all of them.
+func TestAllocCeilingVerifyRx(t *testing.T) {
+	w := NewNetwork(Config{Seed: 1, Radio: radio.Config{Prop: radio.UnitDisk{Range: 100}}})
+	investigator, relay, dest, responder, suspect := addr.NodeAt(1), addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4), addr.NodeAt(9)
+	heard := map[addr.Node]int{}
+	for i, id := range []addr.Node{investigator, dest, suspect} {
+		p := geo.Pt(float64(10*i), 10)
+		w.Medium.Attach(id, func() geo.Point { return p }, func(f radio.Frame) { heard[id]++ })
+	}
+	nodes := []*Node{
+		w.AddNode(NodeSpec{ID: relay, Pos: mobility.Static{}}),
+		w.AddNode(NodeSpec{ID: responder, Pos: mobility.Static{}}),
+	}
+	for _, n := range nodes {
+		for _, nb := range []addr.Node{investigator, dest, suspect} {
+			hearHello(n, nb)
+		}
+	}
+	avoid := []addr.Node{suspect}
+	req := func(to addr.Node) []byte {
+		return appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyReq, From: investigator, To: to, TTL: ctrlTTL,
+			Avoid: avoid, Req: &detect.VerifyRequest{ID: 7, Investigator: investigator, Responder: to,
+				Suspect: suspect, Link: addr.NodeAt(77), Advertised: true, Avoid: avoid}})
+	}
+	rep := appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: dest, To: investigator, TTL: ctrlTTL,
+		Avoid: avoid, Rep: &detect.VerifyReply{ID: 7, Responder: dest, Suspect: suspect, Link: addr.NodeAt(77),
+			Answered: true}})
+	for _, c := range []struct {
+		name string
+		at   *Node
+		body []byte
+		to   addr.Node
+	}{
+		{"relayed request", nodes[0], req(dest), dest},
+		{"relayed reply", nodes[0], rep, investigator},
+		{"answered request", nodes[1], req(responder), investigator},
+	} {
+		before := heard[c.to]
+		rx := func() {
+			c.at.handleCtrl(c.body)
+			w.Sched.Run()
+		}
+		rx()
+		if got := testing.AllocsPerRun(100, rx); got > 0 {
+			t.Errorf("core verify receive, %s: %.1f allocs/run, ceiling 0", c.name, got)
+		}
+		if got := heard[c.to] - before; got != 102 {
+			t.Fatalf("%s: %v heard %d frames, want 102 (ctrl %+v)", c.name, c.to, got, w.CtrlStats())
 		}
 	}
 }

@@ -103,10 +103,10 @@ type Network struct {
 	// single-threaded, so the ordinal is a total order over the run.
 	tracer *trace.Tracer
 
-	// The evidence plane's shared work (ctrl.go), nil unless
-	// Config.Evidence: the decode target of tree-head envelopes and the
-	// memo of their consistency checks.
-	ctrlScratch *ctrlScratch
+	// ctrlScratch is the decode target of every control envelope
+	// (ctrlwire.go). headMemo, nil unless Config.Evidence, is the memo of
+	// the tree-head flood's consistency checks (ctrl.go).
+	ctrlScratch ctrlScratch
 	headMemo    *consistencyMemo
 
 	ctrlSent, ctrlDelivered, ctrlDropped uint64
@@ -124,7 +124,7 @@ func NewNetwork(cfg Config) *Network {
 		tracer: trace.New(cfg.Trace, sched.Now),
 	}
 	if cfg.Evidence {
-		w.ctrlScratch, w.headMemo = new(ctrlScratch), new(consistencyMemo)
+		w.headMemo = new(consistencyMemo)
 	}
 	sched.SetTracer(w.tracer)
 	return w

@@ -134,7 +134,7 @@ func (n *Node) encodeCtrl(m *ctrlMsg) []byte {
 // relay onward. A malformed envelope is dropped; a misbehaving relay may
 // silently discard a valid one.
 func (n *Node) handleCtrl(body []byte) {
-	m, err := decodeCtrlMsg(body, n.net.ctrlScratch)
+	m, err := decodeCtrlMsg(body, &n.net.ctrlScratch)
 	if err != nil {
 		n.net.ctrlDropped++
 		return

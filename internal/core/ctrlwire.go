@@ -206,9 +206,8 @@ func (r *ctrlReader) count(size int) int {
 	return n
 }
 
-// nodes reads a node list. A nil buf allocates the list; otherwise it
-// is read into *buf's storage, which grows to fit and is kept for the
-// next read. An empty list is nil either way.
+// nodes reads a node list into *buf's storage, which grows to fit and
+// is kept for the next read. An empty list is nil.
 func (r *ctrlReader) nodes(buf *[]addr.Node) []addr.Node {
 	n := r.count(4)
 	if n == 0 {
@@ -228,8 +227,8 @@ func (r *ctrlReader) head() auditlog.TreeHead {
 	return h
 }
 
-// proof reads a proof path, into *buf's storage unless buf is nil, as
-// nodes does.
+// proof reads a proof path into *buf's storage, as nodes does, or into
+// a fresh slice when buf is nil.
 func (r *ctrlReader) proof(buf *[]auditlog.Hash) auditlog.Proof {
 	n := r.count(auditlog.HashSize)
 	if n == 0 {
@@ -254,27 +253,37 @@ func grown[E any](buf *[]E, n int) []E {
 	return (*buf)[:n]
 }
 
-// ctrlScratch is the decode target of tree-head envelopes, owned by a
-// Network with the evidence plane on: the envelope, its head and proof,
-// and the storage its Avoid list and proof path are read into. Each
-// decode overwrites it, so a tree-head handler keeps nothing it points
-// to: handleTreeHead stores the head by value and relayTreeHead encodes
-// its copy before it returns. The kernel runs one handler at a time and
-// no handler decodes another frame, so one scratch serves every node of
-// the network.
+// ctrlScratch is the decode target of every control envelope, one per
+// Network: the envelope, the request or reply it carries, a tree head's
+// head and proof, and the storage the two Avoid lists and the proof path
+// are read into. Each decode overwrites it, so a handler keeps nothing
+// it points to:
+//   - handleTreeHead stores the head by value, and relayTreeHead and
+//     forwardCtrl encode the envelope before they return;
+//   - Responder.Answer takes the request by value and keeps none of it,
+//     and deliverCtrl encodes the reply envelope, which reuses the
+//     request envelope's Avoid list, before it returns;
+//   - Detector.HandleReply keeps the reply by value, so the reply's
+//     nested evidence (Head, Consistency, Citations) is the only decoded
+//     data anything keeps, and decodeCtrlMsg allocates it fresh.
+//
+// The kernel runs one handler at a time and no handler decodes another
+// frame, so one scratch serves every node of the network.
 type ctrlScratch struct {
-	msg   ctrlMsg
-	head  auditlog.TreeHead
-	proof auditlog.Proof
-	avoid []addr.Node
-	path  []auditlog.Hash
+	msg      ctrlMsg
+	req      detect.VerifyRequest
+	rep      detect.VerifyReply
+	head     auditlog.TreeHead
+	proof    auditlog.Proof
+	avoid    []addr.Node
+	reqAvoid []addr.Node
+	path     []auditlog.Hash
 }
 
-// decodeCtrlMsg decodes a control envelope (format tag included). A
-// tree-head envelope is decoded into s when s is not nil, so it is valid
-// only until the next decode into s. Everything else is freshly
-// allocated, down to each nested structure, because the detector and the
-// responder keep the requests and replies they are handed.
+// decodeCtrlMsg decodes a control envelope (format tag included) into s,
+// so the result is valid only until the next decode into s. Only the
+// request's KnownHead and the reply's Head, Consistency and Citations are
+// freshly allocated: they are what a detector keeps of a reply.
 func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 	r := ctrlReader{b: b}
 	if r.u8() != ctrlBinaryMagic {
@@ -286,36 +295,23 @@ func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 	default:
 		return nil, errors.New("core: unknown binary ctrl kind")
 	}
-	// Pointers taken here, not to locals, so a fresh decode allocates
-	// only what it sets and a scratch decode allocates nothing.
-	var (
-		m     *ctrlMsg
-		avoid *[]addr.Node
-		path  *[]auditlog.Hash
-		head  *auditlog.TreeHead
-		proof *auditlog.Proof
-	)
-	if s != nil && kind == ctrlTreeHead {
-		m, avoid, path, head, proof = &s.msg, &s.avoid, &s.path, &s.head, &s.proof
-		*m = ctrlMsg{}
-	} else {
-		m = new(ctrlMsg)
-	}
-	m.Kind = kind
+	m := &s.msg
+	*m = ctrlMsg{Kind: kind}
 	m.From = r.node()
 	m.To = r.node()
 	m.TTL = int(r.u32())
-	m.Avoid = r.nodes(avoid)
+	m.Avoid = r.nodes(&s.avoid)
 
 	if r.boolean() {
-		req := &detect.VerifyRequest{}
+		req := &s.req
+		*req = detect.VerifyRequest{}
 		req.ID = r.u64()
 		req.Investigator = r.node()
 		req.Responder = r.node()
 		req.Suspect = r.node()
 		req.Link = r.node()
 		req.Advertised = r.boolean()
-		req.Avoid = r.nodes(nil)
+		req.Avoid = r.nodes(&s.reqAvoid)
 		if r.boolean() {
 			h := r.head()
 			req.KnownHead = &h
@@ -324,7 +320,8 @@ func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 	}
 
 	if r.boolean() {
-		rep := &detect.VerifyReply{}
+		rep := &s.rep
+		*rep = detect.VerifyReply{}
 		rep.ID = r.u64()
 		rep.Responder = r.node()
 		rep.Suspect = r.node()
@@ -355,19 +352,13 @@ func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 
 	m.Origin = r.node()
 	if r.boolean() {
-		if head == nil {
-			head = new(auditlog.TreeHead)
-		}
-		*head = r.head()
-		m.Head = head
+		s.head = r.head()
+		m.Head = &s.head
 	}
 	m.HeadPrev = r.u64()
 	if r.boolean() {
-		if proof == nil {
-			proof = new(auditlog.Proof)
-		}
-		*proof = r.proof(path)
-		m.HeadProof = proof
+		s.proof = r.proof(&s.path)
+		m.HeadProof = &s.proof
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -3,10 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
-	"maps"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
@@ -66,7 +67,7 @@ func TestCtrlBinaryRoundTrip(t *testing.T) {
 		if enc[0] != ctrlBinaryMagic {
 			t.Fatalf("msg %d: missing magic byte", i)
 		}
-		dec, err := decodeCtrlMsg(enc, nil)
+		dec, err := decodeCtrlMsg(enc, new(ctrlScratch))
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
@@ -80,15 +81,15 @@ func TestCtrlBinaryRejectsTruncation(t *testing.T) {
 	for _, m := range sampleCtrlMsgs() {
 		enc := appendCtrlMsg(nil, m)
 		for cut := 0; cut < len(enc); cut++ {
-			if _, err := decodeCtrlMsg(enc[:cut], nil); err == nil {
+			if _, err := decodeCtrlMsg(enc[:cut], new(ctrlScratch)); err == nil {
 				t.Fatalf("decode accepted a %d/%d-byte prefix", cut, len(enc))
 			}
 		}
-		if _, err := decodeCtrlMsg(append(append([]byte{}, enc...), 0), nil); err == nil {
+		if _, err := decodeCtrlMsg(append(append([]byte{}, enc...), 0), new(ctrlScratch)); err == nil {
 			t.Fatal("decode accepted trailing garbage")
 		}
 		enc[0] = '{'
-		if _, err := decodeCtrlMsg(enc, nil); err == nil {
+		if _, err := decodeCtrlMsg(enc, new(ctrlScratch)); err == nil {
 			t.Fatal("decode accepted an envelope without its format tag")
 		}
 	}
@@ -120,7 +121,7 @@ func TestCtrlDecodeRejectsNonCanonicalBool(t *testing.T) {
 		t.Fatalf("no single Advertised flag byte found (index %d)", flag)
 	}
 	on[flag] = 2
-	if dec, err := decodeCtrlMsg(on, nil); err == nil {
+	if dec, err := decodeCtrlMsg(on, new(ctrlScratch)); err == nil {
 		t.Fatalf("decode accepted flag byte 2 at offset %d: %+v", flag, dec.Req)
 	}
 }
@@ -147,7 +148,7 @@ func TestCtrlDecodeBoundsCitationCount(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeCtrlMsg(frame, nil)
+	_, err := decodeCtrlMsg(frame, new(ctrlScratch))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, errCtrlTruncated) {
 		t.Fatalf("decode error %v, want %v", err, errCtrlTruncated)
@@ -170,7 +171,7 @@ func FuzzCtrlDecode(f *testing.F) {
 	}
 	f.Add(hugeCitationCountFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeCtrlMsg(data, nil)
+		m, err := decodeCtrlMsg(data, new(ctrlScratch))
 		if err != nil {
 			return
 		}
@@ -180,11 +181,34 @@ func FuzzCtrlDecode(f *testing.F) {
 	})
 }
 
-// FuzzCtrlScratchDecode holds the tree-head scratch decode to the fresh
-// one. Input a is decoded both ways, and both must fail or both
-// re-encode to a. A node then handles a, if it is a tree head. Input b
-// is decoded into the same scratch: it must re-encode to b, whatever a
-// left behind, and the heads the node recorded from a must not change.
+// investigatingNetwork returns an unstarted evidence-plane network
+// whose node 1 investigates suspect 9 about the link to 99 that 9
+// advertised in a HELLO: request 1 to responder 99 is pending, and the
+// round closes after the detector's answer timeout.
+func investigatingNetwork() (*Network, *Node) {
+	w := NewNetwork(Config{Seed: 1, Evidence: true})
+	n := w.AddNode(NodeSpec{ID: addr.NodeAt(1), Detector: &detect.Config{}})
+	hearHello(n, addr.NodeAt(9), addr.NodeAt(99))
+	n.Detector.OpenInvestigation(addr.NodeAt(9), "test")
+	return w, n
+}
+
+// ctrlState renders what a node and its network kept of the envelopes
+// handled so far: the detector's reports and late replies, the heads
+// recorded from gossip, and the ctrl counters.
+func ctrlState(w *Network, n *Node) string {
+	return fmt.Sprintf("reports %+v late %d heads %v ctrl %+v",
+		n.Detector.Reports(), n.Detector.LateReplies(), n.heads, w.CtrlStats())
+}
+
+// FuzzCtrlScratchDecode holds the one-scratch decode of every envelope
+// kind to the handlers that read it. Input a is decoded into the
+// network's scratch and must re-encode to a. A node with a detector, an
+// open investigation and a responder then handles a. Input b is decoded
+// into the same scratch: it must re-encode to b, whatever a left behind,
+// and nothing the node kept of a may change, neither at once nor once
+// the investigation's round has closed, against a twin network that
+// never decoded b.
 func FuzzCtrlScratchDecode(f *testing.F) {
 	var encs [][]byte
 	for _, m := range sampleCtrlMsgs() {
@@ -194,6 +218,23 @@ func FuzzCtrlScratchDecode(f *testing.F) {
 	encs = append(encs, appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlTreeHead, From: 3, To: addr.Broadcast,
 		TTL: 2, Avoid: []addr.Node{5, 6, 7}, Origin: 3, Head: &auditlog.TreeHead{Size: 9, Root: auditlog.Hash{9}},
 		HeadPrev: 4, HeadProof: &long}))
+	// Envelopes for investigatingNetwork's node 1: the awaited reply,
+	// plain and with a citation that fails its proof, and a request it
+	// answers.
+	self, suspect, responder := addr.NodeAt(1), addr.NodeAt(9), addr.NodeAt(99)
+	head := auditlog.TreeHead{Size: 3, Root: auditlog.Hash{3}}
+	encs = append(encs,
+		appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: responder, To: self, TTL: 4,
+			Avoid: []addr.Node{suspect}, Rep: &detect.VerifyReply{ID: 1, Responder: responder,
+				Suspect: suspect, Link: responder, Answered: true, FirstHand: true}}),
+		appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: responder, To: self, TTL: 4,
+			Avoid: []addr.Node{suspect}, Rep: &detect.VerifyReply{ID: 1, Responder: responder,
+				Suspect: suspect, Link: responder, Answered: true, Head: &head,
+				Citations: []detect.Citation{{Index: 1, Record: "not a record", Proof: long}}}}),
+		appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyReq, From: suspect, To: self, TTL: 4,
+			Avoid: []addr.Node{5, 6}, Req: &detect.VerifyRequest{ID: 4, Investigator: suspect,
+				Responder: self, Suspect: 3, Link: 5, Advertised: true, Avoid: []addr.Node{3}, KnownHead: &head}}),
+	)
 	for _, a := range encs {
 		for _, b := range encs {
 			f.Add(a, b)
@@ -201,36 +242,40 @@ func FuzzCtrlScratchDecode(f *testing.F) {
 	}
 	f.Add(encs[len(encs)-1], []byte{ctrlBinaryMagic, byte(ctrlTreeHead)})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		w := NewNetwork(Config{Seed: 1, Evidence: true})
-		n := w.AddNode(NodeSpec{ID: addr.NodeAt(1)})
-		s := w.ctrlScratch
+		w, n := investigatingNetwork()
+		twin, twinNode := investigatingNetwork()
+		s := &w.ctrlScratch
 
-		fresh, err := decodeCtrlMsg(a, nil)
-		m, serr := decodeCtrlMsg(a, s)
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("fresh decode error %v, scratch decode error %v", err, serr)
-		}
+		m, err := decodeCtrlMsg(a, s)
 		if err == nil {
 			if enc := appendCtrlMsg(nil, m); !bytes.Equal(enc, a) {
-				t.Fatalf("scratch decode re-encodes to %x, fresh to %x", enc, appendCtrlMsg(nil, fresh))
+				t.Fatalf("a does not re-encode to itself:\n in: %x\nout: %x", a, enc)
 			}
-			if fresh.Kind == ctrlTreeHead {
-				n.handleCtrl(a)
+			var gossiped *auditlog.TreeHead
+			if m.Kind == ctrlTreeHead && m.Head != nil && m.Origin != addr.None && m.Origin != n.ID {
+				h := *m.Head
+				gossiped = &h
+			}
+			n.handleCtrl(a)
+			twinNode.handleCtrl(a)
+			if gossiped != nil && n.heads[m.Origin] != *gossiped {
+				t.Fatalf("node recorded %v from origin %v, want %v", n.heads[m.Origin], m.Origin, *gossiped)
 			}
 		}
-		recorded := maps.Clone(n.heads)
-		if err == nil && fresh.Head != nil && fresh.Kind == ctrlTreeHead &&
-			fresh.Origin != addr.None && fresh.Origin != n.ID && recorded[fresh.Origin] != *fresh.Head {
-			t.Fatalf("node recorded %v from origin %v, want %v", recorded[fresh.Origin], fresh.Origin, *fresh.Head)
-		}
+		kept := ctrlState(w, n)
 
 		if m, err := decodeCtrlMsg(b, s); err == nil {
 			if enc := appendCtrlMsg(nil, m); !bytes.Equal(enc, b) {
 				t.Fatalf("b decoded into a's scratch re-encodes to itself no more:\n in: %x\nout: %x", b, enc)
 			}
 		}
-		if !maps.Equal(n.heads, recorded) {
-			t.Fatalf("decoding b changed the heads recorded from a: %v, want %v", n.heads, recorded)
+		if got := ctrlState(w, n); got != kept {
+			t.Fatalf("decoding b changed what the node kept of a:\n got %s\nwant %s", got, kept)
+		}
+		w.RunFor(5 * time.Second)
+		twin.RunFor(5 * time.Second)
+		if got, want := ctrlState(w, n), ctrlState(twin, twinNode); got != want {
+			t.Fatalf("decoding b changed the round a took part in:\n got %s\nwant %s", got, want)
 		}
 	})
 }

@@ -118,6 +118,8 @@ type Responder struct {
 	// citations to every reply (the evidence plane, DESIGN.md §8). It
 	// runs after Liar — a liar cites its own, possibly rewritten, log.
 	Evidence *EvidenceProvider
+
+	nbScratch addr.Set // reused by Answer's neighbor scan
 }
 
 // Answer produces this node's reply to a verification request.
@@ -168,7 +170,8 @@ func (r *Responder) Answer(req VerifyRequest) VerifyReply {
 		// at all is a denial — no such node stands in the suspect's
 		// vicinity.
 		known := false
-		for _, via := range r.Router.SymNeighbors(nil) {
+		r.nbScratch = r.Router.SymNeighbors(r.nbScratch)
+		for _, via := range r.nbScratch {
 			if via != req.Suspect && r.Router.Covers(via, req.Link) {
 				known = true
 				break
@@ -308,6 +311,7 @@ type Detector struct {
 	proofFailures  uint64
 	ticker         *sim.Ticker
 	investigations uint64
+	nbScratch      addr.Set // reused by the neighbor scans of one investigation
 }
 
 // cell returns suspect n's state, assigning an index slot on first
@@ -580,7 +584,8 @@ func (d *Detector) roundOf(suspect addr.Node) int {
 // local first-hand evidence.
 func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr.Node {
 	advertised := d.router.AdvertisedSym(suspect)
-	sym := d.router.SymNeighbors(nil)
+	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
+	sym := d.nbScratch
 
 	var links addr.Set
 	localEvidence := func(g trust.Gravity) {
@@ -658,7 +663,8 @@ func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
 	if link != d.cfg.Self && (d.cfg.KnownNodes == nil || d.cfg.KnownNodes.Has(link)) {
 		resp.Add(link)
 	}
-	for _, x := range d.router.SymNeighbors(nil) {
+	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
+	for _, x := range d.nbScratch {
 		if x != suspect && x != d.cfg.Self {
 			resp.Add(x)
 		}
