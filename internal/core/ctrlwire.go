@@ -282,8 +282,8 @@ type ctrlScratch struct {
 
 // decodeCtrlMsg decodes a control envelope (format tag included) into s,
 // so the result is valid only until the next decode into s. Only the
-// request's KnownHead and the reply's Head, Consistency and Citations are
-// freshly allocated: they are what a detector keeps of a reply.
+// reply's Head, Consistency and Citations, which a detector keeps with
+// the reply, and the request's KnownHead are freshly allocated.
 func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 	r := ctrlReader{b: b}
 	if r.u8() != ctrlBinaryMagic {

@@ -215,9 +215,10 @@ func FuzzCtrlScratchDecode(f *testing.F) {
 		encs = append(encs, appendCtrlMsg(nil, m))
 	}
 	long := auditlog.Proof{Path: []auditlog.Hash{{1}, {2}, {3}, {4}}}
-	encs = append(encs, appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlTreeHead, From: 3, To: addr.Broadcast,
+	longHead := appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlTreeHead, From: 3, To: addr.Broadcast,
 		TTL: 2, Avoid: []addr.Node{5, 6, 7}, Origin: 3, Head: &auditlog.TreeHead{Size: 9, Root: auditlog.Hash{9}},
-		HeadPrev: 4, HeadProof: &long}))
+		HeadPrev: 4, HeadProof: &long})
+	encs = append(encs, longHead)
 	// Envelopes for investigatingNetwork's node 1: the awaited reply,
 	// plain and with a citation that fails its proof, and a request it
 	// answers.
@@ -240,7 +241,7 @@ func FuzzCtrlScratchDecode(f *testing.F) {
 			f.Add(a, b)
 		}
 	}
-	f.Add(encs[len(encs)-1], []byte{ctrlBinaryMagic, byte(ctrlTreeHead)})
+	f.Add(longHead, []byte{ctrlBinaryMagic, byte(ctrlTreeHead)})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		w, n := investigatingNetwork()
 		twin, twinNode := investigatingNetwork()

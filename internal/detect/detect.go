@@ -656,14 +656,15 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 // the link's own endpoint first (first-hand), then shared neighbors that
 // can hear the endpoint's HELLOs. The suspect itself is never asked.
 func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
-	var resp addr.Set
+	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
+	// Sized for every candidate, so no Add regrows it.
+	resp := make(addr.Set, 0, len(d.nbScratch)+1)
 	// Ask the endpoint itself unless membership knowledge says it cannot
 	// exist (a phantom has nobody to answer; the timeout produces e=0 and
 	// the membership check produced local evidence already).
 	if link != d.cfg.Self && (d.cfg.KnownNodes == nil || d.cfg.KnownNodes.Has(link)) {
 		resp.Add(link)
 	}
-	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
 	for _, x := range d.nbScratch {
 		if x != suspect && x != d.cfg.Self {
 			resp.Add(x)

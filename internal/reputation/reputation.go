@@ -242,6 +242,11 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 		if found {
 			(*row)[i].trust, (*row)[i].at = e.Trust, now
 		} else {
+			if *row == nil {
+				// Sized for a report from every node known so far, so the
+				// row does not regrow report by report as the flood arrives.
+				*row = make([]received, 0, l.ix.Len())
+			}
 			*row = slices.Insert(*row, i, received{from: recommender, trust: e.Trust, at: now})
 		}
 	}
