@@ -242,12 +242,12 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 		if found {
 			(*row)[i].trust, (*row)[i].at = e.Trust, now
 		} else {
-			if *row == nil {
-				// Sized for a report from every node known so far, so the
-				// row does not regrow report by report as the flood arrives.
-				*row = make([]received, 0, l.ix.Len())
-			}
-			*row = slices.Insert(*row, i, received{from: recommender, trust: e.Trust, at: now})
+			// Inserted by append and copy rather than slices.Insert: the
+			// row grows the same way, but a race build pays for
+			// slices.Insert's growth twice (DESIGN.md §10).
+			*row = append(*row, received{})
+			copy((*row)[i+1:], (*row)[i:])
+			(*row)[i] = received{from: recommender, trust: e.Trust, at: now}
 		}
 	}
 	if l.OnIngest != nil {
