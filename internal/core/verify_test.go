@@ -28,10 +28,9 @@ type verifyRun struct {
 // detector on every node but 9, and node 9 claiming node 8, which only
 // node 4 can reach. Each detector investigates 9 once: requests to 8
 // detour around the suspect through 4, and 8's proof-carrying replies
-// come back the same way. With poison set, the
-// network's decode scratch is overwritten with junk after every frame a
-// node handles, so anything a handler kept of a decoded envelope shows
-// in the run.
+// come back the same way. With poison set, the network's decode scratch
+// is overwritten with junk after every frame a node handles, so
+// anything a handler kept of a decoded envelope shows in the run.
 func verifyExchange(poison bool) verifyRun {
 	spoofer := &attack.LinkSpoofer{Mode: attack.SpoofClaim, Target: addr.NodeAt(8)}
 	w := NewNetwork(Config{
