@@ -117,9 +117,11 @@ func hearHello(n *Node, from addr.Node, sym ...addr.Node) {
 // handed a verify request or an evidence-free verify reply decodes it
 // into the network's scratch and forwards it, and a responder handed a
 // request addressed to it answers from its neighbor scan and sends the
-// reply, each allocating nothing. Stations 1 (the investigator), 3 and
-// 9 (the suspect) are bare radios; nodes 2 and 4 hold symmetric links
-// to all of them.
+// reply, each allocating nothing. A relay handed an evidence reply
+// decodes its head, consistency proof and citation into the scratch
+// too, and allocates only the copy of the cited record. Stations 1 (the
+// investigator), 3 and 9 (the suspect) are bare radios; nodes 2 and 4
+// hold symmetric links to all of them.
 func TestAllocCeilingVerifyRx(t *testing.T) {
 	w := NewNetwork(Config{Seed: 1, Radio: radio.Config{Prop: radio.UnitDisk{Range: 100}}})
 	investigator, relay, dest, responder, suspect := addr.NodeAt(1), addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4), addr.NodeAt(9)
@@ -143,18 +145,30 @@ func TestAllocCeilingVerifyRx(t *testing.T) {
 			Avoid: avoid, Req: &detect.VerifyRequest{ID: 7, Investigator: investigator, Responder: to,
 				Suspect: suspect, Link: addr.NodeAt(77), Advertised: true, Avoid: avoid}})
 	}
-	rep := appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: dest, To: investigator, TTL: ctrlTTL,
-		Avoid: avoid, Rep: &detect.VerifyReply{ID: 7, Responder: dest, Suspect: suspect, Link: addr.NodeAt(77),
-			Answered: true}})
+	rep := func(evidence bool) []byte {
+		r := &detect.VerifyReply{ID: 7, Responder: dest, Suspect: suspect, Link: addr.NodeAt(77), Answered: true}
+		if evidence {
+			proof := auditlog.Proof{Path: []auditlog.Hash{{1}, {2}, {3}}}
+			r.Head = &auditlog.TreeHead{Size: 40, Root: auditlog.Hash{4}}
+			r.Consistency = &proof
+			r.Citations = []detect.Citation{{Index: 39, Record: "t=1s node=10.0.0.3 kind=hello_rx from=10.0.0.77", Proof: proof}}
+		}
+		return appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: dest, To: investigator, TTL: ctrlTTL,
+			Avoid: avoid, Rep: r})
+	}
 	for _, c := range []struct {
-		name string
-		at   *Node
-		body []byte
-		to   addr.Node
+		name    string
+		at      *Node
+		body    []byte
+		to      addr.Node
+		ceiling float64
 	}{
-		{"relayed request", nodes[0], req(dest), dest},
-		{"relayed reply", nodes[0], rep, investigator},
-		{"answered request", nodes[1], req(responder), investigator},
+		{"relayed request", nodes[0], req(dest), dest, 0},
+		{"relayed reply", nodes[0], rep(false), investigator, 0},
+		// The cited record's string copy; the decode into fresh
+		// evidence objects took 6.
+		{"relayed evidence reply", nodes[0], rep(true), investigator, 1},
+		{"answered request", nodes[1], req(responder), investigator, 0},
 	} {
 		before := heard[c.to]
 		rx := func() {
@@ -162,8 +176,8 @@ func TestAllocCeilingVerifyRx(t *testing.T) {
 			w.Sched.Run()
 		}
 		rx()
-		if got := testing.AllocsPerRun(100, rx); got > 0 {
-			t.Errorf("core verify receive, %s: %.1f allocs/run, ceiling 0", c.name, got)
+		if got := testing.AllocsPerRun(100, rx); got > c.ceiling {
+			t.Errorf("core verify receive, %s: %.1f allocs/run, ceiling %.0f", c.name, got, c.ceiling)
 		}
 		if got := heard[c.to] - before; got != 102 {
 			t.Fatalf("%s: %v heard %d frames, want 102 (ctrl %+v)", c.name, c.to, got, w.CtrlStats())

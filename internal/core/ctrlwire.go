@@ -227,8 +227,7 @@ func (r *ctrlReader) head() auditlog.TreeHead {
 	return h
 }
 
-// proof reads a proof path into *buf's storage, as nodes does, or into
-// a fresh slice when buf is nil.
+// proof reads a proof path into *buf's storage, as nodes does.
 func (r *ctrlReader) proof(buf *[]auditlog.Hash) auditlog.Proof {
 	n := r.count(auditlog.HashSize)
 	if n == 0 {
@@ -242,11 +241,8 @@ func (r *ctrlReader) proof(buf *[]auditlog.Hash) auditlog.Proof {
 }
 
 // grown returns n elements of *buf's storage, growing it first when it
-// is too short, or a fresh slice when buf is nil.
+// is too short.
 func grown[E any](buf *[]E, n int) []E {
-	if buf == nil {
-		return make([]E, n)
-	}
 	if cap(*buf) < n {
 		*buf = make([]E, n)
 	}
@@ -254,18 +250,17 @@ func grown[E any](buf *[]E, n int) []E {
 }
 
 // ctrlScratch is the decode target of every control envelope, one per
-// Network: the envelope, the request or reply it carries, a tree head's
-// head and proof, and the storage the two Avoid lists and the proof path
-// are read into. Each decode overwrites it, so a handler keeps nothing
-// it points to:
+// Network: the envelope, the request or reply it carries, every tree
+// head and proof in it, and the storage its node lists, proof paths and
+// citations are read into. Each decode overwrites it, so a handler
+// keeps nothing it points to:
 //   - handleTreeHead stores the head by value, and relayTreeHead and
 //     forwardCtrl encode the envelope before they return;
 //   - Responder.Answer takes the request by value and keeps none of it,
 //     and deliverCtrl encodes the reply envelope, which reuses the
 //     request envelope's Avoid list, before it returns;
-//   - Detector.HandleReply keeps the reply by value, so the reply's
-//     nested evidence (Head, Consistency, Citations) is the only decoded
-//     data anything keeps, and decodeCtrlMsg allocates it fresh.
+//   - Detector.HandleReply keeps only the reply's Eq. 8 observation
+//     (responder, evidence and proof weight).
 //
 // The kernel runs one handler at a time and no handler decodes another
 // frame, so one scratch serves every node of the network.
@@ -273,17 +268,22 @@ type ctrlScratch struct {
 	msg      ctrlMsg
 	req      detect.VerifyRequest
 	rep      detect.VerifyReply
-	head     auditlog.TreeHead
-	proof    auditlog.Proof
+	head     auditlog.TreeHead // the gossiped head
+	proof    auditlog.Proof    // the gossiped head's proof
+	known    auditlog.TreeHead // the request's KnownHead
+	repHead  auditlog.TreeHead // the reply's Head
+	cons     auditlog.Proof    // the reply's Consistency
+	cites    []detect.Citation // the reply's Citations
 	avoid    []addr.Node
 	reqAvoid []addr.Node
-	path     []auditlog.Hash
+	path     []auditlog.Hash   // proof's path
+	consPath []auditlog.Hash   // cons's path
+	citePath [][]auditlog.Hash // each citation's proof path, by slot
 }
 
 // decodeCtrlMsg decodes a control envelope (format tag included) into s,
-// so the result is valid only until the next decode into s. Only the
-// reply's Head, Consistency and Citations, which a detector keeps with
-// the reply, and the request's KnownHead are freshly allocated.
+// so the result is valid only until the next decode into s. Only a
+// citation's record is copied into a fresh string.
 func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 	r := ctrlReader{b: b}
 	if r.u8() != ctrlBinaryMagic {
@@ -313,8 +313,8 @@ func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 		req.Advertised = r.boolean()
 		req.Avoid = r.nodes(&s.reqAvoid)
 		if r.boolean() {
-			h := r.head()
-			req.KnownHead = &h
+			s.known = r.head()
+			req.KnownHead = &s.known
 		}
 		m.Req = req
 	}
@@ -330,21 +330,21 @@ func decodeCtrlMsg(b []byte, s *ctrlScratch) (*ctrlMsg, error) {
 		rep.LinkExists = r.boolean()
 		rep.FirstHand = r.boolean()
 		if r.boolean() {
-			h := r.head()
-			rep.Head = &h
+			s.repHead = r.head()
+			rep.Head = &s.repHead
 		}
 		if r.boolean() {
-			p := r.proof(nil)
-			rep.Consistency = &p
+			s.cons = r.proof(&s.consPath)
+			rep.Consistency = &s.cons
 		}
 		if n := r.count(minCitationLen); n > 0 {
-			rep.Citations = make([]detect.Citation, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				var c detect.Citation
+			rep.Citations = grown(&s.cites, n)
+			paths := grown(&s.citePath, n)
+			for i := range rep.Citations {
+				c := &rep.Citations[i]
 				c.Index = r.u64()
 				c.Record = string(r.take(int(r.u32())))
-				c.Proof = r.proof(nil)
-				rep.Citations = append(rep.Citations, c)
+				c.Proof = r.proof(&paths[i])
 			}
 		}
 		m.Rep = rep

@@ -220,10 +220,24 @@ func FuzzCtrlScratchDecode(f *testing.F) {
 		HeadPrev: 4, HeadProof: &long})
 	encs = append(encs, longHead)
 	// Envelopes for investigatingNetwork's node 1: the awaited reply,
-	// plain and with a citation that fails its proof, and a request it
+	// plain, with a citation that fails its proof, and with two and then
+	// one citation over proof paths of other lengths, and a request it
 	// answers.
 	self, suspect, responder := addr.NodeAt(1), addr.NodeAt(9), addr.NodeAt(99)
 	head := auditlog.TreeHead{Size: 3, Root: auditlog.Hash{3}}
+	evidenceReply := func(cons auditlog.Proof, cites ...detect.Citation) []byte {
+		return appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: responder, To: self, TTL: 4,
+			Rep: &detect.VerifyReply{ID: 1, Responder: responder, Suspect: suspect, Link: responder,
+				Answered: true, FirstHand: true, Head: &head, Consistency: &cons, Citations: cites}})
+	}
+	short := auditlog.Proof{Path: []auditlog.Hash{{5}}}
+	encs = append(encs,
+		evidenceReply(short,
+			detect.Citation{Index: 2, Record: "t=1s node=10.0.0.99 kind=hello_rx from=10.0.0.9", Proof: long},
+			detect.Citation{Index: 0, Record: "t=0s node=10.0.0.99 kind=hello_tx", Proof: short}),
+		evidenceReply(long,
+			detect.Citation{Index: 1, Record: "x", Proof: auditlog.Proof{Path: []auditlog.Hash{{6}, {7}}}}),
+	)
 	encs = append(encs,
 		appendCtrlMsg(nil, &ctrlMsg{Kind: ctrlVerifyRep, From: responder, To: self, TTL: 4,
 			Avoid: []addr.Node{suspect}, Rep: &detect.VerifyReply{ID: 1, Responder: responder,

@@ -104,25 +104,35 @@ func verifyExchange(poison bool) verifyRun {
 func poisonCtrlScratch(s *ctrlScratch) {
 	junk := addr.NodeAt(4)
 	head := auditlog.TreeHead{Size: 1 << 40, Root: auditlog.Hash{0xde, 0xad}}
-	s.avoid = s.avoid[:cap(s.avoid)]
-	s.reqAvoid = s.reqAvoid[:cap(s.reqAvoid)]
-	s.path = s.path[:cap(s.path)]
-	for i := range s.avoid {
-		s.avoid[i] = junk
+	for _, buf := range []*[]addr.Node{&s.avoid, &s.reqAvoid} {
+		*buf = (*buf)[:cap(*buf)]
+		for i := range *buf {
+			(*buf)[i] = junk
+		}
 	}
-	for i := range s.reqAvoid {
-		s.reqAvoid[i] = junk
+	s.citePath = s.citePath[:cap(s.citePath)]
+	paths := []*[]auditlog.Hash{&s.path, &s.consPath}
+	for i := range s.citePath {
+		paths = append(paths, &s.citePath[i])
 	}
-	for i := range s.path {
-		s.path[i] = head.Root
+	for _, buf := range paths {
+		*buf = (*buf)[:cap(*buf)]
+		for i := range *buf {
+			(*buf)[i] = head.Root
+		}
 	}
-	s.head = head
+	s.head, s.known, s.repHead = head, head, head
 	s.proof = auditlog.Proof{Path: s.path}
+	s.cons = auditlog.Proof{Path: s.consPath}
+	s.cites = s.cites[:cap(s.cites)]
+	for i := range s.cites {
+		s.cites[i] = detect.Citation{Index: 1 << 40, Record: "junk", Proof: s.proof}
+	}
 	s.req = detect.VerifyRequest{ID: 1<<64 - 1, Investigator: junk, Responder: junk, Suspect: junk,
-		Link: junk, Advertised: true, Avoid: s.reqAvoid, KnownHead: &head}
+		Link: junk, Advertised: true, Avoid: s.reqAvoid, KnownHead: &s.known}
 	s.rep = detect.VerifyReply{ID: 1<<64 - 1, Responder: junk, Suspect: junk, Link: junk,
-		Answered: true, LinkExists: true, FirstHand: true, Head: &head, Consistency: &s.proof,
-		Citations: []detect.Citation{{Index: 1 << 40, Record: "junk", Proof: s.proof}}}
+		Answered: true, LinkExists: true, FirstHand: true, Head: &s.repHead, Consistency: &s.cons,
+		Citations: s.cites}
 	s.msg = ctrlMsg{Kind: 0xff, From: junk, To: junk, TTL: -7, Avoid: s.avoid, Req: &s.req, Rep: &s.rep,
 		Origin: junk, Head: &s.head, HeadPrev: 1 << 40, HeadProof: &s.proof}
 }

@@ -7,26 +7,51 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/auditlog"
+	"repro/internal/trust"
 )
 
-// TestAllocCeilingFinalize pins the cost of one full investigation round
-// — open, interrogate five responders, aggregate Eq. 8, finalize — on a
-// warm detector. The ceiling covers the test fixture's own allocations
-// (the fake router clones sets per query), so it is far above zero; what
-// it guards is the order of magnitude: a per-reply or per-observation
-// allocation sneaking back into the round path multiplies it.
+// TestAllocCeilingFinalize pins the cost of one investigation round on a
+// warm detector: open, interrogate, aggregate Eq. 8, finalize. The
+// suspect claims node 4, which is not its neighbor; the warm-up rounds
+// convict it and drop the abstaining shared neighbors from the witness
+// pool, so each measured round, its verdict reset, asks node 4 alone
+// and counts its first-hand denial.
 func TestAllocCeilingFinalize(t *testing.T) {
-	sc := newScenario(t, honestAdvertisement(), nil)
-	// Warm one round end to end: first contact grows the trust slab, the
-	// suspect cell, and the report slice.
+	sc := newScenario(t, append(honestAdvertisement(), addr.NodeAt(4)), nil)
 	sc.det.OpenInvestigation(sc.suspect, "warmup")
 	sc.sched.Run()
+	if v, ok := sc.det.Verdict(sc.suspect); !ok || v != trust.Intruder {
+		t.Fatalf("warm-up verdict %v (%v), want intruder", v, ok)
+	}
 
-	const ceiling = 400
-	got := testing.AllocsPerRun(20, func() {
+	runs := 0
+	round := func() {
+		runs++
+		c := sc.det.cell(sc.suspect)
+		c.hasVerdict, c.lastRound = false, 0 // investigate the suspect afresh
+		sent, reports := len(sc.tr.sent), len(sc.det.reports)
 		sc.det.OpenInvestigation(sc.suspect, "alloc")
 		sc.sched.Run()
-	})
+		if got := len(sc.tr.sent) - sent; got != 1 {
+			t.Fatalf("run %d sent %d requests, want 1", runs, got)
+		}
+		if got := len(sc.det.reports) - reports; got != 1 {
+			t.Fatalf("run %d filed %d reports, want 1", runs, got)
+		}
+		counted := false
+		for _, o := range sc.det.reports[reports].Observations {
+			counted = counted || o.Source == addr.NodeAt(4) && o.Evidence == -1
+		}
+		if !counted {
+			t.Fatalf("run %d counted no denial from node 4: %+v", runs, sc.det.reports[reports])
+		}
+	}
+	round()
+	// The measured count, the fixture's own allocations included (the
+	// fake router clones the advertised set, the in-memory transport
+	// schedules each reply); keeping whole replies took 15.
+	const ceiling = 11
+	got := testing.AllocsPerRun(20, round)
 	if got > ceiling {
 		t.Errorf("investigation round: %.1f allocs/run, ceiling %d", got, ceiling)
 	}

@@ -100,8 +100,8 @@ type VerifyReply struct {
 // over the simulated network, and tests implement it in memory.
 type Transport interface {
 	// SendVerify delivers req to req.Responder. Replies come back through
-	// Detector.HandleReply; lost or undeliverable requests simply never
-	// produce one.
+	// Detector.HandleReply, never before SendVerify returns; lost or
+	// undeliverable requests simply never produce one.
 	SendVerify(req VerifyRequest)
 }
 
@@ -130,7 +130,8 @@ func (r *Responder) Answer(req VerifyRequest) VerifyReply {
 		Suspect:   req.Suspect,
 		Link:      req.Link,
 	}
-	if !req.Advertised {
+	switch {
+	case !req.Advertised:
 		// Omission verification is directional: only the omitted endpoint
 		// can testify that it still receives the suspect's HELLOs while
 		// the suspect claims not to hear it. Third parties only see stale
@@ -140,15 +141,6 @@ func (r *Responder) Answer(req VerifyRequest) VerifyReply {
 			rep.FirstHand = true
 			rep.LinkExists = r.Router.HearsFrom(req.Suspect)
 		}
-		if r.Liar != nil {
-			rep.LinkExists, rep.Answered = r.Liar(req.Suspect, rep.LinkExists, rep.Answered)
-		}
-		if r.Evidence != nil {
-			r.Evidence.Attach(req, &rep)
-		}
-		return rep
-	}
-	switch {
 	case req.Link == r.Self:
 		// First-hand: is the suspect really my symmetric neighbor?
 		rep.Answered = true
@@ -265,10 +257,14 @@ type investigation struct {
 	trigger string
 	round   int
 	links   []addr.Node
-	adv     map[addr.Node]bool // link endpoint -> suspect advertised it
-	pending map[uint64]VerifyRequest
-	replies []VerifyReply
-	weights []float64 // per-reply Eq. 8 weight (proof-backed testimony > 1)
+	// adv is the suspect's advertised symmetric neighborhood; a link
+	// endpoint outside it is one the suspect omits.
+	adv     addr.Set
+	pending map[uint64]addr.Node // request ID -> responder
+	// replies holds each counted reply as its Eq. 8 observation, with
+	// room for every pending request and local observation: finalize
+	// fills in Trust and completes the round's observations in place.
+	replies []trust.Observation
 	local   []trust.Observation
 	// gravity is the most serious evidence class observed this round
 	// (property 2/3 of §IV-A); it scales the verdict's trust impact.
@@ -473,8 +469,7 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 		suspect: suspect,
 		trigger: trigger,
 		round:   c.lastRound + 1,
-		adv:     make(map[addr.Node]bool),
-		pending: make(map[uint64]VerifyRequest),
+		pending: make(map[uint64]addr.Node),
 	}
 	if inv.round > maxRounds {
 		return
@@ -502,7 +497,7 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 				Responder:    responder,
 				Suspect:      suspect,
 				Link:         link,
-				Advertised:   inv.adv[link],
+				Advertised:   inv.adv.Has(link),
 				Avoid:        avoid,
 			}
 			if d.cfg.Heads != nil {
@@ -511,10 +506,11 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 					req.KnownHead = &head
 				}
 			}
-			inv.pending[req.ID] = req
+			inv.pending[req.ID] = responder
 			d.transport.SendVerify(req)
 		}
 	}
+	inv.replies = make([]trust.Observation, 0, len(inv.pending)+len(inv.local))
 	inv.deadline = d.sched.After(answerTimeout, func() { d.finalize(inv) })
 }
 
@@ -584,6 +580,7 @@ func (d *Detector) roundOf(suspect addr.Node) int {
 // local first-hand evidence.
 func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr.Node {
 	advertised := d.router.AdvertisedSym(suspect)
+	inv.adv = advertised
 	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
 	sym := d.nbScratch
 
@@ -602,7 +599,6 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 		if x == d.cfg.Self || x == suspect {
 			continue
 		}
-		inv.adv[x] = true
 		if d.cfg.KnownNodes != nil && !d.cfg.KnownNodes.Has(x) {
 			// Expression 1's membership test: the advertised endpoint is
 			// outside the network — the most imminent intrusion sign
@@ -632,7 +628,6 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 			continue
 		}
 		if d.router.Covers(x, suspect) {
-			inv.adv[x] = false
 			localEvidence(trust.GravityHigh)
 			links.Add(x)
 		}
@@ -644,7 +639,6 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 	if c := d.peek(suspect); c != nil {
 		for _, x := range c.hintLinks {
 			if x != d.cfg.Self && !advertised.Has(x) && !links.Has(x) {
-				inv.adv[x] = false
 				links.Add(x)
 			}
 		}
@@ -712,12 +706,19 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 		return
 	}
 	delete(inv.pending, rep.ID)
-	weight := 0.0 // 0 = plain testimony (trust.Observation zero value)
+	o := trust.Observation{Source: rep.Responder}
+	if rep.Answered {
+		// The responder confirms spoofing when its view contradicts the
+		// suspect's advertisement (or omission) of the link.
+		o.Evidence = 1
+		if rep.LinkExists != inv.adv.Has(rep.Link) {
+			o.Evidence = -1
+		}
+	}
 	if d.cfg.Heads != nil {
-		contradicts := rep.Answered && rep.LinkExists != inv.adv[rep.Link]
-		switch d.verifyEvidence(rep, contradicts) {
+		switch d.verifyEvidence(rep, o.Evidence < 0) {
 		case evidenceProven:
-			weight = provenWeight
+			o.Weight = provenWeight
 		case evidenceForged:
 			// The reply contradicts the responder's own sealed history:
 			// discard the testimony and convict the forger on first-hand
@@ -732,8 +733,7 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 			return
 		}
 	}
-	inv.replies = append(inv.replies, rep)
-	inv.weights = append(inv.weights, weight)
+	inv.replies = append(inv.replies, o)
 	if !rep.Answered {
 		c.noInfo.Add(rep.Responder)
 	}
@@ -795,43 +795,25 @@ func (d *Detector) finalize(inv *investigation) {
 	}
 	c.open = nil
 
-	obs := make([]trust.Observation, 0, len(inv.replies)+len(inv.pending)+len(inv.local))
-	obs = append(obs, inv.local...)
-	for ri, rep := range inv.replies {
-		e := 0.0
-		if rep.Answered {
-			// The suspect advertised the link (adv=true) or omitted it
-			// (adv=false); the responder confirms spoofing when its view
-			// contradicts the advertisement.
-			if rep.LinkExists == inv.adv[rep.Link] {
-				e = 1
-			} else {
-				e = -1
-			}
-		}
-		obs = append(obs, trust.Observation{
-			Source:   rep.Responder,
-			Trust:    d.trustOf(rep.Responder),
-			Evidence: e,
-			Weight:   inv.weights[ri],
-		})
+	// The round's observations, in the room replies was opened with:
+	// replies, local evidence, timeouts. The sort below fixes the order.
+	obs := inv.replies
+	for i := range obs {
+		obs[i].Trust = d.trustOf(obs[i].Source)
 	}
+	obs = append(obs, inv.local...)
 	// Unanswered requests: evidence 0, but the silent node still dilutes
 	// the aggregate (its trust appears in the normalization). A node that
 	// never answers is "tagged as not verified" (§III-C) and dropped from
 	// later rounds, so persistent silence cannot stall the investigation.
-	for _, req := range inv.pending {
-		obs = append(obs, trust.Observation{
-			Source:   req.Responder,
-			Trust:    d.trustOf(req.Responder),
-			Evidence: 0,
-		})
+	for _, responder := range inv.pending {
+		obs = append(obs, trust.Observation{Source: responder, Trust: d.trustOf(responder)})
 		if c.timeouts == nil {
 			c.timeouts = make(map[addr.Node]int)
 		}
-		c.timeouts[req.Responder]++
-		if c.timeouts[req.Responder] >= 2 {
-			c.noInfo.Add(req.Responder)
+		c.timeouts[responder]++
+		if c.timeouts[responder] >= 2 {
+			c.noInfo.Add(responder)
 		}
 	}
 	// Total order, not just by Source: a responder interrogated about

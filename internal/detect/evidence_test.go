@@ -230,7 +230,8 @@ func TestForgedReplyConvictsResponder(t *testing.T) {
 // TestLateAndDuplicateRepliesDropped pins the HandleReply hardening: a
 // reply delivered after its round finalized, or delivered twice, is
 // dropped and counted — it neither revives the round nor contaminates a
-// newer one.
+// newer one. A reply discarded as forged is answered too: its second
+// copy is late even while the round still waits on another responder.
 func TestLateAndDuplicateRepliesDropped(t *testing.T) {
 	w := newEvidenceWorld(t)
 	w.seedRespLog(w.suspect)
@@ -274,6 +275,40 @@ func TestLateAndDuplicateRepliesDropped(t *testing.T) {
 	w.det.HandleReply(rep)
 	if got := w.det.LateReplies(); got != lateBefore+1 {
 		t.Fatalf("duplicate not counted: LateReplies = %d, want %d", got, lateBefore+1)
+	}
+
+	// A forged reply: the investigator gossip-learned the responder's
+	// head, and the reply claims a log shrunk below it. Node 3 is asked
+	// too and never answers, so the round stays open.
+	w = newEvidenceWorld(t)
+	w.seedRespLog(w.suspect)
+	w.heads[w.endpoint] = w.respLogs.TreeHead()
+	w.det.router.(*fakeRouter).sym.Add(addr.NodeAt(3))
+	w.tr.responders = nil
+	w.det.OpenInvestigation(w.suspect, "test")
+	if len(w.tr.sent) != 2 {
+		t.Fatalf("%d requests sent, want 2: %+v", len(w.tr.sent), w.tr.sent)
+	}
+	var forged VerifyReply
+	for _, req := range w.tr.sent {
+		if req.Responder == w.endpoint {
+			forged = w.resp.Answer(req)
+		}
+	}
+	forged.Head = &auditlog.TreeHead{}
+	w.det.HandleReply(forged)
+	if got := w.det.ProofFailures(); got != 1 {
+		t.Fatalf("ProofFailures = %d after the forged reply, want 1", got)
+	}
+	if w.det.cell(w.suspect).open == nil {
+		t.Fatal("round closed with a request still pending")
+	}
+	w.det.HandleReply(forged)
+	if got := w.det.LateReplies(); got != 1 {
+		t.Fatalf("second copy of a forged reply: LateReplies = %d, want 1", got)
+	}
+	if got := w.det.ProofFailures(); got != 1 {
+		t.Fatalf("second copy of a forged reply verified again: ProofFailures = %d, want 1", got)
 	}
 }
 

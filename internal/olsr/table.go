@@ -42,7 +42,12 @@ func (t table[V]) get(k addr.Node) *V {
 func (t *table[V]) put(k addr.Node) *V {
 	i, ok := t.search(k)
 	if !ok {
-		*t = slices.Insert(*t, i, entry[V]{key: k})
+		// Inserted by append and copy rather than slices.Insert: the
+		// table grows the same way, but a race build pays for
+		// slices.Insert's growth twice (DESIGN.md §10).
+		*t = append(*t, entry[V]{})
+		copy((*t)[i+1:], (*t)[i:])
+		(*t)[i] = entry[V]{key: k}
 	}
 	return &(*t)[i].val
 }
@@ -56,7 +61,7 @@ const carveChunk = 128
 // carve returns an empty slice with room for k elements, cut from the
 // free end of *chunk with a full-slice expression. Its capacity ends
 // where the next slice carved from the chunk begins, so a table that
-// outgrows its carve reallocates alone, through put's slices.Insert,
+// outgrows its carve reallocates alone, through put's append,
 // and never writes into a neighbour's entries. A chunk with less than k
 // elements left is replaced by a fresh one; the slices carved from the
 // old chunk keep it alive. k <= 0 returns nil.
