@@ -795,8 +795,7 @@ func (d *Detector) finalize(inv *investigation) {
 	}
 	c.open = nil
 
-	// The round's observations, in the room replies was opened with:
-	// replies, local evidence, timeouts. The sort below fixes the order.
+	// Replies, local evidence, then timeouts; the sort below fixes the order.
 	obs := inv.replies
 	for i := range obs {
 		obs[i].Trust = d.trustOf(obs[i].Source)
