@@ -51,7 +51,8 @@ func allocCeiling(t *testing.T, name string, limit float64, fn func()) {
 }
 
 // TestAllocCeilingTrust pins the trust slab: reads, Eq. 5 updates and
-// the whole-store relaxation walk are allocation-free on a warm store.
+// the node listing into a reused slice are allocation-free on a warm
+// store.
 func TestAllocCeilingTrust(t *testing.T) {
 	s := trust.NewStore(trust.DefaultParams())
 	for i := 1; i <= 32; i++ {
@@ -62,7 +63,6 @@ func TestAllocCeilingTrust(t *testing.T) {
 	sink := 0.0
 	allocCeiling(t, "trust.Store.Get", 0, func() { sink = s.Get(target) })
 	allocCeiling(t, "trust.Store.Update", 0, func() { sink = s.Update(target, ev) })
-	allocCeiling(t, "trust.Store.RelaxAll", 0, func() { s.RelaxAll() })
 	buf := make([]addr.Node, 0, 64)
 	allocCeiling(t, "trust.Store.NodesInto", 0, func() { buf = s.NodesInto(buf[:0]) })
 	_ = sink

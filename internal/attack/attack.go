@@ -341,12 +341,7 @@ type Replayer struct {
 	Delay time.Duration
 	// Copies of each capture to replay.
 	Copies int
-
-	replayed uint64
 }
-
-// Replayed returns how many packets were re-emitted.
-func (r *Replayer) Replayed() uint64 { return r.replayed }
 
 // Capture schedules the replay of one raw packet.
 func (r *Replayer) Capture(sched *sim.Scheduler, send func([]byte), raw []byte) {
@@ -357,10 +352,7 @@ func (r *Replayer) Capture(sched *sim.Scheduler, send func([]byte), raw []byte) 
 	buf := make([]byte, len(raw))
 	copy(buf, raw)
 	for i := 1; i <= copies; i++ {
-		sched.After(r.Delay*time.Duration(i), func() {
-			send(buf)
-			r.replayed++
-		})
+		sched.After(r.Delay*time.Duration(i), func() { send(buf) })
 	}
 }
 
@@ -462,20 +454,16 @@ type Liar struct {
 	// means lie about everyone.
 	Protect addr.Set
 
-	lies, truths uint64
+	lies uint64
 }
 
 // Lies returns how many answers were inverted.
 func (l *Liar) Lies() uint64 { return l.lies }
 
-// Truths returns how many answers were left honest.
-func (l *Liar) Truths() uint64 { return l.truths }
-
 // Mutate inverts an investigation answer when the request concerns a
 // protected suspect.
 func (l *Liar) Mutate(suspect addr.Node, linkExists bool, known bool) (bool, bool) {
 	if l.Protect != nil && !l.Protect.Has(suspect) {
-		l.truths++
 		return linkExists, known
 	}
 	l.lies++

@@ -181,15 +181,6 @@ func parseNodes(key, v string, dst []addr.Node) ([]addr.Node, error) {
 	}
 }
 
-// IntField parses the named field as an integer.
-func (r *Record) IntField(key string) (int, error) {
-	v, ok := r.Get(key)
-	if !ok {
-		return 0, fmt.Errorf("auditlog: record %s has no field %q", r.Kind, key)
-	}
-	return strconv.Atoi(v)
-}
-
 const hexDigits = "0123456789ABCDEF"
 
 // needsEscape reports whether a rune must not appear raw inside a key,
@@ -420,22 +411,4 @@ func ParseLine(line string) (Record, error) {
 		return fail("", "line has no kind", nil)
 	}
 	return r, nil
-}
-
-// ParseDump inverts Buffer.Dump: every non-empty line must parse, and a
-// bad line aborts with a *ParseError (wrapped with its 1-based line
-// number) instead of being silently skipped.
-func ParseDump(dump string) ([]Record, error) {
-	var out []Record
-	for i, line := range strings.Split(dump, "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		r, err := ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

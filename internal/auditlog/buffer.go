@@ -2,7 +2,6 @@ package auditlog
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 	"unsafe"
@@ -19,8 +18,8 @@ import (
 // byte chunks; a pointer-free index, in pages, keeps each record's exact
 // time (the line renders milliseconds), its node and where its line lies.
 // Readers take the lines as they are: the detector's signature matcher
-// reads their fields in place, citations and Dump return them, and
-// sealing hashes them. Since decodes them back into Records — exactly,
+// reads their fields in place, citations return them, and sealing hashes
+// them. Since decodes them back into Records — exactly,
 // because ParseLine inverts the rendering and T comes from the index.
 //
 // A buffer armed with SetSealKey also seals every appended record
@@ -202,23 +201,6 @@ func (b *Buffer) Since(seq uint64) ([]Record, uint64) {
 	return out, b.NextSeq()
 }
 
-// Dump renders every record, one per line.
-func (b *Buffer) Dump() string {
-	size := 0
-	for _, p := range b.pages {
-		for _, ref := range p {
-			size += int(ref.n) + 1
-		}
-	}
-	var sb strings.Builder
-	sb.Grow(size)
-	for i := range b.Len() {
-		sb.WriteString(b.line(i).Text)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // Line is one record as the canonical line it is stored as, with the
 // header values the buffer keeps beside it. Text aliases the buffer's
 // storage, which is never written again, so a Line stays valid after
@@ -288,15 +270,6 @@ func (l Line) NodeField(key string) (addr.Node, error) {
 func (l Line) NodesField(key string, dst []addr.Node) ([]addr.Node, error) {
 	v, _ := l.Get(key)
 	return parseNodes(key, v, dst)
-}
-
-// IntField parses the named field as an integer.
-func (l Line) IntField(key string) (int, error) {
-	v, ok := l.Get(key)
-	if !ok {
-		return 0, fmt.Errorf("auditlog: record %s has no field %q", l.Kind(), key)
-	}
-	return strconv.Atoi(v)
 }
 
 // Cursor incrementally reads a Buffer.

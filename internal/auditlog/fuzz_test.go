@@ -166,11 +166,10 @@ func FuzzTypedFields(f *testing.F) {
 			raw   func(string) (string, bool)
 			nodes func(string) ([]addr.Node, error)
 			node  func(string) (addr.Node, error)
-			num   func(string) (int, error)
 		}{
-			{"built", r.Get, r.NodesField, r.NodeField, r.IntField},
-			{"decoded", decoded.Get, decoded.NodesField, decoded.NodeField, decoded.IntField},
-			{"line", l.Get, lineNodes, l.NodeField, l.IntField},
+			{"built", r.Get, r.NodesField, r.NodeField},
+			{"decoded", decoded.Get, decoded.NodesField, decoded.NodeField},
+			{"line", l.Get, lineNodes, l.NodeField},
 		} {
 			for i := range text {
 				if got, ok := get.raw(text[i].Key); !ok || got != text[i].value() {
@@ -185,9 +184,6 @@ func FuzzTypedFields(f *testing.F) {
 			}
 			if got, err := get.node(key + "1"); err != nil || got != first {
 				t.Fatalf("%s NodeField(%q) = %v, %v, want %v", get.name, key+"1", got, err, first)
-			}
-			if got, err := get.num(key + "2"); err != nil || got != v {
-				t.Fatalf("%s IntField(%q) = %d, %v, want %d", get.name, key+"2", got, err, v)
 			}
 		}
 	})

@@ -2,7 +2,7 @@ package core
 
 // The reputation plane's transport (DESIGN.md §9): each participating
 // node periodically floods its trust vector — honest nodes render their
-// ledger (reputation.Ledger.BuildVector), dishonest recommenders forge
+// ledger (reputation.Ledger.AppendVector), dishonest recommenders forge
 // one (attack.Recommender) — as a wire.Recommend message under the
 // PayloadRecommend discriminator. Receivers dedup per origin by message
 // sequence number, ingest the vector into their own ledger (deviation

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -63,10 +64,12 @@ func TestBootstrapSeedsStrangerTrust(t *testing.T) {
 	if def != sc.store.Params().Default {
 		t.Fatalf("unbootstrapped responder weighed at %v, want the default %v", def, sc.store.Params().Default)
 	}
-	// The seed landed in the store, so later evidence evolves it.
-	if !sc.store.Known(addr.NodeAt(2)) || sc.store.Get(addr.NodeAt(2)) == sc.store.Params().Default {
-		t.Fatalf("bootstrap not seeded into the store: known=%v value=%v",
-			sc.store.Known(addr.NodeAt(2)), sc.store.Get(addr.NodeAt(2)))
+	// The seed landed in the store, and the round's own evidence evolved
+	// it into a first-hand value.
+	known := slices.Contains(sc.store.NodesInto(nil), addr.NodeAt(2))
+	if !known || !sc.store.FirstHand(addr.NodeAt(2)) || sc.store.Get(addr.NodeAt(2)) == sc.store.Params().Default {
+		t.Fatalf("bootstrap not seeded into the store: known=%v first-hand=%v value=%v",
+			known, sc.store.FirstHand(addr.NodeAt(2)), sc.store.Get(addr.NodeAt(2)))
 	}
 }
 

@@ -557,17 +557,6 @@ func (d *Detector) ReportDishonestRecommender(node addr.Node, detail string) {
 	})
 }
 
-// roundOf returns the highest finalized round about suspect. It reads
-// the per-suspect cell maintained by finalize — scanning d.reports here
-// made every new investigation O(total reports ever filed), which turned
-// long multi-suspect runs quadratic (BenchmarkRoundOf pins the fix).
-func (d *Detector) roundOf(suspect addr.Node) int {
-	if c := d.peek(suspect); c != nil {
-		return c.lastRound
-	}
-	return 0
-}
-
 // suspiciousLinks compares the suspect's advertised symmetric neighborhood
 // NS'(I) against the local view and returns the link endpoints worth
 // verifying, covering all three spoofing variants:
@@ -850,26 +839,14 @@ func (d *Detector) finalize(inv *investigation) {
 	verdict := trust.Unrecognized
 	var iv trust.Interval
 	if ok {
-		// Samples for Eq. 9: the trust-weighted evidence terms scaled so
+		// Samples for Eq. 9 (trust.Samples): the trust-weighted evidence
+		// terms, proof weight folded in exactly as Eq. 8 does, scaled so
 		// their mean equals this round's Detect value. The interval is
 		// computed over the evidence accumulated ACROSS rounds for this
 		// suspect — this is the §IV-C loop: an unrecognized verdict means
 		// "too wide, gather more evidence", and more rounds narrow ε by
 		// 1/√n until Eq. 10 can resolve.
-		// Effective trust folds in the proof weight exactly as Eq. 8 does
-		// (trust.Observation.EffTrust — one definition for both the
-		// detection value and its interval), so proven testimony narrows
-		// the interval faster too. Unweighted observations keep the exact
-		// pre-evidence-plane arithmetic.
-		var sumT float64
-		for _, o := range obs {
-			sumT += o.EffTrust()
-		}
-		meanT := sumT / float64(len(obs))
-		hist := c.samples
-		for _, o := range obs {
-			hist = append(hist, o.EffTrust()*o.Evidence/meanT)
-		}
+		hist := trust.Samples(c.samples, obs)
 		if len(hist) > maxCISamples {
 			// Shift in place instead of re-slicing so the slab keeps its
 			// backing array once it reaches steady state.

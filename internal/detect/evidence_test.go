@@ -312,32 +312,9 @@ func TestLateAndDuplicateRepliesDropped(t *testing.T) {
 	}
 }
 
-// BenchmarkRoundOf regression-pins the O(1) round lookup: before the
-// per-suspect index, every OpenInvestigation scanned the full report
-// history, turning long multi-suspect runs quadratic.
-func BenchmarkRoundOf(b *testing.B) {
-	sched := sim.New(1)
-	store := trust.NewStore(trust.DefaultParams())
-	obs := &fakeRouter{self: addr.NodeAt(1), sym: addr.NewSet(), cover: map[addr.Node]addr.Set{}}
-	det := NewDetector(Config{Self: addr.NodeAt(1)}, sched, obs, &auditlog.Buffer{},
-		&memTransport{sched: sched}, store)
-	// A long run's worth of history: 20k reports over 200 suspects.
-	for i := 0; i < 20000; i++ {
-		s := addr.NodeAt(2 + i%200)
-		c := det.cell(s)
-		c.lastRound++
-		det.reports = append(det.reports, Report{Suspect: s, Round: c.lastRound})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if det.roundOf(addr.NodeAt(2+i%200)) == 0 {
-			b.Fatal("missing round")
-		}
-	}
-}
-
-// TestRoundOfTracksFinalizedRounds keeps roundOf equivalent to the
-// scan it replaced: the maximum finalized round per suspect.
+// TestRoundOfTracksFinalizedRounds keeps the suspect cell's lastRound,
+// which numbers the next investigation, equal to the scan it replaced:
+// the maximum finalized round per suspect.
 func TestRoundOfTracksFinalizedRounds(t *testing.T) {
 	w := newEvidenceWorld(t)
 	w.seedRespLog(w.suspect)
@@ -354,8 +331,8 @@ func TestRoundOfTracksFinalizedRounds(t *testing.T) {
 	if max == 0 {
 		t.Fatal("no finalized rounds")
 	}
-	if got := w.det.roundOf(w.suspect); got != max {
-		t.Fatalf("roundOf = %d, want %d (reports max)", got, max)
+	if got := w.det.peek(w.suspect).lastRound; got != max {
+		t.Fatalf("lastRound = %d, want %d (reports max)", got, max)
 	}
 }
 

@@ -40,6 +40,10 @@ func TestEntrypointsHonorCancellation(t *testing.T) {
 		}
 	}
 
+	rounds, err := repro.ResolveScenario("paper-figures")
+	if err != nil {
+		t.Fatal(err)
+	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Each case reports whether it returned a result, and its error.
@@ -61,7 +65,7 @@ func TestEntrypointsHonorCancellation(t *testing.T) {
 			return res != nil, err
 		},
 		"repro.Run rounds": func() (bool, error) {
-			res, err := repro.Run(canceled, experiment.SpecFromConfig(cfg), repro.RunOpts{})
+			res, err := repro.Run(canceled, rounds, repro.RunOpts{})
 			return res != nil, err
 		},
 		"scenario.RunContext": func() (bool, error) {

@@ -2,44 +2,7 @@ package experiment
 
 import (
 	"testing"
-
-	"repro/internal/trust"
 )
-
-// TestConfigSpecRoundTrip pins the inverse pair a Config-typed caller of
-// the facade depends on: ConfigFromSpec(SpecFromConfig(cfg)) == cfg, so a
-// configuration routed through the spec-typed Run surface executes
-// exactly as given.
-func TestConfigSpecRoundTrip(t *testing.T) {
-	lossless := DefaultConfig()
-	lossless.NonAnswerProb = 0 // must survive via the explicit -1 convention
-
-	custom := Config{
-		Seed: 77, Nodes: 24, Liars: 6, Rounds: 40,
-		NonAnswerProb:   0.25,
-		InitialTrustMin: 0.2, InitialTrustMax: 0.8,
-		Params: trust.DefaultParams(),
-	}
-	custom.Params.Default = 0.5
-
-	for name, cfg := range map[string]Config{
-		"default":  DefaultConfig(),
-		"lossless": lossless,
-		"custom":   custom,
-	} {
-		spec := SpecFromConfig(cfg)
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("%s: SpecFromConfig(cfg) does not validate: %v", name, err)
-		}
-		back, err := ConfigFromSpec(spec)
-		if err != nil {
-			t.Fatalf("%s: ConfigFromSpec(SpecFromConfig(cfg)): %v", name, err)
-		}
-		if back != cfg {
-			t.Errorf("%s: round trip diverged:\n got %+v\nwant %+v", name, back, cfg)
-		}
-	}
-}
 
 // TestTrialSeedContract pins the seed schedule both the engine and the
 // campaign service derive run seeds from: trial 0 is the spec seed

@@ -181,37 +181,3 @@ func ConfigFromSpec(s scenario.Spec) (Config, error) {
 	}
 	return cfg, nil
 }
-
-// SpecFromConfig is the inverse of ConfigFromSpec: it renders a §V
-// round-based configuration as the equivalent rounds-kind scenario spec,
-// so a Config-typed caller can run through the spec-typed campaign
-// surface (repro.Run). The conversion is exact for every
-// configuration ConfigFromSpec can produce — the round trip
-// ConfigFromSpec(SpecFromConfig(cfg)) == cfg is pinned by test — with
-// one degenerate exception: an all-zero initial-trust range decays to
-// the default range, which no real configuration uses.
-func SpecFromConfig(cfg Config) scenario.Spec {
-	rs := &scenario.RoundsSpec{
-		Rounds:          cfg.Rounds,
-		InitialTrustMin: cfg.InitialTrustMin,
-		InitialTrustMax: cfg.InitialTrustMax,
-	}
-	// RoundsSpec convention: 0 = "experiment default", negative =
-	// explicitly lossless. A Config carries the resolved probability, so
-	// an explicit 0 must survive as -1.
-	if cfg.NonAnswerProb > 0 {
-		rs.NonAnswerProb = cfg.NonAnswerProb
-	} else {
-		rs.NonAnswerProb = -1
-	}
-	p := cfg.Params
-	return scenario.Spec{
-		Name:   "config",
-		Kind:   scenario.KindRounds,
-		Seed:   cfg.Seed,
-		Nodes:  cfg.Nodes,
-		Liars:  cfg.Liars,
-		Trust:  &p,
-		Rounds: rs,
-	}
-}

@@ -55,16 +55,7 @@ func ciTrial(rng *rand.Rand, cl float64, n int, liarFrac float64) ciTrialResult 
 	if !ok {
 		return ciTrialResult{}
 	}
-	var sumT float64
-	for _, o := range obs {
-		sumT += o.Trust
-	}
-	meanT := sumT / float64(n)
-	samples := make([]float64, 0, n)
-	for _, o := range obs {
-		samples = append(samples, o.Trust*o.Evidence/meanT)
-	}
-	iv, err := trust.ConfidenceInterval(samples, cl)
+	iv, err := trust.ConfidenceInterval(trust.Samples(make([]float64, 0, n), obs), cl)
 	if err != nil {
 		return ciTrialResult{}
 	}

@@ -33,13 +33,6 @@ func (p Point) Sub(q Point) Vec { return Vec{X: p.X - q.X, Y: p.Y - q.Y} }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
-// Dist2 returns the squared Euclidean distance between p and q; it avoids
-// the square root on the medium's hot path.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Lerp linearly interpolates from p to q; f=0 yields p, f=1 yields q.
 func (p Point) Lerp(q Point, f float64) Point {
 	return Point{X: p.X + (q.X-p.X)*f, Y: p.Y + (q.Y-p.Y)*f}

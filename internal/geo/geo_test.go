@@ -15,9 +15,6 @@ func TestPointArithmetic(t *testing.T) {
 	if d := p.Dist(q); !almost(d, 5) {
 		t.Errorf("Dist = %v, want 5", d)
 	}
-	if d2 := p.Dist2(q); !almost(d2, 25) {
-		t.Errorf("Dist2 = %v, want 25", d2)
-	}
 	if v := q.Sub(p); !almost(v.X, 3) || !almost(v.Y, 4) {
 		t.Errorf("Sub = %v", v)
 	}
@@ -127,9 +124,6 @@ func TestDistSymmetryAndTriangle(t *testing.T) {
 		}
 		if a.Dist(c) > a.Dist(b)+b.Dist(c)+1e-9 {
 			t.Fatal("triangle inequality violated")
-		}
-		if !almost(a.Dist(b)*a.Dist(b), a.Dist2(b)) {
-			t.Fatal("Dist2 != Dist^2")
 		}
 	}
 }

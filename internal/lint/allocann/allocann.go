@@ -2,7 +2,7 @@
 // syntactically-visible allocations.
 //
 // The PR 6 allocation tier pins the zero-ceiling hot paths
-// (trust.Store.Get/Update/RelaxAll/NodesInto, reputation.AppendVector/
+// (trust.Store.Get/Update/NodesInto, reputation.AppendVector/
 // Ingest, wire.Packet.AppendTo, audit-log sealing) at runtime via
 // testing.AllocsPerRun — but only when the alloc tests run. This
 // analyzer turns the budget into an at-desk, per-diff check: the

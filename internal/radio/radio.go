@@ -248,17 +248,6 @@ func (m *Medium) SetDown(id addr.Node, down bool) {
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// InRange reports whether a and b can currently hear each other with
-// non-zero probability. Used by tests and topology checks.
-func (m *Medium) InRange(a, b addr.Node) bool {
-	sa, oka := m.stations[a]
-	sb, okb := m.stations[b]
-	if !oka || !okb || sa.down || sb.down {
-		return false
-	}
-	return m.cfg.Prop.DeliveryProb(sa.pos().Dist(sb.pos())) > 0
-}
-
 // Neighbors returns the stations currently within (possibly lossy) range of
 // id, in deterministic order.
 func (m *Medium) Neighbors(id addr.Node) []addr.Node {

@@ -175,8 +175,8 @@ func TestMovingNodesChangeConnectivity(t *testing.T) {
 	if len(got.frames) != 1 {
 		t.Fatalf("got %d frames, want 1 (only while in range)", len(got.frames))
 	}
-	if !m.InRange(addr.NodeAt(1), addr.NodeAt(2)) == false {
-		t.Log("InRange false after move, as expected")
+	if got := m.Neighbors(addr.NodeAt(1)); len(got) != 0 {
+		t.Errorf("Neighbors after the move = %v, want none", got)
 	}
 }
 

@@ -118,7 +118,7 @@ func (l *mapLedger) BootstrapTrust(subject addr.Node, now time.Duration) (float6
 	return trust.Multipath(recs)
 }
 
-func (l *mapLedger) BuildVector() []Entry {
+func (l *mapLedger) vector() []Entry {
 	nodes := l.direct.Nodes()
 	out := make([]Entry, 0, min(len(nodes), maxEntries))
 	for _, n := range nodes {
@@ -184,13 +184,13 @@ func (m *ledgerMirror) check() {
 			m.t.Fatalf("RecommendationTrust(%v): dense %v, ref %v", n, dr, rr)
 		}
 	}
-	dvec, rvec := m.dense.BuildVector(), m.ref.BuildVector()
+	dvec, rvec := m.dense.AppendVector(nil), m.ref.vector()
 	if len(dvec) != len(rvec) {
-		m.t.Fatalf("BuildVector length: dense %d, ref %d", len(dvec), len(rvec))
+		m.t.Fatalf("AppendVector length: dense %d, ref %d", len(dvec), len(rvec))
 	}
 	for i := range dvec {
 		if dvec[i] != rvec[i] {
-			m.t.Fatalf("BuildVector[%d]: dense %+v, ref %+v", i, dvec[i], rvec[i])
+			m.t.Fatalf("AppendVector[%d]: dense %+v, ref %+v", i, dvec[i], rvec[i])
 		}
 	}
 	df, rf := m.dense.FlaggedDishonest(), m.ref.flagged
@@ -243,8 +243,8 @@ func TestLedgerEquivalence(t *testing.T) {
 			case 6: // direct trust evolves between vectors
 				n := m.pop[rng.Intn(len(m.pop))]
 				direct.Update(n, []trust.Evidence{{Value: rng.Float64()*2 - 1}})
-			case 7: // direct opinion forgotten
-				direct.Forget(m.pop[rng.Intn(len(m.pop))])
+			case 7: // direct opinion seeded from gossip, not first-hand
+				direct.SetSeeded(m.pop[rng.Intn(len(m.pop))], rng.Float64())
 			default:
 				m.check()
 			}

@@ -162,21 +162,15 @@ type Entry struct {
 	Trust float64
 }
 
-// BuildVector renders this node's own outgoing recommendation: its
-// first-hand direct-trust values, sorted by subject, capped at
+// AppendVector appends this node's own outgoing recommendation to out:
+// its first-hand direct-trust values, sorted by subject, capped at
 // maxEntries. Nodes with no explicit value are omitted — recommending
 // the cold default would only dilute real information — and so are
 // values merely seeded from other nodes' gossip (trust.Store.FirstHand):
 // re-gossiping a seed would launder second-hand rumor as first-hand
 // testimony and let one dishonest vector echo through the network under
-// honest recommenders' standing.
-func (l *Ledger) BuildVector() []Entry {
-	return l.AppendVector(nil)
-}
-
-// AppendVector is BuildVector appending into a caller-owned slice — the
-// gossip tick reuses one across emissions instead of allocating a vector
-// per period.
+// honest recommenders' standing. The gossip tick reuses one slice across
+// emissions instead of allocating a vector per period.
 //
 //repro:allocfree
 func (l *Ledger) AppendVector(out []Entry) []Entry {

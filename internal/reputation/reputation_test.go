@@ -158,7 +158,7 @@ func TestBuildVectorSortedAndCapped(t *testing.T) {
 		direct.Set(addr.NodeAt(i), float64(i)/100)
 	}
 	direct.Set(addr.NodeAt(1), 0.1)
-	v := l.BuildVector()
+	v := l.AppendVector(nil)
 	if len(v) != maxEntries {
 		t.Fatalf("len = %d, want cap %d", len(v), maxEntries)
 	}
@@ -219,12 +219,12 @@ func TestSeededOpinionIsNoAnchorAndNotGossiped(t *testing.T) {
 
 	// The seed never enters our own vector; first-hand values do.
 	direct.Set(addr.NodeAt(5), 0.7)
-	for _, e := range l.BuildVector() {
+	for _, e := range l.AppendVector(nil) {
 		if e.About == subject {
 			t.Fatalf("seeded opinion re-gossiped: %+v", e)
 		}
 	}
-	if len(l.BuildVector()) != 1 {
-		t.Fatalf("vector = %+v, want only the first-hand node", l.BuildVector())
+	if len(l.AppendVector(nil)) != 1 {
+		t.Fatalf("vector = %+v, want only the first-hand node", l.AppendVector(nil))
 	}
 }

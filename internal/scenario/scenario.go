@@ -544,9 +544,6 @@ func Load(path string) (Spec, error) {
 	return s, nil
 }
 
-// JSON renders the spec as indented JSON.
-func (s Spec) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
-
 // DeriveSeed maps a task's coordinates to an independent RNG seed:
 // FNV-1a over (root, label, point, trial) followed by a SplitMix64
 // finalizer for avalanche, so adjacent coordinates yield uncorrelated

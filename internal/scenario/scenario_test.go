@@ -51,7 +51,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("linkspoof preset missing")
 	}
-	data, err := spec.JSON()
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 func TestLoadSpecFile(t *testing.T) {
 	spec, _ := Get("grayhole")
-	data, err := spec.JSON()
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestParseRejectsRetiredCodecField(t *testing.T) {
 	if !ok {
 		t.Fatal("logforger preset missing")
 	}
-	data, err := spec.JSON()
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

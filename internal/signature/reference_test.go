@@ -10,6 +10,7 @@ package signature
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/addr"
@@ -580,6 +581,14 @@ type BadPacket struct {
 	Reason string
 }
 
+// intField reads the named field as an integer; a missing or malformed
+// field reads as 0.
+func intField(l auditlog.Line, key string) int {
+	v, _ := l.Get(key)
+	n, _ := strconv.Atoi(v)
+	return n
+}
+
 // Parse converts one audit-log line into its typed event. It reads the
 // line in place (auditlog.Line) — the detector never decodes a Record.
 func Parse(l auditlog.Line) (Event, error) {
@@ -595,7 +604,7 @@ func Parse(l auditlog.Line) (Event, error) {
 		if err != nil {
 			return nil, err
 		}
-		will, _ := l.IntField("will")
+		will := intField(l, "will")
 		return &HelloReceived{Base: base, From: from, SymNeighbors: sym, Willingness: will}, nil
 
 	case auditlog.KindHelloTx:
@@ -614,7 +623,7 @@ func Parse(l auditlog.Line) (Event, error) {
 		if err != nil {
 			return nil, err
 		}
-		ansn, _ := l.IntField("ansn")
+		ansn := intField(l, "ansn")
 		return &TCReceived{Base: base, Originator: orig, ANSN: ansn, Advertised: adv}, nil
 
 	case auditlog.KindTCTx:
@@ -622,7 +631,7 @@ func Parse(l auditlog.Line) (Event, error) {
 		if err != nil {
 			return nil, err
 		}
-		ansn, _ := l.IntField("ansn")
+		ansn := intField(l, "ansn")
 		return &TCSent{Base: base, ANSN: ansn, Advertised: adv}, nil
 
 	case auditlog.KindTCFwd:

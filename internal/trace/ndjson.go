@@ -145,19 +145,3 @@ func (sc *Scanner) Next() (Event, error) {
 
 // Line returns the 1-based line number of the last event returned.
 func (sc *Scanner) Line() int { return sc.line }
-
-// ReadAll decodes an entire NDJSON stream.
-func ReadAll(r io.Reader) ([]Event, error) {
-	sc := NewScanner(r)
-	var out []Event
-	for {
-		e, err := sc.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-}

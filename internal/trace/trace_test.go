@@ -33,7 +33,7 @@ func TestTracerStampsOrdAndTime(t *testing.T) {
 	if tr.Count() != 2 || rec.Len() != 2 {
 		t.Fatalf("counts: tracer %d recorder %d", tr.Count(), rec.Len())
 	}
-	evs, err := ReadAll(bytes.NewReader(rec.NDJSON()))
+	evs, err := readEvents(bytes.NewReader(rec.NDJSON()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestWriterSink(t *testing.T) {
 	if w.Err() != nil || w.Events() != 1 {
 		t.Fatalf("writer: err=%v events=%d", w.Err(), w.Events())
 	}
-	evs, err := ReadAll(&buf)
+	evs, err := readEvents(&buf)
 	if err != nil || len(evs) != 1 || evs[0].Node != "10.0.0.3" {
 		t.Fatalf("read back: %v %+v", err, evs)
 	}
@@ -163,14 +163,30 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestScannerRejectsGarbage(t *testing.T) {
-	_, err := ReadAll(strings.NewReader("not json\n"))
+	_, err := readEvents(strings.NewReader("not json\n"))
 	if err == nil {
 		t.Fatal("garbage line did not error")
 	}
 }
 
+// readEvents decodes a whole NDJSON stream through Scanner.Next.
+func readEvents(r io.Reader) ([]Event, error) {
+	sc := NewScanner(r)
+	var out []Event
+	for {
+		e, err := sc.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+}
+
 func TestReadAllEmpty(t *testing.T) {
-	evs, err := ReadAll(strings.NewReader(""))
+	evs, err := readEvents(strings.NewReader(""))
 	if err != nil || len(evs) != 0 {
 		t.Fatalf("empty stream: %v %v", evs, err)
 	}

@@ -30,12 +30,6 @@ type Interval struct {
 	N      int     // sample count
 }
 
-// Low and High bound the interval.
-func (i Interval) Low() float64 { return i.Mean - i.Margin }
-
-// High returns the upper bound of the interval.
-func (i Interval) High() float64 { return i.Mean + i.Margin }
-
 // Width returns the total interval width 2ε.
 func (i Interval) Width() float64 { return 2 * i.Margin }
 

@@ -7,67 +7,6 @@ import (
 	"testing"
 )
 
-func TestEntropy(t *testing.T) {
-	tests := []struct {
-		p, want float64
-	}{
-		{0, 0}, {1, 0}, {0.5, 1},
-	}
-	for _, tt := range tests {
-		if got := Entropy(tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Entropy(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	// Symmetry: H(p) == H(1-p).
-	for p := 0.01; p < 1; p += 0.01 {
-		if math.Abs(Entropy(p)-Entropy(1-p)) > 1e-9 {
-			t.Fatalf("entropy not symmetric at %v", p)
-		}
-	}
-}
-
-func TestFromProbability(t *testing.T) {
-	if got := FromProbability(1); got != 1 {
-		t.Errorf("FromProbability(1) = %v", got)
-	}
-	if got := FromProbability(0); got != -1 {
-		t.Errorf("FromProbability(0) = %v", got)
-	}
-	if got := FromProbability(0.5); got != 0 {
-		t.Errorf("FromProbability(0.5) = %v", got)
-	}
-	// Monotone increasing in p, antisymmetric around 0.5.
-	prev := -1.1
-	for p := 0.0; p <= 1.0001; p += 0.01 {
-		v := FromProbability(p)
-		if v < prev-1e-12 {
-			t.Fatalf("not monotone at p=%v: %v < %v", p, v, prev)
-		}
-		prev = v
-		if sym := FromProbability(1 - p); math.Abs(v+sym) > 1e-9 {
-			t.Fatalf("not antisymmetric at p=%v: %v vs %v", p, v, sym)
-		}
-	}
-	// Out-of-range inputs are clamped, not NaN.
-	if v := FromProbability(1.5); v != 1 {
-		t.Errorf("FromProbability(1.5) = %v", v)
-	}
-	if v := FromProbability(-0.5); v != -1 {
-		t.Errorf("FromProbability(-0.5) = %v", v)
-	}
-}
-
-func TestToUnitRange(t *testing.T) {
-	tests := []struct{ in, want float64 }{
-		{-1, 0}, {0, 0.5}, {1, 1}, {-2, 0}, {2, 1},
-	}
-	for _, tt := range tests {
-		if got := ToUnitRange(tt.in); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("ToUnitRange(%v) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestZForConfidence(t *testing.T) {
 	tests := []struct{ cl, want float64 }{
 		{0.90, 1.6449}, {0.95, 1.9600}, {0.99, 2.5758},
@@ -101,8 +40,8 @@ func TestConfidenceIntervalKnownSample(t *testing.T) {
 	if iv.N != 4 || iv.Level != 0.95 {
 		t.Errorf("meta = %+v", iv)
 	}
-	if math.Abs(iv.Low()-(iv.Mean-iv.Margin)) > 1e-12 || math.Abs(iv.Width()-2*iv.Margin) > 1e-12 {
-		t.Error("Low/Width inconsistent")
+	if math.Abs(iv.Width()-2*iv.Margin) > 1e-12 {
+		t.Error("Width inconsistent")
 	}
 }
 

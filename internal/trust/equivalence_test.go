@@ -11,12 +11,11 @@ import (
 // The store-equivalence harness: the dense struct-of-arrays Store must
 // be a pure performance substitution for the map-backed layout it
 // replaced. A mirrored map store runs the same randomized op campaign —
-// sets, gossip seeds, forgets, Eq. 5 updates, relaxation sweeps,
-// snapshots — and every observable (Get, Known, FirstHand, Nodes,
-// Snapshot) must match to 1e-12 after every step. The op mix draws
-// addresses from the run membership plus out-of-membership strays
-// (phantom advertisements, tunnel mouths), exercising the index's
-// overflow path.
+// sets, gossip seeds, Eq. 5 updates, relaxation steps and sweeps — and
+// every observable (Get, FirstHand, Nodes) must match to 1e-12 after
+// every step. The op mix draws addresses from the run membership plus
+// out-of-membership strays (phantom advertisements, tunnel mouths),
+// exercising the index's overflow path.
 
 // mapStore is the reference implementation: the exact map-backed layout
 // the dense Store replaced.
@@ -37,8 +36,6 @@ func (s *mapStore) Get(n addr.Node) float64 {
 	return s.params.Default
 }
 
-func (s *mapStore) Known(n addr.Node) bool { _, ok := s.values[n]; return ok }
-
 func (s *mapStore) Set(n addr.Node, v float64) {
 	s.values[n] = s.params.clamp(v)
 	s.seeded.Remove(n)
@@ -52,11 +49,6 @@ func (s *mapStore) SetSeeded(n addr.Node, v float64) {
 func (s *mapStore) FirstHand(n addr.Node) bool {
 	_, ok := s.values[n]
 	return ok && !s.seeded.Has(n)
-}
-
-func (s *mapStore) Forget(n addr.Node) {
-	delete(s.values, n)
-	s.seeded.Remove(n)
 }
 
 func (s *mapStore) Update(n addr.Node, evidence []Evidence) float64 {
@@ -90,20 +82,6 @@ func (s *mapStore) Relax(n addr.Node) float64 {
 	return v
 }
 
-func (s *mapStore) RelaxAll() {
-	for n := range s.values {
-		s.Relax(n)
-	}
-}
-
-func (s *mapStore) Snapshot() map[addr.Node]float64 {
-	out := make(map[addr.Node]float64, len(s.values))
-	for n, v := range s.values {
-		out[n] = v
-	}
-	return out
-}
-
 // storeMirror drives both layouts through the same ops.
 type storeMirror struct {
 	t     *testing.T
@@ -133,9 +111,6 @@ func newStoreMirror(t *testing.T, p Params, members, strays int) *storeMirror {
 func (m *storeMirror) check() {
 	m.t.Helper()
 	for _, n := range m.pop {
-		if m.dense.Known(n) != m.ref.Known(n) {
-			m.t.Fatalf("Known(%v): dense %v, map %v", n, m.dense.Known(n), m.ref.Known(n))
-		}
 		if m.dense.FirstHand(n) != m.ref.FirstHand(n) {
 			m.t.Fatalf("FirstHand(%v): dense %v, map %v", n, m.dense.FirstHand(n), m.ref.FirstHand(n))
 		}
@@ -143,19 +118,9 @@ func (m *storeMirror) check() {
 			m.t.Fatalf("Get(%v): dense %v, map %v", n, d, r)
 		}
 	}
-	ds, rs := m.dense.Snapshot(), m.ref.Snapshot()
-	if len(ds) != len(rs) {
-		m.t.Fatalf("Snapshot size: dense %d, map %d", len(ds), len(rs))
-	}
-	for n, r := range rs {
-		d, ok := ds[n]
-		if !ok || math.Abs(d-r) > storeEps {
-			m.t.Fatalf("Snapshot[%v]: dense %v (present %v), map %v", n, d, ok, r)
-		}
-	}
 	nodes := m.dense.Nodes()
-	if len(nodes) != len(rs) {
-		m.t.Fatalf("Nodes: dense %d entries, map %d", len(nodes), len(rs))
+	if len(nodes) != len(m.ref.values) {
+		m.t.Fatalf("Nodes: dense %d entries, map %d", len(nodes), len(m.ref.values))
 	}
 	for i := 1; i < len(nodes); i++ {
 		if nodes[i-1] >= nodes[i] {
@@ -163,7 +128,7 @@ func (m *storeMirror) check() {
 		}
 	}
 	for _, n := range nodes {
-		if _, ok := rs[n]; !ok {
+		if _, ok := m.ref.values[n]; !ok {
 			m.t.Fatalf("Nodes lists %v which the map store does not know", n)
 		}
 	}
@@ -182,7 +147,7 @@ func TestStoreEquivalence(t *testing.T) {
 		ops := 1000 + rng.Intn(500)
 		for i := 0; i < ops; i++ {
 			n := m.pop[rng.Intn(len(m.pop))]
-			switch rng.Intn(8) {
+			switch rng.Intn(7) {
 			case 0:
 				v := rng.Float64()*1.4 - 0.2 // overshoots exercise clamping
 				m.dense.Set(n, v)
@@ -191,10 +156,7 @@ func TestStoreEquivalence(t *testing.T) {
 				v := rng.Float64()
 				m.dense.SetSeeded(n, v)
 				m.ref.SetSeeded(n, v)
-			case 2:
-				m.dense.Forget(n)
-				m.ref.Forget(n)
-			case 3, 4:
+			case 2, 3:
 				evs := make([]Evidence, rng.Intn(4))
 				for j := range evs {
 					evs[j] = Evidence{
@@ -210,17 +172,20 @@ func TestStoreEquivalence(t *testing.T) {
 				if math.Abs(dv-rv) > storeEps {
 					t.Fatalf("Update(%v): dense %v, map %v", n, dv, rv)
 				}
-			case 5:
+			case 4:
 				dv := m.dense.Relax(n)
 				rv := m.ref.Relax(n)
 				if math.Abs(dv-rv) > storeEps {
 					t.Fatalf("Relax(%v): dense %v, map %v", n, dv, rv)
 				}
+			case 5:
+				// A relaxation sweep over every known node.
+				for _, k := range m.dense.Nodes() {
+					m.dense.Relax(k)
+					m.ref.Relax(k)
+				}
 			case 6:
-				m.dense.RelaxAll()
-				m.ref.RelaxAll()
-			case 7:
-				m.check() // snapshot mid-sequence
+				m.check() // mid-sequence
 			}
 		}
 		m.check()
@@ -235,7 +200,7 @@ func TestStoreSharedIndex(t *testing.T) {
 	b := NewStoreIndexed(DefaultParams(), ix)
 	a.Set(addr.NodeAt(1), 0.9)
 	b.Set(addr.NodeAt(2), 0.1)
-	if a.Known(addr.NodeAt(2)) || b.Known(addr.NodeAt(1)) {
+	if a.FirstHand(addr.NodeAt(2)) || b.FirstHand(addr.NodeAt(1)) {
 		t.Fatal("stores sharing an index leaked values")
 	}
 	if got := a.Get(addr.NodeAt(1)); got != 0.9 {

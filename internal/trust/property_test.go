@@ -106,8 +106,8 @@ func TestDetectRangeAndPermutation(t *testing.T) {
 }
 
 // TestEffTrustFoldsConsistently pins the one-definition rule between
-// Eq. 8 and the Eq. 9 interval sampling (detect.finalize): the samples
-// are the per-observation terms EffTrust·e/meanT, so their mean must
+// Eq. 8 and the Eq. 9 interval sampling (Samples): the samples are the
+// per-observation terms EffTrust·e/meanT, so their mean must
 // reproduce the round's Detect value exactly — otherwise the detection
 // value and its own confidence interval quietly measure different
 // statistics.
@@ -131,17 +131,16 @@ func TestEffTrustFoldsConsistently(t *testing.T) {
 		if !ok {
 			continue
 		}
-		// Replay finalize's sampling arithmetic.
-		var sumT float64
-		for _, o := range obs {
-			sumT += o.EffTrust()
+		prefix := []float64{7}
+		samples := Samples(prefix, obs)
+		if len(samples) != 1+n || samples[0] != 7 {
+			t.Fatalf("Samples(%v, %d observations) = %v, want the prefix and one sample each", prefix, n, samples)
 		}
-		meanT := sumT / float64(len(obs))
 		var mean float64
-		for _, o := range obs {
-			mean += o.EffTrust() * o.Evidence / meanT
+		for _, x := range samples[1:] {
+			mean += x
 		}
-		mean /= float64(len(obs))
+		mean /= float64(n)
 		if math.Abs(mean-v) > 1e-9 {
 			t.Fatalf("Eq. 9 sample mean %v != Eq. 8 value %v for %+v", mean, v, obs)
 		}

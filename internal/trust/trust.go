@@ -1,9 +1,10 @@
-// Package trust implements the paper's entropy-based trust system (§IV):
-// per-node trust establishment from weighted evidence (Eq. 5), trust
-// propagation through third parties (Eq. 6) and multiple recommenders
-// (Eq. 7), the trust-weighted detection aggregate (Eq. 8), the confidence
-// interval on that aggregate (Eq. 9), and the three-way decision rule
-// (Eq. 10).
+// Package trust implements the paper's trust system (§IV): per-node
+// trust establishment from weighted evidence (Eq. 5), trust propagation
+// through third parties (Eq. 6) and multiple recommenders (Eq. 7), the
+// trust-weighted detection aggregate (Eq. 8), the confidence interval on
+// that aggregate (Eq. 9), and the three-way decision rule (Eq. 10). The
+// paper calls its trust entropy-based after Sun et al. [11], but Eq. 5 is
+// a linear update and nothing here derives trust from entropy.
 //
 // Trust values live in [0, 1] with a configurable default (the paper's
 // figures use 0.4); evidence values live in [-1, 1] with -1 = harmful
@@ -146,9 +147,8 @@ const (
 // Values live in a struct-of-arrays layout keyed by the run's dense
 // node index rather than a map: vals[slot] is the trust value and
 // state[slot] distinguishes absent / first-hand / gossip-seeded. Every
-// hot operation (Get, Update, Relax) is array indexing; RelaxAll is a
-// linear slab walk. The seeded mark clears the moment first-hand
-// evidence arrives — see SetSeeded.
+// hot operation (Get, Update, Relax) is array indexing. The seeded mark
+// clears the moment first-hand evidence arrives — see SetSeeded.
 type Store struct {
 	params Params
 	// ix maps addresses to slots. It may be shared run-wide (every
@@ -217,12 +217,6 @@ func (s *Store) Get(n addr.Node) float64 {
 	return s.params.Default
 }
 
-// Known reports whether n has an explicit trust value.
-func (s *Store) Known(n addr.Node) bool {
-	sl, ok := s.ix.Slot(n)
-	return ok && sl < len(s.state) && s.state[sl] != slotAbsent
-}
-
 // setState writes value and state for n's slot, keeping the known
 // count in step.
 func (s *Store) setState(n addr.Node, v float64, st uint8) {
@@ -258,15 +252,6 @@ func (s *Store) SetSeeded(n addr.Node, v float64) {
 func (s *Store) FirstHand(n addr.Node) bool {
 	sl, ok := s.ix.Slot(n)
 	return ok && sl < len(s.state) && s.state[sl] == slotFirstHand
-}
-
-// Forget removes the explicit value for n, reverting it to the default.
-func (s *Store) Forget(n addr.Node) {
-	if sl, ok := s.ix.Slot(n); ok && sl < len(s.state) && s.state[sl] != slotAbsent {
-		s.state[sl] = slotAbsent
-		s.vals[sl] = 0
-		s.known--
-	}
 }
 
 // Update applies Eq. 5 for one time slot:
@@ -311,7 +296,12 @@ func (s *Store) Update(n addr.Node, evidence []Evidence) float64 {
 // back to the default; formerly distrusted nodes recover slowly — "a long
 // misconduct-less duration before trusting a former liar").
 func (s *Store) Relax(n addr.Node) float64 {
-	v := s.relaxed(s.Get(n))
+	p := s.params
+	beta := p.RelaxBeta
+	if beta <= 0 {
+		beta = p.Beta
+	}
+	v := p.clamp(beta*s.Get(n) + (1-beta)*p.Default)
 	sl := s.slot(n)
 	if s.state[sl] == slotAbsent {
 		s.known++
@@ -321,28 +311,6 @@ func (s *Store) Relax(n addr.Node) float64 {
 	// does not make it first-hand.
 	s.vals[sl] = v
 	return v
-}
-
-// relaxed applies the evidence-free decay step to one value.
-func (s *Store) relaxed(t float64) float64 {
-	p := s.params
-	beta := p.RelaxBeta
-	if beta <= 0 {
-		beta = p.Beta
-	}
-	return p.clamp(beta*t + (1-beta)*p.Default)
-}
-
-// RelaxAll applies Relax to every known node — a linear walk over the
-// value slab, no per-node lookups.
-//
-//repro:allocfree
-func (s *Store) RelaxAll() {
-	for sl, st := range s.state {
-		if st != slotAbsent {
-			s.vals[sl] = s.relaxed(s.vals[sl])
-		}
-	}
 }
 
 // Nodes returns the nodes with explicit trust values, sorted.
@@ -366,17 +334,6 @@ func (s *Store) NodesInto(out []addr.Node) []addr.Node {
 	// already ascending, but late strays (phantoms, tunnel mouths) may
 	// not be — sort to keep the documented order.
 	slices.Sort(out[start:])
-	return out
-}
-
-// Snapshot returns a copy of all explicit trust values.
-func (s *Store) Snapshot() map[addr.Node]float64 {
-	out := make(map[addr.Node]float64, s.known)
-	for sl, st := range s.state {
-		if st != slotAbsent {
-			out[s.ix.At(sl)] = s.vals[sl]
-		}
-	}
 	return out
 }
 
@@ -431,13 +388,29 @@ type Observation struct {
 // EffTrust is the observation's effective trust share: Trust scaled by
 // the proof weight (zero Weight means unscaled). It is THE definition
 // of how Weight folds into the aggregation — Detect (Eq. 8) and the
-// confidence-interval sampling in detect.finalize (Eq. 9) must use the
-// same rule or the detection value and its interval silently diverge.
+// confidence-interval sampling in Samples (Eq. 9) must use the same
+// rule or the detection value and its interval silently diverge.
 func (o Observation) EffTrust() float64 {
 	if o.Weight > 0 {
 		return o.Trust * o.Weight
 	}
 	return o.Trust
+}
+
+// Samples appends one round's Eq. 9 samples to dst and returns the
+// extended slice: each observation's EffTrust·e divided by the round's
+// mean effective trust, so the samples' mean is the round's Detect value.
+// It is the one sample rule of the detector's interval and the CI sweep.
+func Samples(dst []float64, obs []Observation) []float64 {
+	var sumT float64
+	for _, o := range obs {
+		sumT += o.EffTrust()
+	}
+	meanT := sumT / float64(len(obs))
+	for _, o := range obs {
+		dst = append(dst, o.EffTrust()*o.Evidence/meanT)
+	}
+	return dst
 }
 
 // Detect implements Eq. 8: the trust-weighted aggregation of second-hand

@@ -12,19 +12,18 @@ import (
 func TestStoreDefaults(t *testing.T) {
 	s := NewStore(DefaultParams())
 	n := addr.NodeAt(1)
-	if s.Known(n) {
+	if len(s.Nodes()) != 0 {
 		t.Error("fresh store knows a node")
 	}
 	if got := s.Get(n); got != 0.4 {
 		t.Errorf("default trust = %v, want 0.4", got)
 	}
-	s.Set(n, 0.7)
-	if !s.Known(n) || s.Get(n) != 0.7 {
-		t.Errorf("after Set: known=%v get=%v", s.Known(n), s.Get(n))
+	if len(s.Nodes()) != 0 {
+		t.Error("Get of an unknown node made it known")
 	}
-	s.Forget(n)
-	if s.Known(n) {
-		t.Error("Forget did not forget")
+	s.Set(n, 0.7)
+	if nodes := s.Nodes(); len(nodes) != 1 || nodes[0] != n || s.Get(n) != 0.7 {
+		t.Errorf("after Set: nodes=%v get=%v", nodes, s.Get(n))
 	}
 }
 
@@ -169,7 +168,8 @@ func TestRelaxRecoveryIsSlowFromLow(t *testing.T) {
 	s.Set(liar, 0.0)
 	s.Set(mid, 0.5)
 	for round := 0; round < 25; round++ {
-		s.RelaxAll()
+		s.Relax(liar)
+		s.Relax(mid)
 	}
 	if got := s.Get(liar); got > 0.395 {
 		t.Errorf("former liar fully recovered (%v); Fig. 2 requires it to still lag the default", got)
@@ -187,10 +187,14 @@ func TestNodesAndSnapshot(t *testing.T) {
 	if len(nodes) != 2 || nodes[0] != addr.NodeAt(1) || nodes[1] != addr.NodeAt(3) {
 		t.Errorf("Nodes = %v", nodes)
 	}
-	snap := s.Snapshot()
-	snap[addr.NodeAt(1)] = 0.99
-	if s.Get(addr.NodeAt(1)) == 0.99 {
-		t.Error("Snapshot is not a copy")
+	// The list is a snapshot: later writes and edits of it are separate.
+	s.Set(addr.NodeAt(2), 0.2)
+	nodes[0] = addr.NodeAt(9)
+	if got := s.Nodes(); len(got) != 3 || got[0] != addr.NodeAt(1) || got[2] != addr.NodeAt(3) {
+		t.Errorf("Nodes after a write and an edit of an earlier list = %v", got)
+	}
+	if len(nodes) != 2 {
+		t.Errorf("an earlier Nodes list grew to %v", nodes)
 	}
 }
 
@@ -338,8 +342,8 @@ func TestSeededProvenance(t *testing.T) {
 		t.Fatal("unknown node reported first-hand")
 	}
 	s.SetSeeded(n, 0.8)
-	if !s.Known(n) || s.Get(n) != 0.8 {
-		t.Fatalf("seeded value not readable: known=%v get=%v", s.Known(n), s.Get(n))
+	if nodes := s.Nodes(); len(nodes) != 1 || nodes[0] != n || s.Get(n) != 0.8 {
+		t.Fatalf("seeded value not readable: nodes=%v get=%v", nodes, s.Get(n))
 	}
 	if s.FirstHand(n) {
 		t.Fatal("a propagated seed reported first-hand")
@@ -349,15 +353,15 @@ func TestSeededProvenance(t *testing.T) {
 	if !s.FirstHand(n) {
 		t.Fatal("Update did not clear the seed mark")
 	}
-	// Explicit Set is authoritative; Forget clears everything.
+	// Explicit Set is authoritative; Relax keeps the seed mark.
 	s.SetSeeded(n, 0.2)
 	s.Set(n, 0.6)
 	if !s.FirstHand(n) {
 		t.Fatal("Set did not clear the seed mark")
 	}
 	s.SetSeeded(n, 0.2)
-	s.Forget(n)
-	if s.Known(n) || s.FirstHand(n) {
-		t.Fatal("Forget left state behind")
+	s.Relax(n)
+	if s.FirstHand(n) {
+		t.Fatal("Relax made a seeded value first-hand")
 	}
 }

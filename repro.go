@@ -24,8 +24,9 @@
 // This root package is a thin facade over one context-aware entrypoint,
 // Run — the same (Spec, RunOpts) surface the manetd campaign service
 // (cmd/manetd, internal/campaign) exposes over HTTP. A §V configuration
-// runs through it as experiment.SpecFromConfig(cfg). The full API lives
-// in the internal packages; see README.md for a map.
+// runs through it as a rounds-kind Scenario: ResolveScenario returns the
+// "paper-figures" preset, or loads a JSON spec file of kind "rounds". The
+// full API lives in the internal packages; see README.md for a map.
 package repro
 
 import (

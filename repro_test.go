@@ -5,15 +5,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/scenario"
 )
 
-func TestFacadeFigures(t *testing.T) {
-	cfg := DefaultScenario()
-	cfg.Rounds = 10
+// paperRounds returns the paper-figures preset with its own copy of the
+// rounds block, so a test can edit it without touching the registry.
+func paperRounds(t *testing.T) Scenario {
+	t.Helper()
+	spec, err := ResolveScenario("paper-figures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := *spec.Rounds
+	spec.Rounds = &rs
+	return spec
+}
 
-	spec := experiment.SpecFromConfig(cfg)
+func TestFacadeFigures(t *testing.T) {
+	spec := paperRounds(t)
+	spec.Rounds.Rounds = 10
 	spec.Rounds.LiarCounts = []int{2}
 	res, err := Run(context.Background(), spec, RunOpts{})
 	if err != nil {

@@ -49,7 +49,9 @@ func TestRunPacketSpec(t *testing.T) {
 func TestRunRoundsSpec(t *testing.T) {
 	cfg := experiment.DefaultConfig()
 	cfg.Nodes, cfg.Liars, cfg.Rounds = 8, 2, 6
-	spec := experiment.SpecFromConfig(cfg)
+	spec := paperRounds(t)
+	spec.Nodes, spec.Liars, spec.Rounds.Rounds = 8, 2, 6
+	spec.Rounds.LiarCounts = nil
 
 	def, err := Run(context.Background(), spec, RunOpts{})
 	if err != nil {
@@ -74,8 +76,8 @@ func TestRunRoundsSpec(t *testing.T) {
 		t.Errorf("Fig3 series = %d, want the 2 requested liar counts", got)
 	}
 
-	// A Config routed through its spec agrees with the experiment
-	// package's direct runners.
+	// The preset, edited like cfg, agrees with the experiment package's
+	// direct runners on cfg.
 	eng := experiment.NewRunner(cfg.Seed, 0)
 	if got, want := res.Figures.Fig1.Table.Render(), eng.Fig1(cfg).Table.Render(); got != want {
 		t.Errorf("Fig1 through Run diverges from the direct runner:\n%s\nwant\n%s", got, want)
@@ -94,7 +96,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 	if _, err := Run(ctx, packet, RunOpts{}); err == nil {
 		t.Error("packet Run ignored a canceled context")
 	}
-	if _, err := Run(ctx, experiment.SpecFromConfig(experiment.DefaultConfig()), RunOpts{}); err == nil {
+	if _, err := Run(ctx, paperRounds(t), RunOpts{}); err == nil {
 		t.Error("rounds Run ignored a canceled context")
 	}
 }

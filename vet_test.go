@@ -6,6 +6,9 @@ package repro
 // may never run.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -187,4 +190,114 @@ func TestAllocTargetsWired(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^\s+run: make alloc$`).Match(ci) {
 		t.Error("no CI job runs make alloc")
 	}
+}
+
+// testOnlyOracles are the exported functions in internal/ that no
+// non-test file names but that stay: the references tests check code that
+// runs against, counters and an ablation that later reports will read, and
+// methods the standard library calls through an interface.
+var testOnlyOracles = map[string]string{
+	"auditlog.ParseError.Unwrap":               "errors.Is and errors.As call it",
+	"scenario.Duration.MarshalJSON":            "encoding/json calls it",
+	"scenario.Duration.UnmarshalJSON":          "encoding/json calls it",
+	"lint/load.moduleImporter.Import":          "go/types calls it as a types.Importer",
+	"sim.Scheduler.Pending":                    "the event heap's reference-model check counts queued calls",
+	"auditlog.Buffer.LeafAt":                   "Merkle oracle: tests recompute leaves against it",
+	"auditlog.Buffer.TreeHeadAt":               "Merkle oracle: tests rebuild historical heads against it",
+	"olsr.Node.Routes":                         "equivalence oracle for the routing table",
+	"olsr.Node.TopologyLinks":                  "equivalence oracle for the topology table",
+	"reputation.Ledger.RecommendationTrust":    "equivalence oracle: the map-reference model compares it",
+	"reputation.Ledger.FlaggedDishonest":       "equivalence oracle: Stats holds only the count, tests compare the set",
+	"detect.Detector.LateReplies":              "counter that operational observability will report",
+	"detect.Detector.ProofFailures":            "counter that operational observability will report",
+	"experiment.Runner.CIAccumulationAblation": "the X4b ablation that idsbench will run",
+}
+
+// TestNoTestOnlyExports keeps exported API in internal/ from outliving its
+// callers: every exported function or method declared in a non-test file
+// under internal/ must be named by some non-test file of the module or of
+// the bench/ module, or be listed in testOnlyOracles. The check is by name
+// only, so a name shared with a method that is called passes.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string]string{} // "pkg.Recv.Name" or "pkg.Name" -> position
+	used := map[string]bool{}       // every identifier but a declared func's own name
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := map[*ast.Ident]bool{}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			names[fn.Name] = true
+			if !fn.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			key := strings.TrimPrefix(dir, "internal/") + "."
+			if fn.Recv != nil {
+				key += recvName(fn.Recv.List[0].Type) + "."
+			}
+			declared[key+fn.Name.Name] = fset.Position(fn.Pos()).String()
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !names[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isUsed := func(key string) bool { return used[key[strings.LastIndexByte(key, '.')+1:]] }
+	var unused []string
+	for key, pos := range declared {
+		if _, ok := testOnlyOracles[key]; !ok && !isUsed(key) {
+			unused = append(unused, pos+": "+key)
+		}
+	}
+	slices.Sort(unused)
+	for _, u := range unused {
+		t.Errorf("%s has no caller outside tests: delete it, or list it in testOnlyOracles with the reason it stays", u)
+	}
+	for key := range testOnlyOracles {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("testOnlyOracles names %s, which is not declared", key)
+		} else if isUsed(key) {
+			t.Errorf("testOnlyOracles names %s, which non-test code now names: drop it from the list", key)
+		}
+	}
+}
+
+// recvName returns the type name of a method receiver expression.
+func recvName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
 }
