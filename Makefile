@@ -76,7 +76,7 @@ scale-update:
 # testdata/alloc_budget.json. `make alloc-update` re-records the budget
 # after an intentional change.
 alloc:
-	$(GO) test -run 'TestAlloc' -count=1 . ./internal/detect ./internal/core
+	$(GO) test -run 'TestAlloc' -count=1 ./...
 
 alloc-update:
 	$(GO) test -run 'TestAllocBudget' -update-alloc-budget -count=1 .

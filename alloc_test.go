@@ -111,30 +111,34 @@ func TestAllocCeilingWireEncode(t *testing.T) {
 }
 
 // TestAllocCeilingSim pins the event kernel: scheduling through At and
-// After with a non-capturing func, AfterBurst with a pointer arg, Step,
-// and a ticker's steady-state firing allocate nothing once the queue
-// has capacity.
+// After with a non-capturing func, AfterBurst and AfterCall with a
+// pointer arg, canceling an AfterCall, Step, and a ticker's
+// steady-state firing allocate nothing once the queue has capacity.
 func TestAllocCeilingSim(t *testing.T) {
 	s := sim.New(1)
 	noop := func() {}
 	bump := func(a any) { *a.(*int)++ }
 	calls := 0
-	// Grow the heap past the 101 entries AllocsPerRun(100) pushes per call
-	// under test; it keeps its capacity once drained.
-	for range 512 {
+	// Grow the heap past the 505 entries the AllocsPerRun(100) calls below
+	// push before it next drains; it keeps its capacity once drained.
+	for range 1024 {
 		s.After(0, noop)
 	}
 	s.Run()
 	allocCeiling(t, "sim.Scheduler.At", 0, func() { s.At(s.Now()+time.Second, noop) })
 	allocCeiling(t, "sim.Scheduler.After", 0, func() { s.After(time.Second, noop) })
 	allocCeiling(t, "sim.Scheduler.AfterBurst", 0, func() { s.AfterBurst(time.Second, 8, bump, &calls) })
+	allocCeiling(t, "sim.Scheduler.AfterCall + Cancel", 0, func() {
+		s.AfterCall(time.Second, bump, &calls).Cancel()
+		s.AfterCall(time.Second, bump, &calls)
+	})
 	allocCeiling(t, "sim.Scheduler.Step", 0, func() { s.Step() })
 	s.Run()
 	s.Every(0, time.Millisecond, 0.5, noop)
 	s.Step()
 	allocCeiling(t, "sim.Ticker firing", 0, func() { s.Step() })
-	if calls != 8*101 {
-		t.Fatalf("AfterBurst calls ran %d times, want %d", calls, 8*101)
+	if calls != 9*101 {
+		t.Fatalf("AfterBurst and AfterCall calls ran %d times, want %d", calls, 9*101)
 	}
 }
 
@@ -327,7 +331,7 @@ func TestAllocCeilingAuditAppend(t *testing.T) {
 // TestAllocCeilingSealedLog pins audit-log sealing: on a warm sealed
 // log, appending a record and reading the tree head allocate nothing
 // (chunk, index and tree growth amortize to under one allocation per
-// call), and each proof allocates only its path.
+// call), and neither does a proof built in a reused path buffer.
 func TestAllocCeilingSealedLog(t *testing.T) {
 	var b auditlog.Buffer
 	b.SetSealKey(nil)
@@ -351,12 +355,15 @@ func TestAllocCeilingSealedLog(t *testing.T) {
 		t.Fatalf("TreeHead size %d, sealed %d", head.Size, size)
 	}
 	allocCeiling(t, "auditlog.Buffer.TreeHeadAt", 0, func() { head, _ = b.TreeHeadAt(size - 7) })
+	// Each proof builds its path in a warm dst; building it in a fresh
+	// one took 5 apiece.
 	var proof auditlog.Proof
-	allocCeiling(t, "auditlog.Buffer.InclusionProof", 5, func() { proof, _ = b.InclusionProof(1234, size) })
+	dst := make([]auditlog.Hash, 0, 64)
+	allocCeiling(t, "auditlog.Buffer.InclusionProof", 0, func() { proof, _ = b.InclusionProof(dst, 1234, size) })
 	if leaf, _ := b.LeafAt(1234); !auditlog.VerifyInclusion(leaf, 1234, b.TreeHead(), proof) {
 		t.Fatal("inclusion proof does not verify")
 	}
-	allocCeiling(t, "auditlog.Buffer.ConsistencyProof", 5, func() { proof, _ = b.ConsistencyProof(3001, size) })
+	allocCeiling(t, "auditlog.Buffer.ConsistencyProof", 0, func() { proof, _ = b.ConsistencyProof(dst, 3001, size) })
 	old, _ := b.TreeHeadAt(3001)
 	if !auditlog.VerifyConsistency(old, b.TreeHead(), proof) {
 		t.Fatal("consistency proof does not verify")

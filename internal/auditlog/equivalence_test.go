@@ -408,7 +408,7 @@ func checkTree(b *Buffer, leaves []Hash, old, size, index uint64) error {
 	if err != nil || head.Root != merkleRoot(leaves[:size]) {
 		return fmt.Errorf("TreeHeadAt(%d) = %v, %v; want root %v", size, head, err, merkleRoot(leaves[:size]))
 	}
-	cp, err := b.ConsistencyProof(old, size)
+	cp, err := b.ConsistencyProof(nil, old, size)
 	want := []Hash(nil)
 	if old > 0 && old < size {
 		want = consistencyPath(int(old), leaves[:size])
@@ -423,7 +423,7 @@ func checkTree(b *Buffer, leaves []Hash, old, size, index uint64) error {
 	if size == 0 {
 		return nil
 	}
-	ip, err := b.InclusionProof(index, size)
+	ip, err := b.InclusionProof(nil, index, size)
 	want = inclusionPath(int(index), leaves[:size])
 	if err != nil || !slices.Equal(ip.Path, want) {
 		return fmt.Errorf("InclusionProof(%d, %d) = %v, %v; want %v", index, size, ip.Path, err, want)

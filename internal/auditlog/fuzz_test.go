@@ -241,7 +241,7 @@ func FuzzVerifyConsistency(f *testing.F) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		proof, err := b.ConsistencyProof(oldSize, newSize)
+		proof, err := b.ConsistencyProof(nil, oldSize, newSize)
 		if err != nil {
 			tb.Fatal(err)
 		}

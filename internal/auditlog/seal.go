@@ -228,34 +228,38 @@ func (s *seal) subtree(lo, hi int) Hash {
 	return r
 }
 
-// inclusionPath builds the RFC 6962 audit path for leaf m of the tree
-// over leaves [lo, hi).
-func (s *seal) inclusionPath(m, lo, hi int) []Hash {
+// inclusionPath appends the RFC 6962 audit path for leaf m of the tree
+// over leaves [lo, hi) to dst, leaf-to-root.
+//
+//repro:allocfree
+func (s *seal) inclusionPath(dst []Hash, m, lo, hi int) []Hash {
 	if hi-lo <= 1 {
-		return nil
+		return dst
 	}
 	k := lo + splitPoint(hi-lo)
 	if m < k {
-		return append(s.inclusionPath(m, lo, k), s.subtree(k, hi))
+		return append(s.inclusionPath(dst, m, lo, k), s.subtree(k, hi))
 	}
-	return append(s.inclusionPath(m, k, hi), s.subtree(lo, k))
+	return append(s.inclusionPath(dst, m, k, hi), s.subtree(lo, k))
 }
 
-// subProof builds the RFC 6962 SUBPROOF between the tree over leaves
-// [lo, m) and the tree over [lo, hi); complete says whether [lo, m) is a
-// whole tree the verifier already holds the root of.
-func (s *seal) subProof(m, lo, hi int, complete bool) []Hash {
+// subProof appends the RFC 6962 SUBPROOF between the tree over leaves
+// [lo, m) and the tree over [lo, hi) to dst; complete says whether
+// [lo, m) is a whole tree the verifier already holds the root of.
+//
+//repro:allocfree
+func (s *seal) subProof(dst []Hash, m, lo, hi int, complete bool) []Hash {
 	if m == hi {
 		if complete {
-			return nil
+			return dst
 		}
-		return []Hash{s.subtree(lo, hi)}
+		return append(dst, s.subtree(lo, hi))
 	}
 	k := lo + splitPoint(hi-lo)
 	if m <= k {
-		return append(s.subProof(m, lo, k, complete), s.subtree(k, hi))
+		return append(s.subProof(dst, m, lo, k, complete), s.subtree(k, hi))
 	}
-	return append(s.subProof(m, k, hi, false), s.subtree(lo, k))
+	return append(s.subProof(dst, m, k, hi, false), s.subtree(lo, k))
 }
 
 // SetSealKey arms sealing; material is unused. Sealing is off until
@@ -301,20 +305,23 @@ func (b *Buffer) TreeHeadAt(size uint64) (TreeHead, error) {
 }
 
 // InclusionProof proves that the record at index is a leaf of the tree
-// with the given size.
-func (b *Buffer) InclusionProof(index, size uint64) (Proof, error) {
+// with the given size. The path is built in dst's storage (nil
+// allocates), so a caller that reuses one buffer allocates nothing once
+// it has grown; the proof is valid until that buffer is reused.
+func (b *Buffer) InclusionProof(dst []Hash, index, size uint64) (Proof, error) {
 	if n := b.SealedSize(); size > n {
 		return Proof{}, fmt.Errorf("auditlog: inclusion proof for size %d exceeds sealed size %d", size, n)
 	}
 	if index >= size {
 		return Proof{}, fmt.Errorf("auditlog: inclusion index %d outside tree of size %d", index, size)
 	}
-	return Proof{Path: b.seal.inclusionPath(int(index), 0, int(size))}, nil //nolint:gosec // bounded by len
+	return Proof{Path: b.seal.inclusionPath(dst[:0], int(index), 0, int(size))}, nil //nolint:gosec // bounded by len
 }
 
 // ConsistencyProof proves that the tree of size newSize extends the tree
-// of size oldSize append-only.
-func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
+// of size oldSize append-only. The path is built in dst's storage, as in
+// InclusionProof.
+func (b *Buffer) ConsistencyProof(dst []Hash, oldSize, newSize uint64) (Proof, error) {
 	if n := b.SealedSize(); newSize > n {
 		return Proof{}, fmt.Errorf("auditlog: consistency proof for size %d exceeds sealed size %d", newSize, n)
 	}
@@ -322,9 +329,9 @@ func (b *Buffer) ConsistencyProof(oldSize, newSize uint64) (Proof, error) {
 		return Proof{}, fmt.Errorf("auditlog: consistency proof %d -> %d shrinks", oldSize, newSize)
 	}
 	if oldSize == 0 || oldSize == newSize {
-		return Proof{}, nil
+		return Proof{Path: dst[:0]}, nil
 	}
-	return Proof{Path: b.seal.subProof(int(oldSize), 0, int(newSize), true)}, nil //nolint:gosec // bounded by len
+	return Proof{Path: b.seal.subProof(dst[:0], int(oldSize), 0, int(newSize), true)}, nil //nolint:gosec // bounded by len
 }
 
 // Rewrite is the ATTACKER's operation: it keeps the records keep

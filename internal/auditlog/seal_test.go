@@ -54,7 +54,7 @@ func TestInclusionProofAllSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for idx := uint64(0); idx < size; idx++ {
-			proof, err := b.InclusionProof(idx, size)
+			proof, err := b.InclusionProof(nil, idx, size)
 			if err != nil {
 				t.Fatalf("InclusionProof(%d, %d): %v", idx, size, err)
 			}
@@ -72,10 +72,10 @@ func TestInclusionProofAllSizes(t *testing.T) {
 			}
 		}
 	}
-	if _, err := b.InclusionProof(5, 5); err == nil {
+	if _, err := b.InclusionProof(nil, 5, 5); err == nil {
 		t.Fatal("index == size accepted")
 	}
-	if _, err := b.InclusionProof(0, 65); err == nil {
+	if _, err := b.InclusionProof(nil, 0, 65); err == nil {
 		t.Fatal("size beyond sealed accepted")
 	}
 }
@@ -98,7 +98,7 @@ func TestConsistencyProofAllPairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			proof, err := b.ConsistencyProof(oldSize, newSize)
+			proof, err := b.ConsistencyProof(nil, oldSize, newSize)
 			if err != nil {
 				t.Fatalf("ConsistencyProof(%d, %d): %v", oldSize, newSize, err)
 			}
@@ -124,7 +124,7 @@ func TestConsistencyProofAllPairs(t *testing.T) {
 			}
 		}
 	}
-	if _, err := b.ConsistencyProof(5, 3); err == nil {
+	if _, err := b.ConsistencyProof(nil, 5, 3); err == nil {
 		t.Fatal("shrinking consistency proof accepted")
 	}
 }
@@ -161,7 +161,7 @@ func TestRewriteBreaksSeal(t *testing.T) {
 		t.Fatal("rewrite left the tree head unchanged")
 	}
 	// No self-produced consistency proof can link old head to new tree.
-	proof, err := b.ConsistencyProof(before.Size, after.Size)
+	proof, err := b.ConsistencyProof(nil, before.Size, after.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestAppendStaysConsistent(t *testing.T) {
 	for i := 9; i < 14; i++ {
 		b.Append(Record{Kind: KindHelloTx, Fields: []Field{FInt("i", i)}})
 	}
-	proof, err := b.ConsistencyProof(old.Size, b.SealedSize())
+	proof, err := b.ConsistencyProof(nil, old.Size, b.SealedSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestTamperEvidenceProperty(t *testing.T) {
 				t.Fatalf("trial %d mode %d: tampered tree kept the honest root", trial, mode)
 			}
 		case fhead.Size > head.Size:
-			proof, err := forged.ConsistencyProof(head.Size, fhead.Size)
+			proof, err := forged.ConsistencyProof(nil, head.Size, fhead.Size)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,7 +67,7 @@ func TestAllocCeilingTreeHeadRx(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := log.TreeHead()
-	proof, err := log.ConsistencyProof(old.Size, head.Size)
+	proof, err := log.ConsistencyProof(nil, old.Size, head.Size)
 	if err != nil || len(proof.Path) == 0 {
 		t.Fatalf("consistency proof %d -> %d: %v, %v", old.Size, head.Size, proof, err)
 	}
@@ -96,6 +96,49 @@ func TestAllocCeilingTreeHeadRx(t *testing.T) {
 		if n.heads[origin] != head || n.gossipTainted.Has(origin) {
 			t.Fatalf("%s: recorded head %v (tainted %v), want %v", c.name, n.heads[origin], n.gossipTainted.Has(origin), head)
 		}
+	}
+}
+
+// TestAllocCeilingGossipHead pins the evidence plane's gossip send path,
+// part of the allocation tier (`make alloc`): on a warm network, a node
+// whose sealed log grew since its last broadcast builds its head, the
+// consistency proof back to that broadcast and the envelope in its own
+// scratch, and floods them to four listening stations, allocating
+// nothing. Building them afresh took 5.
+func TestAllocCeilingGossipHead(t *testing.T) {
+	w := NewNetwork(Config{Seed: 1, Evidence: true, Radio: radio.Config{Prop: radio.UnitDisk{Range: 100}}})
+	n := w.AddNode(NodeSpec{ID: addr.NodeAt(1), Pos: mobility.Static{}})
+	heard := 0
+	for i := 2; i <= 5; i++ {
+		p := geo.Pt(float64(10*i), 0)
+		w.Medium.Attach(addr.NodeAt(i), func() geo.Point { return p }, func(f radio.Frame) {
+			if f.Payload[0] == PayloadCtrl {
+				heard++
+			}
+		})
+	}
+	i := 0
+	gossip := func() {
+		for range 3 {
+			n.Logs.Append(auditlog.Record{Kind: auditlog.KindHelloTx, Fields: []auditlog.Field{auditlog.FInt("i", i)}})
+			i++
+		}
+		n.gossipHead()
+		w.Sched.Run()
+	}
+	// Warm-up: the first broadcast has no earlier head to anchor to, and
+	// growing the log to 3000 records sizes the proof scratch.
+	for range 1000 {
+		gossip()
+	}
+	if got := testing.AllocsPerRun(100, gossip); got > 0 {
+		t.Errorf("core tree-head gossip: %.1f allocs/run, ceiling 0", got)
+	}
+	if want := 1101 * 4; heard != want {
+		t.Fatalf("stations heard %d tree-head frames, want %d", heard, want)
+	}
+	if n.prevGossip != n.Logs.SealedSize() || len(n.out.proof.Path) == 0 {
+		t.Fatalf("last broadcast: head %d of sealed %d, proof %v", n.prevGossip, n.Logs.SealedSize(), n.out.proof)
 	}
 }
 

@@ -234,6 +234,7 @@ type Node struct {
 	entScratch  []reputation.Entry // reused by ingest and gossip ticks
 	nbScratch   []addr.Node        // reused by forwardCtrl's neighbor scan
 	txBuf       []byte             // reused encode scratch of every frame sent
+	out         *ctrlOut           // every control envelope this node originates; see origin
 }
 
 // AddNode instantiates and wires a node; call before Start.

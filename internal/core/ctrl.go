@@ -43,6 +43,29 @@ type ctrlMsg struct {
 	HeadProof *auditlog.Proof
 }
 
+// ctrlOut is the scratch of every envelope a node originates: a verify
+// request, a verify reply or a tree-head broadcast, with what the
+// envelope points to. forwardCtrl and broadcastTreeHead encode the
+// envelope into the node's transmit scratch before they return, and
+// encoding one envelope never originates another, so one scratch serves
+// all three.
+type ctrlOut struct {
+	msg   ctrlMsg
+	req   detect.VerifyRequest
+	rep   detect.VerifyReply
+	head  auditlog.TreeHead
+	proof auditlog.Proof // its path is the next broadcast's proof storage
+}
+
+// origin returns the node's envelope scratch, made on first use, so a
+// node that never originates a control envelope does not carry one.
+func (n *Node) origin() *ctrlOut {
+	if n.out == nil {
+		n.out = new(ctrlOut)
+	}
+	return n.out
+}
+
 // nodeTransport implements detect.Transport for one node.
 type nodeTransport struct {
 	node *Node
@@ -51,16 +74,21 @@ type nodeTransport struct {
 var _ detect.Transport = (*nodeTransport)(nil)
 
 // SendVerify implements detect.Transport.
+//
+//repro:allocfree
 func (t *nodeTransport) SendVerify(req detect.VerifyRequest) {
-	r := req
-	t.node.sendCtrl(&ctrlMsg{
+	n := t.node
+	o := n.origin()
+	o.req = req
+	o.msg = ctrlMsg{
 		Kind:  ctrlVerifyReq,
-		From:  t.node.ID,
+		From:  n.ID,
 		To:    req.Responder,
 		TTL:   ctrlTTL,
 		Avoid: req.Avoid,
-		Req:   &r,
-	})
+		Req:   &o.req,
+	}
+	n.sendCtrl(&o.msg)
 }
 
 // sendCtrl originates or forwards a control message from this node.
@@ -154,25 +182,29 @@ func (n *Node) handleCtrl(body []byte) {
 
 // gossipHead floods this node's current tree head, anchored to its
 // previous broadcast by a consistency proof.
+//
+//repro:allocfree
 func (n *Node) gossipHead() {
-	head := n.Logs.TreeHead()
-	m := &ctrlMsg{
+	o := n.origin()
+	o.head = n.Logs.TreeHead()
+	o.msg = ctrlMsg{
 		Kind:   ctrlTreeHead,
 		From:   n.ID,
 		To:     addr.Broadcast,
 		TTL:    ctrlTTL,
 		Origin: n.ID,
-		Head:   &head,
+		Head:   &o.head,
 	}
-	if n.prevGossip > 0 && n.prevGossip <= head.Size {
-		if proof, err := n.Logs.ConsistencyProof(n.prevGossip, head.Size); err == nil {
-			m.HeadPrev = n.prevGossip
-			m.HeadProof = &proof
+	if n.prevGossip > 0 && n.prevGossip <= o.head.Size {
+		if proof, err := n.Logs.ConsistencyProof(o.proof.Path, n.prevGossip, o.head.Size); err == nil {
+			o.proof = proof
+			o.msg.HeadPrev = n.prevGossip
+			o.msg.HeadProof = &o.proof
 		}
 	}
-	n.prevGossip = head.Size
+	n.prevGossip = o.head.Size
 	n.net.ctrlSent++
-	n.broadcastTreeHead(m)
+	n.broadcastTreeHead(&o.msg)
 }
 
 // broadcastTreeHead emits the gossip frame one hop in every direction.
@@ -298,15 +330,17 @@ func (n *Node) deliverCtrl(m *ctrlMsg) {
 			return
 		}
 		n.net.ctrlDelivered++
-		rep := n.Responder.Answer(*m.Req)
-		n.sendCtrl(&ctrlMsg{
+		o := n.origin()
+		o.rep = n.Responder.Answer(*m.Req)
+		o.msg = ctrlMsg{
 			Kind:  ctrlVerifyRep,
 			From:  n.ID,
 			To:    m.Req.Investigator,
 			TTL:   ctrlTTL,
 			Avoid: m.Avoid,
-			Rep:   &rep,
-		})
+			Rep:   &o.rep,
+		}
+		n.sendCtrl(&o.msg)
 	case ctrlVerifyRep:
 		if m.Rep == nil || n.Detector == nil {
 			return

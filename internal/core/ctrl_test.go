@@ -46,7 +46,7 @@ func TestGossipHeadSizeNotBoundToRoot(t *testing.T) {
 		t.Fatalf("first contact recorded %v, want %v", got, r3)
 	}
 
-	proof, err := log.ConsistencyProof(3, 7)
+	proof, err := log.ConsistencyProof(nil, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func FuzzConsistencyMemo(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proof, err := log.ConsistencyProof(lo, hi)
+		proof, err := log.ConsistencyProof(nil, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}

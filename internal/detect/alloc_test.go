@@ -11,7 +11,8 @@ import (
 )
 
 // TestAllocCeilingFinalize pins the cost of one investigation round on a
-// warm detector: open, interrogate, aggregate Eq. 8, finalize. The
+// warm detector: open, interrogate, aggregate Eq. 8, finalize, reusing
+// the cell's finalized investigation and the detector's scratch. The
 // suspect claims node 4, which is not its neighbor; the warm-up rounds
 // convict it and drop the abstaining shared neighbors from the witness
 // pool, so each measured round, its verdict reset, asks node 4 alone
@@ -47,10 +48,11 @@ func TestAllocCeilingFinalize(t *testing.T) {
 		}
 	}
 	round()
-	// The measured count, the fixture's own allocations included (the
-	// fake router clones the advertised set, the in-memory transport
-	// schedules each reply); keeping whole replies took 15.
-	const ceiling = 11
+	// The measured count: the two slices the filed Report owns (Links
+	// and Observations) and the fixture's two (the in-memory transport's
+	// copy of the Avoid list it keeps, and the closure scheduling the
+	// reply). A fresh investigation per round took 11.
+	const ceiling = 4
 	got := testing.AllocsPerRun(20, round)
 	if got > ceiling {
 		t.Errorf("investigation round: %.1f allocs/run, ceiling %d", got, ceiling)

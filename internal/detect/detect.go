@@ -41,8 +41,8 @@ type RouterView interface {
 	// neighbor.
 	Covers(via, dest addr.Node) bool
 	// AdvertisedSym returns the symmetric-neighbor set x most recently
-	// advertised in a HELLO.
-	AdvertisedSym(x addr.Node) addr.Set
+	// advertised in a HELLO, built in dst's storage (nil allocates).
+	AdvertisedSym(dst addr.Set, x addr.Node) addr.Set
 	IsSymNeighbor(x addr.Node) bool
 	// HearsFrom reports whether x's transmissions are currently received
 	// at all (symmetric or asymmetric link) — the directional primitive
@@ -101,7 +101,10 @@ type VerifyReply struct {
 type Transport interface {
 	// SendVerify delivers req to req.Responder. Replies come back through
 	// Detector.HandleReply, never before SendVerify returns; lost or
-	// undeliverable requests simply never produce one.
+	// undeliverable requests simply never produce one. req.Avoid and
+	// req.KnownHead point into the detector's scratch and are valid only
+	// until SendVerify returns: the core transport encodes the request
+	// before it returns, and a transport that keeps requests copies them.
 	SendVerify(req VerifyRequest)
 }
 
@@ -122,7 +125,13 @@ type Responder struct {
 	nbScratch addr.Set // reused by Answer's neighbor scan
 }
 
-// Answer produces this node's reply to a verification request.
+// Answer produces this node's reply to a verification request. The
+// reply's Head, Consistency and Citations point into the responder's
+// evidence scratch and are valid only until its next Answer: the core
+// transport encodes the reply before another request can reach the
+// node, and a caller that keeps replies copies them.
+//
+//repro:allocfree
 func (r *Responder) Answer(req VerifyRequest) VerifyReply {
 	rep := VerifyReply{
 		ID:        req.ID,
@@ -252,15 +261,26 @@ type TrustBootstrapper interface {
 	BootstrapTrust(n addr.Node) (float64, bool)
 }
 
+// investigation is one round of a suspect's cooperative investigation.
+// A finalized round's struct is its cell's spare and serves the next
+// round: links and replies are fresh each round, because the filed
+// Report owns them, and every other slice is round scratch.
 type investigation struct {
+	d       *Detector
 	suspect addr.Node
 	trigger string
 	round   int
 	links   []addr.Node
 	// adv is the suspect's advertised symmetric neighborhood; a link
 	// endpoint outside it is one the suspect omits.
-	adv     addr.Set
-	pending map[uint64]addr.Node // request ID -> responder
+	adv addr.Set
+	// The round's requests carry the consecutive IDs firstID,
+	// firstID+1, ...: pending[id-firstID] is the responder of request
+	// id, or addr.None once its reply was taken; outstanding counts the
+	// responders still awaited.
+	firstID     uint64
+	pending     []addr.Node
+	outstanding int
 	// replies holds each counted reply as its Eq. 8 observation, with
 	// room for every pending request and local observation: finalize
 	// fills in Trust and completes the round's observations in place.
@@ -272,12 +292,37 @@ type investigation struct {
 	deadline sim.Event
 }
 
+// expire is the deadline callback of an investigation round.
+func expire(arg any) {
+	inv := arg.(*investigation)
+	inv.d.finalize(inv)
+}
+
+// reopen is a scheduled re-investigation of an unrecognized suspect,
+// carrying the trigger of the round that scheduled it. Fired reopens
+// wait on the detector's free list for the next one.
+type reopen struct {
+	d       *Detector
+	suspect addr.Node
+	trigger string
+	next    *reopen
+}
+
+// fireReopen is the callback of a scheduled reopen.
+func fireReopen(arg any) {
+	r := arg.(*reopen)
+	d, suspect, trigger := r.d, r.suspect, r.trigger
+	r.next, d.reopens = d.reopens, r
+	d.OpenInvestigation(suspect, trigger)
+}
+
 // suspectCell is the per-suspect detector state. Cells live in a dense
 // slab indexed by the run's node index (shared with the trust store)
 // instead of seven parallel map[addr.Node] tables — every alert, reply
 // and finalize resolves its suspect with one slot lookup.
 type suspectCell struct {
 	open       *investigation
+	spare      *investigation // a finalized round, reused by the next
 	verdict    trust.Verdict
 	hasVerdict bool
 	samples    []float64         // cumulative CI evidence
@@ -307,7 +352,16 @@ type Detector struct {
 	proofFailures  uint64
 	ticker         *sim.Ticker
 	investigations uint64
-	nbScratch      addr.Set // reused by the neighbor scans of one investigation
+	reopens        *reopen // free list of fired reopens
+
+	// Scratch of OpenInvestigation: the neighbor scans, the suspicious
+	// links, one link's responders, and every request's Avoid list and
+	// the known head of one request.
+	nbScratch   addr.Set
+	linkScratch addr.Set
+	respScratch addr.Set
+	avoid       []addr.Node
+	knownHead   auditlog.TreeHead
 }
 
 // cell returns suspect n's state, assigning an index slot on first
@@ -465,30 +519,44 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 	if c.hasVerdict && c.verdict != trust.Unrecognized {
 		return // settled
 	}
-	inv := &investigation{
+	round := c.lastRound + 1
+	if round > maxRounds {
+		return
+	}
+	inv := c.spare
+	if inv == nil {
+		inv = new(investigation)
+	}
+	c.spare = nil
+	*inv = investigation{
+		d:       d,
 		suspect: suspect,
 		trigger: trigger,
-		round:   c.lastRound + 1,
-		pending: make(map[uint64]addr.Node),
-	}
-	if inv.round > maxRounds {
-		return
+		round:   round,
+		adv:     inv.adv,
+		pending: inv.pending[:0],
+		local:   inv.local[:0],
 	}
 	d.investigations++
 
 	links := d.suspiciousLinks(suspect, inv)
+	c.open = inv
 	if len(links) == 0 {
 		// Nothing concrete to verify: the suspect's advertisement matches
 		// the local view entirely. Record a clean round.
-		c.open = inv
 		d.finalize(inv)
 		return
 	}
-	inv.links = links
-	c.open = inv
+	inv.links = slices.Clone(links)
 
-	avoid := []addr.Node{suspect}
-	for _, link := range links {
+	// Room for maxResponders requests per link, so no append regrows
+	// pending.
+	if n := len(inv.links) * maxResponders; cap(inv.pending) < n {
+		inv.pending = make([]addr.Node, 0, n)
+	}
+	inv.firstID = d.nextReqID + 1
+	d.avoid = append(d.avoid[:0], suspect)
+	for _, link := range inv.links {
 		for _, responder := range d.respondersFor(suspect, link) {
 			d.nextReqID++
 			req := VerifyRequest{
@@ -498,20 +566,21 @@ func (d *Detector) OpenInvestigation(suspect addr.Node, trigger string) {
 				Suspect:      suspect,
 				Link:         link,
 				Advertised:   inv.adv.Has(link),
-				Avoid:        avoid,
+				Avoid:        d.avoid,
 			}
 			if d.cfg.Heads != nil {
 				if h, ok := d.cfg.Heads.LatestHead(responder); ok {
-					head := h
-					req.KnownHead = &head
+					d.knownHead = h
+					req.KnownHead = &d.knownHead
 				}
 			}
-			inv.pending[req.ID] = responder
+			inv.pending = append(inv.pending, responder)
+			inv.outstanding++
 			d.transport.SendVerify(req)
 		}
 	}
 	inv.replies = make([]trust.Observation, 0, len(inv.pending)+len(inv.local))
-	inv.deadline = d.sched.After(answerTimeout, func() { d.finalize(inv) })
+	inv.deadline = d.sched.AfterCall(answerTimeout, expire, inv)
 }
 
 // trustOf resolves the trust weight an observation from n carries in
@@ -567,13 +636,16 @@ func (d *Detector) ReportDishonestRecommender(node addr.Node, detail string) {
 //
 // Membership violations (endpoint outside KnownNodes) become immediate
 // local first-hand evidence.
+//
+// The links are built in the detector's scratch, valid until the next
+// call.
 func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr.Node {
-	advertised := d.router.AdvertisedSym(suspect)
-	inv.adv = advertised
+	inv.adv = d.router.AdvertisedSym(inv.adv, suspect)
+	advertised := inv.adv
 	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
 	sym := d.nbScratch
 
-	var links addr.Set
+	links := d.linkScratch[:0]
 	localEvidence := func(g trust.Gravity) {
 		// First-hand local observation (property 5): the investigator's
 		// own log already contradicts the suspect's advertisement.
@@ -632,16 +704,18 @@ func (d *Detector) suspiciousLinks(suspect addr.Node, inv *investigation) []addr
 			}
 		}
 	}
+	d.linkScratch = links
 	return links
 }
 
 // respondersFor selects whom to interrogate about the link suspect—link:
 // the link's own endpoint first (first-hand), then shared neighbors that
-// can hear the endpoint's HELLOs. The suspect itself is never asked.
+// can hear the endpoint's HELLOs. The suspect itself is never asked. The
+// set is built in the detector's scratch, valid until the next call.
 func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
 	d.nbScratch = d.router.SymNeighbors(d.nbScratch)
 	// Sized for every candidate, so no Add regrows it.
-	resp := make(addr.Set, 0, len(d.nbScratch)+1)
+	resp := slices.Grow(d.respScratch[:0], len(d.nbScratch)+1)
 	// Ask the endpoint itself unless membership knowledge says it cannot
 	// exist (a phantom has nobody to answer; the timeout produces e=0 and
 	// the membership check produced local evidence already).
@@ -666,6 +740,7 @@ func (d *Detector) respondersFor(suspect, link addr.Node) []addr.Node {
 	for _, x := range d.tainted {
 		resp.Remove(x)
 	}
+	d.respScratch = resp
 	if len(resp) > maxResponders {
 		resp = resp[:maxResponders]
 	}
@@ -689,12 +764,14 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 		return
 	}
 	inv := c.open
-	if _, expected := inv.pending[rep.ID]; !expected {
-		// Duplicate delivery, or a reply to a previous round's request.
+	i := rep.ID - inv.firstID // wraps past the round for an earlier ID
+	if i >= uint64(len(inv.pending)) || inv.pending[i] == addr.None {
+		// Duplicate delivery, or a reply to another round's request.
 		d.lateReplies++
 		return
 	}
-	delete(inv.pending, rep.ID)
+	inv.pending[i] = addr.None
+	inv.outstanding--
 	o := trust.Observation{Source: rep.Responder}
 	if rep.Answered {
 		// The responder confirms spoofing when its view contradicts the
@@ -715,8 +792,7 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 			// stale past this point; inv is heap state and stays valid.)
 			d.proofFailures++
 			d.ReportForgedEvidence(rep.Responder, "reply evidence failed proof verification")
-			if len(inv.pending) == 0 {
-				inv.deadline.Cancel()
+			if inv.outstanding == 0 {
 				d.finalize(inv)
 			}
 			return
@@ -726,8 +802,7 @@ func (d *Detector) HandleReply(rep VerifyReply) {
 	if !rep.Answered {
 		c.noInfo.Add(rep.Responder)
 	}
-	if len(inv.pending) == 0 {
-		inv.deadline.Cancel()
+	if inv.outstanding == 0 {
 		d.finalize(inv)
 	}
 }
@@ -776,13 +851,16 @@ func (d *Detector) ReportForgedEvidence(node addr.Node, detail string) {
 
 // finalize closes an investigation round: aggregate evidence (Eq. 8),
 // compute the confidence interval (Eq. 9), decide (Eq. 10), update trust
-// (Eq. 5) and publish the report.
+// (Eq. 5) and publish the report. It cancels the round's deadline, so no
+// deadline outlives its round, and leaves inv as its cell's spare.
 func (d *Detector) finalize(inv *investigation) {
 	c := d.cell(inv.suspect)
 	if c.open != inv {
 		return // already finalized
 	}
 	c.open = nil
+	inv.deadline.Cancel()
+	inv.deadline = sim.Event{}
 
 	// Replies, local evidence, then timeouts; the sort below fixes the order.
 	obs := inv.replies
@@ -795,6 +873,9 @@ func (d *Detector) finalize(inv *investigation) {
 	// never answers is "tagged as not verified" (§III-C) and dropped from
 	// later rounds, so persistent silence cannot stall the investigation.
 	for _, responder := range inv.pending {
+		if responder == addr.None {
+			continue // answered
+		}
 		obs = append(obs, trust.Observation{Source: responder, Trust: d.trustOf(responder)})
 		if c.timeouts == nil {
 			c.timeouts = make(map[addr.Node]int)
@@ -806,7 +887,7 @@ func (d *Detector) finalize(inv *investigation) {
 	}
 	// Total order, not just by Source: a responder interrogated about
 	// several links contributes one observation PER LINK, so Source alone
-	// leaves ties whose order would be inherited from map iteration. The
+	// leaves ties whose order would be inherited from arrival order. The
 	// tie order is load-bearing twice over — float summation in Detect is
 	// order-sensitive in the last bits, and the per-observation trust
 	// updates in applyVerdict do not commute (Eq. 5 interleaves α·e with
@@ -896,10 +977,16 @@ func (d *Detector) finalize(inv *investigation) {
 
 	// Unrecognized: gather more evidence next round (§IV-C).
 	if verdict == trust.Unrecognized && inv.round < maxRounds && len(inv.links) > 0 && !d.tainted.Has(inv.suspect) {
-		d.sched.After(scanPeriod, func() {
-			d.OpenInvestigation(inv.suspect, inv.trigger)
-		})
+		r := d.reopens
+		if r == nil {
+			r = &reopen{d: d}
+		} else {
+			d.reopens = r.next
+		}
+		r.suspect, r.trigger, r.next = inv.suspect, inv.trigger, nil
+		d.sched.AfterCall(scanPeriod, fireReopen, r)
 	}
+	c.spare = inv
 }
 
 // applyVerdict feeds the round's outcome back into the trust store: the

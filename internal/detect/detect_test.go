@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -25,9 +26,11 @@ var _ RouterView = (*fakeRouter)(nil)
 func (f *fakeRouter) SymNeighbors(dst addr.Set) addr.Set { return append(dst[:0], f.sym...) }
 func (f *fakeRouter) MPRs() addr.Set                     { return f.mprs.Clone() }
 func (f *fakeRouter) Covers(via, dest addr.Node) bool    { return f.cover[via].Has(dest) }
-func (f *fakeRouter) AdvertisedSym(x addr.Node) addr.Set { return f.cover[x].Clone() }
-func (f *fakeRouter) IsSymNeighbor(x addr.Node) bool     { return f.sym.Has(x) }
-func (f *fakeRouter) HearsFrom(x addr.Node) bool         { return f.sym.Has(x) || f.hears.Has(x) }
+func (f *fakeRouter) AdvertisedSym(dst addr.Set, x addr.Node) addr.Set {
+	return append(dst[:0], f.cover[x]...)
+}
+func (f *fakeRouter) IsSymNeighbor(x addr.Node) bool { return f.sym.Has(x) }
+func (f *fakeRouter) HearsFrom(x addr.Node) bool     { return f.sym.Has(x) || f.hears.Has(x) }
 
 // memTransport answers requests from a table of responders after a delay.
 type memTransport struct {
@@ -40,6 +43,7 @@ type memTransport struct {
 }
 
 func (m *memTransport) SendVerify(req VerifyRequest) {
+	req = ownRequest(req)
 	m.sent = append(m.sent, req)
 	if m.drop != nil && m.drop.Has(req.Responder) {
 		return
@@ -48,8 +52,37 @@ func (m *memTransport) SendVerify(req VerifyRequest) {
 	if !ok {
 		return // phantom or unreachable: no reply ever
 	}
-	rep := r.Answer(req)
+	rep := ownReply(r.Answer(req))
 	m.sched.After(m.delay, func() { m.detector.HandleReply(rep) })
+}
+
+// ownRequest copies what req points to, which the detector reuses once
+// SendVerify returns.
+func ownRequest(req VerifyRequest) VerifyRequest {
+	req.Avoid = slices.Clone(req.Avoid)
+	if req.KnownHead != nil {
+		h := *req.KnownHead
+		req.KnownHead = &h
+	}
+	return req
+}
+
+// ownReply copies what rep points to, which the responder reuses in its
+// next Answer.
+func ownReply(rep VerifyReply) VerifyReply {
+	if rep.Head != nil {
+		h := *rep.Head
+		rep.Head = &h
+	}
+	if rep.Consistency != nil {
+		p := auditlog.Proof{Path: slices.Clone(rep.Consistency.Path)}
+		rep.Consistency = &p
+	}
+	rep.Citations = slices.Clone(rep.Citations)
+	for i := range rep.Citations {
+		rep.Citations[i].Proof.Path = slices.Clone(rep.Citations[i].Proof.Path)
+	}
+	return rep
 }
 
 // The canonical test world (honest majority, as in the paper's §V):

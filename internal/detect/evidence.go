@@ -71,19 +71,29 @@ const evidenceSearchWindow = 512
 type EvidenceProvider struct {
 	// Log is the responder's own sealed audit log.
 	Log *auditlog.Buffer
+
+	// The evidence of the latest reply, which points here; the proofs'
+	// paths are the storage the next reply's proofs are built in.
+	head  auditlog.TreeHead
+	cons  auditlog.Proof
+	cites [1]Citation
 }
 
 // Attach adds the responder's tree head, the consistency proof back to
-// the investigator's known head, and a supporting citation to the reply.
+// the investigator's known head, and a supporting citation to the reply,
+// all held in the provider's scratch until its next Attach.
 // It runs after any Liar mutation — a lying node cites whatever its
 // (possibly rewritten) log contains, which is exactly what the verifier
 // is designed to catch.
+//
+//repro:allocfree
 func (p *EvidenceProvider) Attach(req VerifyRequest, rep *VerifyReply) {
-	head := p.Log.TreeHead()
-	rep.Head = &head
-	if req.KnownHead != nil && req.KnownHead.Size <= head.Size {
-		if proof, err := p.Log.ConsistencyProof(req.KnownHead.Size, head.Size); err == nil {
-			rep.Consistency = &proof
+	p.head = p.Log.TreeHead()
+	rep.Head = &p.head
+	if req.KnownHead != nil && req.KnownHead.Size <= p.head.Size {
+		if proof, err := p.Log.ConsistencyProof(p.cons.Path, req.KnownHead.Size, p.head.Size); err == nil {
+			p.cons = proof
+			rep.Consistency = &p.cons
 		}
 	}
 	if !rep.Answered {
@@ -96,14 +106,16 @@ func (p *EvidenceProvider) Attach(req VerifyRequest, rep *VerifyReply) {
 	if req.Link == rep.Responder {
 		witness = req.Suspect
 	}
-	if c, ok := p.cite(witness, head); ok {
-		rep.Citations = append(rep.Citations, c)
+	if c, ok := p.cite(witness, p.head); ok {
+		p.cites[0] = c
+		rep.Citations = p.cites[:]
 	}
 }
 
 // cite finds the most recent HELLO_RX from witness among the last
 // evidenceSearchWindow records and proves its inclusion in head. It reads
-// the stored lines in place; the citation carries the line itself.
+// the stored lines in place; the citation carries the line itself, and
+// its proof path is the provider's scratch.
 func (p *EvidenceProvider) cite(witness addr.Node, head auditlog.TreeHead) (Citation, bool) {
 	var start uint64
 	if next := p.Log.NextSeq(); next > evidenceSearchWindow {
@@ -122,7 +134,7 @@ func (p *EvidenceProvider) cite(witness addr.Node, head auditlog.TreeHead) (Cita
 		if seq >= head.Size {
 			continue // sealed after the head was taken
 		}
-		proof, err := p.Log.InclusionProof(seq, head.Size)
+		proof, err := p.Log.InclusionProof(p.cites[0].Proof.Path, seq, head.Size)
 		if err != nil {
 			return Citation{}, false
 		}

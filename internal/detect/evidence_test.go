@@ -244,7 +244,7 @@ func TestLateAndDuplicateRepliesDropped(t *testing.T) {
 		t.Fatal("no requests sent")
 	}
 	for _, req := range w.tr.sent {
-		captured = append(captured, w.resp.Answer(req))
+		captured = append(captured, ownReply(w.resp.Answer(req)))
 	}
 
 	// Let the round time out and finalize with zero replies.
@@ -373,7 +373,7 @@ func citeByRecords(log *auditlog.Buffer, witness addr.Node, head auditlog.TreeHe
 		if index >= head.Size {
 			continue
 		}
-		proof, err := log.InclusionProof(index, head.Size)
+		proof, err := log.InclusionProof(nil, index, head.Size)
 		if err != nil {
 			return Citation{}, false
 		}

@@ -129,8 +129,8 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	// scratch and copy it into the stored set only when it changed, so the
 	// scratch keeps its capacity. A stored set without room for the new
 	// one is carved afresh from the node's set chunk, so first sight of a
-	// neighbor costs no allocation of its own. AdvertisedSym clones, so
-	// the reuse is unobservable.
+	// neighbor costs no allocation of its own. AdvertisedSym copies the
+	// set into its caller's storage, so the reuse is unobservable.
 	adv := n.lastHelloSym.put(from)
 	sym := h.SymNeighbors(n.nodeScratch)
 	n.nodeScratch = sym

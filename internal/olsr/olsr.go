@@ -290,12 +290,16 @@ func (n *Node) Covers(via, dest addr.Node) bool {
 }
 
 // AdvertisedSym returns the symmetric-neighbor set most recently advertised
-// by neighbor x in a HELLO, as recorded when the HELLO was processed.
-func (n *Node) AdvertisedSym(x addr.Node) addr.Set {
+// by neighbor x in a HELLO, as recorded when the HELLO was processed,
+// built in dst's storage (nil allocates).
+//
+//repro:allocfree
+func (n *Node) AdvertisedSym(dst addr.Set, x addr.Node) addr.Set {
+	dst = dst[:0]
 	if a := n.lastHelloSym.get(x); a != nil {
-		return a.Clone()
+		dst = append(dst, *a...)
 	}
-	return nil
+	return dst
 }
 
 // MPRs returns the current multipoint relay set.

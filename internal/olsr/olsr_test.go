@@ -408,7 +408,7 @@ func TestModifyHelloSpoofsTwoHopView(t *testing.T) {
 	if !a.MPRs().Has(addr.NodeAt(2)) {
 		t.Errorf("spoofer not selected as MPR: %v", a.MPRs())
 	}
-	if !a.AdvertisedSym(addr.NodeAt(2)).Has(phantom) {
+	if !a.AdvertisedSym(nil, addr.NodeAt(2)).Has(phantom) {
 		t.Error("AdvertisedSym does not reflect the spoofed HELLO")
 	}
 }

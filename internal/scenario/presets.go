@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -34,10 +35,39 @@ func Register(s Spec) {
 	registry[s.Name] = s
 }
 
-// Get returns the named preset.
+// Get returns a copy of the named preset that shares nothing with the
+// registry, so the caller may edit any of it.
 func Get(name string) (Spec, bool) {
 	s, ok := registry[name]
-	return s, ok
+	return s.clone(), ok
+}
+
+// clone deep-copies s's pointer blocks and slices (Custom is a func and
+// stays shared).
+func (s Spec) clone() Spec {
+	s.Positions = slices.Clone(s.Positions)
+	s.Attacks = slices.Clone(s.Attacks)
+	s.Mobility.Pause = clonePtr(s.Mobility.Pause)
+	s.Mobility.Epoch = clonePtr(s.Mobility.Epoch)
+	s.Trust = clonePtr(s.Trust)
+	s.Evidence = clonePtr(s.Evidence)
+	s.Reputation = clonePtr(s.Reputation)
+	s.Trace = clonePtr(s.Trace)
+	if s.Rounds != nil {
+		r := *s.Rounds
+		r.LiarCounts = slices.Clone(r.LiarCounts)
+		s.Rounds = &r
+	}
+	return s
+}
+
+// clonePtr returns a pointer to a copy of *p, or nil.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // Names lists the registered presets in sorted order.
@@ -50,11 +80,12 @@ func Names() []string {
 	return out
 }
 
-// Presets returns every registered spec, sorted by name.
+// Presets returns a copy of every registered spec, as Get does, sorted
+// by name.
 func Presets() []Spec {
 	out := make([]Spec, 0, len(registry))
 	for _, n := range Names() {
-		out = append(out, registry[n])
+		out = append(out, registry[n].clone())
 	}
 	return out
 }

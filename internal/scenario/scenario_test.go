@@ -420,3 +420,59 @@ func TestDeriveSeedStable(t *testing.T) {
 		}
 	}
 }
+
+// TestPresetCopiesShareNothing edits every pointer block and slice of
+// resolved presets, then resolves them again: the registry is unchanged,
+// through Get and Presets alike.
+func TestPresetCopiesShareNothing(t *testing.T) {
+	before := map[string]string{}
+	for _, s := range Presets() {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[s.Name] = string(b)
+	}
+
+	spec, _ := Get("paper-figures")
+	want := spec.Rounds.Rounds
+	spec.Rounds.Rounds = want + 1
+	spec.Rounds.LiarCounts[0] = 99
+	if again, _ := Get("paper-figures"); again.Rounds.Rounds != want || again.Rounds.LiarCounts[0] == 99 {
+		t.Fatalf("editing a resolved paper-figures reached the registry: %+v", *again.Rounds)
+	}
+	for _, s := range Presets() {
+		for i := range s.Positions {
+			s.Positions[i].X++
+		}
+		for i := range s.Attacks {
+			s.Attacks[i].Node++
+		}
+		for _, d := range []*Duration{s.Mobility.Pause, s.Mobility.Epoch} {
+			if d != nil {
+				*d++
+			}
+		}
+		if s.Trust != nil {
+			s.Trust.Gamma++
+		}
+		if s.Evidence != nil {
+			s.Evidence.Enabled = !s.Evidence.Enabled
+		}
+		if s.Reputation != nil {
+			s.Reputation.Enabled = !s.Reputation.Enabled
+		}
+		if s.Trace != nil {
+			s.Trace.Enabled = !s.Trace.Enabled
+		}
+		if s.Rounds != nil {
+			s.Rounds.Rounds++
+		}
+	}
+	for _, s := range Presets() {
+		b, _ := json.Marshal(s)
+		if got := string(b); got != before[s.Name] {
+			t.Errorf("%s changed after its copies were edited:\n got %s\nwant %s", s.Name, got, before[s.Name])
+		}
+	}
+}

@@ -99,6 +99,10 @@ type threshold struct {
 // empties s's window, so a storm raises one alert, not one per message.
 func (th *threshold) hit(s addr.Node, at time.Duration) bool {
 	ts := th.seen[s]
+	if ts == nil {
+		// A window never holds more than count times: a full one empties.
+		ts = make([]time.Duration, 0, th.count)
+	}
 	cutoff := at - th.span
 	start := 0
 	for start < len(ts) && ts[start] < cutoff {

@@ -311,10 +311,15 @@ func (p *kernelPair) drive(gen chooser, ops int, done func() bool) {
 			name = "At"
 			plain(p.s.Now() + dur(-20, 50)) // negative: in the past
 		case k < 4:
-			name = "After"
 			kern, ref := p.callbacks(randAction())
 			d := dur(-5, 50)
-			p.evs = append(p.evs, p.s.After(d, kern))
+			if k == 2 {
+				name = "After"
+				p.evs = append(p.evs, p.s.After(d, kern))
+			} else {
+				name = "AfterCall"
+				p.evs = append(p.evs, p.s.AfterCall(d, callFunc, kern))
+			}
 			p.refEvs = append(p.refEvs, p.r.at(p.r.now+d, ref))
 		case k < 5:
 			name = "AfterBurst"

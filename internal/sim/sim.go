@@ -8,8 +8,9 @@
 //
 // Pending events are stored by value in a binary min-heap keyed on
 // (time, sequence number), and every event has one callback form,
-// fn(arg): At and After store their func() as the argument, AfterBurst
-// passes its own, and a Ticker re-arms itself through the same path.
+// fn(arg): At and After store their func() as the argument, AfterCall
+// and AfterBurst pass their own, and a Ticker re-arms itself through
+// the same path.
 // A burst is n calls at one instant under n consecutive sequence
 // numbers, held in one heap entry that hands them out in place.
 // Scheduling allocates nothing once the heap has grown to its working
@@ -43,8 +44,8 @@ type event struct {
 	more int
 }
 
-// Event is a handle to a callback scheduled by At or After. The zero
-// value is a handle to nothing; its Cancel is a no-op.
+// Event is a handle to a callback scheduled by At, After or AfterCall.
+// The zero value is a handle to nothing; its Cancel is a no-op.
 type Event struct {
 	s *Scheduler
 	key
@@ -130,6 +131,15 @@ func (s *Scheduler) AfterBurst(d time.Duration, n int, fn func(any), arg any) {
 	if n > 0 {
 		s.push(s.now+d, fn, arg, n)
 	}
+}
+
+// AfterCall schedules fn(arg) to run d after the current virtual time
+// and returns its cancelable handle. With a static fn and a pointer arg
+// nothing allocates.
+//
+//repro:allocfree
+func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) Event {
+	return s.push(s.now+d, fn, arg, 1)
 }
 
 // callFunc is the callback of events scheduled by At and After.

@@ -8,16 +8,14 @@ import (
 	"repro/internal/scenario"
 )
 
-// paperRounds returns the paper-figures preset with its own copy of the
-// rounds block, so a test can edit it without touching the registry.
+// paperRounds returns the paper-figures preset; the resolved copy is the
+// test's own to edit.
 func paperRounds(t *testing.T) Scenario {
 	t.Helper()
 	spec, err := ResolveScenario("paper-figures")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := *spec.Rounds
-	spec.Rounds = &rs
 	return spec
 }
 

@@ -148,21 +148,18 @@ func TestFuzzTargetsWired(t *testing.T) {
 }
 
 // TestAllocTargetsWired keeps the Makefile `alloc` target, which CI's
-// blocking `alloc` job runs, equal to the packages holding the allocation
-// tier: every package declaring a `func TestAllocX(*testing.T)` must be
-// on the target's `go test` line, and the line may name no other package.
+// blocking `alloc` job runs, over the whole module: its `go test` line
+// runs `-run 'TestAlloc'` on `./...` alone, so a `func TestAllocX(*testing.T)`
+// declared in any package belongs to the tier.
 func TestAllocTargetsWired(t *testing.T) {
 	funcRE := regexp.MustCompile(`(?m)^func TestAlloc\w*\(\w+ \*testing\.T\)`)
-	var want []string
-	visitTestFiles(t, func(pkg string, src []byte) {
-		if funcRE.Match(src) && !slices.Contains(want, pkg) {
-			want = append(want, pkg)
-		}
+	found := false
+	visitTestFiles(t, func(_ string, src []byte) {
+		found = found || funcRE.Match(src)
 	})
-	if len(want) == 0 {
+	if !found {
 		t.Fatal("found no allocation tests")
 	}
-	slices.Sort(want)
 
 	src, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -178,9 +175,8 @@ func TestAllocTargetsWired(t *testing.T) {
 			got = append(got, f)
 		}
 	}
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Errorf("Makefile alloc target tests %v, want the packages declaring TestAlloc* tests: %v", got, want)
+	if !slices.Equal(got, []string{"./..."}) || !strings.Contains(string(m[1]), "-run 'TestAlloc'") {
+		t.Errorf("Makefile alloc target %q, want -run 'TestAlloc' over ./... alone", m[1])
 	}
 
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
