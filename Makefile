@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race bench bench-test manetbench golden golden-update scale scale-update alloc alloc-update serve-smoke trace-smoke fuzz lint lint-external reprolint clean
+.PHONY: check fmt vet build test test-short race examples bench bench-test manetbench golden golden-update scale scale-update alloc alloc-update serve-smoke trace-smoke fuzz lint lint-external reprolint clean
 
 check: fmt vet build test
 
@@ -29,6 +29,14 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# Run every program under examples/: `go build ./...` only compiles them.
+# Fails on the first example that exits non-zero.
+examples:
+	@for d in examples/*/; do d=$${d%/}; \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

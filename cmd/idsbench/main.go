@@ -3,7 +3,7 @@
 //	idsbench -sweep mobility    # X1: detection rate/latency vs speed
 //	idsbench -sweep size        # X2: traffic & log overhead vs #nodes
 //	idsbench -sweep ci          # X3: confidence-interval behaviour
-//	idsbench -sweep ablation    # X4: Eq. 8 with vs without trust weights
+//	idsbench -sweep ablation    # X4: Eq. 8 with vs without trust weights; X4b: cumulative CI
 //	idsbench -sweep baselines   # X5: storm/replay/drop signature coverage
 //	idsbench -sweep scenarios   # X6: the scenario preset matrix + digests
 //	idsbench -sweep scale       # X7: large-N presets, grid vs one-cell medium
@@ -91,6 +91,13 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprint(w, res.Table.Render())
 		fmt.Fprintf(w, "\nfinal: trust-weighted %.3f vs uniform %.3f\n", res.FinalWeighted, res.FinalUniform)
 		fmt.Fprintln(w, "(the trust weighting is what drives Detect toward -1 as liars lose standing)")
+		fmt.Fprintln(w, "\nX4b: conviction round, cumulative vs single-round confidence interval (-1 = never)")
+		fmt.Fprintf(w, "%6s %11s %13s\n", "liars", "cumulative", "single-round")
+		for _, liars := range []int{1, 4, 7} {
+			cfg.Liars = liars
+			res := eng.CIAccumulationAblation(cfg)
+			fmt.Fprintf(w, "%6d %11d %13d\n", liars, res.CumulativeRound, res.SingleRound)
+		}
 
 	case "baselines":
 		res := eng.Baselines()

@@ -52,15 +52,7 @@ func main() {
 		{Source: addr.NodeAt(5), Trust: 0.4, Evidence: 0}, // answer lost
 	}
 	d, _ := trust.Detect(obs)
-	samples := make([]float64, len(obs))
-	var sumT float64
-	for _, o := range obs {
-		sumT += o.Trust
-	}
-	for i, o := range obs {
-		samples[i] = o.Trust * o.Evidence / (sumT / float64(len(obs)))
-	}
-	iv, _ := trust.ConfidenceInterval(samples, params.ConfidenceLevel)
+	iv, _ := trust.ConfidenceInterval(trust.Samples(nil, obs), params.ConfidenceLevel)
 	fmt.Printf("  Detect = %+.3f, 95%% CI ±%.3f -> verdict: %s\n\n",
 		d, iv.Margin, trust.Decide(d, iv.Margin, params.Gamma))
 

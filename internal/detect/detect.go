@@ -384,11 +384,6 @@ func (d *Detector) peek(n addr.Node) *suspectCell {
 	return nil
 }
 
-// maxCISamples bounds the cumulative evidence kept per suspect for the
-// confidence interval; old samples age out, matching the freshness
-// property 4 of §IV-A.
-const maxCISamples = 256
-
 // NewDetector wires a detector to its node's log buffer, router view,
 // trust store and transport.
 func NewDetector(
@@ -920,22 +915,12 @@ func (d *Detector) finalize(inv *investigation) {
 	verdict := trust.Unrecognized
 	var iv trust.Interval
 	if ok {
-		// Samples for Eq. 9 (trust.Samples): the trust-weighted evidence
-		// terms, proof weight folded in exactly as Eq. 8 does, scaled so
-		// their mean equals this round's Detect value. The interval is
-		// computed over the evidence accumulated ACROSS rounds for this
-		// suspect — this is the §IV-C loop: an unrecognized verdict means
-		// "too wide, gather more evidence", and more rounds narrow ε by
-		// 1/√n until Eq. 10 can resolve.
-		hist := trust.Samples(c.samples, obs)
-		if len(hist) > maxCISamples {
-			// Shift in place instead of re-slicing so the slab keeps its
-			// backing array once it reaches steady state.
-			keep := copy(hist, hist[len(hist)-maxCISamples:])
-			hist = hist[:keep]
-		}
-		c.samples = hist
-		if civ, err := trust.ConfidenceInterval(hist, d.store.Params().ConfidenceLevel); err == nil {
+		// The interval is computed over this suspect's Eq. 9 samples
+		// accumulated ACROSS rounds (trust.History) — the §IV-C loop: an
+		// unrecognized verdict means "too wide, gather more evidence",
+		// and more rounds narrow ε until Eq. 10 can resolve.
+		c.samples = trust.History(c.samples, obs)
+		if civ, err := trust.ConfidenceInterval(c.samples, d.store.Params().ConfidenceLevel); err == nil {
 			iv = civ
 			verdict = trust.Decide(detectVal, iv.Margin, d.store.Params().Gamma)
 		}

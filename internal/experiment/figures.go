@@ -76,10 +76,9 @@ type Population struct {
 	Initial    map[addr.Node]float64
 	rng        *rand.Rand
 	cfg        Config
-	// obs and samples are per-round scratch, reused round after round;
-	// nothing in them outlives the round that filled them.
-	obs     []trust.Observation
-	samples []float64
+	// obs is per-round scratch, reused round after round: the
+	// observations of the last round drawn.
+	obs []trust.Observation
 
 	// tracer is the run-trace emitter (nil = off); round drives its
 	// synthetic clock — one second per investigation round.
@@ -142,18 +141,7 @@ func NewPopulation(cfg Config) *Population {
 // e = −1) is included per property 5 of §IV-A.
 func (p *Population) Round() float64 {
 	p.round++
-	obs := append(p.obs[:0], trust.Observation{Source: p.Observer, Trust: 1, Evidence: -1})
-	for _, r := range p.Responders {
-		e := -1.0
-		if p.IsLiar[r] {
-			e = 1
-		}
-		if p.rng.Float64() < p.cfg.NonAnswerProb {
-			e = 0
-		}
-		obs = append(obs, trust.Observation{Source: r, Trust: p.Store.Get(r), Evidence: e})
-	}
-	p.obs = obs
+	obs := p.draw(p.Store.Get)
 	detect, ok := trust.Detect(obs)
 	if !ok {
 		return 0
@@ -191,6 +179,24 @@ func (p *Population) Round() float64 {
 			V0: detect, V1: float64(p.round)})
 	}
 	return detect
+}
+
+// draw fills p.obs with one round's observations, as Round describes them,
+// weighting each responder's answer by trustOf, and returns them.
+func (p *Population) draw(trustOf func(addr.Node) float64) []trust.Observation {
+	obs := append(p.obs[:0], trust.Observation{Source: p.Observer, Trust: 1, Evidence: -1})
+	for _, r := range p.Responders {
+		e := -1.0
+		if p.IsLiar[r] {
+			e = 1
+		}
+		if p.rng.Float64() < p.cfg.NonAnswerProb {
+			e = 0
+		}
+		obs = append(obs, trust.Observation{Source: r, Trust: trustOf(r), Evidence: e})
+	}
+	p.obs = obs
+	return obs
 }
 
 // seriesName labels a node's curve by role, node index and initial trust,

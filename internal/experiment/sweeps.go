@@ -3,6 +3,7 @@ package experiment
 import (
 	"math/rand"
 
+	"repro/internal/addr"
 	"repro/internal/metrics"
 	"repro/internal/trust"
 )
@@ -62,7 +63,7 @@ func ciTrial(rng *rand.Rand, cl float64, n int, liarFrac float64) ciTrialResult 
 	return ciTrialResult{
 		margin:       iv.Margin,
 		detect:       detectVal,
-		unrecognized: trust.Decide(detectVal, iv.Margin, 0.6) == trust.Unrecognized,
+		unrecognized: trust.Decide(detectVal, iv.Margin, trust.DefaultParams().Gamma) == trust.Unrecognized,
 		valid:        true,
 	}
 }
@@ -121,9 +122,9 @@ func (r *Runner) CISweep(levels []float64, sizes []int, liarFrac float64) []CIPo
 
 // X4b: ablation of the cumulative confidence interval. DESIGN.md §5
 // resolves §IV-C's "interval too wide → gather more evidence" loop by
-// accumulating Eq. 9 samples across rounds; this ablation compares the
-// first round at which Eq. 10 convicts under cumulative versus
-// single-round intervals.
+// keeping a sample history across rounds (trust.History), as the detector
+// does; this ablation compares the first round at which Eq. 10 convicts
+// under that history versus an interval over one round's samples.
 
 // CIAccumulationResult reports the conviction round under each policy
 // (-1 = never within cfg.Rounds).
@@ -133,48 +134,27 @@ type CIAccumulationResult struct {
 }
 
 // CIAccumulationAblation replays the Fig-3 evidence stream and decides
-// each round with both interval policies. It runs as one engine task,
-// executed inline: the two policies share one evidence stream round by
-// round, so the scenario cannot be split without replaying it.
+// each round with both interval policies, on the observations Round
+// aggregated. It runs as one engine task, executed inline: the two
+// policies share one evidence stream round by round, so the scenario
+// cannot be split without replaying it.
 func (r *Runner) CIAccumulationAblation(cfg Config) CIAccumulationResult {
 	res := CIAccumulationResult{CumulativeRound: -1, SingleRound: -1}
 	p := NewPopulation(cfg)
-	var hist []float64
+	var single, hist []float64
+	convicts := func(detectVal float64, samples []float64) bool {
+		iv, err := trust.ConfidenceInterval(samples, cfg.Params.ConfidenceLevel)
+		return err == nil && trust.Decide(detectVal, iv.Margin, cfg.Params.Gamma) == trust.Intruder
+	}
 	for r := 0; r < cfg.Rounds; r++ {
-		// Reconstruct this round's observations exactly as Round does,
-		// then apply Round's trust feedback by calling it — but we need
-		// the observations, so inline the sampling with the same RNG
-		// stream via a fresh draw: simplest is to recompute from a twin
-		// population advanced in lockstep.
 		detectVal := p.Round()
-		// The samples are the trust-weighted evidences; Round does not
-		// expose them, so approximate with the aggregate value repeated
-		// per responder — spread comes from the liar/honest split, which
-		// the sign pattern preserves.
-		roundSamples := p.samples[:0]
-		for _, resp := range p.Responders {
-			e := -1.0
-			if p.IsLiar[resp] {
-				e = 1
-			}
-			roundSamples = append(roundSamples, p.Store.Get(resp)*e/0.5)
+		single = trust.Samples(single[:0], p.obs)
+		hist = trust.History(hist, p.obs)
+		if res.SingleRound < 0 && convicts(detectVal, single) {
+			res.SingleRound = r
 		}
-		p.samples = roundSamples
-		hist = append(hist, roundSamples...)
-
-		if res.SingleRound < 0 {
-			if iv, err := trust.ConfidenceInterval(roundSamples, cfg.Params.ConfidenceLevel); err == nil {
-				if trust.Decide(detectVal, iv.Margin, cfg.Params.Gamma) == trust.Intruder {
-					res.SingleRound = r
-				}
-			}
-		}
-		if res.CumulativeRound < 0 {
-			if iv, err := trust.ConfidenceInterval(hist, cfg.Params.ConfidenceLevel); err == nil {
-				if trust.Decide(detectVal, iv.Margin, cfg.Params.Gamma) == trust.Intruder {
-					res.CumulativeRound = r
-				}
-			}
+		if res.CumulativeRound < 0 && convicts(detectVal, hist) {
+			res.CumulativeRound = r
 		}
 	}
 	return res
@@ -228,21 +208,10 @@ func (r *Runner) Ablation(cfg Config) *AblationResult {
 // pinned to 1 and no feedback applied.
 func ablationUniformArm(cfg Config) []float64 {
 	q := NewPopulation(cfg)
+	unit := func(addr.Node) float64 { return 1 }
 	vals := make([]float64, 0, cfg.Rounds)
 	for r := 0; r < cfg.Rounds; r++ {
-		obs := append(q.obs[:0], trust.Observation{Source: q.Observer, Trust: 1, Evidence: -1})
-		for _, resp := range q.Responders {
-			e := -1.0
-			if q.IsLiar[resp] {
-				e = 1
-			}
-			if q.rng.Float64() < q.cfg.NonAnswerProb {
-				e = 0
-			}
-			obs = append(obs, trust.Observation{Source: resp, Trust: 1, Evidence: e})
-		}
-		q.obs = obs
-		v, _ := trust.Detect(obs)
+		v, _ := trust.Detect(q.draw(unit))
 		vals = append(vals, v)
 	}
 	return vals

@@ -3,18 +3,20 @@ package experiment
 import "testing"
 
 func TestCIAccumulationAblation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Liars = 4
-	res := NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
+	for _, liars := range []int{1, 4, 7} {
+		cfg := DefaultConfig()
+		cfg.Liars = liars
+		res := NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
 
-	if res.CumulativeRound < 0 {
-		t.Fatal("cumulative CI never convicted within 25 rounds")
-	}
-	// The cumulative policy must resolve no later than the single-round
-	// policy (when the latter resolves at all).
-	if res.SingleRound >= 0 && res.CumulativeRound > res.SingleRound {
-		t.Errorf("cumulative (round %d) slower than single-round (round %d)",
-			res.CumulativeRound, res.SingleRound)
+		if res.CumulativeRound < 0 {
+			t.Errorf("%d liars: cumulative CI never convicted within %d rounds", liars, cfg.Rounds)
+		}
+		// The cumulative policy must resolve no later than the single-round
+		// policy (when the latter resolves at all).
+		if res.SingleRound >= 0 && res.CumulativeRound > res.SingleRound {
+			t.Errorf("%d liars: cumulative (round %d) slower than single-round (round %d)",
+				liars, res.CumulativeRound, res.SingleRound)
+		}
 	}
 }
 

@@ -357,7 +357,7 @@ func (s Spec) Validate() error {
 		if len(s.Attacks) > 0 {
 			return fmt.Errorf("scenario %q: rounds scenarios take no attack mix", s.Name)
 		}
-		return nil
+		return s.validateRounds()
 	}
 	switch s.Placement {
 	case "grid", "line", "ring", "uniform":
@@ -432,6 +432,35 @@ func (s Spec) Validate() error {
 			}
 			claimed[n] = a.Kind
 		}
+	}
+	return nil
+}
+
+// validateRounds checks a rounds scenario against the §V population it
+// runs (experiment.NewPopulation): node 1 observes, the last node attacks
+// and the Nodes−2 between them answer, so at most that many can lie.
+func (s Spec) validateRounds() error {
+	r := s.Rounds
+	if r == nil {
+		return fmt.Errorf("scenario %q: rounds scenarios need a rounds block", s.Name)
+	}
+	if s.Nodes < 4 {
+		return fmt.Errorf("scenario %q: %d nodes, rounds scenarios need at least 4", s.Name, s.Nodes)
+	}
+	responders := s.Nodes - 2
+	for _, liars := range append([]int{s.Liars}, r.LiarCounts...) {
+		if liars < 0 || liars > responders {
+			return fmt.Errorf("scenario %q: %d liars among %d responders", s.Name, liars, responders)
+		}
+	}
+	if !(r.NonAnswerProb <= 1) {
+		return fmt.Errorf("scenario %q: rounds.nonAnswerProb %v above 1", s.Name, r.NonAnswerProb)
+	}
+	// An unset range (both zero) keeps the experiment default.
+	lo, hi := r.InitialTrustMin, r.InitialTrustMax
+	if (lo != 0 || hi != 0) && !(0 <= lo && lo <= hi && hi <= 1) {
+		return fmt.Errorf("scenario %q: rounds.initialTrustMin %v and initialTrustMax %v are not a range within [0,1]",
+			s.Name, lo, hi)
 	}
 	return nil
 }

@@ -117,6 +117,20 @@ func TestValidate(t *testing.T) {
 		{Name: "a-self", Attacks: []AttackSpec{{Kind: "colluding", Node: 2, Peer: 2}}},
 		{Name: "a-storm", Attacks: []AttackSpec{{Kind: "storm", Node: 1}}},
 		{Name: "rounds-att", Kind: KindRounds, Attacks: []AttackSpec{{Kind: "blackhole", Node: 1}}},
+		// A rounds scenario runs the §V population: node 1 observes, the
+		// last node attacks, and only the Nodes-2 between them can lie.
+		{Name: "rounds-none", Kind: KindRounds},
+		{Name: "rounds-nodes", Kind: KindRounds, Nodes: 2, Rounds: &RoundsSpec{}},
+		{Name: "rounds-liars", Kind: KindRounds, Nodes: 16, Liars: 40, Rounds: &RoundsSpec{}},
+		{Name: "rounds-liars-all", Kind: KindRounds, Nodes: 16, Liars: 15, Rounds: &RoundsSpec{}},
+		{Name: "rounds-liars-neg", Kind: KindRounds, Nodes: 16, Liars: -3, Rounds: &RoundsSpec{}},
+		{Name: "rounds-counts-neg", Kind: KindRounds, Rounds: &RoundsSpec{LiarCounts: []int{-1, 4}}},
+		{Name: "rounds-counts-big", Kind: KindRounds, Rounds: &RoundsSpec{LiarCounts: []int{4, 99}}},
+		{Name: "rounds-loss", Kind: KindRounds, Rounds: &RoundsSpec{NonAnswerProb: 7}},
+		{Name: "rounds-trust-order", Kind: KindRounds, Rounds: &RoundsSpec{InitialTrustMin: 0.9, InitialTrustMax: 0.2}},
+		{Name: "rounds-trust-min-only", Kind: KindRounds, Rounds: &RoundsSpec{InitialTrustMin: 0.3}},
+		{Name: "rounds-trust-neg", Kind: KindRounds, Rounds: &RoundsSpec{InitialTrustMin: -0.5, InitialTrustMax: 0.5}},
+		{Name: "rounds-trust-high", Kind: KindRounds, Rounds: &RoundsSpec{InitialTrustMin: 0.5, InitialTrustMax: 1.5}},
 		// One role-bearing attack per node: a spoofer and a drop hook on
 		// the same router cannot coexist (NodeSpec installs one of them).
 		{Name: "dup-role", Attacks: []AttackSpec{
@@ -182,6 +196,15 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Spec{Name: "ok"}).Validate(); err != nil {
 		t.Errorf("minimal spec rejected: %v", err)
+	}
+	for _, s := range []Spec{
+		{Name: "rounds-edges", Kind: KindRounds, Nodes: 4, Liars: 2, Rounds: &RoundsSpec{
+			LiarCounts: []int{0, 2}, NonAnswerProb: 1, InitialTrustMin: 0, InitialTrustMax: 1}},
+		{Name: "rounds-lossless", Kind: KindRounds, Rounds: &RoundsSpec{NonAnswerProb: -1}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %q rejected: %v", s.Name, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package trust
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -162,6 +163,39 @@ func TestEffTrustZeroWeightIsIdentity(t *testing.T) {
 		o.Weight = w
 		if math.Abs(o.EffTrust()-tr*w) > 1e-15 {
 			t.Fatalf("EffTrust = %v, want %v", o.EffTrust(), tr*w)
+		}
+	}
+}
+
+// TestHistoryWindow pins the sample history behind §IV-C's "gather more
+// evidence" loop: over many rounds it holds the newest historyLen samples
+// of every round's Samples, oldest first, and from its first trim on it
+// trims in place without moving to a new backing array.
+func TestHistoryWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const perRound = 15
+	var hist, all []float64
+	var full *float64 // hist's backing array since its first trim
+	for round := 0; round < 100; round++ {
+		obs := make([]Observation, perRound)
+		for j := range obs {
+			obs[j] = Observation{Source: addr.NodeAt(j + 1), Trust: 0.1 + rng.Float64(), Evidence: -1}
+		}
+		hist = History(hist, obs)
+		all = Samples(all, obs)
+
+		want := all[max(0, len(all)-historyLen):]
+		if !slices.Equal(hist, want) {
+			t.Fatalf("round %d: history of %d samples is not the newest %d of %d",
+				round, len(hist), len(want), len(all))
+		}
+		if len(all) <= historyLen {
+			continue
+		}
+		if full == nil {
+			full = &hist[0]
+		} else if &hist[0] != full {
+			t.Fatalf("round %d: full history moved to a new backing array", round)
 		}
 	}
 }

@@ -400,7 +400,7 @@ func (o Observation) EffTrust() float64 {
 // Samples appends one round's Eq. 9 samples to dst and returns the
 // extended slice: each observation's EffTrust·e divided by the round's
 // mean effective trust, so the samples' mean is the round's Detect value.
-// It is the one sample rule of the detector's interval and the CI sweep.
+// It is the one sample rule of the detector's interval and of X3 and X4b.
 func Samples(dst []float64, obs []Observation) []float64 {
 	var sumT float64
 	for _, o := range obs {
@@ -411,6 +411,23 @@ func Samples(dst []float64, obs []Observation) []float64 {
 		dst = append(dst, o.EffTrust()*o.Evidence/meanT)
 	}
 	return dst
+}
+
+// historyLen bounds a sample history (History): old samples age out,
+// matching the freshness property 4 of §IV-A.
+const historyLen = 256
+
+// History appends one round's samples (Samples) to a history kept across
+// rounds and keeps its newest historyLen samples, oldest first. This is
+// §IV-C's "gather more evidence" loop: an interval too wide to decide
+// narrows by 1/√n as rounds add samples. The trim shifts in place, so a
+// full history keeps its backing array.
+func History(hist []float64, obs []Observation) []float64 {
+	hist = Samples(hist, obs)
+	if len(hist) > historyLen {
+		hist = hist[:copy(hist, hist[len(hist)-historyLen:])]
+	}
+	return hist
 }
 
 // Detect implements Eq. 8: the trust-weighted aggregation of second-hand

@@ -190,23 +190,22 @@ func TestAllocTargetsWired(t *testing.T) {
 
 // testOnlyOracles are the exported functions in internal/ that no
 // non-test file names but that stay: the references tests check code that
-// runs against, counters and an ablation that later reports will read, and
-// methods the standard library calls through an interface.
+// runs against, counters that later reports will read, and methods the
+// standard library calls through an interface.
 var testOnlyOracles = map[string]string{
-	"auditlog.ParseError.Unwrap":               "errors.Is and errors.As call it",
-	"scenario.Duration.MarshalJSON":            "encoding/json calls it",
-	"scenario.Duration.UnmarshalJSON":          "encoding/json calls it",
-	"lint/load.moduleImporter.Import":          "go/types calls it as a types.Importer",
-	"sim.Scheduler.Pending":                    "the event heap's reference-model check counts queued calls",
-	"auditlog.Buffer.LeafAt":                   "Merkle oracle: tests recompute leaves against it",
-	"auditlog.Buffer.TreeHeadAt":               "Merkle oracle: tests rebuild historical heads against it",
-	"olsr.Node.Routes":                         "equivalence oracle for the routing table",
-	"olsr.Node.TopologyLinks":                  "equivalence oracle for the topology table",
-	"reputation.Ledger.RecommendationTrust":    "equivalence oracle: the map-reference model compares it",
-	"reputation.Ledger.FlaggedDishonest":       "equivalence oracle: Stats holds only the count, tests compare the set",
-	"detect.Detector.LateReplies":              "counter that operational observability will report",
-	"detect.Detector.ProofFailures":            "counter that operational observability will report",
-	"experiment.Runner.CIAccumulationAblation": "the X4b ablation that idsbench will run",
+	"auditlog.ParseError.Unwrap":            "errors.Is and errors.As call it",
+	"scenario.Duration.MarshalJSON":         "encoding/json calls it",
+	"scenario.Duration.UnmarshalJSON":       "encoding/json calls it",
+	"lint/load.moduleImporter.Import":       "go/types calls it as a types.Importer",
+	"sim.Scheduler.Pending":                 "the event heap's reference-model check counts queued calls",
+	"auditlog.Buffer.LeafAt":                "Merkle oracle: tests recompute leaves against it",
+	"auditlog.Buffer.TreeHeadAt":            "Merkle oracle: tests rebuild historical heads against it",
+	"olsr.Node.Routes":                      "equivalence oracle for the routing table",
+	"olsr.Node.TopologyLinks":               "equivalence oracle for the topology table",
+	"reputation.Ledger.RecommendationTrust": "equivalence oracle: the map-reference model compares it",
+	"reputation.Ledger.FlaggedDishonest":    "equivalence oracle: Stats holds only the count, tests compare the set",
+	"detect.Detector.LateReplies":           "counter that operational observability will report",
+	"detect.Detector.ProofFailures":         "counter that operational observability will report",
 }
 
 // TestNoTestOnlyExports keeps exported API in internal/ from outliving its
